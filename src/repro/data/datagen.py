@@ -17,6 +17,7 @@ actually exercises:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -27,6 +28,21 @@ from ..nn import functional as F
 __all__ = ["MiniBatch", "SyntheticCTRDataset", "zipf_indices"]
 
 
+@lru_cache(maxsize=64)
+def _zipf_cdf(num_ids: int, alpha: float) -> np.ndarray:
+    """Read-only CDF of the power law truncated to ``num_ids`` ranks.
+
+    Cached because a dataset draws from the same few ``(num_ids, alpha)``
+    laws once per table per batch; read-only because every caller gets
+    the same array.
+    """
+    ranks = np.arange(1, num_ids + 1, dtype=np.float64)
+    cdf = np.cumsum(ranks ** (-alpha))
+    cdf /= cdf[-1]
+    cdf.setflags(write=False)
+    return cdf
+
+
 def zipf_indices(num_ids: int, size: int, rng: np.random.Generator,
                  alpha: float = 1.05) -> np.ndarray:
     """Zipf-distributed ids in ``[0, num_ids)`` (rejection-free, via
@@ -35,12 +51,8 @@ def zipf_indices(num_ids: int, size: int, rng: np.random.Generator,
         raise ValueError("num_ids must be positive")
     if size == 0:
         return np.zeros(0, dtype=np.int64)
-    ranks = np.arange(1, num_ids + 1, dtype=np.float64)
-    weights = ranks ** (-alpha)
-    cdf = np.cumsum(weights)
-    cdf /= cdf[-1]
     u = rng.random(size)
-    return np.searchsorted(cdf, u).astype(np.int64)
+    return np.searchsorted(_zipf_cdf(num_ids, alpha), u).astype(np.int64)
 
 
 @dataclass

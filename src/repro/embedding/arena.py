@@ -15,9 +15,10 @@ pooled forward is
 
 instead of a Python loop issuing two dispatches per table. The fused
 backward builds a single arena-global COO gradient (one gather), and the
-fused backward+optimizer merges it with a single lexsort/reduceat across
-all tables of the group before applying the exact sparse update
-table-by-table (optimizer state stays per-table).
+fused backward+optimizer merges it with a single sort-and-reduce
+(``merge_sorted_coo``: one ``(row, g[0])`` sort, tie refinement, one
+reduceat) across all tables of the group before applying the exact
+sparse update table-by-table (optimizer state stays per-table).
 
 Tables keep their identity: each :class:`EmbeddingTable`'s ``.weight``
 is re-pointed to a *view* of the arena storage, so per-table reads,
@@ -212,7 +213,7 @@ class EmbeddingArena:
     def backward_and_update(self, d_pooled: Dict[str, np.ndarray],
                             optimizer: SparseOptimizer) -> Dict[str, int]:
         """Fused backward + exact sparse optimizer: one COO build and one
-        lexsort/reduceat merge per dimension group (Section 4.1.1/4.1.2).
+        sort-and-reduce merge per dimension group (Section 4.1.1/4.1.2).
 
         The merged group gradient is split at table base boundaries
         (unique rows are sorted, bases are sorted, so each table's rows

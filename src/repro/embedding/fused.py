@@ -17,9 +17,9 @@ so that
   models), and ``benchmarks/bench_fused_kernel.py`` measures the
   wall-clock win over the per-table loop;
 * :meth:`FusedEmbeddingCollection.backward_and_update` builds one
-  group-global COO gradient, merges it with a single lexsort/reduceat and
-  applies the exact sparse optimizer — never holding more than one
-  group's merged gradient at a time.
+  group-global COO gradient, merges it with a single sort-and-reduce
+  (``merge_sorted_coo``) and applies the exact sparse optimizer — never
+  holding more than one group's merged gradient at a time.
 
 ``fusion="loop"`` keeps the legacy per-table Python loop (N dispatches per
 call, counted as such) as the unfused baseline for benchmarks and parity

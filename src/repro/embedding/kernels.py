@@ -179,27 +179,64 @@ def rebase_jagged(inputs: Sequence[Tuple[np.ndarray, np.ndarray]],
     return gidx, np.concatenate(parts), counts
 
 
+def _tied(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Element-wise "the sort cannot order these": equal, or both NaN.
+
+    The relation numpy's stable sorts tie on (``-0.0 == +0.0``, NaNs sort
+    last and tie with each other), so it is an equivalence relation.
+    """
+    return (a == b) | ((a != a) & (b != b))
+
+
 def merge_sorted_coo(rows: np.ndarray, values: np.ndarray,
                      segment_offsets: Optional[np.ndarray] = None
                      ) -> Tuple[np.ndarray, np.ndarray]:
     """Sort a COO gradient by row and sum duplicates into one entry per row.
 
-    The canonical total order is ``(row, value columns)`` — float addition
-    is not bitwise-commutative under reordering, so sorting by row alone
-    would leave the within-row summation order dependent on input order.
-    Lexsorting with the gradient columns as tie-breakers makes the merged
-    result a pure function of the (row, grad) multiset — the determinism
-    guarantee of paper Section 4.1.2. Because arena-global row ids are
-    disjoint across tables, merging a whole dimension group at once yields
-    bitwise the same per-table results as merging each table separately.
+    The canonical total order is ``(row, g[0], ..., g[D-1])`` — float
+    addition is not bitwise-commutative under reordering, so sorting by
+    row alone would leave the within-row summation order dependent on
+    input order. Ordering each row's entries by their gradient columns
+    makes the merged result a pure function of the (row, grad) multiset —
+    the determinism guarantee of paper Section 4.1.2. Because arena-global
+    row ids are disjoint across tables, merging a whole dimension group at
+    once yields bitwise the same per-table results as merging each table
+    separately.
+
+    Sort once, refine ties
+    ----------------------
+
+    A ``(D+1)``-key lexsort reaches that order with ``D+1`` full stable
+    sorts, but almost every entry is already placed after two of them.
+    So the kernel stable-sorts on ``(row, g[0])`` only, and then walks the
+    remaining columns *inside the runs that are still tied*:
+
+    * a column on which every adjacent tied pair ties is skipped — all
+      members of each run tie on it (ties are an equivalence relation),
+      and a stable sort on an all-tied key is the identity;
+    * otherwise every still-tied run is stable-sorted on that column and
+      the pairs that now differ leave the tied set;
+    * when the tied pairs tie on every remaining column the loop stops:
+      the runs hold interchangeable vectors (one id twice in a bag, two
+      samples with the same upstream gradient), and every further stable
+      sort would be the identity.
+
+    A stable sort on ``(k_0..k_d)`` followed by a stable sort on
+    ``k_{d+1}`` within its tied runs is the stable sort on
+    ``(k_0..k_{d+1})``, so by induction the final permutation *is* the
+    full lexsort's permutation — same sorted values, same ``reduceat``
+    sums, bit for bit (``tests/reference_kernels.py`` keeps the full
+    lexsort as the oracle). The common case costs one two-key sort plus
+    one comparison over the handful of tied pairs.
 
     ``segment_offsets`` is a sort accelerator, not a semantic knob: when
     the caller knows the COO is partitioned into contiguous runs whose row
     ranges are disjoint and increasing (the arena's table-major group
     gradient, offsets ``[0, nnz_0, nnz_0+nnz_1, ..., nnz]``), the global
-    lexsort's output is exactly the concatenation of the per-run lexsorts,
-    so each run is sorted independently — same bits, cache-sized sorts
-    instead of one DRAM-streaming sort (asserted by the parity tests).
+    sort's output is exactly the concatenation of the per-run sorts, so
+    each run is sorted independently — same bits, cache-sized sorts
+    instead of one DRAM-streaming sort (asserted by the parity tests;
+    measured in ``docs/performance.md``).
     """
     if len(rows) == 0:
         return rows.astype(np.int64), values.astype(np.float32)
@@ -209,10 +246,34 @@ def merge_sorted_coo(rows: np.ndarray, values: np.ndarray,
                  if e > s]
         return (np.concatenate([r for r, _ in parts]),
                 np.concatenate([v for _, v in parts], axis=0))
-    keys = tuple(values[:, d] for d in range(values.shape[1] - 1, -1, -1))
-    order = np.lexsort(keys + (rows,))
+    n, dim = values.shape
+    order = np.lexsort((values[:, 0], rows))
     sorted_rows = rows[order]
-    sorted_vals = values[order]
-    unique_rows, starts = np.unique(sorted_rows, return_index=True)
+    sorted_vals = np.take(values, order, axis=0)
+    run_start = np.empty(n, dtype=bool)
+    run_start[0] = True
+    np.not_equal(sorted_rows[1:], sorted_rows[:-1], out=run_start[1:])
+    # `later[k]` ties its predecessor on the row and on every column < d
+    later = np.flatnonzero(~run_start)
+    later = later[_tied(sorted_vals[later - 1, 0], sorted_vals[later, 0])]
+    d = 1
+    while len(later) and d < dim:
+        differs = ~_tied(sorted_vals[later - 1, d:],
+                         sorted_vals[later, d:]).all(axis=0)
+        if not differs.any():
+            break
+        d += int(np.argmax(differs))
+        tied = np.zeros(n, dtype=bool)
+        tied[later] = True
+        member = tied.copy()
+        member[later - 1] = True
+        members = np.flatnonzero(member)
+        run_id = np.cumsum(~tied[members])
+        refined = members[np.lexsort((sorted_vals[members, d], run_id))]
+        sorted_vals[members] = sorted_vals[refined]
+        later = later[_tied(sorted_vals[later - 1, d], sorted_vals[later, d])]
+        d += 1
+    starts = np.flatnonzero(run_start)
     merged = np.add.reduceat(sorted_vals, starts, axis=0)
-    return unique_rows.astype(np.int64), merged.astype(np.float32)
+    return (sorted_rows[starts].astype(np.int64, copy=False),
+            merged.astype(np.float32, copy=False))

@@ -42,7 +42,8 @@ def merge_duplicate_rows(rows: np.ndarray,
     This is the "transpose the sparse update matrix" step of Section 4.1.2:
     e.g. rows ``[1, 2, 2, 3]`` with gradients ``[g0, g1, g2, g3]`` become
     rows ``[1, 2, 3]`` with gradients ``[g0, g1+g2, g3]``. The heavy
-    lifting (canonical lexsort + reduceat merge) lives in
+    lifting (canonical ``(row, gradient columns)`` order via one two-key
+    sort plus tie refinement, then a reduceat merge) lives in
     :func:`repro.embedding.kernels.merge_sorted_coo`, shared with the
     fused arena backward.
     """
@@ -70,8 +71,14 @@ class SparseOptimizer:
                      grads: np.ndarray) -> None:
         """Apply one exact update per *pre-merged* unique row.
 
+        Precondition: ``rows`` holds no duplicates and ``grads`` is the
+        float32 ``(len(rows), D)`` merged gradient — what
+        ``merge_sorted_coo`` returns. The ``_apply`` implementations rely
+        on it: they gather each state slice once, update it and scatter
+        it back, and a scatter keeps only one write per duplicated row.
+
         The fused arena backward merges a whole dimension group's COO
-        gradient in one lexsort/reduceat and hands each table its slice;
+        gradient in one sort-and-reduce and hands each table its slice;
         re-merging here would only re-sort already-unique rows.
         """
         if len(rows) == 0:
@@ -110,9 +117,10 @@ class SparseAdaGrad(SparseOptimizer):
         if "sum_sq" not in state:
             state["sum_sq"] = np.zeros_like(table.weight)
         acc = state["sum_sq"]
-        acc[rows] += grads * grads
+        updated = acc[rows] + grads * grads
+        acc[rows] = updated
         table.weight[rows] -= (
-            self.lr * grads / (np.sqrt(acc[rows]) + self.eps)
+            self.lr * grads / (np.sqrt(updated) + self.eps)
         ).astype(np.float32)
 
     def state_bytes(self, num_embeddings: int, embedding_dim: int) -> int:
@@ -137,8 +145,9 @@ class RowWiseAdaGrad(SparseOptimizer):
         if "moment" not in state:
             state["moment"] = np.zeros(table.weight.shape[0], dtype=np.float32)
         moment = state["moment"]
-        moment[rows] += np.mean(grads * grads, axis=1)
-        scale = self.lr / (np.sqrt(moment[rows]) + self.eps)
+        updated = moment[rows] + np.mean(grads * grads, axis=1)
+        moment[rows] = updated
+        scale = self.lr / (np.sqrt(updated) + self.eps)
         table.weight[rows] -= (scale[:, None] * grads).astype(np.float32)
 
     def state_bytes(self, num_embeddings: int, embedding_dim: int) -> int:

@@ -1,0 +1,30 @@
+"""Reference kernels the product is tested against, never imported by it.
+
+``merge_sorted_coo_reference`` is the full ``(D+1)``-key lexsort merge
+that ``repro.embedding.kernels.merge_sorted_coo`` used to be: one stable
+sort per gradient column plus one on the row. It defines the canonical
+``(row, g[0], ..., g[D-1])`` summation order; the product kernel reaches
+the same permutation with one two-key sort plus tie refinement, and the
+suites in ``test_embedding_kernels.py`` / ``test_sparse_update_parity.py``
+hold it to bitwise equality with this oracle.
+"""
+
+from __future__ import annotations
+
+from typing import Tuple
+
+import numpy as np
+
+
+def merge_sorted_coo_reference(rows: np.ndarray, values: np.ndarray
+                               ) -> Tuple[np.ndarray, np.ndarray]:
+    """Sort by ``(row, every gradient column)``, sum each row's entries."""
+    if len(rows) == 0:
+        return rows.astype(np.int64), values.astype(np.float32)
+    keys = tuple(values[:, d] for d in range(values.shape[1] - 1, -1, -1))
+    order = np.lexsort(keys + (rows,))
+    sorted_rows = rows[order]
+    sorted_vals = values[order]
+    unique_rows, starts = np.unique(sorted_rows, return_index=True)
+    merged = np.add.reduceat(sorted_vals, starts, axis=0)
+    return unique_rows.astype(np.int64), merged.astype(np.float32)

@@ -35,6 +35,23 @@ class TestZipf:
         with pytest.raises(ValueError):
             zipf_indices(0, 10, np.random.default_rng(0))
 
+    def test_cached_cdf_matches_fresh_inverse_cdf_bitwise(self):
+        """The per-(num_ids, alpha) CDF cache changes no drawn id."""
+        for num_ids, alpha in ((20_000, 1.05), (20_000, 1.05), (37, 1.3)):
+            ids = zipf_indices(num_ids, 4096, np.random.default_rng(3),
+                               alpha=alpha)
+            cdf = np.cumsum(
+                np.arange(1, num_ids + 1, dtype=np.float64) ** (-alpha))
+            cdf /= cdf[-1]
+            fresh = np.searchsorted(cdf, np.random.default_rng(3).random(4096))
+            np.testing.assert_array_equal(ids, fresh)
+            assert ids.dtype == np.int64
+
+    def test_cached_cdf_is_read_only(self):
+        from repro.data.datagen import _zipf_cdf
+        with pytest.raises(ValueError):
+            _zipf_cdf(50, 1.05)[0] = 0.0
+
     @given(st.integers(min_value=1, max_value=500))
     @settings(max_examples=25)
     def test_bounds_property(self, n):

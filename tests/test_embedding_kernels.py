@@ -8,10 +8,14 @@ here rather than indirectly through the operators.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.embedding.kernels import (expand_bag_ids, merge_sorted_coo,
                                      rebase_jagged, segment_mean,
                                      segment_sum, segment_sum_gather)
+
+from .reference_kernels import merge_sorted_coo_reference
 
 
 def reference_segment_sum(values, offsets):
@@ -269,3 +273,158 @@ class TestMergeSortedCoo:
             rows, vals, segment_offsets=np.array(offsets, dtype=np.int64))
         np.testing.assert_array_equal(s_rows, g_rows)
         np.testing.assert_array_equal(s_vals, g_vals)
+
+
+# ----------------------------------------------------------------------
+# merge_sorted_coo vs the full (D+1)-key lexsort oracle
+# ----------------------------------------------------------------------
+# A tiny value pool makes ties on g[0] — and partial ties on later
+# columns — the norm instead of the exception; the huge magnitudes make
+# any deviation from the canonical summation order change the bits.
+FINITE_POOL = np.array([0.0, -0.0, 1.0, -1.0, 0.1, 3e-8, 1e8, -1e8,
+                        16777216.0], dtype=np.float32)
+NONFINITE_POOL = np.append(FINITE_POOL, [np.nan, np.inf, -np.inf]
+                           ).astype(np.float32)
+ROW_POOLS = {
+    "few": np.arange(4, dtype=np.int64),
+    "single": np.array([7], dtype=np.int64),
+    "huge": 2 ** 31 + np.array([0, 1, 2 ** 20, 2 ** 31], dtype=np.int64),
+}
+
+
+@st.composite
+def coo_gradients(draw, pool=FINITE_POOL):
+    """Adversarially tied COO gradients ``(rows, values)``."""
+    n = draw(st.integers(1, 40))
+    dim = draw(st.integers(1, 6))
+    row_mode = draw(st.sampled_from(["few", "single", "huge", "unique"]))
+    if row_mode == "unique":
+        rows = np.array(draw(st.permutations(range(n))), dtype=np.int64)
+    else:
+        picks = draw(st.lists(st.integers(0, len(ROW_POOLS[row_mode]) - 1),
+                              min_size=n, max_size=n))
+        rows = ROW_POOLS[row_mode][picks]
+    picks = draw(st.lists(st.integers(0, len(pool) - 1),
+                          min_size=n * dim, max_size=n * dim))
+    values = pool[picks].reshape(n, dim).copy()
+    # dead ReLU: every column from `live` on is (signed) zero
+    live = draw(st.integers(0, dim))
+    values[:, live:] = np.where(np.signbit(values[:, live:]),
+                                np.float32(-0.0), np.float32(0.0))
+    # one id twice in a bag / mean-pooled bag: whole entries repeated
+    for src, dst in draw(st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+            max_size=n)):
+        rows[dst], values[dst] = rows[src], values[src]
+    return rows, values
+
+
+def shuffled(coo, rnd):
+    """The same (row, grad) multiset in a hypothesis-chosen order."""
+    rows, values = coo
+    perm = list(range(len(rows)))
+    rnd.shuffle(perm)
+    return rows[perm], values[perm]
+
+
+def assert_bitwise_equal(got, want):
+    np.testing.assert_array_equal(got[0], want[0])
+    assert got[0].dtype == want[0].dtype == np.int64
+    assert got[1].dtype == want[1].dtype == np.float32
+    np.testing.assert_array_equal(got[1].view(np.uint32),
+                                  want[1].view(np.uint32))
+
+
+class TestMergeMatchesLexsortOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(coo_gradients())
+    def test_bitwise_equals_oracle(self, coo):
+        rows, values = coo
+        before = values.copy()
+        assert_bitwise_equal(merge_sorted_coo(rows, values),
+                             merge_sorted_coo_reference(rows, values))
+        np.testing.assert_array_equal(values.view(np.uint32),
+                                      before.view(np.uint32))
+
+    @settings(max_examples=200, deadline=None)
+    @given(coo_gradients(), st.randoms(use_true_random=False))
+    def test_permutation_invariant(self, coo, rnd):
+        assert_bitwise_equal(merge_sorted_coo(*shuffled(coo, rnd)),
+                             merge_sorted_coo(*coo))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(coo_gradients(), min_size=1, max_size=4))
+    def test_segmented_equals_global_and_oracle(self, parts):
+        # disjoint increasing row ranges per segment, the arena layout
+        rows, offsets, base = [], [0], 0
+        for part_rows, _ in parts:
+            _, dense = np.unique(part_rows, return_inverse=True)
+            rows.append(base + dense)
+            base += int(dense.max()) + 1
+            offsets.append(offsets[-1] + len(part_rows))
+        dim = min(v.shape[1] for _, v in parts)
+        rows = np.concatenate(rows)
+        values = np.concatenate([v[:, :dim] for _, v in parts], axis=0)
+        segmented = merge_sorted_coo(
+            rows, values, segment_offsets=np.array(offsets, dtype=np.int64))
+        assert_bitwise_equal(segmented, merge_sorted_coo(rows, values))
+        assert_bitwise_equal(segmented,
+                             merge_sorted_coo_reference(rows, values))
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @settings(max_examples=100, deadline=None)
+    @given(coo_gradients(pool=NONFINITE_POOL),
+           st.randoms(use_true_random=False))
+    def test_nonfinite_no_crash_and_permutation_invariant(self, coo, rnd):
+        # NaNs tie with each other (numpy sorts them last), so the
+        # sorted value sequence — hence every sum — is still a function
+        # of the multiset. NaN payload bits are not compared.
+        base_rows, base_vals = merge_sorted_coo(*coo)
+        got_rows, got_vals = merge_sorted_coo(*shuffled(coo, rnd))
+        np.testing.assert_array_equal(got_rows, base_rows)
+        np.testing.assert_array_equal(got_vals, base_vals)
+        np.testing.assert_array_equal(
+            base_vals, merge_sorted_coo_reference(*coo)[1])
+
+    def test_nan_ties_are_refined_on_later_columns(self):
+        rows = np.array([1, 1, 1, 1], dtype=np.int64)
+        values = np.array([[np.nan, 1e8], [np.nan, 1.0], [np.nan, -1e8],
+                           [np.nan, 1.0]], dtype=np.float32)
+        want = merge_sorted_coo_reference(rows, values)
+        for seed in range(6):
+            perm = np.random.default_rng(seed).permutation(4)
+            got = merge_sorted_coo(rows[perm], values[perm])
+            np.testing.assert_array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("rows,values", [
+        # n = 1
+        ([5], [[1.0, 2.0]]),
+        # D = 1: the first gradient column is the only tie-breaker
+        ([2, 2, 2, 1], [[1e8], [1.0], [-1e8], [3.0]]),
+        # equal g[0], order decided by the last column only
+        ([1, 1, 1], [[0.5, 2.0, 1e8], [0.5, 2.0, 1.0], [0.5, 2.0, -1e8]]),
+        # ties broken at different depths in different runs of one call
+        ([1, 1, 1, 2, 2, 2],
+         [[0.5, 1e8, 0.0], [0.5, 1.0, 0.0], [0.5, -1e8, 0.0],
+          [0.5, 0.0, 1e8], [0.5, 0.0, 1.0], [0.5, 0.0, -1e8]]),
+        # +0.0 and -0.0 tie; later columns must still be ordered
+        ([3, 3, 3], [[0.0, 1e8], [-0.0, 1.0], [0.0, -1e8]]),
+        # only signed zeros: -0.0 survives only if every term is -0.0
+        ([3, 3, 4, 4], [[-0.0, 0.0], [-0.0, -0.0], [-0.0, -0.0],
+                        [-0.0, -0.0]]),
+        # fully identical vectors (one id twice in a bag)
+        ([9, 9, 9, 9], [[0.1, 0.2, 0.3]] * 4),
+        # a single row repeated n times, all unique rows, rows >= 2**31
+        ([0] * 6, [[1e8], [1.0], [-1e8], [1.0], [3e-8], [-1.0]]),
+        ([4, 2, 9, 0], [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0]]),
+        ([2 ** 40, 2 ** 31, 2 ** 40, 2 ** 31],
+         [[1e8, 1.0], [1.0, 1.0], [-1e8, 1.0], [1.0, 3e-8]]),
+    ])
+    def test_named_adversarial_cases(self, rows, values):
+        rows = np.array(rows, dtype=np.int64)
+        values = np.array(values, dtype=np.float32)
+        want = merge_sorted_coo_reference(rows, values)
+        for perm in (np.arange(len(rows)), np.arange(len(rows))[::-1],
+                     np.random.default_rng(0).permutation(len(rows))):
+            assert_bitwise_equal(merge_sorted_coo(rows[perm], values[perm]),
+                                 want)
