@@ -16,7 +16,7 @@ identical to per-parameter AllReduce.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -72,6 +72,10 @@ class GradientBucketer:
         if current:
             buckets.append(Bucket(tuple(current), current_elems))
         self.buckets = buckets
+        # flatten_stacked's (R, bucket_elements) buffers; allocated on
+        # its first call, so a bucketer that never runs stacked (or
+        # never trains) costs nothing
+        self._stacked_flats: Optional[List[np.ndarray]] = None
 
     @property
     def num_buckets(self) -> int:
@@ -102,14 +106,21 @@ class GradientBucketer:
         """Rank-stacked :meth:`flatten`: per-parameter ``(R, *shape)``
         gradients pack into one ``(R, bucket_elements)`` flat per
         bucket. Row ``r`` of each flat is bitwise what :meth:`flatten`
-        would produce from rank ``r``'s gradients."""
+        would produce from rank ``r``'s gradients.
+
+        The flats are persistent buffers, allocated on the first call
+        and overwritten by every later one: a caller that needs a
+        step's flats after the next call must copy them."""
         if len(grads) != len(self.shapes):
             raise ValueError(
                 f"expected {len(self.shapes)} gradients, got {len(grads)}")
         world = int(grads[0].shape[0])
-        out = []
-        for bucket in self.buckets:
-            flat = np.empty((world, bucket.num_elements), dtype=np.float32)
+        if self._stacked_flats is None or \
+                self._stacked_flats[0].shape[0] != world:
+            self._stacked_flats = [
+                np.empty((world, bucket.num_elements), dtype=np.float32)
+                for bucket in self.buckets]
+        for bucket, flat in zip(self.buckets, self._stacked_flats):
             cursor = 0
             for idx in bucket.param_indices:
                 g = grads[idx]
@@ -120,30 +131,7 @@ class GradientBucketer:
                 flat[:, cursor:cursor + self.sizes[idx]] = \
                     g.reshape(world, -1)
                 cursor += self.sizes[idx]
-            out.append(flat)
-        return out
-
-    def unflatten_stacked(self, flats: Sequence[np.ndarray]
-                          ) -> List[np.ndarray]:
-        """Inverse of :meth:`flatten_stacked`: ``(R, bucket_elements)``
-        flats back to per-parameter ``(R, *shape)`` gradients."""
-        if len(flats) != len(self.buckets):
-            raise ValueError(
-                f"expected {len(self.buckets)} buckets, got {len(flats)}")
-        grads: List[np.ndarray] = [None] * len(self.shapes)
-        for bucket, flat in zip(self.buckets, flats):
-            world = int(flat.shape[0])
-            if flat.shape[1:] != (bucket.num_elements,):
-                raise ValueError(
-                    f"bucket expects {bucket.num_elements} elements, got "
-                    f"{flat.shape[1:]}")
-            cursor = 0
-            for idx in bucket.param_indices:
-                size = self.sizes[idx]
-                grads[idx] = flat[:, cursor:cursor + size].reshape(
-                    (world,) + self.shapes[idx]).astype(np.float32)
-                cursor += size
-        return grads
+        return list(self._stacked_flats)
 
     def unflatten(self, flats: Sequence[np.ndarray]) -> List[np.ndarray]:
         """Inverse of :meth:`flatten`; returns per-parameter gradients in

@@ -70,8 +70,13 @@ def all_reduce(inputs: List[np.ndarray],
 def all_reduce_stacked(stacked: np.ndarray,
                        codec: Optional[Codec] = None) -> np.ndarray:
     """Leading-axis :func:`all_reduce`: ``stacked[r]`` is rank ``r``'s
-    contribution; the returned ``(W, ...)`` array holds every rank's
+    contribution; the returned ``(W, ...)`` array is every rank's
     (identical) reduced result.
+
+    The sum is computed once and returned as a read-only
+    ``np.broadcast_to`` view: all ``W`` rows are the same memory, the
+    same "destinations share storage" contract as
+    :func:`all_gather_stacked`, enforced here by the writeable flag.
 
     The reduction is an explicit sequential sum over leading-axis
     slices — NOT ``np.sum(axis=0)``, whose pairwise summation would
@@ -82,10 +87,8 @@ def all_reduce_stacked(stacked: np.ndarray,
     codec = codec or _identity
     total = codec(np.asarray(stacked[0], dtype=np.float32)).copy()
     for r in range(1, world):
-        total = total + codec(np.asarray(stacked[r], dtype=np.float32))
-    out = np.empty((world,) + total.shape, dtype=total.dtype)
-    out[:] = total
-    return out
+        total += codec(np.asarray(stacked[r], dtype=np.float32))
+    return np.broadcast_to(total, (world,) + total.shape)
 
 
 def all_gather_stacked(stacked: np.ndarray,

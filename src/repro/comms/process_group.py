@@ -245,7 +245,9 @@ class SimProcessGroup:
         modeled latency (the per-GPU payload is one rank's slice either
         way), produce bitwise-identical per-rank outputs, and funnel
         through :meth:`_execute` so fault wrappers see the same
-        collective name and per-rank input views.
+        collective name and per-rank input views. The stacked form
+        computes the sum once: ``.stacked`` and every entry of
+        ``outputs`` are read-only views of that one vector.
         """
         if isinstance(inputs, np.ndarray):
             return self._all_reduce_stacked(inputs)

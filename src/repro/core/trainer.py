@@ -35,7 +35,11 @@ parameters are packed into leading-axis ``(R, ...)`` arrays
 data-parallel bottom/top MLP forward and backward across all ranks is
 one batched ``np.matmul`` per layer instead of ``R`` sequential calls,
 and the bucketed dense AllReduce ships one ``(R, elements)`` array
-through the :class:`SimProcessGroup` stacked fast path. Wire-byte
+through the :class:`SimProcessGroup` stacked fast path. What DDP makes
+identical on every rank is computed once: the AllReduce returns one
+reduced vector as a read-only ``(R, elements)`` broadcast view, one
+optimizer steps rank 0's parameter views, and row 0 of each stacked
+parameter is copied into the other rows. Wire-byte
 accounting, modeled latency, spans and fault injection are unchanged,
 and every per-rank quantity is bitwise identical to the legacy looped
 path (``stacked=False``, kept as the reference oracle and fuzzed
@@ -100,6 +104,12 @@ class StackedRankState:
     :mod:`repro.nn.stacked`), and each rank's ``_RankState`` parameters
     are rebound to the contiguous views ``stacked.data[r]`` so both
     representations share storage — mutating one mutates the other.
+
+    ``dense_opt`` is the one real dense optimizer. It is built over
+    rank 0's parameters (the views ``stacked.data[0]``), so its slot
+    state has per-rank shape — what checkpoints store — and a step
+    updates row 0 in place; the trainer then copies row 0 into rows
+    ``1..R-1``.
     """
 
     bottom: nn.Module
@@ -122,25 +132,25 @@ class StackedRankState:
 
 
 class _StackedOptimizerView:
-    """Per-rank facade over the shared stacked dense optimizer.
+    """Per-rank facade over the one dense optimizer of stacked mode.
 
-    Keeps the ``trainer.ranks[r].dense_opt`` surface alive in stacked
-    mode: LR schedulers read/write ``.lr`` (one shared optimizer — in
-    looped mode all replica optimizers move in lock-step anyway), and
-    checkpointing reads per-rank slot state through :meth:`state_for`,
-    which slices this rank out of any stacked state array. Calling
-    :meth:`step` raises: the trainer steps the stacked optimizer once
-    per iteration, and a silent per-rank step would double-update.
+    Keeps the ``trainer.ranks[r].dense_opt`` surface alive: LR
+    schedulers read/write ``.lr`` (one shared optimizer — in looped
+    mode all replica optimizers move in lock-step anyway), and
+    checkpointing reads slot state through :meth:`state_for`. The
+    optimizer holds rank 0's parameters, and its state is this rank's
+    state too: replicas are identical by construction. Calling
+    :meth:`step` raises: the trainer steps the shared optimizer once per
+    iteration, and a silent per-rank step would double-update.
     """
 
-    def __init__(self, opt: nn.Optimizer, rank: int,
+    def __init__(self, opt: nn.Optimizer,
                  rank_params: Sequence[nn.Parameter],
-                 stacked_params: Sequence[nn.Parameter]) -> None:
+                 rank0_params: Sequence[nn.Parameter]) -> None:
         self._opt = opt
-        self._rank = rank
         self.params = list(rank_params)
-        self._to_stacked = {id(p): sp for p, sp in
-                            zip(rank_params, stacked_params)}
+        self._to_rank0 = {id(p): p0 for p, p0 in
+                          zip(rank_params, rank0_params)}
 
     @property
     def lr(self) -> float:
@@ -151,25 +161,11 @@ class _StackedOptimizerView:
         self._opt.lr = value
 
     def state_for(self, param: nn.Parameter) -> Dict[str, np.ndarray]:
-        """This rank's view of the stacked optimizer state for ``param``.
-
-        Stacked state arrays (shape ``(R, *param_shape)``) are sliced to
-        this rank; anything else — step counters, state restored at
-        per-rank shape by :meth:`NeoTrainer.load_dense_state` — is
-        rank-identical already and passes through. The returned dict is
-        a snapshot: mutate optimizer state through the trainer, not here.
-        """
-        sp = self._to_stacked.get(id(param))
-        if sp is None:
-            return {}
-        out: Dict[str, np.ndarray] = {}
-        for key, value in self._opt.state_for(sp).items():
-            if isinstance(value, np.ndarray) and \
-                    value.shape == sp.data.shape:
-                out[key] = value[self._rank]
-            else:
-                out[key] = value
-        return out
+        """The shared optimizer's slot state for this rank's ``param``
+        (per-rank shape, the same arrays on every rank). Read it;
+        mutate optimizer state through the trainer, not here."""
+        p0 = self._to_rank0.get(id(param))
+        return {} if p0 is None else self._opt.state_for(p0)
 
     def zero_grad(self) -> None:
         for p in self.params:
@@ -178,7 +174,7 @@ class _StackedOptimizerView:
     def step(self) -> None:
         raise RuntimeError(
             "per-rank dense_opt is a read-only view in stacked mode; "
-            "the trainer steps the shared stacked optimizer")
+            "the trainer steps the shared optimizer")
 
 
 def _empty_ids() -> np.ndarray:
@@ -334,8 +330,9 @@ class NeoTrainer:
         """Pack the per-rank dense replicas into one stacked model.
 
         After this, ``ranks[r]``'s parameters are contiguous views into
-        the stacked ``(R, ...)`` storage and ``ranks[r].dense_opt`` is a
-        :class:`_StackedOptimizerView` over the single shared optimizer.
+        the stacked ``(R, ...)`` storage, the one dense optimizer is
+        built over rank 0's views, and ``ranks[r].dense_opt`` is a
+        :class:`_StackedOptimizerView` over it.
         """
         ss = StackedRankState(
             bottom=nn.stacked.stack_modules(
@@ -350,13 +347,14 @@ class NeoTrainer:
                 for name in self.ranks[0].projections},
             table_order=self.ranks[0].table_order)
         stacked_params = ss.dense_parameters()
-        ss.dense_opt = dense_optimizer(stacked_params)
         for r, state in enumerate(self.ranks):
-            rank_params = state.dense_parameters()
-            for p, sp in zip(rank_params, stacked_params):
+            for p, sp in zip(state.dense_parameters(), stacked_params):
                 p.data = sp.data[r]
+        rank0_params = self.ranks[0].dense_parameters()
+        ss.dense_opt = dense_optimizer(rank0_params)
+        for state in self.ranks:
             state.dense_opt = _StackedOptimizerView(
-                ss.dense_opt, r, rank_params, stacked_params)
+                ss.dense_opt, state.dense_parameters(), rank0_params)
         return ss
 
     def _build_shards(self, config: DLRMConfig, plan: ShardingPlan,
@@ -800,17 +798,28 @@ class NeoTrainer:
         else:
             self._backward_data_parallel(table_plan.shards, d_pooled)
 
-    def _dense_allreduce(self):
+    def _dense_optimizers(self) -> List[Tuple[List[nn.Parameter],
+                                              nn.Optimizer]]:
+        """Every real dense optimizer with the parameters it steps: one
+        over rank 0's views in stacked mode, one per rank in the looped
+        oracle."""
+        ss = self._stacked_state
+        if ss is not None:
+            return [(self.ranks[0].dense_parameters(), ss.dense_opt)]
+        return [(state.dense_parameters(), state.dense_opt)
+                for state in self.ranks]
+
+    def _dense_allreduce(self) -> List[List[np.ndarray]]:
         """Bucketed DDP gradient sync; returns the reduced flat buckets
-        ((R, elems) arrays stacked, else per-rank lists of buckets)."""
+        of each :meth:`_dense_optimizers` entry. Stacked mode has one
+        entry: AllReduce hands every rank the same sum, so row 0 of the
+        read-only ``(R, elems)`` result stands for all of them."""
         w = self.world_size
         ss = self._stacked_state
         if ss is not None:
             flats = self._bucketer.flatten_stacked(
                 [p.grad for p in ss.dense_parameters()])
-            for b in range(self._bucketer.num_buckets):
-                flats[b] = self.pg.all_reduce(flats[b]).stacked
-            return flats
+            return [[self.pg.all_reduce(flat).stacked[0] for flat in flats]]
         flat_per_rank = [
             self._bucketer.flatten([p.grad for p in
                                     self.ranks[r].dense_parameters()])
@@ -822,23 +831,22 @@ class NeoTrainer:
                 flat_per_rank[r][b] = reduced[r]
         return flat_per_rank
 
-    def _optimizer_step(self, flats) -> List[nn.Parameter]:
-        """Unflatten reduced buckets, average, step. Returns the
-        parameter list whose ``.grad`` mirrors rank 0 (for read-only
-        instrumentation)."""
+    def _optimizer_step(self, reduced: List[List[np.ndarray]]
+                        ) -> List[nn.Parameter]:
+        """Unflatten reduced buckets, average, step. Returns rank 0's
+        parameters, whose ``.grad`` is the averaged gradient (for
+        read-only instrumentation)."""
         w = self.world_size
+        for (params, opt), flats in zip(self._dense_optimizers(), reduced):
+            for p, g in zip(params, self._bucketer.unflatten(flats)):
+                p.grad = (g / w).astype(np.float32)
+            opt.step()
         ss = self._stacked_state
         if ss is not None:
-            params = ss.dense_parameters()
-            for p, g in zip(params, self._bucketer.unflatten_stacked(flats)):
-                p.grad = (g / w).astype(np.float32)
-            ss.dense_opt.step()
-            return params
-        for r in range(w):
-            grads = self._bucketer.unflatten(flats[r])
-            for p, g in zip(self.ranks[r].dense_parameters(), grads):
-                p.grad = (g / w).astype(np.float32)
-            self.ranks[r].dense_opt.step()
+            # the step updated row 0 through rank 0's views; every other
+            # replica is the same value by construction
+            for sp in ss.dense_parameters():
+                sp.data[1:] = sp.data[0]
         return self.ranks[0].dense_parameters()
 
     # ------------------------------------------------------------------
@@ -909,9 +917,7 @@ class NeoTrainer:
                     # read-only instrumentation: global dense grad norm
                     # (identical on every rank after the AllReduce)
                     norm = float(np.sqrt(sum(
-                        float(np.sum(np.asarray(
-                            p.grad[0] if getattr(p, "stacked", False)
-                            else p.grad).astype(np.float64) ** 2))
+                        float(np.sum(p.grad.astype(np.float64) ** 2))
                         for p in ref_params)))
                     self.metrics.histogram("trainer.grad_norm").record(norm)
         self.steps += 1
@@ -955,26 +961,22 @@ class NeoTrainer:
         shape; ``opt_state[i]`` its optimizer slots).
 
         Works identically for looped and stacked trainers, so a
-        checkpoint written by either mode resumes bitwise in the other.
-        Stacked mode broadcast-writes each value across the leading axis
-        *in place*, preserving the per-rank parameter views, and
-        restores slot state at per-rank shape: every optimizer update is
-        elementwise over the replica axis, so the first step broadcasts
-        the state back to stacked shape with bitwise-identical values.
+        checkpoint written by either mode resumes bitwise in the other:
+        slot state has per-rank shape in both. Stacked mode
+        broadcast-writes each value across the leading axis *in place*,
+        preserving the per-rank parameter views.
         """
         ss = self._stacked_state
         if ss is not None:
             for i, sp in enumerate(ss.dense_parameters()):
-                sp.data[...] = dense[i][None]
-                slot = ss.dense_opt.state_for(sp)
-                slot.clear()
-                for name, value in opt_state.get(i, {}).items():
-                    slot[name] = value.copy()
-            return
-        for state in self.ranks:
-            for i, p in enumerate(state.dense_parameters()):
-                p.data = dense[i].copy()
-                slot = state.dense_opt.state_for(p)
+                sp.data[...] = dense[i]
+        else:
+            for state in self.ranks:
+                for i, p in enumerate(state.dense_parameters()):
+                    p.data = dense[i].copy()
+        for params, opt in self._dense_optimizers():
+            for i, p in enumerate(params):
+                slot = opt.state_for(p)
                 slot.clear()
                 for name, value in opt_state.get(i, {}).items():
                     slot[name] = value.copy()

@@ -82,23 +82,29 @@ class Linear(Module):
             y = x @ w.T
             if self.bias is not None:
                 y = y + self.bias.data
-        return y.astype(np.float32)
+        return y.astype(np.float32, copy=False)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         if self._input is None:
             raise RuntimeError("backward called before forward")
         x = self._input
         w = self.weight.data
+        # copy=False: float32 operands already give float32 results, and
+        # accumulate_grad adopts these fresh arrays instead of copying
         if w.ndim == 3:  # stacked: per-rank dy.T @ x, dy.sum, dy @ W
             self.weight.accumulate_grad(
-                np.matmul(dy.transpose(0, 2, 1), x).astype(np.float32))
+                np.matmul(dy.transpose(0, 2, 1), x).astype(np.float32,
+                                                           copy=False))
             if self.bias is not None:
-                self.bias.accumulate_grad(dy.sum(axis=1).astype(np.float32))
-            return np.matmul(dy, w).astype(np.float32)
-        self.weight.accumulate_grad((dy.T @ x).astype(np.float32))
+                self.bias.accumulate_grad(
+                    dy.sum(axis=1).astype(np.float32, copy=False))
+            return np.matmul(dy, w).astype(np.float32, copy=False)
+        self.weight.accumulate_grad(
+            (dy.T @ x).astype(np.float32, copy=False))
         if self.bias is not None:
-            self.bias.accumulate_grad(dy.sum(axis=0).astype(np.float32))
-        return (dy @ self.weight.data).astype(np.float32)
+            self.bias.accumulate_grad(
+                dy.sum(axis=0).astype(np.float32, copy=False))
+        return (dy @ w).astype(np.float32, copy=False)
 
     def parameters(self) -> List[Parameter]:
         params = [self.weight]

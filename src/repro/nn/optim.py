@@ -30,6 +30,12 @@ class Optimizer:
     def state_for(self, param: Parameter) -> Dict[str, np.ndarray]:
         return self._state.setdefault(id(param), {})
 
+    def _slot(self, p: Parameter, name: str) -> np.ndarray:
+        """State array ``name`` of ``p``; zeros (allocated only now)
+        when the slot does not exist yet."""
+        value = self.state_for(p).get(name)
+        return np.zeros_like(p.data) if value is None else value
+
     def step(self) -> None:
         for p in self.params:
             if p.grad is not None:
@@ -79,12 +85,8 @@ class AdaGrad(Optimizer):
         self.eps = eps
 
     def _update(self, p: Parameter) -> None:
-        state = self.state_for(p)
-        acc = state.get("sum_sq")
-        if acc is None:
-            acc = np.zeros_like(p.data)
-        acc = acc + p.grad * p.grad
-        state["sum_sq"] = acc
+        acc = self._slot(p, "sum_sq") + p.grad * p.grad
+        self.state_for(p)["sum_sq"] = acc
         p.data -= (self.lr * p.grad / (np.sqrt(acc) + self.eps)).astype(np.float32)
 
 
@@ -99,8 +101,7 @@ class Adam(Optimizer):
 
     def _update(self, p: Parameter) -> None:
         state = self.state_for(p)
-        m = state.get("m", np.zeros_like(p.data))
-        v = state.get("v", np.zeros_like(p.data))
+        m, v = self._slot(p, "m"), self._slot(p, "v")
         t = int(state.get("t", np.zeros(1))[0]) + 1
         m = self.beta1 * m + (1 - self.beta1) * p.grad
         v = self.beta2 * v + (1 - self.beta2) * (p.grad * p.grad)
@@ -118,12 +119,10 @@ class LAMB(Optimizer):
     non-linearity makes naive duplicated sparse updates incorrect — which is
     why the exact (sorted/merged) sparse update path exists.
 
-    Rank-stacked parameters (``Parameter.stacked``, leading axis =
-    replicas) need per-rank trust ratios: the layer-wise norm is a norm
-    over one replica's weight, not over the whole ``(R, ...)`` stack.
-    The moments stay fully vectorized; only the two norms per rank are
-    computed slice-wise so each replica's update is bitwise identical to
-    the unstacked path.
+    The trust ratio is a norm over the whole of ``p.data``, so a
+    parameter must be one layer's weight — the rank-stacked trainer
+    therefore steps LAMB over rank 0's per-rank-shaped parameters, never
+    over an ``(R, ...)`` stack.
     """
 
     def __init__(self, params: Sequence[Parameter], lr: float = 1e-3,
@@ -136,8 +135,7 @@ class LAMB(Optimizer):
 
     def _update(self, p: Parameter) -> None:
         state = self.state_for(p)
-        m = state.get("m", np.zeros_like(p.data))
-        v = state.get("v", np.zeros_like(p.data))
+        m, v = self._slot(p, "m"), self._slot(p, "v")
         t = int(state.get("t", np.zeros(1))[0]) + 1
         m = self.beta1 * m + (1 - self.beta1) * p.grad
         v = self.beta2 * v + (1 - self.beta2) * (p.grad * p.grad)
@@ -148,21 +146,6 @@ class LAMB(Optimizer):
         update = m_hat / (np.sqrt(v_hat) + self.eps)
         if self.weight_decay:
             update = update + self.weight_decay * p.data
-        if getattr(p, "stacked", False):
-            replicas = p.data.shape[0]
-            # float32 scale, computed scalar-side in double exactly like
-            # the unstacked `self.lr * trust * update` (scalar * float32
-            # array multiplies in float32 after a single double product)
-            scale = np.empty((replicas,) + (1,) * (p.data.ndim - 1),
-                             dtype=np.float32)
-            for r in range(replicas):
-                w_norm = float(np.linalg.norm(p.data[r]))
-                u_norm = float(np.linalg.norm(update[r]))
-                trust = w_norm / u_norm \
-                    if w_norm > 0 and u_norm > 0 else 1.0
-                scale[r] = self.lr * trust
-            p.data -= (scale * update).astype(np.float32)
-            return
         w_norm = float(np.linalg.norm(p.data))
         u_norm = float(np.linalg.norm(update))
         trust = w_norm / u_norm if w_norm > 0 and u_norm > 0 else 1.0

@@ -24,19 +24,12 @@ class Parameter:
         in FP32; reduced precision is applied to embeddings and comms only).
     name:
         Stable identifier, used for checkpointing and AllReduce bucketing.
-
-    A parameter whose leading axis enumerates simulated ranks (the
-    rank-stacked training mode, see :mod:`repro.nn.stacked`) carries
-    ``stacked=True`` so shape-ambiguous consumers — e.g. LAMB's
-    layer-wise trust ratio — know the first axis is replicas, not a
-    model dimension.
     """
 
     def __init__(self, data: np.ndarray, name: str = "param") -> None:
         self.data = np.ascontiguousarray(data, dtype=np.float32)
         self.grad: np.ndarray | None = None
         self.name = name
-        self.stacked = False
 
     @property
     def shape(self) -> tuple:
@@ -47,14 +40,21 @@ class Parameter:
         return int(self.data.size)
 
     def accumulate_grad(self, grad: np.ndarray) -> None:
-        """Add ``grad`` into the stored gradient, allocating on first use."""
+        """Add ``grad`` into the stored gradient.
+
+        Ownership: the first gradient after :meth:`zero_grad` is
+        *adopted*, not copied, when it is already float32 — the caller
+        must pass a freshly computed array it neither keeps nor writes
+        to afterwards (``Linear.backward`` hands over its matmul
+        result). Later gradients are added into the adopted array.
+        """
         if grad.shape != self.data.shape:
             raise ValueError(
                 f"gradient shape {grad.shape} does not match parameter "
                 f"{self.name} shape {self.data.shape}"
             )
         if self.grad is None:
-            self.grad = grad.astype(np.float32, copy=True)
+            self.grad = grad.astype(np.float32, copy=False)
         else:
             self.grad += grad
 
@@ -64,7 +64,6 @@ class Parameter:
     def copy(self) -> "Parameter":
         """Deep copy (used by data-parallel replication and checkpoints)."""
         clone = Parameter(self.data.copy(), self.name)
-        clone.stacked = self.stacked
         if self.grad is not None:
             clone.grad = self.grad.copy()
         return clone

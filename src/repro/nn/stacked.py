@@ -12,17 +12,23 @@ The helpers here build that stacked model *structurally* from a list of
 per-rank modules:
 
 * :func:`stack_parameters` — stack R same-shape parameters into one
-  ``(R, ...)`` :class:`Parameter` marked ``stacked=True``;
+  ``(R, ...)`` :class:`Parameter`;
 * :func:`stack_modules` — recursively clone a module tree (``Linear``,
   activations, ``Sequential``/``MLP``) with every parameter stacked.
 
-The one rule for adding a stacked kernel (see docs/performance.md):
+The first rule for a stacked kernel (see docs/performance.md):
 **the leading axis is inert** — a stacked op must compute slice ``r``
 exactly as the unstacked op computes rank ``r``'s data, bitwise. Batched
 ``np.matmul`` / leading-axis einsum / elementwise ops satisfy this;
 anything that reduces *across* the leading axis (``np.sum(axis=0)``,
 pairwise-summing helpers) does not and needs an explicit sequential
 per-rank formulation (see ``repro.comms.collectives.all_reduce_stacked``).
+
+The second rule covers what happens after the gradients are reduced:
+**a value identical on every rank by construction is computed once and
+broadcast** — the trainer steps one optimizer over rank 0's views and
+copies row 0 of each stacked parameter into the other rows, instead of
+repeating the same update R times over the stack.
 
 Per-rank views into the stacked storage (``stacked.data[r]`` is a
 contiguous view) let existing per-rank consumers — checkpointing,
@@ -54,10 +60,8 @@ def stack_parameters(params: Sequence[Parameter]) -> Parameter:
     if len(shapes) != 1:
         raise ValueError(f"stacked parameters must share a shape, "
                          f"got {shapes}")
-    out = Parameter(np.stack([p.data for p in params], axis=0),
-                    name=params[0].name)
-    out.stacked = True
-    return out
+    return Parameter(np.stack([p.data for p in params], axis=0),
+                     name=params[0].name)
 
 
 def _stack_linear(layers: Sequence[Linear]) -> Linear:

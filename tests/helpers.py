@@ -27,6 +27,18 @@ from repro.serving import (BatchingPolicy, FreezeConfig, InferenceRequest,
 from repro.sharding import ShardingPlan, ShardingScheme, shard_table
 
 
+#: every ``nn`` dense optimizer, as ``NeoTrainer(dense_optimizer=...)``
+#: factories (the stacked-parity fuzz and the dense-sync contracts
+#: cover all five)
+DENSE_OPTIMIZERS = {
+    "sgd": lambda p: nn.SGD(p, lr=0.1),
+    "momentum": lambda p: nn.SGD(p, lr=0.1, momentum=0.9),
+    "adagrad": lambda p: nn.AdaGrad(p, lr=0.1),
+    "adam": lambda p: nn.Adam(p, lr=0.01),
+    "lamb": lambda p: nn.LAMB(p, lr=0.01),
+}
+
+
 # ----------------------------------------------------------------------
 # tiny-system builders
 # ----------------------------------------------------------------------
