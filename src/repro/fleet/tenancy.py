@@ -34,17 +34,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-import numpy as np
-
-from ..data.datagen import MiniBatch
 from ..obs.metrics import MetricRegistry
 from ..obs.tracer import as_tracer
 from ..serving.batcher import (BatchingPolicy, InferenceRequest,
-                               MultiTenantBatcher, ScheduledBatch)
+                               MultiTenantBatcher)
 from ..serving.export import ServableModel
 from ..serving.loadgen import LoadReport, summarize
-from ..serving.server import (RequestOutcome, ServeResult,
-                              ServingPerfModel)
+from ..serving.server import (ServeResult, ServingPerfModel,
+                              execute_plan, price_requests)
 from .fleet import ServingFleet
 
 __all__ = ["TENANCY_MODES", "TenantSpec", "MultiTenantServer",
@@ -157,62 +154,23 @@ class MultiTenantServer:
 
     def _service_time(self, tenant: str,
                       requests: List[InferenceRequest]) -> float:
-        model = self.tenants[tenant].model
-        batch_size = sum(r.num_samples for r in requests)
-        nnz = sum(model.nnz(r.batch) for r in requests)
-        return self.perf.service_time(model, batch_size, nnz) \
-            * self._congestion[tenant]
-
-    def _execute(self, tenant: str, scheduled: ScheduledBatch
-                 ) -> Dict[int, np.ndarray]:
-        model = self.tenants[tenant].model
-        with self.tracer.span("serving.forward", cat="serving",
-                              tenant=tenant,
-                              requests=scheduled.num_requests,
-                              samples=scheduled.num_samples,
-                              **self._span_attrs):
-            merged = MiniBatch.concat([r.batch for r in scheduled.requests])
-            probs = model.predict(merged)
-        out: Dict[int, np.ndarray] = {}
-        row = 0
-        for r in scheduled.requests:
-            out[r.request_id] = probs[row:row + r.num_samples]
-            row += r.num_samples
-        return out
+        return price_requests(self.perf, self.tenants[tenant].model,
+                              requests) * self._congestion[tenant]
 
     def serve(self, requests: Sequence[InferenceRequest]
               ) -> Dict[str, ServeResult]:
         """Serve a mixed-tenant trace; one :class:`ServeResult` per
-        tenant (every tenant reports, even with no traffic)."""
+        tenant (every tenant reports, even with no traffic), each with
+        the metric catalogue of a single-model server under the scope
+        ``[<replica>.]<tenant>.serving``."""
         plans = self.batcher.plan(list(requests), self._service_time)
-        out: Dict[str, ServeResult] = {}
-        for tenant, plan in plans.items():
-            scope = self.metrics.scope(
-                f"{self.name}.{tenant}.serving" if self.name
-                else f"{tenant}.serving")
-            result = ServeResult(plan=plan)
-            for scheduled in plan.batches:
-                with self.tracer.span("serving.batch", cat="serving",
-                                      tenant=tenant,
-                                      requests=scheduled.num_requests,
-                                      trigger=scheduled.trigger,
-                                      dispatch_s=scheduled.dispatch_s,
-                                      **self._span_attrs):
-                    result.responses.update(
-                        self._execute(tenant, scheduled))
-                scope.counter("batches").inc(1)
-                for r in scheduled.requests:
-                    result.outcomes.append(RequestOutcome(
-                        request_id=r.request_id, arrival_s=r.arrival_s,
-                        dispatch_s=scheduled.dispatch_s,
-                        completion_s=scheduled.completion_s,
-                        batch_samples=scheduled.num_samples))
-            result.shed_ids = sorted(r.request_id for r in plan.shed)
-            scope.counter("completed").inc(result.num_completed)
-            scope.counter("shed").inc(result.num_shed)
-            result.outcomes.sort(key=lambda o: o.request_id)
-            out[tenant] = result
-        return out
+        prefix = f"{self.name}." if self.name else ""
+        return {
+            tenant: execute_plan(
+                plan, self.tenants[tenant].model, self.tracer,
+                self.metrics.scope(f"{prefix}{tenant}.serving"),
+                {"tenant": tenant, **self._span_attrs})
+            for tenant, plan in plans.items()}
 
 
 @dataclass(frozen=True)

@@ -23,21 +23,24 @@ The policy has three knobs:
 Everything runs in *virtual time*: requests carry arrival timestamps,
 service times come from a caller-supplied model (the perf-model-backed
 :class:`repro.serving.server.ServingPerfModel` in production), and the
-planner is a deterministic discrete-event loop — the same arrival trace
-always yields the same schedule, which is what makes the SLO benchmarks
-reproducible and the hypothesis fuzz meaningful.
+planner is one deterministic discrete-event loop (:func:`_plan_lanes`,
+behind both :class:`MicroBatcher` and :class:`MultiTenantBatcher`) —
+the same arrival trace always yields the same schedule, which is what
+makes the SLO benchmarks reproducible and the hypothesis fuzz
+meaningful.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..data.datagen import MiniBatch
 
 __all__ = ["ADMISSION_KINDS", "BatchingPolicy", "InferenceRequest",
-           "ScheduledBatch", "BatchPlan", "MicroBatcher",
-           "MultiTenantBatcher"]
+           "ScheduledBatch", "BatchPlan", "predicted_completion",
+           "MicroBatcher", "MultiTenantBatcher"]
 
 
 ADMISSION_KINDS = ("depth", "predicted")
@@ -163,22 +166,123 @@ class BatchPlan:
         return [lat for _, lat in sorted(out)]
 
 
+def predicted_completion(policy: BatchingPolicy,
+                         queue: List[InferenceRequest],
+                         r: InferenceRequest, server_free: float,
+                         service_time: Callable[
+                             [List[InferenceRequest]], float]) -> float:
+    """Earliest possible completion of ``r`` given its own ``queue``.
+
+    Assumes work-conserving FIFO dispatch at full batch width starting
+    at ``max(server_free, r.arrival)`` — an optimistic (lower) bound,
+    since real dispatches may also wait on the max-wait trigger (and,
+    on a shared timeline, on other tenants, whose queues a tenant cannot
+    see). Shedding only when even this bound misses the deadline means
+    predicted admission never sheds a request the scheduler could still
+    have saved.
+    """
+    t = max(server_free, r.arrival_s)
+    prospective = queue + [r]
+    width = policy.max_batch_size
+    for start in range(0, len(prospective), width):
+        t += float(service_time(prospective[start:start + width]))
+    return t
+
+
+def _plan_lanes(requests: Sequence[InferenceRequest],
+                lane_of: Callable[[InferenceRequest], int],
+                policies: Sequence[BatchingPolicy],
+                services: Sequence[Callable[[List[InferenceRequest]], float]]
+                ) -> List[BatchPlan]:
+    """The one discrete-event loop: per-lane queues and admission over a
+    single server timeline.
+
+    Lane ``k`` queues the requests ``lane_of`` sends to it, under
+    ``policies[k]``, priced by ``services[k]``. The loop alternates
+    between two event kinds — "next arrival" and "next dispatch" —
+    always taking the earlier one, so arrivals during a long-running
+    batch correctly queue (or shed) while the server is busy. Every
+    non-empty lane computes its trigger: the earlier of (a) the arrival
+    of its ``max_batch_size``-th waiting request and (b)
+    ``oldest.arrival + max_wait_s``. The lane with the earliest trigger
+    (ties go to the lower lane) cuts the next batch at
+    ``max(server_free, trigger)``. Rule (b) bounds batch-formation
+    waiting; a request can still wait longer while the server is busy
+    with earlier batches (that time is queueing, not batching, delay —
+    the fuzz suite asserts exactly this split). Admission looks at the
+    arriving request's own lane only.
+    """
+    pending = sorted(requests, key=lambda r: (r.arrival_s, r.request_id))
+    seen = set()
+    for r in pending:
+        if r.request_id in seen:
+            raise ValueError(f"duplicate request id {r.request_id}")
+        seen.add(r.request_id)
+    plans = [BatchPlan() for _ in policies]
+    queues: List[List[InferenceRequest]] = [[] for _ in policies]
+    server_free = 0.0
+    i = 0
+    n = len(pending)
+    while i < n or any(queues):
+        next_arrival = pending[i].arrival_s if i < n else float("inf")
+        chosen = -1
+        chosen_trigger_s = float("inf")
+        chosen_trigger = ""
+        for lane, queue in enumerate(queues):
+            if not queue:
+                continue
+            pol = policies[lane]
+            if len(queue) >= pol.max_batch_size:
+                trigger_s = queue[pol.max_batch_size - 1].arrival_s
+                trigger = "full"
+            else:
+                trigger_s = queue[0].arrival_s + pol.max_wait_s
+                trigger = "deadline" if i < n else "drain"
+            if chosen < 0 or trigger_s < chosen_trigger_s:
+                chosen, chosen_trigger_s = lane, trigger_s
+                chosen_trigger = trigger
+        if chosen >= 0:
+            dispatch = max(server_free, chosen_trigger_s)
+            if dispatch <= next_arrival:
+                width = policies[chosen].max_batch_size
+                queue = queues[chosen]
+                batch = queue[:width]
+                del queue[:width]
+                svc = float(services[chosen](batch))
+                if svc < 0:
+                    raise ValueError("service_time must be >= 0")
+                plans[chosen].batches.append(ScheduledBatch(
+                    requests=batch, dispatch_s=dispatch,
+                    completion_s=dispatch + svc, trigger=chosen_trigger))
+                server_free = dispatch + svc
+                continue
+        # admit (or shed) the next arrival into its own lane's queue
+        r = pending[i]
+        i += 1
+        lane = lane_of(r)
+        pol = policies[lane]
+        queue = queues[lane]
+        if len(queue) >= pol.max_queue_depth:
+            plans[lane].shed.append(r)
+        elif pol.admission == "predicted" and \
+                predicted_completion(pol, queue, r, server_free,
+                                     services[lane]) \
+                > r.arrival_s + pol.deadline_s:
+            plans[lane].shed.append(r)
+        else:
+            queue.append(r)
+    return plans
+
+
 class MicroBatcher:
-    """Deterministic discrete-event dynamic batcher.
+    """Deterministic dynamic batcher for one model: the one-tenant entry
+    to the shared event loop (:func:`_plan_lanes`).
 
     :meth:`plan` replays an arrival trace against a service-time model
-    and returns the full :class:`BatchPlan`. The loop alternates between
-    two event kinds — "next arrival" and "next dispatch" — always taking
-    the earlier one, so arrivals during a long-running batch correctly
-    queue (or shed) while the server is busy.
-
-    Dispatch rule, evaluated whenever the queue is non-empty: cut a
-    batch at ``max(server_free, trigger)`` where ``trigger`` is the
-    earlier of (a) the arrival of the ``max_batch_size``-th waiting
-    request and (b) ``oldest.arrival + max_wait_s``. Rule (b) bounds
-    batch-formation waiting; a request can still wait longer when the
-    server is busy serving earlier batches (that time is queueing, not
-    batching, delay — the fuzz suite asserts exactly this split).
+    and returns the full :class:`BatchPlan`. Every request lands in the
+    single queue whatever its ``tenant`` tag says — a partitioned
+    multi-tenant fleet hands tenant-tagged requests to single-model
+    replicas.
     """
 
     def __init__(self, policy: Optional[BatchingPolicy] = None) -> None:
@@ -189,87 +293,8 @@ class MicroBatcher:
              ) -> BatchPlan:
         """Schedule ``requests`` (any order; sorted internally by arrival,
         ties broken by request id) through the dispatch rule."""
-        pol = self.policy
-        pending = sorted(requests,
-                         key=lambda r: (r.arrival_s, r.request_id))
-        seen = set()
-        for r in pending:
-            if r.request_id in seen:
-                raise ValueError(f"duplicate request id {r.request_id}")
-            seen.add(r.request_id)
-        plan = BatchPlan()
-        queue: List[InferenceRequest] = []
-        server_free = 0.0
-        i = 0
-        n = len(pending)
-        while i < n or queue:
-            next_arrival = pending[i].arrival_s if i < n else float("inf")
-            if queue:
-                if len(queue) >= pol.max_batch_size:
-                    trigger_s = queue[pol.max_batch_size - 1].arrival_s
-                    trigger = "full"
-                else:
-                    trigger_s = queue[0].arrival_s + pol.max_wait_s
-                    trigger = "deadline" if i < n else "drain"
-                dispatch = max(server_free, trigger_s)
-                if dispatch <= next_arrival:
-                    batch = queue[:pol.max_batch_size]
-                    del queue[:pol.max_batch_size]
-                    svc = float(service_time(batch))
-                    if svc < 0:
-                        raise ValueError("service_time must be >= 0")
-                    plan.batches.append(ScheduledBatch(
-                        requests=batch, dispatch_s=dispatch,
-                        completion_s=dispatch + svc, trigger=trigger))
-                    server_free = dispatch + svc
-                    continue
-            # admit (or shed) the next arrival
-            r = pending[i]
-            i += 1
-            if len(queue) >= pol.max_queue_depth:
-                plan.shed.append(r)
-            elif pol.admission == "predicted" and \
-                    self._predicted_completion(queue, r, server_free,
-                                               service_time) \
-                    > r.arrival_s + pol.deadline_s:
-                plan.shed.append(r)
-            else:
-                queue.append(r)
-        return plan
-
-    @staticmethod
-    def predicted_completion(policy: BatchingPolicy,
-                             queue: List[InferenceRequest],
-                             r: InferenceRequest, server_free: float,
-                             service_time: Callable[
-                                 [List[InferenceRequest]], float]) -> float:
-        """Earliest possible completion of ``r`` given ``queue`` —
-        work-conserving FIFO at full batch width from
-        ``max(server_free, arrival)``. Shared with the multi-tenant
-        batcher, whose per-tenant admission uses the same optimistic
-        bound (a tenant cannot see the other tenants' queues)."""
-        t = max(server_free, r.arrival_s)
-        prospective = queue + [r]
-        width = policy.max_batch_size
-        for start in range(0, len(prospective), width):
-            t += float(service_time(prospective[start:start + width]))
-        return t
-
-    def _predicted_completion(self, queue: List[InferenceRequest],
-                              r: InferenceRequest, server_free: float,
-                              service_time: Callable[
-                                  [List[InferenceRequest]], float]) -> float:
-        """Earliest possible completion of ``r`` given the current queue.
-
-        Assumes work-conserving FIFO dispatch at full batch width
-        starting at ``max(server_free, r.arrival)`` — an optimistic
-        (lower) bound, since real dispatches may also wait on the
-        max-wait trigger. Shedding only when even this bound misses the
-        deadline means predicted admission never sheds a request the
-        scheduler could still have saved.
-        """
-        return self.predicted_completion(self.policy, queue, r, server_free,
-                                         service_time)
+        return _plan_lanes(requests, lambda r: 0, [self.policy],
+                           [service_time])[0]
 
 
 class MultiTenantBatcher:
@@ -284,13 +309,12 @@ class MultiTenantBatcher:
     shared fleet exhibits, and what planner-partitioned replica subsets
     avoid (:mod:`repro.fleet.tenancy`).
 
-    Dispatch rule: every queued tenant computes its trigger exactly as
-    :class:`MicroBatcher` would (full-batch arrival or oldest+max_wait);
-    the tenant with the *earliest trigger* (ties broken by name) cuts the
-    next batch at ``max(server_free, trigger)``. Admission is evaluated
-    against the arriving request's own tenant queue only — a tenant
-    cannot observe (or be shed because of) another tenant's backlog,
-    though its *latency* still pays for the shared timeline.
+    Tenants are the lanes of :func:`_plan_lanes` in name order, so the
+    tenant with the *earliest trigger* (ties broken by name) cuts the
+    next batch. Admission is evaluated against the arriving request's
+    own tenant queue only — a tenant cannot observe (or be shed because
+    of) another tenant's backlog, though its *latency* still pays for
+    the shared timeline.
     """
 
     def __init__(self, policies: Dict[str, BatchingPolicy]) -> None:
@@ -304,71 +328,15 @@ class MultiTenantBatcher:
         """Schedule a mixed-tenant arrival trace; ``service_time`` takes
         ``(tenant, batch)`` so each tenant's model prices its own
         dispatches. Returns one :class:`BatchPlan` per tenant."""
-        pending = sorted(requests,
-                         key=lambda r: (r.arrival_s, r.request_id))
-        seen = set()
-        for r in pending:
-            if r.tenant not in self.policies:
+        names = sorted(self.policies)
+        lanes = {name: lane for lane, name in enumerate(names)}
+        for r in requests:
+            if r.tenant not in lanes:
                 raise ValueError(
                     f"request {r.request_id} targets unknown tenant "
-                    f"{r.tenant!r} (have {sorted(self.policies)})")
-            if r.request_id in seen:
-                raise ValueError(f"duplicate request id {r.request_id}")
-            seen.add(r.request_id)
-        plans = {name: BatchPlan() for name in self.policies}
-        queues: Dict[str, List[InferenceRequest]] = {
-            name: [] for name in self.policies}
-        server_free = 0.0
-        i = 0
-        n = len(pending)
-        while i < n or any(queues.values()):
-            next_arrival = pending[i].arrival_s if i < n else float("inf")
-            # the queued tenant with the earliest trigger cuts next
-            chosen: Optional[str] = None
-            chosen_trigger_s = float("inf")
-            chosen_trigger = ""
-            for name in sorted(queues):
-                queue = queues[name]
-                if not queue:
-                    continue
-                pol = self.policies[name]
-                if len(queue) >= pol.max_batch_size:
-                    trigger_s = queue[pol.max_batch_size - 1].arrival_s
-                    trigger = "full"
-                else:
-                    trigger_s = queue[0].arrival_s + pol.max_wait_s
-                    trigger = "deadline" if i < n else "drain"
-                if trigger_s < chosen_trigger_s:
-                    chosen, chosen_trigger_s = name, trigger_s
-                    chosen_trigger = trigger
-            if chosen is not None:
-                dispatch = max(server_free, chosen_trigger_s)
-                if dispatch <= next_arrival:
-                    pol = self.policies[chosen]
-                    queue = queues[chosen]
-                    batch = queue[:pol.max_batch_size]
-                    del queue[:pol.max_batch_size]
-                    svc = float(service_time(chosen, batch))
-                    if svc < 0:
-                        raise ValueError("service_time must be >= 0")
-                    plans[chosen].batches.append(ScheduledBatch(
-                        requests=batch, dispatch_s=dispatch,
-                        completion_s=dispatch + svc, trigger=chosen_trigger))
-                    server_free = dispatch + svc
-                    continue
-            # admit (or shed) the next arrival into its tenant's queue
-            r = pending[i]
-            i += 1
-            pol = self.policies[r.tenant]
-            queue = queues[r.tenant]
-            if len(queue) >= pol.max_queue_depth:
-                plans[r.tenant].shed.append(r)
-            elif pol.admission == "predicted" and \
-                    MicroBatcher.predicted_completion(
-                        pol, queue, r, server_free,
-                        lambda batch: service_time(r.tenant, batch)) \
-                    > r.arrival_s + pol.deadline_s:
-                plans[r.tenant].shed.append(r)
-            else:
-                queue.append(r)
-        return plans
+                    f"{r.tenant!r} (have {names})")
+        plans = _plan_lanes(
+            requests, lambda r: lanes[r.tenant],
+            [self.policies[name] for name in names],
+            [partial(service_time, name) for name in names])
+        return {name: plans[lanes[name]] for name in self.policies}

@@ -22,6 +22,7 @@ independent.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -35,11 +36,11 @@ from ..perf.embedding_bw import embedding_lookup_time
 from ..perf.gemm import mlp_time
 from ..perf.platform import ZIONEX_PLATFORM, PlatformSpec
 from .batcher import (BatchingPolicy, BatchPlan, InferenceRequest,
-                      MicroBatcher, ScheduledBatch)
+                      MicroBatcher)
 from .export import ServableModel
 
 __all__ = ["ServingPerfModel", "RequestOutcome", "ServeResult",
-           "InferenceServer"]
+           "price_requests", "execute_plan", "InferenceServer"]
 
 _EMB_LOOKUP_PRECISION = {"fp32": "fp32", "fp16": "fp16", "bf16": "fp16",
                          "int8": "fp16",  # bandwidth class of row reads
@@ -181,15 +182,84 @@ class ServeResult:
         return last - first
 
 
+def price_requests(perf: ServingPerfModel, model: ServableModel,
+                   requests: List[InferenceRequest]) -> float:
+    """Service time of ``requests`` coalesced into one dispatch of
+    ``model`` — the one place a request list turns into a
+    :meth:`ServingPerfModel.service_time` call."""
+    batch_size = sum(r.num_samples for r in requests)
+    nnz = sum(model.nnz(r.batch) for r in requests)
+    return perf.service_time(model, batch_size, nnz)
+
+
+def execute_plan(plan: BatchPlan, model: ServableModel, tracer, scope,
+                 span_attrs: Dict[str, object], slot=None) -> ServeResult:
+    """Run every batch of ``plan`` for real and record the outcomes.
+
+    Per scheduled batch: requests coalesced via :meth:`MiniBatch.concat`,
+    one fused forward of ``model`` (or, with ``slot``, of the snapshot
+    active at the batch's dispatch time), per-request probability rows
+    scattered back and one :class:`RequestOutcome` per request. Obs
+    wiring: ``serving.batch``/``serving.forward`` spans stamped with
+    ``span_attrs``, and under ``scope`` the ``requests``/``completed``/
+    ``shed``/``batches``/``samples`` counters plus ``batch_size`` and
+    ``latency_s`` histograms.
+    """
+    result = ServeResult(plan=plan)
+    batch_hist = scope.histogram("batch_size")
+    latency_hist = scope.histogram("latency_s")
+    requests_ctr = scope.counter("requests")
+    completed_ctr = scope.counter("completed")
+    shed_ctr = scope.counter("shed")
+    batches_ctr = scope.counter("batches")
+    samples_ctr = scope.counter("samples")
+    for scheduled in plan.batches:
+        samples = scheduled.num_samples
+        batch_model, version = model, 0
+        if slot is not None:
+            snapshot = slot.snapshot_at(scheduled.dispatch_s)
+            batch_model, version = snapshot.model, snapshot.version
+        with tracer.span("serving.batch", cat="serving",
+                         requests=scheduled.num_requests,
+                         trigger=scheduled.trigger,
+                         dispatch_s=scheduled.dispatch_s,
+                         model_version=version, **span_attrs):
+            with tracer.span("serving.forward", cat="serving",
+                             requests=scheduled.num_requests,
+                             samples=samples, **span_attrs):
+                merged = MiniBatch.concat(
+                    [r.batch for r in scheduled.requests])
+                probs = batch_model.predict(merged)
+            row = 0
+            for r in scheduled.requests:
+                result.responses[r.request_id] = \
+                    probs[row:row + r.num_samples]
+                row += r.num_samples
+                outcome = RequestOutcome(
+                    request_id=r.request_id, arrival_s=r.arrival_s,
+                    dispatch_s=scheduled.dispatch_s,
+                    completion_s=scheduled.completion_s,
+                    batch_samples=samples, model_version=version)
+                result.outcomes.append(outcome)
+                latency_hist.record(outcome.latency_s)
+        batches_ctr.inc(1)
+        samples_ctr.inc(samples)
+        completed_ctr.inc(scheduled.num_requests)
+        batch_hist.record(samples)
+    result.shed_ids = sorted(r.request_id for r in plan.shed)
+    shed_ctr.inc(result.num_shed)
+    requests_ctr.inc(result.num_completed + result.num_shed)
+    result.outcomes.sort(key=lambda o: o.request_id)
+    return result
+
+
 class InferenceServer:
     """Serves frozen models through the micro-batcher, under obs spans.
 
     ``serve`` replays an arrival trace: the batcher plans the schedule
-    in virtual time with :class:`ServingPerfModel` service times, then
-    every scheduled batch is actually executed — requests coalesced via
-    :meth:`MiniBatch.concat`, one real fused forward, per-request rows
-    scattered back. Obs wiring: ``serving.batch``/``serving.forward``
-    spans plus ``serving.*`` counters and latency/batch-size histograms.
+    in virtual time with :class:`ServingPerfModel` service times
+    (:func:`price_requests`), then :func:`execute_plan` runs every
+    scheduled batch for real.
     """
 
     def __init__(self, model: ServableModel,
@@ -212,32 +282,6 @@ class InferenceServer:
                                          else "serving")
         self._span_attrs = {"replica": name} if name else {}
 
-    # ------------------------------------------------------------------
-    def _service_time(self, requests: List[InferenceRequest]) -> float:
-        batch_size = sum(r.num_samples for r in requests)
-        nnz = sum(self.model.nnz(r.batch) for r in requests)
-        return self.perf.service_time(self.model, batch_size, nnz)
-
-    def _execute(self, scheduled: ScheduledBatch,
-                 model: Optional[ServableModel] = None
-                 ) -> Dict[int, np.ndarray]:
-        """Run the real forward for one scheduled batch and scatter the
-        per-request probability rows."""
-        model = model if model is not None else self.model
-        with self.tracer.span("serving.forward", cat="serving",
-                              requests=scheduled.num_requests,
-                              samples=scheduled.num_samples,
-                              **self._span_attrs):
-            merged = MiniBatch.concat(
-                [r.batch for r in scheduled.requests])
-            probs = model.predict(merged)
-        out: Dict[int, np.ndarray] = {}
-        row = 0
-        for r in scheduled.requests:
-            out[r.request_id] = probs[row:row + r.num_samples]
-            row += r.num_samples
-        return out
-
     def serve(self, requests: Sequence[InferenceRequest],
               slot=None) -> ServeResult:
         """Serve a full arrival trace; returns the per-request record.
@@ -253,44 +297,7 @@ class InferenceServer:
         with swaps is therefore bitwise-identical to the fixed-model
         plan; only the answering weights differ.
         """
-        plan = self.batcher.plan(list(requests), self._service_time)
-        result = ServeResult(plan=plan)
-        batch_hist = self._scope.histogram("batch_size")
-        latency_hist = self._scope.histogram("latency_s")
-        requests_ctr = self._scope.counter("requests")
-        completed_ctr = self._scope.counter("completed")
-        shed_ctr = self._scope.counter("shed")
-        batches_ctr = self._scope.counter("batches")
-        samples_ctr = self._scope.counter("samples")
-        requests_ctr.inc(len(requests))
-        for scheduled in plan.batches:
-            if slot is None:
-                snapshot_model, version = None, 0
-            else:
-                snapshot = slot.snapshot_at(scheduled.dispatch_s)
-                snapshot_model, version = snapshot.model, snapshot.version
-            with self.tracer.span("serving.batch", cat="serving",
-                                  requests=scheduled.num_requests,
-                                  trigger=scheduled.trigger,
-                                  dispatch_s=scheduled.dispatch_s,
-                                  model_version=version,
-                                  **self._span_attrs):
-                responses = self._execute(scheduled, model=snapshot_model)
-            result.responses.update(responses)
-            batches_ctr.inc(1)
-            samples_ctr.inc(scheduled.num_samples)
-            completed_ctr.inc(scheduled.num_requests)
-            batch_hist.record(scheduled.num_samples)
-            for r in scheduled.requests:
-                outcome = RequestOutcome(
-                    request_id=r.request_id, arrival_s=r.arrival_s,
-                    dispatch_s=scheduled.dispatch_s,
-                    completion_s=scheduled.completion_s,
-                    batch_samples=scheduled.num_samples,
-                    model_version=version)
-                result.outcomes.append(outcome)
-                latency_hist.record(outcome.latency_s)
-        result.shed_ids = sorted(r.request_id for r in plan.shed)
-        shed_ctr.inc(len(result.shed_ids))
-        result.outcomes.sort(key=lambda o: o.request_id)
-        return result
+        plan = self.batcher.plan(
+            list(requests), partial(price_requests, self.perf, self.model))
+        return execute_plan(plan, self.model, self.tracer, self._scope,
+                            self._span_attrs, slot=slot)

@@ -6,6 +6,7 @@ every bench file indexed in the docs.
 """
 
 import importlib
+import importlib.util
 import os
 import pkgutil
 
@@ -83,6 +84,21 @@ class TestDesignInventory:
             if name.endswith(".py"):
                 assert name in readme, \
                     f"example {name!r} not listed in README.md"
+
+
+class TestGeneratedApiReference:
+    def test_api_md_matches_generator(self):
+        """docs/api.md is generated; a public name added, removed or
+        re-documented without re-running the generator fails here."""
+        spec = importlib.util.spec_from_file_location(
+            "gen_api_docs", os.path.join(REPO_ROOT, "tools",
+                                         "gen_api_docs.py"))
+        gen = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(gen)
+        with open(gen.API_MD) as f:
+            committed = f.read()
+        assert committed == gen.render(), \
+            "docs/api.md is stale: run `python tools/gen_api_docs.py`"
 
 
 class TestPackaging:

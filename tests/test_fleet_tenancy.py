@@ -15,8 +15,9 @@ from repro.fleet import (FleetTenancyReport, MultiTenantFleet,
                          MultiTenantServer, TenantSpec, partition_replicas,
                          plan_tenancy)
 from repro.models import DLRM, zoo_config
+from repro.obs import MetricRegistry
 from repro.planner import PlannerCostModel
-from repro.serving import (BatchingPolicy, InferenceRequest,
+from repro.serving import (BatchingPolicy, InferenceRequest, InferenceServer,
                            MultiTenantBatcher, freeze)
 
 from .helpers import tiny_config, tiny_dataset
@@ -205,6 +206,52 @@ class TestMultiTenantServer:
         results = server.serve(reqs)
         n = sum(r.num_completed + r.num_shed for r in results.values())
         assert n == len(reqs)
+
+    def test_metric_catalogue_matches_single_model_server(self):
+        """Both servers record through one executor: every tenant scope
+        carries exactly the series a single-model server's scope does."""
+        tenants, cfg_a, cfg_b = make_tenants()
+        reqs = make_trace(cfg_a, cfg_b, n_a=20, n_b=10)
+        solo = MetricRegistry()
+        InferenceServer(tenants[0].model, tenants[0].policy,
+                        metrics=solo).serve(
+            [r for r in reqs if r.tenant == "a"])
+        catalogue = set(solo.snapshot("serving."))
+        assert {"serving.requests", "serving.samples", "serving.batch_size",
+                "serving.latency_s"} <= catalogue
+        shared = MetricRegistry()
+        MultiTenantServer(tenants, metrics=shared,
+                          name="replica0").serve(reqs)
+        for tenant, offered in (("a", 20), ("b", 10)):
+            prefix = f"replica0.{tenant}.serving."
+            snap = shared.snapshot(prefix)
+            assert {"serving." + key.removeprefix(prefix)
+                    for key in snap} == catalogue
+            assert snap[prefix + "requests"] == offered
+            assert snap[prefix + "completed"] + snap[prefix + "shed"] \
+                == offered
+            assert snap[prefix + "latency_s"]["count"] \
+                == snap[prefix + "completed"]
+
+    def test_one_tenant_server_is_the_single_model_server(self):
+        """Alone on a replica a tenant sees congestion exactly 1.0, so
+        schedule, answers and every metric value equal the single-model
+        server's on the same (tenant-tagged) trace."""
+        tenants, cfg_a, cfg_b = make_tenants()
+        reqs = [r for r in make_trace(cfg_a, cfg_b) if r.tenant == "a"]
+        solo_metrics, shared_metrics = MetricRegistry(), MetricRegistry()
+        solo = InferenceServer(tenants[0].model, tenants[0].policy,
+                               metrics=solo_metrics).serve(reqs)
+        server = MultiTenantServer(tenants[:1], metrics=shared_metrics)
+        assert server.congestion("a") == 1.0
+        shared = server.serve(reqs)["a"]
+        assert shared.outcomes == solo.outcomes
+        assert shared.shed_ids == solo.shed_ids
+        for rid, probs in solo.responses.items():
+            np.testing.assert_array_equal(shared.responses[rid], probs)
+        assert {key.removeprefix("a."): value for key, value
+                in shared_metrics.snapshot().items()} \
+            == solo_metrics.snapshot()
 
     def test_congestion_at_least_one(self):
         tenants, _, _ = make_tenants()

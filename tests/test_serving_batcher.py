@@ -7,8 +7,13 @@ no request dispatches before it arrives, shedding only happens against
 a full queue, and no batch is cut later than
 ``max(previous completion, oldest member arrival + max_wait)`` — the
 no-starvation invariant separating bounded batching delay from honest
-queueing delay.
+queueing delay. The same suites take 1-3-tenant traces through
+``MultiTenantBatcher`` as one more input: both entries run one event
+loop, so every invariant holds per tenant, with "previous completion"
+read off the shared timeline.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -16,10 +21,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data import MiniBatch
-from repro.serving import BatchingPolicy, InferenceRequest, MicroBatcher
+from repro.serving import (BatchingPolicy, InferenceRequest, MicroBatcher,
+                           MultiTenantBatcher)
 
 
-def req(request_id, arrival_s, samples=1):
+def req(request_id, arrival_s, samples=1, tenant=None):
     """A minimal single-feature request (ids are irrelevant to planning)."""
     return InferenceRequest(
         request_id=request_id, arrival_s=arrival_s,
@@ -27,7 +33,8 @@ def req(request_id, arrival_s, samples=1):
             dense=np.zeros((samples, 2), dtype=np.float32),
             sparse={"t0": (np.zeros(samples, dtype=np.int64),
                            np.arange(samples + 1, dtype=np.int64))},
-            labels=np.zeros(samples, dtype=np.float32)))
+            labels=np.zeros(samples, dtype=np.float32)),
+        tenant=tenant)
 
 
 def const_service(seconds):
@@ -121,21 +128,56 @@ TRACES = st.lists(st.floats(0.0, 1.0), min_size=0, max_size=40)
 SERVICE_S = st.floats(1e-5, 0.2)
 
 
-@settings(max_examples=120, deadline=None)
-@given(arrivals=TRACES, policy=POLICIES, service_s=SERVICE_S)
-def test_fuzz_batcher_invariants(arrivals, policy, service_s):
-    requests = [req(i, t) for i, t in enumerate(sorted(arrivals))]
-    plan = MicroBatcher(policy).plan(requests, const_service(service_s))
+@st.composite
+def workloads(draw):
+    """``(requests, {tenant: policy})``: the untagged trace of the
+    one-tenant entry (tenant ``None``) or a 1-3-tenant tagged trace."""
+    arrivals = sorted(draw(TRACES))
+    names = draw(st.sampled_from(
+        [(None,), ("a",), ("a", "b"), ("a", "b", "c")]))
+    policies = {name: draw(POLICIES) for name in names}
+    tags = draw(st.lists(st.sampled_from(names), min_size=len(arrivals),
+                         max_size=len(arrivals)))
+    return ([req(i, t, tenant=tag)
+             for i, (t, tag) in enumerate(zip(arrivals, tags))], policies)
 
-    # conservation: every request completed or shed, exactly once
-    completed_ids = [r.request_id for b in plan.batches for r in b.requests]
-    shed_ids = [r.request_id for r in plan.shed]
-    assert sorted(completed_ids + shed_ids) == sorted(
-        r.request_id for r in requests)
-    assert len(set(completed_ids)) == len(completed_ids)
+
+def plan_workload(requests, policies, service_s):
+    """One plan per tenant, through the entry the trace is drawn for."""
+    if list(policies) == [None]:
+        return {None: MicroBatcher(policies[None]).plan(
+            requests, const_service(service_s))}
+    return MultiTenantBatcher(policies).plan(
+        requests, lambda tenant, batch: service_s)
+
+
+@settings(max_examples=120, deadline=None)
+@given(workload=workloads(), service_s=SERVICE_S)
+def test_fuzz_batcher_invariants(workload, service_s):
+    requests, policies = workload
+    plans = plan_workload(requests, policies, service_s)
+
+    for tenant, plan in plans.items():
+        # conservation per tenant: every request completed or shed,
+        # exactly once, and batches never mix tenants
+        completed_ids = [r.request_id
+                         for b in plan.batches for r in b.requests]
+        shed_ids = [r.request_id for r in plan.shed]
+        assert sorted(completed_ids + shed_ids) == sorted(
+            r.request_id for r in requests if r.tenant == tenant)
+        assert len(set(completed_ids)) == len(completed_ids)
+
+        # FIFO within a tenant: batches dispatch in arrival order of
+        # their oldest members
+        oldest_arrivals = [min(r.arrival_s for r in b.requests)
+                           for b in plan.batches]
+        assert oldest_arrivals == sorted(oldest_arrivals)
 
     prev_completion = 0.0
-    for b in plan.batches:
+    for tenant, b in sorted(((t, b) for t, plan in plans.items()
+                             for b in plan.batches),
+                            key=lambda tb: tb[1].dispatch_s):
+        policy = policies[tenant]
         # size cap and causality
         assert 1 <= b.num_requests <= policy.max_batch_size
         assert all(b.dispatch_s >= r.arrival_s for r in b.requests)
@@ -150,51 +192,49 @@ def test_fuzz_batcher_invariants(arrivals, policy, service_s):
         assert b.dispatch_s <= bound + 1e-9
         prev_completion = b.completion_s
 
-    # batches dispatch in arrival order of their oldest members
-    oldest_arrivals = [min(r.arrival_s for r in b.requests)
-                      for b in plan.batches]
-    assert oldest_arrivals == sorted(oldest_arrivals)
+
+@settings(max_examples=60, deadline=None)
+@given(workload=workloads(), service_s=SERVICE_S)
+def test_fuzz_shed_only_when_queue_full(workload, service_s):
+    """Replaying the event loop: at each shed instant the shed request's
+    own tenant queue must hold exactly max_queue_depth requests that
+    arrived earlier and had not yet been dispatched."""
+    requests, policies = workload
+    plans = plan_workload(requests, policies, service_s)
+    for tenant, plan in plans.items():
+        for shed in plan.shed:
+            waiting = 0
+            for r in requests:
+                if r.tenant != tenant or r.request_id == shed.request_id:
+                    continue
+                if r.arrival_s > shed.arrival_s or (
+                        r.arrival_s == shed.arrival_s
+                        and r.request_id > shed.request_id):
+                    continue
+                dispatched_by_then = any(
+                    r in b.requests and b.dispatch_s <= shed.arrival_s
+                    for b in plan.batches)
+                shed_before = any(s.request_id == r.request_id
+                                  for s in plan.shed)
+                if not dispatched_by_then and not shed_before:
+                    waiting += 1
+            assert waiting >= policies[tenant].max_queue_depth
 
 
 @settings(max_examples=60, deadline=None)
-@given(arrivals=TRACES, policy=POLICIES, service_s=SERVICE_S)
-def test_fuzz_shed_only_when_queue_full(arrivals, policy, service_s):
-    """Replaying the event loop: at each shed instant the queue must hold
-    exactly max_queue_depth requests that arrived earlier and had not yet
-    been dispatched."""
-    requests = [req(i, t) for i, t in enumerate(sorted(arrivals))]
-    plan = MicroBatcher(policy).plan(requests, const_service(service_s))
-    for shed in plan.shed:
-        waiting = 0
-        for r in requests:
-            if r.request_id == shed.request_id:
-                continue
-            if r.arrival_s > shed.arrival_s or (
-                    r.arrival_s == shed.arrival_s
-                    and r.request_id > shed.request_id):
-                continue
-            dispatched_by_then = any(
-                r in b.requests and b.dispatch_s <= shed.arrival_s
-                for b in plan.batches)
-            shed_before = any(s.request_id == r.request_id
-                              for s in plan.shed)
-            if not dispatched_by_then and not shed_before:
-                waiting += 1
-        assert waiting >= policy.max_queue_depth
-
-
-@settings(max_examples=60, deadline=None)
-@given(arrivals=TRACES, policy=POLICIES, service_s=SERVICE_S)
-def test_fuzz_determinism(arrivals, policy, service_s):
-    requests = [req(i, t) for i, t in enumerate(sorted(arrivals))]
-    a = MicroBatcher(policy).plan(requests, const_service(service_s))
-    b = MicroBatcher(policy).plan(list(reversed(requests)),
-                                  const_service(service_s))
-    assert [[r.request_id for r in x.requests] for x in a.batches] == \
-        [[r.request_id for r in x.requests] for x in b.batches]
-    assert [x.dispatch_s for x in a.batches] == \
-        [x.dispatch_s for x in b.batches]
-    assert [r.request_id for r in a.shed] == [r.request_id for r in b.shed]
+@given(workload=workloads(), service_s=SERVICE_S)
+def test_fuzz_determinism(workload, service_s):
+    requests, policies = workload
+    plans_a = plan_workload(requests, policies, service_s)
+    plans_b = plan_workload(list(reversed(requests)), policies, service_s)
+    for tenant, a in plans_a.items():
+        b = plans_b[tenant]
+        assert [[r.request_id for r in x.requests] for x in a.batches] == \
+            [[r.request_id for r in x.requests] for x in b.batches]
+        assert [x.dispatch_s for x in a.batches] == \
+            [x.dispatch_s for x in b.batches]
+        assert [r.request_id for r in a.shed] == \
+            [r.request_id for r in b.shed]
 
 
 class TestPredictedAdmission:
@@ -286,3 +326,80 @@ class TestPredictedAdmission:
 
         assert within(pred) > 2 * within(depth)
         assert pred.num_shed > 0
+
+
+def schedule_digest(plan):
+    rows = [(b.dispatch_s.hex(), b.completion_s.hex(), b.trigger,
+             [r.request_id for r in b.requests]) for b in plan.batches]
+    rows.append([r.request_id for r in plan.shed])
+    return hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
+
+
+def pinned_policy(admission, **kw):
+    if admission == "predicted":
+        kw["deadline_s"] = 0.015
+    return BatchingPolicy(admission=admission, **kw)
+
+
+def pinned_trace(tenants=(None,), n=400):
+    """Seeded overload with lulls: all three triggers and both shed
+    reasons occur."""
+    rng = np.random.default_rng(7)
+    gaps = rng.exponential(5e-4, size=n)
+    gaps[::50] += 0.02
+    arrivals = np.cumsum(gaps)
+    sizes = rng.integers(1, 4, size=n)
+    picks = rng.integers(0, len(tenants), size=n)
+    return [req(i, float(arrivals[i]), int(sizes[i]), tenants[picks[i]])
+            for i in range(n)]
+
+
+def samples_service(batch):
+    return 1e-3 + 4e-4 * sum(r.num_samples for r in batch)
+
+
+class TestPinnedSchedules:
+    """Exact schedules — dispatch and completion bits, triggers, batch
+    membership, shed order — recorded at the commit before the two event
+    loops were merged. Any reordering of the loop fails here."""
+
+    WIDE = dict(max_batch_size=8, max_wait_s=2e-3, max_queue_depth=24)
+    NARROW = dict(max_batch_size=4, max_wait_s=1e-3, max_queue_depth=12)
+
+    @pytest.mark.parametrize("admission,digest", [
+        ("depth", "ab6c3c1cdbec642b"), ("predicted", "0ca4f99257ac243b")])
+    def test_one_tenant(self, admission, digest):
+        policy = pinned_policy(admission, **self.WIDE)
+        plan = MicroBatcher(policy).plan(pinned_trace(), samples_service)
+        assert schedule_digest(plan) == digest
+        # the one-tenant entry ignores tenant tags ...
+        tagged = MicroBatcher(policy).plan(
+            pinned_trace(tenants=("a", "b")), samples_service)
+        assert schedule_digest(tagged) == digest
+        # ... and is the one-lane case of the multi-tenant batcher
+        plans = MultiTenantBatcher({"a": policy}).plan(
+            pinned_trace(tenants=("a",)),
+            lambda tenant, batch: samples_service(batch))
+        assert schedule_digest(plans["a"]) == digest
+
+    def test_none_is_a_tenant_key(self):
+        """Regression: ``None`` — the default ``InferenceRequest.tenant``
+        — doubled as the loop's "nobody dispatches" sentinel, so a
+        ``{None: policy}`` batcher never cut a batch and ran off the end
+        of the trace with an IndexError."""
+        policy = pinned_policy("depth", **self.WIDE)
+        plans = MultiTenantBatcher({None: policy}).plan(
+            pinned_trace(), lambda tenant, batch: samples_service(batch))
+        assert schedule_digest(plans[None]) == "ab6c3c1cdbec642b"
+
+    @pytest.mark.parametrize("admission,digests", [
+        ("depth", {"a": "b83324b67eef5422", "b": "5e2b20f178d79d2a"}),
+        ("predicted", {"a": "3055a0712f84f380", "b": "7997b94fffba8471"})])
+    def test_two_tenants(self, admission, digests):
+        plans = MultiTenantBatcher({
+            "a": pinned_policy(admission, **self.WIDE),
+            "b": pinned_policy(admission, **self.NARROW)}).plan(
+            pinned_trace(tenants=("a", "b")),
+            lambda tenant, batch:
+                samples_service(batch) * (2.0 if tenant == "b" else 1.0))
+        assert {t: schedule_digest(p) for t, p in plans.items()} == digests
