@@ -51,7 +51,7 @@ def run_arm(batch_size, lr, warmup_fraction=0.0):
     scheduler = None
     if warmup_fraction > 0:
         scheduler = WarmupLinearDecay(
-            trainer.ranks[0].dense_opt, base_lr=lr,
+            trainer.dense_opt, base_lr=lr,
             warmup_steps=max(1, int(steps * warmup_fraction)),
             total_steps=steps, final_lr=lr)
     for i in range(steps):

@@ -2,11 +2,13 @@
 
 The lock-step simulator used to advance its ``R`` data-parallel dense
 replicas with ``R`` sequential python-loop calls per phase (forward,
-loss, backward, AllReduce flatten, optimizer). The rank-stacked mode
-(``NeoTrainer(..., stacked=True)``, the default) packs every replica's
-parameters into leading-axis ``(R, ...)`` arrays so each phase is one
-batched ``np.matmul``/einsum — turning per-step cost from
-"R × (python + tiny-GEMM overhead)" into one R-times-larger kernel.
+loss, backward, AllReduce flatten, optimizer). ``NeoTrainer`` now packs
+every replica's parameters into leading-axis ``(R, ...)`` arrays so each
+phase is one batched ``np.matmul``/einsum — turning per-step cost from
+"R × (python + tiny-GEMM overhead)" into one R-times-larger kernel. The
+looped execution survives only as the test oracle
+``tests/reference_trainer.py`` (``LoopedNeoTrainer``), which this bench
+times as the baseline.
 
 Two measurements:
 
@@ -18,9 +20,10 @@ Two measurements:
   staying near-linear in the (growing) global batch while the looped
   path's python overhead would grow with R on top of that.
 
-Run standalone to write ``BENCH_rank_stacked.json``::
+Run standalone from the repository root (``.`` on the path makes the
+oracle importable) to write ``BENCH_rank_stacked.json``::
 
-    PYTHONPATH=src python benchmarks/bench_rank_stacked.py \
+    PYTHONPATH=src:. python benchmarks/bench_rank_stacked.py \
         [--quick] [--out PATH] [--assert-speedup X]
 
 ``--quick`` shrinks world sizes and iterations for CI smoke runs (the
@@ -64,7 +67,13 @@ QUICK_WORLDS = [4, 16]
 QUICK_STACKED_ONLY = []
 
 
-def build_trainer(world: int, stacked: bool, seed: int = 0) -> NeoTrainer:
+def build_trainer(world: int, looped: bool = False,
+                  seed: int = 0) -> NeoTrainer:
+    """The product trainer, or with ``looped`` the per-rank oracle."""
+    cls = NeoTrainer
+    if looped:
+        from tests.reference_trainer import LoopedNeoTrainer
+        cls = LoopedNeoTrainer
     tables = tuple(
         EmbeddingTableConfig(f"t{i}", MODEL["rows"], MODEL["emb_dim"],
                              avg_pooling=2.0)
@@ -76,11 +85,11 @@ def build_trainer(world: int, stacked: bool, seed: int = 0) -> NeoTrainer:
     for t in tables:
         plan.tables[t.name] = shard_table(
             t, ShardingScheme.DATA_PARALLEL, list(range(world)))
-    return NeoTrainer(
+    return cls(
         config, plan, ClusterTopology(num_nodes=1, gpus_per_node=world),
         dense_optimizer=lambda p: nn.SGD(p, lr=0.1, momentum=0.9),
         sparse_optimizer=SparseAdaGrad(lr=0.1), seed=seed,
-        metrics=MetricRegistry(), stacked=stacked)
+        metrics=MetricRegistry())
 
 
 def make_batches(world: int, num: int):
@@ -110,8 +119,8 @@ def _best_step_time(trainer: NeoTrainer, batches, iters: int) -> float:
 def check_parity(world: int, steps: int = 3) -> bool:
     """Stacked and looped must agree bitwise: per-step losses, rank-0
     dense parameters and total comms wire bytes."""
-    looped = build_trainer(world, stacked=False)
-    stacked = build_trainer(world, stacked=True)
+    looped = build_trainer(world, looped=True)
+    stacked = build_trainer(world)
     batches = make_batches(world, steps)
     for batch in batches:
         if looped.train_step(batch) != stacked.train_step(batch):
@@ -138,10 +147,9 @@ def run_benchmark(quick=False, iters=None):
     points = {}
     for world in worlds:
         batches = make_batches(world, 2)
-        looped_t = _best_step_time(build_trainer(world, stacked=False),
+        looped_t = _best_step_time(build_trainer(world, looped=True),
                                    batches, iters)
-        stacked_t = _best_step_time(build_trainer(world, stacked=True),
-                                    batches, iters)
+        stacked_t = _best_step_time(build_trainer(world), batches, iters)
         points[world] = {
             "looped_step_s": looped_t,
             "stacked_step_s": stacked_t,
@@ -150,8 +158,8 @@ def run_benchmark(quick=False, iters=None):
     curve = {}
     for world in worlds + extra:
         batches = make_batches(world, 2)
-        curve[world] = _best_step_time(build_trainer(world, stacked=True),
-                                       batches, iters)
+        curve[world] = _best_step_time(build_trainer(world), batches,
+                                       iters)
 
     top = max(worlds)
     return {

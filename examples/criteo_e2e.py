@@ -57,7 +57,7 @@ def main():
         trainer = make_trainer(config, plan)
         manager = CheckpointManager(ckpt_dir, differential=True)
         scheduler = WarmupLinearDecay(
-            trainer.ranks[0].dense_opt, base_lr=0.01, warmup_steps=10,
+            trainer.dense_opt, base_lr=0.01, warmup_steps=10,
             total_steps=STEPS)
         loop = TrainingLoop(trainer, dataset,
                             global_batch_size=GLOBAL_BATCH,

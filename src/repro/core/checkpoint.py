@@ -89,7 +89,7 @@ class CheckpointManager:
         # moments, ...); replicas are identical, so rank 0 suffices
         for i, p in enumerate(trainer.ranks[0].dense_parameters()):
             payload[f"dense/{i}"] = p.data
-            for key, value in trainer.ranks[0].dense_opt.state_for(p).items():
+            for key, value in trainer.dense_opt.state_for(p).items():
                 payload[f"opt/{i}/{key}"] = np.asarray(value)
         # embedding tables, gathered from shards
         full_rows = 0
@@ -182,8 +182,7 @@ class CheckpointManager:
                             (t.num_embeddings, t.embedding_dim),
                             dtype=np.float32)
                     tables[t.name][rows] = values
-        # write back into every rank's replica (or the stacked storage —
-        # the trainer knows its execution mode) and every shard;
+        # write back into every rank's replica and every shard;
         # optimizer state is replaced wholesale so a momentum/Adam
         # resume is exact (checkpoints predating opt-state capture
         # simply reset it)

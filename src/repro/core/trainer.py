@@ -28,25 +28,26 @@ All collectives move real data through :class:`SimProcessGroup`, which also
 accumulates wire bytes and modeled latency. The trainer's numerics are
 validated against the single-process :class:`repro.models.DLRM` reference.
 
-**Rank-stacked simulation** (default, ``stacked=True``): since every
-rank's dense replica is bitwise identical in architecture, all replicas'
-parameters are packed into leading-axis ``(R, ...)`` arrays
-(:class:`StackedRankState`, built by :mod:`repro.nn.stacked`) so the
-data-parallel bottom/top MLP forward and backward across all ranks is
-one batched ``np.matmul`` per layer instead of ``R`` sequential calls,
-and the bucketed dense AllReduce ships one ``(R, elements)`` array
-through the :class:`SimProcessGroup` stacked fast path. What DDP makes
-identical on every rank is computed once: the AllReduce returns one
-reduced vector as a read-only ``(R, elements)`` broadcast view, one
-optimizer steps rank 0's parameter views, and row 0 of each stacked
-parameter is copied into the other rows. Wire-byte
-accounting, modeled latency, spans and fault injection are unchanged,
-and every per-rank quantity is bitwise identical to the legacy looped
-path (``stacked=False``, kept as the reference oracle and fuzzed
-against in ``tests/test_trainer_stacked.py``). The per-rank
-``_RankState`` objects survive as *views* into the stacked storage, so
-checkpointing, ``freeze()`` export and replica-sync checks read rank
-state exactly as before.
+**Rank-stacked simulation**: since every rank's dense replica is
+bitwise identical in architecture, all replicas' parameters live in
+leading-axis ``(R, ...)`` arrays (:class:`StackedRankState`, built by
+:mod:`repro.nn.stacked`) so the data-parallel bottom/top MLP forward and
+backward across all ranks is one batched ``np.matmul`` per layer instead
+of ``R`` sequential calls, and the bucketed dense AllReduce ships one
+``(R, elements)`` array through the :class:`SimProcessGroup` stacked
+fast path. What DDP makes identical on every rank is computed once: the
+AllReduce returns one reduced vector as a read-only ``(R, elements)``
+broadcast view, the one dense optimizer (``trainer.dense_opt``) steps
+rank 0's parameter views, and row 0 of each stacked parameter is copied
+into the other rows. ``trainer.ranks[r].dense_parameters()`` are views
+into row ``r`` of the stacked storage, so checkpointing, ``freeze()``
+export and replica-sync checks read rank state without copies.
+
+This is the only execution path. Wire-byte accounting, modeled latency,
+spans and every per-rank quantity are bitwise identical to a per-rank
+loop over independent replicas with one optimizer each; that loop lives
+in ``tests/reference_trainer.py`` as the oracle the test suite fuzzes
+this trainer against.
 """
 
 from __future__ import annotations
@@ -62,9 +63,9 @@ from ..comms import (AlltoAllKind, ClusterTopology, QuantizedCommsConfig,
 from ..comms.bucketing import GradientBucketer
 from ..data.datagen import MiniBatch
 from ..data.kernels import bucketize_sparse
-from ..embedding import (EmbeddingArena, EmbeddingTable,
-                         EmbeddingTableConfig, QuantizedEmbeddingTable,
-                         SparseGradient, SparseOptimizer)
+from ..embedding import (EmbeddingTable, EmbeddingTableConfig,
+                         QuantizedEmbeddingTable, SparseGradient,
+                         SparseOptimizer)
 from ..embedding.table import lengths_to_offsets, offsets_to_lengths
 from ..models.dlrm import DLRM, DLRMConfig
 from ..obs.metrics import MetricRegistry
@@ -76,14 +77,14 @@ __all__ = ["NeoTrainer", "StackedRankState"]
 
 @dataclass
 class _RankState:
-    """Dense (data-parallel) model state of one rank."""
+    """One rank's dense (data-parallel) replica.
 
-    bottom: nn.MLP
-    top: nn.MLP
-    interaction: nn.Module  # DotInteraction or CatInteraction
-    loss_fn: nn.BCEWithLogitsLoss
-    dense_opt: nn.Optimizer
-    projections: Dict[str, nn.Linear]
+    In :class:`NeoTrainer` every parameter is a view into row ``r`` of
+    the :class:`StackedRankState` storage."""
+
+    bottom: nn.Module
+    top: nn.Module
+    projections: Dict[str, nn.Module]
     table_order: Tuple[str, ...]
 
     def dense_parameters(self) -> List[nn.Parameter]:
@@ -96,85 +97,18 @@ class _RankState:
 
 
 @dataclass
-class StackedRankState:
+class StackedRankState(_RankState):
     """All ranks' dense state packed into leading-axis ``(R, ...)`` arrays.
 
-    Mirrors :class:`_RankState` field for field; every parameter holds
-    the ``(R, *shape)`` stack of the per-rank replicas (built by
-    :mod:`repro.nn.stacked`), and each rank's ``_RankState`` parameters
-    are rebound to the contiguous views ``stacked.data[r]`` so both
-    representations share storage — mutating one mutates the other.
-
-    ``dense_opt`` is the one real dense optimizer. It is built over
-    rank 0's parameters (the views ``stacked.data[0]``), so its slot
-    state has per-rank shape — what checkpoints store — and a step
-    updates row 0 in place; the trainer then copies row 0 into rows
-    ``1..R-1``.
+    Entry ``i`` of :meth:`dense_parameters` is the ``(R, *shape)`` stack
+    of every rank's parameter ``i`` (built by :mod:`repro.nn.stacked`),
+    and each rank's ``_RankState`` parameters are the contiguous views
+    ``stacked.data[r]`` — mutating one mutates the other. The
+    interaction and loss run once over the stacked activations.
     """
 
-    bottom: nn.Module
-    top: nn.Module
-    interaction: nn.Module
+    interaction: nn.Module  # DotInteraction or CatInteraction
     loss_fn: nn.BCEWithLogitsLoss
-    dense_opt: nn.Optimizer
-    projections: Dict[str, nn.Module]
-    table_order: Tuple[str, ...]
-
-    def dense_parameters(self) -> List[nn.Parameter]:
-        """Stacked parameters in :meth:`_RankState.dense_parameters`
-        order; entry ``i`` is the ``(R, *shape)`` stack of every rank's
-        parameter ``i``."""
-        params = self.bottom.parameters()
-        for name in self.table_order:
-            if name in self.projections:
-                params.extend(self.projections[name].parameters())
-        return params + self.top.parameters()
-
-
-class _StackedOptimizerView:
-    """Per-rank facade over the one dense optimizer of stacked mode.
-
-    Keeps the ``trainer.ranks[r].dense_opt`` surface alive: LR
-    schedulers read/write ``.lr`` (one shared optimizer — in looped
-    mode all replica optimizers move in lock-step anyway), and
-    checkpointing reads slot state through :meth:`state_for`. The
-    optimizer holds rank 0's parameters, and its state is this rank's
-    state too: replicas are identical by construction. Calling
-    :meth:`step` raises: the trainer steps the shared optimizer once per
-    iteration, and a silent per-rank step would double-update.
-    """
-
-    def __init__(self, opt: nn.Optimizer,
-                 rank_params: Sequence[nn.Parameter],
-                 rank0_params: Sequence[nn.Parameter]) -> None:
-        self._opt = opt
-        self.params = list(rank_params)
-        self._to_rank0 = {id(p): p0 for p, p0 in
-                          zip(rank_params, rank0_params)}
-
-    @property
-    def lr(self) -> float:
-        return self._opt.lr
-
-    @lr.setter
-    def lr(self, value: float) -> None:
-        self._opt.lr = value
-
-    def state_for(self, param: nn.Parameter) -> Dict[str, np.ndarray]:
-        """The shared optimizer's slot state for this rank's ``param``
-        (per-rank shape, the same arrays on every rank). Read it;
-        mutate optimizer state through the trainer, not here."""
-        p0 = self._to_rank0.get(id(param))
-        return {} if p0 is None else self._opt.state_for(p0)
-
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.zero_grad()
-
-    def step(self) -> None:
-        raise RuntimeError(
-            "per-rank dense_opt is a read-only view in stacked mode; "
-            "the trainer steps the shared optimizer")
 
 
 def _empty_ids() -> np.ndarray:
@@ -194,7 +128,6 @@ class NeoTrainer:
                  metrics: Optional[MetricRegistry] = None,
                  process_group_factory: Optional[
                      Callable[..., SimProcessGroup]] = None,
-                 stacked: bool = True,
                  representation_plan=None) -> None:
         if plan.world_size != topology.world_size:
             raise ValueError(
@@ -257,26 +190,36 @@ class NeoTrainer:
                     projections[t.name] = nn.Linear(
                         t.embedding_dim, config.embedding_dim,
                         name=f"proj.{t.name}")
-            state = _RankState(
-                bottom=bottom, top=top,
-                interaction=config.make_interaction(),
-                loss_fn=nn.BCEWithLogitsLoss(), dense_opt=None,
-                projections=projections, table_order=table_order)
+            state = _RankState(bottom=bottom, top=top,
+                               projections=projections,
+                               table_order=table_order)
             for dst, src in zip(state.dense_parameters(),
                                 golden.dense_parameters()):
                 dst.data = src.data.copy()
             self.ranks.append(state)
-        # rank-stacked mode packs every replica's dense parameters into
-        # (R, ...) arrays and rebinds the per-rank parameters to views;
-        # looped mode (the reference oracle) keeps per-rank optimizers
-        self._stacked_state: Optional[StackedRankState] = None
-        if stacked:
-            self._stacked_state = self._stack_ranks(dense_optimizer)
-        else:
-            for state in self.ranks:
-                state.dense_opt = dense_optimizer(state.dense_parameters())
-        # bucketing is defined over one replica's parameter shapes in
-        # both modes (the stacked fast path packs (R, elems) buckets)
+        # pack every replica's dense parameters into (R, ...) arrays and
+        # rebind the per-rank parameters to views of them
+        self._stacked = StackedRankState(
+            bottom=nn.stacked.stack_modules([s.bottom for s in self.ranks]),
+            top=nn.stacked.stack_modules([s.top for s in self.ranks]),
+            projections={
+                name: nn.stacked.stack_modules(
+                    [s.projections[name] for s in self.ranks])
+                for name in self.ranks[0].projections},
+            table_order=table_order,
+            interaction=config.make_interaction(),
+            loss_fn=nn.BCEWithLogitsLoss())
+        stacked_params = self._stacked.dense_parameters()
+        for r, state in enumerate(self.ranks):
+            for p, sp in zip(state.dense_parameters(), stacked_params):
+                p.data = sp.data[r]
+        # the one dense optimizer, over rank 0's views: its slot state
+        # has per-rank shape (what checkpoints store) and a step updates
+        # row 0 in place; _optimizer_step copies row 0 into the others
+        self.dense_opt: nn.Optimizer = dense_optimizer(
+            self.ranks[0].dense_parameters())
+        # bucketing is defined over one replica's parameter shapes (the
+        # stacked fast path packs (R, elems) buckets)
         self._bucketer = GradientBucketer(
             self.ranks[0].dense_parameters())
 
@@ -294,7 +237,6 @@ class NeoTrainer:
                      metrics: Optional[MetricRegistry] = None,
                      process_group_factory: Optional[
                          Callable[..., SimProcessGroup]] = None,
-                     stacked: bool = True,
                      representation_plan=None) -> "NeoTrainer":
         """Build a trainer with an automatically planned, memory-validated
         sharding plan — the one-call production entry point.
@@ -318,44 +260,7 @@ class NeoTrainer:
                    sparse_optimizer, comms_config=comms_config, seed=seed,
                    trace=trace, metrics=metrics,
                    process_group_factory=process_group_factory,
-                   stacked=stacked, representation_plan=representation_plan)
-
-    @property
-    def stacked(self) -> bool:
-        """True when running the rank-stacked fast path."""
-        return self._stacked_state is not None
-
-    def _stack_ranks(self, dense_optimizer: Callable[
-            [Sequence[nn.Parameter]], nn.Optimizer]) -> StackedRankState:
-        """Pack the per-rank dense replicas into one stacked model.
-
-        After this, ``ranks[r]``'s parameters are contiguous views into
-        the stacked ``(R, ...)`` storage, the one dense optimizer is
-        built over rank 0's views, and ``ranks[r].dense_opt`` is a
-        :class:`_StackedOptimizerView` over it.
-        """
-        ss = StackedRankState(
-            bottom=nn.stacked.stack_modules(
-                [s.bottom for s in self.ranks]),
-            top=nn.stacked.stack_modules([s.top for s in self.ranks]),
-            interaction=self.config.make_interaction(),
-            loss_fn=nn.BCEWithLogitsLoss(),
-            dense_opt=None,
-            projections={
-                name: nn.stacked.stack_modules(
-                    [s.projections[name] for s in self.ranks])
-                for name in self.ranks[0].projections},
-            table_order=self.ranks[0].table_order)
-        stacked_params = ss.dense_parameters()
-        for r, state in enumerate(self.ranks):
-            for p, sp in zip(state.dense_parameters(), stacked_params):
-                p.data = sp.data[r]
-        rank0_params = self.ranks[0].dense_parameters()
-        ss.dense_opt = dense_optimizer(rank0_params)
-        for state in self.ranks:
-            state.dense_opt = _StackedOptimizerView(
-                ss.dense_opt, state.dense_parameters(), rank0_params)
-        return ss
+                   representation_plan=representation_plan)
 
     def _build_shards(self, config: DLRMConfig, plan: ShardingPlan,
                       golden: DLRM) -> None:
@@ -389,18 +294,6 @@ class NeoTrainer:
                     "lookup_rows", table=t.name)
                 self._update_counters[shard] = emb_metrics.counter(
                     "update_rows", table=t.name)
-        # Pack each rank's shard weights into per-dimension arenas — the
-        # device-local "megatable" layout of Section 4.1.1. Packing
-        # re-points every shard table's ``.weight`` at a view of the
-        # rank's contiguous storage; lookups and sparse updates read and
-        # write through the views, so numerics are unchanged while each
-        # rank's embedding memory becomes one allocation per dimension.
-        by_rank: Dict[int, List[EmbeddingTable]] = {}
-        for shard, table in self._shard_tables.items():
-            by_rank.setdefault(shard.rank, []).append(table)
-        self._rank_arenas: Dict[int, EmbeddingArena] = {
-            rank: EmbeddingArena(tables)
-            for rank, tables in sorted(by_rank.items())}
         self._launch_counter = emb_metrics.counter("kernel_launches")
 
     # ------------------------------------------------------------------
@@ -592,25 +485,14 @@ class NeoTrainer:
         return self.pg.reduce_scatter(chunked)
 
     def _backward_row_wise(self, shards: List[Shard],
-                           d_pooled) -> None:
+                           d_pooled: np.ndarray) -> None:
+        # one (W, B, D) array through the AllGather; the gathered stack
+        # reshapes to the source-rank-major (W*B, D) global gradient
         w = self.world_size
-        if isinstance(d_pooled, np.ndarray):
-            # rank-stacked fast path: one (W, B, D) array through the
-            # AllGather; the gathered stack reshapes to the same
-            # source-rank-major (W*B, D) global gradient the looped
-            # path concatenates
-            result = self.pg.all_gather(d_pooled / w)
-            gathered = result.stacked
-            d_global = gathered.reshape(
-                gathered.shape[0] * gathered.shape[1],
-                -1).astype(np.float32)
-            for shard in shards:
-                self._shard_update(shard, d_global)
-            return
-        gathered = self.pg.all_gather([d / w for d in d_pooled])
+        gathered = self.pg.all_gather(d_pooled / w).stacked
+        d_global = gathered.reshape(
+            gathered.shape[0] * gathered.shape[1], -1).astype(np.float32)
         for shard in shards:
-            d_global = np.concatenate(gathered[shard.rank],
-                                      axis=0).astype(np.float32)
             self._shard_update(shard, d_global)
 
     def _forward_data_parallel(self, shards: List[Shard],
@@ -642,9 +524,8 @@ class NeoTrainer:
 
     # ------------------------------------------------------------------
     # shared per-phase helpers: each is used by train_step AND
-    # eval_forward, and each is the single looped-vs-stacked seam for
-    # its phase (the stacked branch advances all ranks with one batched
-    # kernel; the looped branch is the per-rank reference oracle)
+    # eval_forward, and each advances all ranks with one batched kernel
+    # over the stacked (R, ...) activations
     # ------------------------------------------------------------------
     def _check_batches(self, local_batches: List[MiniBatch]) -> int:
         if len(local_batches) != self.world_size:
@@ -656,14 +537,10 @@ class NeoTrainer:
             raise ValueError(f"local batches must be equal size, got {sizes}")
         return sizes.pop()
 
-    def _bottom_forward(self, local_batches: List[MiniBatch]):
-        """Bottom MLP over all ranks: (R, B, D) stacked, or per-rank list."""
-        ss = self._stacked_state
-        if ss is not None:
-            dense_in = np.stack([b.dense for b in local_batches], axis=0)
-            return ss.bottom.forward(dense_in)
-        return [self.ranks[r].bottom.forward(local_batches[r].dense)
-                for r in range(self.world_size)]
+    def _bottom_forward(self, local_batches: List[MiniBatch]) -> np.ndarray:
+        """Bottom MLP over all ranks: (R, B, D)."""
+        dense_in = np.stack([b.dense for b in local_batches], axis=0)
+        return self._stacked.bottom.forward(dense_in)
 
     def _table_forward(self, t: EmbeddingTableConfig, table_plan,
                        inputs: List[Tuple[np.ndarray, np.ndarray]],
@@ -703,151 +580,87 @@ class NeoTrainer:
                     t, table_plan, inputs, local_batch)
         return pooled
 
-    def _interaction_forward(self, dense_out, pooled):
-        """Projections + interaction; returns (R, B, I) or per-rank list."""
-        ss = self._stacked_state
-        if ss is not None:
-            features = [dense_out]
-            for t in self.config.tables:
-                value = np.stack(list(pooled[t.name]), axis=0)
-                if t.name in ss.projections:
-                    value = ss.projections[t.name].forward(value)
-                features.append(value)
-            return ss.interaction.forward_list(features)
-        interacted = []
-        for r in range(self.world_size):
-            state = self.ranks[r]
-            features = [dense_out[r]]
-            for t in self.config.tables:
-                value = pooled[t.name][r]
-                if t.name in state.projections:
-                    value = state.projections[t.name].forward(value)
-                features.append(value)
-            interacted.append(state.interaction.forward_list(features))
-        return interacted
+    def _interaction_forward(self, dense_out: np.ndarray,
+                             pooled: Dict[str, List[np.ndarray]]
+                             ) -> np.ndarray:
+        """Projections + interaction: (R, B, I)."""
+        ss = self._stacked
+        features = [dense_out]
+        for t in self.config.tables:
+            value = np.stack(pooled[t.name], axis=0)
+            if t.name in ss.projections:
+                value = ss.projections[t.name].forward(value)
+            features.append(value)
+        return ss.interaction.forward_list(features)
 
-    def _top_forward(self, interacted):
-        """Top MLP logits: (R, B) stacked, or per-rank (B,) list."""
-        ss = self._stacked_state
-        if ss is not None:
-            return ss.top.forward(interacted)[..., 0]
-        return [self.ranks[r].top.forward(interacted[r])[:, 0]
-                for r in range(self.world_size)]
+    def _top_forward(self, interacted: np.ndarray) -> np.ndarray:
+        """Top MLP logits: (R, B)."""
+        return self._stacked.top.forward(interacted)[..., 0]
 
-    def _loss_forward(self, logits, local_batches: List[MiniBatch]):
-        """Per-rank mean BCE losses: (R,) stacked, or list of floats."""
-        ss = self._stacked_state
-        if ss is not None:
-            labels = np.stack([b.labels for b in local_batches], axis=0)
-            return ss.loss_fn.forward(logits, labels)
-        return [self.ranks[r].loss_fn.forward(logits[r],
-                                              local_batches[r].labels)
-                for r in range(self.world_size)]
+    def _loss_forward(self, logits: np.ndarray,
+                      local_batches: List[MiniBatch]) -> np.ndarray:
+        """Per-rank mean BCE losses: (R,)."""
+        labels = np.stack([b.labels for b in local_batches], axis=0)
+        return self._stacked.loss_fn.forward(logits, labels)
 
-    def _dense_backward(self) -> Dict[str, object]:
+    def _dense_backward(self) -> Dict[str, np.ndarray]:
         """Loss -> top -> interaction -> bottom backward; returns each
-        table's pooled-embedding gradient — a (R, B, D) array in stacked
-        mode, a per-rank list otherwise."""
-        ss = self._stacked_state
-        if ss is not None:
-            for p in ss.dense_parameters():
-                p.zero_grad()
-            d_logits = ss.loss_fn.backward()[..., None]
-            d_inter = ss.top.backward(d_logits)
-            d_features = ss.interaction.backward_list(d_inter)
-            ss.bottom.backward(d_features[0])
-            d_pooled: Dict[str, object] = {}
-            for i, t in enumerate(self.config.tables):
-                grad = d_features[1 + i]
-                if t.name in ss.projections:
-                    grad = ss.projections[t.name].backward(grad)
-                d_pooled[t.name] = grad
-            return d_pooled
-        d_pooled = {t.name: [] for t in self.config.tables}
-        for r in range(self.world_size):
-            state = self.ranks[r]
-            for p in state.dense_parameters():
-                p.zero_grad()
-            d_logits = state.loss_fn.backward()[:, None]
-            d_inter = state.top.backward(d_logits)
-            d_features = state.interaction.backward_list(d_inter)
-            state.bottom.backward(d_features[0])
-            for i, t in enumerate(self.config.tables):
-                grad = d_features[1 + i]
-                if t.name in state.projections:
-                    grad = state.projections[t.name].backward(grad)
-                d_pooled[t.name].append(grad)
+        table's (R, B, D) pooled-embedding gradient."""
+        ss = self._stacked
+        for p in ss.dense_parameters():
+            p.zero_grad()
+        d_logits = ss.loss_fn.backward()[..., None]
+        d_inter = ss.top.backward(d_logits)
+        d_features = ss.interaction.backward_list(d_inter)
+        ss.bottom.backward(d_features[0])
+        d_pooled: Dict[str, np.ndarray] = {}
+        for i, t in enumerate(self.config.tables):
+            grad = d_features[1 + i]
+            if t.name in ss.projections:
+                grad = ss.projections[t.name].backward(grad)
+            d_pooled[t.name] = grad
         return d_pooled
 
-    def _table_backward(self, table_plan, d_pooled) -> None:
-        """Scheme dispatch for one table's backward. ``d_pooled`` may be
-        the stacked (R, B, D) gradient: row-wise keeps it whole (its
-        AllGather ships the stack in one call); other schemes consume
-        per-rank slices, bitwise equal to the looped payloads."""
+    def _table_backward(self, table_plan, d_pooled: np.ndarray) -> None:
+        """Scheme dispatch for one table's backward. Row-wise keeps the
+        (R, B, D) gradient whole (its AllGather ships the stack in one
+        call); the other schemes consume per-rank slices."""
         scheme = table_plan.scheme
         if scheme in (ShardingScheme.ROW_WISE,
                       ShardingScheme.TABLE_ROW_WISE):
             self._backward_row_wise(table_plan.shards, d_pooled)
             return
-        if isinstance(d_pooled, np.ndarray):
-            d_pooled = [d_pooled[r] for r in range(self.world_size)]
+        per_rank = [d_pooled[r] for r in range(self.world_size)]
         if scheme == ShardingScheme.TABLE_WISE:
-            self._backward_table_wise(table_plan.shards[0], d_pooled)
+            self._backward_table_wise(table_plan.shards[0], per_rank)
         elif scheme == ShardingScheme.COLUMN_WISE:
-            self._backward_column_wise(table_plan.shards, d_pooled)
+            self._backward_column_wise(table_plan.shards, per_rank)
         else:
-            self._backward_data_parallel(table_plan.shards, d_pooled)
+            self._backward_data_parallel(table_plan.shards, per_rank)
 
-    def _dense_optimizers(self) -> List[Tuple[List[nn.Parameter],
-                                              nn.Optimizer]]:
-        """Every real dense optimizer with the parameters it steps: one
-        over rank 0's views in stacked mode, one per rank in the looped
-        oracle."""
-        ss = self._stacked_state
-        if ss is not None:
-            return [(self.ranks[0].dense_parameters(), ss.dense_opt)]
-        return [(state.dense_parameters(), state.dense_opt)
-                for state in self.ranks]
-
-    def _dense_allreduce(self) -> List[List[np.ndarray]]:
-        """Bucketed DDP gradient sync; returns the reduced flat buckets
-        of each :meth:`_dense_optimizers` entry. Stacked mode has one
-        entry: AllReduce hands every rank the same sum, so row 0 of the
+    def _dense_allreduce(self) -> List[np.ndarray]:
+        """Bucketed DDP gradient sync; returns the reduced flat buckets.
+        AllReduce hands every rank the same sum, so row 0 of the
         read-only ``(R, elems)`` result stands for all of them."""
-        w = self.world_size
-        ss = self._stacked_state
-        if ss is not None:
-            flats = self._bucketer.flatten_stacked(
-                [p.grad for p in ss.dense_parameters()])
-            return [[self.pg.all_reduce(flat).stacked[0] for flat in flats]]
-        flat_per_rank = [
-            self._bucketer.flatten([p.grad for p in
-                                    self.ranks[r].dense_parameters()])
-            for r in range(w)]
-        for b in range(self._bucketer.num_buckets):
-            reduced = self.pg.all_reduce([flat_per_rank[r][b]
-                                          for r in range(w)])
-            for r in range(w):
-                flat_per_rank[r][b] = reduced[r]
-        return flat_per_rank
+        flats = self._bucketer.flatten_stacked(
+            [p.grad for p in self._stacked.dense_parameters()])
+        return [self.pg.all_reduce(flat).stacked[0] for flat in flats]
 
-    def _optimizer_step(self, reduced: List[List[np.ndarray]]
+    def _optimizer_step(self, reduced: List[np.ndarray]
                         ) -> List[nn.Parameter]:
         """Unflatten reduced buckets, average, step. Returns rank 0's
         parameters, whose ``.grad`` is the averaged gradient (for
         read-only instrumentation)."""
         w = self.world_size
-        for (params, opt), flats in zip(self._dense_optimizers(), reduced):
-            for p, g in zip(params, self._bucketer.unflatten(flats)):
-                p.grad = (g / w).astype(np.float32)
-            opt.step()
-        ss = self._stacked_state
-        if ss is not None:
-            # the step updated row 0 through rank 0's views; every other
-            # replica is the same value by construction
-            for sp in ss.dense_parameters():
-                sp.data[1:] = sp.data[0]
-        return self.ranks[0].dense_parameters()
+        params = self.ranks[0].dense_parameters()
+        for p, g in zip(params, self._bucketer.unflatten(reduced)):
+            p.grad = (g / w).astype(np.float32)
+        self.dense_opt.step()
+        # the step updated row 0 through rank 0's views; every other
+        # replica is the same value by construction
+        for sp in self._stacked.dense_parameters():
+            sp.data[1:] = sp.data[0]
+        return params
 
     # ------------------------------------------------------------------
     # the training step
@@ -857,8 +670,7 @@ class NeoTrainer:
 
         Returns the global mean loss. All ranks advance together; the
         update is mathematically the single-process update on the
-        concatenated global batch, and bitwise identical between the
-        rank-stacked and looped execution modes.
+        concatenated global batch.
 
         When tracing is enabled (``trace=`` at construction) each phase
         runs under a span (``trainer.bottom_mlp_fwd`` ... ``trainer.
@@ -946,9 +758,7 @@ class NeoTrainer:
                                              spans=False)
             interacted = self._interaction_forward(dense_out, pooled)
             logits = self._top_forward(interacted)
-        if isinstance(logits, np.ndarray):  # stacked (R, B) -> per-rank
-            return [logits[r].copy() for r in range(w)]
-        return logits
+        return [logits[r].copy() for r in range(w)]
 
     # ------------------------------------------------------------------
     # checkpoint restore
@@ -960,26 +770,18 @@ class NeoTrainer:
         checkpoint payloads (``dense[i]`` is parameter ``i`` at per-rank
         shape; ``opt_state[i]`` its optimizer slots).
 
-        Works identically for looped and stacked trainers, so a
-        checkpoint written by either mode resumes bitwise in the other:
-        slot state has per-rank shape in both. Stacked mode
-        broadcast-writes each value across the leading axis *in place*,
-        preserving the per-rank parameter views.
+        Each value is broadcast-written across the leading axis of the
+        stacked storage *in place*, preserving the per-rank parameter
+        views; slot state has per-rank shape, so the one optimizer
+        takes it as stored.
         """
-        ss = self._stacked_state
-        if ss is not None:
-            for i, sp in enumerate(ss.dense_parameters()):
-                sp.data[...] = dense[i]
-        else:
-            for state in self.ranks:
-                for i, p in enumerate(state.dense_parameters()):
-                    p.data = dense[i].copy()
-        for params, opt in self._dense_optimizers():
-            for i, p in enumerate(params):
-                slot = opt.state_for(p)
-                slot.clear()
-                for name, value in opt_state.get(i, {}).items():
-                    slot[name] = value.copy()
+        for i, sp in enumerate(self._stacked.dense_parameters()):
+            sp.data[...] = dense[i]
+        for i, p in enumerate(self.ranks[0].dense_parameters()):
+            slot = self.dense_opt.state_for(p)
+            slot.clear()
+            for name, value in opt_state.get(i, {}).items():
+                slot[name] = value.copy()
 
     # ------------------------------------------------------------------
     # inspection / export

@@ -7,23 +7,22 @@ pass with the sparse optimizer, avoiding materializing the full gradient
 (which is ``L`` times larger than the update it produces).
 
 Both fusions are reproduced *for real*, not just contractually: the
-default ``fusion="arena"`` mode packs all same-``D`` tables into a single
-contiguous weight arena (:class:`repro.embedding.arena.EmbeddingArena`)
-so that
+collection packs all same-``D`` tables into a single contiguous weight
+arena (:class:`repro.embedding.arena.EmbeddingArena`) so that
 
 * :meth:`FusedEmbeddingCollection.forward` is one fancy-index gather over
   rebased indices plus one ``reduceat`` segment-sum per dimension group —
   ``kernel_launches`` counts true dispatches (1 per call for uniform-D
   models), and ``benchmarks/bench_fused_kernel.py`` measures the
-  wall-clock win over the per-table loop;
+  wall-clock win over a per-table loop;
 * :meth:`FusedEmbeddingCollection.backward_and_update` builds one
   group-global COO gradient, merges it with a single sort-and-reduce
   (``merge_sorted_coo``) and applies the exact sparse optimizer — never
   holding more than one group's merged gradient at a time.
 
-``fusion="loop"`` keeps the legacy per-table Python loop (N dispatches per
-call, counted as such) as the unfused baseline for benchmarks and parity
-tests; both modes are bitwise identical.
+Both are bitwise identical to a per-table loop of
+:meth:`EmbeddingTable.forward`/:meth:`~EmbeddingTable.backward` — the
+oracle ``tests/reference_kernels.py`` keeps.
 """
 
 from __future__ import annotations
@@ -43,11 +42,9 @@ __all__ = ["FusedEmbeddingCollection"]
 class FusedEmbeddingCollection:
     """A set of embedding tables updated and queried as one fused operator.
 
-    ``fusion="arena"`` (default) stores the tables in per-dimension weight
-    arenas and runs single-dispatch fused kernels; ``fusion="loop"`` keeps
-    per-table dispatches. ``kernel_launches`` counts real dispatches in
-    both modes (1 per dimension group vs N tables per call), which is what
-    the fused-vs-unfused benchmarks compare.
+    The tables live in per-dimension weight arenas and every call is one
+    single-dispatch fused kernel per arena group; ``kernel_launches``
+    counts those real dispatches (1 per dimension group per call).
 
     Optionally instrumented: pass ``tracer=``/``registry=`` (or call
     :meth:`instrument`) to record ``embedding.fused_*`` spans and
@@ -56,19 +53,15 @@ class FusedEmbeddingCollection:
     """
 
     def __init__(self, tables: Sequence[EmbeddingTable], tracer=None,
-                 registry=None, fusion: str = "arena") -> None:
+                 registry=None) -> None:
         if not tables:
             raise ValueError("need at least one table")
-        if fusion not in ("arena", "loop"):
-            raise ValueError(f"fusion must be 'arena' or 'loop': {fusion!r}")
         names = [t.name for t in tables]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate table names: {names}")
         self.tables = list(tables)
         self._by_name = {t.name: t for t in tables}
-        self.fusion = fusion
-        self.arena = EmbeddingArena(self.tables) if fusion == "arena" \
-            else None
+        self.arena = EmbeddingArena(self.tables)
         self.kernel_launches = 0  # true dispatch count (see class docstring)
         self._pending_grads: Dict[str, SparseGradient] = {}
         self.tracer = as_tracer(tracer)
@@ -86,19 +79,12 @@ class FusedEmbeddingCollection:
         if self._scope is not None:
             self._scope.counter(name, table=table).inc(rows)
 
-    def _launches_per_call(self) -> int:
-        """Dispatches one fused call costs: groups (arena) or tables."""
-        if self.arena is not None:
-            return self.arena.num_groups
-        return len(self.tables)
-
     @classmethod
     def from_configs(cls, configs: Sequence[EmbeddingTableConfig],
-                     rng: Optional[np.random.Generator] = None,
-                     fusion: str = "arena") -> "FusedEmbeddingCollection":
+                     rng: Optional[np.random.Generator] = None
+                     ) -> "FusedEmbeddingCollection":
         rng = rng if rng is not None else np.random.default_rng(0)
-        return cls([EmbeddingTable(c, rng=rng) for c in configs],
-                   fusion=fusion)
+        return cls([EmbeddingTable(c, rng=rng) for c in configs])
 
     @property
     def names(self) -> List[str]:
@@ -121,16 +107,10 @@ class FusedEmbeddingCollection:
         missing = set(self.names) - set(batch)
         if missing:
             raise KeyError(f"batch missing inputs for tables {sorted(missing)}")
-        self.kernel_launches += self._launches_per_call()
+        self.kernel_launches += self.arena.num_groups
         with self.tracer.span("embedding.fused_fwd", cat="embedding",
-                              tables=len(self.tables), mode=self.fusion):
-            if self.arena is not None:
-                out = self.arena.forward(batch)
-            else:
-                out = {}
-                for t in self.tables:
-                    indices, offsets = batch[t.name]
-                    out[t.name] = t.forward(indices, offsets)
+                              tables=len(self.tables)):
+            out = self.arena.forward(batch)
         if self._scope is not None:
             for t in self.tables:
                 self._count("lookup_rows", t.name,
@@ -140,14 +120,10 @@ class FusedEmbeddingCollection:
     def backward(self, d_pooled: Dict[str, np.ndarray]
                  ) -> Dict[str, SparseGradient]:
         """Backward to per-table sparse gradients (optimizer not fused)."""
-        self.kernel_launches += self._launches_per_call()
+        self.kernel_launches += self.arena.num_groups
         with self.tracer.span("embedding.fused_bwd", cat="embedding",
-                              tables=len(self.tables), mode=self.fusion):
-            if self.arena is not None:
-                grads = self.arena.backward(d_pooled)
-            else:
-                grads = {t.name: t.backward(d_pooled[t.name])
-                         for t in self.tables}
+                              tables=len(self.tables)):
+            grads = self.arena.backward(d_pooled)
         self._pending_grads = grads
         return grads
 
@@ -156,22 +132,15 @@ class FusedEmbeddingCollection:
         """Fused backward + exact sparse optimizer (Section 4.1.1).
 
         Never materializes gradients for more than one dimension group
-        (arena mode) or one table (loop mode) at a time — the memory
-        saving the paper attributes to this fusion.
+        at a time — the memory saving the paper attributes to this fusion.
         """
-        self.kernel_launches += self._launches_per_call()
+        self.kernel_launches += self.arena.num_groups
         with self.tracer.span("embedding.fused_bwd_update", cat="embedding",
-                              tables=len(self.tables), mode=self.fusion):
-            if self.arena is not None:
-                updated = self.arena.backward_and_update(d_pooled, optimizer)
-                if self._scope is not None:
-                    for name, rows in updated.items():
-                        self._count("update_rows", name, rows)
-            else:
-                for t in self.tables:
-                    grad = t.backward(d_pooled[t.name])
-                    optimizer.step(t, grad)
-                    self._count("update_rows", t.name, int(len(grad.rows)))
+                              tables=len(self.tables)):
+            updated = self.arena.backward_and_update(d_pooled, optimizer)
+            if self._scope is not None:
+                for name, rows in updated.items():
+                    self._count("update_rows", name, rows)
 
     def apply_optimizer(self, optimizer: SparseOptimizer) -> None:
         """Apply the optimizer to gradients captured by :meth:`backward`."""

@@ -435,7 +435,7 @@ def freeze(source, config: Optional[FreezeConfig] = None,
         # order in forward(); the arena regroups by dim internally anyway)
         hot.sort(key=lambda table: [t.name for t in dlrm_config.tables]
                  .index(table.name))
-        hot_collection = FusedEmbeddingCollection(hot, fusion="arena")
+        hot_collection = FusedEmbeddingCollection(hot)
         # a view's writeable flag is captured at creation, so freeze the
         # arena storage AND every table's view of it
         for group in hot_collection.arena.groups:
@@ -507,7 +507,7 @@ def _freeze_planned(model: DLRM, cfg: FreezeConfig, plan, step: int,
 
     hot_collection = None
     if hot:
-        hot_collection = FusedEmbeddingCollection(hot, fusion="arena")
+        hot_collection = FusedEmbeddingCollection(hot)
         for group in hot_collection.arena.groups:
             group.storage.flags.writeable = False
             for view in group.views:

@@ -1,5 +1,12 @@
 """Reference kernels the product is tested against, never imported by it.
 
+``looped_forward`` / ``looped_backward`` / ``looped_backward_and_update``
+are the per-table loop ``FusedEmbeddingCollection`` used to offer as
+its unfused mode: one :meth:`EmbeddingTable.forward` / ``backward`` /
+optimizer step per table. The arena's single-dispatch fused kernels
+must be bitwise identical to them (``test_embedding_arena.py``,
+``test_property_fuzz.py``).
+
 ``merge_sorted_coo_reference`` is the full ``(D+1)``-key lexsort merge
 that ``repro.embedding.kernels.merge_sorted_coo`` used to be: one stable
 sort per gradient column plus one on the row. It defines the canonical
@@ -11,7 +18,7 @@ hold it to bitwise equality with this oracle.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -28,3 +35,24 @@ def merge_sorted_coo_reference(rows: np.ndarray, values: np.ndarray
     unique_rows, starts = np.unique(sorted_rows, return_index=True)
     merged = np.add.reduceat(sorted_vals, starts, axis=0)
     return unique_rows.astype(np.int64), merged.astype(np.float32)
+
+
+def looped_forward(tables: Sequence, batch: Dict[str, Tuple[np.ndarray,
+                                                            np.ndarray]]
+                   ) -> Dict[str, np.ndarray]:
+    """Pooled lookup, one ``forward`` per table."""
+    return {t.name: t.forward(*batch[t.name]) for t in tables}
+
+
+def looped_backward(tables: Sequence, d_pooled: Dict[str, np.ndarray]
+                    ) -> Dict:
+    """Per-table sparse gradients, one ``backward`` per table."""
+    return {t.name: t.backward(d_pooled[t.name]) for t in tables}
+
+
+def looped_backward_and_update(tables: Sequence,
+                               d_pooled: Dict[str, np.ndarray],
+                               optimizer) -> None:
+    """Backward + exact sparse optimizer step, one table at a time."""
+    for t in tables:
+        optimizer.step(t, t.backward(d_pooled[t.name]))

@@ -1,0 +1,127 @@
+"""The looped trainer the product is tested against, never imported by it.
+
+``LoopedNeoTrainer`` is the per-rank execution the rank-stacked
+``repro.core.NeoTrainer`` replaced: every rank owns its dense storage
+and its own dense optimizer, and every dense phase — bottom/top MLP,
+interaction, loss, backward, the bucketed AllReduce, the optimizer
+step and the row-wise gradient AllGather — is a python loop over ranks
+through the list forms of the collectives. It shares everything else
+(sharding, embedding forward/backward, sparse updates, spans,
+checkpoint layout) with the product by inheritance.
+
+``test_trainer_stacked.py`` fuzzes the product against it bitwise
+(losses, dense parameters, tables, wire bytes, modeled seconds, eval
+outputs), ``test_core_checkpoint.py`` moves checkpoints between the two,
+and ``benchmarks/bench_rank_stacked.py`` times it as the looped baseline
+(run from the repository root with ``PYTHONPATH=src:.``).
+"""
+
+from __future__ import annotations
+
+from typing import Dict, List
+
+import numpy as np
+
+from repro import nn
+from repro.core import NeoTrainer
+
+
+class LoopedNeoTrainer(NeoTrainer):
+    """One replica, one optimizer and one python call per rank per phase."""
+
+    def __init__(self, config, plan, topology, dense_optimizer,
+                 sparse_optimizer, **kwargs) -> None:
+        super().__init__(config, plan, topology, dense_optimizer,
+                         sparse_optimizer, **kwargs)
+        # detach every replica from the stacked storage, which this
+        # trainer never reads
+        self._stacked = None
+        for state in self.ranks:
+            for p in state.dense_parameters():
+                p.data = p.data.copy()
+        self.rank_optimizers = [dense_optimizer(state.dense_parameters())
+                                for state in self.ranks]
+        # checkpoints read rank 0's slots through trainer.dense_opt
+        self.dense_opt = self.rank_optimizers[0]
+        self._interactions = [config.make_interaction() for _ in self.ranks]
+        self._losses = [nn.BCEWithLogitsLoss() for _ in self.ranks]
+
+    def _bottom_forward(self, local_batches) -> List[np.ndarray]:
+        return [state.bottom.forward(batch.dense)
+                for state, batch in zip(self.ranks, local_batches)]
+
+    def _interaction_forward(self, dense_out, pooled) -> List[np.ndarray]:
+        interacted = []
+        for r, state in enumerate(self.ranks):
+            features = [dense_out[r]]
+            for t in self.config.tables:
+                value = pooled[t.name][r]
+                if t.name in state.projections:
+                    value = state.projections[t.name].forward(value)
+                features.append(value)
+            interacted.append(self._interactions[r].forward_list(features))
+        return interacted
+
+    def _top_forward(self, interacted) -> List[np.ndarray]:
+        return [state.top.forward(x)[:, 0]
+                for state, x in zip(self.ranks, interacted)]
+
+    def _loss_forward(self, logits, local_batches) -> List[float]:
+        return [loss.forward(z, batch.labels) for loss, z, batch
+                in zip(self._losses, logits, local_batches)]
+
+    def _dense_backward(self) -> Dict[str, List[np.ndarray]]:
+        d_pooled: Dict[str, List[np.ndarray]] = {
+            t.name: [] for t in self.config.tables}
+        for r, state in enumerate(self.ranks):
+            for p in state.dense_parameters():
+                p.zero_grad()
+            d_logits = self._losses[r].backward()[:, None]
+            d_inter = state.top.backward(d_logits)
+            d_features = self._interactions[r].backward_list(d_inter)
+            state.bottom.backward(d_features[0])
+            for i, t in enumerate(self.config.tables):
+                grad = d_features[1 + i]
+                if t.name in state.projections:
+                    grad = state.projections[t.name].backward(grad)
+                d_pooled[t.name].append(grad)
+        return d_pooled
+
+    def _backward_row_wise(self, shards, d_pooled) -> None:
+        w = self.world_size
+        gathered = self.pg.all_gather([d / w for d in d_pooled])
+        for shard in shards:
+            d_global = np.concatenate(gathered[shard.rank],
+                                      axis=0).astype(np.float32)
+            self._shard_update(shard, d_global)
+
+    def _dense_allreduce(self) -> List[List[np.ndarray]]:
+        w = self.world_size
+        flat_per_rank = [
+            self._bucketer.flatten([p.grad for p in state.dense_parameters()])
+            for state in self.ranks]
+        for b in range(self._bucketer.num_buckets):
+            reduced = self.pg.all_reduce([flat_per_rank[r][b]
+                                          for r in range(w)])
+            for r in range(w):
+                flat_per_rank[r][b] = reduced[r]
+        return flat_per_rank
+
+    def _optimizer_step(self, reduced) -> List[nn.Parameter]:
+        w = self.world_size
+        for state, opt, flats in zip(self.ranks, self.rank_optimizers,
+                                     reduced):
+            for p, g in zip(state.dense_parameters(),
+                            self._bucketer.unflatten(flats)):
+                p.grad = (g / w).astype(np.float32)
+            opt.step()
+        return self.ranks[0].dense_parameters()
+
+    def load_dense_state(self, dense, opt_state) -> None:
+        for state, opt in zip(self.ranks, self.rank_optimizers):
+            for i, p in enumerate(state.dense_parameters()):
+                p.data = dense[i].copy()
+                slot = opt.state_for(p)
+                slot.clear()
+                for name, value in opt_state.get(i, {}).items():
+                    slot[name] = value.copy()

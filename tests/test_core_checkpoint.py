@@ -14,6 +14,8 @@ from repro.embedding import EmbeddingTableConfig, SparseAdaGrad, SparseSGD
 from repro.models import DLRMConfig
 from repro.sharding import ShardingPlan, ShardingScheme, shard_table
 
+from .reference_trainer import LoopedNeoTrainer
+
 
 def make_trainer(world=2, seed=0, scheme=ShardingScheme.TABLE_WISE,
                  stacked=True, momentum=0.0):
@@ -26,10 +28,12 @@ def make_trainer(world=2, seed=0, scheme=ShardingScheme.TABLE_WISE,
         ranks = [i % world] if scheme == ShardingScheme.TABLE_WISE \
             else list(range(world))
         plan.tables[t.name] = shard_table(t, scheme, ranks)
-    trainer = NeoTrainer(
+    # stacked=False builds the looped reference oracle
+    cls = NeoTrainer if stacked else LoopedNeoTrainer
+    trainer = cls(
         config, plan, ClusterTopology(num_nodes=1, gpus_per_node=world),
         dense_optimizer=lambda p: nn.SGD(p, lr=0.1, momentum=momentum),
-        sparse_optimizer=SparseSGD(lr=0.1), seed=seed, stacked=stacked)
+        sparse_optimizer=SparseSGD(lr=0.1), seed=seed)
     ds = SyntheticCTRDataset(tables, dense_dim=4, seed=1)
     return trainer, ds, config
 
@@ -132,10 +136,10 @@ class TestCrossPlanRestore:
 
 class TestCrossFormatResume:
     """The checkpoint format is execution-mode neutral: it stores one
-    replica's dense state, so a rank-stacked run and a looped run write
-    and read the same files. A stacked-trained checkpoint must resume
-    *bitwise* on the looped path (and vice versa) — including stateful
-    optimizer buffers."""
+    replica's dense state, so the rank-stacked trainer and the looped
+    oracle write and read the same files. A stacked-trained checkpoint
+    must resume *bitwise* on the looped oracle (and vice versa) —
+    including stateful optimizer buffers."""
 
     @pytest.mark.parametrize("train_stacked,resume_stacked",
                              [(True, False), (False, True)])
@@ -170,7 +174,8 @@ class TestCrossFormatResume:
 
     def test_restored_momentum_state_matches(self, tmp_path):
         """Optimizer slot state written by a stacked run reads back
-        per-rank on the looped path (and agrees exactly)."""
+        into every per-rank optimizer of the looped oracle (and agrees
+        exactly)."""
         stacked, ds, _ = make_trainer(stacked=True, momentum=0.9)
         for i in range(2):
             stacked.train_step(ds.batch(8, i).split(2))
@@ -178,14 +183,15 @@ class TestCrossFormatResume:
         mgr.save(stacked)
         looped, _, _ = make_trainer(stacked=False, momentum=0.9, seed=99)
         mgr.load(looped)
-        for pa, pb in zip(stacked.ranks[0].dense_parameters(),
-                          looped.ranks[0].dense_parameters()):
-            sa = stacked.ranks[0].dense_opt.state_for(pa)
-            sb = looped.ranks[0].dense_opt.state_for(pb)
-            assert sa.keys() == sb.keys()
-            for key in sa:
-                np.testing.assert_array_equal(np.asarray(sa[key]),
-                                              np.asarray(sb[key]))
+        for r, opt in enumerate(looped.rank_optimizers):
+            for pa, pb in zip(stacked.ranks[0].dense_parameters(),
+                              looped.ranks[r].dense_parameters()):
+                sa = stacked.dense_opt.state_for(pa)
+                sb = opt.state_for(pb)
+                assert sa.keys() == sb.keys() == {"momentum"}
+                for key in sa:
+                    np.testing.assert_array_equal(np.asarray(sa[key]),
+                                                  np.asarray(sb[key]))
 
 
 class TestRetention:

@@ -77,7 +77,7 @@ class TestTrainingLoop:
 
     def test_lr_scheduler_advances(self):
         trainer, dataset = make_parts()
-        opt = trainer.ranks[0].dense_opt
+        opt = trainer.dense_opt
         sched = WarmupLinearDecay(opt, base_lr=0.02, warmup_steps=5,
                                   total_steps=20)
         loop = TrainingLoop(trainer, dataset, global_batch_size=32,

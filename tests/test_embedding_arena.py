@@ -1,10 +1,10 @@
 """Parity tests for the fused embedding arena (repro.embedding.arena).
 
 The contract under test: the arena's single-dispatch fused kernels are
-*bitwise* identical to the per-table segment-sum path (``fusion="loop"``)
-for forward, backward and fused backward+optimizer — and numerically
-equal (up to summation-order rounding) to the seed's ``np.add.at``
-reference implementation.
+*bitwise* identical to the per-table segment-sum loop
+(``reference_kernels.looped_*``) for forward, backward and fused
+backward+optimizer — and numerically equal (up to summation-order
+rounding) to the seed's ``np.add.at`` reference implementation.
 """
 
 import numpy as np
@@ -13,6 +13,9 @@ import pytest
 from repro.embedding import (EmbeddingArena, EmbeddingTable,
                              EmbeddingTableConfig, FusedEmbeddingCollection,
                              RowWiseAdaGrad, SparseSGD, lengths_to_offsets)
+
+from .reference_kernels import (looped_backward, looped_backward_and_update,
+                                looped_forward)
 
 
 def make_tables(configs, seed=0):
@@ -108,19 +111,16 @@ class TestForwardParity:
     @pytest.mark.parametrize("seed", range(5))
     def test_bitwise_vs_loop_mode(self, seed):
         rng = np.random.default_rng(seed)
-        arena_c = FusedEmbeddingCollection(make_tables(MIXED_CONFIGS, seed),
-                                           fusion="arena")
-        loop_c = FusedEmbeddingCollection(
-            clone_tables(arena_c.tables), fusion="loop")
+        arena_c = FusedEmbeddingCollection(make_tables(MIXED_CONFIGS, seed))
+        loop = clone_tables(arena_c.tables)
         batch = random_batch(MIXED_CONFIGS, 16, rng)
-        out_a, out_l = arena_c.forward(batch), loop_c.forward(batch)
+        out_a, out_l = arena_c.forward(batch), looped_forward(loop, batch)
         for name in arena_c.names:
             np.testing.assert_array_equal(out_a[name], out_l[name])
 
     def test_close_to_add_at_reference(self):
         rng = np.random.default_rng(3)
-        arena_c = FusedEmbeddingCollection(make_tables(MIXED_CONFIGS),
-                                           fusion="arena")
+        arena_c = FusedEmbeddingCollection(make_tables(MIXED_CONFIGS))
         refs = clone_tables(arena_c.tables)
         batch = random_batch(MIXED_CONFIGS, 16, rng, max_len=20)
         out = arena_c.forward(batch)
@@ -131,8 +131,7 @@ class TestForwardParity:
 
     def test_all_empty_batch(self):
         configs = MIXED_CONFIGS[:3]
-        arena_c = FusedEmbeddingCollection(make_tables(configs),
-                                           fusion="arena")
+        arena_c = FusedEmbeddingCollection(make_tables(configs))
         batch = {c.name: (np.zeros(0, dtype=np.int64),
                           np.zeros(9, dtype=np.int64)) for c in configs}
         out = arena_c.forward(batch)
@@ -143,8 +142,7 @@ class TestForwardParity:
         # arena.forward primes each table's saved state, so table.backward
         # must keep working.
         configs = MIXED_CONFIGS[:2]
-        arena_c = FusedEmbeddingCollection(make_tables(configs),
-                                           fusion="arena")
+        arena_c = FusedEmbeddingCollection(make_tables(configs))
         loop = clone_tables(arena_c.tables)
         rng = np.random.default_rng(4)
         batch = random_batch(configs, 8, rng)
@@ -161,16 +159,14 @@ class TestBackwardParity:
     @pytest.mark.parametrize("seed", range(3))
     def test_sparse_gradients_bitwise(self, seed):
         rng = np.random.default_rng(seed + 10)
-        arena_c = FusedEmbeddingCollection(make_tables(MIXED_CONFIGS, seed),
-                                           fusion="arena")
-        loop_c = FusedEmbeddingCollection(
-            clone_tables(arena_c.tables), fusion="loop")
+        arena_c = FusedEmbeddingCollection(make_tables(MIXED_CONFIGS, seed))
+        loop = clone_tables(arena_c.tables)
         batch = random_batch(MIXED_CONFIGS, 12, rng)
         arena_c.forward(batch)
-        loop_c.forward(batch)
+        looped_forward(loop, batch)
         dy = {c.name: rng.normal(size=(12, c.embedding_dim)).astype(
             np.float32) for c in MIXED_CONFIGS}
-        g_a, g_l = arena_c.backward(dy), loop_c.backward(dy)
+        g_a, g_l = arena_c.backward(dy), looped_backward(loop, dy)
         for name in arena_c.names:
             np.testing.assert_array_equal(g_a[name].rows, g_l[name].rows)
             np.testing.assert_array_equal(g_a[name].values, g_l[name].values)
@@ -182,23 +178,21 @@ class TestBackwardParity:
     @pytest.mark.parametrize("seed", range(3))
     def test_fused_update_bitwise(self, make_opt, seed):
         rng = np.random.default_rng(seed + 20)
-        arena_c = FusedEmbeddingCollection(make_tables(MIXED_CONFIGS, seed),
-                                           fusion="arena")
-        loop_c = FusedEmbeddingCollection(
-            clone_tables(arena_c.tables), fusion="loop")
+        arena_c = FusedEmbeddingCollection(make_tables(MIXED_CONFIGS, seed))
+        loop = clone_tables(arena_c.tables)
         opt_a, opt_l = make_opt(), make_opt()
         for step in range(3):   # multi-step: optimizer state must agree too
             batch = random_batch(MIXED_CONFIGS, 12, rng)
             arena_c.forward(batch)
-            loop_c.forward(batch)
+            looped_forward(loop, batch)
             dy = {c.name: rng.normal(size=(12, c.embedding_dim)).astype(
                 np.float32) for c in MIXED_CONFIGS}
             arena_c.backward_and_update(dy, opt_a)
-            loop_c.backward_and_update(dy, opt_l)
-            for name in arena_c.names:
+            looped_backward_and_update(loop, dy, opt_l)
+            for t in loop:
                 np.testing.assert_array_equal(
-                    arena_c.table(name).weight, loop_c.table(name).weight,
-                    err_msg=f"step {step} table {name}")
+                    arena_c.table(t.name).weight, t.weight,
+                    err_msg=f"step {step} table {t.name}")
 
     def test_backward_before_forward_raises(self):
         arena = EmbeddingArena(make_tables(MIXED_CONFIGS[:1]))
@@ -207,16 +201,8 @@ class TestBackwardParity:
 
 
 class TestKernelLaunchAccounting:
-    def test_loop_counts_one_launch_per_table(self):
-        coll = FusedEmbeddingCollection(make_tables(MIXED_CONFIGS),
-                                        fusion="loop")
-        batch = random_batch(MIXED_CONFIGS, 4, np.random.default_rng(0))
-        coll.forward(batch)
-        assert coll.kernel_launches == len(MIXED_CONFIGS)
-
     def test_arena_counts_one_launch_per_dim_group(self):
-        coll = FusedEmbeddingCollection(make_tables(MIXED_CONFIGS),
-                                        fusion="arena")
+        coll = FusedEmbeddingCollection(make_tables(MIXED_CONFIGS))
         batch = random_batch(MIXED_CONFIGS, 4, np.random.default_rng(0))
         coll.forward(batch)
         assert coll.kernel_launches == 2  # dims {8, 16}
@@ -227,8 +213,7 @@ class TestKernelLaunchAccounting:
 
     def test_uniform_dim_model_is_single_dispatch(self):
         configs = [EmbeddingTableConfig(f"t{i}", 20, 8) for i in range(10)]
-        coll = FusedEmbeddingCollection(make_tables(configs),
-                                        fusion="arena")
+        coll = FusedEmbeddingCollection(make_tables(configs))
         batch = random_batch(configs, 4, np.random.default_rng(1))
         coll.forward(batch)
         assert coll.kernel_launches == 1

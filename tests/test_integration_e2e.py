@@ -137,7 +137,7 @@ class TestFullWorkflow:
                                     shrunk)
 
         manager = CheckpointManager(str(tmp_path), differential=True)
-        scheduler = WarmupLinearDecay(trainer.ranks[0].dense_opt,
+        scheduler = WarmupLinearDecay(trainer.dense_opt,
                                       base_lr=0.02, warmup_steps=5,
                                       total_steps=40)
         loop = TrainingLoop(trainer, HashedDataset(),

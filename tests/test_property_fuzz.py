@@ -19,6 +19,8 @@ from repro.embedding import EmbeddingTableConfig, SparseSGD
 from repro.models import DLRM, DLRMConfig
 from repro.sharding import ShardingPlan, ShardingScheme, shard_table
 
+from .reference_kernels import looped_backward_and_update, looped_forward
+
 SCHEMES = [ShardingScheme.TABLE_WISE, ShardingScheme.ROW_WISE,
            ShardingScheme.COLUMN_WISE, ShardingScheme.DATA_PARALLEL]
 
@@ -135,10 +137,8 @@ def test_arena_fusion_bitwise_matches_per_table_loop(scenario):
                                     pooling_mode=p)
                for i, (h, p) in enumerate(zip(heights, pooling))]
     arena = FusedEmbeddingCollection.from_configs(
-        configs, rng=np.random.default_rng(seed), fusion="arena")
-    loop = FusedEmbeddingCollection(
-        [type(t)(t.config, weight=t.weight.copy()) for t in arena.tables],
-        fusion="loop")
+        configs, rng=np.random.default_rng(seed))
+    loop = [type(t)(t.config, weight=t.weight.copy()) for t in arena.tables]
     batch, dy = {}, {}
     for c in configs:
         lengths = rng.integers(0, max_len + 1, size=batch_size)
@@ -147,14 +147,13 @@ def test_arena_fusion_bitwise_matches_per_table_loop(scenario):
                                       size=int(offsets[-1])), offsets)
         dy[c.name] = rng.normal(
             size=(batch_size, c.embedding_dim)).astype(np.float32)
-    out_a, out_l = arena.forward(batch), loop.forward(batch)
+    out_a, out_l = arena.forward(batch), looped_forward(loop, batch)
     for name in arena.names:
         np.testing.assert_array_equal(out_a[name], out_l[name])
     arena.backward_and_update(dy, RowWiseAdaGrad(lr=0.05))
-    loop.backward_and_update(dy, RowWiseAdaGrad(lr=0.05))
-    for name in arena.names:
-        np.testing.assert_array_equal(arena.table(name).weight,
-                                      loop.table(name).weight)
+    looped_backward_and_update(loop, dy, RowWiseAdaGrad(lr=0.05))
+    for t in loop:
+        np.testing.assert_array_equal(arena.table(t.name).weight, t.weight)
 
 
 @given(st.integers(min_value=0, max_value=10_000))

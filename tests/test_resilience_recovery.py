@@ -39,8 +39,8 @@ def assert_trainers_bitwise_equal(a, b):
     for pa, pb in zip(a.ranks[0].dense_parameters(),
                       b.ranks[0].dense_parameters()):
         np.testing.assert_array_equal(pa.data, pb.data)
-        sa = a.ranks[0].dense_opt.state_for(pa)
-        sb = b.ranks[0].dense_opt.state_for(pb)
+        sa = a.dense_opt.state_for(pa)
+        sb = b.dense_opt.state_for(pb)
         assert sorted(sa) == sorted(sb)
         for key in sa:
             np.testing.assert_array_equal(sa[key], sb[key])
@@ -216,7 +216,7 @@ class TestColdRestart:
 
 class TestSchedulerRecovery:
     def _sched_factory(self, trainer):
-        return [WarmupLinearDecay(trainer.ranks[0].dense_opt, base_lr=0.05,
+        return [WarmupLinearDecay(trainer.dense_opt, base_lr=0.05,
                                   warmup_steps=4, total_steps=20)]
 
     def test_schedulers_without_factory_is_an_error(self, tmp_path):
@@ -256,8 +256,8 @@ class TestSchedulerRecovery:
             reference, make_dataset(), global_batch_size=8, eval_every=100,
             lr_schedulers=self._sched_factory(reference))
         ref_loop.run(8)
-        assert loop.trainer.ranks[0].dense_opt.lr == \
-            pytest.approx(reference.ranks[0].dense_opt.lr)
+        assert loop.trainer.dense_opt.lr == \
+            pytest.approx(reference.dense_opt.lr)
 
 
 class TestRecoveryManagerBudget:

@@ -1,14 +1,14 @@
 """Rank-stacked trainer vs the looped reference oracle.
 
-The stacked path (``NeoTrainer(..., stacked=True)``, the default) packs
-all ranks' dense state into leading-axis ``(R, ...)`` arrays and
-advances every replica with one batched kernel per phase. It is only
-allowed to exist because it is *bitwise identical* to the sequential
-per-rank loop: this file fuzzes that identity over random
+``NeoTrainer`` packs all ranks' dense state into leading-axis
+``(R, ...)`` arrays and advances every replica with one batched kernel
+per phase. It is only allowed to exist because it is *bitwise
+identical* to the sequential per-rank loop (``LoopedNeoTrainer`` in
+``reference_trainer.py``): this file fuzzes that identity over random
 architectures, world sizes, sharding schemes and optimizers — losses,
 dense parameters, comms byte/call logs, and eval outputs — and pins
-the compatibility surface (per-rank ``dense_opt`` facade, checkpoint
-state, ``replicas_in_sync``) that the rest of the repo reads through.
+the surface the rest of the repo reads through (the one
+``trainer.dense_opt``, checkpoint state, ``replicas_in_sync``).
 """
 
 import numpy as np
@@ -25,6 +25,7 @@ from repro.models import DLRMConfig
 from repro.sharding import ShardingPlan, ShardingScheme, shard_table
 
 from .helpers import DENSE_OPTIMIZERS as OPTIMIZERS
+from .reference_trainer import LoopedNeoTrainer
 
 SCHEMES = [ShardingScheme.TABLE_WISE, ShardingScheme.ROW_WISE,
            ShardingScheme.COLUMN_WISE, ShardingScheme.DATA_PARALLEL]
@@ -32,7 +33,8 @@ SCHEMES = [ShardingScheme.TABLE_WISE, ShardingScheme.ROW_WISE,
 
 def build_pair(tables, emb_dim, world, schemes, seed, optimizer="sgd",
                dense_dim=3, depth=2, allreduce="fp32"):
-    """One looped and one stacked trainer with identical state. Both
+    """One looped (oracle) and one stacked (product) trainer with
+    identical state. Both
     MLPs have ``depth`` Linear layers; ``allreduce`` is the wire
     precision of the dense gradient AllReduce."""
     config = DLRMConfig(dense_dim=dense_dim,
@@ -40,7 +42,7 @@ def build_pair(tables, emb_dim, world, schemes, seed, optimizer="sgd",
                         tables=tables, top_mlp=(6,) * (depth - 1))
     nodes = 2 if world == 16 else 1
     trainers = []
-    for stacked in (False, True):
+    for cls in (LoopedNeoTrainer, NeoTrainer):
         plan = ShardingPlan(world_size=world)
         for i, t in enumerate(tables):
             scheme = schemes[t.name]
@@ -48,13 +50,13 @@ def build_pair(tables, emb_dim, world, schemes, seed, optimizer="sgd",
                 else list(range(world))
             plan.tables[t.name] = shard_table(t, scheme, ranks)
         plan.validate()
-        trainers.append(NeoTrainer(
+        trainers.append(cls(
             config, plan,
             ClusterTopology(num_nodes=nodes, gpus_per_node=world // nodes),
             dense_optimizer=OPTIMIZERS[optimizer],
             sparse_optimizer=SparseSGD(lr=0.1),
             comms_config=QuantizedCommsConfig(allreduce=allreduce),
-            seed=seed, stacked=stacked))
+            seed=seed))
     return trainers[0], trainers[1]
 
 
@@ -158,61 +160,82 @@ class TestOptimizerParity:
         assert_bitwise_equal(looped, stacked, tables)
 
 
-class TestOptimizerFacade:
-    """Per-rank ``ranks[r].dense_opt`` stays a usable read surface in
-    stacked mode — checkpointing and LR schedulers go through it."""
+def rank_slots(trainer, r):
+    """Rank ``r``'s dense optimizer slots, in parameter order: the
+    oracle keeps one optimizer per rank; the product's one optimizer
+    over rank 0's views stands for every replica."""
+    if isinstance(trainer, LoopedNeoTrainer):
+        opt = trainer.rank_optimizers[r]
+        params = trainer.ranks[r].dense_parameters()
+    else:
+        opt, params = trainer.dense_opt, trainer.ranks[0].dense_parameters()
+    return [opt.state_for(p) for p in params]
+
+
+def assert_slots_equal(a, b):
+    for r in range(a.world_size):
+        for sa, sb in zip(rank_slots(a, r), rank_slots(b, r)):
+            assert sorted(sa) == sorted(sb)
+            for key in sa:
+                assert sa[key].shape == sb[key].shape
+                np.testing.assert_array_equal(sa[key], sb[key])
+
+
+class TestDenseOptimizer:
+    """``trainer.dense_opt`` is the one dense optimizer: LR schedulers
+    drive it and checkpoints read and restore its slots."""
 
     def test_state_is_per_rank_shaped(self):
         """One optimizer over rank 0's views: its slots have the shape
-        checkpoints store, and every rank's facade reads the same
-        slots."""
-        _, stacked, ds, _ = two_table_setup(optimizer="momentum")
+        of one replica's parameter — what checkpoints store — and equal
+        the oracle's per-rank optimizers' slots on every rank."""
+        looped, stacked, ds, _ = two_table_setup(optimizer="momentum")
+        split = ds.batch(8, 0).split(2)
+        looped.train_step(split)
+        stacked.train_step(split)
+        for p, state in zip(stacked.ranks[0].dense_parameters(),
+                            rank_slots(stacked, 0)):
+            assert state["momentum"].shape == p.data.shape
+        assert_slots_equal(stacked, looped)
+
+    def test_state_round_trips_through_checkpoint(self, tmp_path):
+        """Slot state round-trips through a checkpoint: a fresh trainer
+        restored from it holds the same slots and takes the same next
+        step."""
+        _, stacked, ds, tables = two_table_setup(optimizer="adam")
         stacked.train_step(ds.batch(8, 0).split(2))
-        shared = stacked._stacked_state.dense_opt
-        rank0 = stacked.ranks[0].dense_parameters()
-        for r in range(2):
-            opt = stacked.ranks[r].dense_opt
-            for p, p0 in zip(stacked.ranks[r].dense_parameters(), rank0):
-                state = opt.state_for(p)
-                assert state["momentum"].shape == p.data.shape
-                assert state["momentum"] is \
-                    shared.state_for(p0)["momentum"]
+        mgr = CheckpointManager(str(tmp_path))
+        mgr.save(stacked)
+        resumed = two_table_setup(optimizer="adam", seed=99)[1]
+        mgr.load(resumed)
+        assert_slots_equal(resumed, stacked)
+        split = ds.batch(8, 1).split(2)
+        assert resumed.train_step(split) == stacked.train_step(split)
+        assert_slots_equal(resumed, stacked)
+        for t in tables:
+            np.testing.assert_array_equal(resumed.gather_table(t.name),
+                                          stacked.gather_table(t.name))
 
-    def test_rank_states_identical_replicas(self):
-        """Dense state is replicated, so every rank's slice agrees."""
-        _, stacked, ds, _ = two_table_setup(optimizer="adam")
-        stacked.train_step(ds.batch(8, 0).split(2))
-        params = [stacked.ranks[r].dense_parameters() for r in range(2)]
-        for p0, p1 in zip(*params):
-            s0 = stacked.ranks[0].dense_opt.state_for(p0)
-            s1 = stacked.ranks[1].dense_opt.state_for(p1)
-            assert s0.keys() == s1.keys()
-            for key in s0:
-                np.testing.assert_array_equal(s0[key], s1[key])
-
-    def test_step_raises(self):
-        _, stacked, _, _ = two_table_setup()
-        for r in range(2):
-            with pytest.raises(RuntimeError):
-                stacked.ranks[r].dense_opt.step()
-
-    def test_scheduler_drives_shared_lr(self):
-        """A scheduler built on rank 0's facade reaches the shared
-        stacked optimizer (and therefore every replica)."""
-        _, stacked, ds, _ = two_table_setup()
-        sched = nn.StepDecay(stacked.ranks[0].dense_opt, base_lr=0.1,
+    def test_scheduler_lr_reaches_next_step(self):
+        """A scheduler built on ``trainer.dense_opt`` sets the lr the
+        next step uses on every replica: the product then matches an
+        oracle whose per-rank optimizers all run at the scheduled lr."""
+        looped, stacked, ds, _ = two_table_setup()
+        sched = nn.StepDecay(stacked.dense_opt, base_lr=0.1,
                              milestones=[1], gamma=0.5)
         sched.step()
-        assert stacked.ranks[0].dense_opt.lr == pytest.approx(0.05)
-        assert stacked.ranks[1].dense_opt.lr == pytest.approx(0.05)
-        stacked.train_step(ds.batch(8, 0).split(2))  # still trains
+        assert stacked.dense_opt.lr == pytest.approx(0.05)
+        for opt in looped.rank_optimizers:
+            opt.lr = 0.05
+        split = ds.batch(8, 0).split(2)
+        assert stacked.train_step(split) == looped.train_step(split)
+        assert_bitwise_equal(looped, stacked, ())
 
 
 class TestStackedStateLayout:
     def test_parameters_are_views_of_stacked_storage(self):
         _, stacked, ds, _ = two_table_setup()
-        assert stacked.stacked
-        sp_list = stacked._stacked_state.dense_parameters()
+        sp_list = stacked._stacked.dense_parameters()
         for r in range(2):
             for p, sp in zip(stacked.ranks[r].dense_parameters(), sp_list):
                 assert sp.data.shape == (2,) + p.data.shape
@@ -233,15 +256,10 @@ class TestStackedStateLayout:
         stacked.train_step(ds.batch(8, 1).split(2))
         assert stacked.replicas_in_sync()
 
-    def test_looped_flag_off(self):
-        looped, _, _, _ = two_table_setup()
-        assert not looped.stacked
-        assert looped._stacked_state is None
-
 
 class TestCrossModeCheckpoint:
-    """Optimizer state has per-rank shape in both modes, so a checkpoint
-    moves between them with nothing to convert."""
+    """Optimizer state has per-rank shape in the product and the oracle,
+    so a checkpoint moves between them with nothing to convert."""
 
     @pytest.mark.parametrize("optimizer", ["adam", "lamb"])
     @pytest.mark.parametrize("save_stacked", [False, True])
@@ -255,14 +273,16 @@ class TestCrossModeCheckpoint:
         mgr = CheckpointManager(str(tmp_path))
         mgr.save(saver)
         pair = two_table_setup(optimizer=optimizer, seed=99)
-        resumed = pair[0] if save_stacked else pair[1]  # the other mode
-        assert resumed.stacked != saver.stacked
+        resumed = pair[0] if save_stacked else pair[1]  # the other one
+        assert type(resumed) is not type(saver)
         mgr.load(resumed)
-        self.assert_slots_equal(resumed, saver)
+        assert all(sorted(slots) == ["m", "t", "v"]
+                   for slots in rank_slots(resumed, 0))
+        assert_slots_equal(resumed, saver)
         for i in range(2, 4):
             split = ds.batch(8, i).split(2)
             assert resumed.train_step(split) == looped.train_step(split)
-        self.assert_slots_equal(resumed, looped)
+        assert_slots_equal(resumed, looped)
         for r in range(2):
             for pa, pb in zip(resumed.ranks[r].dense_parameters(),
                               looped.ranks[r].dense_parameters()):
@@ -270,18 +290,6 @@ class TestCrossModeCheckpoint:
         for t in tables:
             np.testing.assert_array_equal(resumed.gather_table(t.name),
                                           looped.gather_table(t.name))
-
-    @staticmethod
-    def assert_slots_equal(a, b):
-        for r in range(2):
-            for pa, pb in zip(a.ranks[r].dense_parameters(),
-                              b.ranks[r].dense_parameters()):
-                sa = a.ranks[r].dense_opt.state_for(pa)
-                sb = b.ranks[r].dense_opt.state_for(pb)
-                assert sorted(sa) == sorted(sb) == ["m", "t", "v"]
-                for key in sa:
-                    assert sa[key].shape == sb[key].shape
-                    np.testing.assert_array_equal(sa[key], sb[key])
 
 
 def test_stacked_smoke_r64():
