@@ -123,7 +123,7 @@ class AsyncPSTrainer:
         grads = model.embeddings.backward(d_pooled)
         self._pending.append(_PendingGradient(
             apply_at=self.clock + self.staleness,
-            table_grads={name: (g.rows, g.values)
+            table_grads={name: (g.rows, g.entry_values())
                          for name, g in grads.items()}))
         # local dense SGD step
         for p in model.dense_parameters():

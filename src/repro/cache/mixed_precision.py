@@ -19,9 +19,10 @@ from typing import Optional
 import numpy as np
 
 from .. import lowp
-from ..embedding.kernels import expand_bag_ids, segment_sum
+from ..embedding.kernels import segment_sum
 from ..embedding.optim import merge_duplicate_rows
-from ..embedding.table import EmbeddingTableConfig, SparseGradient
+from ..embedding.table import (EmbeddingTableConfig, SparseGradient,
+                               pooled_backward)
 from .api import make_cache
 from .backing import ArrayBackingStore
 
@@ -109,22 +110,12 @@ class MixedPrecisionEmbeddingTable:
         return out
 
     def backward(self, dy: np.ndarray) -> SparseGradient:
-        if self._saved is None:
-            raise RuntimeError("backward called before forward")
-        indices, bag_ids, lengths = self._saved
-        if bag_ids is None:
-            bag_ids = expand_bag_ids(lengths)
-            self._saved = (indices, bag_ids, lengths)
-        grad_rows = dy[bag_ids].astype(np.float32)
-        if self.config.pooling_mode == "mean":
-            denom = np.maximum(lengths, 1).astype(np.float32)
-            grad_rows = grad_rows / denom[bag_ids][:, None]
-        return SparseGradient(rows=indices, values=grad_rows,
-                              num_embeddings=self.config.num_embeddings)
+        return pooled_backward(self, dy)
 
     def sgd_step(self, grad: SparseGradient, lr: float) -> None:
         """Exact merged SGD through the FP32 cache."""
-        rows, merged = merge_duplicate_rows(grad.rows, grad.values)
+        rows, merged = merge_duplicate_rows(grad.rows, grad.values,
+                                            grad.bag_ids)
         if len(rows) == 0:
             return
         current = self.cache.read(rows, self.backing)

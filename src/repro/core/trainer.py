@@ -66,6 +66,7 @@ from ..data.kernels import bucketize_sparse
 from ..embedding import (EmbeddingTable, EmbeddingTableConfig,
                          QuantizedEmbeddingTable, SparseGradient,
                          SparseOptimizer)
+from ..embedding.kernels import rank_bags
 from ..embedding.table import lengths_to_offsets, offsets_to_lengths
 from ..models.dlrm import DLRM, DLRMConfig
 from ..obs.metrics import MetricRegistry
@@ -139,11 +140,20 @@ class NeoTrainer:
         for t in config.tables:
             scheme = plan.scheme_of(t.name)
             if scheme in (ShardingScheme.ROW_WISE,
-                          ShardingScheme.TABLE_ROW_WISE) and \
-                    t.pooling_mode != "sum":
-                raise ValueError(
-                    f"row-wise sharding requires sum pooling "
-                    f"(table {t.name} uses {t.pooling_mode})")
+                          ShardingScheme.TABLE_ROW_WISE):
+                if t.pooling_mode != "sum":
+                    raise ValueError(
+                        f"row-wise sharding requires sum pooling "
+                        f"(table {t.name} uses {t.pooling_mode})")
+                # the row-wise exchange keys payloads and partial sums by
+                # owner rank, so a second shard on one rank would
+                # overwrite the first
+                owners = [s.rank for s in plan.tables[t.name].shards]
+                shared = sorted({r for r in owners if owners.count(r) > 1})
+                if shared:
+                    raise ValueError(
+                        f"row-wise table {t.name} places more than one "
+                        f"shard on rank {shared[0]}")
         self.config = config
         self.plan = plan
         # optional repro.planner.RepresentationPlan (duck-typed: anything
@@ -310,13 +320,16 @@ class NeoTrainer:
         self._launch_counter.inc(1)  # one gather+segment-reduce dispatch
         return out
 
-    def _shard_update(self, shard: Shard, d_global: np.ndarray) -> None:
+    def _shard_update(self, shard: Shard, d_global: np.ndarray,
+                      bag_ranks: Optional[np.ndarray] = None) -> None:
         """Shard backward + exact sparse update, under an
-        ``embedding_update`` span."""
+        ``embedding_update`` span. ``bag_ranks`` is ``rank_bags(d_global)``
+        when several shards share ``d_global`` (row-wise tables)."""
         with self.tracer.span("trainer.embedding_update", cat="embedding",
                               table=shard.table, rank=shard.rank):
             table = self._shard_tables[shard]
             grad = table.backward(d_global)
+            grad.bag_ranks = bag_ranks
             self.sparse_opt.step(table, grad)
             self._sync_shard_storage(table)
         self._update_counters[shard].inc(int(len(grad.rows)))
@@ -492,8 +505,11 @@ class NeoTrainer:
         gathered = self.pg.all_gather(d_pooled / w).stacked
         d_global = gathered.reshape(
             gathered.shape[0] * gathered.shape[1], -1).astype(np.float32)
+        # every shard merges against the same (sum-pooled) bag gradient,
+        # so its bag ranks are computed once per table
+        bag_ranks = rank_bags(d_global)
         for shard in shards:
-            self._shard_update(shard, d_global)
+            self._shard_update(shard, d_global, bag_ranks)
 
     def _forward_data_parallel(self, shards: List[Shard],
                                local_inputs: List[Tuple[np.ndarray,

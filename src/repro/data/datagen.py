@@ -46,13 +46,23 @@ def _zipf_cdf(num_ids: int, alpha: float) -> np.ndarray:
 def zipf_indices(num_ids: int, size: int, rng: np.random.Generator,
                  alpha: float = 1.05) -> np.ndarray:
     """Zipf-distributed ids in ``[0, num_ids)`` (rejection-free, via
-    inverse-CDF on the truncated power law)."""
+    inverse-CDF on the truncated power law).
+
+    The uniform draws are searched in sorted order and scattered back:
+    ``searchsorted`` probes sorted needles with cache-friendly, mostly
+    predictable binary searches, faster than on random needles, and each
+    needle's result does not depend on the others, so the ids are
+    identical to ``np.searchsorted(cdf, u)``.
+    """
     if num_ids <= 0:
         raise ValueError("num_ids must be positive")
     if size == 0:
         return np.zeros(0, dtype=np.int64)
     u = rng.random(size)
-    return np.searchsorted(_zipf_cdf(num_ids, alpha), u).astype(np.int64)
+    order = np.argsort(u)
+    out = np.empty(size, dtype=np.int64)
+    out[order] = np.searchsorted(_zipf_cdf(num_ids, alpha), u[order])
+    return out
 
 
 @dataclass

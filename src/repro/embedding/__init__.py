@@ -5,8 +5,8 @@ tensor-train compression (paper Section 4.1)."""
 from .arena import EmbeddingArena
 from .dedup import dedup_cache_read, dedup_forward, duplication_factor
 from .fused import FusedEmbeddingCollection
-from .kernels import (expand_bag_ids, merge_sorted_coo, rebase_jagged,
-                      segment_mean, segment_sum)
+from .kernels import (expand_bag_ids, merge_sorted_coo, rank_bags,
+                      rebase_jagged, segment_mean, segment_sum)
 from .optim import (RowWiseAdaGrad, SparseAdaGrad, SparseAdam, SparseLAMB,
                     SparseOptimizer, SparseSGD, merge_duplicate_rows,
                     optimizer_state_bytes)
@@ -27,6 +27,7 @@ __all__ = [
     "segment_mean",
     "expand_bag_ids",
     "rebase_jagged",
+    "rank_bags",
     "merge_sorted_coo",
     "SparseOptimizer",
     "SparseSGD",

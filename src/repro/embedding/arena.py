@@ -14,11 +14,14 @@ pooled forward is
   offsets,
 
 instead of a Python loop issuing two dispatches per table. The fused
-backward builds a single arena-global COO gradient (one gather), and the
-fused backward+optimizer merges it with a single sort-and-reduce
-(``merge_sorted_coo``: one ``(row, g[0])`` sort, tie refinement, one
-reduceat) across all tables of the group before applying the exact
-sparse update table-by-table (optimizer state stays per-table).
+backward+optimizer never gathers: each table's gradient stays in bag form
+(its ``(B_t, D)`` upstream gradient plus per-entry bag ids) and is merged
+by one integer-key sort-and-reduce (``merge_sorted_coo``: one int64 sort
+keyed on ``(row, bag rank)``, one sorted gather, one reduceat) before the
+exact sparse update is applied (optimizer state stays per-table). The
+merge runs table by table because table row ranges are disjoint — a
+group-wide merge would be the concatenation of the per-table ones — and
+cache-sized sorts are the faster way to get it.
 
 Tables keep their identity: each :class:`EmbeddingTable`'s ``.weight``
 is re-pointed to a *view* of the arena storage, so per-table reads,
@@ -31,22 +34,22 @@ call and re-packs that table's rows.
 Bit parity with the per-table path is exact, not approximate: reduceat's
 within-segment reduction order depends only on the segment contents, so
 pooling table ``t``'s bags inside the concatenated arena batch produces
-the same bits as pooling them alone, and the group-global gradient merge
-produces the same per-table merged gradients as per-table merges (global
-row ids are disjoint across tables). ``tests/test_embedding_arena.py``
-asserts both.
+the same bits as pooling them alone, and the backward builds each
+table's gradient from the same saved state a per-table forward leaves.
+``tests/test_embedding_arena.py`` asserts both against the per-table
+loop in ``tests/reference_kernels.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from .kernels import merge_sorted_coo, rebase_jagged, segment_sum_gather
 from .optim import SparseOptimizer
-from .table import EmbeddingTable, SparseGradient
+from .table import EmbeddingTable, SparseGradient, pooled_backward
 
 __all__ = ["EmbeddingArena", "DimGroup"]
 
@@ -60,9 +63,6 @@ class DimGroup:
     storage: np.ndarray                    # (sum(H_t), dim) float32
     bases: np.ndarray                      # (T,) first arena row per table
     views: List[np.ndarray] = field(default_factory=list)
-    # forward context for the fused backward: (global_indices,
-    # per-table local indices/offsets/lengths, per-table batch sizes)
-    ctx: Optional[tuple] = None
 
     @property
     def num_rows(self) -> int:
@@ -139,12 +139,10 @@ class EmbeddingArena:
                 inputs.append((indices, offsets))
             gidx, goff, _ = rebase_jagged(inputs, group.bases)
             pooled = segment_sum_gather(group.storage, gidx, goff)
-            lengths_list = []
             bag_start = 0
             for t, (indices, offsets) in zip(group.tables, inputs):
                 num_bags = len(offsets) - 1
                 lengths = np.diff(offsets)
-                lengths_list.append(lengths)
                 table_out = pooled[bag_start:bag_start + num_bags]
                 if t.config.pooling_mode == "mean":
                     table_out /= np.maximum(lengths, 1).astype(
@@ -152,89 +150,38 @@ class EmbeddingArena:
                 out[t.name] = table_out
                 t._saved = (indices, None, lengths)
                 bag_start += num_bags
-            group.ctx = (gidx, inputs, lengths_list,
-                         [len(o) - 1 for _, o in inputs])
         return out
 
     # ------------------------------------------------------------------
     # fused backward
     # ------------------------------------------------------------------
-    def _group_grad(self, group: DimGroup,
-                    d_pooled: Dict[str, np.ndarray]
-                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """One arena-global COO gradient for a whole dimension group.
-
-        Returns ``(global_rows, values, nnz_per_table)``. The values
-        array is the concatenated gradient of every table in the group;
-        it is written one table-segment at a time so each gather reads a
-        cache-resident ``(B, D)`` upstream gradient (building it through
-        one group-global fancy index instead measures ~3x slower — the
-        source never fits in cache), but the result is a single COO the
-        segmented merge consumes in one call.
-        """
-        if group.ctx is None:
-            raise RuntimeError("backward called before forward")
-        gidx, inputs, lengths_list, _ = group.ctx
-        counts = np.array([len(idx) for idx, _ in inputs], dtype=np.int64)
-        values = np.empty((int(counts.sum()), group.dim), dtype=np.float32)
-        nnz_start = 0
-        for t, (indices, _), lengths in zip(group.tables, inputs,
-                                            lengths_list):
-            nnz = len(indices)
-            if nnz:
-                dy = np.ascontiguousarray(d_pooled[t.name],
-                                          dtype=np.float32)
-                bag_ids = np.repeat(
-                    np.arange(len(lengths), dtype=np.int64), lengths)
-                segment = values[nnz_start:nnz_start + nnz]
-                np.take(dy, bag_ids, axis=0, out=segment)
-                if t.config.pooling_mode == "mean":
-                    denom = np.maximum(lengths, 1).astype(np.float32)
-                    segment /= denom[bag_ids][:, None]
-            nnz_start += nnz
-        return gidx, values, counts
-
     def backward(self, d_pooled: Dict[str, np.ndarray]
                  ) -> Dict[str, SparseGradient]:
-        """Per-table sparse gradients from one fused gather per group."""
-        grads: Dict[str, SparseGradient] = {}
-        for group in self.groups:
-            _, values, counts = self._group_grad(group, d_pooled)
-            nnz_start = 0
-            gidx, inputs = group.ctx[0], group.ctx[1]
-            for t, (indices, _), nnz in zip(group.tables, inputs, counts):
-                grads[t.name] = SparseGradient(
-                    rows=indices,
-                    values=values[nnz_start:nnz_start + int(nnz)],
-                    num_embeddings=t.config.num_embeddings)
-                nnz_start += int(nnz)
-        return grads
+        """Per-table bag-form sparse gradients from the saved forward
+        state: each table's ``(B_t, D)`` upstream gradient plus per-entry
+        bag ids — no gather, no per-entry ``(N, D)`` array."""
+        return {t.name: pooled_backward(t, d_pooled[t.name])
+                for group in self.groups for t in group.tables}
 
     def backward_and_update(self, d_pooled: Dict[str, np.ndarray],
                             optimizer: SparseOptimizer) -> Dict[str, int]:
-        """Fused backward + exact sparse optimizer: one COO build and one
-        sort-and-reduce merge per dimension group (Section 4.1.1/4.1.2).
+        """Fused backward + exact sparse optimizer (Section 4.1.1/4.1.2):
+        each table's bag-form gradient is merged by one integer-key
+        sort-and-reduce and applied, without ever building a per-entry
+        ``(N, D)`` gradient. Returns the unique updated rows per table.
 
-        The merged group gradient is split at table base boundaries
-        (unique rows are sorted, bases are sorted, so each table's rows
-        are one contiguous slice) and the optimizer applies each table's
-        pre-merged slice — bitwise the per-table ``step`` result, without
-        ever materializing more than one group's gradient. Returns the
-        number of unique updated rows per table.
+        The merge runs per table, not once over the group's arena-global
+        rows: table row ranges are disjoint, so the group merge is the
+        concatenation of the per-table merges bit for bit, and cache-sized
+        sorts beat one group-wide sort (measured in
+        ``docs/performance.md``).
         """
         updated: Dict[str, int] = {}
         for group in self.groups:
-            rows, values, counts = self._group_grad(group, d_pooled)
-            nnz_offsets = np.zeros(len(counts) + 1, dtype=np.int64)
-            np.cumsum(counts, out=nnz_offsets[1:])
-            merged_rows, merged_vals = merge_sorted_coo(
-                rows, values, segment_offsets=nnz_offsets)
-            splits = np.searchsorted(merged_rows, np.append(group.bases,
-                                                            group.num_rows))
-            for i, t in enumerate(group.tables):
-                lo, hi = int(splits[i]), int(splits[i + 1])
-                optimizer.apply_merged(
-                    t, merged_rows[lo:hi] - group.bases[i],
-                    merged_vals[lo:hi])
-                updated[t.name] = hi - lo
+            for t in group.tables:
+                grad = pooled_backward(t, d_pooled[t.name])
+                rows, merged = merge_sorted_coo(grad.rows, grad.values,
+                                                grad.bag_ids)
+                optimizer.apply_merged(t, rows, merged)
+                updated[t.name] = len(rows)
         return updated

@@ -15,10 +15,11 @@ arena (:class:`repro.embedding.arena.EmbeddingArena`) so that
   ``kernel_launches`` counts true dispatches (1 per call for uniform-D
   models), and ``benchmarks/bench_fused_kernel.py`` measures the
   wall-clock win over a per-table loop;
-* :meth:`FusedEmbeddingCollection.backward_and_update` builds one
-  group-global COO gradient, merges it with a single sort-and-reduce
-  (``merge_sorted_coo``) and applies the exact sparse optimizer — never
-  holding more than one group's merged gradient at a time.
+* :meth:`FusedEmbeddingCollection.backward_and_update` keeps each
+  table's gradient in bag form (``(B, D)`` plus bag ids, never the
+  ``L``-times-larger per-entry array), merges it with one integer-key
+  sort-and-reduce (``merge_sorted_coo``) and applies the exact sparse
+  optimizer.
 
 Both are bitwise identical to a per-table loop of
 :meth:`EmbeddingTable.forward`/:meth:`~EmbeddingTable.backward` — the
@@ -131,8 +132,9 @@ class FusedEmbeddingCollection:
                             optimizer: SparseOptimizer) -> None:
         """Fused backward + exact sparse optimizer (Section 4.1.1).
 
-        Never materializes gradients for more than one dimension group
-        at a time — the memory saving the paper attributes to this fusion.
+        Never materializes a per-entry gradient: each table's bag-form
+        gradient goes straight into its merge — the memory saving the
+        paper attributes to this fusion.
         """
         self.kernel_launches += self.arena.num_groups
         with self.tracer.span("embedding.fused_bwd_update", cat="embedding",

@@ -32,6 +32,18 @@ and a trailing empty segment's start index can equal ``len(a)``, which is
 out of range. :func:`segment_sum` handles both explicitly by reducing
 only the non-empty segments (their starts are always in range) and
 leaving empty bags at zero.
+
+The sparse-gradient merge
+-------------------------
+
+:func:`merge_sorted_coo` is the backward half: the exact optimizers'
+sort-rows-and-merge-duplicates step (paper Section 4.1.2). Its input is a
+gradient in *bag form* — ``N`` row ids plus the ``(B, D)`` pooled-output
+gradient and each entry's bag id — because every entry's value is a copy
+of its bag's vector. Ranking the ``B`` bag vectors once
+(:func:`rank_bags`) turns the canonical ``(row, g[0..D-1])`` float order
+into one int64 sort key per entry, and the merge never materialises the
+``(N, D)`` per-entry gradient before its single sorted gather.
 """
 
 from __future__ import annotations
@@ -46,6 +58,7 @@ __all__ = [
     "segment_mean",
     "expand_bag_ids",
     "rebase_jagged",
+    "rank_bags",
     "merge_sorted_coo",
 ]
 
@@ -188,28 +201,24 @@ def _tied(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a == b) | ((a != a) & (b != b))
 
 
-def merge_sorted_coo(rows: np.ndarray, values: np.ndarray,
-                     segment_offsets: Optional[np.ndarray] = None
-                     ) -> Tuple[np.ndarray, np.ndarray]:
-    """Sort a COO gradient by row and sum duplicates into one entry per row.
+def rank_bags(bag_grad: np.ndarray) -> np.ndarray:
+    """Each row's position in the stable lexicographic order of ``bag_grad``.
 
-    The canonical total order is ``(row, g[0], ..., g[D-1])`` — float
-    addition is not bitwise-commutative under reordering, so sorting by
-    row alone would leave the within-row summation order dependent on
-    input order. Ordering each row's entries by their gradient columns
-    makes the merged result a pure function of the (row, grad) multiset —
-    the determinism guarantee of paper Section 4.1.2. Because arena-global
-    row ids are disjoint across tables, merging a whole dimension group at
-    once yields bitwise the same per-table results as merging each table
-    separately.
+    Returns a ``(B,)`` int64 permutation of ``0..B-1``: ``ranks[b] <
+    ranks[c]`` iff row ``b`` sorts before row ``c`` on ``(g[0], ...,
+    g[D-1])`` under numpy's sort semantics, ties (equal vectors, ``±0.0``,
+    NaNs) broken by row index — exactly the order a stable ``D``-key
+    lexsort gives. :func:`merge_sorted_coo` keys each gradient entry on
+    its bag's rank; callers whose shards share one bag-gradient matrix
+    (row-wise tables) compute the ranks once and pass them in.
 
     Sort once, refine ties
     ----------------------
 
-    A ``(D+1)``-key lexsort reaches that order with ``D+1`` full stable
-    sorts, but almost every entry is already placed after two of them.
-    So the kernel stable-sorts on ``(row, g[0])`` only, and then walks the
-    remaining columns *inside the runs that are still tied*:
+    A ``D``-key lexsort reaches that order with ``D`` full stable sorts,
+    but almost every row is already placed after the first. So the kernel
+    stable-sorts on ``g[0]`` only, and then walks the remaining columns
+    *inside the runs that are still tied*:
 
     * a column on which every adjacent tied pair ties is skipped — all
       members of each run tie on it (ties are an equivalence relation),
@@ -217,45 +226,20 @@ def merge_sorted_coo(rows: np.ndarray, values: np.ndarray,
     * otherwise every still-tied run is stable-sorted on that column and
       the pairs that now differ leave the tied set;
     * when the tied pairs tie on every remaining column the loop stops:
-      the runs hold interchangeable vectors (one id twice in a bag, two
+      the runs hold interchangeable vectors (dead-ReLU zero rows, two
       samples with the same upstream gradient), and every further stable
       sort would be the identity.
 
     A stable sort on ``(k_0..k_d)`` followed by a stable sort on
     ``k_{d+1}`` within its tied runs is the stable sort on
     ``(k_0..k_{d+1})``, so by induction the final permutation *is* the
-    full lexsort's permutation — same sorted values, same ``reduceat``
-    sums, bit for bit (``tests/reference_kernels.py`` keeps the full
-    lexsort as the oracle). The common case costs one two-key sort plus
-    one comparison over the handful of tied pairs.
-
-    ``segment_offsets`` is a sort accelerator, not a semantic knob: when
-    the caller knows the COO is partitioned into contiguous runs whose row
-    ranges are disjoint and increasing (the arena's table-major group
-    gradient, offsets ``[0, nnz_0, nnz_0+nnz_1, ..., nnz]``), the global
-    sort's output is exactly the concatenation of the per-run sorts, so
-    each run is sorted independently — same bits, cache-sized sorts
-    instead of one DRAM-streaming sort (asserted by the parity tests;
-    measured in ``docs/performance.md``).
+    full lexsort's permutation.
     """
-    if len(rows) == 0:
-        return rows.astype(np.int64), values.astype(np.float32)
-    if segment_offsets is not None:
-        parts = [merge_sorted_coo(rows[s:e], values[s:e])
-                 for s, e in zip(segment_offsets[:-1], segment_offsets[1:])
-                 if e > s]
-        return (np.concatenate([r for r, _ in parts]),
-                np.concatenate([v for _, v in parts], axis=0))
-    n, dim = values.shape
-    order = np.lexsort((values[:, 0], rows))
-    sorted_rows = rows[order]
-    sorted_vals = np.take(values, order, axis=0)
-    run_start = np.empty(n, dtype=bool)
-    run_start[0] = True
-    np.not_equal(sorted_rows[1:], sorted_rows[:-1], out=run_start[1:])
-    # `later[k]` ties its predecessor on the row and on every column < d
-    later = np.flatnonzero(~run_start)
-    later = later[_tied(sorted_vals[later - 1, 0], sorted_vals[later, 0])]
+    n, dim = bag_grad.shape
+    order = np.argsort(bag_grad[:, 0], kind="stable")
+    sorted_vals = np.take(bag_grad, order, axis=0)
+    # `later[k]` ties its predecessor on every column < d
+    later = np.flatnonzero(_tied(sorted_vals[1:, 0], sorted_vals[:-1, 0])) + 1
     d = 1
     while len(later) and d < dim:
         differs = ~_tied(sorted_vals[later - 1, d:],
@@ -271,9 +255,78 @@ def merge_sorted_coo(rows: np.ndarray, values: np.ndarray,
         run_id = np.cumsum(~tied[members])
         refined = members[np.lexsort((sorted_vals[members, d], run_id))]
         sorted_vals[members] = sorted_vals[refined]
+        order[members] = order[refined]
         later = later[_tied(sorted_vals[later - 1, d], sorted_vals[later, d])]
         d += 1
+    ranks = np.empty(n, dtype=np.int64)
+    ranks[order] = np.arange(n, dtype=np.int64)
+    return ranks
+
+
+def merge_sorted_coo(rows: np.ndarray, bag_grad: np.ndarray,
+                     bag_ids: Optional[np.ndarray] = None,
+                     bag_ranks: Optional[np.ndarray] = None
+                     ) -> Tuple[np.ndarray, np.ndarray]:
+    """Sort a COO gradient by row and sum duplicates into one entry per row.
+
+    The gradient comes in bag form: entry ``k`` is row ``rows[k]`` with
+    gradient ``bag_grad[bag_ids[k]]``, where ``bag_grad`` is the ``(B, D)``
+    pooled-output gradient every pooled backward produces (``N`` entries
+    copy ``B << N`` distinct vectors). ``bag_ids=None`` is the identity
+    map, i.e. the plain COO form ``(rows, values)``. Row ids are
+    non-negative.
+
+    The canonical total order is ``(row, g[0], ..., g[D-1])`` — float
+    addition is not bitwise-commutative under reordering, so sorting by
+    row alone would leave the within-row summation order dependent on
+    input order. Ordering each row's entries by their gradient columns
+    makes the merged result a pure function of the (row, grad) multiset —
+    the determinism guarantee of paper Section 4.1.2. Because arena-global
+    row ids are disjoint across tables, merging a whole dimension group at
+    once yields bitwise the same per-table results as merging each table
+    separately.
+
+    Sort integers, not floats
+    -------------------------
+
+    Every entry's value is one of ``B`` bag vectors, so ordering entries
+    by ``g[0..D-1]`` is ordering them by their bag's rank
+    (:func:`rank_bags`, computed over ``B`` rows, or passed in as
+    ``bag_ranks``). The kernel therefore sorts one int64 key per entry,
+    ``row * B + rank[bag_ids[k]]``, and recovers row and bag from the
+    sorted key by ``divmod``. Keys tie only for one id twice in one bag,
+    whose values are identical, so an unstable sort is exact; and because
+    ranks break vector ties by bag index, for non-decreasing ``bag_ids``
+    (every producer's layout) the result is the full lexsort's permutation
+    — same sorted values, same ``reduceat`` sums, bit for bit
+    (``tests/reference_kernels.py`` keeps the full lexsort as the oracle).
+    If ``max(rows) * B`` would overflow int64, the kernel falls back to a
+    two-key integer lexsort on ``(row, rank)`` — same order.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    if len(rows) == 0:
+        return rows, np.zeros((0, bag_grad.shape[1]), dtype=np.float32)
+    if bag_ranks is None:
+        bag_ranks = rank_bags(bag_grad)
+    num_bags = len(bag_grad)
+    entry_ranks = bag_ranks if bag_ids is None else bag_ranks[bag_ids]
+    if int(rows.max()) <= (np.iinfo(np.int64).max - num_bags) // num_bags:
+        key = rows * num_bags
+        key += entry_ranks
+        key.sort()
+        sorted_rows, sorted_ranks = np.divmod(key, num_bags)
+        bag_of_rank = np.empty(num_bags, dtype=np.int64)
+        bag_of_rank[bag_ranks] = np.arange(num_bags, dtype=np.int64)
+        sorted_bags = bag_of_rank[sorted_ranks]
+    else:
+        order = np.lexsort((entry_ranks, rows))
+        sorted_rows = rows[order]
+        sorted_bags = order if bag_ids is None else bag_ids[order]
+    sorted_vals = np.take(bag_grad, sorted_bags, axis=0)
+    run_start = np.empty(len(rows), dtype=bool)
+    run_start[0] = True
+    np.not_equal(sorted_rows[1:], sorted_rows[:-1], out=run_start[1:])
     starts = np.flatnonzero(run_start)
     merged = np.add.reduceat(sorted_vals, starts, axis=0)
-    return (sorted_rows[starts].astype(np.int64, copy=False),
+    return (sorted_rows[starts],
             merged.astype(np.float32, copy=False))

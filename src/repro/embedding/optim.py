@@ -16,7 +16,7 @@ which is the basis of the bitwise-reproducibility property tested in
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -35,19 +35,23 @@ __all__ = [
 ]
 
 
-def merge_duplicate_rows(rows: np.ndarray,
-                         values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+def merge_duplicate_rows(rows: np.ndarray, values: np.ndarray,
+                         bag_ids: Optional[np.ndarray] = None,
+                         bag_ranks: Optional[np.ndarray] = None
+                         ) -> Tuple[np.ndarray, np.ndarray]:
     """Sort rows and sum gradients of duplicates into one entry per row.
 
     This is the "transpose the sparse update matrix" step of Section 4.1.2:
     e.g. rows ``[1, 2, 2, 3]`` with gradients ``[g0, g1, g2, g3]`` become
-    rows ``[1, 2, 3]`` with gradients ``[g0, g1+g2, g3]``. The heavy
-    lifting (canonical ``(row, gradient columns)`` order via one two-key
-    sort plus tie refinement, then a reduceat merge) lives in
+    rows ``[1, 2, 3]`` with gradients ``[g0, g1+g2, g3]``. ``values`` is
+    per-entry, or per-bag with ``bag_ids`` mapping entries to bags (the
+    :class:`SparseGradient` layout). The heavy lifting (canonical
+    ``(row, gradient columns)`` order via one int64 sort keyed on each
+    entry's bag rank, then a reduceat merge) lives in
     :func:`repro.embedding.kernels.merge_sorted_coo`, shared with the
     fused arena backward.
     """
-    return merge_sorted_coo(rows, values)
+    return merge_sorted_coo(rows, values, bag_ids, bag_ranks)
 
 
 class SparseOptimizer:
@@ -64,7 +68,8 @@ class SparseOptimizer:
 
     def step(self, table: EmbeddingTable, grad: SparseGradient) -> None:
         """Merge duplicate rows, then apply one exact update per row."""
-        rows, merged = merge_duplicate_rows(grad.rows, grad.values)
+        rows, merged = merge_duplicate_rows(grad.rows, grad.values,
+                                            grad.bag_ids, grad.bag_ranks)
         self.apply_merged(table, rows, merged)
 
     def apply_merged(self, table: EmbeddingTable, rows: np.ndarray,
@@ -77,9 +82,9 @@ class SparseOptimizer:
         on it: they gather each state slice once, update it and scatter
         it back, and a scatter keeps only one write per duplicated row.
 
-        The fused arena backward merges a whole dimension group's COO
-        gradient in one sort-and-reduce and hands each table its slice;
-        re-merging here would only re-sort already-unique rows.
+        The fused arena backward merges each table's bag-form gradient
+        itself (it reports the unique-row counts) and hands the result
+        here; re-merging would only re-sort already-unique rows.
         """
         if len(rows) == 0:
             return

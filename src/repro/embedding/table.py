@@ -70,16 +70,31 @@ class EmbeddingTableConfig:
 
 @dataclass
 class SparseGradient:
-    """Gradient of a pooled lookup w.r.t. table rows, in COO-row form.
+    """Gradient of a pooled lookup w.r.t. table rows, in bag form.
 
-    ``rows[k]`` received gradient ``values[k]``; the same row may appear
-    multiple times (once per occurrence in the batch) — exact optimizers
-    merge duplicates before updating (Section 4.1.2).
+    Entry ``k`` is row ``rows[k]`` receiving gradient
+    ``values[bag_ids[k]]``: a pooled backward hands every id of a bag the
+    same vector, so ``values`` holds the ``(B, D)`` per-bag gradients and
+    the ``(nnz, D)`` per-entry array is never built on the hot path.
+    ``bag_ids=None`` is the identity map (``values`` is per-entry, the
+    plain COO form). The same row may appear multiple times — exact
+    optimizers merge duplicates before updating (Section 4.1.2).
+    ``bag_ranks`` optionally carries :func:`~repro.embedding.kernels.
+    rank_bags` of ``values``, computed once by a caller whose shards share
+    one gradient matrix.
     """
 
     rows: np.ndarray          # (nnz,) int64
-    values: np.ndarray        # (nnz, D) float32
+    values: np.ndarray        # (B, D) float32; (nnz, D) if bag_ids is None
     num_embeddings: int = 0   # H, for densification
+    bag_ids: Optional[np.ndarray] = None    # (nnz,) int64
+    bag_ranks: Optional[np.ndarray] = None  # (B,) int64
+
+    def entry_values(self) -> np.ndarray:
+        """The per-entry ``(nnz, D)`` gradient (a copy in bag form)."""
+        if self.bag_ids is None:
+            return self.values
+        return np.take(self.values, self.bag_ids, axis=0)
 
     def to_dense(self) -> np.ndarray:
         """Scatter-add into a dense (H, D) gradient (reference semantics)."""
@@ -87,8 +102,30 @@ class SparseGradient:
             raise ValueError("num_embeddings must be set to densify")
         dense = np.zeros((self.num_embeddings, self.values.shape[1]),
                          dtype=np.float32)
-        np.add.at(dense, self.rows, self.values)
+        np.add.at(dense, self.rows, self.entry_values())
         return dense
+
+
+def pooled_backward(table, dy: np.ndarray) -> SparseGradient:
+    """Backward of a pooled lookup, shared by every pooled table type.
+
+    Reads ``table._saved = (indices, bag_ids, lengths)`` from the last
+    forward (deriving and caching ``bag_ids`` on first use) and returns
+    the bag-form gradient. Mean pooling divides the ``(B, D)`` matrix by
+    the bag lengths once — bitwise the per-entry division.
+    """
+    if table._saved is None:
+        raise RuntimeError("backward called before forward")
+    indices, bag_ids, lengths = table._saved
+    if bag_ids is None:
+        bag_ids = expand_bag_ids(lengths)
+        table._saved = (indices, bag_ids, lengths)
+    values = np.ascontiguousarray(dy, dtype=np.float32)
+    if table.config.pooling_mode == "mean":
+        values = values / np.maximum(lengths, 1).astype(np.float32)[:, None]
+    return SparseGradient(rows=indices, values=values,
+                          num_embeddings=table.config.num_embeddings,
+                          bag_ids=bag_ids)
 
 
 class EmbeddingTable:
@@ -180,18 +217,7 @@ class EmbeddingTable:
 
     def backward(self, dy: np.ndarray) -> SparseGradient:
         """Gradient w.r.t. rows touched in the last forward pass."""
-        if self._saved is None:
-            raise RuntimeError("backward called before forward")
-        indices, bag_ids, lengths = self._saved
-        if bag_ids is None:
-            bag_ids = expand_bag_ids(lengths)
-            self._saved = (indices, bag_ids, lengths)
-        grad_rows = dy[bag_ids].astype(np.float32)
-        if self.config.pooling_mode == "mean":
-            denom = np.maximum(lengths, 1).astype(np.float32)
-            grad_rows = grad_rows / denom[bag_ids][:, None]
-        return SparseGradient(rows=indices, values=grad_rows,
-                              num_embeddings=self.config.num_embeddings)
+        return pooled_backward(self, dy)
 
     def num_parameters(self) -> int:
         return self.config.num_parameters

@@ -9,11 +9,14 @@ must be bitwise identical to them (``test_embedding_arena.py``,
 
 ``merge_sorted_coo_reference`` is the full ``(D+1)``-key lexsort merge
 that ``repro.embedding.kernels.merge_sorted_coo`` used to be: one stable
-sort per gradient column plus one on the row. It defines the canonical
-``(row, g[0], ..., g[D-1])`` summation order; the product kernel reaches
-the same permutation with one two-key sort plus tie refinement, and the
-suites in ``test_embedding_kernels.py`` / ``test_sparse_update_parity.py``
-hold it to bitwise equality with this oracle.
+sort per gradient column plus one on the row, over the per-entry
+``(N, D)`` gradient. It defines the canonical ``(row, g[0], ...,
+g[D-1])`` summation order. The product kernel takes the gradient in bag
+form (``(B, D)`` bag vectors plus per-entry bag ids), ranks the ``B``
+bag vectors once and reaches the same permutation with one int64 sort
+on ``(row, bag rank)``; the suites in ``test_embedding_kernels.py`` /
+``test_sparse_update_parity.py`` expand the bag form (``values[bag_ids]``)
+and hold the product to bitwise equality with this oracle.
 """
 
 from __future__ import annotations

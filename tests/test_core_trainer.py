@@ -274,6 +274,23 @@ class TestValidation:
                        dense_optimizer=lambda p: nn.SGD(p, lr=0.1),
                        sparse_optimizer=SparseSGD(lr=0.1))
 
+    @pytest.mark.parametrize("scheme", [ShardingScheme.ROW_WISE,
+                                        ShardingScheme.TABLE_ROW_WISE])
+    @pytest.mark.parametrize("ranks,shared", [([0, 0, 1], 0),
+                                              ([0, 1, 1], 1)])
+    def test_rw_two_shards_on_one_rank_rejected(self, scheme, ranks,
+                                                 shared):
+        # the row-wise exchange is keyed by owner rank: a second shard
+        # on one rank would silently overwrite the first's partials
+        config = make_config(num_tables=2)
+        plan = make_plan(config, 2, ShardingScheme.TABLE_WISE)
+        plan.tables["t1"] = shard_table(config.tables[1], scheme, ranks)
+        topo = ClusterTopology(num_nodes=1, gpus_per_node=2)
+        with pytest.raises(ValueError, match=f"t1 .* rank {shared}"):
+            NeoTrainer(config, plan, topo,
+                       dense_optimizer=lambda p: nn.SGD(p, lr=0.1),
+                       sparse_optimizer=SparseSGD(lr=0.1))
+
     def test_wrong_batch_count(self):
         config = make_config()
         plan = make_plan(config, 2, ShardingScheme.TABLE_WISE)

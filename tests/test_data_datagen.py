@@ -47,6 +47,35 @@ class TestZipf:
             np.testing.assert_array_equal(ids, fresh)
             assert ids.dtype == np.int64
 
+    @pytest.mark.parametrize("size", [1, 2, 4096])
+    def test_sorted_needle_search_equals_plain_searchsorted(self, size):
+        from repro.data.datagen import _zipf_cdf
+        cdf = _zipf_cdf(20_000, 1.05)
+        ids = zipf_indices(20_000, size, np.random.default_rng(size))
+        u = np.random.default_rng(size).random(size)
+        np.testing.assert_array_equal(ids, np.searchsorted(cdf, u))
+        assert ids.dtype == np.int64
+
+    def test_needles_on_cdf_knots_match_plain_searchsorted(self):
+        """Draws that sit exactly on CDF knots (and repeat) land where
+        the plain unsorted search puts them."""
+        from repro.data.datagen import _zipf_cdf
+
+        class KnotDraws:
+            def __init__(self, u):
+                self.u = u
+
+            def random(self, size):
+                assert size == len(self.u)
+                return self.u.copy()
+
+        cdf = _zipf_cdf(37, 1.3)
+        u = np.concatenate([cdf[[5, 0, 36, 5, 17]], [0.0, cdf[3]],
+                            np.nextafter(cdf[[2, 9]], 0.0)])
+        ids = zipf_indices(37, len(u), KnotDraws(u), alpha=1.3)
+        np.testing.assert_array_equal(ids, np.searchsorted(cdf, u))
+        assert len(zipf_indices(37, 0, KnotDraws(u[:0]), alpha=1.3)) == 0
+
     def test_cached_cdf_is_read_only(self):
         from repro.data.datagen import _zipf_cdf
         with pytest.raises(ValueError):

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.embedding.kernels import (expand_bag_ids, merge_sorted_coo,
-                                     rebase_jagged, segment_mean,
+                                     rank_bags, rebase_jagged, segment_mean,
                                      segment_sum, segment_sum_gather)
 
 from .reference_kernels import merge_sorted_coo_reference
@@ -255,24 +255,24 @@ class TestMergeSortedCoo:
 
     def test_segmented_merge_bitwise_equals_global(self):
         # Disjoint increasing row ranges per segment (the arena's
-        # table-major layout): segment-wise merge must give the same bits
-        # as one global merge.
+        # table-major layout): merging each segment alone and
+        # concatenating must give the same bits as one global merge.
         rng = np.random.default_rng(8)
-        rows_parts, vals_parts, offsets = [], [], [0]
+        rows_parts, vals_parts = [], []
         base = 0
         for _ in range(4):
             n = int(rng.integers(0, 60))
             rows_parts.append(base + rng.integers(0, 10, size=n))
             vals_parts.append(rng.normal(size=(n, 3)).astype(np.float32))
-            offsets.append(offsets[-1] + n)
             base += 10
-        rows = np.concatenate(rows_parts)
-        vals = np.concatenate(vals_parts, axis=0)
-        g_rows, g_vals = merge_sorted_coo(rows, vals)
-        s_rows, s_vals = merge_sorted_coo(
-            rows, vals, segment_offsets=np.array(offsets, dtype=np.int64))
-        np.testing.assert_array_equal(s_rows, g_rows)
-        np.testing.assert_array_equal(s_vals, g_vals)
+        g_rows, g_vals = merge_sorted_coo(np.concatenate(rows_parts),
+                                          np.concatenate(vals_parts, axis=0))
+        parts = [merge_sorted_coo(r, v)
+                 for r, v in zip(rows_parts, vals_parts)]
+        np.testing.assert_array_equal(
+            np.concatenate([r for r, _ in parts]), g_rows)
+        np.testing.assert_array_equal(
+            np.concatenate([v for _, v in parts], axis=0), g_vals)
 
 
 # ----------------------------------------------------------------------
@@ -355,18 +355,19 @@ class TestMergeMatchesLexsortOracle:
     @settings(max_examples=100, deadline=None)
     @given(st.lists(coo_gradients(), min_size=1, max_size=4))
     def test_segmented_equals_global_and_oracle(self, parts):
-        # disjoint increasing row ranges per segment, the arena layout
-        rows, offsets, base = [], [0], 0
+        # disjoint increasing row ranges per segment, the arena layout:
+        # per-segment merges concatenate to the global merge
+        rows, base = [], 0
         for part_rows, _ in parts:
             _, dense = np.unique(part_rows, return_inverse=True)
             rows.append(base + dense)
             base += int(dense.max()) + 1
-            offsets.append(offsets[-1] + len(part_rows))
         dim = min(v.shape[1] for _, v in parts)
-        rows = np.concatenate(rows)
-        values = np.concatenate([v[:, :dim] for _, v in parts], axis=0)
-        segmented = merge_sorted_coo(
-            rows, values, segment_offsets=np.array(offsets, dtype=np.int64))
+        values = [v[:, :dim] for _, v in parts]
+        merged = [merge_sorted_coo(r, v) for r, v in zip(rows, values)]
+        segmented = (np.concatenate([r for r, _ in merged]),
+                     np.concatenate([v for _, v in merged], axis=0))
+        rows, values = np.concatenate(rows), np.concatenate(values, axis=0)
         assert_bitwise_equal(segmented, merge_sorted_coo(rows, values))
         assert_bitwise_equal(segmented,
                              merge_sorted_coo_reference(rows, values))
@@ -428,3 +429,127 @@ class TestMergeMatchesLexsortOracle:
                      np.random.default_rng(0).permutation(len(rows))):
             assert_bitwise_equal(merge_sorted_coo(rows[perm], values[perm]),
                                  want)
+
+
+# ----------------------------------------------------------------------
+# bag-form merge (int64 key on (row, bag rank)) vs the lexsort oracle
+# ----------------------------------------------------------------------
+# rows >= 2**62 make `row * B` overflow int64 for every B >= 2, which
+# forces the two-key integer lexsort fallback
+ROW_POOLS_BAG = dict(ROW_POOLS, overflow=2 ** 62 + np.array(
+    [0, 1, 2 ** 40, 2 ** 62 - 1], dtype=np.int64))
+
+
+@st.composite
+def bag_gradients(draw, pool=NONFINITE_POOL):
+    """``(rows, bag_grad, bag_ids)`` as a pooled backward produces them:
+    ``B`` bag vectors (adversarially tied), jagged non-decreasing bag ids
+    with empty bags, and rows that repeat within and across bags."""
+    num_bags = draw(st.integers(1, 12))
+    dim = draw(st.integers(1, 5))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1),
+                          min_size=num_bags * dim, max_size=num_bags * dim))
+    bag_grad = pool[picks].reshape(num_bags, dim).copy()
+    # dead ReLU: every column from `live` on is (signed) zero
+    live = draw(st.integers(0, dim))
+    bag_grad[:, live:] = np.where(np.signbit(bag_grad[:, live:]),
+                                  np.float32(-0.0), np.float32(0.0))
+    # two samples with the same upstream gradient: whole bags repeated
+    for src, dst in draw(st.lists(st.tuples(
+            st.integers(0, num_bags - 1), st.integers(0, num_bags - 1)),
+            max_size=num_bags)):
+        bag_grad[dst] = bag_grad[src]
+    lengths = np.array(draw(st.lists(st.integers(0, 5), min_size=num_bags,
+                                     max_size=num_bags)), dtype=np.int64)
+    if lengths.sum() == 0:
+        lengths[draw(st.integers(0, num_bags - 1))] = 1
+    bag_ids = expand_bag_ids(lengths)
+    row_pool = ROW_POOLS_BAG[draw(st.sampled_from(sorted(ROW_POOLS_BAG)))]
+    picks = draw(st.lists(st.integers(0, len(row_pool) - 1),
+                          min_size=len(bag_ids), max_size=len(bag_ids)))
+    if draw(st.booleans()):  # mean pooling: the (B, D) matrix divided once
+        bag_grad = bag_grad / np.maximum(lengths, 1).astype(
+            np.float32)[:, None]
+    return row_pool[picks], bag_grad, bag_ids
+
+
+class TestBagFormMatchesOracle:
+    """``merge_sorted_coo(rows, dy, bag_ids)`` equals the full lexsort
+    merge of the expanded per-entry gradient ``dy[bag_ids]``, bit for bit
+    (NaN payloads included: the permutation itself is the oracle's)."""
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @settings(max_examples=400, deadline=None)
+    @given(bag_gradients())
+    def test_bitwise_equals_oracle(self, grad):
+        rows, bag_grad, bag_ids = grad
+        before = bag_grad.copy()
+        want = merge_sorted_coo_reference(rows, bag_grad[bag_ids])
+        assert_bitwise_equal(merge_sorted_coo(rows, bag_grad, bag_ids), want)
+        assert_bitwise_equal(
+            merge_sorted_coo(rows, bag_grad, bag_ids, rank_bags(bag_grad)),
+            want)
+        np.testing.assert_array_equal(bag_grad.view(np.uint32),
+                                      before.view(np.uint32))
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @settings(max_examples=200, deadline=None)
+    @given(bag_gradients())
+    def test_identity_map_equals_oracle(self, grad):
+        rows, bag_grad, bag_ids = grad
+        values = bag_grad[bag_ids]
+        assert_bitwise_equal(merge_sorted_coo(rows, values),
+                             merge_sorted_coo_reference(rows, values))
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @settings(max_examples=200, deadline=None)
+    @given(bag_gradients())
+    def test_rank_bags_is_the_stable_lexsort(self, grad):
+        _, bag_grad, _ = grad
+        keys = tuple(bag_grad[:, d]
+                     for d in range(bag_grad.shape[1] - 1, -1, -1))
+        ranks = rank_bags(bag_grad)
+        np.testing.assert_array_equal(np.argsort(ranks), np.lexsort(keys))
+
+    def test_mean_pooling_division_is_per_entry_bitwise(self):
+        rng = np.random.default_rng(3)
+        dy = rng.normal(size=(6, 4)).astype(np.float32)
+        lengths = np.array([3, 0, 1, 7, 2, 5], dtype=np.int64)
+        bag_ids = expand_bag_ids(lengths)
+        rows = rng.integers(0, 4, size=len(bag_ids))
+        denom = np.maximum(lengths, 1).astype(np.float32)
+        assert_bitwise_equal(
+            merge_sorted_coo(rows, dy / denom[:, None], bag_ids),
+            merge_sorted_coo_reference(
+                rows, dy[bag_ids] / denom[bag_ids][:, None]))
+
+    @pytest.mark.parametrize("rows,bag_grad,lengths", [
+        # D = 1, tied bags decided by bag order
+        ([1, 1, 1, 1], [[1e8], [1.0], [1e8]], [1, 2, 1]),
+        # B = 1: every entry copies the one vector
+        ([4, 2, 4, 4], [[0.1, 0.2]], [4]),
+        # the same id twice in one bag: equal keys, identical values
+        ([5, 5, 5, 5], [[1e8, 1.0], [-1e8, 1.0]], [2, 2]),
+        # dead-ReLU zero bags with both zero signs, and an empty bag
+        ([0, 0, 0, 0], [[0.0, -0.0], [-0.0, -0.0], [0.0, 0.0], [-0.0, 0.0]],
+         [1, 1, 0, 2]),
+        # NaN bags tie on g[0] and are refined on g[1]
+        ([2, 2, 2], [[np.nan, 1e8], [np.nan, 1.0], [np.nan, -1e8]],
+         [1, 1, 1]),
+        # overflowing key: the integer lexsort fallback
+        ([2 ** 62, 2 ** 62 + 5, 2 ** 62, 2 ** 62 + 5],
+         [[1e8, 0.0], [1.0, 0.0], [-1e8, 0.0]], [2, 1, 1]),
+    ])
+    def test_named_cases(self, rows, bag_grad, lengths):
+        rows = np.array(rows, dtype=np.int64)
+        bag_grad = np.array(bag_grad, dtype=np.float32)
+        bag_ids = expand_bag_ids(np.array(lengths, dtype=np.int64))
+        assert_bitwise_equal(
+            merge_sorted_coo(rows, bag_grad, bag_ids),
+            merge_sorted_coo_reference(rows, bag_grad[bag_ids]))
+
+    def test_empty_bag_form(self):
+        r, v = merge_sorted_coo(np.zeros(0, dtype=np.int64),
+                                np.ones((3, 2), dtype=np.float32),
+                                np.zeros(0, dtype=np.int64))
+        assert len(r) == 0 and r.dtype == np.int64 and v.shape == (0, 2)

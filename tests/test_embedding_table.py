@@ -131,7 +131,7 @@ class TestBackward:
         grad = table.backward(dy)
         np.testing.assert_array_equal(grad.rows, indices)
         # each occurrence gets its bag's upstream gradient
-        np.testing.assert_array_equal(grad.values, np.ones((3, 4)))
+        np.testing.assert_array_equal(grad.entry_values(), np.ones((3, 4)))
 
     def test_dense_equivalence_sum(self):
         """Sparse backward densified == numerical dense gradient."""
@@ -163,7 +163,7 @@ class TestBackward:
         table.forward(indices, offsets)
         dy = np.ones((1, 4), dtype=np.float32)
         grad = table.backward(dy)
-        np.testing.assert_allclose(grad.values, np.full((4, 4), 0.25))
+        np.testing.assert_allclose(grad.entry_values(), np.full((4, 4), 0.25))
 
     def test_backward_before_forward_raises(self):
         with pytest.raises(RuntimeError):

@@ -1,4 +1,4 @@
-"""Trainer-level parity of the sort-once sparse merge with its oracle.
+"""Trainer-level parity of the integer-key sparse merge with its oracle.
 
 ``test_embedding_kernels.py`` holds ``merge_sorted_coo`` to the full
 ``(D+1)``-key lexsort on adversarial inputs; this suite holds the whole
@@ -6,8 +6,10 @@ trainer to it on real gradients: an R=4 hybrid-sharded trainer shaped
 like the ``train_sparse`` benchmark workload (row-, table- and
 column-wise tables, Zipf ids pooled ~6 per bag, so most rows are hit
 several times a step) is trained twice, once with the product kernel and
-once with the oracle monkeypatched into ``SparseOptimizer.step``, and
-losses, gathered tables and optimizer state must agree bit for bit.
+once with the oracle monkeypatched into ``SparseOptimizer.step`` (it
+expands each bag-form gradient to per-entry values and ignores the
+shared row-wise bag ranks), and losses, gathered tables and optimizer
+state must agree bit for bit.
 """
 
 import numpy as np
@@ -87,8 +89,12 @@ def train_both(monkeypatch, make_optimizer, representation_plan=None):
     got = train(hybrid_trainer(make_optimizer(), representation_plan))
     merged = []
 
-    def oracle(rows, values):
+    def oracle(rows, values, bag_ids=None, bag_ranks=None):
+        # the product merges bag-form gradients keyed on shared bag
+        # ranks; the oracle expands them and lexsorts every column
         merged.append((len(rows), len(np.unique(rows))))
+        if bag_ids is not None:
+            values = values[bag_ids]
         return merge_sorted_coo_reference(rows, values)
 
     monkeypatch.setattr("repro.embedding.optim.merge_sorted_coo", oracle)
