@@ -90,6 +90,7 @@ class FreqAwareCache(RowCacheBase):
         self._loc: Dict[int, Tuple[int, int]] = {}  # row_id -> (chunk, slot)
         self._freq: Dict[int, int] = {}  # observed access counts
         self._open: Optional[int] = None  # chunk currently accepting rows
+        self._empty = self.capacity_chunks  # chunks with fill count 0
         self.warmed_rows = 0
 
     @property
@@ -116,6 +117,7 @@ class FreqAwareCache(RowCacheBase):
         self._dirty[chunk] = False
         self._fill_counts[chunk] = 0
         self._scores[chunk] = 0.0
+        self._empty += 1
 
     def _alloc_chunk(self, backing: ArrayBackingStore) -> int:
         """A chunk with free slots: an empty one, else evict the coldest."""
@@ -130,14 +132,14 @@ class FreqAwareCache(RowCacheBase):
         if self._open is not None \
                 and self._fill_counts[self._open] < self.chunk_rows:
             return True
-        return bool(np.any(self._fill_counts == 0))
+        return self._empty > 0
 
     def _admission_ok(self, row_id: int) -> bool:
         """Admit into free space always; once full, only when the row's
         observed frequency reaches the victim chunk's per-row average."""
         if self._has_free_slot():
             return True
-        victim_avg = float(np.min(self._scores)) / self.chunk_rows
+        victim_avg = float(self._scores.min()) / self.chunk_rows
         return self._freq.get(row_id, 0) >= victim_avg
 
     def _admit(self, row_id: int, value: np.ndarray, dirty: bool,
@@ -147,6 +149,8 @@ class FreqAwareCache(RowCacheBase):
             self._open = self._alloc_chunk(backing)
         chunk = self._open
         slot = int(self._fill_counts[chunk])
+        if slot == 0:
+            self._empty -= 1
         self._row_ids[chunk, slot] = row_id
         self._data[chunk, slot] = value
         self._dirty[chunk, slot] = dirty
@@ -177,7 +181,7 @@ class FreqAwareCache(RowCacheBase):
         order = order[histogram[order] >= min_count]
         order = np.array([i for i in order if int(i) not in self._loc],
                          dtype=np.int64)
-        free_rows = int(np.sum(self._fill_counts == 0)) * self.chunk_rows
+        free_rows = self._empty * self.chunk_rows
         ids = order[:free_rows]
         for start in range(0, len(ids), self.chunk_rows):
             chunk_ids = ids[start:start + self.chunk_rows]
@@ -186,6 +190,7 @@ class FreqAwareCache(RowCacheBase):
             self._row_ids[chunk, :n] = chunk_ids
             self._data[chunk, :n] = backing.read_rows(chunk_ids)
             self._fill_counts[chunk] = n
+            self._empty -= 1
             self._scores[chunk] = float(histogram[chunk_ids].sum())
             for slot, row_id in enumerate(chunk_ids):
                 self._loc[int(row_id)] = (chunk, slot)
@@ -199,8 +204,8 @@ class FreqAwareCache(RowCacheBase):
     def read(self, row_ids: np.ndarray,
              backing: ArrayBackingStore) -> np.ndarray:
         out = np.empty((len(row_ids), self.row_dim), dtype=np.float32)
-        for i, row_id in enumerate(np.asarray(row_ids, dtype=np.int64)):
-            row_id = int(row_id)
+        for i, row_id in enumerate(
+                np.asarray(row_ids, dtype=np.int64).tolist()):
             freq = self._freq[row_id] = self._freq.get(row_id, 0) + 1
             loc = self._loc.get(row_id)
             if loc is not None:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -77,6 +78,11 @@ class MiniBatch:
     def batch_size(self) -> int:
         return self.dense.shape[0]
 
+    @property
+    def nnz(self) -> int:
+        """Total embedding ids across every sparse feature."""
+        return int(sum(len(ids) for ids, _ in self.sparse.values()))
+
     def slice(self, start: int, stop: int) -> "MiniBatch":
         """Extract samples ``[start, stop)`` with rebased offsets."""
         sparse = {}
@@ -100,7 +106,12 @@ class MiniBatch:
         """Coalesce batches (inverse of :meth:`split`): samples in order,
         jagged ids concatenated with offsets rebased. All batches must
         cover the same sparse features. This is the serving batcher's
-        merge step."""
+        merge step.
+
+        Per feature, the offsets arrays are concatenated and differenced
+        once; the differences that straddle two batches (one after the
+        end of every offsets array but the last) are dropped, leaving
+        each bag's length."""
         if not batches:
             raise ValueError("need at least one batch")
         names = set(batches[0].sparse)
@@ -112,9 +123,12 @@ class MiniBatch:
         sparse = {}
         for name in batches[0].sparse:
             ids = np.concatenate([b.sparse[name][0] for b in batches])
-            lengths = np.concatenate(
-                [np.diff(b.sparse[name][1]) for b in batches])
-            sparse[name] = (ids, lengths_to_offsets(lengths))
+            offsets = [b.sparse[name][1] for b in batches]
+            lengths = np.diff(np.concatenate(offsets))
+            keep = np.ones(len(lengths), dtype=bool)
+            keep[[end - 1 for end in
+                  accumulate(len(o) for o in offsets[:-1])]] = False
+            sparse[name] = (ids, lengths_to_offsets(lengths[keep]))
         return MiniBatch(
             dense=np.concatenate([b.dense for b in batches], axis=0),
             sparse=sparse,

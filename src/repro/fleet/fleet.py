@@ -103,7 +103,7 @@ class ServingFleet:
         each priced by that replica's own perf model."""
         return [
             (lambda r, srv=server: srv.perf.service_time(
-                srv.model, r.num_samples, srv.model.nnz(r.batch)))
+                srv.model, r.num_samples, r.nnz))
             for server in self.replicas]
 
     def capacity_qps(self, batch_size: int, nnz_per_sample: float,

@@ -33,7 +33,7 @@ meaningful.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..data.datagen import MiniBatch
@@ -101,6 +101,13 @@ class InferenceRequest:
     @property
     def num_samples(self) -> int:
         return self.batch.batch_size
+
+    @cached_property
+    def nnz(self) -> int:
+        """Embedding rows the request touches (the perf model's input),
+        counted on first use: a request is priced on every admission
+        check, dispatch and routing estimate that includes it."""
+        return self.batch.nnz
 
 
 @dataclass

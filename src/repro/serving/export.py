@@ -133,6 +133,13 @@ class _ColdTable:
     def forward(self, indices: np.ndarray, offsets: np.ndarray) -> np.ndarray:
         indices = np.asarray(indices, dtype=np.int64)
         offsets = np.asarray(offsets, dtype=np.int64)
+        # before the cache sees them: a negative id would otherwise read
+        # (and be cached as) a row counted from the end
+        num_rows = self.backing.num_rows
+        if len(indices) and (indices.min() < 0 or indices.max() >= num_rows):
+            raise IndexError(
+                f"indices out of range for table {self.name} with "
+                f"H={num_rows}")
         if not len(indices):
             rows = np.zeros((0, self.backing.row_dim), dtype=np.float32)
         elif self.dedup:
@@ -315,7 +322,7 @@ class ServableModel:
 
     def nnz(self, batch: MiniBatch) -> int:
         """Total embedding rows a batch touches (perf-model input)."""
-        return int(sum(len(ids) for ids, _ in batch.sparse.values()))
+        return batch.nnz
 
 
 def _freeze_array(a: np.ndarray) -> np.ndarray:

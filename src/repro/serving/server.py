@@ -21,9 +21,10 @@ independent.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -67,6 +68,9 @@ class ServingPerfModel:
     cache_hit_boost: float = 0.5
     mlp_precision: str = "fp32"
     overhead_s: float = 50e-6
+    # per-model pricing terms, keyed on model identity (see _prices)
+    _models: Dict[int, "_ModelPrices"] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.nodes < 1:
@@ -81,36 +85,42 @@ class ServingPerfModel:
         return self.platform.hierarchy_bw_fraction(
             hbm_fraction, self.cache_hit_boost)
 
+    def _prices(self, model: ServableModel) -> "_ModelPrices":
+        """The pricing terms ``model`` fixes under this perf model, derived
+        on first use. An entry holds its model weakly and is dropped when
+        the model dies, so a later model that reuses the ``id`` never
+        reads a stale entry."""
+        prices = self._models.get(id(model))
+        if prices is None or prices.model() is not model:
+            prices = _ModelPrices(self, model, self._models)
+            self._models[id(model)] = prices
+        return prices
+
     def service_time(self, model: ServableModel, batch_size: int,
                      nnz: int) -> float:
         """Seconds to serve one coalesced batch of ``batch_size`` samples
-        touching ``nnz`` embedding rows."""
+        touching ``nnz`` embedding rows.
+
+        The sum is ``h2d + bottom + lookup + inter + top + overhead``,
+        left to right. Everything but ``lookup`` depends on the model and
+        the batch size alone, so it is derived once per ``(model,
+        batch_size)`` (:class:`_ModelPrices`); ``h2d + bottom`` is kept
+        as that very sum, which leaves every price bitwise unchanged.
+        """
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if nnz < 0:
             raise ValueError("nnz must be >= 0")
-        cfg = model.config
-        # host upload: 2 jagged tensors + dense + lengths, combined format
-        total_l = sum(t.avg_pooling for t in cfg.tables)
-        h2d_bytes = batch_size * (total_l * 8 + cfg.dense_dim * 4)
-        h2d = host_transfer_time(4, h2d_bytes, pinned=True)
-        bottom = mlp_time(batch_size, (cfg.dense_dim,) + cfg.bottom_mlp,
-                          self.device, self.mlp_precision)
-        top = mlp_time(batch_size,
-                       (cfg.interaction_dim,) + cfg.top_mlp + (1,),
-                       self.device, self.mlp_precision)
-        avg_dim = max(1, int(np.mean([t.embedding_dim
-                                      for t in cfg.tables])))
-        lookup_precision = _EMB_LOOKUP_PRECISION[model.precision]
-        lookup = embedding_lookup_time(nnz, avg_dim, self.device,
-                                       lookup_precision)
-        lookup /= self.bw_fraction(model)
-        # interaction: memory-bound pairwise dots (same as training fwd)
-        f = len(cfg.tables) + 1
-        inter_bytes = batch_size * (f * avg_dim * 4 * 2 + f * f * 4)
-        inter = inter_bytes / self.device.hbm_achievable_bw \
-            + self.device.kernel_launch_overhead
-        return h2d + bottom + lookup + inter + top + self.overhead_s
+        prices = self._prices(model)
+        terms = prices.by_batch.get(batch_size)
+        if terms is None:
+            terms = prices.by_batch[batch_size] = prices.batch_terms(
+                batch_size)
+        head, inter, top = terms
+        lookup = embedding_lookup_time(nnz, prices.avg_dim, self.device,
+                                       prices.lookup_precision)
+        lookup /= prices.bw_fraction
+        return head + lookup + inter + top + self.overhead_s
 
     def capacity_qps(self, model: ServableModel, batch_size: int,
                      nnz_per_sample: float) -> float:
@@ -119,6 +129,50 @@ class ServingPerfModel:
         svc = self.service_time(model, batch_size,
                                 int(round(nnz_per_sample * batch_size)))
         return batch_size / svc
+
+
+class _ModelPrices:
+    """What one ``(perf, model)`` pair fixes in
+    :meth:`ServingPerfModel.service_time`: the per-model constants, and
+    ``by_batch``, the terms that depend on batch size alone,
+    ``batch_size -> (h2d + bottom, inter, top)``.
+
+    ``model`` is a weak reference; ``models`` (the perf model's table,
+    keyed on ``id(model)``) loses this entry when the model dies.
+    """
+
+    def __init__(self, perf: ServingPerfModel, model: ServableModel,
+                 models: Dict[int, "_ModelPrices"]) -> None:
+        self.model = weakref.ref(
+            model, lambda _, key=id(model): models.pop(key, None))
+        cfg = model.config
+        self.device = perf.device
+        self.mlp_precision = perf.mlp_precision
+        self.bottom_sizes = (cfg.dense_dim,) + cfg.bottom_mlp
+        self.top_sizes = (cfg.interaction_dim,) + cfg.top_mlp + (1,)
+        # host upload: 2 jagged tensors + dense + lengths, combined format
+        total_l = sum(t.avg_pooling for t in cfg.tables)
+        self.h2d_sample_bytes = total_l * 8 + cfg.dense_dim * 4
+        self.avg_dim = max(1, int(np.mean([t.embedding_dim
+                                           for t in cfg.tables])))
+        self.lookup_precision = _EMB_LOOKUP_PRECISION[model.precision]
+        self.bw_fraction = perf.bw_fraction(model)
+        # interaction: memory-bound pairwise dots (same as training fwd)
+        f = len(cfg.tables) + 1
+        self.inter_sample_bytes = f * self.avg_dim * 4 * 2 + f * f * 4
+        self.by_batch: Dict[int, Tuple[float, float, float]] = {}
+
+    def batch_terms(self, batch_size: int) -> Tuple[float, float, float]:
+        h2d = host_transfer_time(4, batch_size * self.h2d_sample_bytes,
+                                 pinned=True)
+        bottom = mlp_time(batch_size, self.bottom_sizes, self.device,
+                          self.mlp_precision)
+        top = mlp_time(batch_size, self.top_sizes, self.device,
+                       self.mlp_precision)
+        inter = batch_size * self.inter_sample_bytes \
+            / self.device.hbm_achievable_bw \
+            + self.device.kernel_launch_overhead
+        return h2d + bottom, inter, top
 
 
 @dataclass(frozen=True)
@@ -188,7 +242,7 @@ def price_requests(perf: ServingPerfModel, model: ServableModel,
     ``model`` — the one place a request list turns into a
     :meth:`ServingPerfModel.service_time` call."""
     batch_size = sum(r.num_samples for r in requests)
-    nnz = sum(model.nnz(r.batch) for r in requests)
+    nnz = sum(r.nnz for r in requests)
     return perf.service_time(model, batch_size, nnz)
 
 

@@ -7,6 +7,8 @@ summation-order-preserving sharding schemes). Quantized paths get
 measured error bounds, and everything frozen must refuse writes.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -212,6 +214,30 @@ class TestHotColdPlacement:
         for name in deduped.cold_table_names:
             assert deduped.cold_tables[name].rows_read < \
                 plain.cold_tables[name].rows_read
+
+    @pytest.mark.parametrize("dedup", [True, False])
+    @pytest.mark.parametrize("cache_kind", ["freq_aware", "set_associative"])
+    @pytest.mark.parametrize("bad_id", [-1, 150])
+    def test_out_of_range_id_raises_before_the_cache(self, cache_kind,
+                                                     dedup, bad_id):
+        """Regression: a cold table passed its ids straight to the
+        cache, so ``-1`` came back as row ``H-1`` (and was admitted
+        under key ``-1``) on ``freq_aware`` and as zeros on
+        ``set_associative``. Cold ids are validated like hot ones now,
+        and a rejected lookup leaves no trace in the cache."""
+        servable = freeze(DLRM(make_config(rows=150), seed=0),
+                          FreezeConfig(hot_bytes=0.0, cache_kind=cache_kind,
+                                       dedup=dedup))
+        table = servable.cold_tables[servable.cold_table_names[0]]
+        stats = dataclasses.asdict(table.cache.stats)
+        bytes_read = table.backing.bytes_read
+        indices = np.array([3, bad_id, 7], dtype=np.int64)
+        offsets = np.array([0, 2, 3], dtype=np.int64)
+        with pytest.raises(IndexError, match=f"table {table.name} with "
+                                             f"H=150"):
+            table.forward(indices, offsets)
+        assert dataclasses.asdict(table.cache.stats) == stats
+        assert table.backing.bytes_read == bytes_read
 
 
 class TestImmutability:
