@@ -79,6 +79,13 @@ class RowCache(Protocol):
     placement policy, not an owner of the canonical rows — and all
     implementations are *exact*: a read through the cache is bitwise
     identical to an uncached :meth:`ArrayBackingStore.read_rows`.
+
+    **Sequence contract.** :meth:`read` handles its ids one at a time, in
+    order, and keeps no per-call state, so ``read(concat(a, b))`` is
+    ``read(a)`` followed by ``read(b)``: the same rows, stats, residency,
+    dirty lines and backing-store byte counts. The serving path relies on
+    it to read a whole window of dispatches in one call
+    (``tests/test_cache_sequence.py`` fuzzes it on every kind).
     """
 
     stats: CacheStats

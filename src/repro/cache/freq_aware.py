@@ -203,24 +203,32 @@ class FreqAwareCache(RowCacheBase):
     # ------------------------------------------------------------------
     def read(self, row_ids: np.ndarray,
              backing: ArrayBackingStore) -> np.ndarray:
-        out = np.empty((len(row_ids), self.row_dim), dtype=np.float32)
-        for i, row_id in enumerate(
-                np.asarray(row_ids, dtype=np.int64).tolist()):
-            freq = self._freq[row_id] = self._freq.get(row_id, 0) + 1
-            loc = self._loc.get(row_id)
+        """Per id, in order: a hit scores its chunk; a miss reads the row
+        from ``backing`` (after any write-back an earlier admission in
+        this call caused) and may admit it. The hit/miss/fill stats and
+        the backing store's read bytes are added once, after the loop."""
+        ids = np.asarray(row_ids, dtype=np.int64).tolist()
+        out = np.empty((len(ids), self.row_dim), dtype=np.float32)
+        freqs, locs, scores, data = self._freq, self._loc, self._scores, \
+            self._data
+        rows = backing.rows
+        misses = 0
+        for i, row_id in enumerate(ids):
+            freq = freqs[row_id] = freqs.get(row_id, 0) + 1
+            loc = locs.get(row_id)
             if loc is not None:
-                self.stats.hits += 1
-                self._scores[loc[0]] += 1.0
-                out[i] = self._data[loc]
+                scores[loc[0]] += 1.0
+                out[i] = data[loc]
             else:
-                self.stats.misses += 1
-                value = backing.read_rows(
-                    np.array([row_id], dtype=np.int64))[0]
-                self.stats.fills += 1
+                misses += 1
+                out[i] = rows[row_id]
                 if self._admission_ok(row_id):
-                    self._admit(row_id, value, dirty=False,
+                    self._admit(row_id, out[i], dirty=False,
                                 backing=backing, score=float(freq))
-                out[i] = value
+        self.stats.hits += len(ids) - misses
+        self.stats.misses += misses
+        self.stats.fills += misses
+        backing.bytes_read += misses * backing.row_bytes
         return out
 
     def write(self, row_ids: np.ndarray, values: np.ndarray,

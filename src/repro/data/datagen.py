@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -111,7 +110,10 @@ class MiniBatch:
         Per feature, the offsets arrays are concatenated and differenced
         once; the differences that straddle two batches (one after the
         end of every offsets array but the last) are dropped, leaving
-        each bag's length."""
+        each bag's length. Dropping them is only sound when every batch's
+        offsets hold one bag per sample and run from 0 to its id count,
+        so that is checked (``ValueError``): otherwise a malformed batch
+        would silently re-bag its neighbours' ids."""
         if not batches:
             raise ValueError("need at least one batch")
         names = set(batches[0].sparse)
@@ -120,15 +122,26 @@ class MiniBatch:
                 raise ValueError(
                     f"sparse feature mismatch: {sorted(names)} vs "
                     f"{sorted(b.sparse)}")
+        count = len(batches)
+        sizes = np.fromiter((len(b.dense) for b in batches), np.int64, count)
+        last = np.cumsum(sizes + 1) - 1   # each batch's last offsets entry
+        keep = np.ones(last[-1], dtype=bool)
+        keep[last[:-1]] = False
         sparse = {}
         for name in batches[0].sparse:
-            ids = np.concatenate([b.sparse[name][0] for b in batches])
+            ids = [b.sparse[name][0] for b in batches]
             offsets = [b.sparse[name][1] for b in batches]
-            lengths = np.diff(np.concatenate(offsets))
-            keep = np.ones(len(lengths), dtype=bool)
-            keep[[end - 1 for end in
-                  accumulate(len(o) for o in offsets[:-1])]] = False
-            sparse[name] = (ids, lengths_to_offsets(lengths[keep]))
+            flat = np.concatenate(offsets)
+            if ((np.fromiter(map(len, offsets), np.int64, count)
+                    != sizes + 1).any()
+                    or flat[last - sizes].any()
+                    or (flat[last] != np.fromiter(map(len, ids), np.int64,
+                                                  count)).any()):
+                raise ValueError(
+                    f"feature {name}: every batch's offsets must hold one "
+                    f"bag per sample, from 0 to its id count")
+            sparse[name] = (np.concatenate(ids),
+                            lengths_to_offsets(np.diff(flat)[keep]))
         return MiniBatch(
             dense=np.concatenate([b.dense for b in batches], axis=0),
             sparse=sparse,

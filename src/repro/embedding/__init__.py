@@ -3,7 +3,7 @@ kernels, exact sparse optimizers, reduced-precision storage and
 tensor-train compression (paper Section 4.1)."""
 
 from .arena import EmbeddingArena
-from .dedup import dedup_cache_read, dedup_forward, duplication_factor
+from .dedup import dedup_cache_read, duplication_factor
 from .fused import FusedEmbeddingCollection
 from .kernels import (expand_bag_ids, merge_sorted_coo, rank_bags,
                       rebase_jagged, segment_mean, segment_sum)
@@ -12,7 +12,7 @@ from .optim import (RowWiseAdaGrad, SparseAdaGrad, SparseAdam, SparseLAMB,
                     optimizer_state_bytes)
 from .quantized import QuantizedEmbeddingTable
 from .table import (EmbeddingTable, EmbeddingTableConfig, SparseGradient,
-                    lengths_to_offsets, offsets_to_lengths)
+                    lengths_to_offsets, offsets_to_lengths, validate_bags)
 from .tt import TTEmbeddingTable, factorize_dims, tt_decompose
 
 __all__ = [
@@ -21,6 +21,7 @@ __all__ = [
     "SparseGradient",
     "lengths_to_offsets",
     "offsets_to_lengths",
+    "validate_bags",
     "FusedEmbeddingCollection",
     "EmbeddingArena",
     "segment_sum",
@@ -41,7 +42,6 @@ __all__ = [
     "TTEmbeddingTable",
     "factorize_dims",
     "tt_decompose",
-    "dedup_forward",
     "dedup_cache_read",
     "duplication_factor",
 ]

@@ -7,54 +7,24 @@ to every occurrence, cutting HBM row traffic by the duplication factor
 occurrence reads would allow, and one of the caching effects the cost
 model's ``H`` term stands in for).
 
-:func:`dedup_forward` is numerically identical to
-:meth:`repro.embedding.EmbeddingTable.forward` — same pooling, same
-saved-state contract — while reading each unique row exactly once.
+:func:`dedup_cache_read` reads each unique id once through a software
+cache, per segment (e.g. per dispatch) when given segments;
+:func:`segment_keys` is the ``(segment, id)`` key it dedups on.
 :func:`duplication_factor` measures how much a given input stream gains.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from .kernels import segment_sum
-from .table import EmbeddingTable
-
-__all__ = ["dedup_forward", "dedup_cache_read", "duplication_factor"]
+__all__ = ["dedup_cache_read", "segment_keys", "duplication_factor"]
 
 
-def dedup_forward(table: EmbeddingTable, indices: np.ndarray,
-                  offsets: np.ndarray) -> Tuple[np.ndarray, int]:
-    """Pooled lookup reading each unique row once.
-
-    Returns ``(pooled, unique_rows_read)``. Also primes the table's saved
-    backward state exactly as :meth:`EmbeddingTable.forward` would, so
-    ``table.backward`` works unchanged afterwards.
-    """
-    indices = np.asarray(indices, dtype=np.int64)
-    offsets = np.asarray(offsets, dtype=np.int64)
-    table._validate(indices, offsets)
-    batch = len(offsets) - 1
-    lengths = np.diff(offsets)
-    bag_ids = np.repeat(np.arange(batch, dtype=np.int64), lengths)
-    if len(indices):
-        unique, inverse = np.unique(indices, return_inverse=True)
-        rows = table.weight[unique]          # one read per unique row
-        out = segment_sum(rows[inverse], offsets)
-        unique_count = len(unique)
-    else:
-        out = np.zeros((batch, table.config.embedding_dim), dtype=np.float32)
-        unique_count = 0
-    if table.config.pooling_mode == "mean":
-        out /= np.maximum(lengths, 1).astype(np.float32)[:, None]
-    table._saved = (indices, bag_ids, lengths)
-    return out, unique_count
-
-
-def dedup_cache_read(cache, indices: np.ndarray,
-                     backing) -> Tuple[np.ndarray, int]:
+def dedup_cache_read(cache, indices: np.ndarray, backing,
+                     segments: Optional[np.ndarray] = None
+                     ) -> Tuple[np.ndarray, int]:
     """Read rows through a :class:`repro.cache.RowCache`, touching each
     unique id once.
 
@@ -64,13 +34,32 @@ def dedup_cache_read(cache, indices: np.ndarray,
     unique id, which is what the serving path wants: a hot Zipf id
     repeated across a concurrent dispatch pays one fast-tier read, and
     the hit/miss stats count row residency rather than input skew.
+
+    ``segments`` (one non-negative segment number per id, e.g. the
+    dispatch each id belongs to) scopes the dedup to ``(segment, id)``:
+    the cache reads the sorted unique keys ``segment * H + id``, which is
+    exactly the concatenation, in segment order, of the reads one call
+    per segment would make. Under the :class:`~repro.cache.RowCache`
+    sequence contract the cache therefore ends in the same state.
     """
     indices = np.asarray(indices, dtype=np.int64)
     if not len(indices):
         return np.zeros((0, cache.row_dim), dtype=np.float32), 0
-    unique, inverse = np.unique(indices, return_inverse=True)
-    rows = cache.read(unique, backing)
+    num_rows = backing.num_rows
+    unique, inverse = np.unique(segment_keys(indices, num_rows, segments),
+                                return_inverse=True)
+    ids = unique if segments is None else unique % num_rows
+    rows = cache.read(ids, backing)
     return rows[inverse], len(unique)
+
+
+def segment_keys(indices: np.ndarray, num_rows: int,
+                 segments: Optional[np.ndarray] = None) -> np.ndarray:
+    """One dedup key per id: ``segment * num_rows + id``, or the id itself
+    without ``segments``. Sorted keys order by ``(segment, id)``, and two
+    occurrences share a key exactly when they repeat an id within one
+    segment."""
+    return indices if segments is None else segments * num_rows + indices
 
 
 def duplication_factor(indices: np.ndarray) -> float:

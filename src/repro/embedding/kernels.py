@@ -62,13 +62,16 @@ __all__ = [
     "merge_sorted_coo",
 ]
 
-# Tile size (gathered rows) for the fused gather+reduce kernel. One tile
-# of 8192 rows at D=16 is a 512 KB scratch buffer — L2-resident on any
-# modern CPU, which is the whole point: gathering the full concatenated
-# batch into one huge intermediate array spills every tile to DRAM and
-# runs ~4x slower (measured in BENCH_fused_kernel.json's trajectory).
-# FBGEMM's batched TBE kernel blocks its gathers the same way.
-_GATHER_TILE_ROWS = 8192
+# Scratch budget of one tile of the fused gather+reduce kernel, in bytes
+# (the tile's row count follows from D). An L2-resident tile is the whole
+# point: gathering the full concatenated batch into one huge intermediate
+# array spills every tile to DRAM and runs ~4x slower (measured in
+# BENCH_fused_kernel.json's trajectory). Sizing in rows instead tuned the
+# tile for D=16 only: 8192 rows are 512 KB at D=16 but 2.9 MB at D=89,
+# where 5 200 bags took 7.6 ms against 6.0 ms with 256 KB tiles; D=16 is
+# flat (1.4 ms) across 128 KB..512 KB. FBGEMM's batched TBE kernel blocks
+# its gathers the same way.
+_GATHER_TILE_BYTES = 256 * 1024
 
 
 def expand_bag_ids(lengths: np.ndarray) -> np.ndarray:
@@ -109,7 +112,7 @@ def segment_sum(values: np.ndarray, offsets: np.ndarray,
 
 def segment_sum_gather(storage: np.ndarray, indices: np.ndarray,
                        offsets: np.ndarray,
-                       tile_rows: int = _GATHER_TILE_ROWS) -> np.ndarray:
+                       tile_rows: Optional[int] = None) -> np.ndarray:
     """Fused gather + segment-sum: ``out[b] = storage[indices[ob:ob+1]].sum(0)``.
 
     The hot path of the arena megatable: one logical kernel that gathers
@@ -118,13 +121,16 @@ def segment_sum_gather(storage: np.ndarray, indices: np.ndarray,
     in an L2-resident scratch buffer instead of a batch-sized intermediate.
     Tiles never split a bag, and reduceat's within-segment order depends
     only on the segment contents, so the result is bitwise identical to
-    ``segment_sum(storage[indices], offsets)`` for any tile size.
+    ``segment_sum(storage[indices], offsets)`` for any tile size. By
+    default a tile holds ``_GATHER_TILE_BYTES`` of gathered rows.
     """
     offsets = np.asarray(offsets, dtype=np.int64)
     num_bags = len(offsets) - 1
     dim = storage.shape[1]
     if num_bags <= 0:
         return np.zeros((0, dim), dtype=np.float32)
+    if tile_rows is None:
+        tile_rows = max(1, _GATHER_TILE_BYTES // (dim * 4))
     out = np.empty((num_bags, dim), dtype=np.float32)
     scratch = np.empty((tile_rows, dim), dtype=np.float32)
     bag = 0

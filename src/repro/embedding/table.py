@@ -20,7 +20,7 @@ import numpy as np
 from .kernels import expand_bag_ids, segment_sum
 
 __all__ = ["EmbeddingTableConfig", "SparseGradient", "EmbeddingTable",
-           "lengths_to_offsets", "offsets_to_lengths"]
+           "lengths_to_offsets", "offsets_to_lengths", "validate_bags"]
 
 
 def lengths_to_offsets(lengths: np.ndarray) -> np.ndarray:
@@ -32,6 +32,29 @@ def lengths_to_offsets(lengths: np.ndarray) -> np.ndarray:
 
 def offsets_to_lengths(offsets: np.ndarray) -> np.ndarray:
     return np.diff(offsets).astype(np.int64)
+
+
+def validate_bags(indices: np.ndarray, offsets: np.ndarray, num_rows: int,
+                  name: str) -> None:
+    """The one input check every pooled lookup runs before it reads a row.
+
+    ``offsets`` must be a non-decreasing ``(B+1,)`` vector from 0 to
+    ``len(indices)`` (``ValueError`` otherwise) and every id must lie in
+    ``[0, num_rows)`` (``IndexError``). Hot, cold and TT tables share it,
+    so a malformed bag is rejected the same way on every table kind and
+    before any cache or backing-store traffic.
+    """
+    if offsets.ndim != 1 or len(offsets) < 1:
+        raise ValueError("offsets must be a 1-D array of length B+1")
+    if offsets[0] != 0 or offsets[-1] != len(indices):
+        raise ValueError(
+            f"offsets must start at 0 and end at len(indices)="
+            f"{len(indices)}, got [{offsets[0]}, {offsets[-1]}]")
+    if (offsets[1:] < offsets[:-1]).any():
+        raise ValueError(f"offsets for table {name} must be non-decreasing")
+    if len(indices) and (indices.min() < 0 or indices.max() >= num_rows):
+        raise IndexError(
+            f"indices out of range for table {name} with H={num_rows}")
 
 
 @dataclass(frozen=True)
@@ -156,17 +179,8 @@ class EmbeddingTable:
         return self.config.name
 
     def _validate(self, indices: np.ndarray, offsets: np.ndarray) -> None:
-        if offsets.ndim != 1 or len(offsets) < 1:
-            raise ValueError("offsets must be a 1-D array of length B+1")
-        if offsets[0] != 0 or offsets[-1] != len(indices):
-            raise ValueError(
-                f"offsets must start at 0 and end at len(indices)="
-                f"{len(indices)}, got [{offsets[0]}, {offsets[-1]}]")
-        if len(indices) and (indices.min() < 0
-                             or indices.max() >= self.config.num_embeddings):
-            raise IndexError(
-                f"indices out of range for table {self.name} with "
-                f"H={self.config.num_embeddings}")
+        validate_bags(indices, offsets, self.config.num_embeddings,
+                      self.name)
 
     def forward(self, indices: np.ndarray, offsets: np.ndarray) -> np.ndarray:
         """Pooled lookup: returns (B, D) with B = len(offsets) - 1.

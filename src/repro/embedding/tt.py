@@ -175,6 +175,9 @@ class TTEmbeddingTable:
         if len(indices) and (indices.min() < 0
                              or indices.max() >= self.num_embeddings):
             raise IndexError(f"indices out of range for H={self.num_embeddings}")
+        if not len(indices):  # a (0, -1, r) reshape would be ambiguous
+            self._saved = (indices, [], [], [])
+            return np.zeros((0, self.embedding_dim), dtype=np.float32)
         digits = self._digits(indices)
         slices = [core[dig] for core, dig in zip(self.cores, digits)]
         # left partials: L_k has shape (N, prod(d_1..d_k), r_k)

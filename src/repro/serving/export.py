@@ -27,7 +27,7 @@ frozen model raises instead of silently corrupting the serving fleet.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -36,13 +36,13 @@ from ..cache import CACHE_KINDS, ArrayBackingStore, make_cache
 from ..data.datagen import MiniBatch
 from ..data.freq import FrequencyStats
 from ..embedding import (EmbeddingTable, FusedEmbeddingCollection,
-                         TTEmbeddingTable, lengths_to_offsets)
-from ..embedding.dedup import dedup_cache_read, dedup_forward
-from ..embedding.kernels import segment_sum
+                         TTEmbeddingTable, lengths_to_offsets, validate_bags)
+from ..embedding.dedup import dedup_cache_read, segment_keys
+from ..embedding.kernels import expand_bag_ids, segment_sum
 from ..models.dlrm import DLRM, DLRMConfig
 from ..nn import functional as F
 
-__all__ = ["FreezeConfig", "ServableModel", "freeze"]
+__all__ = ["FreezeConfig", "ServableModel", "EmbeddedWindow", "freeze"]
 
 _EMB_BYTES = {"fp32": 4, "fp16": 2, "bf16": 2, "int8": 1}
 
@@ -59,9 +59,10 @@ class FreezeConfig:
     (built via :func:`repro.cache.make_cache`), ``cache_fraction`` sizes
     its capacity as a fraction of each table's rows, and ``cache_config``
     carries kind-specific knobs (``ways=``, ``chunk_rows=``, ...).
-    ``dedup`` routes serve-path lookups through
+    ``dedup`` routes cold-table lookups through
     :mod:`repro.embedding.dedup` so each unique id in a dispatch pays one
-    arena/cache read (bitwise identical output).
+    cache read (bitwise identical output); hot tables, gathered in one
+    fused pass either way, only count their unique ids.
 
     The pre-RowCache spellings ``cache_rows_fraction=`` and
     ``cache_ways=`` were removed after their deprecation window; pass
@@ -130,21 +131,23 @@ class _ColdTable:
         self.backing.reset_counters()
         return count
 
-    def forward(self, indices: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    def forward(self, indices: np.ndarray, offsets: np.ndarray,
+                dispatches: Optional[np.ndarray] = None) -> np.ndarray:
+        """Pooled lookup of ``(indices, offsets)``. ``dispatches`` (bag
+        bounds, see :meth:`ServableModel.embed`) splits the bags into
+        dispatches, and dedup then runs per dispatch: the cache sees the
+        id sequence one call per dispatch would show it."""
         indices = np.asarray(indices, dtype=np.int64)
         offsets = np.asarray(offsets, dtype=np.int64)
         # before the cache sees them: a negative id would otherwise read
         # (and be cached as) a row counted from the end
-        num_rows = self.backing.num_rows
-        if len(indices) and (indices.min() < 0 or indices.max() >= num_rows):
-            raise IndexError(
-                f"indices out of range for table {self.name} with "
-                f"H={num_rows}")
+        validate_bags(indices, offsets, self.backing.num_rows, self.name)
         if not len(indices):
             rows = np.zeros((0, self.backing.row_dim), dtype=np.float32)
         elif self.dedup:
             rows, unique_count = dedup_cache_read(
-                self.cache, indices, self.backing)
+                self.cache, indices, self.backing,
+                _segments(offsets, dispatches))
             self.rows_requested += len(indices)
             self.rows_read += unique_count
         else:
@@ -186,14 +189,48 @@ class _TTServingTable:
             return 0.0
         return float(np.max(np.abs(weight - self.table.materialize())))
 
-    def forward(self, indices: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    def forward(self, indices: np.ndarray, offsets: np.ndarray,
+                dispatches: Optional[np.ndarray] = None) -> np.ndarray:
+        """Pooled lookup of ``(indices, offsets)``. With ``dispatches``
+        (bag bounds) the cores are contracted once per dispatch, over
+        that dispatch's ids alone: materialised rows are a contraction,
+        whose bits may depend on how many rows it covers."""
+        indices = np.asarray(indices, dtype=np.int64)
         offsets = np.asarray(offsets, dtype=np.int64)
-        out = self.table.forward(np.asarray(indices, dtype=np.int64),
-                                 offsets)
+        validate_bags(indices, offsets, self.table.num_embeddings, self.name)
+        if dispatches is None or len(dispatches) <= 2:
+            out = self.table.forward(indices, offsets)
+        else:
+            out = np.concatenate([
+                self.table.forward(indices[offsets[lo]:offsets[hi]],
+                                   offsets[lo:hi + 1] - offsets[lo])
+                for lo, hi in zip(dispatches[:-1].tolist(),
+                                  dispatches[1:].tolist())])
         if self.pooling_mode == "mean":
             lengths = np.diff(offsets)
             out /= np.maximum(lengths, 1).astype(np.float32)[:, None]
         return out
+
+
+def _segments(offsets: np.ndarray,
+              dispatches: Optional[np.ndarray]) -> Optional[np.ndarray]:
+    """The dispatch of every id, given the dispatches' bag bounds; None
+    for a single dispatch, whose ids need no dispatch key."""
+    if dispatches is None or len(dispatches) <= 2:
+        return None
+    return expand_bag_ids(np.diff(offsets[dispatches]))
+
+
+@dataclass
+class EmbeddedWindow:
+    """The embedding half of a window of dispatches
+    (:meth:`ServableModel.embed`): the window's dense features and every
+    table's pooled rows, one row per sample, plus ``bounds``, the
+    ``(n+1,)`` sample (= bag) offsets where each dispatch starts."""
+
+    dense: np.ndarray
+    pooled: Dict[str, np.ndarray]
+    bounds: np.ndarray
 
 
 def _quantize_weight(weight: np.ndarray, precision: str) -> np.ndarray:
@@ -213,8 +250,10 @@ class ServableModel:
     """An immutable forward-only DLRM snapshot for the serving fleet.
 
     Built via :func:`freeze`; exposes :meth:`forward` (logits) and
-    :meth:`predict` (probabilities) over :class:`MiniBatch` inputs, plus
-    the footprint/quantization metadata capacity planning needs. The
+    :meth:`predict` (probabilities) over :class:`MiniBatch` inputs,
+    :meth:`predict_many` over several dispatches at once (one
+    :meth:`embed`, then the dense half per dispatch), plus the
+    footprint/quantization metadata capacity planning needs. The
     underlying weight arrays are read-only numpy views.
     """
 
@@ -230,8 +269,8 @@ class ServableModel:
     # training steps the source had completed at freeze time — snapshot
     # provenance the online hot-swap slot uses for staleness accounting
     source_step: int = 0
-    # route serve-path lookups through repro.embedding.dedup: each unique
-    # id per dispatch pays one arena read (output is bitwise identical)
+    # count each unique id per dispatch as one read (cold tables read it
+    # once through their cache; output is bitwise identical either way)
     dedup: bool = True
     dedup_rows_requested: int = 0
     dedup_rows_read: int = 0
@@ -280,45 +319,86 @@ class ServableModel:
         return self.embedding_storage_bytes() + self.dense_storage_bytes()
 
     # ------------------------------------------------------------------
-    def _pooled(self, batch: MiniBatch) -> Dict[str, np.ndarray]:
+    def embed(self, dispatches: Sequence[Sequence[MiniBatch]]
+              ) -> EmbeddedWindow:
+        """The embedding half of a window of dispatches, run once.
+
+        ``dispatches`` is a list of dispatches, each a non-empty list of
+        request batches. The window's batches are coalesced once
+        (:meth:`MiniBatch.concat`), the hot tables are pooled by one
+        fused gather + segment-reduce per dimension group over all the
+        window's bags, and every cold table by one cache read. Dedup
+        stays per dispatch: a cold table reads the unique ``(dispatch,
+        id)`` keys, in ``(dispatch, id)`` order, which is the sequence
+        one read per dispatch would make, so cache state and every
+        counter match. TT tables contract their cores per dispatch.
+        """
+        if any(not d for d in dispatches):
+            raise ValueError("every dispatch needs at least one batch")
+        merged = MiniBatch.concat([b for d in dispatches for b in d])
+        bounds = lengths_to_offsets(np.fromiter(
+            (sum(len(b.dense) for b in d) for d in dispatches), np.int64,
+            len(dispatches)))
+        sparse = merged.sparse
         pooled: Dict[str, np.ndarray] = {}
         if self.hot_tables is not None:
-            if self.dedup:
-                for name in self.hot_table_names:
-                    indices, offsets = batch.sparse[name]
-                    pooled[name], unique_count = dedup_forward(
-                        self.hot_tables.table(name), indices, offsets)
-                    self.dedup_rows_requested += len(indices)
-                    self.dedup_rows_read += unique_count
-            else:
-                hot_inputs = {name: batch.sparse[name]
-                              for name in self.hot_table_names}
-                pooled = self.hot_tables.forward(hot_inputs)
+            pooled.update(self.hot_tables.forward(sparse))
         for name, table in self.cold_tables.items():
-            indices, offsets = batch.sparse[name]
-            pooled[name] = table.forward(indices, offsets)
+            pooled[name] = table.forward(*sparse[name], dispatches=bounds)
         for name, tt_table in self.tt_tables.items():
-            indices, offsets = batch.sparse[name]
-            pooled[name] = tt_table.forward(indices, offsets)
-        return pooled
+            pooled[name] = tt_table.forward(*sparse[name], dispatches=bounds)
+        # counted last, so a rejected input leaves the counters alone
+        if self.hot_tables is not None and self.dedup:
+            for t in self.hot_tables.tables:
+                indices, offsets = sparse[t.name]
+                keys = segment_keys(indices, t.config.num_embeddings,
+                                    _segments(offsets, bounds))
+                self.dedup_rows_requested += len(indices)
+                self.dedup_rows_read += len(np.unique(keys))
+        return EmbeddedWindow(dense=merged.dense, pooled=pooled,
+                              bounds=bounds)
 
-    def forward(self, batch: MiniBatch) -> np.ndarray:
-        """Logits of shape (B,) — the same arithmetic as
-        :meth:`repro.models.DLRM.forward` over frozen weights."""
-        dense_out = self.bottom.forward(batch.dense)
-        pooled = self._pooled(batch)
-        features = [dense_out]
+    def _logits(self, window: EmbeddedWindow, i: int) -> np.ndarray:
+        """The dense half of dispatch ``i``, over its rows of ``window``.
+
+        It runs per dispatch because GEMM bits depend on the row count on
+        common BLAS builds, so one window-wide GEMM would not reproduce a
+        dispatch's own forward."""
+        lo, hi = int(window.bounds[i]), int(window.bounds[i + 1])
+        features = [self.bottom.forward(window.dense[lo:hi])]
         for t in self.config.tables:
-            value = pooled[t.name]
+            value = window.pooled[t.name][lo:hi]
             if t.name in self.projections:
                 value = self.projections[t.name].forward(value)
             features.append(value)
         interacted = self.interaction.forward_list(features)
         return self.top.forward(interacted)[:, 0]
 
+    def predict_dispatch(self, window: EmbeddedWindow, i: int) -> np.ndarray:
+        """Click probabilities of dispatch ``i`` of an :meth:`embed`
+        window."""
+        return F.sigmoid(self._logits(window, i))
+
+    def predict_many(self, dispatches: Sequence[Sequence[MiniBatch]]
+                     ) -> List[np.ndarray]:
+        """One probability array per dispatch, embedding once for all of
+        them; bitwise ``[predict(MiniBatch.concat(d)) for d in
+        dispatches]``."""
+        if not dispatches:
+            return []
+        window = self.embed(dispatches)
+        return [self.predict_dispatch(window, i)
+                for i in range(len(dispatches))]
+
+    def forward(self, batch: MiniBatch) -> np.ndarray:
+        """Logits of shape (B,) — the same arithmetic as
+        :meth:`repro.models.DLRM.forward` over frozen weights."""
+        return self._logits(self.embed([[batch]]), 0)
+
     def predict(self, batch: MiniBatch) -> np.ndarray:
-        """Click probabilities of shape (B,)."""
-        return F.sigmoid(self.forward(batch))
+        """Click probabilities of shape (B,): the one-dispatch case of
+        :meth:`predict_many`."""
+        return self.predict_many([[batch]])[0]
 
     def nnz(self, batch: MiniBatch) -> int:
         """Total embedding rows a batch touches (perf-model input)."""

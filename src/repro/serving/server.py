@@ -28,7 +28,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..data.datagen import MiniBatch
 from ..data.formats import host_transfer_time
 from ..obs.metrics import MetricRegistry
 from ..obs.tracer import as_tracer
@@ -37,7 +36,7 @@ from ..perf.embedding_bw import embedding_lookup_time
 from ..perf.gemm import mlp_time
 from ..perf.platform import ZIONEX_PLATFORM, PlatformSpec
 from .batcher import (BatchingPolicy, BatchPlan, InferenceRequest,
-                      MicroBatcher)
+                      MicroBatcher, ScheduledBatch)
 from .export import ServableModel
 
 __all__ = ["ServingPerfModel", "RequestOutcome", "ServeResult",
@@ -48,6 +47,11 @@ _EMB_LOOKUP_PRECISION = {"fp32": "fp32", "fp16": "fp16", "bf16": "fp16",
                          # plan-mixed artifacts: most bytes sit in the
                          # compressed representations, price as fp16
                          "mixed": "fp16"}
+
+# Samples one embedding pass covers in execute_plan: enough dispatches to
+# amortise the per-table cost of a lookup, few enough that the window's
+# coalesced ids and pooled rows stay a few MB.
+_WINDOW_SAMPLES = 512
 
 
 @dataclass(frozen=True)
@@ -246,18 +250,49 @@ def price_requests(perf: ServingPerfModel, model: ServableModel,
     return perf.service_time(model, batch_size, nnz)
 
 
+def _windows(plan: BatchPlan, model: ServableModel, slot):
+    """Split ``plan.batches`` into runs of consecutive dispatches answered
+    by one snapshot, each holding at most ``_WINDOW_SAMPLES`` samples (a
+    larger dispatch runs alone). Yields ``(model, version, batches)``."""
+    window: List[ScheduledBatch] = []
+    samples = 0
+    current = (model, 0)
+    for scheduled in plan.batches:
+        answer = (model, 0)
+        if slot is not None:
+            snapshot = slot.snapshot_at(scheduled.dispatch_s)
+            answer = (snapshot.model, snapshot.version)
+        if window and (answer[0] is not current[0]
+                       or answer[1] != current[1]
+                       or samples + scheduled.num_samples > _WINDOW_SAMPLES):
+            yield current + (window,)
+            window, samples = [], 0
+        current = answer
+        window.append(scheduled)
+        samples += scheduled.num_samples
+    if window:
+        yield current + (window,)
+
+
 def execute_plan(plan: BatchPlan, model: ServableModel, tracer, scope,
                  span_attrs: Dict[str, object], slot=None) -> ServeResult:
     """Run every batch of ``plan`` for real and record the outcomes.
 
-    Per scheduled batch: requests coalesced via :meth:`MiniBatch.concat`,
-    one fused forward of ``model`` (or, with ``slot``, of the snapshot
-    active at the batch's dispatch time), per-request probability rows
-    scattered back and one :class:`RequestOutcome` per request. Obs
-    wiring: ``serving.batch``/``serving.forward`` spans stamped with
-    ``span_attrs``, and under ``scope`` the ``requests``/``completed``/
-    ``shed``/``batches``/``samples`` counters plus ``batch_size`` and
-    ``latency_s`` histograms.
+    Dispatches run in windows (:func:`_windows`): consecutive batches
+    answered by one model (with ``slot``, by the snapshot active at their
+    dispatch times), up to a sample budget that bounds the window's
+    working set. Per window, one :meth:`ServableModel.embed` pools every
+    table for all its dispatches; per scheduled batch, the dense half
+    (:meth:`ServableModel.predict_dispatch`) runs on its rows,
+    per-request probability rows are scattered back and one
+    :class:`RequestOutcome` is recorded per request. The probabilities
+    are bitwise those of one ``predict`` per coalesced batch. Obs wiring:
+    per batch a ``serving.batch`` span around a ``serving.forward`` span
+    for its dense half; a window's first batch span also holds the
+    window's embedding pass, as one more ``serving.forward`` span. All
+    are stamped with ``span_attrs``. Under ``scope``: the ``requests``/
+    ``completed``/``shed``/``batches``/``samples`` counters plus
+    ``batch_size`` and ``latency_s`` histograms.
     """
     result = ServeResult(plan=plan)
     batch_hist = scope.histogram("batch_size")
@@ -267,39 +302,43 @@ def execute_plan(plan: BatchPlan, model: ServableModel, tracer, scope,
     shed_ctr = scope.counter("shed")
     batches_ctr = scope.counter("batches")
     samples_ctr = scope.counter("samples")
-    for scheduled in plan.batches:
-        samples = scheduled.num_samples
-        batch_model, version = model, 0
-        if slot is not None:
-            snapshot = slot.snapshot_at(scheduled.dispatch_s)
-            batch_model, version = snapshot.model, snapshot.version
-        with tracer.span("serving.batch", cat="serving",
-                         requests=scheduled.num_requests,
-                         trigger=scheduled.trigger,
-                         dispatch_s=scheduled.dispatch_s,
-                         model_version=version, **span_attrs):
-            with tracer.span("serving.forward", cat="serving",
+    for batch_model, version, window in _windows(plan, model, slot):
+        for i, scheduled in enumerate(window):
+            samples = scheduled.num_samples
+            with tracer.span("serving.batch", cat="serving",
                              requests=scheduled.num_requests,
-                             samples=samples, **span_attrs):
-                merged = MiniBatch.concat(
-                    [r.batch for r in scheduled.requests])
-                probs = batch_model.predict(merged)
-            row = 0
-            for r in scheduled.requests:
-                result.responses[r.request_id] = \
-                    probs[row:row + r.num_samples]
-                row += r.num_samples
-                outcome = RequestOutcome(
-                    request_id=r.request_id, arrival_s=r.arrival_s,
-                    dispatch_s=scheduled.dispatch_s,
-                    completion_s=scheduled.completion_s,
-                    batch_samples=samples, model_version=version)
-                result.outcomes.append(outcome)
-                latency_hist.record(outcome.latency_s)
-        batches_ctr.inc(1)
-        samples_ctr.inc(samples)
-        completed_ctr.inc(scheduled.num_requests)
-        batch_hist.record(samples)
+                             trigger=scheduled.trigger,
+                             dispatch_s=scheduled.dispatch_s,
+                             model_version=version, **span_attrs):
+                if i == 0:  # the first dispatch embeds for its window
+                    with tracer.span(
+                            "serving.forward", cat="serving",
+                            dispatches=len(window),
+                            requests=sum(s.num_requests for s in window),
+                            samples=sum(s.num_samples for s in window),
+                            **span_attrs):
+                        embedded = batch_model.embed(
+                            [[r.batch for r in s.requests] for s in window])
+                with tracer.span("serving.forward", cat="serving",
+                                 requests=scheduled.num_requests,
+                                 samples=samples, **span_attrs):
+                    probs = batch_model.predict_dispatch(embedded, i)
+                row = 0
+                for r in scheduled.requests:
+                    result.responses[r.request_id] = \
+                        probs[row:row + r.num_samples]
+                    row += r.num_samples
+                    outcome = RequestOutcome(
+                        request_id=r.request_id, arrival_s=r.arrival_s,
+                        dispatch_s=scheduled.dispatch_s,
+                        completion_s=scheduled.completion_s,
+                        batch_samples=samples, model_version=version)
+                    result.outcomes.append(outcome)
+                    latency_hist.record(outcome.latency_s)
+            batches_ctr.inc(1)
+            samples_ctr.inc(samples)
+            completed_ctr.inc(scheduled.num_requests)
+            batch_hist.record(samples)
     result.shed_ids = sorted(r.request_id for r in plan.shed)
     shed_ctr.inc(result.num_shed)
     requests_ctr.inc(result.num_completed + result.num_shed)

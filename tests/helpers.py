@@ -11,6 +11,7 @@ optimizer momentum, fault-injecting process groups) is a parameter.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
@@ -180,6 +181,24 @@ def single_sample_request(request_id: int, arrival_s: float,
             sparse={"t0": (np.zeros(samples, dtype=np.int64),
                            np.arange(samples + 1, dtype=np.int64))},
             labels=np.zeros(samples, dtype=np.float32)))
+
+
+def cache_state(cache, backing) -> tuple:
+    """Everything a :class:`repro.cache.RowCache` and its backing store
+    hold, as comparable plain values: every attribute of the cache (its
+    stats as a dict, arrays as dtype/shape/bytes, dicts recursively) plus
+    the backing rows and byte counters."""
+    def plain(value):
+        if isinstance(value, np.ndarray):
+            return value.dtype.str, value.shape, value.tobytes()
+        if isinstance(value, dict):
+            return {k: plain(v) for k, v in value.items()}
+        return value
+
+    state = {key: dataclasses.asdict(value) if key == "stats"
+             else plain(value) for key, value in vars(cache).items()}
+    return (state, backing.rows.tobytes(), backing.bytes_read,
+            backing.bytes_written)
 
 
 # ----------------------------------------------------------------------

@@ -12,20 +12,29 @@ equality with it:
 * ``concat_reference`` takes one ``np.diff`` per batch per feature. The
   product differences the concatenated offsets once.
 * ``ReferenceFreqAwareCache`` scans ``fill_counts`` for an empty chunk
-  on every miss and walks the ids as numpy scalars. The product keeps a
-  count of empty chunks.
+  on every miss, walks the ids as numpy scalars and reads each missing
+  row through ``read_rows``, counting as it goes. The product keeps a
+  count of empty chunks and adds its counters once per call.
+* ``forward_reference``/``predict_reference`` run the embedding half of
+  one coalesced dispatch table by table: one ``dedup_forward`` (a gather
+  of each unique row, then a broadcast) per hot table (one fused forward without dedup), one cache read per cold table
+  and one contraction per TT table. The product pools a whole window of
+  dispatches at once (``ServableModel.embed``).
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
 from repro.cache import FreqAwareCache
 from repro.data import MiniBatch
 from repro.data.formats import host_transfer_time
-from repro.embedding import lengths_to_offsets
+from repro.embedding import EmbeddingTable, lengths_to_offsets
+from repro.embedding.dedup import dedup_cache_read
+from repro.embedding.kernels import segment_sum
+from repro.nn import functional as F
 from repro.perf.embedding_bw import embedding_lookup_time
 from repro.perf.gemm import mlp_time
 from repro.serving.server import _EMB_LOOKUP_PRECISION
@@ -110,3 +119,110 @@ class ReferenceFreqAwareCache(FreqAwareCache):
                                 backing=backing, score=float(freq))
                 out[i] = value
         return out
+
+
+def dedup_forward(table: EmbeddingTable, indices: np.ndarray,
+                  offsets: np.ndarray) -> Tuple[np.ndarray, int]:
+    """Pooled lookup reading each unique row once.
+
+    Returns ``(pooled, unique_rows_read)``. Also primes the table's saved
+    backward state exactly as :meth:`EmbeddingTable.forward` would, so
+    ``table.backward`` works unchanged afterwards.
+    """
+    indices = np.asarray(indices, dtype=np.int64)
+    offsets = np.asarray(offsets, dtype=np.int64)
+    table._validate(indices, offsets)
+    batch = len(offsets) - 1
+    lengths = np.diff(offsets)
+    bag_ids = np.repeat(np.arange(batch, dtype=np.int64), lengths)
+    if len(indices):
+        unique, inverse = np.unique(indices, return_inverse=True)
+        rows = table.weight[unique]          # one read per unique row
+        out = segment_sum(rows[inverse], offsets)
+        unique_count = len(unique)
+    else:
+        out = np.zeros((batch, table.config.embedding_dim), dtype=np.float32)
+        unique_count = 0
+    if table.config.pooling_mode == "mean":
+        out /= np.maximum(lengths, 1).astype(np.float32)[:, None]
+    table._saved = (indices, bag_ids, lengths)
+    return out, unique_count
+
+
+def _cold_forward_reference(table, indices, offsets) -> np.ndarray:
+    """One cold table's lookup of one dispatch through its cache."""
+    indices = np.asarray(indices, dtype=np.int64)
+    offsets = np.asarray(offsets, dtype=np.int64)
+    num_rows = table.backing.num_rows
+    if len(indices) and (indices.min() < 0 or indices.max() >= num_rows):
+        raise IndexError(
+            f"indices out of range for table {table.name} with "
+            f"H={num_rows}")
+    if not len(indices):
+        rows = np.zeros((0, table.backing.row_dim), dtype=np.float32)
+    elif table.dedup:
+        rows, unique_count = dedup_cache_read(
+            table.cache, indices, table.backing)
+        table.rows_requested += len(indices)
+        table.rows_read += unique_count
+    else:
+        rows = table.cache.read(indices, table.backing)
+        table.rows_requested += len(indices)
+        table.rows_read += len(indices)
+    out = segment_sum(rows, offsets)
+    if table.pooling_mode == "mean":
+        lengths = np.diff(offsets)
+        out /= np.maximum(lengths, 1).astype(np.float32)[:, None]
+    return out
+
+
+def _tt_forward_reference(tt_table, indices, offsets) -> np.ndarray:
+    offsets = np.asarray(offsets, dtype=np.int64)
+    out = tt_table.table.forward(np.asarray(indices, dtype=np.int64),
+                                 offsets)
+    if tt_table.pooling_mode == "mean":
+        lengths = np.diff(offsets)
+        out /= np.maximum(lengths, 1).astype(np.float32)[:, None]
+    return out
+
+
+def pooled_reference(model, batch: MiniBatch) -> Dict[str, np.ndarray]:
+    """Every table's pooled rows for one coalesced dispatch, table by
+    table, with the model's dedup and cache counters advanced as the
+    per-dispatch path advanced them."""
+    pooled: Dict[str, np.ndarray] = {}
+    if model.hot_tables is not None:
+        if model.dedup:
+            for name in model.hot_table_names:
+                indices, offsets = batch.sparse[name]
+                pooled[name], unique_count = dedup_forward(
+                    model.hot_tables.table(name), indices, offsets)
+                model.dedup_rows_requested += len(indices)
+                model.dedup_rows_read += unique_count
+        else:
+            hot_inputs = {name: batch.sparse[name]
+                          for name in model.hot_table_names}
+            pooled = model.hot_tables.forward(hot_inputs)
+    for name, table in model.cold_tables.items():
+        pooled[name] = _cold_forward_reference(table, *batch.sparse[name])
+    for name, tt_table in model.tt_tables.items():
+        pooled[name] = _tt_forward_reference(tt_table, *batch.sparse[name])
+    return pooled
+
+
+def forward_reference(model, batch: MiniBatch) -> np.ndarray:
+    """Logits of one coalesced dispatch, embedding half included."""
+    dense_out = model.bottom.forward(batch.dense)
+    pooled = pooled_reference(model, batch)
+    features = [dense_out]
+    for t in model.config.tables:
+        value = pooled[t.name]
+        if t.name in model.projections:
+            value = model.projections[t.name].forward(value)
+        features.append(value)
+    interacted = model.interaction.forward_list(features)
+    return model.top.forward(interacted)[:, 0]
+
+
+def predict_reference(model, batch: MiniBatch) -> np.ndarray:
+    return F.sigmoid(forward_reference(model, batch))

@@ -1,4 +1,6 @@
-"""Tests for batch-level index deduplication."""
+"""Tests for batch-level index deduplication: ``duplication_factor``, and
+``dedup_forward``, the per-table hot lookup the serving oracle
+(``tests/reference_serving.py``) runs."""
 
 import numpy as np
 import pytest
@@ -7,8 +9,10 @@ from hypothesis import strategies as st
 
 from repro.data import zipf_indices
 from repro.embedding import (EmbeddingTable, EmbeddingTableConfig,
-                             SparseSGD, dedup_forward, duplication_factor,
+                             SparseSGD, duplication_factor,
                              lengths_to_offsets)
+
+from .reference_serving import dedup_forward
 
 
 def make_table(h=50, d=4, pooling="sum", seed=0):

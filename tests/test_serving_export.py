@@ -8,11 +8,13 @@ measured error bounds, and everything frozen must refuse writes.
 """
 
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro import nn
+from repro.data import MiniBatch
 from repro.embedding import SparseSGD
 from repro.models import DLRM, ZOO_SIZES, zoo_config
 from repro.serving import FreezeConfig, ServableModel, freeze
@@ -238,6 +240,85 @@ class TestHotColdPlacement:
             table.forward(indices, offsets)
         assert dataclasses.asdict(table.cache.stats) == stats
         assert table.backing.bytes_read == bytes_read
+
+
+BAD_OFFSETS = {"non_monotone": [0, 3, 1, 3], "past_the_end": [0, 2, 5],
+               "not_from_zero": [1, 2, 3]}
+
+
+class TestBagValidation:
+    """Regression: the hot table accepted non-monotone offsets (``[0, 3,
+    1, 3]`` pooled bag 0 as ``ids[0]`` alone), and cold and TT tables
+    checked no offsets at all, returning values and counting cache
+    traffic. Every table kind now runs the one ``validate_bags`` check
+    before it reads a row."""
+
+    @staticmethod
+    def servable():
+        plan = SimpleNamespace(assignments={
+            "t0": SimpleNamespace(kind="full", tt_ranks=None),
+            "t1": SimpleNamespace(kind="cold", tt_ranks=None),
+            "t2": SimpleNamespace(kind="tt", tt_ranks=(4, 4))})
+        return freeze(DLRM(make_config(rows=150), seed=0), plan=plan)
+
+    @staticmethod
+    def traffic(servable):
+        table = servable.cold_tables["t1"]
+        return (dataclasses.asdict(table.cache.stats),
+                table.backing.bytes_read, table.rows_requested,
+                table.rows_read, servable.dedup_rows_read)
+
+    @pytest.mark.parametrize("case", sorted(BAD_OFFSETS))
+    @pytest.mark.parametrize("kind", ["hot", "cold", "tt"])
+    def test_every_table_kind_rejects_malformed_offsets(self, kind, case):
+        servable = self.servable()
+        table = {"hot": servable.hot_tables.table("t0"),
+                 "cold": servable.cold_tables["t1"],
+                 "tt": servable.tt_tables["t2"]}[kind]
+        before = self.traffic(servable)
+        with pytest.raises(ValueError, match="offsets"):
+            table.forward(np.array([3, 4, 5], dtype=np.int64),
+                          np.array(BAD_OFFSETS[case], dtype=np.int64))
+        assert self.traffic(servable) == before
+
+    @pytest.mark.parametrize("kind", ["hot", "cold", "tt"])
+    def test_every_table_kind_rejects_out_of_range_ids(self, kind):
+        servable = self.servable()
+        table = {"hot": servable.hot_tables.table("t0"),
+                 "cold": servable.cold_tables["t1"],
+                 "tt": servable.tt_tables["t2"]}[kind]
+        with pytest.raises(IndexError, match="H=150"):
+            table.forward(np.array([3, 150], dtype=np.int64),
+                          np.array([0, 1, 2], dtype=np.int64))
+
+    def test_predict_rejects_a_non_monotone_cold_bag(self):
+        servable = self.servable()
+        batch = tiny_dataset(make_config(rows=150)).batch(3, 0)
+        ids = np.array([3, 4, 5], dtype=np.int64)
+        batch.sparse["t1"] = (ids, np.array([0, 3, 1, 3], dtype=np.int64))
+        before = self.traffic(servable)
+        with pytest.raises(ValueError, match="non-decreasing"):
+            servable.predict(batch)
+        assert self.traffic(servable) == before
+
+    @pytest.mark.parametrize("fault", ["bags", "start", "end"])
+    def test_concat_rejects_a_malformed_batch(self, fault):
+        """``concat`` drops the offsets entries between batches, which
+        is only sound for well-formed batches: an extra bag, a start past
+        0 or an end short of the ids would re-bag a neighbour's ids."""
+        ds = tiny_dataset(make_config(rows=150))
+        good, bad = ds.batch(2, 0), ds.batch(2, 1)
+        ids, offsets = bad.sparse["t1"]
+        offsets = offsets.copy()
+        if fault == "bags":
+            offsets = np.append(offsets, offsets[-1])
+        elif fault == "start":
+            offsets[0] = 1
+        else:
+            ids = np.append(ids, 7)
+        bad.sparse["t1"] = (ids, offsets)
+        with pytest.raises(ValueError, match="feature t1"):
+            MiniBatch.concat([good, bad])
 
 
 class TestImmutability:

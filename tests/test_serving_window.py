@@ -1,0 +1,244 @@
+"""The window pass against the per-dispatch oracle, bit for bit.
+
+``ServableModel.embed`` pools every table once for a window of
+dispatches, and the dense half runs per dispatch on its rows.
+``predict_many`` (and the executor, which runs the same two halves) must
+return exactly what one ``predict`` per coalesced dispatch returned
+(``tests/reference_serving.py``), and leave every counter where that path
+left it: the dedup counters, each cold table's rows requested/read, and
+each cache's stats, residency and backing-store bytes.
+"""
+
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from repro.cache import CACHE_KINDS
+from repro.data import MiniBatch
+from repro.embedding import EmbeddingTableConfig
+from repro.models import DLRM, DLRMConfig
+from repro.online import ModelSlot
+from repro.serving import (BatchingPolicy, FreezeConfig, InferenceRequest,
+                           InferenceServer, freeze)
+from repro.serving import server as server_module
+from repro.serving.server import _windows
+
+from .helpers import cache_state, tiny_dataset
+from .reference_serving import forward_reference, predict_reference
+
+
+def _config(kind: str) -> DLRMConfig:
+    """``projected``: mixed widths behind per-feature projections;
+    ``mean``: mean pooling with many empty bags."""
+    if kind == "projected":
+        dims = (12, 8, 20, 6, 16)
+        return DLRMConfig(
+            dense_dim=5, bottom_mlp=(16, 8), top_mlp=(16,),
+            project_features=True,
+            tables=tuple(EmbeddingTableConfig(f"t{i}", 96, d,
+                                              avg_pooling=2.5)
+                         for i, d in enumerate(dims)))
+    return DLRMConfig(
+        dense_dim=5, bottom_mlp=(16, 8), top_mlp=(16,),
+        tables=tuple(EmbeddingTableConfig(f"t{i}", 96, 8, avg_pooling=0.8,
+                                          pooling_mode="mean")
+                     for i in range(4)))
+
+
+def _plan(config: DLRMConfig) -> SimpleNamespace:
+    kinds = ("full", "int8", "tt", "cold", "fp16")
+    return SimpleNamespace(assignments={
+        t.name: SimpleNamespace(kind=kinds[i % len(kinds)], tt_ranks=(4, 4))
+        for i, t in enumerate(config.tables)})
+
+
+# export name -> (config kind, storage precision; None = planned export)
+EXPORTS = {
+    "fp32": ("projected", "fp32"),
+    "fp16": ("projected", "fp16"),
+    "int8": ("projected", "int8"),
+    "planned": ("projected", None),
+    "mean": ("mean", "fp32"),
+}
+
+
+def twins(export: str, cache_kind: str, dedup: bool, seed: int = 0):
+    """Two identical frozen artifacts: one runs the window pass, the
+    other the per-dispatch oracle."""
+    config_kind, precision = EXPORTS[export]
+    config = _config(config_kind)
+    model = DLRM(config, seed=seed)
+    # half the tables' stored bytes: some tables hot, the rest cold
+    per_element = {"fp32": 4, "fp16": 2, "int8": 1}.get(precision, 0)
+    hot_bytes = 0.5 * per_element * sum(t.num_parameters
+                                        for t in config.tables)
+    fc = FreezeConfig(precision=precision or "fp32", hot_bytes=hot_bytes,
+                      cache_kind=cache_kind, cache_fraction=0.2,
+                      dedup=dedup)
+    plan = _plan(config) if precision is None else None
+    made = [freeze(model, fc, plan=plan) for _ in range(2)]
+    assert made[0].cold_tables and made[0].hot_tables is not None
+    if plan is not None:
+        assert made[0].tt_tables
+    return config, made[0], made[1]
+
+
+def counters(model) -> dict:
+    out = {"dedup": (model.dedup_rows_requested, model.dedup_rows_read)}
+    for name, table in model.cold_tables.items():
+        out[name] = (table.rows_requested, table.rows_read,
+                     cache_state(table.cache, table.backing))
+    return out
+
+
+def empty_request(config: DLRMConfig) -> MiniBatch:
+    """One sample whose every bag is empty."""
+    return MiniBatch(
+        dense=np.full((1, config.dense_dim), 0.5, dtype=np.float32),
+        sparse={t.name: (np.zeros(0, dtype=np.int64),
+                         np.zeros(2, dtype=np.int64))
+                for t in config.tables},
+        labels=np.zeros(1, dtype=np.float32))
+
+
+def dispatches(config: DLRMConfig, seed: int, count: int = 8):
+    """Random dispatches of 1-4 request batches of 1-3 samples each,
+    with a one-sample dispatch and an all-empty-bags request."""
+    rng = np.random.default_rng(seed)
+    bulk = tiny_dataset(config, seed=seed).batch(200, batch_index=seed)
+    out, start = [], 0
+    for _ in range(count):
+        dispatch = []
+        for _ in range(int(rng.integers(1, 5))):
+            size = int(rng.integers(1, 4))
+            dispatch.append(bulk.slice(start, start + size))
+            start += size
+        out.append(dispatch)
+    out.insert(int(rng.integers(0, count)), [bulk.slice(start, start + 1)])
+    out[int(rng.integers(0, count))].append(empty_request(config))
+    return out
+
+
+def assert_bitwise(got: np.ndarray, expected: np.ndarray) -> None:
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+class TestPredictMany:
+    @pytest.mark.parametrize("dedup", [True, False])
+    @pytest.mark.parametrize("cache_kind", CACHE_KINDS)
+    @pytest.mark.parametrize("export", sorted(EXPORTS))
+    def test_matches_per_dispatch_reference(self, export, cache_kind, dedup):
+        config, model, oracle = twins(export, cache_kind, dedup)
+        for seed in range(3):
+            window = dispatches(config, seed)
+            got = model.predict_many(window)
+            expected = [predict_reference(oracle, MiniBatch.concat(d))
+                        for d in window]
+            assert len(got) == len(expected)
+            for g, e in zip(got, expected):
+                assert_bitwise(g, e)
+            assert counters(model) == counters(oracle)
+
+    @pytest.mark.parametrize("export", sorted(EXPORTS))
+    def test_forward_and_predict_are_the_one_dispatch_case(self, export):
+        config, model, oracle = twins(export, "freq_aware", True)
+        batch = MiniBatch.concat(dispatches(config, 5)[0])
+        assert_bitwise(model.forward(batch), forward_reference(oracle, batch))
+        assert_bitwise(model.predict(batch), predict_reference(oracle, batch))
+        assert counters(model) == counters(oracle)
+
+    def test_one_sample_dispatches(self):
+        config, model, oracle = twins("fp32", "set_associative", True)
+        bulk = tiny_dataset(config).batch(12, batch_index=3)
+        window = [[bulk.slice(i, i + 1)] for i in range(12)]
+        for g, d in zip(model.predict_many(window), window):
+            assert_bitwise(g, predict_reference(oracle, d[0]))
+        assert counters(model) == counters(oracle)
+
+    def test_only_empty_bags(self):
+        config, model, oracle = twins("mean", "uvm", True)
+        window = [[empty_request(config)], [empty_request(config)] * 2]
+        for g, d in zip(model.predict_many(window), window):
+            assert_bitwise(g, predict_reference(oracle, MiniBatch.concat(d)))
+        assert counters(model) == counters(oracle)
+
+    def test_no_dispatches(self):
+        _, model, _ = twins("fp32", "freq_aware", True)
+        assert model.predict_many([]) == []
+
+    def test_empty_dispatch_rejected(self):
+        config, model, _ = twins("fp32", "freq_aware", True)
+        with pytest.raises(ValueError, match="at least one batch"):
+            model.predict_many([dispatches(config, 0)[0], []])
+
+
+def swap_slot(served):
+    """v0 -> v1 -> v2, where v2 republishes v1's artifact: a window must
+    split on the version even when the model object stays."""
+    slot = ModelSlot(served[0], step=0, publish_s=0.0)
+    slot.publish(served[1], step=1, publish_s=2e-3)
+    slot.publish(served[1], step=2, publish_s=4e-3)
+    return slot
+
+
+class TestExecutor:
+    def _requests(self, config, n=48):
+        bulk = tiny_dataset(config, seed=4).batch(3 * n, batch_index=4)
+        requests, start = [], 0
+        for i in range(n):
+            size = 1 + i % 3
+            requests.append(InferenceRequest(
+                request_id=i, arrival_s=i * 1.5e-4,
+                batch=bulk.slice(start, start + size)))
+            start += size
+        return requests
+
+    @pytest.mark.parametrize("budget", [1, 7, 512])
+    def test_served_equals_reference_across_swaps(self, monkeypatch,
+                                                  budget):
+        monkeypatch.setattr(server_module, "_WINDOW_SAMPLES", budget)
+        config = _config("projected")
+        fc = FreezeConfig(hot_bytes=2e3, cache_kind="freq_aware",
+                          cache_fraction=0.2)
+        sources = [DLRM(config, seed=k) for k in range(2)]
+        served = [freeze(m, fc) for m in sources]
+        oracle = {id(s): freeze(m, fc) for s, m in zip(served, sources)}
+        slot = swap_slot(served)
+        result = InferenceServer(
+            served[0], BatchingPolicy(max_batch_size=6, max_wait_s=5e-4)
+        ).serve(self._requests(config), slot=slot)
+        assert {o.model_version for o in result.outcomes} == {0, 1, 2}
+        for b in result.plan.batches:
+            snapshot = slot.snapshot_at(b.dispatch_s)
+            expected = predict_reference(
+                oracle[id(snapshot.model)],
+                MiniBatch.concat([r.batch for r in b.requests]))
+            assert_bitwise(np.concatenate(
+                [result.responses[r.request_id] for r in b.requests]),
+                expected)
+        for s in served:
+            assert counters(s) == counters(oracle[id(s)])
+
+    @pytest.mark.parametrize("budget", [1, 7, 20, 512])
+    def test_windows_partition_the_plan(self, budget, monkeypatch):
+        monkeypatch.setattr(server_module, "_WINDOW_SAMPLES", budget)
+        config = _config("projected")
+        served = [freeze(DLRM(config, seed=k)) for k in range(2)]
+        slot = swap_slot(served)
+        plan = InferenceServer(
+            served[0], BatchingPolicy(max_batch_size=6, max_wait_s=5e-4)
+        ).batcher.plan(self._requests(config), lambda reqs: 4e-4)
+        windows = list(_windows(plan, served[0], slot))
+        assert [b for _, _, w in windows for b in w] == plan.batches
+        for model, version, window in windows:
+            for b in window:
+                snapshot = slot.snapshot_at(b.dispatch_s)
+                assert snapshot.model is model
+                assert snapshot.version == version
+            assert len(window) == 1 or \
+                sum(b.num_samples for b in window) <= budget
+        fixed = list(_windows(plan, served[0], None))
+        assert all(m is served[0] and v == 0 for m, v, _ in fixed)
+        assert len(fixed) <= len(windows)
