@@ -139,8 +139,15 @@ def all_to_all(inputs: List[List[np.ndarray]],
             raise ValueError(
                 f"each rank must address {world} peers, got {len(row)}")
     codec = codec or _identity
-    return [[codec(np.asarray(inputs[src][dst])).copy()
-             for src in range(world)] for dst in range(world)]
+    return [[_deliver(inputs[src][dst], codec) for src in range(world)]
+            for dst in range(world)]
+
+
+def _deliver(payload, codec: Codec) -> np.ndarray:
+    """What the destination receives: a fresh copy through the codec. A
+    zero-size payload carries no data, so it is not copied."""
+    received = codec(np.asarray(payload))
+    return received if received.size == 0 else received.copy()
 
 
 def all_to_all_single(inputs: List[np.ndarray],

@@ -56,11 +56,11 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from ..obs.metrics import MetricRegistry, MetricScope
+from ..obs.metrics import Counter, MetricRegistry, MetricScope
 from ..obs.tracer import NULL_TRACER, as_tracer
 from . import collectives, perf_model
 from .quantization import QuantizedCommsConfig, wire_bytes
@@ -135,6 +135,10 @@ class CommsLog:
     def __init__(self, scope: Optional[MetricScope] = None) -> None:
         self._scope = scope if scope is not None \
             else MetricRegistry().scope("comms")
+        # collective name -> its (calls, wire_bytes, modeled_seconds)
+        # counters, valid while the registry's generation is unchanged
+        self._counters: Dict[str, Tuple[Counter, Counter, Counter]] = {}
+        self._generation = self._scope.registry.generation
 
     @property
     def scope(self) -> MetricScope:
@@ -142,11 +146,19 @@ class CommsLog:
 
     def record(self, name: str, bytes_on_wire: float,
                seconds: float) -> None:
-        self._scope.counter("calls", collective=name).inc(1)
-        self._scope.counter("wire_bytes",
-                            collective=name).inc(int(bytes_on_wire))
-        self._scope.counter("modeled_seconds",
-                            collective=name).inc(float(seconds))
+        if self._generation != self._scope.registry.generation:
+            # a reset dropped the cached counters from the registry
+            self._counters.clear()
+            self._generation = self._scope.registry.generation
+        counters = self._counters.get(name)
+        if counters is None:
+            counters = self._counters[name] = tuple(
+                self._scope.counter(metric, collective=name)
+                for metric in ("calls", "wire_bytes", "modeled_seconds"))
+        calls, wire, modeled = counters
+        calls.inc(1)
+        wire.inc(int(bytes_on_wire))
+        modeled.inc(float(seconds))
 
     @property
     def calls(self) -> Dict[str, int]:

@@ -53,6 +53,7 @@ this trainer against.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -67,7 +68,7 @@ from ..embedding import (EmbeddingTable, EmbeddingTableConfig,
                          QuantizedEmbeddingTable, SparseGradient,
                          SparseOptimizer)
 from ..embedding.kernels import rank_bags
-from ..embedding.table import lengths_to_offsets, offsets_to_lengths
+from ..embedding.table import lengths_to_offsets
 from ..models.dlrm import DLRM, DLRMConfig
 from ..obs.metrics import MetricRegistry
 from ..obs.tracer import as_tracer
@@ -112,8 +113,34 @@ class StackedRankState(_RankState):
     loss_fn: nn.BCEWithLogitsLoss
 
 
-def _empty_ids() -> np.ndarray:
-    return np.zeros(0, dtype=np.int64)
+# the payload of every exchange slot that carries nothing: one shared
+# read-only array per kind (the collectives pass zero-size payloads
+# through uncopied)
+_EMPTY_IDS = np.zeros(0, dtype=np.int64)
+_EMPTY_IDS.setflags(write=False)
+
+
+# one AlltoAll's inputs: payload[src][dst]
+_Payload = List[List[np.ndarray]]
+
+
+@lru_cache(maxsize=None)
+def _empty_rows(dim: int) -> np.ndarray:
+    empty = np.zeros((0, dim), dtype=np.float32)
+    empty.setflags(write=False)
+    return empty
+
+
+@dataclass(frozen=True)
+class _RowWiseTable:
+    """One row-wise table's place in the combined id space: its ids are
+    offset by ``base`` and its shards (in row order) own buckets
+    ``first_bucket ..`` of the concatenated boundaries."""
+
+    name: str
+    shards: Tuple[Shard, ...]
+    base: int
+    first_bucket: int
 
 
 class NeoTrainer:
@@ -235,6 +262,7 @@ class NeoTrainer:
 
         # Shard the embedding weights according to the plan.
         self._build_shards(config, plan, golden)
+        self._build_exchange(config, plan)
 
     @classmethod
     def from_planner(cls, config: DLRMConfig, topology: ClusterTopology,
@@ -306,6 +334,41 @@ class NeoTrainer:
                     "update_rows", table=t.name)
         self._launch_counter = emb_metrics.counter("kernel_launches")
 
+    def _build_exchange(self, config: DLRMConfig, plan: ShardingPlan) -> None:
+        """Lay out the per-step index pass (paper Section 4.4).
+
+        Every table that exchanges ids ships its bag lengths, which one
+        ``np.diff`` derives for all of them. The row-wise tables share
+        one id space, table after table, whose concatenated shard
+        boundaries let one ``bucketize_sparse`` call split every id of
+        every row-wise table and source rank by owner.
+        """
+        self._exchanged = tuple(
+            t.name for t in config.tables
+            if plan.scheme_of(t.name) != ShardingScheme.DATA_PARALLEL)
+        self._row_wise: List[_RowWiseTable] = []
+        boundaries = [0]
+        for t in config.tables:
+            if plan.scheme_of(t.name) not in (ShardingScheme.ROW_WISE,
+                                              ShardingScheme.TABLE_ROW_WISE):
+                continue
+            shards = tuple(sorted(plan.tables[t.name].shards,
+                                  key=lambda s: s.row_range))
+            cuts = [s.row_range[0] for s in shards] \
+                + [shards[-1].row_range[1]]
+            if cuts[0] != 0 or cuts[-1] != t.num_embeddings or any(
+                    s.row_range[1] != cut
+                    for s, cut in zip(shards, cuts[1:])):
+                raise ValueError(
+                    f"row-wise table {t.name}: shards must tile rows "
+                    f"[0, {t.num_embeddings}) without gaps, got "
+                    f"{[s.row_range for s in shards]}")
+            base = boundaries[-1]
+            self._row_wise.append(_RowWiseTable(
+                t.name, shards, base, len(boundaries) - 1))
+            boundaries.extend(base + cut for cut in cuts[1:])
+        self._row_boundaries = np.asarray(boundaries, dtype=np.int64)
+
     # ------------------------------------------------------------------
     # instrumented shard access
     # ------------------------------------------------------------------
@@ -352,152 +415,199 @@ class NeoTrainer:
             table.sync_storage()
 
     # ------------------------------------------------------------------
+    # the index pass: every table's exchange payloads, prepared at once
+    # ------------------------------------------------------------------
+    def _bag_lengths(self, inputs: Dict[str, List[Tuple[np.ndarray,
+                                                         np.ndarray]]],
+                     local_batch: int) -> Dict[str, List[np.ndarray]]:
+        """Bag lengths of every exchanged table on every source rank
+        (the combined format's lengths tensor): one ``np.diff`` over all
+        offsets, each table's per-rank lengths a row of the result."""
+        names = self._exchanged
+        if not names:
+            return {}
+        w = self.world_size
+        offsets = [inputs[name][src][1] for name in names
+                   for src in range(w)]
+        if any(len(o) != local_batch + 1 for o in offsets):
+            raise ValueError(
+                f"every table's offsets must hold local batch + 1 = "
+                f"{local_batch + 1} entries")
+        lengths = np.diff(np.stack(offsets), axis=1).astype(np.int64,
+                                                            copy=False)
+        return {name: [lengths[i * w + src] for src in range(w)]
+                for i, name in enumerate(names)}
+
+    def _row_wise_payloads(self, inputs: Dict[str, List[Tuple[np.ndarray,
+                                                               np.ndarray]]],
+                           lengths: Dict[str, List[np.ndarray]]
+                           ) -> Dict[str, Tuple[Tuple[Shard, ...],
+                                                _Payload, _Payload]]:
+        """Every row-wise table's shards (in row order) and its ids and
+        lengths index-AlltoAll payloads (``[src][dst]``), from one
+        ``bucketize_sparse`` call.
+
+        The ids of all row-wise tables and source ranks, table-major,
+        are offset by their table's base into the combined id space and
+        split by the concatenated shard boundaries. Bucket ``k`` then
+        holds shard ``k``'s ids (rebased to the shard) in source-rank
+        order, so each source's slice is cut by its bags' lengths. An id
+        outside its own table would land in a neighbour's bucket; the
+        per-table count check turns that into the ``IndexError`` a
+        per-table bucketize raises.
+        """
+        if not self._row_wise:
+            return {}
+        w = self.world_size
+        ids = [inputs[rt.name][src][0] for rt in self._row_wise
+               for src in range(w)]
+        counts = np.fromiter(map(len, ids), np.int64, len(ids))
+        ids = np.concatenate(ids).astype(np.int64, copy=False)
+        ids += np.repeat(np.repeat([rt.base for rt in self._row_wise], w),
+                         counts)
+        buckets = bucketize_sparse(
+            ids, np.concatenate([lengths[rt.name][src]
+                                 for rt in self._row_wise
+                                 for src in range(w)]),
+            self._row_boundaries)
+        batch = len(lengths[self._row_wise[0].name][0])
+        payloads = {}
+        for i, rt in enumerate(self._row_wise):
+            payload_ids = [[_EMPTY_IDS] * w for _ in range(w)]
+            payload_lengths = [[_EMPTY_IDS] * w for _ in range(w)]
+            found = 0
+            for k, shard in enumerate(rt.shards, start=rt.first_bucket):
+                local, bucket_lengths = buckets[k]
+                per_src = bucket_lengths[i * w * batch:(i + 1) * w * batch]
+                ends = np.cumsum(per_src.reshape(w, batch).sum(axis=1))
+                start = 0
+                for src, end in enumerate(ends.tolist()):
+                    payload_ids[src][shard.rank] = local[start:end]
+                    payload_lengths[src][shard.rank] = \
+                        per_src[src * batch:(src + 1) * batch]
+                    start = end
+                found += start
+            if found != int(counts[i * w:(i + 1) * w].sum()):
+                raise IndexError(
+                    f"row-wise table {rt.name}: ids outside [0, "
+                    f"{rt.shards[-1].row_range[1]})")
+            payloads[rt.name] = (rt.shards, payload_ids,
+                                 payload_lengths)
+        return payloads
+
+    # ------------------------------------------------------------------
     # embedding forward/backward, per scheme
     # ------------------------------------------------------------------
-    def _global_jagged(self, shards_inputs: List[Tuple[np.ndarray,
-                                                       np.ndarray]]
+    @staticmethod
+    def _global_jagged(ids: Sequence[np.ndarray],
+                       lengths: Sequence[np.ndarray]
                        ) -> Tuple[np.ndarray, np.ndarray]:
-        """Concatenate per-source-rank (ids, lengths) into one global
+        """Concatenate per-source-rank ids and lengths into one global
         jagged batch, source-rank-major (matching batch concatenation)."""
-        ids = np.concatenate([i for i, _ in shards_inputs]) \
-            if shards_inputs else _empty_ids()
-        lengths = np.concatenate([l for _, l in shards_inputs]) \
-            if shards_inputs else _empty_ids()
-        return ids, lengths_to_offsets(lengths)
+        return np.concatenate(ids), lengths_to_offsets(np.concatenate(lengths))
 
-    def _forward_table_wise(self, table: EmbeddingTableConfig,
-                            shard: Shard,
-                            local_inputs: List[Tuple[np.ndarray, np.ndarray]],
-                            local_batch: int) -> List[np.ndarray]:
+    def _pooled_scatter(self, shard: Shard, pooled: np.ndarray,
+                        local_batch: int) -> List[np.ndarray]:
+        """Pooled AlltoAll: the owner of ``shard`` sends each rank its
+        sub-batch of ``pooled``; returns what every rank received."""
         w = self.world_size
         owner = shard.rank
-        # index AlltoAll: every rank ships its local ids to the owner
-        payload = [[local_inputs[src][0] if dst == owner else _empty_ids()
-                    for dst in range(w)] for src in range(w)]
-        arrived = self.pg.all_to_all(payload, kind=AlltoAllKind.INDEX)
-        lengths = [[offsets_to_lengths(local_inputs[src][1])
-                    if dst == owner else _empty_ids()
-                    for dst in range(w)] for src in range(w)]
-        arrived_lengths = self.pg.all_to_all(lengths, kind=AlltoAllKind.INDEX)
-        ids, offsets = self._global_jagged(
-            list(zip(arrived[owner], arrived_lengths[owner])))
-        pooled_global = self._shard_forward(shard, ids, offsets)
-        # pooled AlltoAll: owner scatters each rank's sub-batch
-        d = pooled_global.shape[1]
-        out_payload = [[pooled_global[dst * local_batch:(dst + 1)
-                                      * local_batch]
-                        if src == owner else
-                        np.zeros((0, d), dtype=np.float32)
-                        for dst in range(w)] for src in range(w)]
-        delivered = self.pg.all_to_all(out_payload,
-                                       kind=AlltoAllKind.FORWARD)
+        idle = _empty_rows(pooled.shape[1])
+        payload = [[pooled[dst * local_batch:(dst + 1) * local_batch]
+                    if src == owner else idle for dst in range(w)]
+                   for src in range(w)]
+        delivered = self.pg.all_to_all(payload, kind=AlltoAllKind.FORWARD)
         return [delivered[r][owner] for r in range(w)]
 
-    def _backward_table_wise(self, shard: Shard,
-                             d_pooled: List[np.ndarray]) -> None:
+    def _replicated_index(self, owners: Sequence[int],
+                          inputs: List[Tuple[np.ndarray, np.ndarray]],
+                          lengths: List[np.ndarray]):
+        """Index AlltoAll of whole local batches: every rank ships its
+        ids, then its lengths, to each owner rank."""
         w = self.world_size
-        owner = shard.rank
-        d = d_pooled[0].shape[1]
-        payload = [[d_pooled[src] / w if dst == owner else
-                    np.zeros((0, d), dtype=np.float32)
+        ids = [[inputs[src][0] if dst in owners else _EMPTY_IDS
+                for dst in range(w)] for src in range(w)]
+        arrived = self.pg.all_to_all(ids, kind=AlltoAllKind.INDEX)
+        bags = [[lengths[src] if dst in owners else _EMPTY_IDS
+                 for dst in range(w)] for src in range(w)]
+        return arrived, self.pg.all_to_all(bags, kind=AlltoAllKind.INDEX)
+
+    def _sliced_gradient(self, shard: Shard, scaled: np.ndarray) -> None:
+        """Backward AlltoAll of each rank's (already ``/ W``) gradient
+        slice to the owner of ``shard``, then the owner's update."""
+        w = self.world_size
+        idle = _empty_rows(scaled.shape[2])
+        payload = [[scaled[src] if dst == shard.rank else idle
                     for dst in range(w)] for src in range(w)]
         arrived = self.pg.all_to_all(payload, kind=AlltoAllKind.BACKWARD)
-        d_global = np.concatenate(arrived[owner], axis=0).astype(np.float32)
-        self._shard_update(shard, d_global)
+        d_global = np.concatenate(arrived[shard.rank], axis=0)
+        self._shard_update(shard, d_global.astype(np.float32, copy=False))
 
-    def _forward_column_wise(self, table: EmbeddingTableConfig,
-                             shards: List[Shard],
-                             local_inputs: List[Tuple[np.ndarray,
-                                                      np.ndarray]],
+    def _forward_table_wise(self, shard: Shard,
+                            inputs: List[Tuple[np.ndarray, np.ndarray]],
+                            lengths: List[np.ndarray],
+                            local_batch: int) -> List[np.ndarray]:
+        arrived, arrived_lengths = self._replicated_index(
+            (shard.rank,), inputs, lengths)
+        pooled = self._shard_forward(shard, *self._global_jagged(
+            arrived[shard.rank], arrived_lengths[shard.rank]))
+        return self._pooled_scatter(shard, pooled, local_batch)
+
+    def _backward_table_wise(self, shard: Shard,
+                             d_pooled: np.ndarray) -> None:
+        self._sliced_gradient(shard, d_pooled / self.world_size)
+
+    def _forward_column_wise(self, shards: List[Shard],
+                             inputs: List[Tuple[np.ndarray, np.ndarray]],
+                             lengths: List[np.ndarray],
                              local_batch: int) -> List[np.ndarray]:
-        w = self.world_size
-        owners = [s.rank for s in shards]
         # replicated index AlltoAll: each rank ships ids to every owner
-        payload = [[local_inputs[src][0] if dst in owners else _empty_ids()
-                    for dst in range(w)] for src in range(w)]
-        arrived = self.pg.all_to_all(payload, kind=AlltoAllKind.INDEX)
-        lengths = [[offsets_to_lengths(local_inputs[src][1])
-                    if dst in owners else _empty_ids()
-                    for dst in range(w)] for src in range(w)]
-        arrived_lengths = self.pg.all_to_all(lengths, kind=AlltoAllKind.INDEX)
+        arrived, arrived_lengths = self._replicated_index(
+            {s.rank for s in shards}, inputs, lengths)
         # each owner pools its column slice for the global batch
-        pooled_slices: Dict[Shard, np.ndarray] = {}
-        for shard in shards:
-            ids, offsets = self._global_jagged(
-                list(zip(arrived[shard.rank],
-                         arrived_lengths[shard.rank])))
-            pooled_slices[shard] = self._shard_forward(shard, ids, offsets)
+        pooled = {shard: self._shard_forward(shard, *self._global_jagged(
+            arrived[shard.rank], arrived_lengths[shard.rank]))
+            for shard in shards}
         # pooled AlltoAll per shard (two shards may share an owner rank),
         # then concatenate slices by column order
         ordered = sorted(shards, key=lambda s: s.col_range)
-        delivered_by_shard = {}
-        for shard in ordered:
-            pooled = pooled_slices[shard]
-            d = pooled.shape[1]
-            out_payload = [[pooled[dst * local_batch:(dst + 1) * local_batch]
-                            if src == shard.rank else
-                            np.zeros((0, d), dtype=np.float32)
-                            for dst in range(w)] for src in range(w)]
-            delivered = self.pg.all_to_all(out_payload,
-                                           kind=AlltoAllKind.FORWARD)
-            delivered_by_shard[shard] = [delivered[r][shard.rank]
-                                         for r in range(w)]
-        return [np.concatenate([delivered_by_shard[s][r] for s in ordered],
-                               axis=1) for r in range(w)]
+        delivered = [self._pooled_scatter(s, pooled[s], local_batch)
+                     for s in ordered]
+        return [np.concatenate([d[r] for d in delivered], axis=1)
+                for r in range(self.world_size)]
 
     def _backward_column_wise(self, shards: List[Shard],
-                              d_pooled: List[np.ndarray]) -> None:
-        w = self.world_size
+                              d_pooled: np.ndarray) -> None:
+        scaled = d_pooled / self.world_size
         for shard in sorted(shards, key=lambda s: s.col_range):
             c0, c1 = shard.col_range
-            payload = [[d_pooled[src][:, c0:c1] / w
-                        if dst == shard.rank else
-                        np.zeros((0, c1 - c0), dtype=np.float32)
-                        for dst in range(w)] for src in range(w)]
-            arrived = self.pg.all_to_all(payload,
-                                         kind=AlltoAllKind.BACKWARD)
-            d_global = np.concatenate(arrived[shard.rank],
-                                      axis=0).astype(np.float32)
-            self._shard_update(shard, d_global)
+            self._sliced_gradient(shard, scaled[:, :, c0:c1])
 
     def _forward_row_wise(self, table: EmbeddingTableConfig,
-                          shards: List[Shard],
-                          local_inputs: List[Tuple[np.ndarray, np.ndarray]],
+                          shards: Sequence[Shard],
+                          payload_ids: _Payload, payload_lengths: _Payload,
                           local_batch: int) -> List[np.ndarray]:
         w = self.world_size
-        d = table.embedding_dim
-        ordered = sorted(shards, key=lambda s: s.row_range)
-        boundaries = [s.row_range[0] for s in ordered] \
-            + [ordered[-1].row_range[1]]
-        # bucketize each rank's ids and ship bucket k to its owner
-        payload_ids = [[_empty_ids() for _ in range(w)] for _ in range(w)]
-        payload_lengths = [[_empty_ids() for _ in range(w)]
-                           for _ in range(w)]
-        for src in range(w):
-            ids, offsets = local_inputs[src]
-            buckets = bucketize_sparse(ids, offsets_to_lengths(offsets),
-                                       boundaries)
-            for shard, (b_ids, b_lengths) in zip(ordered, buckets):
-                payload_ids[src][shard.rank] = b_ids
-                payload_lengths[src][shard.rank] = b_lengths
+        # bucket k of every rank's ids goes to the owner of shard k
         arrived_ids = self.pg.all_to_all(payload_ids, kind=AlltoAllKind.INDEX)
         arrived_lengths = self.pg.all_to_all(payload_lengths,
                                              kind=AlltoAllKind.INDEX)
         # owners compute partial pooled sums for the global batch
-        global_batch = local_batch * w
-        partials = [np.zeros((global_batch, d), dtype=np.float32)
-                    for _ in range(w)]
-        for shard in ordered:
-            ids, offsets = self._global_jagged(
-                list(zip(arrived_ids[shard.rank],
-                         arrived_lengths[shard.rank])))
-            partials[shard.rank] = self._shard_forward(shard, ids, offsets)
+        partials: List[Optional[np.ndarray]] = [None] * w
+        for shard in shards:
+            partials[shard.rank] = self._shard_forward(
+                shard, *self._global_jagged(arrived_ids[shard.rank],
+                                            arrived_lengths[shard.rank]))
+        if len(shards) < w:  # ranks without a shard contribute zeros
+            zeros = np.zeros((local_batch * w, table.embedding_dim),
+                             dtype=np.float32)
+            partials = [zeros if p is None else p for p in partials]
         # ReduceScatter: sum partials, deliver each rank its sub-batch
         chunked = [[p[r * local_batch:(r + 1) * local_batch]
                     for r in range(w)] for p in partials]
         return self.pg.reduce_scatter(chunked)
 
-    def _backward_row_wise(self, shards: List[Shard],
+    def _backward_row_wise(self, shards: Sequence[Shard],
                            d_pooled: np.ndarray) -> None:
         # one (W, B, D) array through the AllGather; the gathered stack
         # reshapes to the source-rank-major (W*B, D) global gradient
@@ -512,30 +622,27 @@ class NeoTrainer:
             self._shard_update(shard, d_global, bag_ranks)
 
     def _forward_data_parallel(self, shards: List[Shard],
-                               local_inputs: List[Tuple[np.ndarray,
-                                                        np.ndarray]]
+                               inputs: List[Tuple[np.ndarray, np.ndarray]]
                                ) -> List[np.ndarray]:
         by_rank = {s.rank: s for s in shards}
-        out = []
-        for r in range(self.world_size):
-            ids, offsets = local_inputs[r]
-            out.append(self._shard_forward(by_rank[r], ids, offsets))
-        return out
+        return [self._shard_forward(by_rank[r], *inputs[r])
+                for r in range(self.world_size)]
 
     def _backward_data_parallel(self, shards: List[Shard],
-                                d_pooled: List[np.ndarray]) -> None:
+                                d_pooled: np.ndarray) -> None:
+        w = self.world_size
         by_rank = {s.rank: s for s in shards}
-        dense_grads = []
-        for r in range(self.world_size):
-            grad = self._shard_tables[by_rank[r]].backward(d_pooled[r])
-            dense_grads.append(grad.to_dense())
-        summed = self.pg.all_reduce(dense_grads)
-        for r in range(self.world_size):
-            avg = summed[r] / self.world_size
-            rows = np.nonzero(np.any(avg != 0.0, axis=1))[0]
-            sparse = SparseGradient(rows=rows.astype(np.int64),
-                                    values=avg[rows],
-                                    num_embeddings=avg.shape[0])
+        grads = [self._shard_tables[by_rank[r]].backward(d_pooled[r])
+                 for r in range(w)]
+        summed = self.pg.all_reduce([g.to_dense() for g in grads])
+        # every replica steps every row any rank touched, as the
+        # single-process step does: a touched row whose averaged
+        # gradient is exactly zero still advances Adam/LAMB state
+        rows = np.unique(np.concatenate([g.rows for g in grads]))
+        for r in range(w):
+            sparse = SparseGradient(
+                rows=rows, values=np.take(summed[r], rows, axis=0) / w,
+                num_embeddings=summed[r].shape[0])
             self._apply_sparse(by_rank[r], sparse)
 
     # ------------------------------------------------------------------
@@ -560,40 +667,48 @@ class NeoTrainer:
 
     def _table_forward(self, t: EmbeddingTableConfig, table_plan,
                        inputs: List[Tuple[np.ndarray, np.ndarray]],
+                       lengths: Optional[List[np.ndarray]],
+                       row_wise: Optional[tuple],
                        local_batch: int) -> List[np.ndarray]:
         """Scheme dispatch for one table's forward (Fig. 8 patterns)."""
         scheme = table_plan.scheme
         if scheme == ShardingScheme.TABLE_WISE:
             return self._forward_table_wise(
-                t, table_plan.shards[0], inputs, local_batch)
+                table_plan.shards[0], inputs, lengths, local_batch)
         if scheme == ShardingScheme.COLUMN_WISE:
             return self._forward_column_wise(
-                t, table_plan.shards, inputs, local_batch)
+                table_plan.shards, inputs, lengths, local_batch)
         if scheme in (ShardingScheme.ROW_WISE,
                       ShardingScheme.TABLE_ROW_WISE):
-            return self._forward_row_wise(
-                t, table_plan.shards, inputs, local_batch)
+            return self._forward_row_wise(t, *row_wise, local_batch)
         return self._forward_data_parallel(table_plan.shards, inputs)
 
     def _embedding_forward(self, local_batches: List[MiniBatch],
                            local_batch: int, spans: bool
                            ) -> Dict[str, List[np.ndarray]]:
         """All tables' pooled lookups; ``spans`` wraps each table in a
-        ``trainer.table_fwd`` span (train path) or not (eval path)."""
+        ``trainer.table_fwd`` span (train path) or not (eval path).
+
+        The index pass runs first, once for all tables: bag lengths for
+        every exchanged table, and the row-wise payloads from one
+        bucketize. Then each table runs its collectives and shard
+        lookups in table order."""
+        inputs = {t.name: [b.sparse[t.name] for b in local_batches]
+                  for t in self.config.tables}
+        lengths = self._bag_lengths(inputs, local_batch)
+        row_wise = self._row_wise_payloads(inputs, lengths)
         pooled: Dict[str, List[np.ndarray]] = {}
         for t in self.config.tables:
             table_plan = self.plan.tables[t.name]
-            inputs = [local_batches[r].sparse[t.name]
-                      for r in range(self.world_size)]
+            args = (t, table_plan, inputs[t.name], lengths.get(t.name),
+                    row_wise.get(t.name), local_batch)
             if spans:
                 with self.tracer.span("trainer.table_fwd", cat="trainer",
                                       table=t.name,
                                       scheme=table_plan.scheme.value):
-                    pooled[t.name] = self._table_forward(
-                        t, table_plan, inputs, local_batch)
+                    pooled[t.name] = self._table_forward(*args)
             else:
-                pooled[t.name] = self._table_forward(
-                    t, table_plan, inputs, local_batch)
+                pooled[t.name] = self._table_forward(*args)
         return pooled
 
     def _interaction_forward(self, dense_out: np.ndarray,
@@ -638,21 +753,18 @@ class NeoTrainer:
         return d_pooled
 
     def _table_backward(self, table_plan, d_pooled: np.ndarray) -> None:
-        """Scheme dispatch for one table's backward. Row-wise keeps the
-        (R, B, D) gradient whole (its AllGather ships the stack in one
-        call); the other schemes consume per-rank slices."""
+        """Scheme dispatch for one table's backward on its (R, B, D)
+        pooled gradient."""
         scheme = table_plan.scheme
         if scheme in (ShardingScheme.ROW_WISE,
                       ShardingScheme.TABLE_ROW_WISE):
             self._backward_row_wise(table_plan.shards, d_pooled)
-            return
-        per_rank = [d_pooled[r] for r in range(self.world_size)]
-        if scheme == ShardingScheme.TABLE_WISE:
-            self._backward_table_wise(table_plan.shards[0], per_rank)
+        elif scheme == ShardingScheme.TABLE_WISE:
+            self._backward_table_wise(table_plan.shards[0], d_pooled)
         elif scheme == ShardingScheme.COLUMN_WISE:
-            self._backward_column_wise(table_plan.shards, per_rank)
+            self._backward_column_wise(table_plan.shards, d_pooled)
         else:
-            self._backward_data_parallel(table_plan.shards, per_rank)
+            self._backward_data_parallel(table_plan.shards, d_pooled)
 
     def _dense_allreduce(self) -> List[np.ndarray]:
         """Bucketed DDP gradient sync; returns the reduced flat buckets.

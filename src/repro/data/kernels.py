@@ -68,11 +68,19 @@ def bucketize_sparse(indices: np.ndarray, lengths: np.ndarray,
 
     Returns one ``(local_indices, lengths)`` pair per bucket; relative
     order of ids within a bag is preserved, and the union of all buckets'
-    ids is exactly the input multiset.
+    ids is exactly the input multiset. The returned arrays are views
+    into two shared arrays (all buckets' ids, all buckets' lengths).
+
+    One pass, however many buckets: every id's bucket comes from
+    :func:`_bucket_of`, one stable sort on it groups the ids bucket by
+    bucket in input order, and one ``bincount`` on ``(bucket, bag)``
+    gives every bucket's lengths. That is what lets a caller bucketize
+    several row-wise tables at once, each table's ids offset by its
+    first row in a combined id space and the boundaries concatenated.
     """
     indices = np.asarray(indices, dtype=np.int64)
     lengths = np.asarray(lengths, dtype=np.int64)
-    boundaries = np.asarray(list(boundaries), dtype=np.int64)
+    boundaries = np.asarray(boundaries, dtype=np.int64)
     if len(boundaries) < 2 or boundaries[0] != 0:
         raise ValueError("boundaries must start at 0 and have >= 2 entries")
     if np.any(np.diff(boundaries) <= 0):
@@ -83,16 +91,46 @@ def bucketize_sparse(indices: np.ndarray, lengths: np.ndarray,
                          or indices.max() >= boundaries[-1]):
         raise IndexError("indices outside [0, boundaries[-1])")
     num_buckets = len(boundaries) - 1
-    bag_ids = np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
-    bucket_of = np.searchsorted(boundaries, indices, side="right") - 1
-    out = []
-    for k in range(num_buckets):
-        mask = bucket_of == k
-        local = indices[mask] - boundaries[k]
-        bucket_lengths = np.bincount(bag_ids[mask],
-                                     minlength=len(lengths)).astype(np.int64)
-        out.append((local, bucket_lengths))
-    return out
+    num_bags = len(lengths)
+    bucket_of = _bucket_of(indices, boundaries)
+    # a stable sort on a uint8/uint16 key is numpy's O(N) radix sort
+    key = bucket_of.astype(np.uint8) if num_buckets <= 1 << 8 else \
+        bucket_of.astype(np.uint16) if num_buckets <= 1 << 16 else bucket_of
+    order = np.argsort(key, kind="stable")
+    bucket_bag = np.repeat(np.arange(num_bags, dtype=np.int64), lengths)
+    bucket_bag += bucket_of * num_bags
+    bucket_lengths = np.bincount(
+        bucket_bag, minlength=num_buckets * num_bags).reshape(num_buckets,
+                                                              num_bags)
+    counts = bucket_lengths.sum(axis=1)
+    local = np.take(indices, order)
+    local -= np.repeat(boundaries[:-1], counts)
+    ends = np.cumsum(counts).tolist()
+    return [(local[end - count:end], bucket_lengths[k])
+            for k, (end, count) in enumerate(zip(ends, counts.tolist()))]
+
+
+def _bucket_of(indices: np.ndarray, boundaries: np.ndarray) -> np.ndarray:
+    """``k`` with ``boundaries[k] <= id < boundaries[k + 1]``, per id.
+
+    ``searchsorted`` on unsorted ids mispredicts a branch at every level
+    of its binary search, and a combined id space of many row-wise
+    tables has many levels. A guide over power-of-two cells no wider
+    than the narrowest bucket replaces it: each cell holds at most one
+    cut, so an id's bucket is its cell's first bucket, plus one if the
+    id reaches the next cut. The guide is used when it has no more cells
+    than there are ids, so building it never costs more than it saves.
+    """
+    shift = int(np.diff(boundaries).min()).bit_length() - 1
+    cells = ((int(boundaries[-1]) - 1) >> shift) + 1
+    if cells > len(indices):
+        return np.searchsorted(boundaries, indices, side="right") - 1
+    first = np.searchsorted(boundaries,
+                            np.arange(cells, dtype=np.int64) << shift,
+                            side="right") - 1
+    bucket = np.take(first, indices >> shift)
+    bucket += indices >= np.take(boundaries, bucket + 1)
+    return bucket
 
 
 def replicate_sparse(indices: np.ndarray, lengths: np.ndarray,

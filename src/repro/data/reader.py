@@ -20,7 +20,7 @@ from typing import List, Optional
 
 
 from .datagen import MiniBatch, SyntheticCTRDataset
-from .formats import SeparateFormat, host_transfer_time
+from .formats import host_transfer_time
 from .freq import FrequencyStats
 
 __all__ = ["IngestionStats", "DataIngestionService"]
@@ -88,22 +88,34 @@ class DataIngestionService:
         return shards
 
     def _account(self, shards: List[MiniBatch]) -> None:
+        """Bill each shard's transfer in the combined format, counted
+        rather than built: ``T * B`` int64 lengths plus every id as an
+        int64 (what ``SeparateFormat.to_combined`` would hold)."""
         self.stats.batches_produced += 1
         combined_tensors = 0
         separate_tensors = 0
         for shard in shards:
-            separate = SeparateFormat(tables=dict(shard.sparse))
-            combined = separate.to_combined(list(shard.sparse))
-            payload = combined.total_bytes + shard.dense.nbytes \
-                + shard.labels.nbytes
+            batch = None
+            nnz = 0
+            for name, (indices, offsets) in shard.sparse.items():
+                if batch is None:
+                    batch = len(offsets) - 1
+                elif len(offsets) - 1 != batch:
+                    raise ValueError(
+                        f"table {name} batch {len(offsets) - 1} != {batch}")
+                nnz += len(indices)
+            tables = len(shard.sparse)
+            payload = 8 * (tables * (batch or 0) + nnz) \
+                + shard.dense.nbytes + shard.labels.nbytes
             self.stats.frontend_bytes += payload
-            # +2 for dense and labels tensors in both layouts
+            # combined: lengths + indices; separate: two per table; +2
+            # for dense and labels tensors in both layouts
+            combined_tensors = 2 + 2
+            separate_tensors = 2 * tables + 2
             self.stats.h2d_seconds_pinned += host_transfer_time(
-                combined.num_tensors + 2, payload, pinned=True)
+                combined_tensors, payload, pinned=True)
             self.stats.h2d_seconds_pageable += host_transfer_time(
-                separate.num_tensors + 2, payload, pinned=False)
-            combined_tensors = combined.num_tensors + 2
-            separate_tensors = separate.num_tensors + 2
+                separate_tensors, payload, pinned=False)
         self.stats.combined_tensors_per_iter = combined_tensors
         self.stats.separate_tensors_per_iter = separate_tensors
 

@@ -54,6 +54,22 @@ def merge_duplicate_rows(rows: np.ndarray, values: np.ndarray,
     return merge_sorted_coo(rows, values, bag_ids, bag_ranks)
 
 
+def _adam_moments(state: Dict[str, np.ndarray], rows: np.ndarray,
+                  grads: np.ndarray, beta1: float, beta2: float
+                  ) -> Tuple[np.ndarray, np.ndarray]:
+    """Advance the touched rows' step counts and moments (one gather and
+    one scatter per state array); returns the bias-corrected moments."""
+    t = np.take(state["t"], rows) + 1
+    m = beta1 * np.take(state["m"], rows, axis=0) + (1 - beta1) * grads
+    v = beta2 * np.take(state["v"], rows, axis=0) \
+        + (1 - beta2) * grads * grads
+    state["t"][rows] = t
+    state["m"][rows] = m
+    state["v"][rows] = v
+    t = t.astype(np.float64)
+    return (m / (1 - beta1 ** t)[:, None], v / (1 - beta2 ** t)[:, None])
+
+
 class SparseOptimizer:
     """Base class: owns per-table state and the merge-then-apply protocol."""
 
@@ -79,8 +95,9 @@ class SparseOptimizer:
         Precondition: ``rows`` holds no duplicates and ``grads`` is the
         float32 ``(len(rows), D)`` merged gradient — what
         ``merge_sorted_coo`` returns. The ``_apply`` implementations rely
-        on it: they gather each state slice once, update it and scatter
-        it back, and a scatter keeps only one write per duplicated row.
+        on it: they gather each state and weight slice once
+        (``np.take``), update the gathered copy and scatter it back once,
+        and a scatter keeps only one write per duplicated row.
 
         The fused arena backward merges each table's bag-form gradient
         itself (it reports the unique-row counts) and hands the result
@@ -104,7 +121,9 @@ class SparseSGD(SparseOptimizer):
     but we merge anyway for determinism of float summation order)."""
 
     def _apply(self, table, rows, grads):
-        table.weight[rows] -= (self.lr * grads).astype(np.float32)
+        weight = np.take(table.weight, rows, axis=0)
+        weight -= (self.lr * grads).astype(np.float32)
+        table.weight[rows] = weight
 
     def state_bytes(self, num_embeddings: int, embedding_dim: int) -> int:
         return 0
@@ -121,12 +140,13 @@ class SparseAdaGrad(SparseOptimizer):
         state = self.state_for(table)
         if "sum_sq" not in state:
             state["sum_sq"] = np.zeros_like(table.weight)
-        acc = state["sum_sq"]
-        updated = acc[rows] + grads * grads
-        acc[rows] = updated
-        table.weight[rows] -= (
-            self.lr * grads / (np.sqrt(updated) + self.eps)
-        ).astype(np.float32)
+        updated = np.take(state["sum_sq"], rows, axis=0)
+        updated += grads * grads
+        state["sum_sq"][rows] = updated
+        weight = np.take(table.weight, rows, axis=0)
+        weight -= (self.lr * grads / (np.sqrt(updated) + self.eps)
+                   ).astype(np.float32)
+        table.weight[rows] = weight
 
     def state_bytes(self, num_embeddings: int, embedding_dim: int) -> int:
         return num_embeddings * embedding_dim * 4
@@ -149,11 +169,13 @@ class RowWiseAdaGrad(SparseOptimizer):
         state = self.state_for(table)
         if "moment" not in state:
             state["moment"] = np.zeros(table.weight.shape[0], dtype=np.float32)
-        moment = state["moment"]
-        updated = moment[rows] + np.mean(grads * grads, axis=1)
-        moment[rows] = updated
+        updated = np.take(state["moment"], rows)
+        updated += np.mean(grads * grads, axis=1)
+        state["moment"][rows] = updated
         scale = self.lr / (np.sqrt(updated) + self.eps)
-        table.weight[rows] -= (scale[:, None] * grads).astype(np.float32)
+        weight = np.take(table.weight, rows, axis=0)
+        weight -= (scale[:, None] * grads).astype(np.float32)
+        table.weight[rows] = weight
 
     def state_bytes(self, num_embeddings: int, embedding_dim: int) -> int:
         return num_embeddings * 4
@@ -179,16 +201,12 @@ class SparseAdam(SparseOptimizer):
             state["m"] = np.zeros_like(table.weight)
             state["v"] = np.zeros_like(table.weight)
             state["t"] = np.zeros(table.weight.shape[0], dtype=np.int64)
-        m, v, t = state["m"], state["v"], state["t"]
-        t[rows] += 1
-        m[rows] = self.beta1 * m[rows] + (1 - self.beta1) * grads
-        v[rows] = self.beta2 * v[rows] + (1 - self.beta2) * grads * grads
-        t_rows = t[rows].astype(np.float64)
-        m_hat = m[rows] / (1 - self.beta1 ** t_rows)[:, None]
-        v_hat = v[rows] / (1 - self.beta2 ** t_rows)[:, None]
-        table.weight[rows] -= (
-            self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-        ).astype(np.float32)
+        m_hat, v_hat = _adam_moments(state, rows, grads, self.beta1,
+                                     self.beta2)
+        weight = np.take(table.weight, rows, axis=0)
+        weight -= (self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+                   ).astype(np.float32)
+        table.weight[rows] = weight
 
     def state_bytes(self, num_embeddings: int, embedding_dim: int) -> int:
         return num_embeddings * (2 * embedding_dim * 4 + 8)
@@ -214,22 +232,18 @@ class SparseLAMB(SparseOptimizer):
             state["m"] = np.zeros_like(table.weight)
             state["v"] = np.zeros_like(table.weight)
             state["t"] = np.zeros(table.weight.shape[0], dtype=np.int64)
-        m, v, t = state["m"], state["v"], state["t"]
-        t[rows] += 1
-        m[rows] = self.beta1 * m[rows] + (1 - self.beta1) * grads
-        v[rows] = self.beta2 * v[rows] + (1 - self.beta2) * grads * grads
-        t_rows = t[rows].astype(np.float64)
-        m_hat = m[rows] / (1 - self.beta1 ** t_rows)[:, None]
-        v_hat = v[rows] / (1 - self.beta2 ** t_rows)[:, None]
+        m_hat, v_hat = _adam_moments(state, rows, grads, self.beta1,
+                                     self.beta2)
+        weight = np.take(table.weight, rows, axis=0)
         update = m_hat / (np.sqrt(v_hat) + self.eps)
         if self.weight_decay:
-            update = update + self.weight_decay * table.weight[rows]
-        w_norm = np.linalg.norm(table.weight[rows], axis=1)
+            update = update + self.weight_decay * weight
+        w_norm = np.linalg.norm(weight, axis=1)
         u_norm = np.linalg.norm(update, axis=1)
-        trust = np.where((w_norm > 0) & (u_norm > 0), w_norm / np.maximum(u_norm, 1e-30), 1.0)
-        table.weight[rows] -= (
-            self.lr * trust[:, None] * update
-        ).astype(np.float32)
+        trust = np.where((w_norm > 0) & (u_norm > 0),
+                         w_norm / np.maximum(u_norm, 1e-30), 1.0)
+        weight -= (self.lr * trust[:, None] * update).astype(np.float32)
+        table.weight[rows] = weight
 
     def state_bytes(self, num_embeddings: int, embedding_dim: int) -> int:
         return num_embeddings * (2 * embedding_dim * 4 + 8)

@@ -185,18 +185,17 @@ class EmbeddingTable:
     def forward(self, indices: np.ndarray, offsets: np.ndarray) -> np.ndarray:
         """Pooled lookup: returns (B, D) with B = len(offsets) - 1.
 
-        One gather plus one segment-reduce (``np.add.reduceat``), the
-        CPU analogue of the paper's batched FBGEMM lookup. Bag ids for
-        the backward pass are derived lazily — the forward hot path
-        never materializes a scatter index.
+        One gather (``np.take``, cheaper than fancy indexing) plus one
+        segment-reduce (``np.add.reduceat``), the CPU analogue of the
+        paper's batched FBGEMM lookup. Bag ids for the backward pass are
+        derived lazily — the forward hot path never materializes a
+        scatter index.
         """
         indices = np.asarray(indices, dtype=np.int64)
         offsets = np.asarray(offsets, dtype=np.int64)
         self._validate(indices, offsets)
         lengths = np.diff(offsets)
-        gathered = self.weight[indices] if len(indices) else \
-            np.zeros((0, self.config.embedding_dim), dtype=np.float32)
-        out = segment_sum(gathered, offsets)
+        out = segment_sum(np.take(self.weight, indices, axis=0), offsets)
         if self.config.pooling_mode == "mean":
             denom = np.maximum(lengths, 1).astype(np.float32)
             out /= denom[:, None]

@@ -111,6 +111,9 @@ class MetricRegistry:
 
     def __init__(self) -> None:
         self._metrics: Dict[str, Any] = {}
+        #: bumped by every :meth:`reset`, so a caller that caches metric
+        #: objects can tell when the registry dropped them
+        self.generation = 0
 
     def _get_or_create(self, cls, name: str, labels: Dict[str, Any]):
         key = _metric_key(name, labels)
@@ -164,6 +167,7 @@ class MetricRegistry:
 
     def reset(self, prefix: Optional[str] = None) -> None:
         """Drop all metrics, or only those under a name prefix."""
+        self.generation += 1
         if prefix is None:
             self._metrics.clear()
             return

@@ -17,11 +17,21 @@ bag vectors once and reaches the same permutation with one int64 sort
 on ``(row, bag rank)``; the suites in ``test_embedding_kernels.py`` /
 ``test_sparse_update_parity.py`` expand the bag form (``values[bag_ids]``)
 and hold the product to bitwise equality with this oracle.
+
+``bucketize_sparse_reference`` is the bucket-by-bucket mask loop that
+``repro.data.bucketize_sparse`` used to be (one pass over all ids per
+bucket); the product sorts once on the bucket and counts ``(bucket,
+bag)`` pairs once, and must return the same ids and lengths.
+
+``zipf_indices_reference`` is the sampler ``repro.data.zipf_indices``
+used to be: ``np.searchsorted`` of the uniform draws (in sorted order)
+into a freshly computed CDF. The product answers through a guide table
+and must return the same ids for the same draws.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -59,3 +69,37 @@ def looped_backward_and_update(tables: Sequence,
     """Backward + exact sparse optimizer step, one table at a time."""
     for t in tables:
         optimizer.step(t, t.backward(d_pooled[t.name]))
+
+
+def bucketize_sparse_reference(indices: np.ndarray, lengths: np.ndarray,
+                               boundaries: Sequence[int]
+                               ) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """One masked pass per bucket: ids rebased to the bucket, lengths
+    counted per bag."""
+    indices = np.asarray(indices, dtype=np.int64)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    boundaries = np.asarray(list(boundaries), dtype=np.int64)
+    bag_ids = np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
+    bucket_of = np.searchsorted(boundaries, indices, side="right") - 1
+    out = []
+    for k in range(len(boundaries) - 1):
+        mask = bucket_of == k
+        out.append((indices[mask] - boundaries[k],
+                    np.bincount(bag_ids[mask],
+                                minlength=len(lengths)).astype(np.int64)))
+    return out
+
+
+def zipf_indices_reference(num_ids: int, size: int, rng,
+                           alpha: float = 1.05) -> np.ndarray:
+    """Inverse-CDF Zipf ids: ``searchsorted`` of sorted uniform draws,
+    scattered back to draw order."""
+    if size == 0:
+        return np.zeros(0, dtype=np.int64)
+    cdf = np.cumsum(np.arange(1, num_ids + 1, dtype=np.float64) ** (-alpha))
+    cdf /= cdf[-1]
+    u = rng.random(size)
+    order = np.argsort(u)
+    out = np.empty(size, dtype=np.int64)
+    out[order] = np.searchsorted(cdf, u[order])
+    return out

@@ -5,9 +5,14 @@
 and its own dense optimizer, and every dense phase — bottom/top MLP,
 interaction, loss, backward, the bucketed AllReduce, the optimizer
 step and the row-wise gradient AllGather — is a python loop over ranks
-through the list forms of the collectives. It shares everything else
-(sharding, embedding forward/backward, sparse updates, spans,
-checkpoint layout) with the product by inheritance.
+through the list forms of the collectives. Its row-wise index payloads
+come from the per-(table, source rank) bucketize loop
+(:func:`looped_row_wise_payloads`, with the mask-loop kernel of
+``reference_kernels.py``) that the product's one combined
+``bucketize_sparse`` pass replaced. It shares everything else
+(sharding, the other schemes' exchanges, embedding forward/backward,
+sparse updates, spans, checkpoint layout) with the product by
+inheritance.
 
 ``test_trainer_stacked.py`` fuzzes the product against it bitwise
 (losses, dense parameters, tables, wire bytes, modeled seconds, eval
@@ -24,6 +29,40 @@ import numpy as np
 
 from repro import nn
 from repro.core import NeoTrainer
+from repro.sharding import ShardingScheme
+
+from .reference_kernels import bucketize_sparse_reference
+
+
+def looped_row_wise_payloads(trainer: NeoTrainer, inputs) -> dict:
+    """Every row-wise table's shards (in row order) and its ``[src][dst]``
+    ids and lengths payloads, one bucketize per (table, source rank).
+
+    ``inputs[name][src]`` is source rank ``src``'s ``(ids, offsets)``;
+    the result has the shape of ``NeoTrainer._row_wise_payloads``.
+    """
+    w = trainer.world_size
+    out = {}
+    for t in trainer.config.tables:
+        table_plan = trainer.plan.tables[t.name]
+        if table_plan.scheme not in (ShardingScheme.ROW_WISE,
+                                     ShardingScheme.TABLE_ROW_WISE):
+            continue
+        ordered = tuple(sorted(table_plan.shards, key=lambda s: s.row_range))
+        boundaries = [s.row_range[0] for s in ordered] \
+            + [ordered[-1].row_range[1]]
+        empty = np.zeros(0, dtype=np.int64)
+        payload_ids = [[empty for _ in range(w)] for _ in range(w)]
+        payload_lengths = [[empty for _ in range(w)] for _ in range(w)]
+        for src in range(w):
+            ids, offsets = inputs[t.name][src]
+            buckets = bucketize_sparse_reference(
+                ids, np.diff(offsets).astype(np.int64), boundaries)
+            for shard, (b_ids, b_lengths) in zip(ordered, buckets):
+                payload_ids[src][shard.rank] = b_ids
+                payload_lengths[src][shard.rank] = b_lengths
+        out[t.name] = (ordered, payload_ids, payload_lengths)
+    return out
 
 
 class LoopedNeoTrainer(NeoTrainer):
@@ -70,7 +109,7 @@ class LoopedNeoTrainer(NeoTrainer):
         return [loss.forward(z, batch.labels) for loss, z, batch
                 in zip(self._losses, logits, local_batches)]
 
-    def _dense_backward(self) -> Dict[str, List[np.ndarray]]:
+    def _dense_backward(self) -> Dict[str, np.ndarray]:
         d_pooled: Dict[str, List[np.ndarray]] = {
             t.name: [] for t in self.config.tables}
         for r, state in enumerate(self.ranks):
@@ -85,7 +124,12 @@ class LoopedNeoTrainer(NeoTrainer):
                 if t.name in state.projections:
                     grad = state.projections[t.name].backward(grad)
                 d_pooled[t.name].append(grad)
-        return d_pooled
+        # the sparse half takes each table's gradient as one (R, B, D)
+        # array, as the product hands it over
+        return {name: np.stack(grads) for name, grads in d_pooled.items()}
+
+    def _row_wise_payloads(self, inputs, lengths) -> dict:
+        return looped_row_wise_payloads(self, inputs)
 
     def _backward_row_wise(self, shards, d_pooled) -> None:
         w = self.world_size

@@ -9,7 +9,7 @@ from repro.comms import ClusterTopology, QuantizedCommsConfig
 from repro.core import NeoTrainer
 from repro.data import SyntheticCTRDataset
 from repro.embedding import (EmbeddingTableConfig, RowWiseAdaGrad,
-                             SparseAdaGrad, SparseSGD)
+                             SparseAdaGrad, SparseAdam, SparseSGD)
 from repro.models import DLRM, DLRMConfig
 from repro.sharding import (EmbeddingShardingPlanner, PlannerConfig,
                             ShardingPlan, ShardingScheme, shard_table)
@@ -238,6 +238,44 @@ class TestMixedPlan:
             results[name] = losses
         np.testing.assert_allclose(results["quant"], results["fp32"],
                                    rtol=5e-3)
+
+
+class TestDataParallelZeroGradient:
+    def test_touched_row_with_zero_gradient_still_steps(self):
+        """A data-parallel table steps every row any rank touched, as
+        every other scheme and the single-process step do: with the top
+        MLP zeroed every pooled gradient is exactly zero, and Adam's
+        per-row step count must still advance on the touched rows."""
+        tables = (EmbeddingTableConfig("dp", 32, 8, avg_pooling=3.0),
+                  EmbeddingTableConfig("tw", 32, 8, avg_pooling=3.0))
+        config = DLRMConfig(dense_dim=4, bottom_mlp=(16, 8), tables=tables,
+                            top_mlp=(16,))
+        plan = ShardingPlan(world_size=2)
+        plan.tables["dp"] = shard_table(tables[0],
+                                        ShardingScheme.DATA_PARALLEL, [0, 1])
+        plan.tables["tw"] = shard_table(tables[1],
+                                        ShardingScheme.TABLE_WISE, [1])
+        trainer = make_trainer(config, plan, 2,
+                               sparse_opt=SparseAdam(lr=0.01))
+        ds = dataset_for(config)
+
+        def step(index):
+            batch = ds.batch(8, index)
+            # both tables read the same ids, so they touch the same rows
+            batch.sparse["tw"] = batch.sparse["dp"]
+            trainer.train_step(batch.split(2))
+
+        step(0)
+        for state in trainer.ranks:
+            for p in state.top.parameters():
+                p.data[...] = 0.0
+        step(1)
+        t_of = [trainer.sparse_opt.state_for(
+            trainer._shard_tables[shard])["t"]
+            for name in ("tw", "dp") for shard in plan.tables[name].shards]
+        assert t_of[0].max() == 2
+        for t in t_of[1:]:
+            np.testing.assert_array_equal(t, t_of[0])
 
 
 class TestValidation:

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from repro.data import MiniBatch, SyntheticCTRDataset, zipf_indices
 from repro.embedding import EmbeddingTableConfig
 
+from .reference_kernels import zipf_indices_reference
+
 
 def make_tables(n=3, h=1000, pooling=5.0):
     return [EmbeddingTableConfig(f"t{i}", h, 8, avg_pooling=pooling)
@@ -86,6 +88,54 @@ class TestZipf:
     def test_bounds_property(self, n):
         ids = zipf_indices(n, 200, np.random.default_rng(n))
         assert np.all((0 <= ids) & (ids < n))
+
+
+class _Draws:
+    """A stand-in generator that hands out prescribed uniform draws."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size):
+        assert size == len(self.u)
+        return self.u.copy()
+
+
+class TestZipfOracle:
+    """The guide-table sampler against the searchsorted oracle of
+    ``tests/reference_kernels.py``, on random draws mixed with draws
+    that sit exactly on CDF knots, just below them and on guide-cell
+    starts. Sizes cross the one-search threshold (700 draws) and ids up
+    to 200 000 leave enough draws open for the stepped search."""
+
+    @given(num_ids=st.one_of(st.integers(min_value=1, max_value=300),
+                             st.sampled_from([1024, 20_000, 200_000])),
+           size=st.sampled_from([1, 5, 700, 701, 2000, 6000]),
+           alpha=st.sampled_from([0.8, 1.05, 1.2]),
+           seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_guide_equals_searchsorted(self, num_ids, size, alpha, seed):
+        rng = np.random.default_rng(seed)
+        u = rng.random(size)
+        cdf = np.cumsum(
+            np.arange(1, num_ids + 1, dtype=np.float64) ** (-alpha))
+        cdf /= cdf[-1]
+        if num_ids > 1:   # the last knot is 1.0, never a uniform draw
+            knots = cdf[rng.integers(0, num_ids - 1, size)]
+            pick = rng.integers(0, 4, size)
+            u = np.where(pick == 0, knots, u)
+            u = np.where(pick == 1, np.nextafter(knots, 0.0), u)
+        cells = rng.integers(0, 1 << 16, size) / float(1 << 16)
+        u = np.where(rng.integers(0, 8, size) == 0, cells, u)
+        ids = zipf_indices(num_ids, size, _Draws(u), alpha=alpha)
+        want = zipf_indices_reference(num_ids, size, _Draws(u), alpha=alpha)
+        np.testing.assert_array_equal(ids, want)
+        assert ids.dtype == np.int64
+
+    def test_cached_guide_is_read_only(self):
+        from repro.data.datagen import _zipf_guide
+        with pytest.raises(ValueError):
+            _zipf_guide(50, 1.05)[0] = 0
 
 
 class TestDataset:

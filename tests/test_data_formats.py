@@ -9,6 +9,8 @@ from repro.data import (CombinedFormat, SeparateFormat, bucketize_sparse,
                         host_transfer_time, permute_jagged, replicate_sparse)
 from repro.embedding import lengths_to_offsets
 
+from .reference_kernels import bucketize_sparse_reference
+
 
 def make_separate(num_tables=3, batch=4, seed=0):
     rng = np.random.default_rng(seed)
@@ -199,6 +201,36 @@ class TestBucketize:
             [ids + boundaries[k] for k, (ids, _) in enumerate(out)]) \
             if ids_list else np.zeros(0, dtype=np.int64)
         np.testing.assert_array_equal(np.sort(rebuilt), np.sort(indices))
+
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_equals_mask_loop_oracle(self, data):
+        """One sort and one (bucket, bag) count give every bucket's ids
+        and lengths exactly as the bucket-by-bucket mask loop does, for
+        uneven buckets down to one row, empty bags, ids on boundaries,
+        and enough buckets to take both bucketing paths."""
+        widths = data.draw(st.lists(st.integers(min_value=1, max_value=9),
+                                    min_size=1, max_size=40))
+        boundaries = np.concatenate([[0], np.cumsum(widths)])
+        cuts = sorted({int(b) for b in boundaries[:-1]}
+                      | {int(b) - 1 for b in boundaries[1:]})
+        lengths = np.array(data.draw(st.lists(
+            st.integers(min_value=0, max_value=5), max_size=12)),
+            dtype=np.int64)
+        indices = np.array(data.draw(st.lists(
+            st.one_of(st.sampled_from(cuts),
+                      st.integers(min_value=0,
+                                  max_value=int(boundaries[-1]) - 1)),
+            min_size=int(lengths.sum()), max_size=int(lengths.sum()))),
+            dtype=np.int64)
+        got = bucketize_sparse(indices, lengths, boundaries)
+        want = bucketize_sparse_reference(indices, lengths, boundaries)
+        assert len(got) == len(want) == len(widths)
+        for (g_ids, g_len), (w_ids, w_len) in zip(got, want):
+            assert g_ids.dtype == g_len.dtype == np.int64
+            np.testing.assert_array_equal(g_ids, w_ids)
+            np.testing.assert_array_equal(g_len, w_len)
 
 
 class TestReplicate:

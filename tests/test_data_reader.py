@@ -1,9 +1,13 @@
 """Tests for the data ingestion service."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
-from repro.data import DataIngestionService, SyntheticCTRDataset
+from repro.data import (DataIngestionService, IngestionStats, MiniBatch,
+                        SeparateFormat, SyntheticCTRDataset,
+                        host_transfer_time)
 from repro.embedding import EmbeddingTableConfig
 
 
@@ -67,3 +71,45 @@ class TestIngestion:
         with pytest.raises(ValueError):
             DataIngestionService(ds, world_size=2, global_batch_size=8,
                                  prefetch_depth=0)
+
+
+def built_format_stats(svc: DataIngestionService) -> IngestionStats:
+    """The accounting of every batch ``svc`` produced, by building each
+    shard's separate and combined formats (what ``_account`` counts)."""
+    stats = IngestionStats()
+    for index in range(svc.stats.batches_produced):
+        stats.batches_produced += 1
+        shards = svc.dataset.batch(svc.global_batch_size,
+                                   index).split(svc.world_size)
+        for shard in shards:
+            separate = SeparateFormat(tables=dict(shard.sparse))
+            combined = separate.to_combined(list(shard.sparse))
+            payload = combined.total_bytes + shard.dense.nbytes \
+                + shard.labels.nbytes
+            stats.frontend_bytes += payload
+            stats.h2d_seconds_pinned += host_transfer_time(
+                combined.num_tensors + 2, payload, pinned=True)
+            stats.h2d_seconds_pageable += host_transfer_time(
+                separate.num_tensors + 2, payload, pinned=False)
+            stats.combined_tensors_per_iter = combined.num_tensors + 2
+            stats.separate_tensors_per_iter = separate.num_tensors + 2
+    return stats
+
+
+class TestAccounting:
+    @pytest.mark.parametrize("num_tables", [1, 3, 17])
+    def test_counted_equals_built_formats_field_for_field(self, num_tables):
+        svc = make_service(num_tables=num_tables)
+        for _ in range(3):
+            svc.next_batch()
+        assert asdict(svc.stats) == asdict(built_format_stats(svc))
+
+    def test_mismatched_table_batch_rejected(self):
+        svc = make_service()
+        shard = svc.next_batch()[0]
+        ids, offsets = shard.sparse["t1"]
+        bad = MiniBatch(dense=shard.dense,
+                        sparse={**shard.sparse, "t1": (ids, offsets[:-1])},
+                        labels=shard.labels)
+        with pytest.raises(ValueError, match="batch"):
+            svc._account([bad])

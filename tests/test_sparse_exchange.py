@@ -1,0 +1,344 @@
+"""The sparse exchange: what the trainer puts on the wire, pinned.
+
+``NeoTrainer`` prepares every table's index exchange in one pass (one
+``np.diff`` for all bag lengths, one ``bucketize_sparse`` for every
+row-wise table and source rank) and then issues one collective per table
+per kind, in table order. These tests hold that pass to the exchange it
+replaced:
+
+* a recorded run of a hybrid-sharded trainer (row-, table-, column-wise
+  and data-parallel tables; uneven row splits with a single-row shard; a
+  row-wise table that skips a rank; an empty bag on every rank) must
+  issue the same collectives, in the same order, with the same inputs,
+  wire bytes and modeled seconds as the per-table exchange did;
+* the one-pass row-wise payloads must equal the per-(table, source rank)
+  bucketize oracle of ``tests/reference_trainer.py``;
+* ids outside their table must fail as a per-table bucketize did, even
+  where the combined id space would hide them in a neighbour's bucket;
+* the comms log's cached counters must survive registry resets.
+"""
+
+import hashlib
+import json
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro import nn
+from repro.comms import ClusterTopology, CommsLog, SimProcessGroup
+from repro.core import NeoTrainer
+from repro.data import MiniBatch, SyntheticCTRDataset
+from repro.embedding import EmbeddingTableConfig, SparseAdaGrad
+from repro.models import DLRMConfig
+from repro.obs import MetricRegistry
+from repro.sharding import (Shard, ShardingPlan, ShardingScheme,
+                            TableShardingPlan, shard_table)
+
+from .reference_trainer import looped_row_wise_payloads
+
+WORLD = 4
+DIM = 4
+LOCAL_BATCH = 3
+# sha256 of the collective record of `recorded_run()`, taken from the
+# per-table exchange this pass replaced; any change to a collective's
+# name, order, inputs, wire bytes or modeled seconds changes it
+PINNED_EXCHANGE = \
+    "f94227020d7694c6348c403a6d8536481ed356e620d1c12e621ce0f747bb4b22"
+
+
+def _array_digest(h, value) -> None:
+    if isinstance(value, (list, tuple)):
+        h.update(b"[%d" % len(value))
+        for item in value:
+            _array_digest(h, item)
+        h.update(b"]")
+        return
+    array = np.asarray(value)
+    h.update(f"{array.dtype.str}{array.shape}".encode())
+    h.update(np.ascontiguousarray(array).tobytes())
+
+
+class RecordingProcessGroup(SimProcessGroup):
+    """Records every collective: name, sha256 of its inputs, wire bytes
+    and modeled seconds (exactly, as a float hex string)."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.record = []
+
+    def _execute(self, name, inputs, total_wire, seconds, fn):
+        h = hashlib.sha256()
+        _array_digest(h, inputs)
+        self.record.append([name, h.hexdigest(), int(total_wire),
+                            float(seconds).hex()])
+        return super()._execute(name, inputs, total_wire, seconds, fn)
+
+
+def hybrid_plan(tables) -> ShardingPlan:
+    """rw_a: four uneven row shards (one a single row) placed out of rank
+    order; rw_b: three row shards, none on rank 0; tw on rank 2; cw in
+    three uneven column slices; dp on every rank."""
+    by_name = {t.name: t for t in tables}
+    plan = ShardingPlan(world_size=WORLD)
+
+    def rows(name, placed):
+        t = by_name[name]
+        return TableShardingPlan(t, ShardingScheme.ROW_WISE, [
+            Shard(name, rank, interval, (0, DIM))
+            for rank, interval in placed])
+
+    plan.tables["rw_a"] = rows("rw_a", [(2, (0, 5)), (0, (5, 20)),
+                                        (3, (20, 21)), (1, (21, 37))])
+    plan.tables["rw_b"] = rows("rw_b", [(3, (0, 10)), (1, (10, 11)),
+                                        (2, (11, 23))])
+    plan.tables["tw"] = shard_table(by_name["tw"], ShardingScheme.TABLE_WISE,
+                                    [2])
+    plan.tables["cw"] = TableShardingPlan(
+        by_name["cw"], ShardingScheme.COLUMN_WISE, [
+            Shard("cw", rank, (0, 31), interval)
+            for rank, interval in ((3, (0, 2)), (0, (2, 3)), (1, (3, 4)))])
+    plan.tables["dp"] = shard_table(by_name["dp"],
+                                    ShardingScheme.DATA_PARALLEL,
+                                    list(range(WORLD)))
+    plan.validate()
+    return plan
+
+
+def hybrid_trainer(process_group_factory=None) -> NeoTrainer:
+    tables = tuple(EmbeddingTableConfig(name, rows, DIM, avg_pooling=3.0)
+                   for name, rows in (("rw_a", 37), ("tw", 29), ("rw_b", 23),
+                                      ("cw", 31), ("dp", 13)))
+    config = DLRMConfig(dense_dim=3, bottom_mlp=(8, DIM), tables=tables,
+                        top_mlp=(8,))
+    return NeoTrainer(config, hybrid_plan(tables),
+                      ClusterTopology(num_nodes=1, gpus_per_node=WORLD),
+                      dense_optimizer=lambda params: nn.SGD(params, lr=0.1),
+                      sparse_optimizer=SparseAdaGrad(lr=0.1), seed=3,
+                      process_group_factory=process_group_factory)
+
+
+def without_bag(batch: MiniBatch, bag: int) -> MiniBatch:
+    """``batch`` with bag ``bag`` of every table emptied."""
+    sparse = {}
+    for name, (ids, offsets) in batch.sparse.items():
+        lengths = np.diff(offsets)
+        lengths[bag] = 0
+        keep = np.ones(len(ids), dtype=bool)
+        keep[offsets[bag]:offsets[bag + 1]] = False
+        sparse[name] = (ids[keep], np.concatenate([[0], np.cumsum(lengths)]))
+    return MiniBatch(dense=batch.dense, sparse=sparse, labels=batch.labels)
+
+
+def hybrid_batches(trainer: NeoTrainer, step: int):
+    dataset = SyntheticCTRDataset(trainer.config.tables, dense_dim=3, seed=5)
+    shards = dataset.batch(WORLD * LOCAL_BATCH, step).split(WORLD)
+    return [without_bag(b, r % LOCAL_BATCH) for r, b in enumerate(shards)]
+
+
+def recorded_run():
+    trainer = hybrid_trainer(RecordingProcessGroup)
+    for step in range(3):
+        trainer.train_step(hybrid_batches(trainer, step))
+    return trainer
+
+
+class TestPinnedExchange:
+    def test_collective_record_matches_the_per_table_exchange(self):
+        trainer = recorded_run()
+        record = trainer.pg.record
+        # 3 steps x (forward: 2 rw x 3 + tw 3 + cw 2 + 3; backward:
+        # 2 rw + tw + 3 cw + dp; one dense bucket)
+        assert len(record) == 3 * (6 + 3 + 5 + 2 + 1 + 3 + 1 + 1)
+        digest = hashlib.sha256(json.dumps(record).encode()).hexdigest()
+        assert digest == PINNED_EXCHANGE
+
+    def test_every_rank_ships_an_empty_bag(self):
+        trainer = hybrid_trainer()
+        for r, batch in enumerate(hybrid_batches(trainer, 0)):
+            for _, offsets in batch.sparse.values():
+                assert np.diff(offsets)[r % LOCAL_BATCH] == 0
+
+
+@st.composite
+def row_wise_case(draw):
+    """Row-wise tables of 1..12 rows cut into 1..W shards at random
+    points and placed on random ranks, with bags of 0..4 ids drawn to
+    favour shard boundaries."""
+    world = draw(st.integers(min_value=1, max_value=WORLD))
+    batch = draw(st.integers(min_value=1, max_value=4))
+    tables, placements = [], []
+    for i in range(draw(st.integers(min_value=1, max_value=3))):
+        rows = draw(st.integers(min_value=1, max_value=12))
+        cuts = sorted(draw(st.sets(st.integers(min_value=1,
+                                               max_value=max(rows - 1, 1)),
+                                   max_size=min(world, rows) - 1))) \
+            if rows > 1 else []
+        edges = [0] + cuts + [rows]
+        ranks = draw(st.permutations(range(world)))[:len(edges) - 1]
+        tables.append(EmbeddingTableConfig(f"t{i}", rows, DIM))
+        placements.append(list(zip(ranks, zip(edges[:-1], edges[1:]))))
+    boundary_ids = {t.name: sorted({e for _, (a, b) in placed
+                                    for e in (a, b - 1)})
+                    for t, placed in zip(tables, placements)}
+    local = []
+    for _ in range(world):
+        sparse = {}
+        for t in tables:
+            bags = draw(st.lists(
+                st.lists(st.one_of(
+                    st.sampled_from(boundary_ids[t.name]),
+                    st.integers(min_value=0,
+                                max_value=t.num_embeddings - 1)),
+                    max_size=4),
+                min_size=batch, max_size=batch))
+            ids = np.array([i for bag in bags for i in bag], dtype=np.int64)
+            offsets = np.concatenate(
+                [[0], np.cumsum([len(bag) for bag in bags])]).astype(np.int64)
+            sparse[t.name] = (ids, offsets)
+        local.append(sparse)
+    return world, batch, tables, placements, local
+
+
+def row_wise_trainer(world, tables, placements) -> NeoTrainer:
+    plan = ShardingPlan(world_size=world)
+    for t, placed in zip(tables, placements):
+        plan.tables[t.name] = TableShardingPlan(
+            t, ShardingScheme.ROW_WISE,
+            [Shard(t.name, rank, interval, (0, DIM))
+             for rank, interval in placed])
+    config = DLRMConfig(dense_dim=2, bottom_mlp=(DIM,), tables=tuple(tables),
+                        top_mlp=(4,))
+    return NeoTrainer(config, plan,
+                      ClusterTopology(num_nodes=1, gpus_per_node=world),
+                      dense_optimizer=lambda params: nn.SGD(params, lr=0.1),
+                      sparse_optimizer=SparseAdaGrad(lr=0.1))
+
+
+class TestRowWisePayloads:
+    @given(row_wise_case())
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow,
+                                     HealthCheck.data_too_large])
+    def test_one_pass_equals_per_table_source_oracle(self, case):
+        world, batch, tables, placements, local = case
+        trainer = row_wise_trainer(world, tables, placements)
+        inputs = {t.name: [local[r][t.name] for r in range(world)]
+                  for t in tables}
+        got = trainer._row_wise_payloads(
+            inputs, trainer._bag_lengths(inputs, batch))
+        want = looped_row_wise_payloads(trainer, inputs)
+        assert list(got) == list(want)
+        for name, (shards, ids, lengths) in got.items():
+            want_shards, want_ids, want_lengths = want[name]
+            assert shards == want_shards
+            for got_rows, want_rows in ((ids, want_ids),
+                                        (lengths, want_lengths)):
+                for src in range(world):
+                    for dst in range(world):
+                        g, w = got_rows[src][dst], want_rows[src][dst]
+                        assert g.dtype == w.dtype == np.int64
+                        np.testing.assert_array_equal(g, w)
+
+    def test_empty_slots_share_one_read_only_array(self):
+        trainer = hybrid_trainer()
+        batches = hybrid_batches(trainer, 0)
+        inputs = {t.name: [b.sparse[t.name] for b in batches]
+                  for t in trainer.config.tables}
+        payloads = trainer._row_wise_payloads(
+            inputs, trainer._bag_lengths(inputs, LOCAL_BATCH))
+        _, ids, lengths = payloads["rw_b"]   # no shard on rank 0
+        empties = {id(ids[src][0]) for src in range(WORLD)} \
+            | {id(lengths[src][0]) for src in range(WORLD)}
+        assert len(empties) == 1
+        assert not ids[0][0].flags.writeable
+
+
+class TestBoundaries:
+    @pytest.mark.parametrize("table, bad", [("rw_a", 37), ("rw_b", -1),
+                                            ("rw_b", 23), ("rw_a", -1)])
+    def test_id_outside_its_table_raises(self, table, bad):
+        """37 is past rw_a but inside rw_b's part of the combined id
+        space; -1 in rw_b would land in rw_a's last shard."""
+        trainer = hybrid_trainer()
+        batches = hybrid_batches(trainer, 0)
+        ids, offsets = batches[1].sparse[table]
+        ids = ids.copy()
+        ids[0] = bad
+        batches[1].sparse[table] = (ids, offsets)
+        with pytest.raises(IndexError):
+            trainer.train_step(batches)
+
+    def test_row_wise_shards_must_tile_the_table(self):
+        tables = (EmbeddingTableConfig("t0", 10, DIM),)
+        plan = ShardingPlan(world_size=2)
+        plan.tables["t0"] = TableShardingPlan(
+            tables[0], ShardingScheme.ROW_WISE,
+            [Shard("t0", 0, (0, 4), (0, DIM)),
+             Shard("t0", 1, (5, 10), (0, DIM))])
+        config = DLRMConfig(dense_dim=2, bottom_mlp=(DIM,), tables=tables,
+                            top_mlp=(4,))
+        with pytest.raises(ValueError, match="tile rows"):
+            NeoTrainer(config, plan,
+                       ClusterTopology(num_nodes=1, gpus_per_node=2),
+                       dense_optimizer=lambda params: nn.SGD(params, lr=0.1),
+                       sparse_optimizer=SparseAdaGrad(lr=0.1))
+
+    def test_offsets_of_the_wrong_batch_size_raise(self):
+        trainer = hybrid_trainer()
+        batches = hybrid_batches(trainer, 0)
+        ids, offsets = batches[2].sparse["tw"]
+        batches[2].sparse["tw"] = (ids, offsets[:-1])
+        with pytest.raises(ValueError, match="local batch"):
+            trainer.train_step(batches)
+
+
+def _feed(log: CommsLog) -> None:
+    for name, wire, seconds in (("all_reduce", 64, 1e-6),
+                                ("all_to_all/index", 24, 2e-6),
+                                ("all_reduce", 32, 5e-7)):
+        log.record(name, wire, seconds)
+
+
+def _values(log: CommsLog):
+    return (log.calls, log.wire_bytes, log.modeled_seconds,
+            log.total_bytes, log.total_seconds)
+
+
+class TestCommsLogCounters:
+    def fresh(self):
+        log = CommsLog()
+        _feed(log)
+        return _values(log)
+
+    def test_reset_log_then_record_equals_a_fresh_log(self):
+        registry = MetricRegistry()
+        log = CommsLog(registry.scope("comms"))
+        _feed(log)
+        log.reset()
+        _feed(log)
+        assert _values(log) == self.fresh()
+
+    @pytest.mark.parametrize("prefix", [None, "comms."])
+    def test_registry_reset_then_record_equals_a_fresh_log(self, prefix):
+        registry = MetricRegistry()
+        log = CommsLog(registry.scope("comms"))
+        _feed(log)
+        registry.reset(prefix)
+        _feed(log)
+        assert _values(log) == self.fresh()
+        # the log increments the registry's current counters, not the
+        # ones the reset dropped
+        assert registry.counter("comms.calls",
+                                collective="all_reduce").value == 2
+
+    def test_process_group_reset_log(self):
+        trainer = hybrid_trainer()
+        batches = hybrid_batches(trainer, 0)
+        trainer.train_step(batches)
+        first = _values(trainer.pg.log)
+        trainer.pg.reset_log()
+        assert trainer.pg.log.calls == {}
+        trainer.train_step(hybrid_batches(trainer, 1))
+        assert trainer.pg.log.calls == first[0]
