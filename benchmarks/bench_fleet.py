@@ -41,6 +41,7 @@ from repro.fleet import (AutoscalerConfig, CapacityPoint, DayCurve,
                          FleetTraffic, RouterPolicy, ServingFleet,
                          capacity_sweep, overload_sweep, replica_warmup_s,
                          run_autoscaled_day, smallest_static_fleet)
+from repro.online.report import render_table
 from repro.serving import (BatchingPolicy, InferenceServer, ServingPerfModel,
                            run_load_test)
 
@@ -332,14 +333,6 @@ DAY_HEADER = ["fleet", "replica-s", "peak", "trough", "p99 ms",
               "SLO att.", "held"]
 
 
-def _print_table(header, rows):
-    widths = [max(len(str(h)), *(len(str(r[c])) for r in rows))
-              for c, h in enumerate(header)]
-    print("  ".join(str(h).rjust(w) for h, w in zip(header, widths)))
-    for r in rows:
-        print("  ".join(str(v).rjust(w) for v, w in zip(r, widths)))
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--quick", action="store_true",
@@ -361,7 +354,7 @@ def main(argv=None):
 
     print("capacity vs replicas (power-of-two routing, "
           f"{config['overload']}x overload per replica):")
-    _print_table(CapacityPoint.ROW_HEADER, capacity_rows(results))
+    print(render_table(CapacityPoint.ROW_HEADER, capacity_rows(results)))
     print(f"\ngoodput plateau at {config['overload_scales'][-1]}x "
           f"capacity: {results['overload']['plateau_ratio']:.3f}x of "
           f"the 1x goodput")
@@ -369,7 +362,7 @@ def main(argv=None):
           f"({results['day']['num_requests']} requests, "
           f"{results['day']['num_users']} users, warm-up "
           f"{results['day']['warmup_s'] * 1e3:.0f} ms):")
-    _print_table(DAY_HEADER, day_rows(results))
+    print(render_table(DAY_HEADER, day_rows(results)))
     print(f"\nreplica-seconds saved by elasticity: "
           f"{results['day']['replica_seconds_saved_frac'] * 100:.0f}%")
     print(f"N=1 round-robin == bench_serving single server: "

@@ -37,6 +37,7 @@ from repro.data import SyntheticCTRDataset
 from repro.embedding import EmbeddingTableConfig, TTEmbeddingTable
 from repro.fleet import MultiTenantFleet, TenantSpec
 from repro.models import DLRM, DLRMConfig, zoo_config
+from repro.online.report import render_table
 from repro.perf import PlatformSpec
 from repro.planner import (PlanBudget, PlannerCostModel, plan_representation,
                            uniform_plan)
@@ -303,14 +304,6 @@ def tenancy_rows(results):
     return rows
 
 
-def _print_table(header, rows):
-    widths = [max(len(str(h)), *(len(str(r[c])) for r in rows))
-              for c, h in enumerate(header)]
-    print("  ".join(str(h).rjust(w) for h, w in zip(header, widths)))
-    for r in rows:
-        print("  ".join(str(v).rjust(w) for v, w in zip(r, widths)))
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--quick", action="store_true",
@@ -328,13 +321,13 @@ def main(argv=None):
     mixed = results["planner"]["mixed"]
     print(f"mixed plan under {config['budget_frac']:.0%} budget, "
           f"floor {config['quality_floor']:g}:")
-    _print_table(PLAN_HEADER, plan_rows(results))
+    print(render_table(PLAN_HEADER, plan_rows(results)))
     print(f"\nmeasured NE gap: {mixed.measured_ne_gap:.2e} "
           f"(floor {config['ne_floor']:g})")
     print("\nmixed vs uniform baselines at the same floor:")
-    _print_table(UNIFORM_HEADER, uniform_rows(results))
+    print(render_table(UNIFORM_HEADER, uniform_rows(results)))
     print("\ntenant isolation (same trace, both deployment modes):")
-    _print_table(TENANCY_HEADER, tenancy_rows(results))
+    print(render_table(TENANCY_HEADER, tenancy_rows(results)))
     print(f"wrote {args.out}")
 
     failures = []

@@ -30,6 +30,7 @@ import sys
 from repro.data import SyntheticCTRDataset
 from repro.embedding import EmbeddingTableConfig
 from repro.models import DLRM, DLRMConfig
+from repro.online.report import render_table
 from repro.serving import (BatchingPolicy, FreezeConfig, InferenceServer,
                            LoadReport, ServingPerfModel, freeze,
                            run_load_test)
@@ -140,13 +141,8 @@ def main(argv=None):
     with open(args.out, "w") as f:
         json.dump(as_json(config, results), f, indent=2)
         f.write("\n")
-    header = ["load", "policy"] + LoadReport.ROW_HEADER
-    rows = result_rows(results)
-    widths = [max(len(str(h)), *(len(str(r[c])) for r in rows))
-              for c, h in enumerate(header)]
-    print("  ".join(h.rjust(w) for h, w in zip(header, widths)))
-    for r in rows:
-        print("  ".join(str(v).rjust(w) for v, w in zip(r, widths)))
+    print(render_table(["load", "policy"] + LoadReport.ROW_HEADER,
+                       result_rows(results)))
     speedup = results["goodput_speedup_at_2x"]
     print(f"\nbatched/unbatched goodput at 2x load: {speedup:.1f}x "
           f"(batched p99 within SLO: "

@@ -10,39 +10,14 @@
   ``trace_event`` JSON (open in Perfetto / ``chrome://tracing``) and
   prints a run summary comparing measured phase shares against the
   analytical Eq. 1 latency breakdown.
-* ``python -m repro serve-bench`` — freezes a mini Table 3 model and
-  replays a seeded Poisson arrival trace through the micro-batching
-  inference server at several offered loads, printing the SLO report
-  (p50/p99, goodput, shed rate) per load, batched vs unbatched.
-* ``python -m repro online-bench`` — runs the train-while-serving
-  co-simulation at several snapshot refresh cadences (atomic hot-swap
-  through the double-buffered model slot) and prints the staleness vs
-  held-out-NE vs goodput curve; ``--freshness-budget-s`` derives the
-  cadence from the :mod:`repro.perf.online` cluster sizing instead.
-* ``python -m repro fleet-bench`` — serves a compressed diurnal day
-  (seeded NHPP arrivals over a Zipf user population) through a
-  multi-replica fleet under the SLO-driven autoscaler and prints the
-  per-window scaling timeline plus the replica-hours saved against the
-  cheapest static fleet that holds the same SLO.
-* ``python -m repro cache-bench`` — replays hashed Zipf embedding
-  traces through every ``RowCache`` kind at identical fast-tier
-  capacity (set-associative, UVM pages, frequency-aware chunks, and
-  frequency-aware with pipelined prefetch) and prints hit rate, slow
-  tier traffic, and modeled effective bandwidth per Zipf alpha.
-* ``python -m repro planner-bench`` — runs the multi-path
-  representation planner over a mini Table 3 model at a hot-memory
-  budget fraction and quality floor, prints the per-table assignment
-  (full/fp16/bf16/int8/TT/cold) with measured errors and the memory
-  comparison against every uniform single-path baseline at the same
-  floor.
+
+Each benchmark runs from its own script, ``benchmarks/bench_*.py``.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-
-import numpy as np
 
 
 def selfcheck() -> int:
@@ -172,359 +147,6 @@ def trace_command(args: argparse.Namespace) -> int:
     return 0
 
 
-def serve_bench_command(args: argparse.Namespace) -> int:
-    """Freeze a mini model and sweep offered load through the server."""
-    from repro.data import SyntheticCTRDataset
-    from repro.models import DLRM, mini_config
-    from repro.serving import (BatchingPolicy, FreezeConfig, InferenceServer,
-                               ServingPerfModel, freeze, run_load_test)
-
-    if args.requests < 1:
-        print("error: --requests must be positive", file=sys.stderr)
-        return 2
-    if args.slo_ms <= 0 or args.qps <= 0:
-        print("error: --slo-ms and --qps must be positive", file=sys.stderr)
-        return 2
-
-    config = mini_config(args.model)
-    model = freeze(DLRM(config, seed=args.seed),
-                   FreezeConfig(precision=args.precision))
-    dataset = SyntheticCTRDataset(config.tables, dense_dim=config.dense_dim,
-                                  seed=args.seed)
-    perf = ServingPerfModel()
-    policies = [
-        ("batch=1", BatchingPolicy(max_batch_size=1, max_wait_s=0.0)),
-        (f"batch<={args.max_batch}",
-         BatchingPolicy(max_batch_size=args.max_batch,
-                        max_wait_s=args.max_wait_us * 1e-6)),
-    ]
-    print(f"serve-bench: {args.model} mini ({args.precision} embeddings, "
-          f"{model.storage_bytes() / 1e6:.1f} MB), "
-          f"{args.requests} requests, SLO {args.slo_ms:.1f} ms\n")
-    from repro.serving import LoadReport
-    header = ["policy"] + LoadReport.ROW_HEADER
-    rows = []
-    for name, policy in policies:
-        server = InferenceServer(model, policy, perf)
-        for scale in (0.5, 1.0, 2.0):
-            report = run_load_test(server, dataset, qps=args.qps * scale,
-                                   num_requests=args.requests,
-                                   slo_s=args.slo_ms * 1e-3, seed=args.seed)
-            rows.append([name] + report.row())
-    widths = [max(len(header[c]), *(len(r[c]) for r in rows))
-              for c in range(len(header))]
-    print("  ".join(h.rjust(w) for h, w in zip(header, widths)))
-    for r in rows:
-        print("  ".join(v.rjust(w) for v, w in zip(r, widths)))
-    return 0
-
-
-def online_bench_command(args: argparse.Namespace) -> int:
-    """Sweep refresh cadences through the co-simulation and print the
-    staleness vs quality vs goodput curve."""
-    from repro import nn
-    from repro.comms import ClusterTopology
-    from repro.core import NeoTrainer, TrainingLoop
-    from repro.data import SyntheticCTRDataset
-    from repro.embedding import SparseAdaGrad
-    from repro.models import full_spec, mini_config
-    from repro.online import OnlineConfig, cadence_from_sizing, \
-        run_cadence_sweep
-    from repro.online.report import OnlineReport, render_table
-    from repro.sharding import PlannerConfig
-
-    if args.steps < 1 or args.ranks < 1 or args.batch < 1:
-        print("error: --steps, --ranks and --batch must be positive",
-              file=sys.stderr)
-        return 2
-    if args.batch % args.ranks:
-        print(f"error: --batch {args.batch} must be divisible by "
-              f"--ranks {args.ranks}", file=sys.stderr)
-        return 2
-
-    step_time_s = args.step_time_ms * 1e-3
-    cadences = [int(c) for c in args.cadences.split(",")]
-    if args.freshness_budget_s is not None:
-        # paper-scale linkage: the smallest cluster meeting the target
-        # training QPS sets the step time; the freshness budget sets the
-        # cadence. The co-sim then runs the mini model on that clock.
-        swap_every, step_time_s, sizing = cadence_from_sizing(
-            full_spec(args.model), args.target_qps,
-            args.freshness_budget_s)
-        print(f"sizing: {sizing.nodes} nodes at "
-              f"{sizing.achieved_qps / 1e6:.2f} M samples/s -> step "
-              f"{step_time_s * 1e3:.1f} ms, swap every {swap_every} "
-              f"steps for a {args.freshness_budget_s:.0f} s budget\n")
-        if swap_every not in cadences:
-            cadences = sorted(c for c in cadences if c) + [swap_every, 0]
-
-    config = mini_config(args.model)
-
-    def make_loop():
-        trainer = NeoTrainer.from_planner(
-            config, ClusterTopology(num_nodes=1, gpus_per_node=args.ranks),
-            dense_optimizer=lambda p: nn.SGD(p, lr=0.05),
-            sparse_optimizer=SparseAdaGrad(lr=0.05), seed=args.seed,
-            planner_config=PlannerConfig(world_size=args.ranks,
-                                         ranks_per_node=args.ranks,
-                                         dp_threshold_rows=64))
-        dataset = SyntheticCTRDataset(config.tables,
-                                      dense_dim=config.dense_dim,
-                                      seed=args.seed + 1)
-        return TrainingLoop(trainer, dataset, global_batch_size=args.batch,
-                            eval_every=10 ** 6)
-
-    cosim_config = OnlineConfig(
-        num_steps=args.steps, swap_every_steps=1,
-        train_step_time_s=step_time_s, qps=args.qps,
-        slo_s=args.slo_ms * 1e-3, seed=args.seed,
-        eval_batch_size=args.eval_batch)
-    print(f"online-bench: {args.model} mini, {args.ranks} ranks, "
-          f"{args.steps} steps at {step_time_s * 1e3:.1f} ms/step, "
-          f"{args.qps:.0f} qps offered, cadences "
-          f"{', '.join('never' if c == 0 else str(c) for c in cadences)}\n")
-    report = run_cadence_sweep(make_loop, cadences, cosim_config)
-    print(render_table(OnlineReport.ROW_HEADER, report.rows()))
-    print(f"\nfresh model NE: {report.fresh_ne:.5f}")
-    print(f"completed hot-swaps: {report.total_swaps()}, shed during "
-          f"swap: {report.max_shed_during_swap()}, staleness->NE-gap "
-          f"monotone: {report.ne_gap_monotone_in_staleness()}")
-    return 0
-
-
-def fleet_bench_command(args: argparse.Namespace) -> int:
-    """Serve a compressed diurnal day through an autoscaled replica
-    fleet and compare against the cheapest static fleet."""
-    from repro.data import SyntheticCTRDataset
-    from repro.fleet import (DEFAULT_DAY_CURVE, AutoscalerConfig, DayCurve,
-                             FleetTraffic, RouterPolicy, ServingFleet,
-                             replica_warmup_s, run_autoscaled_day,
-                             smallest_static_fleet)
-    from repro.models import DLRM, mini_config
-    from repro.serving import (BatchingPolicy, FreezeConfig,
-                               ServingPerfModel, freeze)
-
-    if args.replicas < 1 or args.users < 1:
-        print("error: --replicas and --users must be positive",
-              file=sys.stderr)
-        return 2
-    if args.duration <= 0 or args.slo_ms <= 0 or args.window_s <= 0:
-        print("error: --duration, --slo-ms and --window-s must be "
-              "positive", file=sys.stderr)
-        return 2
-
-    config = mini_config(args.model)
-    model = freeze(DLRM(config, seed=args.seed),
-                   FreezeConfig(precision=args.precision))
-    dataset = SyntheticCTRDataset(config.tables, dense_dim=config.dense_dim,
-                                  seed=args.seed)
-    fleet = ServingFleet(
-        model,
-        policy=BatchingPolicy(max_batch_size=args.max_batch,
-                              max_wait_s=0.05),
-        perfs=[ServingPerfModel(overhead_s=args.overhead_ms * 1e-3)
-               for _ in range(args.replicas)],
-        router=RouterPolicy(kind=args.router, seed=args.seed))
-    nnz = sum(t.avg_pooling for t in config.tables)
-    fleet_cap = fleet.capacity_qps(args.max_batch, nnz)
-    mean_qps = args.qps if args.qps is not None else 0.6 * fleet_cap
-    traffic = FleetTraffic(
-        mean_qps=mean_qps, duration_s=args.duration,
-        curve=DayCurve(hourly=DEFAULT_DAY_CURVE, day_s=args.duration),
-        num_users=args.users, seed=args.seed)
-    requests = traffic.requests(dataset)
-    cfg = AutoscalerConfig(
-        slo_s=args.slo_ms * 1e-3, window_s=args.window_s,
-        min_replicas=1, max_replicas=args.replicas,
-        up_p99_frac=0.4, down_p99_frac=0.3, cooldown_s=2 * args.window_s)
-
-    print(f"fleet-bench: {args.model} mini ({args.precision} embeddings), "
-          f"{args.replicas}x {args.router} replicas "
-          f"({fleet_cap:.0f} qps fleet capacity), {len(requests)} "
-          f"requests from {args.users} users over a {args.duration:.0f} s "
-          f"day, SLO {args.slo_ms:.0f} ms, replica warm-up "
-          f"{replica_warmup_s(model) * 1e3:.0f} ms\n")
-    elastic = run_autoscaled_day(fleet, requests, cfg)
-    print(elastic.render())
-    static = smallest_static_fleet(fleet, requests, cfg)
-    saved = 1.0 - elastic.replica_seconds / static.replica_seconds
-    print(f"\nautoscaled: {elastic.replica_seconds:.0f} replica-s, "
-          f"peak {elastic.peak_replicas}, trough "
-          f"{elastic.trough_replicas}, p99 "
-          f"{elastic.merged.p99_s * 1e3:.1f} ms, SLO held "
-          f"{elastic.slo_held}")
-    print(f"static x{static.peak_replicas}: "
-          f"{static.replica_seconds:.0f} replica-s, p99 "
-          f"{static.merged.p99_s * 1e3:.1f} ms, SLO held "
-          f"{static.slo_held}")
-    print(f"replica-seconds saved by elasticity: {saved * 100:.0f}%")
-    return 0
-
-
-def cache_bench_command(args: argparse.Namespace) -> int:
-    """Sweep every RowCache kind over hashed Zipf traces and print the
-    hit-rate / effective-bandwidth comparison."""
-    import time
-
-    from repro.cache import ArrayBackingStore, PrefetchPipeline, make_cache
-    from repro.data import zipf_indices
-    from repro.obs import Tracer
-
-    if args.rows < 1 or args.capacity < 1 or args.dim < 1:
-        print("error: --rows, --capacity and --dim must be positive",
-              file=sys.stderr)
-        return 2
-    if args.steps < 1 or args.warm_steps < 1 or args.ids_per_step < 1:
-        print("error: --steps, --warm-steps and --ids-per-step must be "
-              "positive", file=sys.stderr)
-        return 2
-    try:
-        alphas = [float(a) for a in args.alphas.split(",")]
-    except ValueError:
-        print(f"error: bad --alphas {args.alphas!r}", file=sys.stderr)
-        return 2
-
-    pcie_bw, hbm_bw = 12e9, 850e9  # Table 2 tier bandwidths
-    row_bytes = args.dim * 4
-    weights = np.random.default_rng(1).normal(
-        size=(args.rows, args.dim)).astype(np.float32)
-    permutation = np.random.default_rng(42).permutation(args.rows)
-
-    def variant(kind):
-        if kind == "uvm":
-            return make_cache("uvm", row_dim=args.dim,
-                              capacity_rows=args.capacity,
-                              rows_per_page=args.rows_per_page)
-        if kind == "set_associative":
-            return make_cache("set_associative", row_dim=args.dim,
-                              capacity_rows=args.capacity, ways=32)
-        return make_cache("freq_aware", row_dim=args.dim,
-                          capacity_rows=args.capacity,
-                          chunk_rows=args.chunk_rows)
-
-    print(f"cache-bench: {args.rows:,} rows, dim {args.dim}, fast tier "
-          f"{args.capacity:,} rows, {args.warm_steps} warm + {args.steps} "
-          f"measured steps of {args.ids_per_step} ids\n")
-    header = ["alpha", "variant", "hit rate", "slow-tier traffic",
-              "eff. BW", "hidden prefetch"]
-    rows = []
-    for alpha in alphas:
-        rng = np.random.default_rng(args.seed)
-        warm = [permutation[zipf_indices(args.rows, args.ids_per_step,
-                                         rng, alpha=alpha)]
-                for _ in range(args.warm_steps)]
-        measure = [permutation[zipf_indices(args.rows, args.ids_per_step,
-                                            rng, alpha=alpha)]
-                   for _ in range(args.steps)]
-        for kind in ("set_associative", "uvm", "freq_aware",
-                     "freq+prefetch"):
-            backing = ArrayBackingStore(weights)
-            cache = variant(kind)
-            if kind.startswith("freq"):
-                cache.warm(np.bincount(np.concatenate(warm),
-                                       minlength=args.rows), backing)
-            else:
-                for ids in warm:
-                    cache.read(ids, backing)
-            cache.reset_stats()
-            backing.reset_counters()
-            pipe = PrefetchPipeline(cache, backing, tracer=Tracer()) \
-                if kind == "freq+prefetch" else None
-            for k, ids in enumerate(measure):
-                t0 = time.perf_counter()
-                out = cache.read(ids, backing)
-                if not np.array_equal(out, weights[ids]):
-                    print(f"error: {kind} read diverged from backing "
-                          f"store at alpha {alpha}", file=sys.stderr)
-                    return 1
-                if pipe is not None and k + 1 < len(measure):
-                    pipe.stage(measure[k + 1],
-                               compute_s=time.perf_counter() - t0)
-            stats = cache.stats
-            overlap = pipe.overlap_report() if pipe is not None else None
-            staged = overlap["bytes_staged"] if overlap else 0
-            exposed = (1.0 - overlap["hidden_frac"]) if overlap else 0.0
-            demand = backing.bytes_read - staged
-            requested = args.steps * args.ids_per_step * row_bytes
-            slow_t = (demand + staged * exposed) / pcie_bw
-            eff_bw = requested / (stats.hits * row_bytes / hbm_bw + slow_t)
-            rows.append([f"{alpha:.2f}", kind, f"{stats.hit_rate:.1%}",
-                         f"{demand / 1e6:.1f} MB",
-                         f"{eff_bw / 1e9:.1f} GB/s",
-                         f"{overlap['hidden_frac']:.0%}" if overlap
-                         else "-"])
-    widths = [max(len(header[c]), *(len(r[c]) for r in rows))
-              for c in range(len(header))]
-    print("  ".join(h.rjust(w) for h, w in zip(header, widths)))
-    for r in rows:
-        print("  ".join(v.rjust(w) for v, w in zip(r, widths)))
-    return 0
-
-
-def planner_bench_command(args: argparse.Namespace) -> int:
-    """Plan a mini model's per-table representations under a budget and
-    print the assignment plus the uniform-baseline comparison."""
-    from repro.data import SyntheticCTRDataset
-    from repro.models import DLRM, mini_config
-    from repro.planner import (PlanBudget, PlannerCostModel,
-                               plan_representation, uniform_plan)
-
-    if not 0.0 <= args.budget_frac:
-        print("error: --budget-frac must be >= 0", file=sys.stderr)
-        return 2
-    if args.quality_floor is not None and args.quality_floor < 0:
-        print("error: --quality-floor must be >= 0", file=sys.stderr)
-        return 2
-    if args.eval_batch < 1:
-        print("error: --eval-batch must be positive", file=sys.stderr)
-        return 2
-
-    config = mini_config(args.model)
-    model = DLRM(config, seed=args.seed)
-    full_bytes = sum(t.num_parameters * 4 for t in config.tables)
-    cost = PlannerCostModel(allow_tt=not args.no_tt)
-    budget = PlanBudget(hot_bytes=full_bytes * args.budget_frac,
-                        quality_floor=args.quality_floor,
-                        ne_floor=args.ne_floor)
-    eval_batch = None
-    if args.ne_floor is not None:
-        eval_batch = SyntheticCTRDataset(
-            config.tables, dense_dim=config.dense_dim,
-            seed=args.seed + 1).batch(args.eval_batch, 0)
-    plan = plan_representation(model, budget, cost=cost,
-                               eval_batch=eval_batch)
-
-    floor_txt = ("none" if args.quality_floor is None
-                 else f"{args.quality_floor:g}")
-    print(f"planner-bench: {args.model} mini, budget "
-          f"{args.budget_frac:.0%} of {full_bytes / 1024:.0f} KiB full "
-          f"fp32, quality floor {floor_txt}\n")
-    header = ["table", "kind", "hot KiB", "total KiB", "error"]
-    rows = [[name, a.kind, f"{a.hot_bytes / 1024:.1f}",
-             f"{a.total_bytes / 1024:.1f}", f"{a.error:.2g}"]
-            for name, a in sorted(plan.assignments.items())]
-    widths = [max(len(header[c]), *(len(r[c]) for r in rows))
-              for c in range(len(header))]
-    print("  ".join(h.rjust(w) for h, w in zip(header, widths)))
-    for r in rows:
-        print("  ".join(v.rjust(w) for v, w in zip(r, widths)))
-    print(f"\nmixed plan: {plan.hot_bytes() / 1024:.1f} KiB hot "
-          f"({plan.memory_saving():.0%} saved), max element error "
-          f"{plan.max_error():.2g}")
-    if plan.measured_ne_gap is not None:
-        print(f"measured NE gap vs fp32 export: "
-              f"{plan.measured_ne_gap:.2e} (floor {args.ne_floor:g})")
-    print("\nuniform baselines at the same floor:")
-    for kind in ("full", "fp16", "bf16", "int8"):
-        uniform = uniform_plan(model, kind, cost=cost)
-        feasible = (args.quality_floor is None
-                    or uniform.max_error() <= args.quality_floor)
-        print(f"  {kind:>5}: {uniform.hot_bytes() / 1024:8.1f} KiB hot, "
-              f"max error {uniform.max_error():.2g}"
-              f"{'' if feasible else '  (breaches floor)'}")
-    return 0
-
-
 def main(argv=None) -> int:
     from repro.models import MODEL_NAMES
 
@@ -548,146 +170,10 @@ def main(argv=None) -> int:
                          help="span clock: wall seconds or logical ticks")
     trace_p.add_argument("--out", default="trace.json",
                          help="output path for the Chrome trace JSON")
-    serve_p = sub.add_parser(
-        "serve-bench",
-        help="replay Poisson load through the micro-batching server")
-    serve_p.add_argument("--model", default="A2", choices=MODEL_NAMES,
-                         help="Table 3 model whose mini config to serve")
-    serve_p.add_argument("--precision", default="fp32",
-                         choices=("fp32", "fp16", "bf16", "int8"),
-                         help="embedding storage precision at freeze time")
-    serve_p.add_argument("--qps", type=float, default=2000.0,
-                         help="center offered load (swept at 0.5x/1x/2x)")
-    serve_p.add_argument("--requests", type=int, default=2000,
-                         help="requests per load point")
-    serve_p.add_argument("--slo-ms", type=float, default=5.0,
-                         help="latency SLO in milliseconds")
-    serve_p.add_argument("--max-batch", type=int, default=64,
-                         help="micro-batcher max batch size")
-    serve_p.add_argument("--max-wait-us", type=float, default=2000.0,
-                         help="micro-batcher max wait in microseconds")
-    serve_p.add_argument("--seed", type=int, default=0,
-                         help="load / model / dataset seed")
-    online_p = sub.add_parser(
-        "online-bench",
-        help="co-simulate train-while-serving across refresh cadences")
-    online_p.add_argument("--model", default="A2", choices=MODEL_NAMES,
-                          help="Table 3 model whose mini config to co-sim")
-    online_p.add_argument("--steps", type=int, default=6,
-                          help="training steps in the co-simulation")
-    online_p.add_argument("--ranks", type=int, default=2,
-                          help="simulated training ranks (single node)")
-    online_p.add_argument("--batch", type=int, default=32,
-                          help="global training batch size")
-    online_p.add_argument("--step-time-ms", type=float, default=10.0,
-                          help="virtual seconds per training step, in ms")
-    online_p.add_argument("--qps", type=float, default=500.0,
-                          help="offered serving load")
-    online_p.add_argument("--slo-ms", type=float, default=5.0,
-                          help="latency SLO in milliseconds")
-    online_p.add_argument("--cadences", default="1,3,0",
-                          help="comma-separated swap cadences (0 = never)")
-    online_p.add_argument("--eval-batch", type=int, default=128,
-                          help="held-out batch size for snapshot NE")
-    online_p.add_argument("--freshness-budget-s", type=float, default=None,
-                          metavar="S",
-                          help="derive step time and cadence from the "
-                               "perf.online cluster sizing for --model")
-    online_p.add_argument("--target-qps", type=float, default=2e6,
-                          help="training samples/s target for the sizing "
-                               "(with --freshness-budget-s)")
-    online_p.add_argument("--seed", type=int, default=0,
-                          help="traffic / model / dataset seed")
-    fleet_p = sub.add_parser(
-        "fleet-bench",
-        help="autoscale a replica fleet through a diurnal day")
-    fleet_p.add_argument("--model", default="A2", choices=MODEL_NAMES,
-                         help="Table 3 model whose mini config to serve")
-    fleet_p.add_argument("--precision", default="fp32",
-                         choices=("fp32", "fp16", "bf16", "int8"),
-                         help="embedding storage precision at freeze time")
-    fleet_p.add_argument("--replicas", type=int, default=4,
-                         help="fleet size (autoscaler ceiling)")
-    fleet_p.add_argument("--router", default="power_of_two",
-                         choices=("round_robin", "least_loaded",
-                                  "power_of_two"),
-                         help="routing policy across replicas")
-    fleet_p.add_argument("--qps", type=float, default=None,
-                         help="mean offered load (default: 60%% of fleet "
-                              "capacity)")
-    fleet_p.add_argument("--duration", type=float, default=40.0,
-                         help="virtual length of the compressed day, s")
-    fleet_p.add_argument("--window-s", type=float, default=2.0,
-                         help="autoscaler observation window, s")
-    fleet_p.add_argument("--users", type=int, default=10000,
-                         help="Zipf user population size")
-    fleet_p.add_argument("--slo-ms", type=float, default=1000.0,
-                         help="latency SLO in milliseconds")
-    fleet_p.add_argument("--max-batch", type=int, default=4,
-                         help="micro-batcher max batch size")
-    fleet_p.add_argument("--overhead-ms", type=float, default=200.0,
-                         help="per-dispatch overhead per replica, ms "
-                              "(sets replica capacity)")
-    fleet_p.add_argument("--seed", type=int, default=0,
-                         help="traffic / model / dataset seed")
-    cache_p = sub.add_parser(
-        "cache-bench",
-        help="sweep every RowCache kind over hashed Zipf traces")
-    cache_p.add_argument("--rows", type=int, default=50_000,
-                         help="embedding rows in the backing store")
-    cache_p.add_argument("--dim", type=int, default=32,
-                         help="embedding dimension")
-    cache_p.add_argument("--capacity", type=int, default=2048,
-                         help="fast-tier capacity in rows (all kinds)")
-    cache_p.add_argument("--alphas", default="1.05,1.1",
-                         help="comma-separated Zipf alphas to sweep")
-    cache_p.add_argument("--steps", type=int, default=20,
-                         help="measured trace steps per alpha")
-    cache_p.add_argument("--warm-steps", type=int, default=20,
-                         help="warm stream steps before measurement")
-    cache_p.add_argument("--ids-per-step", type=int, default=1024,
-                         help="lookups per trace step")
-    cache_p.add_argument("--chunk-rows", type=int, default=64,
-                         help="freq-aware chunk size in rows")
-    cache_p.add_argument("--rows-per-page", type=int, default=512,
-                         help="UVM page size in rows")
-    cache_p.add_argument("--seed", type=int, default=0,
-                         help="trace seed")
-    planner_p = sub.add_parser(
-        "planner-bench",
-        help="plan per-table representations under a memory budget")
-    planner_p.add_argument("--model", default="A2", choices=MODEL_NAMES,
-                           help="Table 3 model whose mini config to plan")
-    planner_p.add_argument("--budget-frac", type=float, default=0.25,
-                           help="hot-memory budget as a fraction of the "
-                                "all-full fp32 footprint")
-    planner_p.add_argument("--quality-floor", type=float, default=None,
-                           metavar="E",
-                           help="per-table max element error cap (hard)")
-    planner_p.add_argument("--ne-floor", type=float, default=None,
-                           metavar="G",
-                           help="measured NE-gap cap against the fp32 "
-                                "export (enables the eval pass)")
-    planner_p.add_argument("--eval-batch", type=int, default=256,
-                           help="eval batch size for the NE pass")
-    planner_p.add_argument("--no-tt", action="store_true",
-                           help="exclude tensor-train candidates")
-    planner_p.add_argument("--seed", type=int, default=0,
-                           help="model / dataset seed")
     args = parser.parse_args(argv)
 
     if args.command == "trace":
         return trace_command(args)
-    if args.command == "serve-bench":
-        return serve_bench_command(args)
-    if args.command == "online-bench":
-        return online_bench_command(args)
-    if args.command == "fleet-bench":
-        return fleet_bench_command(args)
-    if args.command == "cache-bench":
-        return cache_bench_command(args)
-    if args.command == "planner-bench":
-        return planner_bench_command(args)
     return selfcheck()
 
 

@@ -5,8 +5,8 @@ The v2 process-group surface is re-exported here: typed AlltoAll dispatch
 (:class:`AlltoAllKind`), accounting-carrying returns
 (:class:`CollectiveResult`) and the snake-case latency-model names
 (``perf_model.all_to_all_time`` et al.). The pre-v2 string
-``direction=`` dispatch was removed after its deprecation window; only
-the ``perf_model.alltoall_time``-style name aliases still warn. See
+``direction=`` dispatch and the ``perf_model.alltoall_time``-style name
+aliases were removed after their deprecation window. See
 ``docs/observability.md`` for the deprecation timeline.
 """
 

@@ -14,26 +14,17 @@ Calibration targets from the paper (Section 5.1 / Appendix A, 128 GPUs):
 
 Naming (v2): every entry point is named after the collective it models,
 with the same word boundaries as :mod:`repro.comms.collectives` —
-``all_to_all_time`` pairs with ``collectives.all_to_all`` and so on. The
-pre-v2 smashed-together names (``alltoall_time``, ``allreduce_time``,
-``allgather_time``, ``achieved_alltoall_bw``, ``achieved_allreduce_bw``)
-remain as thin deprecated aliases.
+``all_to_all_time`` pairs with ``collectives.all_to_all`` and so on.
 """
 
 from __future__ import annotations
-
-import warnings
-from typing import Callable
 
 from .topology import ClusterTopology
 
 __all__ = ["all_to_all_time", "all_reduce_time", "reduce_scatter_time",
            "all_gather_time", "broadcast_time", "flat_reduce_scatter_time",
            "achieved_all_to_all_bw", "achieved_all_reduce_bw",
-           "ALLTOALL_INCAST_EFFICIENCY",
-           # deprecated aliases (pre-v2 names)
-           "alltoall_time", "allreduce_time", "allgather_time",
-           "achieved_alltoall_bw", "achieved_allreduce_bw"]
+           "ALLTOALL_INCAST_EFFICIENCY"]
 
 # fraction of achievable NIC bandwidth an all-to-all traffic pattern
 # sustains (incast/congestion); calibrated to the paper's 7 GB/s at 256 MB
@@ -166,26 +157,3 @@ def achieved_all_reduce_bw(bytes_per_gpu: float,
     if t <= 0:
         return float("inf")
     return 2 * (w - 1) / w * bytes_per_gpu / t
-
-
-def _deprecated_alias(new_fn: Callable[..., float],
-                      old_name: str) -> Callable[..., float]:
-    def wrapper(*args, **kwargs):
-        warnings.warn(
-            f"repro.comms.perf_model.{old_name} is deprecated; use "
-            f"{new_fn.__name__} (same signature)", DeprecationWarning,
-            stacklevel=2)
-        return new_fn(*args, **kwargs)
-    wrapper.__name__ = old_name
-    wrapper.__qualname__ = old_name
-    wrapper.__doc__ = f"Deprecated alias of :func:`{new_fn.__name__}`."
-    return wrapper
-
-
-alltoall_time = _deprecated_alias(all_to_all_time, "alltoall_time")
-allreduce_time = _deprecated_alias(all_reduce_time, "allreduce_time")
-allgather_time = _deprecated_alias(all_gather_time, "allgather_time")
-achieved_alltoall_bw = _deprecated_alias(achieved_all_to_all_bw,
-                                         "achieved_alltoall_bw")
-achieved_allreduce_bw = _deprecated_alias(achieved_all_reduce_bw,
-                                          "achieved_allreduce_bw")

@@ -30,9 +30,8 @@ deterministic:
   hot-memory budget across tenants through
   :mod:`repro.planner`.
 
-``benchmarks/bench_fleet.py`` regenerates the curves and gates them;
-``python -m repro fleet-bench`` (and ``planner-bench`` for tenancy)
-are the CLI front-ends.
+``benchmarks/bench_fleet.py`` regenerates the curves and gates them
+(``benchmarks/bench_planner.py`` for tenancy).
 """
 
 from .autoscaler import (Autoscaler, AutoscalerConfig, replica_warmup_s,

@@ -21,7 +21,6 @@ staleness) divides into it to give the swap cadence in steps.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
@@ -192,14 +191,10 @@ def run_cadence_sweep(loop_factory: Callable[[], TrainingLoop],
 
 
 def render_table(header: List[str], rows: List[List[str]]) -> str:
-    """Right-aligned fixed-width table (shared by bench and CLI)."""
+    """Right-aligned fixed-width table (shared by benches and reports)."""
     widths = [max(len(str(header[c])), *(len(str(r[c])) for r in rows))
               for c in range(len(header))]
     lines = ["  ".join(str(h).rjust(w) for h, w in zip(header, widths))]
     for r in rows:
         lines.append("  ".join(str(v).rjust(w) for v, w in zip(r, widths)))
     return "\n".join(lines)
-
-
-def report_to_json_str(report: OnlineReport) -> str:
-    return json.dumps(report.to_json(), indent=2) + "\n"

@@ -1,4 +1,4 @@
-"""Tests for API ergonomics: from_planner, the self-check entry point,
+"""Tests for API ergonomics: from_planner, the command-line entry point,
 and the cat-interaction DLRM variant."""
 
 import subprocess
@@ -120,3 +120,25 @@ class TestSelfCheck:
                                 timeout=180)
         assert result.returncode == 0, result.stdout + result.stderr
         assert "ALL CHECKS PASSED" in result.stdout
+
+    def test_main_defaults_to_selfcheck(self, capsys):
+        from repro.__main__ import main
+        assert main([]) == 0
+        assert "ALL CHECKS PASSED" in capsys.readouterr().out
+
+    def test_help_lists_only_selfcheck_and_trace(self, capsys):
+        from repro.__main__ import main
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        usage = capsys.readouterr().out.splitlines()[0]
+        commands = usage[usage.index("{") + 1:usage.index("}")]
+        assert set(commands.split(",")) == {"selfcheck", "trace"}
+
+    def test_bench_subcommands_removed(self, capsys):
+        """Each bench runs from its ``benchmarks/bench_*.py`` script."""
+        from repro.__main__ import main
+        with pytest.raises(SystemExit) as exc:
+            main(["serve-bench"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
