@@ -12,7 +12,10 @@ Two entry points share one sweep harness:
   dimension is batched — see ``bench_rank_stacked.py``);
 * the CLI sweeps an arbitrary ``--ranks`` comma list (GPU counts) and
   emits per-point step time for both the analytic model curve and,
-  with ``--measure``, the measured stacked-simulator curve::
+  with ``--measure``, the measured stacked-simulator curve plus the
+  simulator's dense state (``dense_state_mb``: distinct parameter bytes,
+  flat in R because every rank views rank 0's storage, and gradient
+  bucket bytes, linear in R)::
 
       PYTHONPATH=src python benchmarks/bench_fig11_scaling.py \
           --ranks 8,16,64,128 [--measure] [--out PATH]
@@ -58,11 +61,29 @@ def scaling_table(node_counts=NODE_COUNTS):
     return out
 
 
+def dense_state_mb(trainer):
+    """The trainer's dense state in MB: the distinct memory every
+    rank's dense parameters view (each owning buffer counted once) and
+    its ``(R, elements)`` gradient buckets."""
+    owners = {}
+    for state in trainer.ranks:
+        for p in state.dense_parameters():
+            a = p.data
+            while a.base is not None:
+                a = a.base
+            owners[id(a)] = a.nbytes
+    params = sum(owners.values()) / 2 ** 20
+    buckets = sum(b.nbytes for b in trainer.grad_buckets) / 2 ** 20
+    return {"parameters": params, "gradient_buckets": buckets,
+            "total": params + buckets}
+
+
 def sweep(gpu_counts, measure=False, iters=3):
     """One ``--ranks`` sweep: per-point step time for the analytic
     model curve (GPU counts divisible by 8; nodes = gpus // 8) and,
     when ``measure`` is set, the wall-clock step time of the real
-    rank-stacked simulator at the same world sizes."""
+    rank-stacked simulator at the same world sizes, and its dense
+    state."""
     points = {}
     nodes = [g // 8 for g in gpu_counts if g % 8 == 0 and g >= 8]
     model_curves = scaling_table(nodes) if nodes else {}
@@ -80,6 +101,7 @@ def sweep(gpu_counts, measure=False, iters=3):
             batches = brs.make_batches(gpus, 2)
             point["measured_stacked_step_s"] = brs._best_step_time(
                 trainer, batches, iters)
+            point["dense_state_mb"] = dense_state_mb(trainer)
         points[gpus] = point
     return points
 
@@ -111,6 +133,9 @@ def main(argv=None):
         if "measured_stacked_step_s" in point:
             parts.append(
                 f"sim {point['measured_stacked_step_s'] * 1e3:7.2f} ms")
+            state = point["dense_state_mb"]
+            parts.append(f"dense params {state['parameters']:.4f} MB + "
+                         f"buckets {state['gradient_buckets']:.4f} MB")
         print("  ".join(parts))
     if args.out:
         doc = {"benchmark": "fig11_scaling_sweep",

@@ -2,9 +2,10 @@
 
 The lock-step simulator used to advance its ``R`` data-parallel dense
 replicas with ``R`` sequential python-loop calls per phase (forward,
-loss, backward, AllReduce flatten, optimizer). ``NeoTrainer`` now packs
-every replica's parameters into leading-axis ``(R, ...)`` arrays so each
-phase is one batched ``np.matmul``/einsum — turning per-step cost from
+loss, backward, AllReduce flatten, optimizer). ``NeoTrainer`` now stores
+each dense parameter once and stacks every rank's activations into
+leading-axis ``(R, ...)`` arrays, so each phase is one batched
+``np.matmul``/einsum against the one weight — turning per-step cost from
 "R × (python + tiny-GEMM overhead)" into one R-times-larger kernel. The
 looped execution survives only as the test oracle
 ``tests/reference_trainer.py`` (``LoopedNeoTrainer``), which this bench

@@ -10,13 +10,17 @@ backward/AllReduce overlap that Fig. 12 shows hiding the AllReduce.
 assignment of parameters to buckets (reverse parameter order, matching
 DDP's "gradients become ready in roughly reverse order" heuristic), plus
 exact flatten/unflatten so the bucketed AllReduce is numerically
-identical to per-parameter AllReduce.
+identical to per-parameter AllReduce. :meth:`GradientBucketer.views`
+cuts flat buckets of any leading shape into per-parameter views: the
+trainer's backward writes every rank's gradients through the views of
+persistent ``(R, bucket_elements)`` buffers, which the AllReduce then
+reads in place.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -72,10 +76,6 @@ class GradientBucketer:
         if current:
             buckets.append(Bucket(tuple(current), current_elems))
         self.buckets = buckets
-        # flatten_stacked's (R, bucket_elements) buffers; allocated on
-        # its first call, so a bucketer that never runs stacked (or
-        # never trains) costs nothing
-        self._stacked_flats: Optional[List[np.ndarray]] = None
 
     @property
     def num_buckets(self) -> int:
@@ -101,54 +101,32 @@ class GradientBucketer:
             out.append(flat)
         return out
 
-    def flatten_stacked(self, grads: Sequence[np.ndarray]
-                        ) -> List[np.ndarray]:
-        """Rank-stacked :meth:`flatten`: per-parameter ``(R, *shape)``
-        gradients pack into one ``(R, bucket_elements)`` flat per
-        bucket. Row ``r`` of each flat is bitwise what :meth:`flatten`
-        would produce from rank ``r``'s gradients.
+    def views(self, flats: Sequence[np.ndarray]) -> List[np.ndarray]:
+        """Per-parameter views into flat buckets, in parameter order.
 
-        The flats are persistent buffers, allocated on the first call
-        and overwritten by every later one: a caller that needs a
-        step's flats after the next call must copy them."""
-        if len(grads) != len(self.shapes):
+        Each flat's last axis is its bucket's elements; any leading axes
+        (``(R,)`` for rank-stacked buffers) lead every view, so parameter
+        ``i``'s view has shape ``flat.shape[:-1] + shape_i``. Writing a
+        view writes its bucket."""
+        if len(flats) != len(self.buckets):
             raise ValueError(
-                f"expected {len(self.shapes)} gradients, got {len(grads)}")
-        world = int(grads[0].shape[0])
-        if self._stacked_flats is None or \
-                self._stacked_flats[0].shape[0] != world:
-            self._stacked_flats = [
-                np.empty((world, bucket.num_elements), dtype=np.float32)
-                for bucket in self.buckets]
-        for bucket, flat in zip(self.buckets, self._stacked_flats):
+                f"expected {len(self.buckets)} buckets, got {len(flats)}")
+        views: List[np.ndarray] = [None] * len(self.shapes)
+        for bucket, flat in zip(self.buckets, flats):
+            if flat.shape[-1] != bucket.num_elements:
+                raise ValueError(
+                    f"bucket expects {bucket.num_elements} elements, got "
+                    f"{flat.shape[-1]}")
+            lead = flat.shape[:-1]
             cursor = 0
             for idx in bucket.param_indices:
-                g = grads[idx]
-                if g.shape != (world,) + self.shapes[idx]:
-                    raise ValueError(
-                        f"stacked gradient {idx} has shape {g.shape}, "
-                        f"expected {(world,) + self.shapes[idx]}")
-                flat[:, cursor:cursor + self.sizes[idx]] = \
-                    g.reshape(world, -1)
-                cursor += self.sizes[idx]
-        return list(self._stacked_flats)
+                size = self.sizes[idx]
+                views[idx] = flat[..., cursor:cursor + size].reshape(
+                    lead + self.shapes[idx])
+                cursor += size
+        return views
 
     def unflatten(self, flats: Sequence[np.ndarray]) -> List[np.ndarray]:
         """Inverse of :meth:`flatten`; returns per-parameter gradients in
         the original parameter order."""
-        if len(flats) != len(self.buckets):
-            raise ValueError(
-                f"expected {len(self.buckets)} buckets, got {len(flats)}")
-        grads: List[np.ndarray] = [None] * len(self.shapes)
-        for bucket, flat in zip(self.buckets, flats):
-            if flat.size != bucket.num_elements:
-                raise ValueError(
-                    f"bucket expects {bucket.num_elements} elements, got "
-                    f"{flat.size}")
-            cursor = 0
-            for idx in bucket.param_indices:
-                size = self.sizes[idx]
-                grads[idx] = flat[cursor:cursor + size].reshape(
-                    self.shapes[idx]).astype(np.float32)
-                cursor += size
-        return grads
+        return [v.astype(np.float32) for v in self.views(flats)]

@@ -28,20 +28,20 @@ All collectives move real data through :class:`SimProcessGroup`, which also
 accumulates wire bytes and modeled latency. The trainer's numerics are
 validated against the single-process :class:`repro.models.DLRM` reference.
 
-**Rank-stacked simulation**: since every rank's dense replica is
-bitwise identical in architecture, all replicas' parameters live in
-leading-axis ``(R, ...)`` arrays (:class:`StackedRankState`, built by
-:mod:`repro.nn.stacked`) so the data-parallel bottom/top MLP forward and
-backward across all ranks is one batched ``np.matmul`` per layer instead
-of ``R`` sequential calls, and the bucketed dense AllReduce ships one
-``(R, elements)`` array through the :class:`SimProcessGroup` stacked
-fast path. What DDP makes identical on every rank is computed once: the
-AllReduce returns one reduced vector as a read-only ``(R, elements)``
-broadcast view, the one dense optimizer (``trainer.dense_opt``) steps
-rank 0's parameter views, and row 0 of each stacked parameter is copied
-into the other rows. ``trainer.ranks[r].dense_parameters()`` are views
-into row ``r`` of the stacked storage, so checkpointing, ``freeze()``
-export and replica-sync checks read rank state without copies.
+**Rank-stacked simulation**: every dense parameter is stored once, by
+rank 0's modules, which DDP keeps identical on every rank. Those modules
+drive all ranks at once: activations are stacked ``(R, B, ...)`` arrays,
+and each layer is one ``np.matmul`` that broadcasts the one weight over
+the rank axis (bitwise the per-rank GEMM). The backward writes each
+rank's weight and bias gradients straight into the parameter's
+``(R, *shape)`` slot of persistent ``(R, bucket_elements)`` AllReduce
+buckets (:attr:`NeoTrainer.grad_buckets`), which the
+:class:`SimProcessGroup` stacked AllReduce reads in place. The sum comes
+back as one read-only vector, and the one dense optimizer
+(``trainer.dense_opt``) steps the one storage: its step is the only
+write. ``trainer.ranks[r].dense_parameters()`` for ``r >= 1`` are
+read-only views of rank 0's storage, so checkpointing, ``freeze()``
+export and replica-sync checks read any rank without copies.
 
 This is the only execution path. Wire-byte accounting, modeled latency,
 spans and every per-rank quantity are bitwise identical to a per-rank
@@ -52,6 +52,7 @@ this trainer against.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -74,15 +75,16 @@ from ..obs.metrics import MetricRegistry
 from ..obs.tracer import as_tracer
 from ..sharding import Shard, ShardingPlan, ShardingScheme
 
-__all__ = ["NeoTrainer", "StackedRankState"]
+__all__ = ["NeoTrainer"]
 
 
 @dataclass
 class _RankState:
     """One rank's dense (data-parallel) replica.
 
-    In :class:`NeoTrainer` every parameter is a view into row ``r`` of
-    the :class:`StackedRankState` storage."""
+    In :class:`NeoTrainer` rank 0's modules own the storage and run
+    every rank's stacked activations; rank ``r >= 1``'s are clones whose
+    parameters are read-only views of rank 0's."""
 
     bottom: nn.Module
     top: nn.Module
@@ -98,19 +100,15 @@ class _RankState:
         return params + self.top.parameters()
 
 
-@dataclass
-class StackedRankState(_RankState):
-    """All ranks' dense state packed into leading-axis ``(R, ...)`` arrays.
-
-    Entry ``i`` of :meth:`dense_parameters` is the ``(R, *shape)`` stack
-    of every rank's parameter ``i`` (built by :mod:`repro.nn.stacked`),
-    and each rank's ``_RankState`` parameters are the contiguous views
-    ``stacked.data[r]`` — mutating one mutates the other. The
-    interaction and loss run once over the stacked activations.
-    """
-
-    interaction: nn.Module  # DotInteraction or CatInteraction
-    loss_fn: nn.BCEWithLogitsLoss
+def _read_only_replica(state: _RankState) -> _RankState:
+    """A clone of ``state``'s modules whose every parameter is a
+    read-only view of ``state``'s storage."""
+    memo = {}
+    for p in state.dense_parameters():
+        view = p.data.view()
+        view.flags.writeable = False
+        memo[id(p.data)] = view
+    return copy.deepcopy(state, memo)
 
 
 # the payload of every exchange slot that carries nothing: one shared
@@ -211,54 +209,30 @@ class NeoTrainer:
         self.sparse_opt = sparse_optimizer
         self.steps = 0
 
-        # Golden initialization: slice a reference model so the distributed
-        # start state is identical to the single-process DLRM's.
+        # Golden initialization: rank 0 adopts a reference model's dense
+        # modules, so the distributed start state is identical to the
+        # single-process DLRM's; every other rank views their storage
         golden = DLRM(config, seed=seed)
-        self.ranks: List[_RankState] = []
-        table_order = tuple(t.name for t in config.tables)
-        for _ in range(self.world_size):
-            bottom = nn.MLP((config.dense_dim,) + config.bottom_mlp,
-                            final_activation="relu", name="bottom")
-            top = nn.MLP((config.interaction_dim,) + config.top_mlp + (1,),
-                         name="top")
-            projections: Dict[str, nn.Linear] = {}
-            if config.project_features:
-                for t in config.tables:
-                    projections[t.name] = nn.Linear(
-                        t.embedding_dim, config.embedding_dim,
-                        name=f"proj.{t.name}")
-            state = _RankState(bottom=bottom, top=top,
-                               projections=projections,
-                               table_order=table_order)
-            for dst, src in zip(state.dense_parameters(),
-                                golden.dense_parameters()):
-                dst.data = src.data.copy()
-            self.ranks.append(state)
-        # pack every replica's dense parameters into (R, ...) arrays and
-        # rebind the per-rank parameters to views of them
-        self._stacked = StackedRankState(
-            bottom=nn.stacked.stack_modules([s.bottom for s in self.ranks]),
-            top=nn.stacked.stack_modules([s.top for s in self.ranks]),
-            projections={
-                name: nn.stacked.stack_modules(
-                    [s.projections[name] for s in self.ranks])
-                for name in self.ranks[0].projections},
-            table_order=table_order,
-            interaction=config.make_interaction(),
-            loss_fn=nn.BCEWithLogitsLoss())
-        stacked_params = self._stacked.dense_parameters()
-        for r, state in enumerate(self.ranks):
-            for p, sp in zip(state.dense_parameters(), stacked_params):
-                p.data = sp.data[r]
-        # the one dense optimizer, over rank 0's views: its slot state
-        # has per-rank shape (what checkpoints store) and a step updates
-        # row 0 in place; _optimizer_step copies row 0 into the others
+        rank0 = _RankState(bottom=golden.bottom, top=golden.top,
+                           projections=golden.projections,
+                           table_order=tuple(t.name for t in config.tables))
+        self.ranks: List[_RankState] = [rank0] + [
+            _read_only_replica(rank0) for _ in range(1, self.world_size)]
+        self._interaction = golden.interaction
+        self._loss_fn = golden.loss_fn
+        # the one dense optimizer steps the one storage; its slot state
+        # has per-rank shape, which is what checkpoints store
         self.dense_opt: nn.Optimizer = dense_optimizer(
-            self.ranks[0].dense_parameters())
-        # bucketing is defined over one replica's parameter shapes (the
-        # stacked fast path packs (R, elems) buckets)
-        self._bucketer = GradientBucketer(
-            self.ranks[0].dense_parameters())
+            rank0.dense_parameters())
+        # every rank's gradients live in persistent (R, bucket_elements)
+        # buffers, one per DDP bucket; _grad_slots[i] is parameter i's
+        # (R, *shape) view, which the backward writes and the AllReduce
+        # reads in place
+        self._bucketer = GradientBucketer(rank0.dense_parameters())
+        self.grad_buckets: List[np.ndarray] = [
+            np.empty((self.world_size, bucket.num_elements), np.float32)
+            for bucket in self._bucketer.buckets]
+        self._grad_slots = self._bucketer.views(self.grad_buckets)
 
         # Shard the embedding weights according to the plan.
         self._build_shards(config, plan, golden)
@@ -663,7 +637,7 @@ class NeoTrainer:
     def _bottom_forward(self, local_batches: List[MiniBatch]) -> np.ndarray:
         """Bottom MLP over all ranks: (R, B, D)."""
         dense_in = np.stack([b.dense for b in local_batches], axis=0)
-        return self._stacked.bottom.forward(dense_in)
+        return self.ranks[0].bottom.forward(dense_in)
 
     def _table_forward(self, t: EmbeddingTableConfig, table_plan,
                        inputs: List[Tuple[np.ndarray, np.ndarray]],
@@ -715,40 +689,42 @@ class NeoTrainer:
                              pooled: Dict[str, List[np.ndarray]]
                              ) -> np.ndarray:
         """Projections + interaction: (R, B, I)."""
-        ss = self._stacked
+        projections = self.ranks[0].projections
         features = [dense_out]
         for t in self.config.tables:
             value = np.stack(pooled[t.name], axis=0)
-            if t.name in ss.projections:
-                value = ss.projections[t.name].forward(value)
+            if t.name in projections:
+                value = projections[t.name].forward(value)
             features.append(value)
-        return ss.interaction.forward_list(features)
+        return self._interaction.forward_list(features)
 
     def _top_forward(self, interacted: np.ndarray) -> np.ndarray:
         """Top MLP logits: (R, B)."""
-        return self._stacked.top.forward(interacted)[..., 0]
+        return self.ranks[0].top.forward(interacted)[..., 0]
 
     def _loss_forward(self, logits: np.ndarray,
                       local_batches: List[MiniBatch]) -> np.ndarray:
         """Per-rank mean BCE losses: (R,)."""
         labels = np.stack([b.labels for b in local_batches], axis=0)
-        return self._stacked.loss_fn.forward(logits, labels)
+        return self._loss_fn.forward(logits, labels)
 
     def _dense_backward(self) -> Dict[str, np.ndarray]:
         """Loss -> top -> interaction -> bottom backward; returns each
-        table's (R, B, D) pooled-embedding gradient."""
-        ss = self._stacked
-        for p in ss.dense_parameters():
+        table's (R, B, D) pooled-embedding gradient. Every parameter's
+        per-rank gradients land in its slot of the AllReduce buckets."""
+        state = self.ranks[0]
+        for p, slot in zip(state.dense_parameters(), self._grad_slots):
             p.zero_grad()
-        d_logits = ss.loss_fn.backward()[..., None]
-        d_inter = ss.top.backward(d_logits)
-        d_features = ss.interaction.backward_list(d_inter)
-        ss.bottom.backward(d_features[0])
+            p.grad_slot = slot
+        d_logits = self._loss_fn.backward()[..., None]
+        d_inter = state.top.backward(d_logits)
+        d_features = self._interaction.backward_list(d_inter)
+        state.bottom.backward(d_features[0])
         d_pooled: Dict[str, np.ndarray] = {}
         for i, t in enumerate(self.config.tables):
             grad = d_features[1 + i]
-            if t.name in ss.projections:
-                grad = ss.projections[t.name].backward(grad)
+            if t.name in state.projections:
+                grad = state.projections[t.name].backward(grad)
             d_pooled[t.name] = grad
         return d_pooled
 
@@ -767,27 +743,24 @@ class NeoTrainer:
             self._backward_data_parallel(table_plan.shards, d_pooled)
 
     def _dense_allreduce(self) -> List[np.ndarray]:
-        """Bucketed DDP gradient sync; returns the reduced flat buckets.
-        AllReduce hands every rank the same sum, so row 0 of the
-        read-only ``(R, elems)`` result stands for all of them."""
-        flats = self._bucketer.flatten_stacked(
-            [p.grad for p in self._stacked.dense_parameters()])
-        return [self.pg.all_reduce(flat).stacked[0] for flat in flats]
+        """Bucketed DDP gradient sync over the buckets the backward
+        wrote; returns the reduced flat buckets. AllReduce hands every
+        rank the same sum, so row 0 of the read-only ``(R, elems)``
+        result stands for all of them."""
+        return [self.pg.all_reduce(flat).stacked[0]
+                for flat in self.grad_buckets]
 
     def _optimizer_step(self, reduced: List[np.ndarray]
                         ) -> List[nn.Parameter]:
-        """Unflatten reduced buckets, average, step. Returns rank 0's
-        parameters, whose ``.grad`` is the averaged gradient (for
-        read-only instrumentation)."""
+        """Average the reduced buckets and step. Returns the parameters,
+        whose ``.grad`` is the averaged gradient (for read-only
+        instrumentation)."""
         w = self.world_size
         params = self.ranks[0].dense_parameters()
-        for p, g in zip(params, self._bucketer.unflatten(reduced)):
-            p.grad = (g / w).astype(np.float32)
+        for p, g in zip(params,
+                        self._bucketer.views([flat / w for flat in reduced])):
+            p.grad = g
         self.dense_opt.step()
-        # the step updated row 0 through rank 0's views; every other
-        # replica is the same value by construction
-        for sp in self._stacked.dense_parameters():
-            sp.data[1:] = sp.data[0]
         return params
 
     # ------------------------------------------------------------------
@@ -898,14 +871,26 @@ class NeoTrainer:
         checkpoint payloads (``dense[i]`` is parameter ``i`` at per-rank
         shape; ``opt_state[i]`` its optimizer slots).
 
-        Each value is broadcast-written across the leading axis of the
-        stacked storage *in place*, preserving the per-rank parameter
-        views; slot state has per-rank shape, so the one optimizer
-        takes it as stored.
+        Every payload is checked before any parameter is written: a
+        missing index, an extra one or a shape other than the
+        parameter's raises ``ValueError``. Values are written *in place*
+        into the one storage, which every rank's replica views; slot
+        state has per-rank shape, so the one optimizer takes it as
+        stored.
         """
-        for i, sp in enumerate(self._stacked.dense_parameters()):
-            sp.data[...] = dense[i]
-        for i, p in enumerate(self.ranks[0].dense_parameters()):
+        params = self.ranks[0].dense_parameters()
+        for i, p in enumerate(params):
+            got = np.shape(dense[i]) if i in dense else "nothing"
+            if got != p.data.shape:
+                raise ValueError(
+                    f"dense parameter {i} ({p.name}): expected shape "
+                    f"{p.data.shape}, got {got}")
+        extra = sorted(set(dense) - set(range(len(params))))
+        if extra:
+            raise ValueError(f"dense parameters {extra} do not exist: the "
+                             f"model has {len(params)}")
+        for i, p in enumerate(params):
+            p.data[...] = dense[i]
             slot = self.dense_opt.state_for(p)
             slot.clear()
             for name, value in opt_state.get(i, {}).items():

@@ -5,7 +5,7 @@ builds on — a numpy "autograd-lite" with hand-written backward passes, kept
 small and fully deterministic.
 """
 
-from . import functional, init, stacked
+from . import functional, init
 from .interaction import CatInteraction, DotInteraction
 from .layers import MLP, Identity, Linear, Module, ReLU, Sequential, Sigmoid
 from .losses import BCEWithLogitsLoss
@@ -18,7 +18,6 @@ from .softmax import CrossEntropyLoss, Softmax
 __all__ = [
     "functional",
     "init",
-    "stacked",
     "Parameter",
     "Module",
     "Linear",

@@ -49,13 +49,15 @@ class Linear(Module):
     convention, which keeps checkpoints interchangeable with the reference
     DLRM implementation.
 
-    Rank-stacked mode (:mod:`repro.nn.stacked`): when the weight has been
-    replaced by a ``(R, out_features, in_features)`` stacked parameter,
-    ``forward``/``backward`` take ``(R, B, in)`` / ``(R, B, out)`` arrays
-    and run one batched ``np.matmul`` over the leading axis. Every slice
-    ``r`` of the result is bitwise identical to the 2-D path on that
-    rank's data — ``np.matmul`` computes each leading-axis slice with the
-    same GEMM the 2-D ``@`` uses.
+    Rank-stacked inputs: ``forward``/``backward`` also take ``(R, B, in)``
+    / ``(R, B, out)`` arrays, one slice per data-parallel rank, against
+    the one stored weight, and return per-rank gradients ``(R, *shape)``.
+    The leading axis is inert: ``np.matmul`` broadcasts the weight and
+    computes slice ``r`` with the GEMM the 2-D ``@`` runs on rank ``r``'s
+    data alone, so every slice is bitwise the per-rank result. (The one
+    GEMM over ``(R*B, in)`` rows is not: BLAS may pick other kernels per
+    row count.) Each gradient is written into the parameter's
+    :meth:`~repro.nn.Parameter.grad_out` slot when one is bound.
     """
 
     def __init__(self, in_features: int, out_features: int,
@@ -73,38 +75,22 @@ class Linear(Module):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._input = x
-        w = self.weight.data
-        if w.ndim == 3:  # stacked: (R, B, in) @ (R, in, out)
-            y = np.matmul(x, w.transpose(0, 2, 1))
-            if self.bias is not None:
-                y = y + self.bias.data[:, None, :]
-        else:
-            y = x @ w.T
-            if self.bias is not None:
-                y = y + self.bias.data
+        y = x @ self.weight.data.T
+        if self.bias is not None:
+            y = y + self.bias.data
         return y.astype(np.float32, copy=False)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         if self._input is None:
             raise RuntimeError("backward called before forward")
-        x = self._input
-        w = self.weight.data
-        # copy=False: float32 operands already give float32 results, and
-        # accumulate_grad adopts these fresh arrays instead of copying
-        if w.ndim == 3:  # stacked: per-rank dy.T @ x, dy.sum, dy @ W
-            self.weight.accumulate_grad(
-                np.matmul(dy.transpose(0, 2, 1), x).astype(np.float32,
-                                                           copy=False))
-            if self.bias is not None:
-                self.bias.accumulate_grad(
-                    dy.sum(axis=1).astype(np.float32, copy=False))
-            return np.matmul(dy, w).astype(np.float32, copy=False)
-        self.weight.accumulate_grad(
-            (dy.T @ x).astype(np.float32, copy=False))
+        # per-rank dy.T @ x and dy.sum, straight into the bound slots
+        self.weight.accumulate_grad(np.matmul(
+            np.swapaxes(dy, -1, -2), self._input,
+            out=self.weight.grad_out()))
         if self.bias is not None:
             self.bias.accumulate_grad(
-                dy.sum(axis=0).astype(np.float32, copy=False))
-        return (dy @ w).astype(np.float32, copy=False)
+                dy.sum(axis=-2, out=self.bias.grad_out()))
+        return (dy @ self.weight.data).astype(np.float32, copy=False)
 
     def parameters(self) -> List[Parameter]:
         params = [self.weight]

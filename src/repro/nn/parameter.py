@@ -29,6 +29,10 @@ class Parameter:
     def __init__(self, data: np.ndarray, name: str = "param") -> None:
         self.data = np.ascontiguousarray(data, dtype=np.float32)
         self.grad: np.ndarray | None = None
+        #: preallocated storage the next gradient is written into (the
+        #: trainer binds each parameter's slot of the AllReduce buckets);
+        #: ``None`` lets the layer allocate
+        self.grad_slot: np.ndarray | None = None
         self.name = name
 
     @property
@@ -39,16 +43,26 @@ class Parameter:
     def size(self) -> int:
         return int(self.data.size)
 
+    def grad_out(self) -> np.ndarray | None:
+        """The ``out=`` array for the next gradient: the bound
+        :attr:`grad_slot` while no gradient is held, else ``None`` (a
+        fresh array, which :meth:`accumulate_grad` then adds in)."""
+        return self.grad_slot if self.grad is None else None
+
     def accumulate_grad(self, grad: np.ndarray) -> None:
         """Add ``grad`` into the stored gradient.
 
+        ``grad`` has the parameter's shape, or that shape behind leading
+        axes: the trainer's backward yields one slice per rank,
+        ``(R, *shape)``, from the one stored parameter.
+
         Ownership: the first gradient after :meth:`zero_grad` is
         *adopted*, not copied, when it is already float32 — the caller
-        must pass a freshly computed array it neither keeps nor writes
-        to afterwards (``Linear.backward`` hands over its matmul
-        result). Later gradients are added into the adopted array.
+        must pass a freshly computed array or the :meth:`grad_out` slot
+        it wrote, and neither keep nor write to it afterwards. Later
+        gradients are added into the adopted array.
         """
-        if grad.shape != self.data.shape:
+        if grad.shape[grad.ndim - self.data.ndim:] != self.data.shape:
             raise ValueError(
                 f"gradient shape {grad.shape} does not match parameter "
                 f"{self.name} shape {self.data.shape}"

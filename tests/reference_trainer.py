@@ -72,9 +72,8 @@ class LoopedNeoTrainer(NeoTrainer):
                  sparse_optimizer, **kwargs) -> None:
         super().__init__(config, plan, topology, dense_optimizer,
                          sparse_optimizer, **kwargs)
-        # detach every replica from the stacked storage, which this
-        # trainer never reads
-        self._stacked = None
+        # give every replica storage of its own (the product's ranks
+        # r >= 1 are read-only views of rank 0's)
         for state in self.ranks:
             for p in state.dense_parameters():
                 p.data = p.data.copy()

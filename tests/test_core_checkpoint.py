@@ -2,6 +2,7 @@
 storage (Check-N-Run semantics)."""
 
 import os
+import re
 
 import numpy as np
 import pytest
@@ -109,6 +110,44 @@ class TestFullCheckpoint:
         trainer.train_step(ds.batch(8, 1).split(2))
         mgr.load(trainer)
         np.testing.assert_array_equal(trainer.gather_table("t0"), saved)
+
+
+class TestCorruptDensePayload:
+    """``load_dense_state`` rejects a payload that does not match the
+    model before it writes any parameter."""
+
+    def check_rejected(self, trainer, dense, match):
+        before = [p.data.copy() for p in trainer.ranks[0].dense_parameters()]
+        with pytest.raises(ValueError, match=match):
+            trainer.load_dense_state(dense, {})
+        for p, kept in zip(trainer.ranks[0].dense_parameters(), before):
+            np.testing.assert_array_equal(p.data, kept)
+
+    def payload(self, trainer):
+        return {i: p.data + 1.0
+                for i, p in enumerate(trainer.ranks[0].dense_parameters())}
+
+    def test_wrong_shape(self):
+        trainer, _, _ = make_trainer()
+        dense = self.payload(trainer)
+        shape = dense[2].shape
+        dense[2] = dense[2][0]  # a (cols,) row for a (rows, cols) weight
+        self.check_rejected(
+            trainer, dense, re.escape(f"dense parameter 2 (bottom.1.weight): "
+                                      f"expected shape {shape}, got "
+                                      f"({shape[1]},)"))
+
+    def test_missing_index(self):
+        trainer, _, _ = make_trainer()
+        dense = self.payload(trainer)
+        del dense[0]
+        self.check_rejected(trainer, dense, "dense parameter 0 .*nothing")
+
+    def test_extra_index(self):
+        trainer, _, _ = make_trainer()
+        dense = self.payload(trainer)
+        dense[len(dense)] = np.zeros(3, dtype=np.float32)
+        self.check_rejected(trainer, dense, "do not exist")
 
 
 class TestCrossPlanRestore:

@@ -266,9 +266,9 @@ class TestDataParallelZeroGradient:
             trainer.train_step(batch.split(2))
 
         step(0)
-        for state in trainer.ranks:
-            for p in state.top.parameters():
-                p.data[...] = 0.0
+        # the one storage: every rank views rank 0's top MLP
+        for p in trainer.ranks[0].top.parameters():
+            p.data[...] = 0.0
         step(1)
         t_of = [trainer.sparse_opt.state_for(
             trainer._shard_tables[shard])["t"]

@@ -1,11 +1,13 @@
 """Contracts the reduce-once / update-once dense sync relies on.
 
-The rank-stacked trainer computes what DDP makes identical on every rank
-once: the AllReduce sum is one vector returned as a read-only broadcast
-view, one optimizer updates rank 0's views ``stacked.data[0]`` in place,
-and the flat gradient buckets are persistent buffers. Each of those
-leans on a property of another module, pinned here so a change to that
-module fails next to the reason rather than on a parity fuzz.
+The rank-stacked trainer stores each dense parameter once and computes
+what DDP makes identical on every rank once: the backward writes every
+rank's gradients into persistent ``(R, bucket_elements)`` buffers, the
+AllReduce sum is one vector returned as a read-only broadcast view, and
+one optimizer updates the one storage in place, which every other rank
+views. Each of those leans on a property of another module, pinned here
+so a change to that module fails next to the reason rather than on a
+parity fuzz.
 """
 
 import numpy as np
@@ -16,15 +18,16 @@ from repro.comms import ClusterTopology, QuantizedCommsConfig, SimProcessGroup
 from repro.comms import collectives
 from repro.comms.bucketing import GradientBucketer
 from repro.comms.quantization import get_codec
+from repro.core import CheckpointManager
 
 from .helpers import (DENSE_OPTIMIZERS, tiny_config, tiny_dataset,
                       tiny_trainer)
 
 
 class TestOptimizersUpdateInPlace:
-    """Update-once mutates ``stacked.data[0]`` through rank 0's
-    parameter, so ``step()`` must write into ``p.data``, never rebind
-    it."""
+    """Update-once writes the one storage that ranks ``r >= 1`` view,
+    so ``step()`` must write into ``p.data``, never rebind it (a rebind
+    would leave the replicas viewing the old values)."""
 
     @pytest.mark.parametrize("name", sorted(DENSE_OPTIMIZERS))
     def test_step_keeps_the_view(self, name):
@@ -96,37 +99,45 @@ class TestAllReduceStacked:
 
 
 class TestFlatBucketBuffers:
-    def test_flats_are_reused_and_lazy(self):
+    def test_views_write_the_buckets(self):
+        """``views`` cuts ``(R, elements)`` buffers into per-parameter
+        ``(R, *shape)`` views of the same memory: a gradient written
+        through view ``i`` lands, rank by rank, where ``flatten`` packs
+        parameter ``i``."""
         params = [nn.Parameter(np.zeros((3, 2))), nn.Parameter(np.zeros(5))]
         bucketer = GradientBucketer(params, bucket_bytes=6 * 4)
-        assert bucketer._stacked_flats is None
+        assert bucketer.num_buckets == 2
+        buffers = [np.empty((4, bucket.num_elements), dtype=np.float32)
+                   for bucket in bucketer.buckets]
         rng = np.random.default_rng(2)
-
-        def grads():
-            return [rng.normal(size=(4,) + p.data.shape).astype(np.float32)
-                    for p in params]
-
-        first_grads = grads()
-        first = bucketer.flatten_stacked(first_grads)
-        second_grads = grads()
-        second = bucketer.flatten_stacked(second_grads)
-        assert len(first) == bucketer.num_buckets == 2
-        for a, b in zip(first, second):
-            assert a is b
-        # and they hold the second call's rows, rank by rank
+        grads = [rng.normal(size=(4,) + p.data.shape).astype(np.float32)
+                 for p in params]
+        for view, g in zip(bucketer.views(buffers), grads):
+            assert view.shape == g.shape
+            assert sum(np.shares_memory(view, b) for b in buffers) == 1
+            view[...] = g
         for r in range(4):
             for flat, expected in zip(
-                    second, bucketer.flatten([g[r] for g in second_grads])):
+                    buffers, bucketer.flatten([g[r] for g in grads])):
                 np.testing.assert_array_equal(flat[r], expected)
 
-    def test_trainer_allocates_on_the_first_step(self):
+    def test_buffers_persist_and_are_overwritten(self, tmp_path):
+        """The trainer's buckets are the same arrays on every step, and
+        step 2's backward leaves exactly step 2's gradients in them: a
+        trainer restored from the step-1 checkpoint writes equal buckets
+        on its first backward."""
         config = tiny_config(num_tables=1, rows=32, dim=4, dense_dim=3,
                              bottom_mlp=(4,), top_mlp=(4,))
         trainer = tiny_trainer(config, world=2)
         ds = tiny_dataset(config, seed=0)
-        assert trainer._bucketer._stacked_flats is None
+        buffers = list(trainer.grad_buckets)
         trainer.train_step(ds.batch(4, 0).split(2))
-        buffers = list(trainer._bucketer._stacked_flats)
+        mgr = CheckpointManager(str(tmp_path))
+        mgr.save(trainer)
         trainer.train_step(ds.batch(4, 1).split(2))
-        for a, b in zip(buffers, trainer._bucketer._stacked_flats):
-            assert a is b
+        assert all(a is b for a, b in zip(buffers, trainer.grad_buckets))
+        restored = tiny_trainer(config, world=2, seed=99)
+        mgr.load(restored)
+        restored.train_step(ds.batch(4, 1).split(2))
+        for a, b in zip(trainer.grad_buckets, restored.grad_buckets):
+            np.testing.assert_array_equal(a, b)

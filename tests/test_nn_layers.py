@@ -118,6 +118,36 @@ class TestLinear:
         assert layer.flops_per_sample() == 2 * 10 * 20
 
 
+    def test_stacked_ranks_write_the_bound_slots(self):
+        """``(R, B, in)`` inputs against the one weight: slice ``r`` of
+        the output and of the per-rank gradients, written into the
+        bound slots, is bitwise the 2-D layer on rank ``r``'s data; a
+        second backward without ``zero_grad`` allocates and adds."""
+        rng = np.random.default_rng(3)
+        layer = nn.Linear(5, 4, rng=rng)
+        x = rng.normal(size=(3, 6, 5)).astype(np.float32)
+        dy = rng.normal(size=(3, 6, 4)).astype(np.float32)
+        slots = [np.full((3,) + p.shape, np.nan, dtype=np.float32)
+                 for p in layer.parameters()]
+        for p, slot in zip(layer.parameters(), slots):
+            p.grad_slot = slot
+        y = layer.forward(x)
+        dx = layer.backward(dy)
+        for p, slot in zip(layer.parameters(), slots):
+            assert p.grad is slot
+        for r in range(3):
+            ref = nn.Linear(5, 4)
+            ref.weight.data = layer.weight.data.copy()
+            np.testing.assert_array_equal(ref.forward(x[r]), y[r])
+            np.testing.assert_array_equal(ref.backward(dy[r]), dx[r])
+            for p, slot in zip(ref.parameters(), slots):
+                np.testing.assert_array_equal(p.grad, slot[r])
+        first = [slot.copy() for slot in slots]
+        layer.backward(dy)
+        for slot, kept in zip(slots, first):
+            np.testing.assert_array_equal(slot, kept + kept)
+
+
 class TestActivations:
     def test_relu_gradient_check(self):
         rng = np.random.default_rng(5)

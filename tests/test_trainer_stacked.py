@@ -1,8 +1,8 @@
 """Rank-stacked trainer vs the looped reference oracle.
 
-``NeoTrainer`` packs all ranks' dense state into leading-axis
-``(R, ...)`` arrays and advances every replica with one batched kernel
-per phase. It is only allowed to exist because it is *bitwise
+``NeoTrainer`` stores each dense parameter once and advances every
+replica with one batched kernel per phase over leading-axis ``(R, ...)``
+activations. It is only allowed to exist because it is *bitwise
 identical* to the sequential per-rank loop (``LoopedNeoTrainer`` in
 ``reference_trainer.py``): this file fuzzes that identity over random
 architectures, world sizes, sharding schemes and optimizers — losses,
@@ -232,29 +232,77 @@ class TestDenseOptimizer:
         assert_bitwise_equal(looped, stacked, ())
 
 
-class TestStackedStateLayout:
-    def test_parameters_are_views_of_stacked_storage(self):
-        _, stacked, ds, _ = two_table_setup()
-        sp_list = stacked._stacked.dense_parameters()
-        for r in range(2):
-            for p, sp in zip(stacked.ranks[r].dense_parameters(), sp_list):
-                assert sp.data.shape == (2,) + p.data.shape
-                assert np.shares_memory(p.data, sp.data)
-        # and the views survive a training step (updates are in-place)
-        stacked.train_step(ds.batch(8, 0).split(2))
-        for p, sp in zip(stacked.ranks[0].dense_parameters(), sp_list):
-            assert np.shares_memory(p.data, sp.data)
+def distinct_nbytes(arrays):
+    """Bytes of the memory ``arrays`` view, each owning buffer once."""
+    owners = {}
+    for a in arrays:
+        while a.base is not None:
+            a = a.base
+        owners[id(a)] = a.nbytes
+    return sum(owners.values())
 
-    def test_poked_replica_is_detected_until_the_next_step(self):
-        """Replicas are real storage, not aliases: a write to one rank
-        shows in ``replicas_in_sync()``; the next step re-broadcasts
-        rank 0 over it."""
+
+class TestStoredOnceLayout:
+    """Each dense parameter is stored once, by rank 0; every rank's
+    gradients live in the AllReduce buckets."""
+
+    def test_every_rank_views_rank0_storage(self):
+        _, stacked, ds, _ = two_table_setup(world=4)
+        owned = stacked.ranks[0].dense_parameters()
+        for step in range(2):  # before and after a step
+            for state in stacked.ranks[1:]:
+                for p, p0 in zip(state.dense_parameters(), owned):
+                    assert p.data.shape == p0.data.shape
+                    assert np.shares_memory(p.data, p0.data)
+            stacked.train_step(ds.batch(8, step).split(4))
+
+    def test_replicas_are_read_only(self):
+        """The optimizer step is the only write: a write through any
+        other rank raises, so a replica cannot drift."""
         _, stacked, ds, _ = two_table_setup()
         stacked.train_step(ds.batch(8, 0).split(2))
-        stacked.ranks[1].dense_parameters()[0].data[0, 0] += 1.0
-        assert not stacked.replicas_in_sync()
-        stacked.train_step(ds.batch(8, 1).split(2))
+        with pytest.raises(ValueError, match="read-only"):
+            stacked.ranks[1].dense_parameters()[0].data[0, 0] += 1.0
         assert stacked.replicas_in_sync()
+
+    def test_parameter_bytes_do_not_grow_with_ranks(self):
+        """Distinct dense parameter bytes are the same at R=2 and R=8;
+        only the gradient buckets scale with R."""
+        trainers = {world: two_table_setup(world=world)[1]
+                    for world in (2, 8)}
+        params = {world: distinct_nbytes(
+            p.data for state in t.ranks for p in state.dense_parameters())
+            for world, t in trainers.items()}
+        assert params[2] == params[8] == sum(
+            p.data.nbytes for p in trainers[2].ranks[0].dense_parameters())
+        buckets = {world: sum(b.nbytes for b in t.grad_buckets)
+                   for world, t in trainers.items()}
+        assert buckets[8] == 4 * buckets[2] == 8 * params[2]
+
+    def test_stacked_gradients_are_views_of_the_billed_buckets(self):
+        """After a step, each parameter's ``(R, *shape)`` gradient is a
+        view into the bucket the AllReduce read in place and billed."""
+        tables = (EmbeddingTableConfig("t0", 32, 8, avg_pooling=3.0),)
+        _, stacked = build_pair(tables, 8, 2,
+                                {"t0": ShardingScheme.TABLE_WISE}, 0)
+        shipped = []
+        all_reduce = stacked.pg.all_reduce
+
+        def spy(inputs):
+            shipped.append(inputs)
+            return all_reduce(inputs)
+
+        stacked.pg.all_reduce = spy
+        ds = SyntheticCTRDataset(tables, dense_dim=3, seed=0)
+        stacked.train_step(ds.batch(8, 0).split(2))
+        assert len(shipped) == len(stacked.grad_buckets)
+        assert all(a is b for a, b in zip(shipped, stacked.grad_buckets))
+        for p in stacked.ranks[0].dense_parameters():
+            assert p.grad_slot.shape == (2,) + p.data.shape
+            owners = [b for b in shipped if np.shares_memory(p.grad_slot, b)]
+            assert len(owners) == 1
+        assert stacked.pg.log.wire_bytes["all_reduce"] == sum(
+            b.nbytes for b in shipped)
 
 
 class TestCrossModeCheckpoint:
