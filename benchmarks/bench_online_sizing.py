@@ -11,7 +11,7 @@ the small deployment possible at all.
 import pytest
 
 from repro.models import full_spec
-from repro.perf import min_nodes_for, sizing_sweep
+from repro.perf import min_nodes_for
 
 OFFLINE_NODES = 16
 ONLINE_TARGET_QPS = 100e3  # ~10x below the offline throughputs of Table 4

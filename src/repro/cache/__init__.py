@@ -8,8 +8,6 @@ from .backing import ArrayBackingStore
 from .freq_aware import FreqAwareCache, PrefetchPipeline
 from .hierarchy import (ZIONEX_NODE_HIERARCHY, CachedEmbeddingTable,
                         MemoryHierarchy, MemoryTier)
-from .mixed_precision import (LowPrecisionBackingStore,
-                              MixedPrecisionEmbeddingTable)
 from .set_associative import SetAssociativeCache
 from .uvm import UVMPageCache
 
@@ -28,6 +26,4 @@ __all__ = [
     "MemoryHierarchy",
     "CachedEmbeddingTable",
     "ZIONEX_NODE_HIERARCHY",
-    "LowPrecisionBackingStore",
-    "MixedPrecisionEmbeddingTable",
 ]

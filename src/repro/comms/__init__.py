@@ -10,7 +10,7 @@ aliases were removed after their deprecation window. See
 ``docs/observability.md`` for the deprecation timeline.
 """
 
-from . import collectives, param_bench, perf_model
+from . import collectives, perf_model
 from .bucketing import Bucket, GradientBucketer
 from .process_group import (AlltoAllKind, CollectiveResult, CommsLog,
                             SimProcessGroup)
@@ -20,7 +20,6 @@ from .topology import PROTOTYPE_TOPOLOGY, ZION_TOPOLOGY, ClusterTopology
 __all__ = [
     "collectives",
     "perf_model",
-    "param_bench",
     "AlltoAllKind",
     "CollectiveResult",
     "SimProcessGroup",

@@ -872,10 +872,12 @@ class NeoTrainer:
         shape; ``opt_state[i]`` its optimizer slots).
 
         Every payload is checked before any parameter is written: a
-        missing index, an extra one or a shape other than the
-        parameter's raises ``ValueError``. Values are written *in place*
-        into the one storage, which every rank's replica views; slot
-        state has per-rank shape, so the one optimizer takes it as
+        missing index, an extra one (in ``dense`` or ``opt_state``) or a
+        shape other than the parameter's raises ``ValueError``; so does
+        an optimizer slot of another shape, except the ``(1,)`` step
+        counter ``t`` that Adam and LAMB keep. Values are written *in
+        place* into the one storage, which every rank's replica views;
+        slot state has per-rank shape, so the one optimizer takes it as
         stored.
         """
         params = self.ranks[0].dense_parameters()
@@ -885,10 +887,20 @@ class NeoTrainer:
                 raise ValueError(
                     f"dense parameter {i} ({p.name}): expected shape "
                     f"{p.data.shape}, got {got}")
-        extra = sorted(set(dense) - set(range(len(params))))
-        if extra:
-            raise ValueError(f"dense parameters {extra} do not exist: the "
-                             f"model has {len(params)}")
+            for name, value in opt_state.get(i, {}).items():
+                want = (1,) if name == "t" else p.data.shape
+                if np.shape(value) != want:
+                    raise ValueError(
+                        f"optimizer slot {name!r} of dense parameter {i} "
+                        f"({p.name}): expected shape {want}, got "
+                        f"{np.shape(value)}")
+        for what, payload in (("dense parameters", dense),
+                              ("optimizer state for dense parameters",
+                               opt_state)):
+            extra = sorted(set(payload) - set(range(len(params))))
+            if extra:
+                raise ValueError(f"{what} {extra} do not exist: the model "
+                                 f"has {len(params)}")
         for i, p in enumerate(params):
             p.data[...] = dense[i]
             slot = self.dense_opt.state_for(p)

@@ -6,12 +6,8 @@ from .criteo import (CRITEO_NUM_DENSE, CRITEO_NUM_SPARSE,
                      criteo_table_configs, log_transform)
 from .datagen import MiniBatch, SyntheticCTRDataset, zipf_indices
 from .freq import FrequencyStats
-from .hashing import hash_indices, shrink_batch, shrink_table_configs
 from .formats import CombinedFormat, SeparateFormat, host_transfer_time
 from .kernels import bucketize_sparse, permute_jagged, replicate_sparse
-from .preprocessing import (DenseNormalizer, FeatureHasher, LogTransform,
-                            MissingValueImputer, Transform,
-                            TransformPipeline)
 from .reader import DataIngestionService, IngestionStats
 
 __all__ = [
@@ -27,19 +23,10 @@ __all__ = [
     "DataIngestionService",
     "IngestionStats",
     "FrequencyStats",
-    "hash_indices",
-    "shrink_batch",
-    "shrink_table_configs",
     "CriteoLikeDataset",
     "criteo_table_configs",
     "criteo_dlrm_config",
     "log_transform",
     "CRITEO_NUM_DENSE",
     "CRITEO_NUM_SPARSE",
-    "Transform",
-    "LogTransform",
-    "DenseNormalizer",
-    "MissingValueImputer",
-    "FeatureHasher",
-    "TransformPipeline",
 ]

@@ -4,10 +4,10 @@ Production click logs cannot ship; the community-standard proxy — used by
 the DLRM reference implementation and MLPerf [35] — is the Criteo dataset
 shape: 13 continuous features and 26 categorical features with wildly
 skewed cardinalities (from tens to tens of millions). This module
-synthesizes a workload with exactly that shape, plus the preprocessing
-the DLRM pipeline applies (log-transform of dense counters, hashing of
-categorical ids), so examples and tests can run a recognizable public
-workload end to end.
+synthesizes a workload with exactly that shape, with the dense counters
+log-transformed as the DLRM pipeline does, so examples and tests can run
+a recognizable public workload end to end. Categorical ids are drawn in
+the (capped) cardinality range directly; nothing is hashed.
 """
 
 from __future__ import annotations
@@ -42,8 +42,11 @@ def log_transform(dense: np.ndarray) -> np.ndarray:
 
 def criteo_table_configs(max_rows: Optional[int] = None,
                          embedding_dim: int = 16) -> Tuple[EmbeddingTableConfig, ...]:
-    """The 26 Criteo tables; ``max_rows`` caps cardinality (hash-shrink,
-    exactly the paper's Section 5.3.1 methodology for small-scale runs)."""
+    """The 26 Criteo tables, each capped at ``max_rows`` rows.
+
+    The cap gives the paper's Section 5.3.1 shrunk tables for
+    small-scale runs; the generator draws ids in the capped range
+    directly."""
     if embedding_dim <= 0:
         raise ValueError("embedding_dim must be positive")
     tables = []

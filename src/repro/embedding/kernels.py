@@ -8,7 +8,7 @@ level iteration and is by far the slowest way to express this reduction.
 These kernels express the same reduction as ``np.add.reduceat`` over
 contiguous segments, which runs at memcpy-like speed, and are shared by
 :class:`repro.embedding.EmbeddingTable`, the fused arena operator,
-tensor-train tables, batch dedup and the cached/mixed-precision tables.
+tensor-train tables, batch dedup and the cached tables.
 
 Determinism and parity
 ----------------------

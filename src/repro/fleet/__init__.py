@@ -26,9 +26,7 @@ deterministic:
 * :mod:`repro.fleet.tenancy` — the multi-tenant plane: a
   :class:`TenantSpec` zoo served either by planner-partitioned replica
   subsets or a naive shared deployment, with per-tenant SLO reports
-  (``MultiTenantFleet``) and :func:`plan_tenancy` splitting one
-  hot-memory budget across tenants through
-  :mod:`repro.planner`.
+  (``MultiTenantFleet``).
 
 ``benchmarks/bench_fleet.py`` regenerates the curves and gates them
 (``benchmarks/bench_planner.py`` for tenancy).
@@ -43,7 +41,7 @@ from .report import (CapacityPoint, FleetDayReport, ScaleEvent,
 from .router import ROUTING_POLICIES, FleetRouter, RouterPolicy, RoutingPlan
 from .tenancy import (TENANCY_MODES, FleetTenancyReport, MultiTenantFleet,
                       MultiTenantServer, TenantLoadSummary, TenantSpec,
-                      partition_replicas, plan_tenancy)
+                      partition_replicas)
 from .traffic import DEFAULT_DAY_CURVE, DayCurve, FleetTraffic
 
 __all__ = [
@@ -75,5 +73,4 @@ __all__ = [
     "FleetTenancyReport",
     "MultiTenantFleet",
     "partition_replicas",
-    "plan_tenancy",
 ]

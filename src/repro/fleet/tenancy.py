@@ -18,11 +18,7 @@ split shared replicas between them. This module adds the tenancy plane:
   ``"shared"`` (every replica hosts every model, tenant-blind
   round-robin routing) and ``"partitioned"`` (each tenant gets a
   dedicated replica subset sized by :func:`partition_replicas` from its
-  demand share — per-tenant isolation at the cost of pooling);
-* :func:`plan_tenancy` — splits one fleet-wide hot-memory budget across
-  tenants and runs the :class:`~repro.planner.RepresentationPlanner`
-  per tenant model, so zoo-wide placement and per-table representation
-  are decided by the same search.
+  demand share — per-tenant isolation at the cost of pooling).
 
 ``benchmarks/bench_planner.py`` gates the punchline: a 3-tenant zoo
 whose SLOs all hold under planner-partitioned replicas while the naive
@@ -46,7 +42,7 @@ from .fleet import ServingFleet
 
 __all__ = ["TENANCY_MODES", "TenantSpec", "MultiTenantServer",
            "TenantLoadSummary", "FleetTenancyReport", "MultiTenantFleet",
-           "partition_replicas", "plan_tenancy"]
+           "partition_replicas"]
 
 TENANCY_MODES = ("partitioned", "shared")
 
@@ -340,41 +336,3 @@ class MultiTenantFleet:
         return FleetTenancyReport(mode=self.mode,
                                   num_replicas=self.num_replicas,
                                   per_tenant=per_tenant)
-
-
-def plan_tenancy(models: Dict[str, object], total_hot_bytes: float,
-                 cost=None, weights: Optional[Dict[str, float]] = None,
-                 eval_batches: Optional[Dict[str, object]] = None,
-                 ne_floor: Optional[float] = None):
-    """Split one fleet-wide hot-memory budget across tenant models and
-    plan each tenant's per-table representations.
-
-    ``models`` maps tenant name -> trained model (anything
-    :class:`~repro.planner.RepresentationPlanner` accepts). The budget
-    splits proportionally to ``weights`` (default: each model's full
-    fp32 embedding bytes, so relative compression pressure is uniform).
-    Returns ``{tenant: RepresentationPlan}``; freeze each tenant's model
-    with its plan to build the zoo's :class:`TenantSpec`\\ s.
-    """
-    from ..planner import PlanBudget, RepresentationPlanner
-    if total_hot_bytes <= 0:
-        raise ValueError("total_hot_bytes must be positive")
-    planner = RepresentationPlanner(cost=cost)
-    if weights is None:
-        weights = {}
-        for name, model in models.items():
-            local = model.to_local_model() if hasattr(
-                model, "to_local_model") else model
-            weights[name] = float(sum(t.num_parameters * 4
-                                      for t in local.config.tables))
-    if sorted(weights) != sorted(models):
-        raise ValueError("weights must cover exactly the tenant models")
-    total_w = sum(weights.values())
-    plans = {}
-    for name in sorted(models):
-        share = total_hot_bytes * weights[name] / total_w
-        budget = PlanBudget(hot_bytes=share, ne_floor=ne_floor)
-        eval_batch = (eval_batches or {}).get(name)
-        plans[name] = planner.plan(models[name], budget=budget,
-                                   eval_batch=eval_batch)
-    return plans

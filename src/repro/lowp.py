@@ -4,7 +4,7 @@ The paper uses three reduced-precision paths:
 
 * FP16 embedding tables (Section 5.3.2) and FP16 forward AlltoAll,
 * BF16 backward AlltoAll (quantized collectives, [58]),
-* INT8 row-wise quantized embedding storage (mixed-precision cache, [57]).
+* INT8 row-wise quantized embedding storage (quantized tables, [57]).
 
 numpy has native float16; bfloat16 is emulated bit-exactly by operating on
 the upper 16 bits of the IEEE-754 float32 representation with

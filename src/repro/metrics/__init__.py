@@ -1,8 +1,6 @@
 """Model-quality and throughput metrics."""
 
-from .auc import roc_auc
 from .normalized_entropy import (calibration, log_loss, normalized_entropy,
                                  relative_ne)
 
-__all__ = ["log_loss", "normalized_entropy", "relative_ne", "calibration",
-           "roc_auc"]
+__all__ = ["log_loss", "normalized_entropy", "relative_ne", "calibration"]

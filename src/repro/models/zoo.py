@@ -10,7 +10,8 @@ Two views of each model:
 * :func:`mini_config` — a trainable shrunken model, following the paper's
   own Section 5.3.1 methodology ("shrink the embedding table cardinality
   while hashing inputs to be within the reduced number of rows"), sized
-  for laptop-scale functional experiments.
+  for laptop-scale functional experiments. Here the data generator draws
+  ids in the shrunk range directly instead of hashing them.
 """
 
 from __future__ import annotations
@@ -150,8 +151,8 @@ def mini_config(name: str, scale: int = 512, num_tables: int = 8,
     """A trainable shrunken DLRM with the named model's *shape character*
     (relative pooling, MLP depth ratio) at laptop scale.
 
-    ``scale`` is the per-table row count; inputs must be hashed into
-    ``[0, scale)`` by the data generator (give it these table configs).
+    ``scale`` is the per-table row count; the data generator draws ids
+    in ``[0, scale)`` directly (give it these table configs).
     ``heterogeneous_dims`` scales each table's dim within the named
     model's declared dim range (relative to its average), enabling the
     per-feature-projection path — Table 3's production reality.

@@ -9,11 +9,9 @@ from . import functional, init
 from .interaction import CatInteraction, DotInteraction
 from .layers import MLP, Identity, Linear, Module, ReLU, Sequential, Sigmoid
 from .losses import BCEWithLogitsLoss
-from .lr_scheduler import (LRScheduler, PolynomialDecay, StepDecay,
-                           WarmupLinearDecay, linear_scaled_lr)
+from .lr_scheduler import LRScheduler, WarmupLinearDecay, linear_scaled_lr
 from .optim import LAMB, AdaGrad, Adam, Optimizer, SGD
 from .parameter import Parameter
-from .softmax import CrossEntropyLoss, Softmax
 
 __all__ = [
     "functional",
@@ -36,9 +34,5 @@ __all__ = [
     "LAMB",
     "LRScheduler",
     "WarmupLinearDecay",
-    "StepDecay",
-    "PolynomialDecay",
     "linear_scaled_lr",
-    "Softmax",
-    "CrossEntropyLoss",
 ]

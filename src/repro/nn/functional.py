@@ -13,8 +13,6 @@ __all__ = [
     "relu",
     "relu_grad",
     "sigmoid",
-    "log_sigmoid",
-    "softmax",
     "bce_with_logits",
     "bce_with_logits_grad",
     "bce_with_logits_stacked",
@@ -39,18 +37,6 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
-
-
-def log_sigmoid(x: np.ndarray) -> np.ndarray:
-    """log(sigmoid(x)) computed without overflow for large |x|."""
-    return np.where(x >= 0, -np.log1p(np.exp(-np.abs(x))),
-                    x - np.log1p(np.exp(-np.abs(x))))
-
-
-def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    shifted = x - np.max(x, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=axis, keepdims=True)
 
 
 def bce_with_logits(logits: np.ndarray, labels: np.ndarray) -> float:

@@ -5,8 +5,7 @@ appropriately tuned optimizer/hyper-parameters". The standard toolkit:
 
 * **linear scaling rule** — LR proportional to batch size;
 * **warmup** — ramp from a small LR to the target over the first steps
-  (large-batch training diverges without it);
-* **polynomial / step decay** — the usual CTR production schedules.
+  (large-batch training diverges without it), then linear decay.
 
 Schedulers wrap any :class:`repro.nn.Optimizer` (or sparse optimizer —
 anything with an ``lr`` attribute) and mutate its ``lr`` per step.
@@ -14,10 +13,7 @@ anything with an ``lr`` attribute) and mutate its ``lr`` per step.
 
 from __future__ import annotations
 
-from typing import Sequence
-
-__all__ = ["linear_scaled_lr", "LRScheduler", "WarmupLinearDecay",
-           "StepDecay", "PolynomialDecay"]
+__all__ = ["linear_scaled_lr", "LRScheduler", "WarmupLinearDecay"]
 
 
 def linear_scaled_lr(base_lr: float, batch_size: int,
@@ -77,39 +73,3 @@ class WarmupLinearDecay(LRScheduler):
         frac = min(1.0, (step - self.warmup_steps)
                    / (self.total_steps - self.warmup_steps))
         return self.base_lr + frac * (self.final_lr - self.base_lr)
-
-
-class StepDecay(LRScheduler):
-    """Multiply LR by ``gamma`` at each milestone step."""
-
-    def __init__(self, optimizer, base_lr: float,
-                 milestones: Sequence[int], gamma: float = 0.1) -> None:
-        if not 0 < gamma <= 1:
-            raise ValueError("gamma must be in (0, 1]")
-        if sorted(milestones) != list(milestones):
-            raise ValueError("milestones must be sorted ascending")
-        self.milestones = list(milestones)
-        self.gamma = gamma
-        super().__init__(optimizer, base_lr)
-
-    def lr_at(self, step: int) -> float:
-        passed = sum(1 for m in self.milestones if step >= m)
-        return self.base_lr * (self.gamma ** passed)
-
-
-class PolynomialDecay(LRScheduler):
-    """lr = base_lr * (1 - step/total)^power, floored at final_lr."""
-
-    def __init__(self, optimizer, base_lr: float, total_steps: int,
-                 power: float = 2.0, final_lr: float = 0.0) -> None:
-        if total_steps <= 0 or power <= 0:
-            raise ValueError("total_steps and power must be positive")
-        self.total_steps = total_steps
-        self.power = power
-        self.final_lr = final_lr
-        super().__init__(optimizer, base_lr)
-
-    def lr_at(self, step: int) -> float:
-        frac = min(1.0, step / self.total_steps)
-        return max(self.final_lr,
-                   self.base_lr * (1.0 - frac) ** self.power)

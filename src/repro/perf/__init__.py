@@ -12,8 +12,7 @@ from .embedding_bw import (embedding_achieved_bw, embedding_lookup_time,
                            fused_speedup, unfused_lookup_time)
 from .gemm import MLPBenchResult, gemm_tflops, gemm_time, mlp_benchmark, \
     mlp_time
-from .online import (NodeSizing, hierarchy_bw_fraction, min_nodes_for,
-                     sizing_sweep)
+from .online import NodeSizing, min_nodes_for
 from .platform import ZIONEX_PLATFORM, PlatformSpec
 from .iteration import (TrainingSetup, component_times, iteration_time,
                         latency_breakdown, plan_imbalance, qps,
@@ -62,9 +61,7 @@ __all__ = [
     "PlatformSpec",
     "ZIONEX_PLATFORM",
     "NodeSizing",
-    "hierarchy_bw_fraction",
     "min_nodes_for",
-    "sizing_sweep",
     "render_timeline",
     "SweepPoint",
     "sweep_knob",

@@ -169,24 +169,15 @@ def component_times(setup: TrainingSetup) -> ComponentTimes:
         top_mlp_bwd=top_bwd)
 
 
-def iteration_time(setup: TrainingSetup, engine: str = "eq1") -> float:
-    """Per-iteration latency.
+def iteration_time(setup: TrainingSetup) -> float:
+    """Per-iteration latency: Eq. 1 plus the framework overhead.
 
-    ``engine="eq1"`` uses the paper's closed-form Eq. 1;
-    ``engine="dag"`` runs the discrete-event schedule of
-    :mod:`repro.core.schedule` in steady state (inter-batch pipelining
-    included). The two agree closely; the DAG engine additionally models
-    stream contention and cross-iteration overlap explicitly.
+    The discrete-event schedule of :mod:`repro.core.schedule`
+    (``steady_state_iteration_time``) models the same step with stream
+    contention and inter-batch pipelining explicit.
     """
-    t = component_times(setup)
-    if engine == "eq1":
-        core = iteration_latency(t)
-    elif engine == "dag":
-        from ..core.schedule import steady_state_iteration_time
-        core = steady_state_iteration_time(t)
-    else:
-        raise ValueError(f"unknown engine {engine!r}; expected eq1/dag")
-    return core + setup.framework_overhead
+    return iteration_latency(component_times(setup)) + \
+        setup.framework_overhead
 
 
 def latency_breakdown(setup: TrainingSetup) -> LatencyBreakdown:

@@ -15,7 +15,7 @@ accounting for the hierarchy slowdown when the model overflows HBM.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 from ..comms import PROTOTYPE_TOPOLOGY
 from ..models.zoo import ModelSpec
@@ -23,8 +23,7 @@ from .capacity import model_footprint
 from .iteration import TrainingSetup, qps
 from .platform import ZIONEX_PLATFORM, PlatformSpec
 
-__all__ = ["NodeSizing", "hierarchy_bw_fraction", "min_nodes_for",
-           "sizing_sweep"]
+__all__ = ["NodeSizing", "min_nodes_for"]
 
 
 @dataclass(frozen=True)
@@ -37,20 +36,6 @@ class NodeSizing:
     bw_fraction: float         # effective lookup bw vs pure-HBM
     achieved_qps: float
     meets_target: bool
-
-
-def hierarchy_bw_fraction(hbm_fraction: float,
-                          cache_hit_boost: float = 0.5,
-                          platform: PlatformSpec = ZIONEX_PLATFORM) -> float:
-    """Effective lookup bandwidth (relative to HBM) when only
-    ``hbm_fraction`` of the model is HBM-resident.
-
-    Thin wrapper over :meth:`PlatformSpec.hierarchy_bw_fraction`, kept
-    here because the sizing API grew up in this module; the arithmetic
-    (and the Table 2 numbers) live on the shared platform spec that the
-    serving-side capacity model reads too.
-    """
-    return platform.hierarchy_bw_fraction(hbm_fraction, cache_hit_boost)
 
 
 def _evaluate(spec: ModelSpec, nodes: int, target_qps: float,
@@ -91,15 +76,3 @@ def min_nodes_for(spec: ModelSpec, target_qps: float,
         if sizing.meets_target:
             return sizing
     return None
-
-
-def sizing_sweep(spec: ModelSpec, target_qps: float,
-                 node_counts: List[int], precision: str = "fp16",
-                 optimizer: str = "rowwise_adagrad",
-                 per_gpu_batch: int = 512,
-                 platform: PlatformSpec = ZIONEX_PLATFORM
-                 ) -> List[NodeSizing]:
-    """Evaluate a list of node counts (for the online-training bench)."""
-    return [_evaluate(spec, n, target_qps, precision, optimizer,
-                      per_gpu_batch, platform=platform)
-            for n in node_counts]

@@ -8,9 +8,7 @@ with the existing perf models (:mod:`repro.perf` rooflines,
 quantization/compression error. The emitted
 :class:`RepresentationPlan` is consumed by
 ``NeoTrainer(..., representation_plan=...)`` for training-side storage
-and by ``freeze(..., plan=...)`` for the serving export, and
-:func:`repro.fleet.tenancy.plan_tenancy` partitions one shared budget
-across the tenants of a multi-tenant fleet.
+and by ``freeze(..., plan=...)`` for the serving export.
 """
 
 from .candidates import (PlannerCostModel, TableCandidates,

@@ -1,13 +1,11 @@
 """Hybrid embedding-table sharding: schemes, cost model, placement
 algorithms and the planner (paper Section 4.2)."""
 
-from .autotune import AutotuneResult, autotune_schemes, legal_schemes
 from .cost_model import CostModelParams, ShardCost, shard_cost, table_cost
 from .partitioners import (Assignment, greedy_partition, ldm_partition,
                            partition_quality, round_robin_partition)
 from .memory_validation import (RankMemoryReport, plan_memory_report,
                                 validate_plan_memory)
-from .plan_io import load_plan, plan_from_dict, plan_to_dict, save_plan
 from .planner import EmbeddingShardingPlanner, PlannerConfig, plan_cost_per_rank
 from .schemes import (Shard, ShardingPlan, ShardingScheme, TableShardingPlan,
                       shard_table)
@@ -30,14 +28,7 @@ __all__ = [
     "PlannerConfig",
     "EmbeddingShardingPlanner",
     "plan_cost_per_rank",
-    "AutotuneResult",
-    "autotune_schemes",
-    "legal_schemes",
     "RankMemoryReport",
     "plan_memory_report",
     "validate_plan_memory",
-    "plan_to_dict",
-    "plan_from_dict",
-    "save_plan",
-    "load_plan",
 ]

@@ -56,6 +56,12 @@ class PlannerConfig:
     def __post_init__(self) -> None:
         if self.world_size <= 0:
             raise ValueError("world_size must be positive")
+        if self.ranks_per_node < 1:
+            raise ValueError(f"ranks_per_node must be at least 1, got "
+                             f"{self.ranks_per_node}")
+        if self.cw_shards < 1:
+            raise ValueError(f"cw_shards must be at least 1, got "
+                             f"{self.cw_shards}")
         if self.partitioner not in ("round_robin", "greedy", "ldm"):
             raise ValueError(f"unknown partitioner {self.partitioner!r}")
         if self.world_size % self.ranks_per_node and \

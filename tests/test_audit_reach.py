@@ -1,0 +1,44 @@
+"""The call-reachability audit (``tools/audit_reach.py``): its collector
+and report, run on one entry point, the CLI selfcheck."""
+
+import importlib.util
+import os
+import sys
+
+import pytest
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+_spec = importlib.util.spec_from_file_location(
+    "audit_reach", os.path.join(REPO_ROOT, "tools", "audit_reach.py"))
+audit_reach = importlib.util.module_from_spec(_spec)
+sys.modules[_spec.name] = audit_reach  # dataclasses look the module up
+_spec.loader.exec_module(audit_reach)
+
+
+@pytest.fixture(scope="module")
+def report(tmp_path_factory):
+    work_dir = str(tmp_path_factory.mktemp("audit_reach"))
+    reached, failed = audit_reach.collect(
+        [("python -m repro", [sys.executable, "-m", "repro"])], work_dir)
+    assert failed == []
+    return audit_reach.audit(reached)
+
+
+def unreached(report, module):
+    return {fn.qualname for fn in report[module][1]}
+
+
+def test_selfcheck_callees_reported_reached(report):
+    assert "selfcheck" not in unreached(report, "repro/__main__.py")
+    assert "capacity_ladder" not in unreached(report, "repro/perf/capacity.py")
+    assert "EmbeddingShardingPlanner.plan" not in unreached(
+        report, "repro/sharding/planner.py")
+    # the other subcommand does not run
+    assert "trace_command" in unreached(report, "repro/__main__.py")
+
+
+def test_unreached_module_reported_whole(report):
+    assert "repro/baselines/zion.py" in audit_reach.whole_module_misses(report)
+    assert "repro/baselines/zion.py" in audit_reach.KEEP
+    text = audit_reach.render(report)
+    assert "whole-module miss: repro/baselines/zion.py -- kept:" in text

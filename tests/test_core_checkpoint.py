@@ -19,7 +19,7 @@ from .reference_trainer import LoopedNeoTrainer
 
 
 def make_trainer(world=2, seed=0, scheme=ShardingScheme.TABLE_WISE,
-                 stacked=True, momentum=0.0):
+                 stacked=True, momentum=0.0, dense_optimizer=None):
     tables = tuple(EmbeddingTableConfig(f"t{i}", 64, 8, avg_pooling=3.0)
                    for i in range(2))
     config = DLRMConfig(dense_dim=4, bottom_mlp=(8, 8), tables=tables,
@@ -33,7 +33,8 @@ def make_trainer(world=2, seed=0, scheme=ShardingScheme.TABLE_WISE,
     cls = NeoTrainer if stacked else LoopedNeoTrainer
     trainer = cls(
         config, plan, ClusterTopology(num_nodes=1, gpus_per_node=world),
-        dense_optimizer=lambda p: nn.SGD(p, lr=0.1, momentum=momentum),
+        dense_optimizer=dense_optimizer or (
+            lambda p: nn.SGD(p, lr=0.1, momentum=momentum)),
         sparse_optimizer=SparseSGD(lr=0.1), seed=seed)
     ds = SyntheticCTRDataset(tables, dense_dim=4, seed=1)
     return trainer, ds, config
@@ -116,12 +117,15 @@ class TestCorruptDensePayload:
     """``load_dense_state`` rejects a payload that does not match the
     model before it writes any parameter."""
 
-    def check_rejected(self, trainer, dense, match):
-        before = [p.data.copy() for p in trainer.ranks[0].dense_parameters()]
+    def check_rejected(self, trainer, dense, match, opt_state=None):
+        params = trainer.ranks[0].dense_parameters()
+        before = [p.data.copy() for p in params]
+        slots = [dict(trainer.dense_opt.state_for(p)) for p in params]
         with pytest.raises(ValueError, match=match):
-            trainer.load_dense_state(dense, {})
-        for p, kept in zip(trainer.ranks[0].dense_parameters(), before):
+            trainer.load_dense_state(dense, opt_state or {})
+        for p, kept, kept_slots in zip(params, before, slots):
             np.testing.assert_array_equal(p.data, kept)
+            assert trainer.dense_opt.state_for(p) == kept_slots
 
     def payload(self, trainer):
         return {i: p.data + 1.0
@@ -148,6 +152,36 @@ class TestCorruptDensePayload:
         dense = self.payload(trainer)
         dense[len(dense)] = np.zeros(3, dtype=np.float32)
         self.check_rejected(trainer, dense, "do not exist")
+
+    def adam_trainer(self):
+        trainer, ds, _ = make_trainer(
+            dense_optimizer=lambda p: nn.Adam(p, lr=0.01))
+        trainer.train_step(ds.batch(8, 0).split(2))
+        return trainer
+
+    def test_extra_optimizer_state_index(self):
+        trainer = self.adam_trainer()
+        opt_state = {99: {"m": np.zeros(3, dtype=np.float32)}}
+        self.check_rejected(
+            trainer, self.payload(trainer),
+            re.escape("optimizer state for dense parameters [99] do not "
+                      "exist"), opt_state)
+
+    @pytest.mark.parametrize("slot,bad", [("m", (1,)), ("t", (2,))])
+    def test_wrong_slot_shape(self, slot, bad):
+        """An Adam ``m`` of shape (1,) would broadcast in every later
+        step; only the step counter ``t`` is (1,)."""
+        trainer = self.adam_trainer()
+        params = trainer.ranks[0].dense_parameters()
+        opt_state = {i: dict(trainer.dense_opt.state_for(p))
+                     for i, p in enumerate(params)}
+        opt_state[2][slot] = np.zeros(bad, dtype=np.float32)
+        want = (1,) if slot == "t" else params[2].data.shape
+        self.check_rejected(
+            trainer, self.payload(trainer),
+            re.escape(f"optimizer slot {slot!r} of dense parameter 2 "
+                      f"(bottom.1.weight): expected shape {want}, got "
+                      f"{bad}"), opt_state)
 
 
 class TestCrossPlanRestore:

@@ -12,11 +12,9 @@ import numpy as np
 import pytest
 
 from repro.fleet import (FleetTenancyReport, MultiTenantFleet,
-                         MultiTenantServer, TenantSpec, partition_replicas,
-                         plan_tenancy)
+                         MultiTenantServer, TenantSpec, partition_replicas)
 from repro.models import DLRM, zoo_config
 from repro.obs import MetricRegistry
-from repro.planner import PlannerCostModel
 from repro.serving import (BatchingPolicy, InferenceRequest, InferenceServer,
                            MultiTenantBatcher, freeze)
 
@@ -317,24 +315,3 @@ class TestMultiTenantFleet:
                              offered_qps={"a": 1000.0, "b": 500.0})
         assert not report.all_slos_held
         assert "a" in report.violations()
-
-
-class TestPlanTenancy:
-    def test_budget_split_and_per_tenant_plans(self):
-        models = {"a": DLRM(zoo_config("small"), seed=0),
-                  "b": DLRM(zoo_config("medium"), seed=1)}
-        full = {n: sum(t.num_parameters * 4 for t in m.config.tables)
-                for n, m in models.items()}
-        total_budget = sum(full.values()) * 0.4
-        plans = plan_tenancy(models, total_budget,
-                             cost=PlannerCostModel(allow_tt=False))
-        assert set(plans) == {"a", "b"}
-        for n, plan in plans.items():
-            assert plan.hot_bytes() <= total_budget * full[n] / \
-                sum(full.values()) + 1e-9
-            plan.validate()
-
-    def test_invalid_budget_raises(self):
-        models = {"a": DLRM(zoo_config("small"), seed=0)}
-        with pytest.raises(ValueError):
-            plan_tenancy(models, 0)

@@ -5,8 +5,7 @@ import pytest
 
 from repro import nn
 from repro.embedding import SparseSGD
-from repro.nn import (LRScheduler, PolynomialDecay, StepDecay,
-                      WarmupLinearDecay, linear_scaled_lr)
+from repro.nn import WarmupLinearDecay, linear_scaled_lr
 
 
 def make_opt(lr=0.1):
@@ -67,46 +66,6 @@ class TestWarmupLinearDecay:
         with pytest.raises(ValueError):
             WarmupLinearDecay(make_opt(), base_lr=0.0, warmup_steps=1,
                               total_steps=10)
-
-
-class TestStepDecay:
-    def test_milestones(self):
-        opt = make_opt()
-        sched = StepDecay(opt, base_lr=1.0, milestones=[3, 6], gamma=0.1)
-        lrs = [sched.step() for _ in range(8)]
-        assert lrs[1] == pytest.approx(1.0)
-        assert lrs[3] == pytest.approx(0.1)
-        assert lrs[6] == pytest.approx(0.01)
-
-    def test_unsorted_milestones_raise(self):
-        with pytest.raises(ValueError):
-            StepDecay(make_opt(), base_lr=1.0, milestones=[6, 3])
-
-    def test_invalid_gamma(self):
-        with pytest.raises(ValueError):
-            StepDecay(make_opt(), base_lr=1.0, milestones=[1], gamma=0.0)
-
-
-class TestPolynomialDecay:
-    def test_endpoints(self):
-        opt = make_opt()
-        sched = PolynomialDecay(opt, base_lr=1.0, total_steps=10, power=2.0)
-        assert opt.lr == pytest.approx(1.0)
-        for _ in range(10):
-            sched.step()
-        assert opt.lr == pytest.approx(0.0, abs=1e-9)
-
-    def test_floor(self):
-        opt = make_opt()
-        sched = PolynomialDecay(opt, base_lr=1.0, total_steps=10,
-                                final_lr=0.5)
-        for _ in range(20):
-            sched.step()
-        assert opt.lr == pytest.approx(0.5)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            PolynomialDecay(make_opt(), base_lr=1.0, total_steps=0)
 
 
 class TestSchedulerWithSparseOptimizer:

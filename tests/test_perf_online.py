@@ -1,10 +1,11 @@
 """Tests for online-training cluster sizing with hierarchical memory."""
 
-import numpy as np
 import pytest
 
 from repro.models import full_spec
-from repro.perf import (hierarchy_bw_fraction, min_nodes_for, sizing_sweep)
+from repro.perf import ZIONEX_PLATFORM, min_nodes_for, model_footprint
+
+hierarchy_bw_fraction = ZIONEX_PLATFORM.hierarchy_bw_fraction
 
 
 class TestHierarchyBwFraction:
@@ -32,19 +33,17 @@ class TestSizing:
     def test_f1_needs_many_nodes_for_capacity(self):
         """F1 (24 TB in fp16+rowwise) cannot fit on 8 nodes but fits on
         16 — the capacity wall is independent of throughput."""
-        sweep = sizing_sweep(full_spec("F1"), target_qps=1e3,
-                             node_counts=[8, 16])
-        by_nodes = {s.nodes: s for s in sweep}
-        assert not by_nodes[8].fits
-        assert by_nodes[16].fits
+        result = min_nodes_for(full_spec("F1"), target_qps=1e3)
+        assert result is not None and result.fits
+        assert 8 < result.nodes <= 16
 
     def test_a1_fits_one_node(self):
         """A1 in fp16 (~190 GB) fits a single node's HBM+DRAM — the
         online-training scenario of Section 1."""
-        sweep = sizing_sweep(full_spec("A1"), target_qps=1e3,
-                             node_counts=[1])
-        assert sweep[0].fits
-        assert sweep[0].achieved_qps > 0
+        result = min_nodes_for(full_spec("A1"), target_qps=1e3)
+        assert result is not None and result.nodes == 1
+        assert result.fits
+        assert result.achieved_qps > 0
 
     def test_min_nodes_monotone_in_target(self):
         """A higher throughput target never needs fewer nodes."""
@@ -59,17 +58,18 @@ class TestSizing:
         result = min_nodes_for(spec, target_qps=500e3)
         assert result is not None and result.meets_target
         if result.nodes > 1:
-            below = sizing_sweep(spec, 500e3, [result.nodes - 1])[0]
-            assert not below.meets_target
+            assert min_nodes_for(spec, target_qps=500e3,
+                                 max_nodes=result.nodes - 1) is None
 
     def test_unreachable_target_returns_none(self):
         assert min_nodes_for(full_spec("A1"), target_qps=1e12,
                              max_nodes=2) is None
 
     def test_hbm_fraction_grows_with_nodes(self):
-        sweep = sizing_sweep(full_spec("F1"), target_qps=1e3,
-                             node_counts=[16, 32, 64])
-        fracs = [s.hbm_fraction for s in sweep]
+        model_bytes = model_footprint(full_spec("F1"), "fp16",
+                                      "rowwise_adagrad").total_bytes
+        fracs = [ZIONEX_PLATFORM.hbm_fraction(model_bytes, n)
+                 for n in (16, 32, 64)]
         assert all(a < b for a, b in zip(fracs, fracs[1:]))
 
     def test_validation(self):

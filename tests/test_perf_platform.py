@@ -10,7 +10,6 @@ the hierarchy arithmetic both sides rely on.
 import pytest
 
 from repro.perf import PlatformSpec, ZIONEX_PLATFORM
-from repro.perf.online import hierarchy_bw_fraction
 
 
 class TestZionexNumbers:
@@ -54,16 +53,6 @@ class TestCapacityArithmetic:
         cold = ZIONEX_PLATFORM.hierarchy_bw_fraction(0.5, cache_hit_boost=0.0)
         warm = ZIONEX_PLATFORM.hierarchy_bw_fraction(0.5, cache_hit_boost=0.9)
         assert warm > cold
-
-    def test_module_level_helper_delegates(self):
-        assert hierarchy_bw_fraction(0.5) == \
-            ZIONEX_PLATFORM.hierarchy_bw_fraction(0.5)
-        custom = PlatformSpec(name="x", hbm_per_node_bytes=1e9,
-                              dram_per_node_bytes=1e10,
-                              hbm_bw_per_node=100e9,
-                              dram_link_bw_per_node=1e9)
-        assert hierarchy_bw_fraction(0.5, platform=custom) == \
-            custom.hierarchy_bw_fraction(0.5)
 
 
 class TestCustomSpec:

@@ -4,9 +4,10 @@ import pytest
 
 from repro.comms import PROTOTYPE_TOPOLOGY
 from repro.core import ComponentTimes, PipelineSchedule, Task, \
-    dlrm_iteration_tasks
+    dlrm_iteration_tasks, steady_state_iteration_time
 from repro.models import full_spec
-from repro.perf import TrainingSetup, iteration_time, render_timeline
+from repro.perf import (TrainingSetup, component_times, iteration_time,
+                        render_timeline)
 
 
 class TestRenderTimeline:
@@ -52,16 +53,11 @@ class TestRenderTimeline:
 
 class TestDagEngine:
     def test_engines_agree_closely(self):
+        """Eq. 1 (``iteration_time``) and the steady-state DAG schedule
+        model the same step."""
         setup = TrainingSetup(spec=full_spec("A2"),
                               topology=PROTOTYPE_TOPOLOGY(16),
                               global_batch=65536, load_imbalance=1.15)
-        eq1 = iteration_time(setup, engine="eq1")
-        dag = iteration_time(setup, engine="dag")
-        assert dag == pytest.approx(eq1, rel=0.35)
-
-    def test_unknown_engine(self):
-        setup = TrainingSetup(spec=full_spec("A1"),
-                              topology=PROTOTYPE_TOPOLOGY(1),
-                              global_batch=4096)
-        with pytest.raises(ValueError):
-            iteration_time(setup, engine="magic")
+        dag = steady_state_iteration_time(component_times(setup)) + \
+            setup.framework_overhead
+        assert dag == pytest.approx(iteration_time(setup), rel=0.35)

@@ -225,3 +225,8 @@ class TestPlannerPlans:
             PlannerConfig(world_size=12, ranks_per_node=8)
         with pytest.raises(ValueError):
             PlannerConfig(partitioner="random")
+        for bad in (0, -2):
+            with pytest.raises(ValueError, match="ranks_per_node"):
+                PlannerConfig(world_size=8, ranks_per_node=bad)
+        with pytest.raises(ValueError, match="cw_shards"):
+            PlannerConfig(cw_shards=0)

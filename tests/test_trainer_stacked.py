@@ -221,8 +221,8 @@ class TestDenseOptimizer:
         next step uses on every replica: the product then matches an
         oracle whose per-rank optimizers all run at the scheduled lr."""
         looped, stacked, ds, _ = two_table_setup()
-        sched = nn.StepDecay(stacked.dense_opt, base_lr=0.1,
-                             milestones=[1], gamma=0.5)
+        sched = nn.WarmupLinearDecay(stacked.dense_opt, base_lr=0.1,
+                                     warmup_steps=0, total_steps=2)
         sched.step()
         assert stacked.dense_opt.lr == pytest.approx(0.05)
         for opt in looped.rank_optimizers:
