@@ -25,7 +25,8 @@ import numpy as np
 from ..embedding.table import EmbeddingTableConfig, lengths_to_offsets
 from ..nn import functional as F
 
-__all__ = ["MiniBatch", "SyntheticCTRDataset", "zipf_indices"]
+__all__ = ["MiniBatch", "SyntheticCTRDataset", "concat_ranges",
+           "zipf_indices"]
 
 
 # Cells of the guide table over a Zipf CDF. A power of two, so a draw's
@@ -105,6 +106,13 @@ def zipf_indices(num_ids: int, size: int, rng: np.random.Generator,
     return lo.astype(np.int64, copy=False)
 
 
+def concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The positions ``[s0, s0 + l0)``, ``[s1, s1 + l1)``, ... in order,
+    as one index array (one ``np.repeat`` + ``arange``)."""
+    first = np.cumsum(lengths) - lengths
+    return np.repeat(starts - first, lengths) + np.arange(int(lengths.sum()))
+
+
 @dataclass
 class MiniBatch:
     """One batch of samples: dense features, jagged sparse ids, labels."""
@@ -132,6 +140,28 @@ class MiniBatch:
         return MiniBatch(dense=self.dense[start:stop].copy(), sparse=sparse,
                          labels=self.labels[start:stop].copy())
 
+    def take(self, rows: np.ndarray) -> "MiniBatch":
+        """Samples ``rows`` (any order, repeats allowed) as one batch:
+        bitwise ``concat([slice(r, r + 1) for r in rows])``.
+
+        The jagged gather is vectorised: per feature, the gathered bags'
+        lengths give the new offsets, and one :func:`concat_ranges` index
+        picks every bag's ids out of the flat id array."""
+        rows = np.asarray(rows, dtype=np.int64)
+        if rows.ndim != 1:
+            raise ValueError("rows must be one-dimensional")
+        if len(rows) and (rows.min() < 0 or rows.max() >= self.batch_size):
+            raise IndexError(f"rows out of range for a batch of "
+                             f"{self.batch_size} samples")
+        sparse = {}
+        for name, (indices, offsets) in self.sparse.items():
+            lo = offsets[rows]
+            lengths = offsets[rows + 1] - lo
+            sparse[name] = (indices[concat_ranges(lo, lengths)],
+                            lengths_to_offsets(lengths))
+        return MiniBatch(dense=self.dense[rows], sparse=sparse,
+                         labels=self.labels[rows])
+
     def split(self, parts: int) -> List["MiniBatch"]:
         """Split into ``parts`` contiguous sub-batches (data parallelism)."""
         if self.batch_size % parts:
@@ -144,8 +174,8 @@ class MiniBatch:
     def concat(batches: Sequence["MiniBatch"]) -> "MiniBatch":
         """Coalesce batches (inverse of :meth:`split`): samples in order,
         jagged ids concatenated with offsets rebased. All batches must
-        cover the same sparse features. This is the serving batcher's
-        merge step.
+        cover the same sparse features. This is how hand-built serving
+        requests become one trace store (``RequestTrace.of``).
 
         Per feature, the offsets arrays are concatenated and differenced
         once; the differences that straddle two batches (one after the

@@ -32,10 +32,12 @@ the autoscaler must beat on replica-hours while holding the same SLO.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence
+from typing import List, Optional
+
+import numpy as np
 
 from ..perf.platform import ZIONEX_PLATFORM, PlatformSpec
-from ..serving.batcher import InferenceRequest
+from ..serving.batcher import Requests, as_trace
 from ..serving.export import ServableModel
 from ..serving.loadgen import LoadReport
 from .fleet import ServingFleet
@@ -126,7 +128,7 @@ class Autoscaler:
 
 
 def _run_windowed_day(fleet: ServingFleet,
-                      requests: Sequence[InferenceRequest],
+                      requests: Requests,
                       config: AutoscalerConfig,
                       scaler: Optional[Autoscaler]) -> FleetDayReport:
     """Shared windowed loop: ``scaler=None`` keeps the initial fleet
@@ -135,10 +137,12 @@ def _run_windowed_day(fleet: ServingFleet,
         raise ValueError(
             f"config.max_replicas={config.max_replicas} exceeds the "
             f"fleet's {fleet.num_replicas} replicas")
-    pending = sorted(requests, key=lambda r: (r.arrival_s, r.request_id))
-    if not pending:
+    trace = as_trace(requests)
+    if not len(trace):
         raise ValueError("need at least one request")
-    horizon = pending[-1].arrival_s
+    order = np.lexsort((trace.request_id, trace.arrival_s))
+    arrival = trace.arrival_s[order]
+    horizon = float(arrival[-1])
     num_windows = max(1, int(horizon // config.window_s) + 1)
     warmup = replica_warmup_s(fleet.model) if config.warmup_s is None \
         else config.warmup_s
@@ -162,11 +166,10 @@ def _run_windowed_day(fleet: ServingFleet,
                   if active_from[r] is not None and active_from[r] <= t0]
         billed = sum(1 for b in bill_from if b is not None)
         replica_seconds += billed * config.window_s
-        window_reqs = []
-        while i < len(pending) and pending[i].arrival_s < t1:
-            window_reqs.append(pending[i])
-            i += 1
-        if window_reqs:
+        j = int(np.searchsorted(arrival, t1))
+        window_reqs = trace[order[i:j]]
+        i = j
+        if len(window_reqs):
             result = fleet.serve(window_reqs, config.slo_s,
                                  offered_qps=len(window_reqs)
                                  / config.window_s,
@@ -215,7 +218,7 @@ def _run_windowed_day(fleet: ServingFleet,
     merged = LoadReport.merge(merged_inputs)
     # per-window offered rates sum to nonsense at day level; relabel
     # with the day-average offered rate over the actual horizon
-    merged = replace(merged, offered_qps=len(pending)
+    merged = replace(merged, offered_qps=len(trace)
                      / (num_windows * config.window_s))
     return FleetDayReport(windows=windows, events=events, merged=merged,
                           replica_seconds=replica_seconds,
@@ -223,14 +226,14 @@ def _run_windowed_day(fleet: ServingFleet,
 
 
 def run_autoscaled_day(fleet: ServingFleet,
-                       requests: Sequence[InferenceRequest],
+                       requests: Requests,
                        config: AutoscalerConfig) -> FleetDayReport:
     """Serve a (diurnal) trace under the autoscaler's control."""
     return _run_windowed_day(fleet, requests, config, Autoscaler(config))
 
 
 def run_static_day(fleet: ServingFleet,
-                   requests: Sequence[InferenceRequest],
+                   requests: Requests,
                    config: AutoscalerConfig,
                    num_replicas: int) -> FleetDayReport:
     """Serve the same trace with a fixed ``num_replicas`` fleet (the
@@ -242,7 +245,7 @@ def run_static_day(fleet: ServingFleet,
 
 
 def smallest_static_fleet(fleet: ServingFleet,
-                          requests: Sequence[InferenceRequest],
+                          requests: Requests,
                           config: AutoscalerConfig,
                           min_attainment: float = 0.99
                           ) -> FleetDayReport:

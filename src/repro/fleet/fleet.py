@@ -28,7 +28,7 @@ from typing import List, Optional, Sequence
 
 from ..obs.metrics import MetricRegistry
 from ..obs.tracer import as_tracer
-from ..serving.batcher import BatchingPolicy, InferenceRequest
+from ..serving.batcher import BatchingPolicy, Requests
 from ..serving.export import ServableModel
 from ..serving.loadgen import LoadReport, summarize
 from ..serving.server import InferenceServer, ServeResult, ServingPerfModel
@@ -115,7 +115,7 @@ class ServingFleet:
         return sum(self.replicas[i].perf.capacity_qps(
             self.model, batch_size, nnz_per_sample) for i in active)
 
-    def serve(self, requests: Sequence[InferenceRequest], slo_s: float,
+    def serve(self, requests: Requests, slo_s: float,
               offered_qps: float,
               active: Optional[Sequence[int]] = None,
               keep_samples: bool = True) -> FleetResult:

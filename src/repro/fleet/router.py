@@ -33,7 +33,8 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..serving.batcher import InferenceRequest
+from ..serving.batcher import (InferenceRequest, Requests, RequestTrace,
+                               as_trace)
 from ..serving.loadgen import ROUTER_STREAM
 
 __all__ = ["ROUTING_POLICIES", "RouterPolicy", "RoutingPlan", "FleetRouter"]
@@ -58,14 +59,15 @@ class RouterPolicy:
 class RoutingPlan:
     """The complete assignment of one trace onto replica sub-traces.
 
-    ``assignments[i]`` is replica ``i``'s sub-trace in arrival order
-    (indexed by *fleet* replica id, inactive replicas get ``[]``);
+    ``assignments[i]`` is replica ``i``'s sub-trace (a
+    :class:`RequestTrace` over the routed trace's stores) in arrival order
+    (indexed by *fleet* replica id, inactive replicas get an empty one);
     ``replica_of`` maps request id -> replica id. Backlog diagnostics
     are the router's own fluid estimates, recorded for the imbalance
     tests and the report.
     """
 
-    assignments: List[List[InferenceRequest]]
+    assignments: List[RequestTrace]
     replica_of: Dict[int, int]
     final_backlog_s: List[float]
 
@@ -91,7 +93,7 @@ class FleetRouter:
     def __init__(self, policy: Optional[RouterPolicy] = None) -> None:
         self.policy = policy if policy is not None else RouterPolicy()
 
-    def route(self, requests: Sequence[InferenceRequest],
+    def route(self, requests: Requests,
               est_service: Sequence[Callable[[InferenceRequest], float]],
               active: Optional[Sequence[int]] = None) -> RoutingPlan:
         """Assign ``requests`` (sorted internally by arrival, ties by
@@ -100,7 +102,9 @@ class FleetRouter:
         ``est_service[r]`` predicts one request's service seconds on
         replica ``r`` — the fleet wires in each replica's own
         :class:`~repro.serving.server.ServingPerfModel`, which is how
-        per-replica platform placement reaches the router.
+        per-replica platform placement reaches the router. It is called
+        once per request, on the chosen replica's estimator, with the
+        trace's :class:`InferenceRequest` view.
         """
         num_replicas = len(est_service)
         if num_replicas < 1:
@@ -113,22 +117,22 @@ class FleetRouter:
                              f"{num_replicas} replicas")
         if len(set(active)) != len(active):
             raise ValueError("active indices must be unique")
-        pending = sorted(requests, key=lambda r: (r.arrival_s, r.request_id))
-        assignments: List[List[InferenceRequest]] = \
-            [[] for _ in range(num_replicas)]
-        replica_of: Dict[int, int] = {}
+        trace = as_trace(requests)
+        order = np.lexsort((trace.request_id, trace.arrival_s))
+        arrival = trace.arrival_s[order].tolist()
+        chosen_of: List[int] = []
         busy_until = [0.0] * num_replicas
         kind = self.policy.kind
         n_active = len(active)
         if kind == "power_of_two" and n_active > 1:
             rng = np.random.default_rng((self.policy.seed, ROUTER_STREAM))
-            first = rng.integers(0, n_active, size=len(pending))
+            first = rng.integers(0, n_active, size=len(order))
             # distinct second choice via the shift trick
             second = (first + 1
-                      + rng.integers(0, n_active - 1, size=len(pending))) \
+                      + rng.integers(0, n_active - 1, size=len(order))) \
                 % n_active
-        for i, r in enumerate(pending):
-            t = r.arrival_s
+        for i, pos in enumerate(order.tolist()):
+            t = arrival[i]
             if kind == "round_robin" or n_active == 1:
                 chosen = active[i % n_active]
             elif kind == "least_loaded":
@@ -141,9 +145,13 @@ class FleetRouter:
                 # ties go to the first sample — itself uniform — so an
                 # idle fleet spreads instead of piling onto low indices
                 chosen = b if backlog_b < backlog_a else a
-            assignments[chosen].append(r)
-            replica_of[r.request_id] = chosen
+            chosen_of.append(chosen)
             busy_until[chosen] = max(busy_until[chosen], t) \
-                + float(est_service[chosen](r))
-        return RoutingPlan(assignments=assignments, replica_of=replica_of,
-                           final_backlog_s=busy_until)
+                + float(est_service[chosen](trace[pos]))
+        replica = np.asarray(chosen_of, dtype=np.int64)
+        return RoutingPlan(
+            assignments=[trace[order[replica == r]]
+                         for r in range(num_replicas)],
+            replica_of=dict(zip(trace.request_id[order].tolist(),
+                                chosen_of)),
+            final_backlog_s=busy_until)

@@ -30,14 +30,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+import numpy as np
+
 from ..obs.metrics import MetricRegistry
 from ..obs.tracer import as_tracer
-from ..serving.batcher import (BatchingPolicy, InferenceRequest,
-                               MultiTenantBatcher)
+from ..serving.batcher import (BatchingPolicy, MultiTenantBatcher, Requests,
+                               as_trace)
 from ..serving.export import ServableModel
 from ..serving.loadgen import LoadReport, summarize
-from ..serving.server import (ServeResult, ServingPerfModel,
-                              execute_plan, price_requests)
+from ..serving.server import ServeResult, ServingPerfModel, execute_plan
 from .fleet import ServingFleet
 
 __all__ = ["TENANCY_MODES", "TenantSpec", "MultiTenantServer",
@@ -148,18 +149,18 @@ class MultiTenantServer:
         """>= 1 slowdown factor from co-resident model storage."""
         return self._congestion[tenant]
 
-    def _service_time(self, tenant: str,
-                      requests: List[InferenceRequest]) -> float:
-        return price_requests(self.perf, self.tenants[tenant].model,
-                              requests) * self._congestion[tenant]
+    def _service_time(self, tenant: str, batch_size: int,
+                      nnz: int) -> float:
+        return self.perf.service_time(self.tenants[tenant].model,
+                                      batch_size, nnz) \
+            * self._congestion[tenant]
 
-    def serve(self, requests: Sequence[InferenceRequest]
-              ) -> Dict[str, ServeResult]:
+    def serve(self, requests: Requests) -> Dict[str, ServeResult]:
         """Serve a mixed-tenant trace; one :class:`ServeResult` per
         tenant (every tenant reports, even with no traffic), each with
         the metric catalogue of a single-model server under the scope
         ``[<replica>.]<tenant>.serving``."""
-        plans = self.batcher.plan(list(requests), self._service_time)
+        plans = self.batcher.plan(requests, self._service_time)
         prefix = f"{self.name}." if self.name else ""
         return {
             tenant: execute_plan(
@@ -281,7 +282,7 @@ class MultiTenantFleet:
                 tc.avg_pooling for tc in t.model.config.tables)))))
         return t.traffic_share * svc
 
-    def serve(self, requests: Sequence[InferenceRequest],
+    def serve(self, requests: Requests,
               offered_qps: Dict[str, float]) -> FleetTenancyReport:
         """Serve one mixed-tenant arrival trace; per-tenant merged
         reports (exact pooled percentiles) against each tenant's SLO.
@@ -289,13 +290,15 @@ class MultiTenantFleet:
         ``offered_qps`` labels each tenant's report with its offered
         rate; every request must carry a known ``tenant`` tag.
         """
-        by_tenant: Dict[str, List[InferenceRequest]] = {
-            name: [] for name in self.tenants}
-        for r in sorted(requests, key=lambda r: (r.arrival_s, r.request_id)):
-            if r.tenant not in self.tenants:
-                raise ValueError(f"request {r.request_id} targets unknown "
-                                 f"tenant {r.tenant!r}")
-            by_tenant[r.tenant].append(r)
+        trace = as_trace(requests)
+        order = np.lexsort((trace.request_id, trace.arrival_s))
+        tenant = trace.tenant[order]
+        for i, name in enumerate(tenant.tolist()):
+            if name not in self.tenants:
+                raise ValueError(f"request {trace.request_id[order[i]]} "
+                                 f"targets unknown tenant {name!r}")
+        by_tenant = {name: trace[order[tenant == name]]
+                     for name in self.tenants}
         missing = sorted(set(self.tenants) - set(offered_qps))
         if missing:
             raise ValueError(f"offered_qps missing tenants {missing}")
@@ -312,20 +315,16 @@ class MultiTenantFleet:
                                       num_replicas=self.num_replicas,
                                       per_tenant=per_tenant)
         # shared: tenant-blind round-robin in global arrival order
-        sub: List[List[InferenceRequest]] = \
-            [[] for _ in range(self.num_replicas)]
-        ordered = sorted(requests,
-                         key=lambda r: (r.arrival_s, r.request_id))
-        for i, r in enumerate(ordered):
-            sub[i % self.num_replicas].append(r)
-        results = [replica.serve(trace)
-                   for replica, trace in zip(self.replicas, sub)]
+        sub = [trace[order[i::self.num_replicas]]
+               for i in range(self.num_replicas)]
+        results = [replica.serve(share)
+                   for replica, share in zip(self.replicas, sub)]
         per_tenant: Dict[str, TenantLoadSummary] = {}
         for name, spec in self.tenants.items():
             offered = len(by_tenant[name])
             reports = []
             for i, result in enumerate(results):
-                n = sum(1 for r in sub[i] if r.tenant == name)
+                n = int(np.count_nonzero(sub[i].tenant == name))
                 share = n / offered if offered else 0.0
                 reports.append(summarize(
                     result[name], offered_qps=offered_qps[name] * share,

@@ -27,12 +27,12 @@ Poisson substrate of :mod:`repro.serving.loadgen`:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from ..data.datagen import SyntheticCTRDataset
-from ..serving.batcher import InferenceRequest
+from ..serving.batcher import RequestTrace
 from ..serving.loadgen import (ARRIVAL_STREAM, USER_STREAM, PoissonLoadGen,
                                requests_from_arrivals)
 
@@ -171,8 +171,7 @@ class FleetTraffic:
         return zipf_indices(self.num_users, self.num_requests, rng,
                             alpha=self.zipf_alpha)
 
-    def requests(self, dataset: SyntheticCTRDataset
-                 ) -> List[InferenceRequest]:
+    def requests(self, dataset: SyntheticCTRDataset) -> RequestTrace:
         """Materialize the trace over ``dataset``.
 
         With a user population, sample contents are generated once per

@@ -86,6 +86,9 @@ class Histogram:
     def record(self, value: float) -> None:
         self.values.append(float(value))
 
+    def record_many(self, values) -> None:
+        self.values.extend(float(v) for v in values)
+
     @property
     def count(self) -> int:
         return len(self.values)

@@ -48,7 +48,7 @@ from ..core.loop import TrainingLoop, TrainingResult
 from ..metrics import normalized_entropy
 from ..obs.metrics import MetricRegistry
 from ..obs.tracer import as_tracer
-from ..serving.batcher import BatchingPolicy, InferenceRequest
+from ..serving.batcher import BatchingPolicy, RequestTrace
 from ..serving.export import FreezeConfig, ServableModel, freeze
 from ..serving.loadgen import LoadReport, PoissonLoadGen, summarize
 from ..serving.server import InferenceServer, ServeResult, ServingPerfModel
@@ -255,7 +255,7 @@ class CoSimulation:
         return result
 
     # ------------------------------------------------------------------
-    def _serve_replicas(self, requests: List[InferenceRequest],
+    def _serve_replicas(self, requests: RequestTrace,
                         slot: ModelSlot) -> List[ServeResult]:
         """Round-robin the trace across the fleet; every replica shares
         the slot (and therefore sees the same swap timeline)."""
@@ -265,8 +265,7 @@ class CoSimulation:
             server = InferenceServer(slot.history[0].model, self.policy,
                                      self.perf, tracer=self.tracer,
                                      metrics=self.metrics)
-            share = [req for i, req in enumerate(requests)
-                     if i % cfg.replicas == r]
+            share = requests[r::cfg.replicas]
             with self.tracer.span("online.serve", cat="online", replica=r,
                                   requests=len(share)):
                 results.append(server.serve(share, slot=slot))

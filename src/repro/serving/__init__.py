@@ -21,7 +21,7 @@ recurrent trainer exists to keep a serving fleet fresh, and
 
 from .batcher import (ADMISSION_KINDS, BatchingPolicy, BatchPlan,
                       InferenceRequest, MicroBatcher, MultiTenantBatcher,
-                      ScheduledBatch)
+                      RequestTrace, ScheduledBatch)
 from .export import FreezeConfig, ServableModel, freeze
 from .loadgen import (ARRIVAL_STREAM, ROUTER_STREAM, USER_STREAM,
                       LoadReport, PoissonLoadGen, requests_from_arrivals,
@@ -36,6 +36,7 @@ __all__ = [
     "ADMISSION_KINDS",
     "BatchingPolicy",
     "InferenceRequest",
+    "RequestTrace",
     "ScheduledBatch",
     "BatchPlan",
     "MicroBatcher",

@@ -20,6 +20,13 @@ The policy has three knobs:
   unbounded queue (load shedding under overload). Shed requests are
   first-class citizens of the stats, never silently dropped.
 
+A trace is stored as columns (:class:`RequestTrace`): one array per
+request attribute plus a :class:`MiniBatch` store holding the requests'
+samples, the way the ingestion path moves a batch as one jagged buffer
+plus lengths. The batcher, the executor and the router work on
+positions into it; :class:`InferenceRequest` is the per-request view of
+one position.
+
 Everything runs in *virtual time*: requests carry arrival timestamps,
 service times come from a caller-supplied model (the perf-model-backed
 :class:`repro.serving.server.ServingPerfModel` in production), and the
@@ -32,15 +39,18 @@ meaningful.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from functools import cached_property, partial
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..data.datagen import MiniBatch
+import numpy as np
+
+from ..data.datagen import MiniBatch, concat_ranges
 
 __all__ = ["ADMISSION_KINDS", "BatchingPolicy", "InferenceRequest",
-           "ScheduledBatch", "BatchPlan", "predicted_completion",
-           "MicroBatcher", "MultiTenantBatcher"]
+           "RequestTrace", "ScheduledBatch", "BatchPlan",
+           "predicted_completion", "MicroBatcher", "MultiTenantBatcher"]
 
 
 ADMISSION_KINDS = ("depth", "predicted")
@@ -69,17 +79,18 @@ class BatchingPolicy:
     def __post_init__(self) -> None:
         if self.max_batch_size < 1:
             raise ValueError("max_batch_size must be >= 1")
-        if self.max_wait_s < 0:
-            raise ValueError("max_wait_s must be >= 0")
+        if not (math.isfinite(self.max_wait_s) and self.max_wait_s >= 0):
+            raise ValueError("max_wait_s must be finite and >= 0")
         if self.max_queue_depth < 1:
             raise ValueError("max_queue_depth must be >= 1")
         if self.admission not in ADMISSION_KINDS:
             raise ValueError(f"admission must be one of {ADMISSION_KINDS}, "
                              f"got {self.admission!r}")
         if self.admission == "predicted":
-            if self.deadline_s is None or self.deadline_s <= 0:
-                raise ValueError("predicted admission needs a positive "
-                                 "deadline_s")
+            if self.deadline_s is None or not (
+                    math.isfinite(self.deadline_s) and self.deadline_s > 0):
+                raise ValueError("predicted admission needs a finite, "
+                                 "positive deadline_s")
 
 
 @dataclass(frozen=True)
@@ -105,44 +116,232 @@ class InferenceRequest:
     @cached_property
     def nnz(self) -> int:
         """Embedding rows the request touches (the perf model's input),
-        counted on first use: a request is priced on every admission
-        check, dispatch and routing estimate that includes it."""
+        counted on first use."""
         return self.batch.nnz
 
 
-@dataclass
+class _StoreRows(MiniBatch):
+    """Rows ``[start, stop)`` of a trace's store as a :class:`MiniBatch`
+    whose arrays are each copied out on first use. Its size and id count
+    come from the trace's columns, so pricing or routing a request view
+    never slices it."""
+
+    def __init__(self, store: MiniBatch, start: int, stop: int,
+                 nnz: int) -> None:
+        self._store = store
+        self._rows = slice(start, stop)
+        self._nnz = nnz
+
+    @cached_property
+    def dense(self) -> np.ndarray:
+        return self._store.dense[self._rows].copy()
+
+    @cached_property
+    def sparse(self) -> Dict[str, Tuple[np.ndarray, np.ndarray]]:
+        return self._store.slice(self._rows.start, self._rows.stop).sparse
+
+    @cached_property
+    def labels(self) -> np.ndarray:
+        return self._store.labels[self._rows].copy()
+
+    @property
+    def batch_size(self) -> int:
+        return self._rows.stop - self._rows.start
+
+    @property
+    def nnz(self) -> int:
+        return self._nnz
+
+
+class RequestTrace:
+    """An arrival trace stored as columns.
+
+    One entry per request in each of the arrays ``request_id``,
+    ``arrival_s``, ``num_samples``, ``nnz`` (embedding ids, the perf
+    model's input), ``user_id`` (-1 for an anonymous request) and
+    ``tenant`` (an object array of names or ``None``). Request ``i``'s
+    samples are rows ``[start[i], start[i] + num_samples[i])`` of the
+    :class:`MiniBatch` ``stores[part[i]]``: one store for a generated
+    trace (the bulk draw, where requests of one recurring user share
+    rows), one per feature set for hand-built requests of several
+    models.
+
+    Inputs are checked once, here: ids unique, arrivals finite, every
+    request at least one sample inside its store. ``len(trace)``,
+    ``trace[i]`` (an :class:`InferenceRequest` view, made once per
+    position and kept) and ``trace[index]`` (a sub-trace over the same
+    stores, for a slice, an index array or a mask) are the sequence
+    interface.
+    """
+
+    __slots__ = ("request_id", "arrival_s", "num_samples", "nnz",
+                 "user_id", "tenant", "part", "start", "stores", "_views")
+
+    def __init__(self, request_id, arrival_s, stores: Sequence[MiniBatch],
+                 start, num_samples, nnz, user_id=None, tenant=None,
+                 part=None) -> None:
+        self.request_id = np.asarray(request_id, dtype=np.int64)
+        n = len(self.request_id)
+        self.arrival_s = np.asarray(arrival_s, dtype=np.float64)
+        self.stores = tuple(stores)
+        self.start = np.asarray(start, dtype=np.int64)
+        self.num_samples = np.asarray(num_samples, dtype=np.int64)
+        self.nnz = np.asarray(nnz, dtype=np.int64)
+        self.user_id = np.full(n, -1, dtype=np.int64) if user_id is None \
+            else np.asarray(user_id, dtype=np.int64)
+        self.part = np.zeros(n, dtype=np.int64) if part is None \
+            else np.asarray(part, dtype=np.int64)
+        self.tenant = np.empty(n, dtype=object)
+        if tenant is not None:
+            self.tenant[:] = list(tenant)
+        self._views = np.empty(n, dtype=object)
+        columns = (self.request_id, self.arrival_s, self.start,
+                   self.num_samples, self.nnz, self.user_id, self.part)
+        if any(c.ndim != 1 or len(c) != n for c in columns):
+            raise ValueError("every trace column needs one entry per "
+                             "request")
+        if not np.isfinite(self.arrival_s).all():
+            raise ValueError("arrival_s must be finite")
+        if not n:
+            return
+        if self.num_samples.min() < 1 or self.nnz.min() < 0:
+            raise ValueError("every request needs at least one sample "
+                             "and a non-negative nnz")
+        if self.part.min() < 0 or self.part.max() >= len(self.stores):
+            raise ValueError(f"part outside the {len(self.stores)} stores")
+        rows = np.array([s.batch_size for s in self.stores])[self.part]
+        if self.start.min() < 0 \
+                or (self.start + self.num_samples > rows).any():
+            raise ValueError("request rows outside [0, rows) of the store")
+        ids, counts = np.unique(self.request_id, return_counts=True)
+        if len(ids) != n:
+            raise ValueError(f"duplicate request id {ids[counts > 1][0]}")
+
+    @classmethod
+    def of(cls, requests: Sequence[InferenceRequest]) -> "RequestTrace":
+        """The trace of hand-built requests. Requests with one feature set
+        share a store, their batches coalesced by one
+        :meth:`MiniBatch.concat`; the views are the given objects."""
+        requests = list(requests)
+        parts: Dict[tuple, List[int]] = {}
+        for i, r in enumerate(requests):
+            names = tuple(sorted(r.batch.sparse))
+            parts.setdefault((names, r.batch.dense.shape[1:]), []).append(i)
+        part = np.zeros(len(requests), dtype=np.int64)
+        start = np.zeros(len(requests), dtype=np.int64)
+        num_samples = np.array([r.num_samples for r in requests],
+                               dtype=np.int64)
+        for k, members in enumerate(parts.values()):
+            part[members] = k
+            sizes = num_samples[members]
+            start[members] = np.cumsum(sizes) - sizes
+        trace = cls(
+            request_id=[r.request_id for r in requests],
+            arrival_s=[r.arrival_s for r in requests],
+            stores=[MiniBatch.concat([requests[i].batch for i in members])
+                    for members in parts.values()],
+            start=start, num_samples=num_samples,
+            nnz=[r.nnz for r in requests],
+            user_id=[-1 if r.user_id is None else r.user_id
+                     for r in requests],
+            tenant=[r.tenant for r in requests], part=part)
+        trace._views[:] = requests
+        return trace
+
+    def __len__(self) -> int:
+        return len(self.request_id)
+
+    def __getitem__(self, key) -> Union[InferenceRequest, "RequestTrace"]:
+        if isinstance(key, (int, np.integer)):
+            view = self._views[key]
+            if view is None:
+                view = self._views[key] = self._view(int(key))
+            return view
+        index = np.arange(len(self))[key]
+        sub = object.__new__(RequestTrace)
+        for name in ("request_id", "arrival_s", "num_samples", "nnz",
+                     "user_id", "tenant", "part", "start", "_views"):
+            setattr(sub, name, getattr(self, name)[index])
+        sub.stores = self.stores
+        return sub
+
+    def _view(self, i: int) -> InferenceRequest:
+        start = int(self.start[i])
+        user = int(self.user_id[i])
+        return InferenceRequest(
+            request_id=int(self.request_id[i]),
+            arrival_s=float(self.arrival_s[i]),
+            batch=_StoreRows(self.stores[self.part[i]], start,
+                             start + int(self.num_samples[i]),
+                             int(self.nnz[i])),
+            user_id=None if user < 0 else user, tenant=self.tenant[i])
+
+    def batch(self, index: np.ndarray) -> MiniBatch:
+        """The samples of the requests at ``index``, in order, gathered
+        out of their store by one :meth:`MiniBatch.take`."""
+        part = self.part[index]
+        if (part != part[0]).any():
+            raise ValueError("requests of different feature sets cannot "
+                             "share a batch")
+        return self.stores[part[0]].take(
+            concat_ranges(self.start[index], self.num_samples[index]))
+
+
+#: what every serving entry point accepts: a trace, or hand-built requests
+Requests = Union[RequestTrace, Sequence[InferenceRequest]]
+
+
+def as_trace(requests: Requests) -> RequestTrace:
+    """``requests`` as a :class:`RequestTrace` (hand-built request lists
+    go through :meth:`RequestTrace.of`)."""
+    if isinstance(requests, RequestTrace):
+        return requests
+    return RequestTrace.of(requests)
+
+
+@dataclass(eq=False)
 class ScheduledBatch:
     """One dispatched batch in the virtual-time schedule.
 
-    ``trigger`` records why it was cut: ``"full"`` (max_batch_size
-    reached), ``"deadline"`` (oldest request hit max_wait) or
-    ``"drain"`` (no further arrivals, queue flushed).
+    It serves the requests at positions ``index`` of ``trace``, in
+    dispatch order. ``trigger`` records why it was cut: ``"full"``
+    (max_batch_size reached), ``"deadline"`` (oldest request hit
+    max_wait) or ``"drain"`` (no further arrivals, queue flushed).
     """
 
-    requests: List[InferenceRequest]
+    trace: RequestTrace
+    index: np.ndarray
     dispatch_s: float
     completion_s: float
     trigger: str
 
     @property
+    def requests(self) -> List[InferenceRequest]:
+        return [self.trace[i] for i in self.index.tolist()]
+
+    @property
     def num_requests(self) -> int:
-        return len(self.requests)
+        return len(self.index)
 
-    @property
+    @cached_property
     def num_samples(self) -> int:
-        return sum(r.num_samples for r in self.requests)
+        return int(self.trace.num_samples[self.index].sum())
+
+
+@dataclass(eq=False)
+class BatchPlan:
+    """The complete deterministic schedule for one arrival trace.
+
+    The shed requests are the positions ``shed_index`` of ``trace``, in
+    shed order."""
+
+    trace: RequestTrace
+    batches: List[ScheduledBatch]
+    shed_index: np.ndarray
 
     @property
-    def service_s(self) -> float:
-        return self.completion_s - self.dispatch_s
-
-
-@dataclass
-class BatchPlan:
-    """The complete deterministic schedule for one arrival trace."""
-
-    batches: List[ScheduledBatch] = field(default_factory=list)
-    shed: List[InferenceRequest] = field(default_factory=list)
+    def shed(self) -> List[InferenceRequest]:
+        return [self.trace[i] for i in self.shed_index.tolist()]
 
     @property
     def num_offered(self) -> int:
@@ -154,63 +353,100 @@ class BatchPlan:
 
     @property
     def num_shed(self) -> int:
-        return len(self.shed)
+        return len(self.shed_index)
+
+    def completed_index(self) -> np.ndarray:
+        """Positions of the completed requests, in dispatch order."""
+        return np.concatenate([b.index for b in self.batches]) \
+            if self.batches else np.zeros(0, dtype=np.int64)
 
     @property
     def makespan_s(self) -> float:
         """First arrival to last completion (0 for an empty plan)."""
         if not self.batches:
             return 0.0
-        first = min(r.arrival_s for b in self.batches for r in b.requests)
+        first = float(self.trace.arrival_s[self.completed_index()].min())
         return self.batches[-1].completion_s - first
 
     def latencies_s(self) -> List[float]:
         """Per-completed-request latency, in request-id order."""
-        out = []
-        for b in self.batches:
-            out.extend((r.request_id, b.completion_s - r.arrival_s)
-                       for r in b.requests)
-        return [lat for _, lat in sorted(out)]
+        index = self.completed_index()
+        completion = np.repeat([b.completion_s for b in self.batches],
+                               [b.num_requests for b in self.batches])
+        latency = completion - self.trace.arrival_s[index]
+        return latency[np.argsort(self.trace.request_id[index])].tolist()
 
 
-def predicted_completion(policy: BatchingPolicy,
-                         queue: List[InferenceRequest],
-                         r: InferenceRequest, server_free: float,
-                         service_time: Callable[
-                             [List[InferenceRequest]], float]) -> float:
-    """Earliest possible completion of ``r`` given its own ``queue``.
+ServiceTime = Callable[[int, int], float]
 
+
+def predicted_completion(policy: BatchingPolicy, samples: List[int],
+                         nnz: List[int], head: int, start_s: float,
+                         service_time: ServiceTime) -> float:
+    """Earliest possible completion of the last request of a lane queue.
+
+    ``samples``/``nnz`` are running sums over the lane's admitted
+    requests plus the arriving one (entry ``k`` covers the first ``k``),
+    and the queue is everything from ``head`` on, so each
+    ``max_batch_size``-wide chunk is priced from two differences.
     Assumes work-conserving FIFO dispatch at full batch width starting
-    at ``max(server_free, r.arrival)`` — an optimistic (lower) bound,
-    since real dispatches may also wait on the max-wait trigger (and,
-    on a shared timeline, on other tenants, whose queues a tenant cannot
-    see). Shedding only when even this bound misses the deadline means
-    predicted admission never sheds a request the scheduler could still
-    have saved.
+    at ``start_s = max(server_free, arrival)`` — an optimistic (lower)
+    bound, since real dispatches may also wait on the max-wait trigger
+    (and, on a shared timeline, on other tenants, whose queues a tenant
+    cannot see). Shedding only when even this bound misses the deadline
+    means predicted admission never sheds a request the scheduler could
+    still have saved.
     """
-    t = max(server_free, r.arrival_s)
-    prospective = queue + [r]
-    width = policy.max_batch_size
-    for start in range(0, len(prospective), width):
-        t += float(service_time(prospective[start:start + width]))
+    t = start_s
+    end = len(samples) - 1
+    for lo in range(head, end, policy.max_batch_size):
+        hi = min(lo + policy.max_batch_size, end)
+        t += float(service_time(samples[hi] - samples[lo],
+                                nnz[hi] - nnz[lo]))
     return t
 
 
-def _plan_lanes(requests: Sequence[InferenceRequest],
-                lane_of: Callable[[InferenceRequest], int],
+class _Lane:
+    """One lane of :func:`_plan_lanes`: the arrival-order numbers it
+    admitted, running sums of their samples and nnz, the queue
+    (``admitted[head:]``), its dispatches as ``(lo, hi, dispatch_s,
+    completion_s, trigger)`` over ``admitted``, and its sheds."""
+
+    __slots__ = ("policy", "service", "admitted", "samples", "nnz", "head",
+                 "dispatches", "shed")
+
+    def __init__(self, policy: BatchingPolicy,
+                 service: ServiceTime) -> None:
+        self.policy = policy
+        self.service = service
+        self.admitted: List[int] = []
+        self.samples = [0]
+        self.nnz = [0]
+        self.head = 0
+        self.dispatches: List[tuple] = []
+        self.shed: List[int] = []
+
+    def plan(self, trace: RequestTrace, order: np.ndarray) -> BatchPlan:
+        index = order[np.asarray(self.admitted, dtype=np.int64)]
+        return BatchPlan(trace, [ScheduledBatch(trace, index[lo:hi], *rest)
+                                 for lo, hi, *rest in self.dispatches],
+                         order[np.asarray(self.shed, dtype=np.int64)])
+
+
+def _plan_lanes(trace: RequestTrace, lanes: np.ndarray,
                 policies: Sequence[BatchingPolicy],
-                services: Sequence[Callable[[List[InferenceRequest]], float]]
-                ) -> List[BatchPlan]:
+                services: Sequence[ServiceTime]) -> List[BatchPlan]:
     """The one discrete-event loop: per-lane queues and admission over a
     single server timeline.
 
-    Lane ``k`` queues the requests ``lane_of`` sends to it, under
-    ``policies[k]``, priced by ``services[k]``. The loop alternates
-    between two event kinds — "next arrival" and "next dispatch" —
-    always taking the earlier one, so arrivals during a long-running
-    batch correctly queue (or shed) while the server is busy. Every
-    non-empty lane computes its trigger: the earlier of (a) the arrival
-    of its ``max_batch_size``-th waiting request and (b)
+    Lane ``k`` queues the requests whose entry in ``lanes`` is ``k``,
+    under ``policies[k]``, priced by ``services[k](batch_size, nnz)``.
+    Requests are taken in ``(arrival_s, request_id)`` order. The loop
+    alternates between two event kinds — "next arrival" and "next
+    dispatch" — always taking the earlier one, so arrivals during a
+    long-running batch correctly queue (or shed) while the server is
+    busy. Every non-empty lane computes its trigger: the earlier of (a)
+    the arrival of its ``max_batch_size``-th waiting request and (b)
     ``oldest.arrival + max_wait_s``. The lane with the earliest trigger
     (ties go to the lower lane) cuts the next batch at
     ``max(server_free, trigger)``. Rule (b) bounds batch-formation
@@ -219,66 +455,74 @@ def _plan_lanes(requests: Sequence[InferenceRequest],
     the fuzz suite asserts exactly this split). Admission looks at the
     arriving request's own lane only.
     """
-    pending = sorted(requests, key=lambda r: (r.arrival_s, r.request_id))
-    seen = set()
-    for r in pending:
-        if r.request_id in seen:
-            raise ValueError(f"duplicate request id {r.request_id}")
-        seen.add(r.request_id)
-    plans = [BatchPlan() for _ in policies]
-    queues: List[List[InferenceRequest]] = [[] for _ in policies]
+    order = np.lexsort((trace.request_id, trace.arrival_s))
+    arrival = trace.arrival_s[order].tolist()
+    samples = trace.num_samples[order].tolist()
+    nnz = trace.nnz[order].tolist()
+    lane_of = np.asarray(lanes, dtype=np.int64)[order].tolist()
+    state = [_Lane(p, s) for p, s in zip(policies, services)]
     server_free = 0.0
     i = 0
-    n = len(pending)
-    while i < n or any(queues):
-        next_arrival = pending[i].arrival_s if i < n else float("inf")
-        chosen = -1
+    n = len(arrival)
+    while True:
+        next_arrival = arrival[i] if i < n else float("inf")
+        chosen: Optional[_Lane] = None
         chosen_trigger_s = float("inf")
         chosen_trigger = ""
-        for lane, queue in enumerate(queues):
-            if not queue:
+        for lane in state:
+            waiting = len(lane.admitted) - lane.head
+            if not waiting:
                 continue
-            pol = policies[lane]
-            if len(queue) >= pol.max_batch_size:
-                trigger_s = queue[pol.max_batch_size - 1].arrival_s
+            pol = lane.policy
+            if waiting >= pol.max_batch_size:
+                trigger_s = arrival[
+                    lane.admitted[lane.head + pol.max_batch_size - 1]]
                 trigger = "full"
             else:
-                trigger_s = queue[0].arrival_s + pol.max_wait_s
+                trigger_s = arrival[lane.admitted[lane.head]] \
+                    + pol.max_wait_s
                 trigger = "deadline" if i < n else "drain"
-            if chosen < 0 or trigger_s < chosen_trigger_s:
+            if chosen is None or trigger_s < chosen_trigger_s:
                 chosen, chosen_trigger_s = lane, trigger_s
                 chosen_trigger = trigger
-        if chosen >= 0:
+        if chosen is None and i == n:
+            break
+        if chosen is not None:
             dispatch = max(server_free, chosen_trigger_s)
             if dispatch <= next_arrival:
-                width = policies[chosen].max_batch_size
-                queue = queues[chosen]
-                batch = queue[:width]
-                del queue[:width]
-                svc = float(services[chosen](batch))
+                lo = chosen.head
+                hi = min(lo + chosen.policy.max_batch_size,
+                         len(chosen.admitted))
+                svc = float(chosen.service(
+                    chosen.samples[hi] - chosen.samples[lo],
+                    chosen.nnz[hi] - chosen.nnz[lo]))
                 if svc < 0:
                     raise ValueError("service_time must be >= 0")
-                plans[chosen].batches.append(ScheduledBatch(
-                    requests=batch, dispatch_s=dispatch,
-                    completion_s=dispatch + svc, trigger=chosen_trigger))
+                chosen.head = hi
+                chosen.dispatches.append(
+                    (lo, hi, dispatch, dispatch + svc, chosen_trigger))
                 server_free = dispatch + svc
                 continue
         # admit (or shed) the next arrival into its own lane's queue
-        r = pending[i]
+        k = i
         i += 1
-        lane = lane_of(r)
-        pol = policies[lane]
-        queue = queues[lane]
-        if len(queue) >= pol.max_queue_depth:
-            plans[lane].shed.append(r)
-        elif pol.admission == "predicted" and \
-                predicted_completion(pol, queue, r, server_free,
-                                     services[lane]) \
-                > r.arrival_s + pol.deadline_s:
-            plans[lane].shed.append(r)
+        lane = state[lane_of[k]]
+        pol = lane.policy
+        if len(lane.admitted) - lane.head >= pol.max_queue_depth:
+            lane.shed.append(k)
+            continue
+        lane.samples.append(lane.samples[-1] + samples[k])
+        lane.nnz.append(lane.nnz[-1] + nnz[k])
+        if pol.admission == "predicted" and predicted_completion(
+                pol, lane.samples, lane.nnz, lane.head,
+                max(server_free, arrival[k]), lane.service) \
+                > arrival[k] + pol.deadline_s:
+            lane.samples.pop()
+            lane.nnz.pop()
+            lane.shed.append(k)
         else:
-            queue.append(r)
-    return plans
+            lane.admitted.append(k)
+    return [lane.plan(trace, order) for lane in state]
 
 
 class MicroBatcher:
@@ -295,13 +539,14 @@ class MicroBatcher:
     def __init__(self, policy: Optional[BatchingPolicy] = None) -> None:
         self.policy = policy if policy is not None else BatchingPolicy()
 
-    def plan(self, requests: Sequence[InferenceRequest],
-             service_time: Callable[[List[InferenceRequest]], float]
-             ) -> BatchPlan:
+    def plan(self, requests: Requests,
+             service_time: ServiceTime) -> BatchPlan:
         """Schedule ``requests`` (any order; sorted internally by arrival,
-        ties broken by request id) through the dispatch rule."""
-        return _plan_lanes(requests, lambda r: 0, [self.policy],
-                           [service_time])[0]
+        ties broken by request id) through the dispatch rule;
+        ``service_time(batch_size, nnz)`` prices one dispatch."""
+        trace = as_trace(requests)
+        return _plan_lanes(trace, np.zeros(len(trace), dtype=np.int64),
+                           [self.policy], [service_time])[0]
 
 
 class MultiTenantBatcher:
@@ -329,21 +574,23 @@ class MultiTenantBatcher:
             raise ValueError("need at least one tenant policy")
         self.policies = dict(policies)
 
-    def plan(self, requests: Sequence[InferenceRequest],
-             service_time: Callable[[str, List[InferenceRequest]], float]
+    def plan(self, requests: Requests,
+             service_time: Callable[[str, int, int], float]
              ) -> Dict[str, BatchPlan]:
         """Schedule a mixed-tenant arrival trace; ``service_time`` takes
-        ``(tenant, batch)`` so each tenant's model prices its own
-        dispatches. Returns one :class:`BatchPlan` per tenant."""
+        ``(tenant, batch_size, nnz)`` so each tenant's model prices its
+        own dispatches. Returns one :class:`BatchPlan` per tenant."""
+        trace = as_trace(requests)
         names = sorted(self.policies)
         lanes = {name: lane for lane, name in enumerate(names)}
-        for r in requests:
-            if r.tenant not in lanes:
+        lane_of = np.empty(len(trace), dtype=np.int64)
+        for i, tenant in enumerate(trace.tenant.tolist()):
+            if tenant not in lanes:
                 raise ValueError(
-                    f"request {r.request_id} targets unknown tenant "
-                    f"{r.tenant!r} (have {names})")
+                    f"request {trace.request_id[i]} targets unknown tenant "
+                    f"{tenant!r} (have {names})")
+            lane_of[i] = lanes[tenant]
         plans = _plan_lanes(
-            requests, lambda r: lanes[r.tenant],
-            [self.policies[name] for name in names],
+            trace, lane_of, [self.policies[name] for name in names],
             [partial(service_time, name) for name in names])
         return {name: plans[lanes[name]] for name in self.policies}

@@ -319,27 +319,26 @@ class ServableModel:
         return self.embedding_storage_bytes() + self.dense_storage_bytes()
 
     # ------------------------------------------------------------------
-    def embed(self, dispatches: Sequence[Sequence[MiniBatch]]
-              ) -> EmbeddedWindow:
+    def embed(self, batch: MiniBatch, bounds: np.ndarray) -> EmbeddedWindow:
         """The embedding half of a window of dispatches, run once.
 
-        ``dispatches`` is a list of dispatches, each a non-empty list of
-        request batches. The window's batches are coalesced once
-        (:meth:`MiniBatch.concat`), the hot tables are pooled by one
-        fused gather + segment-reduce per dimension group over all the
-        window's bags, and every cold table by one cache read. Dedup
-        stays per dispatch: a cold table reads the unique ``(dispatch,
-        id)`` keys, in ``(dispatch, id)`` order, which is the sequence
-        one read per dispatch would make, so cache state and every
-        counter match. TT tables contract their cores per dispatch.
+        ``batch`` holds the window's samples, dispatch after dispatch, and
+        ``bounds`` is the ``(n+1,)`` sample offsets where each dispatch
+        starts. The hot tables are pooled by one fused gather +
+        segment-reduce per dimension group over all the window's bags,
+        and every cold table by one cache read. Dedup stays per
+        dispatch: a cold table reads the unique ``(dispatch, id)`` keys,
+        in ``(dispatch, id)`` order, which is the sequence one read per
+        dispatch would make, so cache state and every counter match. TT
+        tables contract their cores per dispatch.
         """
-        if any(not d for d in dispatches):
-            raise ValueError("every dispatch needs at least one batch")
-        merged = MiniBatch.concat([b for d in dispatches for b in d])
-        bounds = lengths_to_offsets(np.fromiter(
-            (sum(len(b.dense) for b in d) for d in dispatches), np.int64,
-            len(dispatches)))
-        sparse = merged.sparse
+        bounds = np.asarray(bounds, dtype=np.int64)
+        if bounds.ndim != 1 or len(bounds) < 2 or bounds[0] != 0 \
+                or bounds[-1] != batch.batch_size \
+                or (np.diff(bounds) < 0).any():
+            raise ValueError(f"bounds must rise from 0 to the batch's "
+                             f"{batch.batch_size} samples")
+        sparse = batch.sparse
         pooled: Dict[str, np.ndarray] = {}
         if self.hot_tables is not None:
             pooled.update(self.hot_tables.forward(sparse))
@@ -355,7 +354,7 @@ class ServableModel:
                                     _segments(offsets, bounds))
                 self.dedup_rows_requested += len(indices)
                 self.dedup_rows_read += len(np.unique(keys))
-        return EmbeddedWindow(dense=merged.dense, pooled=pooled,
+        return EmbeddedWindow(dense=batch.dense, pooled=pooled,
                               bounds=bounds)
 
     def _logits(self, window: EmbeddedWindow, i: int) -> np.ndarray:
@@ -386,14 +385,20 @@ class ServableModel:
         dispatches]``."""
         if not dispatches:
             return []
-        window = self.embed(dispatches)
+        if any(not d for d in dispatches):
+            raise ValueError("every dispatch needs at least one batch")
+        window = self.embed(
+            MiniBatch.concat([b for d in dispatches for b in d]),
+            lengths_to_offsets([sum(b.batch_size for b in d)
+                                for d in dispatches]))
         return [self.predict_dispatch(window, i)
                 for i in range(len(dispatches))]
 
     def forward(self, batch: MiniBatch) -> np.ndarray:
         """Logits of shape (B,) — the same arithmetic as
         :meth:`repro.models.DLRM.forward` over frozen weights."""
-        return self._logits(self.embed([[batch]]), 0)
+        return self._logits(
+            self.embed(batch, np.array([0, batch.batch_size])), 0)
 
     def predict(self, batch: MiniBatch) -> np.ndarray:
         """Click probabilities of shape (B,): the one-dispatch case of

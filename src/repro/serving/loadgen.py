@@ -24,13 +24,14 @@ percentiles over the pooled latency samples.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..data.datagen import SyntheticCTRDataset
-from .batcher import InferenceRequest
+from .batcher import RequestTrace
 from .server import InferenceServer, ServeResult
 
 __all__ = ["PoissonLoadGen", "LoadReport", "run_load_test",
@@ -50,10 +51,11 @@ def requests_from_arrivals(dataset: SyntheticCTRDataset,
                            arrivals: np.ndarray, batch_index: int,
                            start_id: int = 0,
                            user_rows: Optional[np.ndarray] = None
-                           ) -> List[InferenceRequest]:
+                           ) -> RequestTrace:
     """One single-sample request per arrival time, contents drawn from
     ``dataset`` in a single bulk generation (deterministic in
-    ``batch_index``).
+    ``batch_index``), returned as the columns of a :class:`RequestTrace`
+    whose one store is that bulk draw.
 
     This is the one place requests are materialized — the flat Poisson
     generator and the fleet's diurnal/Zipf traffic both funnel through
@@ -64,26 +66,31 @@ def requests_from_arrivals(dataset: SyntheticCTRDataset,
     the identity mapping — this is how a Zipf user population makes hot
     users *recur*: the same user always resubmits the identical sample,
     which is exactly what makes replica-local caches measurable.
-    ``user_id`` on each request records the row.
+    ``user_id`` on each request records the row. A negative row or a
+    non-finite arrival is a ``ValueError``; no arrivals give an empty
+    trace.
     """
+    arrivals = np.asarray(arrivals, dtype=np.float64)
+    if arrivals.ndim != 1:
+        raise ValueError("arrivals must be one-dimensional")
+    if not np.isfinite(arrivals).all():
+        raise ValueError("arrivals must be finite")
     n = len(arrivals)
-    if user_rows is None:
-        bulk = dataset.batch(n, batch_index=batch_index)
-        return [InferenceRequest(request_id=start_id + i,
-                                 arrival_s=float(arrivals[i]),
-                                 batch=bulk.slice(i, i + 1))
-                for i in range(n)]
-    user_rows = np.asarray(user_rows, dtype=np.int64)
-    if len(user_rows) != n:
-        raise ValueError(f"user_rows has {len(user_rows)} entries for "
+    rows = np.arange(n, dtype=np.int64) if user_rows is None \
+        else np.asarray(user_rows, dtype=np.int64)
+    if rows.shape != (n,):
+        raise ValueError(f"user_rows has {len(rows)} entries for "
                          f"{n} arrivals")
-    bulk = dataset.batch(int(user_rows.max()) + 1, batch_index=batch_index)
-    return [InferenceRequest(request_id=start_id + i,
-                             arrival_s=float(arrivals[i]),
-                             batch=bulk.slice(int(user_rows[i]),
-                                              int(user_rows[i]) + 1),
-                             user_id=int(user_rows[i]))
-            for i in range(n)]
+    if n == 0:
+        return RequestTrace.of([])
+    if rows.min() < 0:
+        raise ValueError(f"user_rows must be >= 0, got {rows.min()}")
+    bulk = dataset.batch(int(rows.max()) + 1, batch_index=batch_index)
+    nnz = sum(np.diff(offsets) for _, offsets in bulk.sparse.values())
+    return RequestTrace(
+        request_id=start_id + np.arange(n), arrival_s=arrivals, stores=[bulk],
+        start=rows, num_samples=np.ones(n, dtype=np.int64), nnz=nnz[rows],
+        user_id=None if user_rows is None else rows)
 
 
 @dataclass(frozen=True)
@@ -103,8 +110,8 @@ class PoissonLoadGen:
     stream: int = ARRIVAL_STREAM
 
     def __post_init__(self) -> None:
-        if self.qps <= 0:
-            raise ValueError("qps must be positive")
+        if not (math.isfinite(self.qps) and self.qps > 0):
+            raise ValueError("qps must be finite and positive")
         if self.num_requests < 1:
             raise ValueError("num_requests must be >= 1")
 
@@ -130,12 +137,10 @@ class PoissonLoadGen:
         gaps = rng.exponential(1.0 / self.qps, size=self.num_requests)
         return self.start_s + np.cumsum(gaps)
 
-    def requests(self, dataset: SyntheticCTRDataset
-                 ) -> List[InferenceRequest]:
+    def requests(self, dataset: SyntheticCTRDataset) -> RequestTrace:
         """One single-sample request per arrival, ids drawn Zipf-skewed
-        from ``dataset`` (deterministic in ``seed``)."""
-        # one bulk draw, then per-request single-sample slices: much
-        # cheaper than num_requests independent batch(1) generations
+        from ``dataset`` (deterministic in ``seed``), from one bulk
+        draw."""
         return requests_from_arrivals(dataset, self.arrival_times(),
                                       batch_index=self.seed)
 
@@ -270,18 +275,24 @@ def summarize(result: ServeResult, offered_qps: float, num_offered: int,
     as before).
     """
     lat = result.latencies_s()
-    makespan = result.makespan_s()
+    first = min((o.arrival_s for o in result.outcomes), default=0.0)
+    last = max((o.completion_s for o in result.outcomes), default=0.0)
+    makespan = last - first
     within = int(np.sum(lat <= slo_s)) if len(lat) else 0
     batch_sizes = [o.batch_samples for o in result.outcomes]
+
+    def percentile(q: float) -> float:
+        return float(np.percentile(lat, q)) if len(lat) else 0.0
+
     return LoadReport(
         offered_qps=offered_qps,
         num_offered=num_offered,
         num_completed=result.num_completed,
         num_shed=result.num_shed,
         slo_s=slo_s,
-        p50_s=result.percentile_s(50),
-        p95_s=result.percentile_s(95),
-        p99_s=result.percentile_s(99),
+        p50_s=percentile(50),
+        p95_s=percentile(95),
+        p99_s=percentile(99),
         mean_s=float(lat.mean()) if len(lat) else 0.0,
         max_s=float(lat.max()) if len(lat) else 0.0,
         goodput_qps=within / makespan if makespan > 0 else 0.0,
@@ -291,11 +302,9 @@ def summarize(result: ServeResult, offered_qps: float, num_offered: int,
         makespan_s=makespan,
         mean_batch_samples=float(np.mean(batch_sizes))
         if batch_sizes else 0.0,
-        first_arrival_s=min((o.arrival_s for o in result.outcomes),
-                            default=0.0),
-        last_completion_s=max((o.completion_s for o in result.outcomes),
-                              default=0.0),
-        samples_s=tuple(float(v) for v in lat) if keep_samples else None)
+        first_arrival_s=first,
+        last_completion_s=last,
+        samples_s=tuple(lat.tolist()) if keep_samples else None)
 
 
 def run_load_test(server: InferenceServer, dataset: SyntheticCTRDataset,

@@ -21,26 +21,28 @@ independent.
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..data.formats import host_transfer_time
+from ..embedding import lengths_to_offsets
 from ..obs.metrics import MetricRegistry
 from ..obs.tracer import as_tracer
 from ..perf.devices import DeviceSpec, V100
 from ..perf.embedding_bw import embedding_lookup_time
 from ..perf.gemm import mlp_time
 from ..perf.platform import ZIONEX_PLATFORM, PlatformSpec
-from .batcher import (BatchingPolicy, BatchPlan, InferenceRequest,
-                      MicroBatcher, ScheduledBatch)
+from .batcher import (BatchingPolicy, BatchPlan, MicroBatcher, Requests,
+                      ScheduledBatch)
 from .export import ServableModel
 
 __all__ = ["ServingPerfModel", "RequestOutcome", "ServeResult",
-           "price_requests", "execute_plan", "InferenceServer"]
+           "execute_plan", "InferenceServer"]
 
 _EMB_LOOKUP_PRECISION = {"fp32": "fp32", "fp16": "fp16", "bf16": "fp16",
                          "int8": "fp16",  # bandwidth class of row reads
@@ -79,8 +81,8 @@ class ServingPerfModel:
     def __post_init__(self) -> None:
         if self.nodes < 1:
             raise ValueError("nodes must be >= 1")
-        if self.overhead_s < 0:
-            raise ValueError("overhead_s must be >= 0")
+        if not (math.isfinite(self.overhead_s) and self.overhead_s >= 0):
+            raise ValueError("overhead_s must be finite and >= 0")
 
     def bw_fraction(self, model: ServableModel) -> float:
         """Effective lookup bandwidth fraction for this model placement."""
@@ -228,26 +230,12 @@ class ServeResult:
             out[o.model_version] = out.get(o.model_version, 0) + 1
         return out
 
-    def percentile_s(self, q: float) -> float:
-        lat = self.latencies_s()
-        return float(np.percentile(lat, q)) if len(lat) else 0.0
-
     def makespan_s(self) -> float:
         if not self.outcomes:
             return 0.0
         first = min(o.arrival_s for o in self.outcomes)
         last = max(o.completion_s for o in self.outcomes)
         return last - first
-
-
-def price_requests(perf: ServingPerfModel, model: ServableModel,
-                   requests: List[InferenceRequest]) -> float:
-    """Service time of ``requests`` coalesced into one dispatch of
-    ``model`` — the one place a request list turns into a
-    :meth:`ServingPerfModel.service_time` call."""
-    batch_size = sum(r.num_samples for r in requests)
-    nnz = sum(r.nnz for r in requests)
-    return perf.service_time(model, batch_size, nnz)
 
 
 def _windows(plan: BatchPlan, model: ServableModel, slot):
@@ -281,19 +269,23 @@ def execute_plan(plan: BatchPlan, model: ServableModel, tracer, scope,
     Dispatches run in windows (:func:`_windows`): consecutive batches
     answered by one model (with ``slot``, by the snapshot active at their
     dispatch times), up to a sample budget that bounds the window's
-    working set. Per window, one :meth:`ServableModel.embed` pools every
-    table for all its dispatches; per scheduled batch, the dense half
-    (:meth:`ServableModel.predict_dispatch`) runs on its rows,
-    per-request probability rows are scattered back and one
-    :class:`RequestOutcome` is recorded per request. The probabilities
-    are bitwise those of one ``predict`` per coalesced batch. Obs wiring:
-    per batch a ``serving.batch`` span around a ``serving.forward`` span
-    for its dense half; a window's first batch span also holds the
-    window's embedding pass, as one more ``serving.forward`` span. All
+    working set. Per window, the requests' rows are gathered out of the
+    trace's store in one :meth:`RequestTrace.batch` and one
+    :meth:`ServableModel.embed` pools every table for all its
+    dispatches; per scheduled batch, the dense half
+    (:meth:`ServableModel.predict_dispatch`) runs on its rows and
+    per-request probability rows are scattered back. The probabilities
+    are bitwise those of one ``predict`` per coalesced batch. The
+    :class:`RequestOutcome`\\ s and latencies are written from the plan's
+    columns once every batch ran. Obs wiring: per batch a
+    ``serving.batch`` span around a ``serving.forward`` span for its
+    dense half; a window's first batch span also holds the window's
+    gather and embedding pass, as one more ``serving.forward`` span. All
     are stamped with ``span_attrs``. Under ``scope``: the ``requests``/
     ``completed``/``shed``/``batches``/``samples`` counters plus
     ``batch_size`` and ``latency_s`` histograms.
     """
+    trace = plan.trace
     result = ServeResult(plan=plan)
     batch_hist = scope.histogram("batch_size")
     latency_hist = scope.histogram("latency_s")
@@ -302,7 +294,9 @@ def execute_plan(plan: BatchPlan, model: ServableModel, tracer, scope,
     shed_ctr = scope.counter("shed")
     batches_ctr = scope.counter("batches")
     samples_ctr = scope.counter("samples")
+    versions: List[int] = []
     for batch_model, version, window in _windows(plan, model, slot):
+        bounds = lengths_to_offsets([s.num_samples for s in window])
         for i, scheduled in enumerate(window):
             samples = scheduled.num_samples
             with tracer.span("serving.batch", cat="serving",
@@ -311,38 +305,44 @@ def execute_plan(plan: BatchPlan, model: ServableModel, tracer, scope,
                              dispatch_s=scheduled.dispatch_s,
                              model_version=version, **span_attrs):
                 if i == 0:  # the first dispatch embeds for its window
+                    index = np.concatenate([s.index for s in window])
                     with tracer.span(
                             "serving.forward", cat="serving",
-                            dispatches=len(window),
-                            requests=sum(s.num_requests for s in window),
-                            samples=sum(s.num_samples for s in window),
-                            **span_attrs):
-                        embedded = batch_model.embed(
-                            [[r.batch for r in s.requests] for s in window])
+                            dispatches=len(window), requests=len(index),
+                            samples=int(bounds[-1]), **span_attrs):
+                        embedded = batch_model.embed(trace.batch(index),
+                                                     bounds)
                 with tracer.span("serving.forward", cat="serving",
                                  requests=scheduled.num_requests,
                                  samples=samples, **span_attrs):
                     probs = batch_model.predict_dispatch(embedded, i)
-                row = 0
-                for r in scheduled.requests:
-                    result.responses[r.request_id] = \
-                        probs[row:row + r.num_samples]
-                    row += r.num_samples
-                    outcome = RequestOutcome(
-                        request_id=r.request_id, arrival_s=r.arrival_s,
-                        dispatch_s=scheduled.dispatch_s,
-                        completion_s=scheduled.completion_s,
-                        batch_samples=samples, model_version=version)
-                    result.outcomes.append(outcome)
-                    latency_hist.record(outcome.latency_s)
-            batches_ctr.inc(1)
+                rows = lengths_to_offsets(
+                    trace.num_samples[scheduled.index]).tolist()
+                for rid, lo, hi in zip(
+                        trace.request_id[scheduled.index].tolist(), rows,
+                        rows[1:]):
+                    result.responses[rid] = probs[lo:hi]
+            versions.append(version)
             samples_ctr.inc(samples)
-            completed_ctr.inc(scheduled.num_requests)
             batch_hist.record(samples)
-    result.shed_ids = sorted(r.request_id for r in plan.shed)
+    index = plan.completed_index()
+    counts = [b.num_requests for b in plan.batches]
+    completion = np.repeat([b.completion_s for b in plan.batches], counts)
+    arrival = trace.arrival_s[index]
+    latency_hist.record_many((completion - arrival).tolist())
+    columns = (trace.request_id[index], arrival,
+               np.repeat([b.dispatch_s for b in plan.batches], counts),
+               completion,
+               np.repeat([b.num_samples for b in plan.batches], counts),
+               np.repeat(versions, counts))
+    order = np.argsort(columns[0])
+    result.outcomes = list(map(RequestOutcome,
+                               *(c[order].tolist() for c in columns)))
+    result.shed_ids = np.sort(trace.request_id[plan.shed_index]).tolist()
+    batches_ctr.inc(len(plan.batches))
+    completed_ctr.inc(result.num_completed)
     shed_ctr.inc(result.num_shed)
     requests_ctr.inc(result.num_completed + result.num_shed)
-    result.outcomes.sort(key=lambda o: o.request_id)
     return result
 
 
@@ -350,9 +350,8 @@ class InferenceServer:
     """Serves frozen models through the micro-batcher, under obs spans.
 
     ``serve`` replays an arrival trace: the batcher plans the schedule
-    in virtual time with :class:`ServingPerfModel` service times
-    (:func:`price_requests`), then :func:`execute_plan` runs every
-    scheduled batch for real.
+    in virtual time with :class:`ServingPerfModel` service times, then
+    :func:`execute_plan` runs every scheduled batch for real.
     """
 
     def __init__(self, model: ServableModel,
@@ -375,9 +374,10 @@ class InferenceServer:
                                          else "serving")
         self._span_attrs = {"replica": name} if name else {}
 
-    def serve(self, requests: Sequence[InferenceRequest],
-              slot=None) -> ServeResult:
-        """Serve a full arrival trace; returns the per-request record.
+    def serve(self, requests: Requests, slot=None) -> ServeResult:
+        """Serve a full arrival trace (a :class:`RequestTrace`, or a list
+        of requests, which is coalesced into one); returns the
+        per-request record.
 
         With ``slot`` (a :class:`repro.online.ModelSlot`), every
         dispatched batch is answered by ``slot.snapshot_at(dispatch_s)``
@@ -391,6 +391,6 @@ class InferenceServer:
         plan; only the answering weights differ.
         """
         plan = self.batcher.plan(
-            list(requests), partial(price_requests, self.perf, self.model))
+            requests, partial(self.perf.service_time, self.model))
         return execute_plan(plan, self.model, self.tracer, self._scope,
                             self._span_attrs, slot=slot)

@@ -20,11 +20,21 @@ equality with it:
   of each unique row, then a broadcast) per hot table (one fused forward without dedup), one cache read per cold table
   and one contraction per TT table. The product pools a whole window of
   dispatches at once (``ServableModel.embed``).
+* The list path of serving: ``plan_reference`` schedules a list of
+  ``InferenceRequest`` objects, re-summing each dispatch's samples and
+  ids (``price_requests``) and re-slicing the queue for every predicted
+  admission (``predicted_completion_reference``); ``serve_reference``
+  runs that plan window by window through one ``MiniBatch.concat`` of
+  the window's request batches; ``route_reference`` assigns request
+  lists. The product stores a trace as columns (``RequestTrace``),
+  prices from running sums, gathers a window from the trace's store and
+  routes index arrays (``test_serving_trace.py``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,7 +47,8 @@ from repro.embedding.kernels import segment_sum
 from repro.nn import functional as F
 from repro.perf.embedding_bw import embedding_lookup_time
 from repro.perf.gemm import mlp_time
-from repro.serving.server import _EMB_LOOKUP_PRECISION
+from repro.serving.loadgen import ROUTER_STREAM
+from repro.serving.server import _EMB_LOOKUP_PRECISION, RequestOutcome
 
 
 def service_time_reference(perf, model, batch_size: int, nnz: int) -> float:
@@ -226,3 +237,171 @@ def forward_reference(model, batch: MiniBatch) -> np.ndarray:
 
 def predict_reference(model, batch: MiniBatch) -> np.ndarray:
     return F.sigmoid(forward_reference(model, batch))
+
+
+# ----------------------------------------------------------------------
+# the list path of serving
+# ----------------------------------------------------------------------
+def price_requests(perf, model, requests) -> float:
+    """Service time of ``requests`` coalesced into one dispatch."""
+    return perf.service_time(model, sum(r.num_samples for r in requests),
+                             sum(r.nnz for r in requests))
+
+
+def predicted_completion_reference(policy, queue, r, server_free: float,
+                                   service_time) -> float:
+    """FIFO completion of ``r`` behind ``queue`` at full batch width, one
+    ``service_time(request_list)`` call per chunk."""
+    t = max(server_free, r.arrival_s)
+    prospective = queue + [r]
+    width = policy.max_batch_size
+    for start in range(0, len(prospective), width):
+        t += float(service_time(prospective[start:start + width]))
+    return t
+
+
+@dataclass
+class ReferenceBatch:
+    requests: list
+    dispatch_s: float
+    completion_s: float
+    trigger: str
+
+    @property
+    def num_samples(self) -> int:
+        return sum(r.num_samples for r in self.requests)
+
+
+@dataclass
+class ReferencePlan:
+    batches: List[ReferenceBatch] = field(default_factory=list)
+    shed: list = field(default_factory=list)
+
+
+def plan_lanes_reference(requests, lane_of: Callable, policies,
+                         services) -> List[ReferencePlan]:
+    """The discrete-event loop over request lists; ``services[k]`` takes
+    the dispatched request list."""
+    pending = sorted(requests, key=lambda r: (r.arrival_s, r.request_id))
+    plans = [ReferencePlan() for _ in policies]
+    queues: List[list] = [[] for _ in policies]
+    server_free = 0.0
+    i = 0
+    n = len(pending)
+    while i < n or any(queues):
+        next_arrival = pending[i].arrival_s if i < n else float("inf")
+        chosen = -1
+        chosen_trigger_s = float("inf")
+        chosen_trigger = ""
+        for lane, queue in enumerate(queues):
+            if not queue:
+                continue
+            pol = policies[lane]
+            if len(queue) >= pol.max_batch_size:
+                trigger_s = queue[pol.max_batch_size - 1].arrival_s
+                trigger = "full"
+            else:
+                trigger_s = queue[0].arrival_s + pol.max_wait_s
+                trigger = "deadline" if i < n else "drain"
+            if chosen < 0 or trigger_s < chosen_trigger_s:
+                chosen, chosen_trigger_s = lane, trigger_s
+                chosen_trigger = trigger
+        if chosen >= 0:
+            dispatch = max(server_free, chosen_trigger_s)
+            if dispatch <= next_arrival:
+                width = policies[chosen].max_batch_size
+                queue = queues[chosen]
+                batch = queue[:width]
+                del queue[:width]
+                svc = float(services[chosen](batch))
+                plans[chosen].batches.append(ReferenceBatch(
+                    batch, dispatch, dispatch + svc, chosen_trigger))
+                server_free = dispatch + svc
+                continue
+        r = pending[i]
+        i += 1
+        lane = lane_of(r)
+        pol = policies[lane]
+        queue = queues[lane]
+        if len(queue) >= pol.max_queue_depth:
+            plans[lane].shed.append(r)
+        elif pol.admission == "predicted" and \
+                predicted_completion_reference(pol, queue, r, server_free,
+                                               services[lane]) \
+                > r.arrival_s + pol.deadline_s:
+            plans[lane].shed.append(r)
+        else:
+            queue.append(r)
+    return plans
+
+
+def serve_reference(model, plan: ReferencePlan, slot=None,
+                    window_samples: int = 512) -> Tuple[dict, list, list]:
+    """Run ``plan`` window by window, one ``MiniBatch.concat`` per window
+    (inside ``predict_many``). Returns ``(responses, outcomes,
+    shed_ids)``, outcomes in request-id order."""
+    windows, window, samples, current = [], [], 0, (model, 0)
+    for b in plan.batches:
+        answer = (model, 0)
+        if slot is not None:
+            snapshot = slot.snapshot_at(b.dispatch_s)
+            answer = (snapshot.model, snapshot.version)
+        if window and (answer[0] is not current[0]
+                       or answer[1] != current[1]
+                       or samples + b.num_samples > window_samples):
+            windows.append(current + (window,))
+            window, samples = [], 0
+        current = answer
+        window.append(b)
+        samples += b.num_samples
+    if window:
+        windows.append(current + (window,))
+    responses, outcomes = {}, []
+    for batch_model, version, window in windows:
+        probs = batch_model.predict_many(
+            [[r.batch for r in b.requests] for b in window])
+        for b, p in zip(window, probs):
+            row = 0
+            for r in b.requests:
+                responses[r.request_id] = p[row:row + r.num_samples]
+                row += r.num_samples
+                outcomes.append(RequestOutcome(
+                    r.request_id, r.arrival_s, b.dispatch_s,
+                    b.completion_s, b.num_samples, version))
+    outcomes.sort(key=lambda o: o.request_id)
+    return responses, outcomes, sorted(r.request_id for r in plan.shed)
+
+
+def route_reference(requests, est_service, kind: str, seed: int = 0,
+                    active: Optional[Sequence[int]] = None):
+    """``(assignments, replica_of, busy_until)`` of the router over a
+    request list."""
+    num_replicas = len(est_service)
+    active = list(range(num_replicas)) if active is None else list(active)
+    pending = sorted(requests, key=lambda r: (r.arrival_s, r.request_id))
+    assignments = [[] for _ in range(num_replicas)]
+    replica_of = {}
+    busy_until = [0.0] * num_replicas
+    n_active = len(active)
+    if kind == "power_of_two" and n_active > 1:
+        rng = np.random.default_rng((seed, ROUTER_STREAM))
+        first = rng.integers(0, n_active, size=len(pending))
+        second = (first + 1
+                  + rng.integers(0, n_active - 1, size=len(pending))) \
+            % n_active
+    for i, r in enumerate(pending):
+        t = r.arrival_s
+        if kind == "round_robin" or n_active == 1:
+            chosen = active[i % n_active]
+        elif kind == "least_loaded":
+            chosen = min(active,
+                         key=lambda a: (max(busy_until[a] - t, 0.0), a))
+        else:
+            a, b = active[int(first[i])], active[int(second[i])]
+            chosen = b if max(busy_until[b] - t, 0.0) \
+                < max(busy_until[a] - t, 0.0) else a
+        assignments[chosen].append(r)
+        replica_of[r.request_id] = chosen
+        busy_until[chosen] = max(busy_until[chosen], t) \
+            + float(est_service[chosen](r))
+    return assignments, replica_of, busy_until

@@ -110,7 +110,7 @@ class TestMultiTenantBatcher:
                                  tenant="a" if r.request_id % 2 else "b")
                 for r in reqs]
         plans = MultiTenantBatcher(pols).plan(
-            reqs, lambda tenant, batch: 0.0005)
+            reqs, lambda tenant, batch_size, nnz: 0.0005)
         for tenant, plan in plans.items():
             for b in plan.batches:
                 assert all(r.tenant == tenant for r in b.requests)
@@ -119,7 +119,7 @@ class TestMultiTenantBatcher:
         cfg = tiny_config(2, 32, 8)
         pols = {"a": BatchingPolicy(max_batch_size=4, max_wait_s=0.002)}
         reqs = self._reqs(cfg, "a")
-        svc = lambda tenant, batch: 0.0005 * len(batch)
+        svc = lambda tenant, batch_size, nnz: 0.0005 * batch_size
         p1 = MultiTenantBatcher(pols).plan(reqs, svc)
         p2 = MultiTenantBatcher(pols).plan(reqs, svc)
         done = sum(len(b.requests) for b in p1["a"].batches)
@@ -139,7 +139,8 @@ class TestMultiTenantBatcher:
         bulk = ds.batch(8, 0)
         reqs = [make_request(0, 0.0, "heavy", bulk.slice(0, 1)),
                 make_request(1, 0.00005, "light", bulk.slice(1, 2))]
-        svc = lambda tenant, batch: 0.1 if tenant == "heavy" else 0.001
+        svc = lambda tenant, batch_size, nnz: \
+            0.1 if tenant == "heavy" else 0.001
         plans = MultiTenantBatcher(pols).plan(reqs, svc)
         light = plans["light"].batches[0]
         # trigger was arrival+max_wait = 0.00015; dispatch waited for
@@ -160,7 +161,7 @@ class TestMultiTenantBatcher:
         reqs += [make_request(100 + i, 0.0001 * i, "b", bulk.slice(1, 2))
                  for i in range(5)]
         plans = MultiTenantBatcher(pols).plan(
-            reqs, lambda tenant, batch: 0.001)
+            reqs, lambda tenant, batch_size, nnz: 0.001)
         # b sheds beyond its own depth of 2 even though a's queue is 10
         assert len(plans["b"].shed) == 3
         assert len(plans["a"].shed) == 0
@@ -173,12 +174,12 @@ class TestMultiTenantBatcher:
         with pytest.raises(ValueError, match="unknown tenant"):
             MultiTenantBatcher(pols).plan(
                 [make_request(0, 0.0, "zzz", bulk.slice(0, 1))],
-                lambda t, b: 0.001)
+                lambda t, b, z: 0.001)
         with pytest.raises(ValueError, match="unknown tenant"):
             MultiTenantBatcher(pols).plan(
                 [InferenceRequest(request_id=0, arrival_s=0.0,
                                   batch=bulk.slice(0, 1))],
-                lambda t, b: 0.001)
+                lambda t, b, z: 0.001)
 
     def test_empty_policies_raise(self):
         with pytest.raises(ValueError):

@@ -38,7 +38,7 @@ def req(request_id, arrival_s, samples=1, tenant=None):
 
 
 def const_service(seconds):
-    return lambda batch: seconds
+    return lambda batch_size, nnz: seconds
 
 
 class TestDispatchRules:
@@ -148,7 +148,7 @@ def plan_workload(requests, policies, service_s):
         return {None: MicroBatcher(policies[None]).plan(
             requests, const_service(service_s))}
     return MultiTenantBatcher(policies).plan(
-        requests, lambda tenant, batch: service_s)
+        requests, lambda tenant, batch_size, nnz: service_s)
 
 
 @settings(max_examples=120, deadline=None)
@@ -354,8 +354,8 @@ def pinned_trace(tenants=(None,), n=400):
             for i in range(n)]
 
 
-def samples_service(batch):
-    return 1e-3 + 4e-4 * sum(r.num_samples for r in batch)
+def samples_service(batch_size, nnz):
+    return 1e-3 + 4e-4 * batch_size
 
 
 class TestPinnedSchedules:
@@ -379,7 +379,7 @@ class TestPinnedSchedules:
         # ... and is the one-lane case of the multi-tenant batcher
         plans = MultiTenantBatcher({"a": policy}).plan(
             pinned_trace(tenants=("a",)),
-            lambda tenant, batch: samples_service(batch))
+            lambda tenant, batch_size, nnz: samples_service(batch_size, nnz))
         assert schedule_digest(plans["a"]) == digest
 
     def test_none_is_a_tenant_key(self):
@@ -389,7 +389,8 @@ class TestPinnedSchedules:
         of the trace with an IndexError."""
         policy = pinned_policy("depth", **self.WIDE)
         plans = MultiTenantBatcher({None: policy}).plan(
-            pinned_trace(), lambda tenant, batch: samples_service(batch))
+            pinned_trace(),
+            lambda tenant, batch_size, nnz: samples_service(batch_size, nnz))
         assert schedule_digest(plans[None]) == "ab6c3c1cdbec642b"
 
     @pytest.mark.parametrize("admission,digests", [
@@ -400,6 +401,7 @@ class TestPinnedSchedules:
             "a": pinned_policy(admission, **self.WIDE),
             "b": pinned_policy(admission, **self.NARROW)}).plan(
             pinned_trace(tenants=("a", "b")),
-            lambda tenant, batch:
-                samples_service(batch) * (2.0 if tenant == "b" else 1.0))
+            lambda tenant, batch_size, nnz:
+                samples_service(batch_size, nnz)
+                * (2.0 if tenant == "b" else 1.0))
         assert {t: schedule_digest(p) for t, p in plans.items()} == digests

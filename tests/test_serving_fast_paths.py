@@ -2,7 +2,8 @@
 
 The serving path does each piece of bookkeeping once: the perf model
 derives a model's constants once and memoises the batch-size-only terms,
-a request counts its embedding ids once, ``MiniBatch.concat`` differences
+a request counts its embedding ids once, predicted admission prices a
+queue from running sums, ``MiniBatch.concat`` differences
 the offsets once per feature, and ``FreqAwareCache`` counts its empty
 chunks instead of scanning for one on every miss. Each suite
 below holds one of them to bitwise equality with the straightforward
@@ -23,11 +24,13 @@ from repro.data import MiniBatch, SyntheticCTRDataset
 from repro.embedding import lengths_to_offsets
 from repro.models import DLRM, zoo_config
 from repro.perf import ZIONEX_PLATFORM, PlatformSpec
-from repro.serving import InferenceRequest, ServingPerfModel, freeze
-from repro.serving.server import price_requests
+from repro.serving import (BatchingPolicy, InferenceRequest, RequestTrace,
+                           ServingPerfModel, freeze)
+from repro.serving.batcher import predicted_completion
 
 from .reference_serving import (ReferenceFreqAwareCache, concat_reference,
-                                service_time_reference)
+                                predicted_completion_reference,
+                                price_requests, service_time_reference)
 
 PRECISIONS = ("fp32", "fp16", "bf16", "int8", "mixed")
 # small fits this HBM on one node; large (mixed widths, fractional
@@ -155,21 +158,41 @@ class TestPricing:
         assert vars(r)["nnz"] == r.nnz   # cached on the frozen dataclass
 
     def test_price_requests_matches_reference(self):
-        """``price_requests`` over the cached ``InferenceRequest.nnz`` against
-        the reference price over a fresh count of each request's ids."""
+        """Predicted admission prices each chunk of a lane queue from the
+        trace's running sums of samples and ids. Every price, and the
+        completion they add up to, against the list path: the reference
+        price over a fresh count of each chunk's ids, and
+        ``predicted_completion`` re-slicing the request list."""
         model = priced_model("large", "fp16")
         perf = ServingPerfModel(overhead_s=4e-3)
         bulk = _batch_of("large", 40, index=1)
         requests = [InferenceRequest(i, 0.0, bulk.slice(i, i + 1 + i % 3))
                     for i in range(32)]
-        for start in range(len(requests)):
+        trace = RequestTrace.of(requests)
+        samples = [0] + np.cumsum(trace.num_samples).tolist()
+        nnz = [0] + np.cumsum(trace.nnz).tolist()
+        for head in range(len(requests)):
             for width in (1, 2, 8):
-                chunk = requests[start:start + width]
-                assert same_bits(
-                    price_requests(perf, model, chunk),
-                    service_time_reference(
+                policy = BatchingPolicy(max_batch_size=width)
+                prices = []
+
+                def service(batch_size, ids):
+                    prices.append(perf.service_time(model, batch_size, ids))
+                    return prices[-1]
+
+                got = predicted_completion(policy, samples, nnz, head, 0.0,
+                                           service)
+                queue = requests[head:]
+                chunks = [queue[k:k + width]
+                          for k in range(0, len(queue), width)]
+                assert len(prices) == len(chunks)
+                for price, chunk in zip(prices, chunks):
+                    assert same_bits(price, service_time_reference(
                         perf, model, sum(r.num_samples for r in chunk),
                         sum(model.nnz(r.batch) for r in chunk)))
+                assert same_bits(got, predicted_completion_reference(
+                    policy, queue[:-1], queue[-1], 0.0,
+                    lambda chunk: price_requests(perf, model, chunk)))
 
 
 # ----------------------------------------------------------------------

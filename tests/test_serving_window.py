@@ -229,7 +229,7 @@ class TestExecutor:
         slot = swap_slot(served)
         plan = InferenceServer(
             served[0], BatchingPolicy(max_batch_size=6, max_wait_s=5e-4)
-        ).batcher.plan(self._requests(config), lambda reqs: 4e-4)
+        ).batcher.plan(self._requests(config), lambda size, nnz: 4e-4)
         windows = list(_windows(plan, served[0], slot))
         assert [b for _, _, w in windows for b in w] == plan.batches
         for model, version, window in windows:
