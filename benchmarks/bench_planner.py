@@ -31,7 +31,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 
 from repro.data import SyntheticCTRDataset
 from repro.embedding import EmbeddingTableConfig, TTEmbeddingTable
@@ -41,8 +40,9 @@ from repro.online.report import render_table
 from repro.perf import PlatformSpec
 from repro.planner import (PlanBudget, PlannerCostModel, plan_representation,
                            uniform_plan)
-from repro.serving import (BatchingPolicy, PoissonLoadGen, ServingPerfModel,
-                           freeze)
+from repro.serving import (BatchingPolicy, PoissonLoadGen, RequestTrace,
+                           ServingPerfModel, freeze)
+from repro.serving.loadgen import requests_from_arrivals
 
 FULL_CONFIG = dict(
     mode="full", seed=0,
@@ -178,18 +178,18 @@ def build_tenancy(config):
 def tenancy_trace(config, datasets):
     """One interleaved Poisson trace across all tenants, request ids
     disambiguated per tenant."""
-    requests, offered_qps = [], {}
+    traces, offered_qps = [], {}
     for j, size in enumerate(config["tenant_sizes"]):
         qps = config["total_qps"] * config["tenant_shares"][j]
         offered_qps[size] = qps
         gen = PoissonLoadGen(qps=qps,
                              num_requests=int(qps * config["trace_s"]),
                              seed=config["seed"] + j)
-        requests += [replace(r, request_id=j * 1_000_000 + r.request_id,
-                             tenant=size)
-                     for r in gen.requests(datasets[size])]
-    requests.sort(key=lambda r: (r.arrival_s, r.request_id))
-    return requests, offered_qps
+        traces.append(requests_from_arrivals(
+            datasets[size], gen.arrival_times(), batch_index=gen.seed,
+            start_id=j * 1_000_000))
+    return (RequestTrace.merge(traces, tenants=config["tenant_sizes"]),
+            offered_qps)
 
 
 def measure_tenancy(config):

@@ -174,8 +174,8 @@ class MiniBatch:
     def concat(batches: Sequence["MiniBatch"]) -> "MiniBatch":
         """Coalesce batches (inverse of :meth:`split`): samples in order,
         jagged ids concatenated with offsets rebased. All batches must
-        cover the same sparse features. This is how hand-built serving
-        requests become one trace store (``RequestTrace.of``).
+        cover the same sparse features. This is how
+        ``RequestTrace.merge`` coalesces the stores of one feature set.
 
         Per feature, the offsets arrays are concatenated and differenced
         once; the differences that straddle two batches (one after the

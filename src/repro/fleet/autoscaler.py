@@ -37,7 +37,7 @@ from typing import List, Optional
 import numpy as np
 
 from ..perf.platform import ZIONEX_PLATFORM, PlatformSpec
-from ..serving.batcher import Requests, as_trace
+from ..serving.batcher import RequestTrace
 from ..serving.export import ServableModel
 from ..serving.loadgen import LoadReport
 from .fleet import ServingFleet
@@ -128,21 +128,19 @@ class Autoscaler:
 
 
 def _run_windowed_day(fleet: ServingFleet,
-                      requests: Requests,
+                      trace: RequestTrace,
                       config: AutoscalerConfig,
                       scaler: Optional[Autoscaler]) -> FleetDayReport:
-    """Shared windowed loop: ``scaler=None`` keeps the initial fleet
-    static, otherwise applies its decisions on window boundaries."""
+    """Shared windowed loop over ``trace``'s arrival order:
+    ``scaler=None`` keeps the initial fleet static, otherwise applies its
+    decisions on window boundaries."""
     if config.max_replicas > fleet.num_replicas:
         raise ValueError(
             f"config.max_replicas={config.max_replicas} exceeds the "
             f"fleet's {fleet.num_replicas} replicas")
-    trace = as_trace(requests)
     if not len(trace):
         raise ValueError("need at least one request")
-    order = np.lexsort((trace.request_id, trace.arrival_s))
-    arrival = trace.arrival_s[order]
-    horizon = float(arrival[-1])
+    horizon = float(trace.arrival_s[-1])
     num_windows = max(1, int(horizon // config.window_s) + 1)
     warmup = replica_warmup_s(fleet.model) if config.warmup_s is None \
         else config.warmup_s
@@ -166,8 +164,8 @@ def _run_windowed_day(fleet: ServingFleet,
                   if active_from[r] is not None and active_from[r] <= t0]
         billed = sum(1 for b in bill_from if b is not None)
         replica_seconds += billed * config.window_s
-        j = int(np.searchsorted(arrival, t1))
-        window_reqs = trace[order[i:j]]
+        j = int(np.searchsorted(trace.arrival_s, t1))
+        window_reqs = trace[i:j]
         i = j
         if len(window_reqs):
             result = fleet.serve(window_reqs, config.slo_s,
@@ -226,37 +224,38 @@ def _run_windowed_day(fleet: ServingFleet,
 
 
 def run_autoscaled_day(fleet: ServingFleet,
-                       requests: Requests,
+                       trace: RequestTrace,
                        config: AutoscalerConfig) -> FleetDayReport:
-    """Serve a (diurnal) trace under the autoscaler's control."""
-    return _run_windowed_day(fleet, requests, config, Autoscaler(config))
+    """Serve a (diurnal) :class:`RequestTrace` under the autoscaler."""
+    return _run_windowed_day(fleet, trace, config, Autoscaler(config))
 
 
 def run_static_day(fleet: ServingFleet,
-                   requests: Requests,
+                   trace: RequestTrace,
                    config: AutoscalerConfig,
                    num_replicas: int) -> FleetDayReport:
-    """Serve the same trace with a fixed ``num_replicas`` fleet (the
+    """Serve the :class:`RequestTrace` with a fixed ``num_replicas`` fleet (the
     provisioning baseline: what you pay without elasticity)."""
     static = replace(config, min_replicas=num_replicas,
                      max_replicas=max(num_replicas, config.max_replicas),
                      initial_replicas=num_replicas)
-    return _run_windowed_day(fleet, requests, static, None)
+    return _run_windowed_day(fleet, trace, static, None)
 
 
 def smallest_static_fleet(fleet: ServingFleet,
-                          requests: Requests,
+                          trace: RequestTrace,
                           config: AutoscalerConfig,
                           min_attainment: float = 0.99
                           ) -> FleetDayReport:
     """The cheapest *static* fleet that holds the SLO all day — i.e.
-    peak-provisioned. Scans replica counts upward until day-level p99
-    fits the SLO with at least ``min_attainment`` of offered requests
-    inside it; returns the largest candidate's report if none qualifies
-    (an honest "even N_max couldn't" answer for the comparison)."""
+    peak-provisioned — on ``trace`` (a :class:`RequestTrace`). Scans
+    replica counts upward until day-level p99 fits the SLO with at least
+    ``min_attainment`` of offered requests inside it; returns the
+    largest candidate's report if none qualifies (an honest "even N_max
+    couldn't" answer for the comparison)."""
     report = None
     for n in range(1, fleet.num_replicas + 1):
-        report = run_static_day(fleet, requests, config, n)
+        report = run_static_day(fleet, trace, config, n)
         if report.merged.p99_s <= config.slo_s and \
                 report.merged.slo_attainment >= min_attainment:
             return report

@@ -28,7 +28,7 @@ from typing import List, Optional, Sequence
 
 from ..obs.metrics import MetricRegistry
 from ..obs.tracer import as_tracer
-from ..serving.batcher import BatchingPolicy, Requests
+from ..serving.batcher import BatchingPolicy, RequestTrace
 from ..serving.export import ServableModel
 from ..serving.loadgen import LoadReport, summarize
 from ..serving.server import InferenceServer, ServeResult, ServingPerfModel
@@ -115,11 +115,11 @@ class ServingFleet:
         return sum(self.replicas[i].perf.capacity_qps(
             self.model, batch_size, nnz_per_sample) for i in active)
 
-    def serve(self, requests: Requests, slo_s: float,
+    def serve(self, trace: RequestTrace, slo_s: float,
               offered_qps: float,
               active: Optional[Sequence[int]] = None,
               keep_samples: bool = True) -> FleetResult:
-        """Route and serve one arrival trace; merge the replica reports.
+        """Route and serve one :class:`RequestTrace`; merge the reports.
 
         ``offered_qps`` is the fleet-level offered rate the reports are
         labeled with; each replica's report carries its proportional
@@ -129,7 +129,7 @@ class ServingFleet:
         """
         if slo_s <= 0:
             raise ValueError("slo_s must be positive")
-        plan = self.router.route(requests, self._estimators(), active)
+        plan = self.router.route(trace, self._estimators(), active)
         total = sum(plan.counts) or 1
         results: List[ServeResult] = []
         reports: List[LoadReport] = []

@@ -33,8 +33,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..serving.batcher import (InferenceRequest, Requests, RequestTrace,
-                               as_trace)
+from ..serving.batcher import InferenceRequest, RequestTrace, service_seconds
 from ..serving.loadgen import ROUTER_STREAM
 
 __all__ = ["ROUTING_POLICIES", "RouterPolicy", "RoutingPlan", "FleetRouter"]
@@ -93,18 +92,19 @@ class FleetRouter:
     def __init__(self, policy: Optional[RouterPolicy] = None) -> None:
         self.policy = policy if policy is not None else RouterPolicy()
 
-    def route(self, requests: Requests,
+    def route(self, trace: RequestTrace,
               est_service: Sequence[Callable[[InferenceRequest], float]],
               active: Optional[Sequence[int]] = None) -> RoutingPlan:
-        """Assign ``requests`` (sorted internally by arrival, ties by
-        id) over the ``active`` subset of replicas.
+        """Assign the :class:`RequestTrace` ``trace``, in its arrival
+        order, over the ``active`` subset of replicas.
 
         ``est_service[r]`` predicts one request's service seconds on
         replica ``r`` — the fleet wires in each replica's own
         :class:`~repro.serving.server.ServingPerfModel`, which is how
         per-replica platform placement reaches the router. It is called
         once per request, on the chosen replica's estimator, with the
-        trace's :class:`InferenceRequest` view.
+        trace's :class:`InferenceRequest` view, and must return a finite
+        value >= 0.
         """
         num_replicas = len(est_service)
         if num_replicas < 1:
@@ -117,22 +117,19 @@ class FleetRouter:
                              f"{num_replicas} replicas")
         if len(set(active)) != len(active):
             raise ValueError("active indices must be unique")
-        trace = as_trace(requests)
-        order = np.lexsort((trace.request_id, trace.arrival_s))
-        arrival = trace.arrival_s[order].tolist()
+        arrival = trace.arrival_s.tolist()
         chosen_of: List[int] = []
         busy_until = [0.0] * num_replicas
         kind = self.policy.kind
         n_active = len(active)
         if kind == "power_of_two" and n_active > 1:
             rng = np.random.default_rng((self.policy.seed, ROUTER_STREAM))
-            first = rng.integers(0, n_active, size=len(order))
+            first = rng.integers(0, n_active, size=len(trace))
             # distinct second choice via the shift trick
             second = (first + 1
-                      + rng.integers(0, n_active - 1, size=len(order))) \
+                      + rng.integers(0, n_active - 1, size=len(trace))) \
                 % n_active
-        for i, pos in enumerate(order.tolist()):
-            t = arrival[i]
+        for i, t in enumerate(arrival):
             if kind == "round_robin" or n_active == 1:
                 chosen = active[i % n_active]
             elif kind == "least_loaded":
@@ -147,11 +144,9 @@ class FleetRouter:
                 chosen = b if backlog_b < backlog_a else a
             chosen_of.append(chosen)
             busy_until[chosen] = max(busy_until[chosen], t) \
-                + float(est_service[chosen](trace[pos]))
+                + service_seconds(est_service[chosen](trace[i]))
         replica = np.asarray(chosen_of, dtype=np.int64)
         return RoutingPlan(
-            assignments=[trace[order[replica == r]]
-                         for r in range(num_replicas)],
-            replica_of=dict(zip(trace.request_id[order].tolist(),
-                                chosen_of)),
+            assignments=[trace[replica == r] for r in range(num_replicas)],
+            replica_of=dict(zip(trace.request_id.tolist(), chosen_of)),
             final_backlog_s=busy_until)

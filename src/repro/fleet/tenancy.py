@@ -34,8 +34,7 @@ import numpy as np
 
 from ..obs.metrics import MetricRegistry
 from ..obs.tracer import as_tracer
-from ..serving.batcher import (BatchingPolicy, MultiTenantBatcher, Requests,
-                               as_trace)
+from ..serving.batcher import BatchingPolicy, MultiTenantBatcher, RequestTrace
 from ..serving.export import ServableModel
 from ..serving.loadgen import LoadReport, summarize
 from ..serving.server import ServeResult, ServingPerfModel, execute_plan
@@ -155,12 +154,12 @@ class MultiTenantServer:
                                       batch_size, nnz) \
             * self._congestion[tenant]
 
-    def serve(self, requests: Requests) -> Dict[str, ServeResult]:
-        """Serve a mixed-tenant trace; one :class:`ServeResult` per
+    def serve(self, trace: RequestTrace) -> Dict[str, ServeResult]:
+        """Serve a mixed-tenant :class:`RequestTrace`; one result per
         tenant (every tenant reports, even with no traffic), each with
         the metric catalogue of a single-model server under the scope
         ``[<replica>.]<tenant>.serving``."""
-        plans = self.batcher.plan(requests, self._service_time)
+        plans = self.batcher.plan(trace, self._service_time)
         prefix = f"{self.name}." if self.name else ""
         return {
             tenant: execute_plan(
@@ -282,23 +281,17 @@ class MultiTenantFleet:
                 tc.avg_pooling for tc in t.model.config.tables)))))
         return t.traffic_share * svc
 
-    def serve(self, requests: Requests,
+    def serve(self, trace: RequestTrace,
               offered_qps: Dict[str, float]) -> FleetTenancyReport:
-        """Serve one mixed-tenant arrival trace; per-tenant merged
+        """Serve one mixed-tenant :class:`RequestTrace`; per-tenant merged
         reports (exact pooled percentiles) against each tenant's SLO.
 
         ``offered_qps`` labels each tenant's report with its offered
         rate; every request must carry a known ``tenant`` tag.
         """
-        trace = as_trace(requests)
-        order = np.lexsort((trace.request_id, trace.arrival_s))
-        tenant = trace.tenant[order]
-        for i, name in enumerate(tenant.tolist()):
-            if name not in self.tenants:
-                raise ValueError(f"request {trace.request_id[order[i]]} "
-                                 f"targets unknown tenant {name!r}")
-        by_tenant = {name: trace[order[tenant == name]]
-                     for name in self.tenants}
+        lane = trace.tenant_index(list(self.tenants))
+        by_tenant = {name: trace[lane == k]
+                     for k, name in enumerate(self.tenants)}
         missing = sorted(set(self.tenants) - set(offered_qps))
         if missing:
             raise ValueError(f"offered_qps missing tenants {missing}")
@@ -315,8 +308,7 @@ class MultiTenantFleet:
                                       num_replicas=self.num_replicas,
                                       per_tenant=per_tenant)
         # shared: tenant-blind round-robin in global arrival order
-        sub = [trace[order[i::self.num_replicas]]
-               for i in range(self.num_replicas)]
+        sub = [trace[i::self.num_replicas] for i in range(self.num_replicas)]
         results = [replica.serve(share)
                    for replica, share in zip(self.replicas, sub)]
         per_tenant: Dict[str, TenantLoadSummary] = {}

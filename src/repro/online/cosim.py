@@ -124,7 +124,7 @@ class CoSimResult:
 
     @property
     def shed_during_swap(self) -> int:
-        """Requests lost to swapping — the conservation residual.
+        """The requests lost to swapping — the conservation residual.
 
         Every offered request must be either completed or shed by
         admission control; a hot-swap implementation that dropped

@@ -50,7 +50,8 @@ from ..data.datagen import MiniBatch, concat_ranges
 
 __all__ = ["ADMISSION_KINDS", "BatchingPolicy", "InferenceRequest",
            "RequestTrace", "ScheduledBatch", "BatchPlan",
-           "predicted_completion", "MicroBatcher", "MultiTenantBatcher"]
+           "service_seconds", "predicted_completion", "MicroBatcher",
+           "MultiTenantBatcher"]
 
 
 ADMISSION_KINDS = ("depth", "predicted")
@@ -120,6 +121,11 @@ class InferenceRequest:
         return self.batch.nnz
 
 
+#: a trace's per-request columns
+_COLUMNS = ("request_id", "arrival_s", "num_samples", "nnz", "user_id",
+            "tenant", "part", "start")
+
+
 class _StoreRows(MiniBatch):
     """Rows ``[start, stop)`` of a trace's store as a :class:`MiniBatch`
     whose arrays are each copied out on first use. Its size and id count
@@ -154,7 +160,7 @@ class _StoreRows(MiniBatch):
 
 
 class RequestTrace:
-    """An arrival trace stored as columns.
+    """An arrival trace stored as columns, in arrival order.
 
     One entry per request in each of the arrays ``request_id``,
     ``arrival_s``, ``num_samples``, ``nnz`` (embedding ids, the perf
@@ -163,19 +169,19 @@ class RequestTrace:
     samples are rows ``[start[i], start[i] + num_samples[i])`` of the
     :class:`MiniBatch` ``stores[part[i]]``: one store for a generated
     trace (the bulk draw, where requests of one recurring user share
-    rows), one per feature set for hand-built requests of several
-    models.
+    rows), one per feature set for a :meth:`merge` of several models'
+    traces.
 
     Inputs are checked once, here: ids unique, arrivals finite, every
-    request at least one sample inside its store. ``len(trace)``,
-    ``trace[i]`` (an :class:`InferenceRequest` view, made once per
-    position and kept) and ``trace[index]`` (a sub-trace over the same
-    stores, for a slice, an index array or a mask) are the sequence
-    interface.
+    request at least one sample inside its store. The rows are then put
+    in ``(arrival_s, request_id)`` order, which every consumer reads.
+    ``len(trace)``, ``trace[i]`` (an :class:`InferenceRequest` view,
+    made once per position and kept) and ``trace[index]`` (a sub-trace
+    over the same stores for a slice, an index array or a mask, with
+    increasing positions so the order holds) are the sequence interface.
     """
 
-    __slots__ = ("request_id", "arrival_s", "num_samples", "nnz",
-                 "user_id", "tenant", "part", "start", "stores", "_views")
+    __slots__ = _COLUMNS + ("stores", "_views")
 
     def __init__(self, request_id, arrival_s, stores: Sequence[MiniBatch],
                  start, num_samples, nnz, user_id=None, tenant=None,
@@ -216,37 +222,49 @@ class RequestTrace:
         ids, counts = np.unique(self.request_id, return_counts=True)
         if len(ids) != n:
             raise ValueError(f"duplicate request id {ids[counts > 1][0]}")
+        order = np.lexsort((self.request_id, self.arrival_s))
+        if (np.diff(order) != 1).any():
+            for name in _COLUMNS:
+                setattr(self, name, getattr(self, name)[order])
 
     @classmethod
-    def of(cls, requests: Sequence[InferenceRequest]) -> "RequestTrace":
-        """The trace of hand-built requests. Requests with one feature set
-        share a store, their batches coalesced by one
-        :meth:`MiniBatch.concat`; the views are the given objects."""
-        requests = list(requests)
-        parts: Dict[tuple, List[int]] = {}
-        for i, r in enumerate(requests):
-            names = tuple(sorted(r.batch.sparse))
-            parts.setdefault((names, r.batch.dense.shape[1:]), []).append(i)
-        part = np.zeros(len(requests), dtype=np.int64)
-        start = np.zeros(len(requests), dtype=np.int64)
-        num_samples = np.array([r.num_samples for r in requests],
-                               dtype=np.int64)
-        for k, members in enumerate(parts.values()):
-            part[members] = k
-            sizes = num_samples[members]
-            start[members] = np.cumsum(sizes) - sizes
-        trace = cls(
-            request_id=[r.request_id for r in requests],
-            arrival_s=[r.arrival_s for r in requests],
-            stores=[MiniBatch.concat([requests[i].batch for i in members])
-                    for members in parts.values()],
-            start=start, num_samples=num_samples,
-            nnz=[r.nnz for r in requests],
-            user_id=[-1 if r.user_id is None else r.user_id
-                     for r in requests],
-            tenant=[r.tenant for r in requests], part=part)
-        trace._views[:] = requests
-        return trace
+    def merge(cls, traces: Sequence["RequestTrace"],
+              tenants: Optional[Sequence[Optional[str]]] = None
+              ) -> "RequestTrace":
+        """Every request of ``traces`` in one trace, the one way to
+        combine traces. ``tenants[j]``, if given, tags each request of
+        ``traces[j]``; otherwise the requests keep their tags.
+
+        The merged trace keeps one store per feature set (sparse names
+        and dense width): a store that is the only one of its set is
+        used uncopied, one that several inputs share is kept once, and
+        distinct stores of one set are coalesced by one
+        :meth:`MiniBatch.concat`."""
+        traces = list(traces)
+        if tenants is not None and len(tenants) != len(traces):
+            raise ValueError(f"{len(tenants)} tenants for {len(traces)} "
+                             "traces")
+        groups: Dict[tuple, Dict[int, MiniBatch]] = {}
+        for store in (s for trace in traces for s in trace.stores):
+            groups.setdefault((tuple(sorted(store.sparse)),
+                               store.dense.shape[1:]), {})[id(store)] = store
+        stores, placed = [], {}   # id(store) -> (part, first row)
+        for k, members in enumerate(groups.values()):
+            rows = np.cumsum([0] + [m.batch_size for m in members.values()])
+            placed.update((key, (k, int(r))) for key, r in zip(members, rows))
+            stores.append(MiniBatch.concat(list(members.values()))
+                          if len(members) > 1
+                          else next(iter(members.values())))
+        column = {name: np.concatenate([getattr(t, name) for t in traces]
+                                       or [[]]) for name in _COLUMNS}
+        if tenants is not None:
+            column["tenant"] = np.repeat(np.array(tenants, dtype=object),
+                                         [len(t) for t in traces])
+        where = np.array([placed[id(t.stores[k])] for t in traces
+                          for k in t.part.tolist()]).reshape(-1, 2)
+        column["part"] = where[:, 0]
+        column["start"] = where[:, 1] + column["start"]
+        return cls(stores=stores, **column)
 
     def __len__(self) -> int:
         return len(self.request_id)
@@ -258,9 +276,10 @@ class RequestTrace:
                 view = self._views[key] = self._view(int(key))
             return view
         index = np.arange(len(self))[key]
+        if (np.diff(index) <= 0).any():
+            raise ValueError("sub-trace positions must be increasing")
         sub = object.__new__(RequestTrace)
-        for name in ("request_id", "arrival_s", "num_samples", "nnz",
-                     "user_id", "tenant", "part", "start", "_views"):
+        for name in _COLUMNS + ("_views",):
             setattr(sub, name, getattr(self, name)[index])
         sub.stores = self.stores
         return sub
@@ -276,9 +295,20 @@ class RequestTrace:
                              int(self.nnz[i])),
             user_id=None if user < 0 else user, tenant=self.tenant[i])
 
+    def tenant_index(self, names: Sequence[Optional[str]]) -> np.ndarray:
+        """Each request's tenant as a position in ``names``; a request
+        whose tenant is not there is a ``ValueError``."""
+        lanes = {name: k for k, name in enumerate(names)}
+        for rid, tenant in zip(self.request_id.tolist(), self.tenant):
+            if tenant not in lanes:
+                raise ValueError(f"request {rid} targets unknown tenant "
+                                 f"{tenant!r} (have {list(names)})")
+        return np.array([lanes[t] for t in self.tenant], dtype=np.int64)
+
     def batch(self, index: np.ndarray) -> MiniBatch:
-        """The samples of the requests at ``index``, in order, gathered
-        out of their store by one :meth:`MiniBatch.take`."""
+        """The samples of the requests at ``index``, in that order (any
+        order, as dispatches gather them), taken out of their store by
+        one :meth:`MiniBatch.take`."""
         part = self.part[index]
         if (part != part[0]).any():
             raise ValueError("requests of different feature sets cannot "
@@ -287,16 +317,14 @@ class RequestTrace:
             concat_ranges(self.start[index], self.num_samples[index]))
 
 
-#: what every serving entry point accepts: a trace, or hand-built requests
-Requests = Union[RequestTrace, Sequence[InferenceRequest]]
-
-
-def as_trace(requests: Requests) -> RequestTrace:
-    """``requests`` as a :class:`RequestTrace` (hand-built request lists
-    go through :meth:`RequestTrace.of`)."""
-    if isinstance(requests, RequestTrace):
-        return requests
-    return RequestTrace.of(requests)
+def service_seconds(value) -> float:
+    """A service estimate as float seconds, checked finite and >= 0 (a
+    ``ValueError`` names it otherwise): the batcher's and router's check."""
+    seconds = float(value)
+    if not 0.0 <= seconds < math.inf:
+        raise ValueError("a service estimate must be finite and >= 0, "
+                         f"got {seconds!r}")
+    return seconds
 
 
 @dataclass(eq=False)
@@ -401,14 +429,14 @@ def predicted_completion(policy: BatchingPolicy, samples: List[int],
     end = len(samples) - 1
     for lo in range(head, end, policy.max_batch_size):
         hi = min(lo + policy.max_batch_size, end)
-        t += float(service_time(samples[hi] - samples[lo],
-                                nnz[hi] - nnz[lo]))
+        t += service_seconds(service_time(samples[hi] - samples[lo],
+                                          nnz[hi] - nnz[lo]))
     return t
 
 
 class _Lane:
-    """One lane of :func:`_plan_lanes`: the arrival-order numbers it
-    admitted, running sums of their samples and nnz, the queue
+    """One lane of :func:`_plan_lanes`: the trace positions it admitted,
+    running sums of their samples and nnz, the queue
     (``admitted[head:]``), its dispatches as ``(lo, hi, dispatch_s,
     completion_s, trigger)`` over ``admitted``, and its sheds."""
 
@@ -426,11 +454,11 @@ class _Lane:
         self.dispatches: List[tuple] = []
         self.shed: List[int] = []
 
-    def plan(self, trace: RequestTrace, order: np.ndarray) -> BatchPlan:
-        index = order[np.asarray(self.admitted, dtype=np.int64)]
+    def plan(self, trace: RequestTrace) -> BatchPlan:
+        index = np.asarray(self.admitted, dtype=np.int64)
         return BatchPlan(trace, [ScheduledBatch(trace, index[lo:hi], *rest)
                                  for lo, hi, *rest in self.dispatches],
-                         order[np.asarray(self.shed, dtype=np.int64)])
+                         np.asarray(self.shed, dtype=np.int64))
 
 
 def _plan_lanes(trace: RequestTrace, lanes: np.ndarray,
@@ -441,7 +469,7 @@ def _plan_lanes(trace: RequestTrace, lanes: np.ndarray,
 
     Lane ``k`` queues the requests whose entry in ``lanes`` is ``k``,
     under ``policies[k]``, priced by ``services[k](batch_size, nnz)``.
-    Requests are taken in ``(arrival_s, request_id)`` order. The loop
+    The loop takes requests in trace (that is, arrival) order. It
     alternates between two event kinds — "next arrival" and "next
     dispatch" — always taking the earlier one, so arrivals during a
     long-running batch correctly queue (or shed) while the server is
@@ -455,11 +483,10 @@ def _plan_lanes(trace: RequestTrace, lanes: np.ndarray,
     the fuzz suite asserts exactly this split). Admission looks at the
     arriving request's own lane only.
     """
-    order = np.lexsort((trace.request_id, trace.arrival_s))
-    arrival = trace.arrival_s[order].tolist()
-    samples = trace.num_samples[order].tolist()
-    nnz = trace.nnz[order].tolist()
-    lane_of = np.asarray(lanes, dtype=np.int64)[order].tolist()
+    arrival = trace.arrival_s.tolist()
+    samples = trace.num_samples.tolist()
+    nnz = trace.nnz.tolist()
+    lane_of = lanes.tolist()
     state = [_Lane(p, s) for p, s in zip(policies, services)]
     server_free = 0.0
     i = 0
@@ -493,11 +520,9 @@ def _plan_lanes(trace: RequestTrace, lanes: np.ndarray,
                 lo = chosen.head
                 hi = min(lo + chosen.policy.max_batch_size,
                          len(chosen.admitted))
-                svc = float(chosen.service(
+                svc = service_seconds(chosen.service(
                     chosen.samples[hi] - chosen.samples[lo],
                     chosen.nnz[hi] - chosen.nnz[lo]))
-                if svc < 0:
-                    raise ValueError("service_time must be >= 0")
                 chosen.head = hi
                 chosen.dispatches.append(
                     (lo, hi, dispatch, dispatch + svc, chosen_trigger))
@@ -522,7 +547,7 @@ def _plan_lanes(trace: RequestTrace, lanes: np.ndarray,
             lane.shed.append(k)
         else:
             lane.admitted.append(k)
-    return [lane.plan(trace, order) for lane in state]
+    return [lane.plan(trace) for lane in state]
 
 
 class MicroBatcher:
@@ -539,12 +564,11 @@ class MicroBatcher:
     def __init__(self, policy: Optional[BatchingPolicy] = None) -> None:
         self.policy = policy if policy is not None else BatchingPolicy()
 
-    def plan(self, requests: Requests,
+    def plan(self, trace: RequestTrace,
              service_time: ServiceTime) -> BatchPlan:
-        """Schedule ``requests`` (any order; sorted internally by arrival,
-        ties broken by request id) through the dispatch rule;
-        ``service_time(batch_size, nnz)`` prices one dispatch."""
-        trace = as_trace(requests)
+        """Schedule the :class:`RequestTrace` ``trace`` through the
+        dispatch rule; ``service_time(batch_size, nnz)`` prices one
+        dispatch."""
         return _plan_lanes(trace, np.zeros(len(trace), dtype=np.int64),
                            [self.policy], [service_time])[0]
 
@@ -574,23 +598,16 @@ class MultiTenantBatcher:
             raise ValueError("need at least one tenant policy")
         self.policies = dict(policies)
 
-    def plan(self, requests: Requests,
+    def plan(self, trace: RequestTrace,
              service_time: Callable[[str, int, int], float]
              ) -> Dict[str, BatchPlan]:
-        """Schedule a mixed-tenant arrival trace; ``service_time`` takes
-        ``(tenant, batch_size, nnz)`` so each tenant's model prices its
-        own dispatches. Returns one :class:`BatchPlan` per tenant."""
-        trace = as_trace(requests)
+        """Schedule a mixed-tenant :class:`RequestTrace`;
+        ``service_time`` takes ``(tenant, batch_size, nnz)`` so each
+        tenant's model prices its own dispatches. Returns one
+        :class:`BatchPlan` per tenant."""
         names = sorted(self.policies)
-        lanes = {name: lane for lane, name in enumerate(names)}
-        lane_of = np.empty(len(trace), dtype=np.int64)
-        for i, tenant in enumerate(trace.tenant.tolist()):
-            if tenant not in lanes:
-                raise ValueError(
-                    f"request {trace.request_id[i]} targets unknown tenant "
-                    f"{tenant!r} (have {names})")
-            lane_of[i] = lanes[tenant]
         plans = _plan_lanes(
-            trace, lane_of, [self.policies[name] for name in names],
+            trace, trace.tenant_index(names),
+            [self.policies[name] for name in names],
             [partial(service_time, name) for name in names])
-        return {name: plans[lanes[name]] for name in self.policies}
+        return {name: plans[names.index(name)] for name in self.policies}

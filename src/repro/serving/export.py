@@ -289,10 +289,6 @@ class ServableModel:
     def cold_table_names(self) -> List[str]:
         return sorted(self.cold_tables)
 
-    @property
-    def tt_table_names(self) -> List[str]:
-        return sorted(self.tt_tables)
-
     def max_quantization_error(self) -> float:
         """Largest per-element |fp32 - stored| across all tables."""
         return max(self.quantization_error.values(), default=0.0)

@@ -3,8 +3,8 @@
 An *open-loop* generator emits arrivals from a Poisson process at the
 offered rate regardless of how the server keeps up — the honest way to
 measure tail latency (closed-loop generators self-throttle and hide
-queueing collapse). Requests are single-user samples drawn from the
-same synthetic CTR distribution training uses, so embedding id
+queueing collapse). Each request is a single-user sample drawn from
+the synthetic CTR distribution training uses, so embedding id
 popularity keeps its Zipf skew and the serving cache tier sees
 realistic hot sets.
 
@@ -82,7 +82,7 @@ def requests_from_arrivals(dataset: SyntheticCTRDataset,
         raise ValueError(f"user_rows has {len(rows)} entries for "
                          f"{n} arrivals")
     if n == 0:
-        return RequestTrace.of([])
+        return RequestTrace.merge([])
     if rows.min() < 0:
         raise ValueError(f"user_rows must be >= 0, got {rows.min()}")
     bulk = dataset.batch(int(rows.max()) + 1, batch_index=batch_index)

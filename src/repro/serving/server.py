@@ -13,7 +13,7 @@ trade-offs therefore come out *measured against the platform model*,
 not asserted: the benchmark can show exactly where amortized launch
 overhead stops paying for added queueing delay.
 
-Requests are served for real — every scheduled batch runs an actual
+Every request is served for real — each scheduled batch runs an actual
 numpy forward over the coalesced samples — while latency accounting
 runs in virtual time, so results are deterministic and machine
 independent.
@@ -37,7 +37,7 @@ from ..perf.devices import DeviceSpec, V100
 from ..perf.embedding_bw import embedding_lookup_time
 from ..perf.gemm import mlp_time
 from ..perf.platform import ZIONEX_PLATFORM, PlatformSpec
-from .batcher import (BatchingPolicy, BatchPlan, MicroBatcher, Requests,
+from .batcher import (BatchingPolicy, BatchPlan, MicroBatcher, RequestTrace,
                       ScheduledBatch)
 from .export import ServableModel
 
@@ -374,10 +374,9 @@ class InferenceServer:
                                          else "serving")
         self._span_attrs = {"replica": name} if name else {}
 
-    def serve(self, requests: Requests, slot=None) -> ServeResult:
-        """Serve a full arrival trace (a :class:`RequestTrace`, or a list
-        of requests, which is coalesced into one); returns the
-        per-request record.
+    def serve(self, trace: RequestTrace, slot=None) -> ServeResult:
+        """Serve a full :class:`RequestTrace`; returns the per-request
+        record.
 
         With ``slot`` (a :class:`repro.online.ModelSlot`), every
         dispatched batch is answered by ``slot.snapshot_at(dispatch_s)``
@@ -391,6 +390,6 @@ class InferenceServer:
         plan; only the answering weights differ.
         """
         plan = self.batcher.plan(
-            requests, partial(self.perf.service_time, self.model))
+            trace, partial(self.perf.service_time, self.model))
         return execute_plan(plan, self.model, self.tracer, self._scope,
                             self._span_attrs, slot=slot)

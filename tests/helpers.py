@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -24,7 +24,8 @@ from repro.data import MiniBatch, SyntheticCTRDataset
 from repro.embedding import EmbeddingTableConfig, SparseSGD
 from repro.models import DLRM, DLRMConfig
 from repro.serving import (BatchingPolicy, FreezeConfig, InferenceRequest,
-                           MicroBatcher, ServableModel, freeze)
+                           MicroBatcher, RequestTrace, ServableModel, freeze)
+from repro.serving.loadgen import requests_from_arrivals
 from repro.sharding import ShardingPlan, ShardingScheme, shard_table
 
 
@@ -130,12 +131,10 @@ class TinySystem:
                             eval_every=eval_every, **kwargs)
 
     def requests(self, n: int, spacing_s: float = 1e-4,
-                 batch_index: int = 0) -> List[InferenceRequest]:
+                 batch_index: int = 0) -> RequestTrace:
         """``n`` evenly spaced single-sample requests from one bulk draw."""
-        bulk = self.dataset.batch(n, batch_index=batch_index)
-        return [InferenceRequest(request_id=i, arrival_s=i * spacing_s,
-                                 batch=bulk.slice(i, i + 1))
-                for i in range(n)]
+        return requests_from_arrivals(self.dataset, np.arange(n) * spacing_s,
+                                      batch_index=batch_index)
 
 
 def tiny_system(num_tables: int = 3, rows: int = 200, dim: int = 8,
@@ -169,6 +168,17 @@ def tiny_system(num_tables: int = 3, rows: int = 200, dim: int = 8,
     return TinySystem(config=config, dataset=dataset, model=model,
                       servable=servable, policy=pol,
                       batcher=MicroBatcher(pol), trainer=trainer)
+
+
+def trace_of(requests) -> RequestTrace:
+    """Hand-built requests as one trace: a one-request trace each, joined
+    by :meth:`RequestTrace.merge` (which puts them in arrival order)."""
+    return RequestTrace.merge([
+        RequestTrace([r.request_id], [r.arrival_s], [r.batch], start=[0],
+                     num_samples=[r.num_samples], nnz=[r.nnz],
+                     user_id=[-1 if r.user_id is None else r.user_id],
+                     tenant=[r.tenant])
+        for r in requests])
 
 
 def single_sample_request(request_id: int, arrival_s: float,

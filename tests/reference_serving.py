@@ -29,6 +29,9 @@ equality with it:
   lists. The product stores a trace as columns (``RequestTrace``),
   prices from running sums, gathers a window from the trace's store and
   routes index arrays (``test_serving_trace.py``).
+* ``trace_of_reference`` builds a trace straight from hand-built
+  requests, one ``MiniBatch.concat`` per feature set. The product joins
+  traces with ``RequestTrace.merge``.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ from repro.embedding.kernels import segment_sum
 from repro.nn import functional as F
 from repro.perf.embedding_bw import embedding_lookup_time
 from repro.perf.gemm import mlp_time
+from repro.serving import RequestTrace
 from repro.serving.loadgen import ROUTER_STREAM
 from repro.serving.server import _EMB_LOOKUP_PRECISION, RequestOutcome
 
@@ -242,6 +246,35 @@ def predict_reference(model, batch: MiniBatch) -> np.ndarray:
 # ----------------------------------------------------------------------
 # the list path of serving
 # ----------------------------------------------------------------------
+def trace_of_reference(requests) -> RequestTrace:
+    """The trace of hand-built requests. Requests with one feature set
+    share a store, their batches coalesced by one
+    :meth:`MiniBatch.concat`."""
+    requests = list(requests)
+    parts: Dict[tuple, List[int]] = {}
+    for i, r in enumerate(requests):
+        names = tuple(sorted(r.batch.sparse))
+        parts.setdefault((names, r.batch.dense.shape[1:]), []).append(i)
+    part = np.zeros(len(requests), dtype=np.int64)
+    start = np.zeros(len(requests), dtype=np.int64)
+    num_samples = np.array([r.num_samples for r in requests],
+                           dtype=np.int64)
+    for k, members in enumerate(parts.values()):
+        part[members] = k
+        sizes = num_samples[members]
+        start[members] = np.cumsum(sizes) - sizes
+    return RequestTrace(
+        request_id=[r.request_id for r in requests],
+        arrival_s=[r.arrival_s for r in requests],
+        stores=[MiniBatch.concat([requests[i].batch for i in members])
+                for members in parts.values()],
+        start=start, num_samples=num_samples,
+        nnz=[r.nnz for r in requests],
+        user_id=[-1 if r.user_id is None else r.user_id
+                 for r in requests],
+        tenant=[r.tenant for r in requests], part=part)
+
+
 def price_requests(perf, model, requests) -> float:
     """Service time of ``requests`` coalesced into one dispatch."""
     return perf.service_time(model, sum(r.num_samples for r in requests),

@@ -16,6 +16,7 @@ from repro.fleet import (ROUTING_POLICIES, FleetRouter, RouterPolicy,
                          RoutingPlan)
 
 from .helpers import single_sample_request as req
+from .helpers import trace_of
 
 
 def const_estimators(num_replicas, seconds=1e-3):
@@ -23,7 +24,7 @@ def const_estimators(num_replicas, seconds=1e-3):
 
 
 def uniform_trace(n, gap_s=1e-3):
-    return [req(i, i * gap_s) for i in range(n)]
+    return trace_of([req(i, i * gap_s) for i in range(n)])
 
 
 class TestValidation:
@@ -57,7 +58,7 @@ class TestRoundRobin:
 
     def test_arrival_order_not_input_order(self):
         router = FleetRouter(RouterPolicy(kind="round_robin"))
-        trace = list(reversed(uniform_trace(6)))
+        trace = trace_of([req(i, i * 1e-3) for i in reversed(range(6))])
         plan = router.route(trace, const_estimators(2))
         # sorted by arrival first: evens to replica 0, odds to replica 1
         assert [r.request_id for r in plan.assignments[0]] == [0, 2, 4]
@@ -138,7 +139,7 @@ class TestRoutingProperties:
     @settings(max_examples=60, deadline=None)
     def test_every_request_routed_exactly_once(self, kind, num_replicas,
                                                arrivals, seed):
-        trace = [req(i, t) for i, t in enumerate(arrivals)]
+        trace = trace_of([req(i, t) for i, t in enumerate(arrivals)])
         router = FleetRouter(RouterPolicy(kind=kind, seed=seed))
         plan = router.route(trace, const_estimators(num_replicas))
         routed = sorted(r.request_id for a in plan.assignments for r in a)

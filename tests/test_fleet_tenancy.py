@@ -18,7 +18,7 @@ from repro.obs import MetricRegistry
 from repro.serving import (BatchingPolicy, InferenceRequest, InferenceServer,
                            MultiTenantBatcher, freeze)
 
-from .helpers import tiny_config, tiny_dataset
+from .helpers import tiny_config, tiny_dataset, trace_of
 
 
 def make_request(i, t, tenant, batch):
@@ -51,7 +51,7 @@ def make_trace(cfg_a, cfg_b, n_a=60, n_b=30, gap=0.001):
             for i in range(n_a)]
     reqs += [make_request(1000 + i, i * gap * 2, "b",
                           bulk_b.slice(i, i + 1)) for i in range(n_b)]
-    return reqs
+    return trace_of(reqs)
 
 
 class TestPartitionReplicas:
@@ -110,7 +110,7 @@ class TestMultiTenantBatcher:
                                  tenant="a" if r.request_id % 2 else "b")
                 for r in reqs]
         plans = MultiTenantBatcher(pols).plan(
-            reqs, lambda tenant, batch_size, nnz: 0.0005)
+            trace_of(reqs), lambda tenant, batch_size, nnz: 0.0005)
         for tenant, plan in plans.items():
             for b in plan.batches:
                 assert all(r.tenant == tenant for r in b.requests)
@@ -118,7 +118,7 @@ class TestMultiTenantBatcher:
     def test_conservation_and_determinism(self):
         cfg = tiny_config(2, 32, 8)
         pols = {"a": BatchingPolicy(max_batch_size=4, max_wait_s=0.002)}
-        reqs = self._reqs(cfg, "a")
+        reqs = trace_of(self._reqs(cfg, "a"))
         svc = lambda tenant, batch_size, nnz: 0.0005 * batch_size
         p1 = MultiTenantBatcher(pols).plan(reqs, svc)
         p2 = MultiTenantBatcher(pols).plan(reqs, svc)
@@ -141,7 +141,7 @@ class TestMultiTenantBatcher:
                 make_request(1, 0.00005, "light", bulk.slice(1, 2))]
         svc = lambda tenant, batch_size, nnz: \
             0.1 if tenant == "heavy" else 0.001
-        plans = MultiTenantBatcher(pols).plan(reqs, svc)
+        plans = MultiTenantBatcher(pols).plan(trace_of(reqs), svc)
         light = plans["light"].batches[0]
         # trigger was arrival+max_wait = 0.00015; dispatch waited for
         # the heavy batch to clear the shared server
@@ -161,7 +161,7 @@ class TestMultiTenantBatcher:
         reqs += [make_request(100 + i, 0.0001 * i, "b", bulk.slice(1, 2))
                  for i in range(5)]
         plans = MultiTenantBatcher(pols).plan(
-            reqs, lambda tenant, batch_size, nnz: 0.001)
+            trace_of(reqs), lambda tenant, batch_size, nnz: 0.001)
         # b sheds beyond its own depth of 2 even though a's queue is 10
         assert len(plans["b"].shed) == 3
         assert len(plans["a"].shed) == 0
@@ -173,12 +173,12 @@ class TestMultiTenantBatcher:
         bulk = ds.batch(2, 0)
         with pytest.raises(ValueError, match="unknown tenant"):
             MultiTenantBatcher(pols).plan(
-                [make_request(0, 0.0, "zzz", bulk.slice(0, 1))],
+                trace_of([make_request(0, 0.0, "zzz", bulk.slice(0, 1))]),
                 lambda t, b, z: 0.001)
         with pytest.raises(ValueError, match="unknown tenant"):
             MultiTenantBatcher(pols).plan(
-                [InferenceRequest(request_id=0, arrival_s=0.0,
-                                  batch=bulk.slice(0, 1))],
+                trace_of([InferenceRequest(request_id=0, arrival_s=0.0,
+                                           batch=bulk.slice(0, 1))]),
                 lambda t, b, z: 0.001)
 
     def test_empty_policies_raise(self):
@@ -213,8 +213,7 @@ class TestMultiTenantServer:
         reqs = make_trace(cfg_a, cfg_b, n_a=20, n_b=10)
         solo = MetricRegistry()
         InferenceServer(tenants[0].model, tenants[0].policy,
-                        metrics=solo).serve(
-            [r for r in reqs if r.tenant == "a"])
+                        metrics=solo).serve(reqs[reqs.tenant == "a"])
         catalogue = set(solo.snapshot("serving."))
         assert {"serving.requests", "serving.samples", "serving.batch_size",
                 "serving.latency_s"} <= catalogue
@@ -237,7 +236,8 @@ class TestMultiTenantServer:
         schedule, answers and every metric value equal the single-model
         server's on the same (tenant-tagged) trace."""
         tenants, cfg_a, cfg_b = make_tenants()
-        reqs = [r for r in make_trace(cfg_a, cfg_b) if r.tenant == "a"]
+        trace = make_trace(cfg_a, cfg_b)
+        reqs = trace[trace.tenant == "a"]
         solo_metrics, shared_metrics = MetricRegistry(), MetricRegistry()
         solo = InferenceServer(tenants[0].model, tenants[0].policy,
                                metrics=solo_metrics).serve(reqs)
@@ -292,7 +292,8 @@ class TestMultiTenantFleet:
         bad = InferenceRequest(request_id=9, arrival_s=0.0,
                                batch=reqs[0].batch, tenant="zzz")
         with pytest.raises(ValueError, match="unknown"):
-            fleet.serve(reqs + [bad], offered_qps={"a": 1.0, "b": 1.0})
+            fleet.serve(trace_of(list(reqs) + [bad]),
+                        offered_qps={"a": 1.0, "b": 1.0})
 
     def test_missing_offered_qps_raises(self):
         tenants, cfg_a, cfg_b = make_tenants()

@@ -25,7 +25,7 @@ from repro.online import ModelSlot
 from repro.serving import (BatchingPolicy, FreezeConfig, InferenceRequest,
                            InferenceServer, ServingPerfModel, freeze)
 
-from .helpers import tiny_system
+from .helpers import tiny_system, trace_of
 
 SYS = tiny_system()
 # one frozen artifact per publish: same architecture (the slot demands
@@ -36,9 +36,9 @@ BULK = SYS.dataset.batch(32, batch_index=0)
 
 
 def make_requests(arrivals):
-    return [InferenceRequest(request_id=i, arrival_s=t,
-                             batch=BULK.slice(i % 32, i % 32 + 1))
-            for i, t in enumerate(arrivals)]
+    return trace_of([InferenceRequest(request_id=i, arrival_s=t,
+                                      batch=BULK.slice(i % 32, i % 32 + 1))
+                     for i, t in enumerate(arrivals)])
 
 
 def make_slot(publish_times):

@@ -24,6 +24,8 @@ from repro.data import MiniBatch
 from repro.serving import (BatchingPolicy, InferenceRequest, MicroBatcher,
                            MultiTenantBatcher)
 
+from .helpers import trace_of
+
 
 def req(request_id, arrival_s, samples=1, tenant=None):
     """A minimal single-feature request (ids are irrelevant to planning)."""
@@ -45,7 +47,7 @@ class TestDispatchRules:
     def test_full_batch_dispatches_immediately(self):
         batcher = MicroBatcher(BatchingPolicy(max_batch_size=2,
                                               max_wait_s=1.0))
-        plan = batcher.plan([req(0, 0.0), req(1, 0.1), req(2, 0.2)],
+        plan = batcher.plan(trace_of([req(0, 0.0), req(1, 0.1), req(2, 0.2)]),
                             const_service(0.01))
         assert [b.trigger for b in plan.batches] == ["full", "drain"]
         assert plan.batches[0].dispatch_s == pytest.approx(0.1)
@@ -53,7 +55,7 @@ class TestDispatchRules:
     def test_deadline_bounds_oldest_wait(self):
         batcher = MicroBatcher(BatchingPolicy(max_batch_size=100,
                                               max_wait_s=0.05))
-        plan = batcher.plan([req(0, 0.0), req(1, 0.01), req(2, 1.0)],
+        plan = batcher.plan(trace_of([req(0, 0.0), req(1, 0.01), req(2, 1.0)]),
                             const_service(0.001))
         first = plan.batches[0]
         assert first.num_requests == 2
@@ -62,7 +64,7 @@ class TestDispatchRules:
     def test_drain_flushes_tail(self):
         batcher = MicroBatcher(BatchingPolicy(max_batch_size=100,
                                               max_wait_s=10.0))
-        plan = batcher.plan([req(0, 0.0)], const_service(0.001))
+        plan = batcher.plan(trace_of([req(0, 0.0)]), const_service(0.001))
         assert len(plan.batches) == 1
         assert plan.batches[0].trigger == "drain"
 
@@ -71,7 +73,8 @@ class TestDispatchRules:
         # the server until 1.01; arrivals at 0.1..0.4 must coalesce
         batcher = MicroBatcher(BatchingPolicy(max_batch_size=10,
                                               max_wait_s=0.01))
-        requests = [req(0, 0.0)] + [req(i, i / 10) for i in range(1, 5)]
+        requests = trace_of([req(0, 0.0)]
+                            + [req(i, i / 10) for i in range(1, 5)])
         plan = batcher.plan(requests, const_service(1.0))
         assert len(plan.batches) == 2
         assert plan.batches[1].num_requests == 4
@@ -81,7 +84,7 @@ class TestDispatchRules:
         batcher = MicroBatcher(BatchingPolicy(max_batch_size=10,
                                               max_wait_s=10.0,
                                               max_queue_depth=3))
-        requests = [req(i, 0.0 + i * 1e-6) for i in range(6)]
+        requests = trace_of([req(i, 0.0 + i * 1e-6) for i in range(6)])
         plan = batcher.plan(requests, const_service(100.0))
         assert plan.num_shed == 3
         assert plan.num_completed == 3
@@ -90,28 +93,30 @@ class TestDispatchRules:
     def test_zero_wait_serves_singly_when_sparse(self):
         batcher = MicroBatcher(BatchingPolicy(max_batch_size=64,
                                               max_wait_s=0.0))
-        plan = batcher.plan([req(i, i * 1.0) for i in range(3)],
+        plan = batcher.plan(trace_of([req(i, i * 1.0) for i in range(3)]),
                             const_service(0.01))
         assert all(b.num_requests == 1 for b in plan.batches)
 
     def test_duplicate_ids_rejected(self):
         batcher = MicroBatcher()
         with pytest.raises(ValueError):
-            batcher.plan([req(1, 0.0), req(1, 0.5)], const_service(0.01))
+            batcher.plan(trace_of([req(1, 0.0), req(1, 0.5)]),
+                         const_service(0.01))
 
     def test_negative_service_time_rejected(self):
         with pytest.raises(ValueError):
-            MicroBatcher().plan([req(0, 0.0)], const_service(-1.0))
+            MicroBatcher().plan(trace_of([req(0, 0.0)]), const_service(-1.0))
 
     def test_empty_trace(self):
-        plan = MicroBatcher().plan([], const_service(0.01))
+        plan = MicroBatcher().plan(trace_of([]), const_service(0.01))
         assert plan.num_offered == 0
         assert plan.makespan_s == 0.0
 
     def test_latencies_in_id_order(self):
         batcher = MicroBatcher(BatchingPolicy(max_batch_size=2,
                                               max_wait_s=0.5))
-        plan = batcher.plan([req(1, 0.0), req(0, 0.1)], const_service(0.2))
+        plan = batcher.plan(trace_of([req(1, 0.0), req(0, 0.1)]),
+                            const_service(0.2))
         lats = plan.latencies_s()
         # id 0 arrived later into the same batch, so waited less
         assert len(lats) == 2 and lats[0] < lats[1]
@@ -146,9 +151,9 @@ def plan_workload(requests, policies, service_s):
     """One plan per tenant, through the entry the trace is drawn for."""
     if list(policies) == [None]:
         return {None: MicroBatcher(policies[None]).plan(
-            requests, const_service(service_s))}
+            trace_of(requests), const_service(service_s))}
     return MultiTenantBatcher(policies).plan(
-        requests, lambda tenant, batch_size, nnz: service_s)
+        trace_of(requests), lambda tenant, batch_size, nnz: service_s)
 
 
 @settings(max_examples=120, deadline=None)
@@ -212,7 +217,8 @@ def test_fuzz_shed_only_when_queue_full(workload, service_s):
                         and r.request_id > shed.request_id):
                     continue
                 dispatched_by_then = any(
-                    r in b.requests and b.dispatch_s <= shed.arrival_s
+                    r.request_id in [x.request_id for x in b.requests]
+                    and b.dispatch_s <= shed.arrival_s
                     for b in plan.batches)
                 shed_before = any(s.request_id == r.request_id
                                   for s in plan.shed)
@@ -260,7 +266,7 @@ class TestPredictedAdmission:
     def test_default_depth_policy_is_unchanged_bitwise(self):
         # the flag defaults off: plans under the depth policy must be
         # identical to a policy that never mentions admission at all
-        requests = [req(i, i * 1e-3) for i in range(40)]
+        requests = trace_of([req(i, i * 1e-3) for i in range(40)])
         old = MicroBatcher(BatchingPolicy(max_batch_size=4,
                                           max_queue_depth=8))
         new = MicroBatcher(BatchingPolicy(max_batch_size=4,
@@ -275,7 +281,7 @@ class TestPredictedAdmission:
 
     def test_admits_everything_when_capacity_suffices(self):
         batcher = MicroBatcher(self.policy(deadline_s=1.0))
-        plan = batcher.plan([req(i, i * 0.1) for i in range(10)],
+        plan = batcher.plan(trace_of([req(i, i * 0.1) for i in range(10)]),
                             const_service(1e-3))
         assert plan.num_shed == 0
         assert plan.num_completed == 10
@@ -285,7 +291,7 @@ class TestPredictedAdmission:
         # batch k completes at (k+1)*0.05; requests 1-8 land in the first
         # two batches (<= 0.10), 9-12's predicted 0.15 misses
         batcher = MicroBatcher(self.policy(deadline_s=0.12))
-        plan = batcher.plan([req(i, 0.0) for i in range(12)],
+        plan = batcher.plan(trace_of([req(i, 0.0) for i in range(12)]),
                             const_service(0.05))
         assert plan.num_completed == 8
         assert sorted(r.request_id for r in plan.shed) == list(range(8, 12))
@@ -295,7 +301,7 @@ class TestPredictedAdmission:
         # it arrives; a deadline below that is predicted infeasible for
         # every request, so admission sheds the whole trace
         batcher = MicroBatcher(self.policy(deadline_s=0.04))
-        plan = batcher.plan([req(i, i * 1e-3) for i in range(20)],
+        plan = batcher.plan(trace_of([req(i, i * 1e-3) for i in range(20)]),
                             const_service(0.05))
         assert plan.num_completed == 0
         assert plan.num_shed == 20
@@ -304,7 +310,7 @@ class TestPredictedAdmission:
         # queue depth is a second, independent shed reason
         batcher = MicroBatcher(self.policy(deadline_s=10.0,
                                            max_queue_depth=2))
-        plan = batcher.plan([req(i, 0.0) for i in range(8)],
+        plan = batcher.plan(trace_of([req(i, 0.0) for i in range(8)]),
                             const_service(0.5))
         assert plan.num_shed > 0
 
@@ -312,7 +318,7 @@ class TestPredictedAdmission:
         # 3x overload: predicted admission trades completions for
         # within-deadline completions; depth admission completes more
         # requests but blows the deadline on most of them
-        requests = [req(i, i * 2e-3) for i in range(200)]
+        requests = trace_of([req(i, i * 2e-3) for i in range(200)])
         deadline = 0.05
         depth = MicroBatcher(BatchingPolicy(max_batch_size=4,
                                             max_wait_s=0.0)) \
@@ -350,8 +356,8 @@ def pinned_trace(tenants=(None,), n=400):
     arrivals = np.cumsum(gaps)
     sizes = rng.integers(1, 4, size=n)
     picks = rng.integers(0, len(tenants), size=n)
-    return [req(i, float(arrivals[i]), int(sizes[i]), tenants[picks[i]])
-            for i in range(n)]
+    return trace_of([req(i, float(arrivals[i]), int(sizes[i]),
+                         tenants[picks[i]]) for i in range(n)])
 
 
 def samples_service(batch_size, nnz):

@@ -24,10 +24,11 @@ from repro.data import MiniBatch, SyntheticCTRDataset
 from repro.embedding import lengths_to_offsets
 from repro.models import DLRM, zoo_config
 from repro.perf import ZIONEX_PLATFORM, PlatformSpec
-from repro.serving import (BatchingPolicy, InferenceRequest, RequestTrace,
+from repro.serving import (BatchingPolicy, InferenceRequest,
                            ServingPerfModel, freeze)
 from repro.serving.batcher import predicted_completion
 
+from .helpers import trace_of
 from .reference_serving import (ReferenceFreqAwareCache, concat_reference,
                                 predicted_completion_reference,
                                 price_requests, service_time_reference)
@@ -168,7 +169,7 @@ class TestPricing:
         bulk = _batch_of("large", 40, index=1)
         requests = [InferenceRequest(i, 0.0, bulk.slice(i, i + 1 + i % 3))
                     for i in range(32)]
-        trace = RequestTrace.of(requests)
+        trace = trace_of(requests)
         samples = [0] + np.cumsum(trace.num_samples).tolist()
         nnz = [0] + np.cumsum(trace.nnz).tolist()
         for head in range(len(requests)):

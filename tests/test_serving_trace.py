@@ -1,15 +1,18 @@
 """Traces as columns against the list path, bit for bit.
 
-A :class:`RequestTrace` stores a trace as columns over one sample store;
-the batcher prices dispatches and predicted admissions from running sums
-over it, the executor gathers each window out of the store
-(:meth:`MiniBatch.take`) and the router assigns index arrays. The list
-path each of them replaced lives in ``tests/reference_serving.py``. Over
-hypothesis-drawn traces — multi-sample requests, recurring users that
-share store rows, one or two tenants, both admission rules, a mid-trace
-hot swap — the column path must produce the same schedule, the same
-``service_time`` calls, the same responses (bitwise), outcomes and shed
-ids, and the same routing as that oracle. The trace's own input checks
+A :class:`RequestTrace` stores a trace as columns over one sample store
+per feature set, in arrival order; the batcher prices dispatches and
+predicted admissions from running sums over it, the executor gathers
+each window out of the store (:meth:`MiniBatch.take`) and the router
+assigns index arrays. The list path each of them replaced lives in
+``tests/reference_serving.py``. Over hypothesis-drawn traces —
+multi-sample requests, recurring users that share store rows, one or two
+tenants, both admission rules, a mid-trace hot swap — the column path
+must produce the same schedule, the same ``service_time`` calls, the
+same responses (bitwise), outcomes and shed ids, and the same routing as
+that oracle. :meth:`RequestTrace.merge` must build the trace the
+hand-built oracle builds, and a trace whose columns arrive shuffled must
+plan, serve and route as the sorted one. The trace's own input checks
 and the finite-knob checks of the serving entry points close the file.
 """
 
@@ -22,7 +25,7 @@ from hypothesis import strategies as st
 
 from repro.data import MiniBatch
 from repro.embedding import lengths_to_offsets
-from repro.fleet import FleetRouter, RouterPolicy
+from repro.fleet import ROUTING_POLICIES, FleetRouter, RouterPolicy
 from repro.fleet.tenancy import MultiTenantServer, TenantSpec
 from repro.models import DLRM
 from repro.online import ModelSlot
@@ -35,10 +38,13 @@ from repro.serving.loadgen import requests_from_arrivals
 from .helpers import tiny_config, tiny_dataset
 from .reference_serving import (concat_reference, plan_lanes_reference,
                                 price_requests, route_reference,
-                                serve_reference)
+                                serve_reference, trace_of_reference)
 
 CONFIG = tiny_config(num_tables=4, rows=64, dim=4, dense_dim=3,
                      avg_pooling=1.5)
+#: a second feature set (two tables), for tenant "b" of merged traces
+CONFIG_B = tiny_config(num_tables=2, rows=64, dim=4, dense_dim=3,
+                       avg_pooling=1.5)
 FREEZE = FreezeConfig(hot_bytes=600, cache_kind="freq_aware",
                       cache_fraction=0.25)
 PERF = ServingPerfModel(overhead_s=1e-3)
@@ -115,6 +121,16 @@ def assert_same_responses(got, expected):
         assert got[rid].tobytes() == probs.tobytes()
 
 
+def assert_same_batch(got, expected):
+    assert got.dense.tobytes() == expected.dense.tobytes()
+    assert got.labels.tobytes() == expected.labels.tobytes()
+    assert list(got.sparse) == list(expected.sparse)
+    for name, (ids, offsets) in expected.sparse.items():
+        for got_array, array in zip(got.sparse[name], (ids, offsets)):
+            assert got_array.dtype == array.dtype
+            assert np.array_equal(got_array, array)
+
+
 class TestTake:
     @settings(max_examples=60, deadline=None)
     @given(size=st.integers(1, 12), pooling=st.sampled_from([0.3, 2.0]),
@@ -124,16 +140,8 @@ class TestTake:
         store = tiny_dataset(config).batch(size, batch_index=size)
         rows = data.draw(st.lists(st.integers(0, size - 1), min_size=1,
                                   max_size=20))
-        got = store.take(np.array(rows))
-        expected = concat_reference([store.slice(r, r + 1) for r in rows])
-        assert got.dense.tobytes() == expected.dense.tobytes()
-        assert got.labels.tobytes() == expected.labels.tobytes()
-        assert list(got.sparse) == list(expected.sparse)
-        for name, (ids, offsets) in expected.sparse.items():
-            assert got.sparse[name][0].dtype == ids.dtype
-            assert np.array_equal(got.sparse[name][0], ids)
-            assert got.sparse[name][1].dtype == offsets.dtype
-            assert np.array_equal(got.sparse[name][1], offsets)
+        assert_same_batch(store.take(np.array(rows)), concat_reference(
+            [store.slice(r, r + 1) for r in rows]))
 
     def test_empty_bags_and_no_rows(self):
         store = MiniBatch(
@@ -316,30 +324,171 @@ class TestTraceInputs:
             got_ids, got_offsets = trace[2].batch.sparse[name]
             assert np.array_equal(got_ids, ids)
             assert np.array_equal(got_offsets, offsets)
-        sub = trace[np.array([3, 1])]
-        assert [r.request_id for r in sub] == [13, 11]
-        assert sub[1] is trace[1]
+        with pytest.raises(ValueError, match="increasing"):
+            trace[np.array([3, 1])]
+        sub = trace[np.array([1, 3])]
+        assert [r.request_id for r in sub] == [11, 13]
+        assert sub[0] is trace[1]
         assert [r.request_id for r in trace[:2]] == [10, 11]
         mask = np.array([True, False, True, False])
         assert [r.request_id for r in trace[mask]] == [10, 12]
         assert np.array_equal(trace.batch(np.array([2, 0])).dense,
                               bulk.take(np.array([1, 1])).dense)
 
-    def test_hand_built_requests_keep_their_objects(self):
+    @pytest.mark.parametrize("positions", [[0, 0, 1], [3, 1], [0, 2, 1]])
+    def test_sub_trace_positions_must_increase(self, positions):
+        """Repeated or decreasing positions would break the arrival
+        order; a repeated one also served one request twice."""
+        trace = requests_from_arrivals(
+            self.dataset(), np.array([0.0, 0.1, 0.2, 0.3]), batch_index=0)
+        with pytest.raises(ValueError, match="increasing"):
+            trace[np.array(positions)]
+        with pytest.raises(ValueError, match="increasing"):
+            trace[::-1]
+
+    def test_columns_are_put_in_arrival_order(self):
+        store = self.dataset().batch(3)
+        trace = RequestTrace([7, 3, 5], [0.2, 0.1, 0.1], [store],
+                             start=[0, 1, 2], num_samples=[1, 1, 1],
+                             nnz=[4, 5, 6], tenant=["x", "y", "z"])
+        assert trace.request_id.tolist() == [3, 5, 7]
+        assert trace.start.tolist() == [1, 2, 0]
+        assert trace.nnz.tolist() == [5, 6, 4]
+        assert trace.tenant.tolist() == ["y", "z", "x"]
+
+    def test_merge_keeps_one_store_per_feature_set(self):
         bulk = self.dataset().batch(5)
-        other = tiny_dataset(tiny_config(num_tables=2)).batch(2)
-        requests = [InferenceRequest(0, 0.0, bulk.slice(0, 2)),
-                    InferenceRequest(1, 0.1, other.slice(0, 1), tenant="x"),
-                    InferenceRequest(2, 0.2, bulk.slice(2, 5))]
-        trace = RequestTrace.of(requests)
-        assert [trace[i] for i in range(3)] == requests
-        assert trace[0] is requests[0]
-        assert list(trace.part) == [0, 1, 0]
-        assert np.array_equal(trace.batch(np.array([2, 0])).dense,
+        own = self.dataset().batch(3, batch_index=1)
+        other = tiny_dataset(CONFIG_B).batch(2)
+
+        def trace(ids, arrivals, store, start, sizes):
+            return RequestTrace(
+                ids, arrivals, [store], start=start, num_samples=sizes,
+                nnz=[store.slice(a, a + k).nnz for a, k in zip(start, sizes)])
+
+        first = trace([0, 2], [0.0, 0.2], bulk, [0, 2], [2, 3])
+        merged = RequestTrace.merge(
+            [first, trace([1], [0.1], other, [0], [1]),
+             trace([3], [0.3], bulk, [4], [1])], tenants=[None, "x", None])
+        assert merged.stores[0] is bulk and merged.stores[1] is other
+        assert merged.part.tolist() == [0, 1, 0, 0]
+        assert merged.tenant.tolist() == [None, "x", None, None]
+        assert np.array_equal(merged.batch(np.array([2, 0])).dense,
                               np.concatenate([bulk.dense[2:5],
                                               bulk.dense[0:2]]))
         with pytest.raises(ValueError, match="feature sets"):
-            trace.batch(np.array([0, 1]))
+            merged.batch(np.array([0, 1]))
+        coalesced = RequestTrace.merge(
+            [first, trace([4], [0.4], own, [1], [2])])
+        assert [s.batch_size for s in coalesced.stores] == [8]
+        assert coalesced.batch(np.array([2])).dense.tobytes() \
+            == own.dense[1:3].tobytes()
+        with pytest.raises(ValueError, match="tenants"):
+            RequestTrace.merge([first], tenants=["x", "y"])
+
+
+@st.composite
+def merge_cases(draw):
+    """``(traces, tenants, tags)`` for :meth:`RequestTrace.merge`: two to
+    four traces of multi-sample requests, tenant ``tags[j]`` ("a" on
+    ``CONFIG``'s feature set, "b" on ``CONFIG_B``'s) for trace ``j``. A
+    trace reads either its set's one shared store or a store of its own;
+    ``tenants`` is ``tags`` (merge tags the traces) or ``None`` (they
+    carry their own tags)."""
+    configs = {"a": CONFIG, "b": CONFIG_B}
+    shared = {t: tiny_dataset(c, seed=1).batch(
+        8, batch_index=draw(st.integers(0, 20))) for t, c in configs.items()}
+    tags = ["a", "b"] + draw(st.lists(st.sampled_from("ab"), max_size=2))
+    by_merge = draw(st.booleans())
+    ids = iter(draw(st.permutations(range(100, 124))))
+    traces = []
+    for j, tag in enumerate(tags):
+        store = shared[tag] if draw(st.booleans()) else tiny_dataset(
+            configs[tag], seed=2).batch(6, batch_index=j)
+        n = draw(st.integers(1, 6))
+        sizes = draw(st.lists(st.sampled_from([1, 1, 2, 3]), min_size=n,
+                              max_size=n))
+        start = [draw(st.integers(0, store.batch_size - k)) for k in sizes]
+        arrivals = np.round(draw(st.lists(st.floats(0.0, 0.02), min_size=n,
+                                          max_size=n)), 3)
+        traces.append(RequestTrace(
+            [next(ids) for _ in range(n)], arrivals, [store], start=start,
+            num_samples=sizes,
+            nnz=[store.slice(a, a + k).nnz for a, k in zip(start, sizes)],
+            user_id=draw(st.lists(st.integers(-1, 5), min_size=n,
+                                  max_size=n)),
+            tenant=None if by_merge else [tag] * n))
+    return traces, tags if by_merge else None, tags
+
+
+def hand_built(traces, tenants):
+    """The requests of ``traces`` as hand-built objects, for the oracle."""
+    return [InferenceRequest(
+        int(t.request_id[i]), float(t.arrival_s[i]),
+        t.stores[t.part[i]].slice(t.start[i], t.start[i] + t.num_samples[i]),
+        user_id=None if t.user_id[i] < 0 else int(t.user_id[i]),
+        tenant=t.tenant[i] if tenants is None else tenants[j])
+        for j, t in enumerate(traces) for i in range(len(t))]
+
+
+class TestMerge:
+    @settings(max_examples=60, deadline=None)
+    @given(case=merge_cases(), data=st.data())
+    def test_merge_matches_the_oracle(self, case, data):
+        traces, tenants, tags = case
+        merged = RequestTrace.merge(traces, tenants)
+        oracle = trace_of_reference(hand_built(traces, tenants))
+        for name in ("request_id", "arrival_s", "num_samples", "nnz",
+                     "user_id", "tenant"):
+            assert getattr(merged, name).tolist() \
+                == getattr(oracle, name).tolist()
+        for tag in "ab":
+            inputs = {id(t.stores[0]): t.stores[0]
+                      for t, t_tag in zip(traces, tags) if t_tag == tag}
+            if len(inputs) == 1:   # a lone store is used uncopied
+                lone, = inputs.values()
+                assert sum(s is lone for s in merged.stores) == 1
+            index = np.array(data.draw(st.permutations(
+                np.flatnonzero(merged.tenant == tag).tolist())))
+            assert_same_batch(merged.batch(index), oracle.batch(index))
+        assert len(merged.stores) == 2
+
+    @settings(max_examples=25, deadline=None)
+    @given(case=merge_cases(), a=POLICIES, b=POLICIES, data=st.data(),
+           kind=st.sampled_from(ROUTING_POLICIES))
+    def test_shuffled_columns_plan_serve_and_route_alike(self, case, a, b,
+                                                         data, kind):
+        trace = RequestTrace.merge(*case[:2])
+        perm = np.array(data.draw(st.permutations(range(len(trace)))))
+        shuffled = RequestTrace(
+            trace.request_id[perm], trace.arrival_s[perm], trace.stores,
+            start=trace.start[perm], num_samples=trace.num_samples[perm],
+            nnz=trace.nnz[perm], user_id=trace.user_id[perm],
+            tenant=trace.tenant[perm], part=trace.part[perm])
+        served, routed = [], []
+        for t in (trace, shuffled):
+            models = [freeze(DLRM(c, seed=0), FREEZE)
+                      for c in (CONFIG, CONFIG_B)]
+            served.append(MultiTenantServer(
+                [TenantSpec("a", models[0], 0.01, policy=a),
+                 TenantSpec("b", models[1], 0.01, policy=b)],
+                perf=PERF).serve(t))
+            routed.append(FleetRouter(RouterPolicy(kind, seed=1)).route(
+                t, [lambda r, k=k: PERF.service_time(
+                    models["ab".index(r.tenant)], r.num_samples, r.nnz) * k
+                    for k in (1, 2, 3)]))
+        for tag in "ab":
+            got, expected = served[1][tag], served[0][tag]
+            assert digest(got.plan) == digest(expected.plan)
+            assert_same_responses(got.responses, expected.responses)
+            assert got.outcomes == expected.outcomes
+            assert got.shed_ids == expected.shed_ids
+        got, expected = routed[1], routed[0]
+        assert [s.request_id.tolist() for s in got.assignments] \
+            == [s.request_id.tolist() for s in expected.assignments]
+        assert got.replica_of == expected.replica_of
+        assert [x.hex() for x in got.final_backlog_s] \
+            == [x.hex() for x in expected.final_backlog_s]
 
 
 class TestFiniteKnobs:
@@ -361,6 +510,25 @@ class TestFiniteKnobs:
     def test_perf_overhead(self, overhead):
         with pytest.raises(ValueError, match="finite"):
             ServingPerfModel(overhead_s=overhead)
+
+    def trace(self):
+        return requests_from_arrivals(tiny_dataset(CONFIG),
+                                      np.array([0.0, 1e-3, 2e-3]),
+                                      batch_index=0)
+
+    @pytest.mark.parametrize("admission", ["depth", "predicted"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_batcher_service_estimate(self, bad, admission):
+        policy = BatchingPolicy(admission=admission, deadline_s=1.0)
+        with pytest.raises(ValueError, match=f"finite and >= 0, got {bad}"):
+            MicroBatcher(policy).plan(self.trace(), lambda size, nnz: bad)
+
+    @pytest.mark.parametrize("kind", ROUTING_POLICIES)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_router_service_estimate(self, bad, kind):
+        with pytest.raises(ValueError, match=f"finite and >= 0, got {bad}"):
+            FleetRouter(RouterPolicy(kind)).route(self.trace(),
+                                                  [lambda r: bad] * 2)
 
 
 def test_window_gather_matches_a_direct_predict():

@@ -24,7 +24,7 @@ from repro.serving import (BatchingPolicy, FreezeConfig, InferenceRequest,
 from repro.serving import server as server_module
 from repro.serving.server import _windows
 
-from .helpers import cache_state, tiny_dataset
+from .helpers import cache_state, tiny_dataset, trace_of
 from .reference_serving import forward_reference, predict_reference
 
 
@@ -193,7 +193,7 @@ class TestExecutor:
                 request_id=i, arrival_s=i * 1.5e-4,
                 batch=bulk.slice(start, start + size)))
             start += size
-        return requests
+        return trace_of(requests)
 
     @pytest.mark.parametrize("budget", [1, 7, 512])
     def test_served_equals_reference_across_swaps(self, monkeypatch,
