@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -153,6 +153,10 @@ class CheckpointManager:
 
         Differential checkpoints are reconstructed by replaying the chain
         from the most recent full checkpoint. Returns the restored step.
+        A chain that does not restore every row of every table, or holds
+        rows outside a table or values of another width, raises
+        ``ValueError`` before anything is written. Dense payloads are
+        checked next, before any dense parameter is written.
         """
         steps = self.list_steps()
         if not steps:
@@ -161,7 +165,7 @@ class CheckpointManager:
         if target not in steps:
             raise FileNotFoundError(f"no checkpoint for step {target}")
         chain = [s for s in steps if s <= target]
-        tables: Dict[str, np.ndarray] = {}
+        tables: Dict[str, List[Tuple[np.ndarray, np.ndarray]]] = {}
         dense: Dict[int, np.ndarray] = {}
         opt_state: Dict[int, Dict[str, np.ndarray]] = {}
         restored_step = 0
@@ -174,25 +178,15 @@ class CheckpointManager:
                     elif key.startswith("opt/"):
                         _, idx, name = key.split("/", 2)
                         opt_state.setdefault(int(idx), {})[name] = data[key]
-                for t in trainer.config.tables:
-                    rows = data[f"emb/{t.name}/rows"]
-                    values = data[f"emb/{t.name}/values"].astype(np.float32)
-                    if t.name not in tables:
-                        tables[t.name] = np.zeros(
-                            (t.num_embeddings, t.embedding_dim),
-                            dtype=np.float32)
-                    tables[t.name][rows] = values
-        # write back into every rank's replica and every shard;
+                    elif key.startswith("emb/") and key.endswith("/rows"):
+                        name = key[len("emb/"):-len("/rows")]
+                        tables.setdefault(name, []).append((data[key], data[
+                            f"emb/{name}/values"].astype(np.float32)))
+        # write back into every shard and the one dense storage;
         # optimizer state is replaced wholesale so a momentum/Adam
         # resume is exact (checkpoints predating opt-state capture
         # simply reset it)
+        trainer.exchange.load(tables)
         trainer.load_dense_state(dense, opt_state)
-        for t in trainer.config.tables:
-            table_plan = trainer.plan.tables[t.name]
-            for shard in table_plan.shards:
-                r0, r1 = shard.row_range
-                c0, c1 = shard.col_range
-                trainer._shard_tables[shard].weight = \
-                    tables[t.name][r0:r1, c0:c1].copy()
         trainer.steps = restored_step
         return restored_step

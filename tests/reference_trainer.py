@@ -3,10 +3,11 @@
 ``LoopedNeoTrainer`` is the per-rank execution the rank-stacked
 ``repro.core.NeoTrainer`` replaced: every rank owns its dense storage
 and its own dense optimizer, and every dense phase — bottom/top MLP,
-interaction, loss, backward, the bucketed AllReduce, the optimizer
-step and the row-wise gradient AllGather — is a python loop over ranks
-through the list forms of the collectives. Its row-wise index payloads
-come from the per-(table, source rank) bucketize loop
+interaction, loss, backward, the bucketed AllReduce and the optimizer
+step — is a python loop over ranks through the list forms of the
+collectives. Its sparse half is a ``LoopedSparseExchange``: the row-wise
+gradient AllGather is a loop over ranks too, and the row-wise index
+payloads come from the per-(table, source rank) bucketize loop
 (:func:`looped_row_wise_payloads`, with the mask-loop kernel of
 ``reference_kernels.py``) that the product's one combined
 ``bucketize_sparse`` pass replaced. It shares everything else
@@ -29,22 +30,24 @@ import numpy as np
 
 from repro import nn
 from repro.core import NeoTrainer
+from repro.core.exchange import SparseExchange
+from repro.models import DLRM
 from repro.sharding import ShardingScheme
 
 from .reference_kernels import bucketize_sparse_reference
 
 
-def looped_row_wise_payloads(trainer: NeoTrainer, inputs) -> dict:
+def looped_row_wise_payloads(exchange: SparseExchange, inputs) -> dict:
     """Every row-wise table's shards (in row order) and its ``[src][dst]``
     ids and lengths payloads, one bucketize per (table, source rank).
 
     ``inputs[name][src]`` is source rank ``src``'s ``(ids, offsets)``;
-    the result has the shape of ``NeoTrainer._row_wise_payloads``.
+    the result has the shape of ``SparseExchange._row_wise_payloads``.
     """
-    w = trainer.world_size
+    w = exchange.world_size
     out = {}
-    for t in trainer.config.tables:
-        table_plan = trainer.plan.tables[t.name]
+    for t in exchange.config.tables:
+        table_plan = exchange.plan.tables[t.name]
         if table_plan.scheme not in (ShardingScheme.ROW_WISE,
                                      ShardingScheme.TABLE_ROW_WISE):
             continue
@@ -65,6 +68,22 @@ def looped_row_wise_payloads(trainer: NeoTrainer, inputs) -> dict:
     return out
 
 
+class LoopedSparseExchange(SparseExchange):
+    """The per-(table, source rank) index payloads and a per-rank
+    row-wise gradient AllGather."""
+
+    def _row_wise_payloads(self, inputs, lengths) -> dict:
+        return looped_row_wise_payloads(self, inputs)
+
+    def _backward_row_wise(self, shards, d_pooled) -> None:
+        w = self.world_size
+        gathered = self.pg.all_gather([d / w for d in d_pooled])
+        for shard in shards:
+            d_global = np.concatenate(gathered[shard.rank],
+                                      axis=0).astype(np.float32)
+            self._shard_update(shard, d_global)
+
+
 class LoopedNeoTrainer(NeoTrainer):
     """One replica, one optimizer and one python call per rank per phase."""
 
@@ -83,6 +102,11 @@ class LoopedNeoTrainer(NeoTrainer):
         self.dense_opt = self.rank_optimizers[0]
         self._interactions = [config.make_interaction() for _ in self.ranks]
         self._losses = [nn.BCEWithLogitsLoss() for _ in self.ranks]
+        # the same shards, cut from the same golden tables
+        self.exchange = LoopedSparseExchange(
+            config, plan, DLRM(config, seed=kwargs.get("seed", 0)), self.pg,
+            sparse_optimizer, self.tracer, self.metrics,
+            kwargs.get("representation_plan"))
 
     def _bottom_forward(self, local_batches) -> List[np.ndarray]:
         return [state.bottom.forward(batch.dense)
@@ -126,17 +150,6 @@ class LoopedNeoTrainer(NeoTrainer):
         # the sparse half takes each table's gradient as one (R, B, D)
         # array, as the product hands it over
         return {name: np.stack(grads) for name, grads in d_pooled.items()}
-
-    def _row_wise_payloads(self, inputs, lengths) -> dict:
-        return looped_row_wise_payloads(self, inputs)
-
-    def _backward_row_wise(self, shards, d_pooled) -> None:
-        w = self.world_size
-        gathered = self.pg.all_gather([d / w for d in d_pooled])
-        for shard in shards:
-            d_global = np.concatenate(gathered[shard.rank],
-                                      axis=0).astype(np.float32)
-            self._shard_update(shard, d_global)
 
     def _dense_allreduce(self) -> List[List[np.ndarray]]:
         w = self.world_size

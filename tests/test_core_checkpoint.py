@@ -19,8 +19,8 @@ from .reference_trainer import LoopedNeoTrainer
 
 
 def make_trainer(world=2, seed=0, scheme=ShardingScheme.TABLE_WISE,
-                 stacked=True, momentum=0.0, dense_optimizer=None):
-    tables = tuple(EmbeddingTableConfig(f"t{i}", 64, 8, avg_pooling=3.0)
+                 stacked=True, momentum=0.0, dense_optimizer=None, rows=64):
+    tables = tuple(EmbeddingTableConfig(f"t{i}", rows, 8, avg_pooling=3.0)
                    for i in range(2))
     config = DLRMConfig(dense_dim=4, bottom_mlp=(8, 8), tables=tables,
                         top_mlp=(8,))
@@ -182,6 +182,82 @@ class TestCorruptDensePayload:
             re.escape(f"optimizer slot {slot!r} of dense parameter 2 "
                       f"(bottom.1.weight): expected shape {want}, got "
                       f"{bad}"), opt_state)
+
+
+class TestCorruptEmbeddingPayload:
+    """A checkpoint chain that does not restore every row of every table
+    exactly is rejected, naming the table, before anything is written."""
+
+    def check_rejected(self, trainer, mgr, match):
+        tables = {t.name: trainer.gather_table(t.name)
+                  for t in trainer.config.tables}
+        dense = [p.data.copy() for p in trainer.ranks[0].dense_parameters()]
+        steps = trainer.steps
+        with pytest.raises(ValueError, match=match):
+            mgr.load(trainer)
+        assert trainer.steps == steps
+        for name, table in tables.items():
+            np.testing.assert_array_equal(trainer.gather_table(name), table)
+        for p, kept in zip(trainer.ranks[0].dense_parameters(), dense):
+            np.testing.assert_array_equal(p.data, kept)
+
+    def saved(self, tmp_path, rows=64):
+        """A row-wise trainer's checkpoint, then one more step."""
+        trainer, ds, _ = make_trainer(scheme=ShardingScheme.ROW_WISE,
+                                      rows=rows)
+        trainer.train_step(ds.batch(8, 0).split(2))
+        mgr = CheckpointManager(str(tmp_path))
+        path = mgr.save(trainer)
+        trainer.train_step(ds.batch(8, 1).split(2))
+        return trainer, mgr, path
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda r, v: (r[:40], v[:40]), "restores 40 of its 64 rows"),
+        (lambda r, v: (np.append(r, 64), np.vstack([v, v[:1]])),
+         r"rows outside \[0, 64\)"),
+        (lambda r, v: (np.append(r, -1), np.vstack([v, v[:1]])),
+         r"rows outside \[0, 64\)"),
+        (lambda r, v: (r, np.hstack([v, v[:, :1]])), r"shape \(64, 9\)"),
+        (lambda r, v: (r, v[:-1]), r"shape \(63, 8\) for 64 rows"),
+        (lambda r, v: (r[:0], v[:0]), "restores 0 of its 64 rows"),
+    ], ids=["fewer_rows", "row_past_the_end", "negative_row", "wider_values",
+            "values_for_fewer_rows", "no_rows"])
+    def test_bad_rows_or_values(self, tmp_path, edit, match):
+        trainer, mgr, path = self.saved(tmp_path)
+        with np.load(path) as data:
+            payload = {key: data[key] for key in data.files}
+        payload["emb/t1/rows"], payload["emb/t1/values"] = edit(
+            payload["emb/t1/rows"], payload["emb/t1/values"])
+        np.savez(path, **payload)
+        self.check_rejected(trainer, mgr, "table t1: .*" + match)
+
+    def test_table_missing_from_the_checkpoint(self, tmp_path):
+        trainer, mgr, path = self.saved(tmp_path)
+        with np.load(path) as data:
+            payload = {key: data[key] for key in data.files
+                       if not key.startswith("emb/t0/")}
+        np.savez(path, **payload)
+        self.check_rejected(trainer, mgr, "table t0: .*restores 0 of")
+
+    @pytest.mark.parametrize("saved_rows, match", [
+        (32, "table t0: checkpoint restores 32 of its 64 rows"),
+        (128, r"table t0: checkpoint rows outside \[0, 64\)")],
+        ids=["shorter", "taller"])
+    def test_checkpoint_of_another_table_height(self, tmp_path, saved_rows,
+                                                 match):
+        self.saved(tmp_path, rows=saved_rows)
+        trainer, ds, _ = make_trainer(scheme=ShardingScheme.ROW_WISE)
+        trainer.train_step(ds.batch(8, 0).split(2))
+        self.check_rejected(trainer, CheckpointManager(str(tmp_path)), match)
+
+    def test_differential_chain_without_its_full_checkpoint(self, tmp_path):
+        trainer, ds, _ = make_trainer()
+        mgr = CheckpointManager(str(tmp_path), differential=True)
+        first = mgr.save(trainer)
+        trainer.train_step(ds.batch(4, 0).split(2))
+        mgr.save(trainer)
+        os.remove(first)
+        self.check_rejected(trainer, mgr, "table t0: .*restores")
 
 
 class TestCrossPlanRestore:

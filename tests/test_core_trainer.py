@@ -271,7 +271,7 @@ class TestDataParallelZeroGradient:
             p.data[...] = 0.0
         step(1)
         t_of = [trainer.sparse_opt.state_for(
-            trainer._shard_tables[shard])["t"]
+            trainer.exchange.shard_tables[shard])["t"]
             for name in ("tw", "dp") for shard in plan.tables[name].shards]
         assert t_of[0].max() == 2
         for t in t_of[1:]:

@@ -227,10 +227,10 @@ class TestTrainerIntegration:
         trainer = tiny_trainer(config, world=2, seed=4,
                                representation_plan=plan)
         from repro.embedding import QuantizedEmbeddingTable
-        quantized = [t for t in trainer._shard_tables.values()
+        quantized = [t for t in trainer.exchange.shard_tables.values()
                      if isinstance(t, QuantizedEmbeddingTable)]
         # every shard (incl. data-parallel replicas) trains quantized
-        assert len(quantized) == len(trainer._shard_tables) >= 3
+        assert len(quantized) == len(trainer.exchange.shard_tables) >= 3
         ds = tiny_dataset(config, seed=4)
         for step in range(2):
             trainer.train_step(ds.batch(8, step).split(2))

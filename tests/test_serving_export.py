@@ -55,14 +55,14 @@ class TestFp32Parity:
         trainer.train_step(ds.batch(8, 0).split(2))
         shards = {t.name: trainer.plan.tables[t.name].shards[0]
                   for t in config.tables}
-        before = {n: trainer._shard_tables[s].weight.copy()
+        before = {n: trainer.exchange.shard_tables[s].weight.copy()
                   for n, s in shards.items()}
         dense_before = [p.data.copy()
                         for p in trainer.ranks[0].bottom.parameters()]
         trainer.eval_forward(ds.batch(8, 1).split(2))
         for n, s in shards.items():
             np.testing.assert_array_equal(
-                trainer._shard_tables[s].weight, before[n])
+                trainer.exchange.shard_tables[s].weight, before[n])
         for p, w in zip(trainer.ranks[0].bottom.parameters(), dense_before):
             np.testing.assert_array_equal(p.data, w)
 

@@ -1,10 +1,10 @@
 """The sparse exchange: what the trainer puts on the wire, pinned.
 
-``NeoTrainer`` prepares every table's index exchange in one pass (one
-``np.diff`` for all bag lengths, one ``bucketize_sparse`` for every
-row-wise table and source rank) and then issues one collective per table
-per kind, in table order. These tests hold that pass to the exchange it
-replaced:
+A trainer's ``SparseExchange`` prepares every table's index exchange in
+one pass (one ``np.diff`` for all bag lengths, one ``bucketize_sparse``
+for every row-wise table and source rank) and then issues one collective
+per table per kind, in table order. These tests hold that pass to the
+exchange it replaced:
 
 * a recorded run of a hybrid-sharded trainer (row-, table-, column-wise
   and data-parallel tables; uneven row splits with a single-row shard; a
@@ -13,8 +13,12 @@ replaced:
   wire bytes and modeled seconds as the per-table exchange did;
 * the one-pass row-wise payloads must equal the per-(table, source rank)
   bucketize oracle of ``tests/reference_trainer.py``;
+* a table-wise table must train exactly as one full-width column-wise
+  shard does, which is how the exchange runs it;
 * ids outside their table must fail as a per-table bucketize did, even
-  where the combined id space would hide them in a neighbour's bucket;
+  where the combined id space would hide them in a neighbour's bucket,
+  and a batch without some table's feature must fail before any
+  collective;
 * the comms log's cached counters must survive registry resets.
 """
 
@@ -29,10 +33,11 @@ from hypothesis import strategies as st
 from repro import nn
 from repro.comms import ClusterTopology, CommsLog, SimProcessGroup
 from repro.core import NeoTrainer
+from repro.core.exchange import SparseExchange
 from repro.data import MiniBatch, SyntheticCTRDataset
 from repro.embedding import EmbeddingTableConfig, SparseAdaGrad
-from repro.models import DLRMConfig
-from repro.obs import MetricRegistry
+from repro.models import DLRM, DLRMConfig
+from repro.obs import NULL_TRACER, MetricRegistry
 from repro.sharding import (Shard, ShardingPlan, ShardingScheme,
                             TableShardingPlan, shard_table)
 
@@ -76,7 +81,7 @@ class RecordingProcessGroup(SimProcessGroup):
         return super()._execute(name, inputs, total_wire, seconds, fn)
 
 
-def hybrid_plan(tables) -> ShardingPlan:
+def hybrid_plan(tables, tw_scheme=ShardingScheme.TABLE_WISE) -> ShardingPlan:
     """rw_a: four uneven row shards (one a single row) placed out of rank
     order; rw_b: three row shards, none on rank 0; tw on rank 2; cw in
     three uneven column slices; dp on every rank."""
@@ -93,8 +98,8 @@ def hybrid_plan(tables) -> ShardingPlan:
                                         (3, (20, 21)), (1, (21, 37))])
     plan.tables["rw_b"] = rows("rw_b", [(3, (0, 10)), (1, (10, 11)),
                                         (2, (11, 23))])
-    plan.tables["tw"] = shard_table(by_name["tw"], ShardingScheme.TABLE_WISE,
-                                    [2])
+    plan.tables["tw"] = TableShardingPlan(by_name["tw"], tw_scheme, [
+        Shard("tw", 2, (0, 29), (0, DIM))])
     plan.tables["cw"] = TableShardingPlan(
         by_name["cw"], ShardingScheme.COLUMN_WISE, [
             Shard("cw", rank, (0, 31), interval)
@@ -106,13 +111,14 @@ def hybrid_plan(tables) -> ShardingPlan:
     return plan
 
 
-def hybrid_trainer(process_group_factory=None) -> NeoTrainer:
+def hybrid_trainer(process_group_factory=None,
+                   tw_scheme=ShardingScheme.TABLE_WISE) -> NeoTrainer:
     tables = tuple(EmbeddingTableConfig(name, rows, DIM, avg_pooling=3.0)
                    for name, rows in (("rw_a", 37), ("tw", 29), ("rw_b", 23),
                                       ("cw", 31), ("dp", 13)))
     config = DLRMConfig(dense_dim=3, bottom_mlp=(8, DIM), tables=tables,
                         top_mlp=(8,))
-    return NeoTrainer(config, hybrid_plan(tables),
+    return NeoTrainer(config, hybrid_plan(tables, tw_scheme),
                       ClusterTopology(num_nodes=1, gpus_per_node=WORLD),
                       dense_optimizer=lambda params: nn.SGD(params, lr=0.1),
                       sparse_optimizer=SparseAdaGrad(lr=0.1), seed=3,
@@ -153,6 +159,24 @@ class TestPinnedExchange:
         assert len(record) == 3 * (6 + 3 + 5 + 2 + 1 + 3 + 1 + 1)
         digest = hashlib.sha256(json.dumps(record).encode()).hexdigest()
         assert digest == PINNED_EXCHANGE
+
+    def test_table_wise_is_one_full_width_column_wise_shard(self):
+        """Three steps with ``tw`` planned table-wise and as one
+        full-width column-wise shard on the same rank: the same
+        collectives, losses and tables."""
+        runs = []
+        for scheme in (ShardingScheme.TABLE_WISE, ShardingScheme.COLUMN_WISE):
+            trainer = hybrid_trainer(RecordingProcessGroup, scheme)
+            assert trainer.plan.scheme_of("tw") == scheme
+            runs.append((trainer, [
+                trainer.train_step(hybrid_batches(trainer, step))
+                for step in range(3)]))
+        (tw, tw_losses), (cw, cw_losses) = runs
+        assert tw.pg.record == cw.pg.record
+        assert tw_losses == cw_losses
+        for t in tw.config.tables:
+            np.testing.assert_array_equal(tw.gather_table(t.name),
+                                          cw.gather_table(t.name))
 
     def test_every_rank_ships_an_empty_bag(self):
         trainer = hybrid_trainer()
@@ -201,7 +225,7 @@ def row_wise_case(draw):
     return world, batch, tables, placements, local
 
 
-def row_wise_trainer(world, tables, placements) -> NeoTrainer:
+def row_wise_exchange(world, tables, placements) -> SparseExchange:
     plan = ShardingPlan(world_size=world)
     for t, placed in zip(tables, placements):
         plan.tables[t.name] = TableShardingPlan(
@@ -210,10 +234,12 @@ def row_wise_trainer(world, tables, placements) -> NeoTrainer:
              for rank, interval in placed])
     config = DLRMConfig(dense_dim=2, bottom_mlp=(DIM,), tables=tuple(tables),
                         top_mlp=(4,))
-    return NeoTrainer(config, plan,
-                      ClusterTopology(num_nodes=1, gpus_per_node=world),
-                      dense_optimizer=lambda params: nn.SGD(params, lr=0.1),
-                      sparse_optimizer=SparseAdaGrad(lr=0.1))
+    metrics = MetricRegistry()
+    pg = SimProcessGroup(ClusterTopology(num_nodes=1, gpus_per_node=world),
+                         registry=metrics)
+    return SparseExchange(config, plan, DLRM(config), pg,
+                          SparseAdaGrad(lr=0.1), NULL_TRACER,
+                          metrics)
 
 
 class TestRowWisePayloads:
@@ -223,12 +249,12 @@ class TestRowWisePayloads:
                                      HealthCheck.data_too_large])
     def test_one_pass_equals_per_table_source_oracle(self, case):
         world, batch, tables, placements, local = case
-        trainer = row_wise_trainer(world, tables, placements)
+        exchange = row_wise_exchange(world, tables, placements)
         inputs = {t.name: [local[r][t.name] for r in range(world)]
                   for t in tables}
-        got = trainer._row_wise_payloads(
-            inputs, trainer._bag_lengths(inputs, batch))
-        want = looped_row_wise_payloads(trainer, inputs)
+        got = exchange._row_wise_payloads(
+            inputs, exchange._bag_lengths(inputs, batch))
+        want = looped_row_wise_payloads(exchange, inputs)
         assert list(got) == list(want)
         for name, (shards, ids, lengths) in got.items():
             want_shards, want_ids, want_lengths = want[name]
@@ -243,11 +269,12 @@ class TestRowWisePayloads:
 
     def test_empty_slots_share_one_read_only_array(self):
         trainer = hybrid_trainer()
+        exchange = trainer.exchange
         batches = hybrid_batches(trainer, 0)
         inputs = {t.name: [b.sparse[t.name] for b in batches]
                   for t in trainer.config.tables}
-        payloads = trainer._row_wise_payloads(
-            inputs, trainer._bag_lengths(inputs, LOCAL_BATCH))
+        payloads = exchange._row_wise_payloads(
+            inputs, exchange._bag_lengths(inputs, LOCAL_BATCH))
         _, ids, lengths = payloads["rw_b"]   # no shard on rank 0
         empties = {id(ids[src][0]) for src in range(WORLD)} \
             | {id(lengths[src][0]) for src in range(WORLD)}
@@ -284,6 +311,18 @@ class TestBoundaries:
                        ClusterTopology(num_nodes=1, gpus_per_node=2),
                        dense_optimizer=lambda params: nn.SGD(params, lr=0.1),
                        sparse_optimizer=SparseAdaGrad(lr=0.1))
+
+    @pytest.mark.parametrize("forward", ["train_step", "eval_forward"])
+    @pytest.mark.parametrize("table", ["rw_b", "dp"])
+    def test_missing_feature_raises_before_any_collective(self, forward,
+                                                          table):
+        trainer = hybrid_trainer()
+        batches = hybrid_batches(trainer, 0)
+        del batches[2].sparse[table]
+        with pytest.raises(ValueError,
+                           match=f"rank 2.* table {table}$"):
+            getattr(trainer, forward)(batches)
+        assert trainer.pg.log.calls == {}
 
     def test_offsets_of_the_wrong_batch_size_raise(self):
         trainer = hybrid_trainer()

@@ -64,7 +64,7 @@ def train(trainer):
     tables = {t.name: trainer.gather_table(t.name).copy()
               for t in CONFIG.tables}
     state = [(shard, name, array.copy())
-             for shard, table in trainer._shard_tables.items()
+             for shard, table in trainer.exchange.shard_tables.items()
              for name, array in sorted(
                  trainer.sparse_opt.state_for(table).items())]
     return losses, tables, state
@@ -126,7 +126,7 @@ def test_quantized_shard_matches_oracle_bitwise(monkeypatch):
     assignments["t0"] = uniform_plan(model, "fp16", cost=cost).assignments["t0"]
     plan = RepresentationPlan(assignments=assignments)
     quantized = [t for t in hybrid_trainer(
-        SparseAdaGrad(lr=0.1), plan)._shard_tables.values()
+        SparseAdaGrad(lr=0.1), plan).exchange.shard_tables.values()
         if isinstance(t, QuantizedEmbeddingTable)]
     assert len(quantized) == WORLD  # t0 is row-wise: one shard per rank
     got, want, _ = train_both(monkeypatch, lambda: SparseAdaGrad(lr=0.1),
