@@ -137,6 +137,15 @@ class RowCacheBase:
     def reset_stats(self) -> None:
         self.stats.reset()
 
+    @staticmethod
+    def _check_ids(row_ids, backing: ArrayBackingStore) -> np.ndarray:
+        """``row_ids`` as int64; ``ValueError`` before any state changes
+        if one lies outside ``[0, H)`` of ``backing``."""
+        ids = np.asarray(row_ids, dtype=np.int64)
+        if len(ids) and (ids.min() < 0 or ids.max() >= backing.num_rows):
+            raise ValueError(f"row ids must lie in [0, {backing.num_rows})")
+        return ids
+
 
 def _make_set_associative(row_dim: int, capacity_rows: int, **cfg):
     from .set_associative import SetAssociativeCache

@@ -91,6 +91,7 @@ class FreqAwareCache(RowCacheBase):
         self._freq: Dict[int, int] = {}  # observed access counts
         self._open: Optional[int] = None  # chunk currently accepting rows
         self._empty = self.capacity_chunks  # chunks with fill count 0
+        self._min_chunk: Optional[int] = None  # lowest score, while known
         self.warmed_rows = 0
 
     @property
@@ -118,6 +119,7 @@ class FreqAwareCache(RowCacheBase):
         self._fill_counts[chunk] = 0
         self._scores[chunk] = 0.0
         self._empty += 1
+        self._min_chunk = None
 
     def _alloc_chunk(self, backing: ArrayBackingStore) -> int:
         """A chunk with free slots: an empty one, else evict the coldest."""
@@ -136,10 +138,14 @@ class FreqAwareCache(RowCacheBase):
 
     def _admission_ok(self, row_id: int) -> bool:
         """Admit into free space always; once full, only when the row's
-        observed frequency reaches the victim chunk's per-row average."""
+        observed frequency reaches the victim chunk's per-row average.
+        The victim stays memoised until its own score moves or a chunk is
+        evicted or warmed: a score rising elsewhere cannot undercut it."""
         if self._has_free_slot():
             return True
-        victim_avg = float(self._scores.min()) / self.chunk_rows
+        if self._min_chunk is None:
+            self._min_chunk = int(np.argmin(self._scores))
+        victim_avg = float(self._scores[self._min_chunk]) / self.chunk_rows
         return self._freq.get(row_id, 0) >= victim_avg
 
     def _admit(self, row_id: int, value: np.ndarray, dirty: bool,
@@ -156,6 +162,8 @@ class FreqAwareCache(RowCacheBase):
         self._dirty[chunk, slot] = dirty
         self._fill_counts[chunk] = slot + 1
         self._scores[chunk] += score
+        if chunk == self._min_chunk:
+            self._min_chunk = None
         self._loc[row_id] = (chunk, slot)
 
     # ------------------------------------------------------------------
@@ -192,6 +200,7 @@ class FreqAwareCache(RowCacheBase):
             self._fill_counts[chunk] = n
             self._empty -= 1
             self._scores[chunk] = float(histogram[chunk_ids].sum())
+            self._min_chunk = None
             for slot, row_id in enumerate(chunk_ids):
                 self._loc[int(row_id)] = (chunk, slot)
         self.warmed_rows += len(ids)
@@ -203,28 +212,35 @@ class FreqAwareCache(RowCacheBase):
     # ------------------------------------------------------------------
     def read(self, row_ids: np.ndarray,
              backing: ArrayBackingStore) -> np.ndarray:
-        """Per id, in order: a hit scores its chunk; a miss reads the row
-        from ``backing`` (after any write-back an earlier admission in
-        this call caused) and may admit it. The hit/miss/fill stats and
-        the backing store's read bytes are added once, after the loop."""
-        ids = np.asarray(row_ids, dtype=np.int64).tolist()
-        out = np.empty((len(ids), self.row_dim), dtype=np.float32)
+        """Per id, in order: a hit scores its chunk; a miss may admit the
+        row. Then one gather from ``backing``: a clean resident row equals
+        its backing row, and a missed row's cannot change later in the
+        call; dirty hits are patched with their value at the hit. The
+        stats and the backing store's read bytes are added once."""
+        ids = self._check_ids(row_ids, backing)
         freqs, locs, scores, data = self._freq, self._loc, self._scores, \
             self._data
         rows = backing.rows
+        dirty = self._dirty if self._dirty.any() else None
+        patches = []
         misses = 0
-        for i, row_id in enumerate(ids):
+        for i, row_id in enumerate(ids.tolist()):
             freq = freqs[row_id] = freqs.get(row_id, 0) + 1
             loc = locs.get(row_id)
             if loc is not None:
                 scores[loc[0]] += 1.0
-                out[i] = data[loc]
+                if loc[0] == self._min_chunk:
+                    self._min_chunk = None
+                if dirty is not None and dirty[loc]:
+                    patches.append((i, data[loc].copy()))
             else:
                 misses += 1
-                out[i] = rows[row_id]
                 if self._admission_ok(row_id):
-                    self._admit(row_id, out[i], dirty=False,
+                    self._admit(row_id, rows[row_id], dirty=False,
                                 backing=backing, score=float(freq))
+        out = rows[ids]
+        for i, value in patches:
+            out[i] = value
         self.stats.hits += len(ids) - misses
         self.stats.misses += misses
         self.stats.fills += misses
@@ -233,13 +249,15 @@ class FreqAwareCache(RowCacheBase):
 
     def write(self, row_ids: np.ndarray, values: np.ndarray,
               backing: ArrayBackingStore) -> None:
-        for i, row_id in enumerate(np.asarray(row_ids, dtype=np.int64)):
+        for i, row_id in enumerate(self._check_ids(row_ids, backing)):
             row_id = int(row_id)
             freq = self._freq[row_id] = self._freq.get(row_id, 0) + 1
             loc = self._loc.get(row_id)
             if loc is not None:
                 self.stats.hits += 1
                 self._scores[loc[0]] += 1.0
+                if loc[0] == self._min_chunk:
+                    self._min_chunk = None
                 self._data[loc] = values[i]
                 self._dirty[loc] = True
             elif self._admission_ok(row_id):
@@ -277,7 +295,7 @@ class FreqAwareCache(RowCacheBase):
         """Stage rows for an upcoming batch; misses triggered here count
         as ``prefetched_rows``, never as demand misses."""
         staged = 0
-        for row_id in np.unique(np.asarray(row_ids, dtype=np.int64)):
+        for row_id in np.unique(self._check_ids(row_ids, backing)):
             row_id = int(row_id)
             if row_id in self._loc:
                 continue

@@ -129,7 +129,7 @@ class SetAssociativeCache(RowCacheBase):
              backing: ArrayBackingStore) -> np.ndarray:
         """Read rows through the cache; misses fetch from ``backing``."""
         out = np.empty((len(row_ids), self.row_dim), dtype=np.float32)
-        for i, row_id in enumerate(np.asarray(row_ids, dtype=np.int64)):
+        for i, row_id in enumerate(self._check_ids(row_ids, backing)):
             set_idx = self._set_index(row_id)
             way = self._find_way(set_idx, row_id)
             if way >= 0:
@@ -144,7 +144,7 @@ class SetAssociativeCache(RowCacheBase):
     def write(self, row_ids: np.ndarray, values: np.ndarray,
               backing: ArrayBackingStore) -> None:
         """Write rows through the cache (write-back, write-allocate)."""
-        for i, row_id in enumerate(np.asarray(row_ids, dtype=np.int64)):
+        for i, row_id in enumerate(self._check_ids(row_ids, backing)):
             set_idx = self._set_index(row_id)
             way = self._find_way(set_idx, row_id)
             if way >= 0:
@@ -168,7 +168,9 @@ class SetAssociativeCache(RowCacheBase):
         return count
 
     def contains(self, row_id: int) -> bool:
-        return self._find_way(self._set_index(row_id), row_id) >= 0
+        # empty ways hold tag -1, which is no row
+        return row_id >= 0 and self._find_way(self._set_index(row_id),
+                                              row_id) >= 0
 
     def prefetch_rows(self, row_ids: np.ndarray,
                       backing: ArrayBackingStore) -> int:
@@ -176,7 +178,7 @@ class SetAssociativeCache(RowCacheBase):
         misses (they were never demanded), so a later :meth:`read` of the
         same ids hits. Returns rows newly made resident."""
         staged = 0
-        for row_id in np.unique(np.asarray(row_ids, dtype=np.int64)):
+        for row_id in np.unique(self._check_ids(row_ids, backing)):
             set_idx = self._set_index(row_id)
             if self._find_way(set_idx, row_id) >= 0:
                 continue

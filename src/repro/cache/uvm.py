@@ -100,7 +100,7 @@ class UVMPageCache(RowCacheBase):
     def read(self, row_ids: np.ndarray,
              backing: ArrayBackingStore) -> np.ndarray:
         out = np.empty((len(row_ids), self.row_dim), dtype=np.float32)
-        for i, row_id in enumerate(np.asarray(row_ids, dtype=np.int64)):
+        for i, row_id in enumerate(self._check_ids(row_ids, backing)):
             page = self._page_of(row_id)
             if page in self._pages:
                 self.stats.hits += 1
@@ -113,7 +113,7 @@ class UVMPageCache(RowCacheBase):
 
     def write(self, row_ids: np.ndarray, values: np.ndarray,
               backing: ArrayBackingStore) -> None:
-        for i, row_id in enumerate(np.asarray(row_ids, dtype=np.int64)):
+        for i, row_id in enumerate(self._check_ids(row_ids, backing)):
             page = self._page_of(row_id)
             if page in self._pages:
                 self.stats.hits += 1
@@ -143,7 +143,7 @@ class UVMPageCache(RowCacheBase):
         """Stage the pages covering ``row_ids``; page migrations triggered
         here count as ``prefetched_rows`` (in rows), not as misses."""
         staged = 0
-        ids = np.asarray(row_ids, dtype=np.int64)
+        ids = self._check_ids(row_ids, backing)
         for page in np.unique(ids // self.rows_per_page):
             page = int(page)
             if page in self._pages:

@@ -8,7 +8,7 @@ the AlltoAll and the top MLP in Fig. 9 of the paper.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -32,6 +32,7 @@ class DotInteraction(Module):
         self._stacked: Optional[np.ndarray] = None
         self._num_features = 0
         self._dim = 0
+        self._tril: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
 
     def output_dim(self, num_features: int, dim: int) -> int:
         """Width of the interaction output for ``num_features`` inputs."""
@@ -40,9 +41,13 @@ class DotInteraction(Module):
             else num_features * (num_features - 1) // 2
         return dim + pairs
 
-    def _tril_indices(self, f: int) -> tuple:
-        offset = 0 if self.self_interaction else -1
-        return np.tril_indices(f, k=offset)
+    def _tril_indices(self, f: int) -> Tuple[np.ndarray, np.ndarray]:
+        """The kept Gram entries for ``f`` features, cached per ``f``."""
+        indices = self._tril.get(f)
+        if indices is None:
+            offset = 0 if self.self_interaction else -1
+            indices = self._tril[f] = np.tril_indices(f, k=offset)
+        return indices
 
     def forward_list(self, features: List[np.ndarray]) -> np.ndarray:
         """Forward over a list of (B, D) arrays; first entry is the dense x.

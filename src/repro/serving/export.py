@@ -252,7 +252,7 @@ class ServableModel:
     Built via :func:`freeze`; exposes :meth:`forward` (logits) and
     :meth:`predict` (probabilities) over :class:`MiniBatch` inputs,
     :meth:`predict_many` over several dispatches at once (one
-    :meth:`embed`, then the dense half per dispatch), plus the
+    :meth:`embed`, then the dense half once per row count), plus the
     footprint/quantization metadata capacity planning needs. The
     underlying weight arrays are read-only numpy views.
     """
@@ -328,6 +328,9 @@ class ServableModel:
         dispatch would make, so cache state and every counter match. TT
         tables contract their cores per dispatch.
         """
+        if batch.dense.shape != (batch.batch_size, self.config.dense_dim):
+            raise ValueError(f"dense must be (batch, {self.config.dense_dim})"
+                             f", got {batch.dense.shape}")
         bounds = np.asarray(bounds, dtype=np.int64)
         if bounds.ndim != 1 or len(bounds) < 2 or bounds[0] != 0 \
                 or bounds[-1] != batch.batch_size \
@@ -353,26 +356,34 @@ class ServableModel:
         return EmbeddedWindow(dense=batch.dense, pooled=pooled,
                               bounds=bounds)
 
-    def _logits(self, window: EmbeddedWindow, i: int) -> np.ndarray:
-        """The dense half of dispatch ``i``, over its rows of ``window``.
+    def _dense_half(self, window: EmbeddedWindow):
+        """The dense half of ``window``, run once per row count: yields
+        ``(group, logits)``, the dispatches with ``m`` rows and their
+        ``(k, m)`` logits. A group's rows are gathered into ``(k, m, .)``
+        stacks, whose every slice gets the GEMM and einsum its dispatch
+        would get alone (GEMM bits depend on the row count, so one
+        window-wide GEMM would not reproduce a dispatch's own forward)."""
+        counts = np.diff(window.bounds)
+        for m in np.unique(counts).tolist():
+            group = np.flatnonzero(counts == m)
+            rows = window.bounds[group][:, None] + np.arange(m)
+            features = [self.bottom.forward(window.dense[rows])]
+            for t in self.config.tables:
+                value = window.pooled[t.name][rows]
+                if t.name in self.projections:
+                    value = self.projections[t.name].forward(value)
+                features.append(value)
+            interacted = self.interaction.forward_list(features)
+            yield group.tolist(), self.top.forward(interacted)[..., 0]
 
-        It runs per dispatch because GEMM bits depend on the row count on
-        common BLAS builds, so one window-wide GEMM would not reproduce a
-        dispatch's own forward."""
-        lo, hi = int(window.bounds[i]), int(window.bounds[i + 1])
-        features = [self.bottom.forward(window.dense[lo:hi])]
-        for t in self.config.tables:
-            value = window.pooled[t.name][lo:hi]
-            if t.name in self.projections:
-                value = self.projections[t.name].forward(value)
-            features.append(value)
-        interacted = self.interaction.forward_list(features)
-        return self.top.forward(interacted)[:, 0]
-
-    def predict_dispatch(self, window: EmbeddedWindow, i: int) -> np.ndarray:
-        """Click probabilities of dispatch ``i`` of an :meth:`embed`
-        window."""
-        return F.sigmoid(self._logits(window, i))
+    def predict_window(self, window: EmbeddedWindow) -> List[np.ndarray]:
+        """Click probabilities of every dispatch of an :meth:`embed`
+        window, one array per dispatch."""
+        probs: List[np.ndarray] = [None] * (len(window.bounds) - 1)
+        for group, logits in self._dense_half(window):
+            for i, p in zip(group, F.sigmoid(logits)):
+                probs[i] = p
+        return probs
 
     def predict_many(self, dispatches: Sequence[Sequence[MiniBatch]]
                      ) -> List[np.ndarray]:
@@ -383,18 +394,17 @@ class ServableModel:
             return []
         if any(not d for d in dispatches):
             raise ValueError("every dispatch needs at least one batch")
-        window = self.embed(
+        return self.predict_window(self.embed(
             MiniBatch.concat([b for d in dispatches for b in d]),
             lengths_to_offsets([sum(b.batch_size for b in d)
-                                for d in dispatches]))
-        return [self.predict_dispatch(window, i)
-                for i in range(len(dispatches))]
+                                for d in dispatches])))
 
     def forward(self, batch: MiniBatch) -> np.ndarray:
         """Logits of shape (B,) — the same arithmetic as
         :meth:`repro.models.DLRM.forward` over frozen weights."""
-        return self._logits(
-            self.embed(batch, np.array([0, batch.batch_size])), 0)
+        (_, logits), = self._dense_half(
+            self.embed(batch, np.array([0, batch.batch_size])))
+        return logits[0]
 
     def predict(self, batch: MiniBatch) -> np.ndarray:
         """Click probabilities of shape (B,): the one-dispatch case of

@@ -270,18 +270,17 @@ def execute_plan(plan: BatchPlan, model: ServableModel, tracer, scope,
     answered by one model (with ``slot``, by the snapshot active at their
     dispatch times), up to a sample budget that bounds the window's
     working set. Per window, the requests' rows are gathered out of the
-    trace's store in one :meth:`RequestTrace.batch` and one
-    :meth:`ServableModel.embed` pools every table for all its
-    dispatches; per scheduled batch, the dense half
-    (:meth:`ServableModel.predict_dispatch`) runs on its rows and
-    per-request probability rows are scattered back. The probabilities
-    are bitwise those of one ``predict`` per coalesced batch. The
-    :class:`RequestOutcome`\\ s and latencies are written from the plan's
-    columns once every batch ran. Obs wiring: per batch a
-    ``serving.batch`` span around a ``serving.forward`` span for its
-    dense half; a window's first batch span also holds the window's
-    gather and embedding pass, as one more ``serving.forward`` span. All
-    are stamped with ``span_attrs``. Under ``scope``: the ``requests``/
+    trace's store in one :meth:`RequestTrace.batch`, one
+    :meth:`ServableModel.embed` pools every table for all its dispatches
+    and one :meth:`ServableModel.predict_window` runs the dense half
+    once per row count; per scheduled batch, per-request probability
+    rows are scattered back. The probabilities are bitwise those of one
+    ``predict`` per coalesced batch. The :class:`RequestOutcome`\\ s and
+    latencies are written from the plan's columns once every batch ran.
+    Obs wiring: a ``serving.batch`` span per batch; a window's first
+    batch span also holds the window's gather and forward, as one
+    ``serving.forward`` span. All are stamped with ``span_attrs``. Under
+    ``scope``: the ``requests``/
     ``completed``/``shed``/``batches``/``samples`` counters plus
     ``batch_size`` and ``latency_s`` histograms.
     """
@@ -304,24 +303,20 @@ def execute_plan(plan: BatchPlan, model: ServableModel, tracer, scope,
                              trigger=scheduled.trigger,
                              dispatch_s=scheduled.dispatch_s,
                              model_version=version, **span_attrs):
-                if i == 0:  # the first dispatch embeds for its window
+                if i == 0:  # the first dispatch runs its window's forward
                     index = np.concatenate([s.index for s in window])
                     with tracer.span(
                             "serving.forward", cat="serving",
                             dispatches=len(window), requests=len(index),
                             samples=int(bounds[-1]), **span_attrs):
-                        embedded = batch_model.embed(trace.batch(index),
-                                                     bounds)
-                with tracer.span("serving.forward", cat="serving",
-                                 requests=scheduled.num_requests,
-                                 samples=samples, **span_attrs):
-                    probs = batch_model.predict_dispatch(embedded, i)
+                        probs = batch_model.predict_window(batch_model.embed(
+                            trace.batch(index), bounds))
                 rows = lengths_to_offsets(
                     trace.num_samples[scheduled.index]).tolist()
                 for rid, lo, hi in zip(
                         trace.request_id[scheduled.index].tolist(), rows,
                         rows[1:]):
-                    result.responses[rid] = probs[lo:hi]
+                    result.responses[rid] = probs[i][lo:hi]
             versions.append(version)
             samples_ctr.inc(samples)
             batch_hist.record(samples)

@@ -12,14 +12,21 @@ equality with it:
 * ``concat_reference`` takes one ``np.diff`` per batch per feature. The
   product differences the concatenated offsets once.
 * ``ReferenceFreqAwareCache`` scans ``fill_counts`` for an empty chunk
-  on every miss, walks the ids as numpy scalars and reads each missing
-  row through ``read_rows``, counting as it goes. The product keeps a
-  count of empty chunks and adds its counters once per call.
+  and takes ``np.min`` of the chunk scores on every miss, walks the ids
+  as numpy scalars, copies each row into the output as it goes (a hit
+  from the cache, a miss through ``read_rows``) and counts as it goes.
+  The product keeps a count of empty chunks, memoises the lowest-score
+  chunk, gathers every row from the backing store once after the loop
+  (patching dirty hits) and adds its counters once per call.
 * ``forward_reference``/``predict_reference`` run the embedding half of
   one coalesced dispatch table by table: one ``dedup_forward`` (a gather
   of each unique row, then a broadcast) per hot table (one fused forward without dedup), one cache read per cold table
   and one contraction per TT table. The product pools a whole window of
   dispatches at once (``ServableModel.embed``).
+* ``dense_half_reference``/``predict_window_reference`` run the dense
+  half of a window one dispatch at a time, on that dispatch's rows. The
+  product runs it once per row count on ``(k, m, .)`` stacks
+  (``ServableModel.predict_window``).
 * The list path of serving: ``plan_reference`` schedules a list of
   ``InferenceRequest`` objects, re-summing each dispatch's samples and
   ids (``price_requests``) and re-slicing the queue for every predicted
@@ -99,8 +106,10 @@ def concat_reference(batches: Sequence[MiniBatch]) -> MiniBatch:
 
 
 class ReferenceFreqAwareCache(FreqAwareCache):
-    """:class:`FreqAwareCache` with the miss path that scans
-    ``fill_counts`` for a free chunk on every admission check."""
+    """:class:`FreqAwareCache` with the per-id read: it copies each row
+    into the output as it visits the id, and every admission check scans
+    ``fill_counts`` for a free chunk and takes ``np.min`` of the chunk
+    scores."""
 
     def _has_free_slot(self) -> bool:
         if self._open is not None \
@@ -241,6 +250,27 @@ def forward_reference(model, batch: MiniBatch) -> np.ndarray:
 
 def predict_reference(model, batch: MiniBatch) -> np.ndarray:
     return F.sigmoid(forward_reference(model, batch))
+
+
+def dense_half_reference(model, window, i: int) -> np.ndarray:
+    """Logits of dispatch ``i`` of an embedded window, over its rows
+    alone."""
+    lo, hi = int(window.bounds[i]), int(window.bounds[i + 1])
+    features = [model.bottom.forward(window.dense[lo:hi])]
+    for t in model.config.tables:
+        value = window.pooled[t.name][lo:hi]
+        if t.name in model.projections:
+            value = model.projections[t.name].forward(value)
+        features.append(value)
+    interacted = model.interaction.forward_list(features)
+    return model.top.forward(interacted)[:, 0]
+
+
+def predict_window_reference(model, window) -> List[np.ndarray]:
+    """Click probabilities of every dispatch of an embedded window, the
+    dense half run once per dispatch."""
+    return [F.sigmoid(dense_half_reference(model, window, i))
+            for i in range(len(window.bounds) - 1)]
 
 
 # ----------------------------------------------------------------------

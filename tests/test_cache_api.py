@@ -25,7 +25,7 @@ from repro.models import DLRM
 from repro.obs import Tracer
 from repro.serving import FreezeConfig, freeze
 
-from .helpers import tiny_config, tiny_dataset
+from .helpers import cache_state, tiny_config, tiny_dataset
 
 H, D = 200, 8
 
@@ -123,9 +123,37 @@ class TestConformance:
         cache.reset_stats()
         assert cache.stats == CacheStats()
 
+    @pytest.mark.parametrize("bad", [-1, H])
+    @pytest.mark.parametrize("op", ["read", "write", "prefetch_rows"])
+    def test_out_of_range_id_rejected_before_any_change(self, kind, op,
+                                                        bad):
+        cache, backing = build(kind, capacity_rows=8), make_backing()
+        cache.write(np.array([1, 2]), np.ones((2, D), dtype=np.float32),
+                    backing)
+        cache.read(np.arange(0, 40, 3), backing)
+        before = cache_state(cache, backing)
+        ids = np.array([5, bad, 7], dtype=np.int64)
+        args = (ids, np.ones((3, D), dtype=np.float32)) if op == "write" \
+            else (ids,)
+        with pytest.raises(ValueError, match=rf"\[0, {H}\)"):
+            getattr(cache, op)(*args, backing)
+        assert cache_state(cache, backing) == before
+        assert not cache.contains(bad)
+        assert not build(kind).contains(bad)
+
     def test_shared_stats_dataclass(self, kind):
         # one CacheStats for every implementation — the drift fix
         assert type(build(kind).stats) is CacheStats
+
+
+class TestCachedTableIdRange:
+    @pytest.mark.parametrize("bad", [-1, H])
+    def test_forward_rejects_out_of_range_id(self, kind, bad):
+        config = EmbeddingTableConfig("t", H, D)
+        table = CachedEmbeddingTable(config, build(kind))
+        with pytest.raises(ValueError, match=rf"\[0, {H}\)"):
+            table.forward(np.array([bad]), np.array([0, 1]))
+        assert table.cache.stats == CacheStats()
 
 
 class TestUVMStatsDriftFix:

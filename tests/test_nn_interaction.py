@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.models import zoo_config
 from repro.nn import CatInteraction, DotInteraction
 
 from .helpers import numerical_gradient
@@ -106,6 +107,37 @@ class TestDotInteraction:
     def test_backward_before_forward_raises(self):
         with pytest.raises(RuntimeError):
             DotInteraction().backward_list(np.zeros((1, 1), dtype=np.float32))
+
+
+class TestStackedSlices:
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_forward_list_slice_equals_2d_call(self, k):
+        """A ``(k, m, D)`` stack of the ``zoo_config("large")`` features
+        (the dense vector plus one per table) gives every slice the bits
+        of its own 2-D call: the serving window's dense half rests on
+        it."""
+        config = zoo_config("large")
+        f, d = len(config.tables) + 1, config.embedding_dim
+        rng = np.random.default_rng(k)
+        layer = DotInteraction()
+        for m in range(1, 70):
+            feats = [rng.normal(size=(k, m, d)).astype(np.float32)
+                     for _ in range(f)]
+            stacked = layer.forward_list(feats)
+            for j in range(k):
+                alone = layer.forward_list([x[j].copy() for x in feats])
+                assert stacked[j].shape == alone.shape == \
+                    (m, config.interaction_dim)
+                assert stacked[j].tobytes() == alone.tobytes(), (m, j)
+
+    def test_one_layer_serves_several_feature_counts(self):
+        rng = np.random.default_rng(9)
+        layer = DotInteraction()
+        for f in (3, 5, 3):
+            feats = [rng.normal(size=(2, 4)).astype(np.float32)
+                     for _ in range(f)]
+            assert layer.forward_list(feats).tobytes() == \
+                DotInteraction().forward_list(feats).tobytes()
 
 
 class TestCatInteraction:

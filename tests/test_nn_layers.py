@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import nn
+from repro.models import zoo_config
 from repro.nn import functional as F
 
 from .helpers import numerical_gradient
@@ -146,6 +147,38 @@ class TestLinear:
         layer.backward(dy)
         for slot, kept in zip(slots, first):
             np.testing.assert_array_equal(slot, kept + kept)
+
+
+def large_widths():
+    """Every Linear (in, out) of the serving dense half at
+    ``zoo_config("large")``: bottom MLP, per-table projections, top MLP."""
+    config = zoo_config("large")
+    sizes = [(config.dense_dim,) + config.bottom_mlp,
+             (config.interaction_dim,) + config.top_mlp + (1,)]
+    pairs = [p for s in sizes for p in zip(s, s[1:])]
+    return pairs + sorted({(t.embedding_dim, config.embedding_dim)
+                           for t in config.tables})
+
+
+class TestStackedSlices:
+    """The premise of serving a window's dense half once per row count:
+    a ``(k, m, in)`` stack gives every slice the bits of its own 2-D
+    call, for every row count a serving dispatch can have."""
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_linear_slice_equals_2d_call(self, k):
+        rng = np.random.default_rng(k)
+        for fan_in, fan_out in large_widths():
+            layer = nn.Linear(fan_in, fan_out, rng=rng)
+            layer.bias.data = rng.normal(size=fan_out).astype(np.float32)
+            for m in range(1, 70):
+                x = rng.normal(size=(k, m, fan_in)).astype(np.float32)
+                stacked = layer.forward(x)
+                for j in range(k):
+                    alone = layer.forward(x[j].copy())
+                    assert stacked[j].shape == alone.shape
+                    assert stacked[j].tobytes() == alone.tobytes(), \
+                        (fan_in, fan_out, m, j)
 
 
 class TestActivations:

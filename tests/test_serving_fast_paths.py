@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cache import ArrayBackingStore, FreqAwareCache
@@ -278,6 +278,11 @@ def _cache_state(cache, backing):
 class TestFreqAwareCache:
     @settings(max_examples=120, deadline=None)
     @given(capacity=st.integers(1, 24), chunk=st.integers(1, 6), ops=OPS)
+    # the admission memo: a write (or read) hit raises the lowest-score
+    # chunk's score, so the next miss must see chunk 1 as the victim
+    @example(capacity=2, chunk=1, ops=[("read", [0, 1, 0, 1, 2]),
+                                       ("write", [0]), ("read", [2])])
+    @example(capacity=2, chunk=1, ops=[("read", [0, 1, 0, 1, 2, 0, 2])])
     def test_sequence_matches_reference(self, capacity, chunk, ops):
         rows = np.random.default_rng(1).normal(size=(H, D)).astype(
             np.float32)

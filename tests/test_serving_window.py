@@ -1,7 +1,8 @@
 """The window pass against the per-dispatch oracle, bit for bit.
 
 ``ServableModel.embed`` pools every table once for a window of
-dispatches, and the dense half runs per dispatch on its rows.
+dispatches, and ``ServableModel.predict_window`` runs the dense half once
+per row count, on ``(k, m, .)`` stacks of the dispatches with ``m`` rows.
 ``predict_many`` (and the executor, which runs the same two halves) must
 return exactly what one ``predict`` per coalesced dispatch returned
 (``tests/reference_serving.py``), and leave every counter where that path
@@ -16,7 +17,7 @@ import pytest
 
 from repro.cache import CACHE_KINDS
 from repro.data import MiniBatch
-from repro.embedding import EmbeddingTableConfig
+from repro.embedding import EmbeddingTableConfig, lengths_to_offsets
 from repro.models import DLRM, DLRMConfig
 from repro.online import ModelSlot
 from repro.serving import (BatchingPolicy, FreezeConfig, InferenceRequest,
@@ -25,7 +26,8 @@ from repro.serving import server as server_module
 from repro.serving.server import _windows
 
 from .helpers import cache_state, tiny_dataset, trace_of
-from .reference_serving import forward_reference, predict_reference
+from .reference_serving import (forward_reference, predict_reference,
+                                predict_window_reference)
 
 
 def _config(kind: str) -> DLRMConfig:
@@ -174,6 +176,57 @@ class TestPredictMany:
             model.predict_many([dispatches(config, 0)[0], []])
 
 
+# a window's dispatch row counts: empty, one-row, repeated and full-width
+MIXED_COUNTS = [3, 0, 1, 3, 64, 1, 3, 2, 0, 64, 17]
+
+
+class TestDenseHalf:
+    @pytest.mark.parametrize("export", sorted(EXPORTS))
+    def test_mixed_row_counts_match_per_dispatch_oracle(self, export):
+        config, model, oracle = twins(export, "freq_aware", True)
+        bulk = tiny_dataset(config, seed=2).batch(sum(MIXED_COUNTS),
+                                                  batch_index=2)
+        bounds = lengths_to_offsets(MIXED_COUNTS)
+        got = model.predict_window(model.embed(bulk, bounds))
+        expected = predict_window_reference(
+            oracle, oracle.embed(bulk, bounds))
+        assert len(got) == len(MIXED_COUNTS)
+        for g, e, m in zip(got, expected, MIXED_COUNTS):
+            assert g.shape == (m,)
+            assert_bitwise(g, e)
+        for i, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+            if hi > lo:  # the whole per-dispatch path, embedding included
+                assert_bitwise(got[i], predict_reference(
+                    oracle, bulk.slice(int(lo), int(hi))))
+
+    def test_one_dense_pass_per_row_count(self, monkeypatch):
+        config, model, _ = twins("fp32", "freq_aware", True)
+        bulk = tiny_dataset(config).batch(sum(MIXED_COUNTS), batch_index=1)
+        window = model.embed(bulk, lengths_to_offsets(MIXED_COUNTS))
+        calls = []
+        forward_list = model.interaction.forward_list
+        monkeypatch.setattr(model.interaction, "forward_list",
+                            lambda feats: calls.append(feats[0].shape)
+                            or forward_list(feats))
+        model.predict_window(window)
+        assert sorted(calls) == sorted(
+            (MIXED_COUNTS.count(m), m, config.embedding_dim)
+            for m in set(MIXED_COUNTS))
+
+    @pytest.mark.parametrize("cache_kind", CACHE_KINDS)
+    def test_wrong_dense_width_rejected_before_any_read(self, cache_kind):
+        config, model, _ = twins("fp32", cache_kind, True)
+        batch = MiniBatch.concat(dispatches(config, 1)[0])
+        before = counters(model)
+        for dense in (batch.dense[:, :-1], batch.dense[:, 0]):
+            bad = MiniBatch(dense=dense, sparse=batch.sparse,
+                            labels=batch.labels)
+            with pytest.raises(ValueError,
+                               match=rf"\(batch, {config.dense_dim}\)"):
+                model.predict(bad)
+            assert counters(model) == before
+
+
 def swap_slot(served):
     """v0 -> v1 -> v2, where v2 republishes v1's artifact: a window must
     split on the version even when the model object stays."""
@@ -220,6 +273,25 @@ class TestExecutor:
                 expected)
         for s in served:
             assert counters(s) == counters(oracle[id(s)])
+
+    @pytest.mark.parametrize("budget", [1, 7, 512])
+    def test_one_dense_call_per_window(self, budget, monkeypatch):
+        monkeypatch.setattr(server_module, "_WINDOW_SAMPLES", budget)
+        config = _config("projected")
+        model = freeze(DLRM(config, seed=0))
+        calls = []
+        predict_window = model.predict_window
+        monkeypatch.setattr(model, "predict_window",
+                            lambda window: calls.append(window.bounds)
+                            or predict_window(window))
+        result = InferenceServer(
+            model, BatchingPolicy(max_batch_size=6, max_wait_s=5e-4)
+        ).serve(self._requests(config))
+        windows = [w for _, _, w in _windows(result.plan, model, None)]
+        assert len(calls) == len(windows)
+        for bounds, window in zip(calls, windows):
+            assert np.diff(bounds).tolist() == [b.num_samples
+                                                for b in window]
 
     @pytest.mark.parametrize("budget", [1, 7, 20, 512])
     def test_windows_partition_the_plan(self, budget, monkeypatch):
