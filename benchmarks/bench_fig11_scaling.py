@@ -13,9 +13,10 @@ Two entry points share one sweep harness:
 * the CLI sweeps an arbitrary ``--ranks`` comma list (GPU counts) and
   emits per-point step time for both the analytic model curve and,
   with ``--measure``, the measured stacked-simulator curve plus the
-  simulator's dense state (``dense_state_mb``: distinct parameter bytes,
-  flat in R because every rank views rank 0's storage, and gradient
-  bucket bytes, linear in R)::
+  simulator's state (``dense_state_mb``: distinct parameter bytes,
+  flat in R because every rank views rank 0's storage, gradient bucket
+  bytes, linear in R, and distinct embedding weight bytes, flat in R
+  because a data-parallel table is one table)::
 
       PYTHONPATH=src python benchmarks/bench_fig11_scaling.py \
           --ranks 8,16,64,128 [--measure] [--out PATH]
@@ -64,7 +65,10 @@ def scaling_table(node_counts=NODE_COUNTS):
 def dense_state_mb(trainer):
     """The trainer's dense state in MB: the distinct memory every
     rank's dense parameters view (each owning buffer counted once) and
-    its ``(R, elements)`` gradient buckets."""
+    its ``(R, elements)`` gradient buckets, with ``total`` their sum.
+    ``embedding``, the weight bytes of the distinct embedding tables (a
+    data-parallel table's replicas are one), is reported beside them and
+    is not part of ``total``."""
     owners = {}
     for state in trainer.ranks:
         for p in state.dense_parameters():
@@ -74,8 +78,11 @@ def dense_state_mb(trainer):
             owners[id(a)] = a.nbytes
     params = sum(owners.values()) / 2 ** 20
     buckets = sum(b.nbytes for b in trainer.grad_buckets) / 2 ** 20
+    tables = {id(t): t.weight.nbytes
+              for t in trainer.exchange.shard_tables.values()}
     return {"parameters": params, "gradient_buckets": buckets,
-            "total": params + buckets}
+            "total": params + buckets,
+            "embedding": sum(tables.values()) / 2 ** 20}
 
 
 def sweep(gpu_counts, measure=False, iters=3):
@@ -135,7 +142,8 @@ def main(argv=None):
                 f"sim {point['measured_stacked_step_s'] * 1e3:7.2f} ms")
             state = point["dense_state_mb"]
             parts.append(f"dense params {state['parameters']:.4f} MB + "
-                         f"buckets {state['gradient_buckets']:.4f} MB")
+                         f"buckets {state['gradient_buckets']:.4f} MB, "
+                         f"embedding {state['embedding']:.4f} MB")
         print("  ".join(parts))
     if args.out:
         doc = {"benchmark": "fig11_scaling_sweep",

@@ -22,7 +22,7 @@ from ..embedding import (EmbeddingTable, EmbeddingTableConfig,
                          QuantizedEmbeddingTable, SparseGradient,
                          SparseOptimizer)
 from ..embedding.kernels import rank_bags
-from ..embedding.table import lengths_to_offsets
+from ..embedding.table import lengths_to_offsets, validate_offsets
 from ..models.dlrm import DLRM, DLRMConfig
 from ..obs.metrics import MetricRegistry
 from ..sharding import Shard, ShardingPlan, ShardingScheme
@@ -82,10 +82,30 @@ class SparseExchange:
         self.tracer = tracer
         self.world_size = plan.world_size
         self._build_exchange()
+        self._check_plan()
         self._build_shards(golden, metrics, representation_plan)
+
+    def _check_plan(self) -> None:
+        """Reject a plan the exchange cannot run before any collective:
+        shards must tile their tables on ranks inside the world, and a
+        data-parallel table needs one replica on every rank."""
+        self.plan.validate()
+        for t in self.config.tables:
+            table_plan = self.plan.tables[t.name]
+            if table_plan.scheme != ShardingScheme.DATA_PARALLEL:
+                continue
+            ranks = sorted(s.rank for s in table_plan.shards)
+            if ranks != list(range(self.world_size)):
+                raise ValueError(
+                    f"data-parallel table {t.name} needs one replica on "
+                    f"every rank in [0, {self.world_size}), got ranks "
+                    f"{ranks}")
 
     def _build_shards(self, golden: DLRM, metrics: MetricRegistry,
                       representation_plan) -> None:
+        """One table per shard, except that a data-parallel table is one
+        table every replica's shard maps to: one weight and one optimizer
+        state, looked up once for the global batch and stepped once."""
         self.shard_tables: Dict[Shard, EmbeddingTable] = {}
         # per-shard metric counters, created once so the hot path only
         # pays a cached-attribute increment
@@ -104,18 +124,25 @@ class SparseExchange:
                                      f"assignment for table {t.name}")
                 train_precision = \
                     representation_plan.training_precision(t.name)
-            for shard in self.plan.tables[t.name].shards:
-                r0, r1 = shard.row_range
-                c0, c1 = shard.col_range
-                shard_cfg = EmbeddingTableConfig(
-                    name=f"{t.name}@{shard.rank}:{r0}-{r1}:{c0}-{c1}",
-                    num_embeddings=r1 - r0, embedding_dim=c1 - c0,
-                    avg_pooling=t.avg_pooling, pooling_mode=t.pooling_mode,
-                    precision=train_precision)
-                make = EmbeddingTable if train_precision == "fp32" \
-                    else QuantizedEmbeddingTable
-                self.shard_tables[shard] = make(
-                    shard_cfg, weight=weight[r0:r1, c0:c1])
+            make = EmbeddingTable if train_precision == "fp32" \
+                else QuantizedEmbeddingTable
+            table_plan = self.plan.tables[t.name]
+            replicated = table_plan.scheme == ShardingScheme.DATA_PARALLEL
+            table = None
+            for shard in table_plan.shards:
+                # every replica of a data-parallel table maps to the
+                # table built for its first shard
+                if table is None or not replicated:
+                    r0, r1 = shard.row_range
+                    c0, c1 = shard.col_range
+                    shard_cfg = EmbeddingTableConfig(
+                        name=f"{t.name}@{shard.rank}:{r0}-{r1}:{c0}-{c1}",
+                        num_embeddings=r1 - r0, embedding_dim=c1 - c0,
+                        avg_pooling=t.avg_pooling,
+                        pooling_mode=t.pooling_mode,
+                        precision=train_precision)
+                    table = make(shard_cfg, weight=weight[r0:r1, c0:c1])
+                self.shard_tables[shard] = table
                 self._lookup_counters[shard] = emb_metrics.counter(
                     "lookup_rows", table=t.name)
                 self._update_counters[shard] = emb_metrics.counter(
@@ -123,12 +150,9 @@ class SparseExchange:
         self._launch_counter = emb_metrics.counter("kernel_launches")
 
     def _build_exchange(self) -> None:
-        """Lay out the per-step index pass (paper Section 4.4): the tables
-        that exchange ids, and one id space for the row-wise tables, table
-        after table, cut by their concatenated shard boundaries."""
-        self._exchanged = tuple(
-            t.name for t in self.config.tables
-            if self.plan.scheme_of(t.name) != ShardingScheme.DATA_PARALLEL)
+        """Lay out the per-step index pass (paper Section 4.4): one id
+        space for the row-wise tables, table after table, cut by their
+        concatenated shard boundaries."""
         self._row_wise: List[_RowWiseTable] = []
         boundaries = [0]
         for t in self.config.tables:
@@ -203,12 +227,10 @@ class SparseExchange:
     # ------------------------------------------------------------------
     def _bag_lengths(self, inputs: _Inputs,
                      local_batch: int) -> Dict[str, List[np.ndarray]]:
-        """Bag lengths of every exchanged table on every source rank
-        (the combined format's lengths tensor): one ``np.diff`` over all
-        offsets, each table's per-rank lengths a row of the result."""
-        names = self._exchanged
-        if not names:
-            return {}
+        """Bag lengths of every table on every source rank (the combined
+        format's lengths tensor): one ``np.diff`` over all offsets, each
+        table's per-rank lengths a row of the result."""
+        names = [t.name for t in self.config.tables]
         w = self.world_size
         offsets = [inputs[name][src][1] for name in names
                    for src in range(w)]
@@ -389,29 +411,48 @@ class SparseExchange:
         for shard in shards:
             self._shard_update(shard, d_global, bag_ranks)
 
-    def _forward_data_parallel(self, shards: List[Shard],
-                               inputs: List[Tuple[np.ndarray, np.ndarray]]
-                               ) -> List[np.ndarray]:
-        by_rank = {s.rank: s for s in shards}
-        return [self._shard_forward(by_rank[r], *inputs[r])
-                for r in range(self.world_size)]
+    def _forward_data_parallel(self, shard: Shard,
+                               inputs: List[Tuple[np.ndarray, np.ndarray]],
+                               lengths: List[np.ndarray]) -> List[np.ndarray]:
+        """One lookup of the one table for the global batch (every rank's
+        bags, rank-major), returned as per-rank slices.
 
-    def _backward_data_parallel(self, shards: List[Shard],
+        Each rank's offsets must run from 0 to its id count, so that no
+        rank's bags shift into a neighbour's; the global lookup then
+        checks order and id range for every rank at once."""
+        for ids, offsets in inputs:
+            validate_offsets(offsets, len(ids))
+        pooled = self._shard_forward(
+            shard, np.concatenate([ids for ids, _ in inputs]),
+            lengths_to_offsets(np.concatenate(lengths)))
+        return list(pooled.reshape(len(lengths), len(lengths[0]),
+                                   pooled.shape[1]))
+
+    def _backward_data_parallel(self, shard: Shard,
                                 d_pooled: np.ndarray) -> None:
-        w = self.world_size
-        by_rank = {s.rank: s for s in shards}
-        grads = [self.shard_tables[by_rank[r]].backward(d_pooled[r])
-                 for r in range(w)]
-        summed = self.pg.all_reduce([g.to_dense() for g in grads])
-        # every replica steps every row any rank touched, as the
+        """One backward, one AllReduce and one step of the one table.
+
+        Rank ``r``'s dense gradient is rows ``[r*H, (r+1)*H)`` of one
+        ``(R*H, D)`` scatter, so every element still sums its own rank's
+        entries in entry order; the ``(R, H, D)`` stack goes through the
+        stacked AllReduce, which bills and sums as the per-rank list
+        form does."""
+        w, local_batch, dim = d_pooled.shape
+        table = self.shard_tables[shard]
+        h = table.config.num_embeddings
+        grad = table.backward(d_pooled.reshape(w * local_batch, dim))
+        by_rank = SparseGradient(
+            rows=grad.rows + grad.bag_ids // local_batch * h,
+            values=grad.values, num_embeddings=w * h, bag_ids=grad.bag_ids)
+        summed = self.pg.all_reduce(
+            by_rank.to_dense().reshape(w, h, dim)).stacked[0]
+        # the step touches every row any rank touched, as the
         # single-process step does: a touched row whose averaged
         # gradient is exactly zero still advances Adam/LAMB state
-        rows = np.unique(np.concatenate([g.rows for g in grads]))
-        for r in range(w):
-            sparse = SparseGradient(
-                rows=rows, values=np.take(summed[r], rows, axis=0) / w,
-                num_embeddings=summed[r].shape[0])
-            self._shard_update(by_rank[r], sparse)
+        rows = np.unique(grad.rows)
+        self._shard_update(shard, SparseGradient(
+            rows=rows, values=np.take(summed, rows, axis=0) / w,
+            num_embeddings=h))
 
     # ------------------------------------------------------------------
     # the step: every table, in table order
@@ -444,7 +485,8 @@ class SparseExchange:
                     if spans else nullcontext():
                 if table_plan.scheme == ShardingScheme.DATA_PARALLEL:
                     pooled[t.name] = self._forward_data_parallel(
-                        table_plan.shards, inputs[t.name])
+                        table_plan.shards[0], inputs[t.name],
+                        lengths[t.name])
                 elif t.name in row_wise:
                     pooled[t.name] = self._forward_row_wise(
                         t, *row_wise[t.name], local_batch)
@@ -466,7 +508,8 @@ class SparseExchange:
                 if table_plan.scheme in _ROW_SCHEMES:
                     self._backward_row_wise(table_plan.shards, grad)
                 elif table_plan.scheme == ShardingScheme.DATA_PARALLEL:
-                    self._backward_data_parallel(table_plan.shards, grad)
+                    self._backward_data_parallel(table_plan.shards[0],
+                                                 grad)
                 else:
                     self._backward_column_wise(table_plan.shards, grad)
 
@@ -515,7 +558,10 @@ class SparseExchange:
                 raise ValueError(
                     f"table {t.name}: checkpoint restores "
                     f"{int(restored.sum())} of its {h} rows")
-        for t in self.config.tables:
-            for shard in self.plan.tables[t.name].shards:
-                self.shard_tables[shard].weight = full[t.name][
-                    slice(*shard.row_range), slice(*shard.col_range)].copy()
+        written = set()
+        for shard, table in self.shard_tables.items():
+            if id(table) in written:  # a data-parallel table's replica
+                continue
+            written.add(id(table))
+            table.weight = full[shard.table][
+                slice(*shard.row_range), slice(*shard.col_range)].copy()

@@ -17,10 +17,11 @@ from typing import Optional
 
 import numpy as np
 
-from .kernels import expand_bag_ids, segment_sum
+from .kernels import expand_bag_ids, segment_sum_gather
 
 __all__ = ["EmbeddingTableConfig", "SparseGradient", "EmbeddingTable",
-           "lengths_to_offsets", "offsets_to_lengths", "validate_bags"]
+           "lengths_to_offsets", "offsets_to_lengths", "validate_offsets",
+           "validate_bags"]
 
 
 def lengths_to_offsets(lengths: np.ndarray) -> np.ndarray:
@@ -34,6 +35,19 @@ def offsets_to_lengths(offsets: np.ndarray) -> np.ndarray:
     return np.diff(offsets).astype(np.int64)
 
 
+def validate_offsets(offsets: np.ndarray, num_indices: int) -> None:
+    """The frame of a jagged batch: ``offsets`` must be a 1-D ``(B+1,)``
+    vector that starts at 0 and ends at ``num_indices`` (``ValueError``
+    otherwise). :func:`validate_bags` runs it first; a caller that
+    concatenates several batches runs it on each part."""
+    if offsets.ndim != 1 or len(offsets) < 1:
+        raise ValueError("offsets must be a 1-D array of length B+1")
+    if offsets[0] != 0 or offsets[-1] != num_indices:
+        raise ValueError(
+            f"offsets must start at 0 and end at len(indices)="
+            f"{num_indices}, got [{offsets[0]}, {offsets[-1]}]")
+
+
 def validate_bags(indices: np.ndarray, offsets: np.ndarray, num_rows: int,
                   name: str) -> None:
     """The one input check every pooled lookup runs before it reads a row.
@@ -44,12 +58,7 @@ def validate_bags(indices: np.ndarray, offsets: np.ndarray, num_rows: int,
     so a malformed bag is rejected the same way on every table kind and
     before any cache or backing-store traffic.
     """
-    if offsets.ndim != 1 or len(offsets) < 1:
-        raise ValueError("offsets must be a 1-D array of length B+1")
-    if offsets[0] != 0 or offsets[-1] != len(indices):
-        raise ValueError(
-            f"offsets must start at 0 and end at len(indices)="
-            f"{len(indices)}, got [{offsets[0]}, {offsets[-1]}]")
+    validate_offsets(offsets, len(indices))
     if (offsets[1:] < offsets[:-1]).any():
         raise ValueError(f"offsets for table {name} must be non-decreasing")
     if len(indices) and (indices.min() < 0 or indices.max() >= num_rows):
@@ -120,13 +129,21 @@ class SparseGradient:
         return np.take(self.values, self.bag_ids, axis=0)
 
     def to_dense(self) -> np.ndarray:
-        """Scatter-add into a dense (H, D) gradient (reference semantics)."""
+        """Scatter-add into a dense (H, D) gradient (reference semantics).
+
+        One 1-D ``np.add.at`` at flat positions ``row * D + col`` (numpy's
+        fast path; the 2-D call is several times slower). Entries reach
+        each element in entry order, as in the row-wise scatter, so the
+        sums are bitwise the same."""
         if self.num_embeddings <= 0:
             raise ValueError("num_embeddings must be set to densify")
-        dense = np.zeros((self.num_embeddings, self.values.shape[1]),
-                         dtype=np.float32)
-        np.add.at(dense, self.rows, self.entry_values())
-        return dense
+        dim = self.values.shape[1]
+        dense = np.zeros(self.num_embeddings * dim, dtype=np.float32)
+        flat = (np.asarray(self.rows, dtype=np.int64) * dim)[:, None] \
+            + np.arange(dim, dtype=np.int64)
+        np.add.at(dense, flat.reshape(-1),
+                  self.entry_values().reshape(-1))
+        return dense.reshape(self.num_embeddings, dim)
 
 
 def pooled_backward(table, dy: np.ndarray) -> SparseGradient:
@@ -185,9 +202,10 @@ class EmbeddingTable:
     def forward(self, indices: np.ndarray, offsets: np.ndarray) -> np.ndarray:
         """Pooled lookup: returns (B, D) with B = len(offsets) - 1.
 
-        One gather (``np.take``, cheaper than fancy indexing) plus one
-        segment-reduce (``np.add.reduceat``), the CPU analogue of the
-        paper's batched FBGEMM lookup. Bag ids for the backward pass are
+        One gather + segment-reduce (``segment_sum_gather``: ``np.take``
+        then ``np.add.reduceat``, in L2-sized tiles of whole bags when the
+        gathered rows outgrow L2), the CPU analogue of the paper's
+        batched FBGEMM lookup. Bag ids for the backward pass are
         derived lazily — the forward hot path never materializes a
         scatter index.
         """
@@ -195,7 +213,7 @@ class EmbeddingTable:
         offsets = np.asarray(offsets, dtype=np.int64)
         self._validate(indices, offsets)
         lengths = np.diff(offsets)
-        out = segment_sum(np.take(self.weight, indices, axis=0), offsets)
+        out = segment_sum_gather(self.weight, indices, offsets)
         if self.config.pooling_mode == "mean":
             denom = np.maximum(lengths, 1).astype(np.float32)
             out /= denom[:, None]

@@ -25,8 +25,20 @@ def relu(x: np.ndarray) -> np.ndarray:
 
 
 def relu_grad(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
-    """Gradient of ReLU w.r.t. its input, given upstream gradient ``dy``."""
-    return np.where(x > 0.0, dy, 0.0)
+    """Gradient of ReLU w.r.t. its input, given upstream gradient ``dy``.
+
+    ``dy`` must be a float32 array of ``x``'s shape. The mask runs on the
+    bits: ``x > 0`` widened to all-ones/zero int32 words ANDs ``dy``'s
+    words, which keeps ``dy`` (NaN payloads, signed zeros and infinities
+    included) where ``x > 0`` and gives ``+0.0`` elsewhere, bitwise
+    ``np.where(x > 0, dy, 0.0)`` at a fraction of its cost."""
+    if dy.dtype != np.float32:
+        raise TypeError(f"relu_grad needs a float32 dy, got {dy.dtype}")
+    if dy.shape != x.shape:
+        raise ValueError(f"relu_grad needs dy of x's shape {x.shape}, "
+                         f"got {dy.shape}")
+    keep = np.negative((x > 0).view(np.int8), dtype=np.int32)
+    return np.bitwise_and(dy.view(np.int32), keep).view(np.float32)
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:

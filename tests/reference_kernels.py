@@ -23,6 +23,12 @@ and hold the product to bitwise equality with this oracle.
 bucket); the product sorts once on the bucket and counts ``(bucket,
 bag)`` pairs once, and must return the same ids and lengths.
 
+``to_dense_reference`` is the row-wise 2-D ``np.add.at`` scatter that
+``SparseGradient.to_dense`` used to be; the product scatters once into
+the flat ``(H*D,)`` buffer at ``row*D + col`` and must return the same
+bits. ``relu_grad_reference`` is ``np.where(x > 0, dy, 0.0)``, which
+``repro.nn.functional.relu_grad`` replaced with an integer bit mask.
+
 ``zipf_indices_reference`` is the sampler ``repro.data.zipf_indices``
 used to be: ``np.searchsorted`` of the uniform draws (in sorted order)
 into a freshly computed CDF. The product answers through a guide table
@@ -103,3 +109,16 @@ def zipf_indices_reference(num_ids: int, size: int, rng,
     out = np.empty(size, dtype=np.int64)
     out[order] = np.searchsorted(cdf, u[order])
     return out
+
+
+def to_dense_reference(grad) -> np.ndarray:
+    """Densify a ``SparseGradient`` with one 2-D ``np.add.at`` over its
+    per-entry rows (each entry adds its whole row in entry order)."""
+    dense = np.zeros((grad.num_embeddings, grad.values.shape[1]),
+                     dtype=np.float32)
+    np.add.at(dense, grad.rows, grad.entry_values())
+    return dense
+
+
+def relu_grad_reference(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    return np.where(x > 0.0, dy, 0.0)

@@ -10,10 +10,13 @@ gradient AllGather is a loop over ranks too, and the row-wise index
 payloads come from the per-(table, source rank) bucketize loop
 (:func:`looped_row_wise_payloads`, with the mask-loop kernel of
 ``reference_kernels.py``) that the product's one combined
-``bucketize_sparse`` pass replaced. It shares everything else
-(sharding, the other schemes' exchanges, embedding forward/backward,
-sparse updates, spans, checkpoint layout) with the product by
-inheritance.
+``bucketize_sparse`` pass replaced. Every rank owns, looks up and steps
+its own copy of a data-parallel table, densifies its gradient with the
+row-wise scatter of ``reference_kernels.py`` and sums the R gradients
+with the list AllReduce, where the product keeps one table. It shares
+everything else (sharding, the other schemes' exchanges, embedding
+forward/backward, sparse updates, spans, checkpoint layout) with the
+product by inheritance.
 
 ``test_trainer_stacked.py`` fuzzes the product against it bitwise
 (losses, dense parameters, tables, wire bytes, modeled seconds, eval
@@ -24,6 +27,7 @@ and ``benchmarks/bench_rank_stacked.py`` times it as the looped baseline
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, List
 
 import numpy as np
@@ -31,10 +35,11 @@ import numpy as np
 from repro import nn
 from repro.core import NeoTrainer
 from repro.core.exchange import SparseExchange
+from repro.embedding import SparseGradient
 from repro.models import DLRM
 from repro.sharding import ShardingScheme
 
-from .reference_kernels import bucketize_sparse_reference
+from .reference_kernels import bucketize_sparse_reference, to_dense_reference
 
 
 def looped_row_wise_payloads(exchange: SparseExchange, inputs) -> dict:
@@ -69,8 +74,43 @@ def looped_row_wise_payloads(exchange: SparseExchange, inputs) -> dict:
 
 
 class LoopedSparseExchange(SparseExchange):
-    """The per-(table, source rank) index payloads and a per-rank
-    row-wise gradient AllGather."""
+    """The per-(table, source rank) index payloads, a per-rank row-wise
+    gradient AllGather and one data-parallel table per rank."""
+
+    def _build_shards(self, golden, metrics, representation_plan) -> None:
+        super()._build_shards(golden, metrics, representation_plan)
+        for t in self.config.tables:
+            table_plan = self.plan.tables[t.name]
+            if table_plan.scheme != ShardingScheme.DATA_PARALLEL:
+                continue
+            one = self.shard_tables[table_plan.shards[0]]
+            weight = golden.embeddings.table(t.name).weight
+            for shard in table_plan.shards:
+                self.shard_tables[shard] = type(one)(
+                    replace(one.config, name=f"{t.name}@{shard.rank}:0-"
+                            f"{t.num_embeddings}:0-{t.embedding_dim}"),
+                    weight=weight)
+
+    def _replicas(self, shard):
+        by_rank = {s.rank: s for s in self.plan.tables[shard.table].shards}
+        return [by_rank[r] for r in range(self.world_size)]
+
+    def _forward_data_parallel(self, shard, inputs,
+                               lengths) -> List[np.ndarray]:
+        return [self._shard_forward(replica, *inputs[r])
+                for r, replica in enumerate(self._replicas(shard))]
+
+    def _backward_data_parallel(self, shard, d_pooled) -> None:
+        w = self.world_size
+        replicas = self._replicas(shard)
+        grads = [self.shard_tables[replica].backward(d_pooled[r])
+                 for r, replica in enumerate(replicas)]
+        summed = self.pg.all_reduce([to_dense_reference(g) for g in grads])
+        rows = np.unique(np.concatenate([g.rows for g in grads]))
+        for r, replica in enumerate(replicas):
+            self._shard_update(replica, SparseGradient(
+                rows=rows, values=np.take(summed[r], rows, axis=0) / w,
+                num_embeddings=summed[r].shape[0]))
 
     def _row_wise_payloads(self, inputs, lengths) -> dict:
         return looped_row_wise_payloads(self, inputs)

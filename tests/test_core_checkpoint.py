@@ -321,6 +321,33 @@ class TestCrossFormatResume:
                 np.testing.assert_array_equal(pa.data, pb.data)
         assert resumed.replicas_in_sync()
 
+    @pytest.mark.parametrize("train_stacked", [True, False])
+    def test_data_parallel_checkpoint_moves_between_modes(
+            self, tmp_path, train_stacked):
+        """The product's one data-parallel table and the oracle's R
+        replicas write the same file and restore each other bitwise."""
+        def make(stacked, seed=0):
+            return make_trainer(world=4, seed=seed, stacked=stacked,
+                                scheme=ShardingScheme.DATA_PARALLEL)
+
+        straight, ds, config = make(train_stacked)
+        first, _, _ = make(train_stacked)
+        for i in range(5):
+            straight.train_step(ds.batch(8, i).split(4))
+            if i < 2:
+                first.train_step(ds.batch(8, i).split(4))
+        mgr = CheckpointManager(str(tmp_path))
+        mgr.save(first)
+        resumed, _, _ = make(not train_stacked, seed=99)
+        mgr.load(resumed)
+        for i in range(2, 5):
+            resumed.train_step(ds.batch(8, i).split(4))
+        for t in config.tables:
+            for shard in resumed.plan.tables[t.name].shards:
+                np.testing.assert_array_equal(
+                    resumed.exchange.shard_tables[shard].weight,
+                    straight.gather_table(t.name))
+
     def test_restored_momentum_state_matches(self, tmp_path):
         """Optimizer slot state written by a stacked run reads back
         into every per-rank optimizer of the looped oracle (and agrees

@@ -119,6 +119,19 @@ class TestSegmentSumGather:
         np.testing.assert_array_equal(
             segment_sum_gather(storage, indices, offsets), expected)
 
+    @pytest.mark.parametrize("nnz", [0, 1, 16_384, 16_385, 40_000])
+    def test_default_is_bitwise_either_side_of_whole_batch_limit(self, nnz):
+        # at D=16 the default gathers up to 16 384 rows (1 MB) whole and
+        # tiles a larger batch; both forms give the unfused bits
+        rng = np.random.default_rng(5)
+        storage = rng.normal(size=(300, 16)).astype(np.float32)
+        cuts = np.sort(rng.integers(0, nnz + 1, size=999))
+        offsets = np.concatenate([[0], cuts, [nnz]]).astype(np.int64)
+        indices = rng.integers(0, 300, size=nnz)
+        expected = segment_sum(storage[indices], offsets)
+        np.testing.assert_array_equal(
+            segment_sum_gather(storage, indices, offsets), expected)
+
     @pytest.mark.parametrize("tile_rows", [1, 3, 17, 64, 10_000])
     def test_tile_size_invariance(self, tile_rows):
         # Tiles snap to whole-bag boundaries, so any tile size gives the

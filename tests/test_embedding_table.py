@@ -4,9 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.embedding import (EmbeddingTable, EmbeddingTableConfig,
-                             lengths_to_offsets, offsets_to_lengths)
+                             SparseGradient, lengths_to_offsets,
+                             offsets_to_lengths)
+
+from .reference_kernels import to_dense_reference
+
+# every float32: NaN payloads, +-inf, +-0.0 and subnormals included
+FLOATS32 = st.floats(width=32)
 
 
 def make_table(h=10, d=4, pooling="sum", seed=0):
@@ -188,3 +195,83 @@ class TestBackward:
         table.forward(indices, offsets)
         grad = table.backward(np.ones((batch, 2), dtype=np.float32))
         assert len(grad.rows) == len(indices)
+
+
+@st.composite
+def sparse_gradients(draw):
+    """A gradient over few rows (heavy duplicates), in bag or COO form,
+    possibly with no entries."""
+    h = draw(st.integers(min_value=1, max_value=6))
+    d = draw(st.integers(min_value=1, max_value=5))
+    nnz = draw(st.integers(min_value=0, max_value=40))
+    rows = draw(arrays(np.int64, nnz,
+                       elements=st.integers(min_value=0, max_value=h - 1)))
+    if draw(st.booleans()):
+        bags = draw(st.integers(min_value=1, max_value=5))
+        bag_ids = np.sort(draw(arrays(
+            np.int64, nnz, elements=st.integers(min_value=0,
+                                                max_value=bags - 1))))
+        values = draw(arrays(np.float32, (bags, d), elements=FLOATS32))
+        return SparseGradient(rows, values, h, bag_ids=bag_ids)
+    values = draw(arrays(np.float32, (nnz, d), elements=FLOATS32))
+    return SparseGradient(rows, values, h)
+
+
+class TestToDense:
+    """``to_dense`` scatters once into the flat ``(H*D,)`` buffer; the
+    row-wise 2-D ``np.add.at`` of ``reference_kernels.py`` is its oracle,
+    byte for byte."""
+
+    @given(sparse_gradients())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_row_wise_scatter(self, grad):
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = grad.to_dense(), to_dense_reference(grad)
+        assert got.tobytes() == want.tobytes()
+
+    def test_negative_zeros_on_one_row(self):
+        grad = SparseGradient(rows=np.zeros(5, dtype=np.int64),
+                              values=np.full((5, 3), -0.0, np.float32),
+                              num_embeddings=2)
+        dense = grad.to_dense()
+        assert dense.tobytes() == to_dense_reference(grad).tobytes()
+        assert not np.signbit(dense).any()  # 0.0 + -0.0 == +0.0
+
+    def test_no_entries(self):
+        grad = SparseGradient(rows=np.zeros(0, dtype=np.int64),
+                              values=np.zeros((0, 4), np.float32),
+                              num_embeddings=3)
+        assert grad.to_dense().tobytes() == bytes(3 * 4 * 4)
+
+    @given(st.integers(min_value=1, max_value=4),
+           st.integers(min_value=1, max_value=3), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_rank_offset_rows_densify_each_rank(self, world, batch, data):
+        """Rank ``r``'s entries of one global backward, moved to rows
+        ``r*H + row`` of an ``(R*H, D)`` gradient, densify to what rank
+        ``r``'s own backward densifies to (the data-parallel exchange)."""
+        h, d = 4, 3
+        table = make_table(h=h, d=d)
+        lengths = data.draw(arrays(
+            np.int64, (world, batch),
+            elements=st.integers(min_value=0, max_value=6)))
+        ids = data.draw(arrays(np.int64, int(lengths.sum()),
+                               elements=st.integers(min_value=0,
+                                                    max_value=h - 1)))
+        dy = data.draw(arrays(np.float32, (world * batch, d),
+                              elements=FLOATS32))
+        table.forward(ids, lengths_to_offsets(lengths.reshape(-1)))
+        grad = table.backward(dy)
+        by_rank = SparseGradient(
+            rows=grad.rows + grad.bag_ids // batch * h, values=grad.values,
+            num_embeddings=world * h, bag_ids=grad.bag_ids)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = by_rank.to_dense().reshape(world, h, d)
+        ends = np.cumsum(lengths.sum(axis=1))
+        for r in range(world):
+            table.forward(ids[ends[r] - lengths[r].sum():ends[r]],
+                          lengths_to_offsets(lengths[r]))
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = to_dense_reference(
+                    table.backward(dy[r * batch:(r + 1) * batch]))
+            assert got[r].tobytes() == want.tobytes()

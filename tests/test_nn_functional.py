@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypothesis.extra.numpy import array_shapes, arrays
+
 from repro.nn import functional as F
+
+from .reference_kernels import relu_grad_reference
+
+# every float32 bit pattern: NaN payloads, +-inf, +-0.0 and subnormals
+ANY_FLOAT32 = st.integers(min_value=0, max_value=2**32 - 1).map(
+    lambda bits: np.uint32(bits).view(np.float32))
 
 
 class TestSigmoid:
@@ -46,6 +54,32 @@ class TestRelu:
         x = np.array([-1.0, 0.0, 2.0], dtype=np.float32)
         dy = np.ones_like(x)
         np.testing.assert_array_equal(F.relu_grad(x, dy), [0.0, 0.0, 1.0])
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_grad_is_bitwise_the_where_oracle(self, data):
+        shape = data.draw(array_shapes(min_dims=1, max_dims=3, max_side=9))
+        x = data.draw(arrays(np.float32, shape, elements=ANY_FLOAT32))
+        dy = data.draw(arrays(np.float32, shape, elements=ANY_FLOAT32))
+        got = F.relu_grad(x, dy)
+        assert got.dtype == np.float32 and got.shape == shape
+        assert got.tobytes() == relu_grad_reference(x, dy).tobytes()
+
+    def test_grad_of_a_strided_view(self):
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(6, 8)).astype(np.float32)[:, ::2]
+        dy = rng.normal(size=(4, 6)).astype(np.float32).T
+        assert F.relu_grad(x, dy).tobytes() == \
+            relu_grad_reference(x, dy).tobytes()
+
+    @pytest.mark.parametrize("dy, error", [
+        (np.ones((2, 3), np.float64), TypeError),
+        (np.ones((2, 3), np.float16), TypeError),
+        (np.ones(3, np.float32), ValueError),
+        (np.ones((1, 3), np.float32), ValueError)])
+    def test_grad_refuses_other_dtypes_and_broadcasts(self, dy, error):
+        with pytest.raises(error):
+            F.relu_grad(np.ones((2, 3), np.float32), dy)
 
     @given(st.integers(min_value=1, max_value=64))
     @settings(max_examples=20)

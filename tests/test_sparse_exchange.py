@@ -19,6 +19,8 @@ exchange it replaced:
   where the combined id space would hide them in a neighbour's bucket,
   and a batch without some table's feature must fail before any
   collective;
+* a plan with a shard outside the world, or a data-parallel table
+  missing from some rank, must fail when the trainer is built;
 * the comms log's cached counters must survive registry resets.
 """
 
@@ -312,6 +314,35 @@ class TestBoundaries:
                        dense_optimizer=lambda params: nn.SGD(params, lr=0.1),
                        sparse_optimizer=SparseAdaGrad(lr=0.1))
 
+    @pytest.mark.parametrize("scheme, ranks, match", [
+        (ShardingScheme.TABLE_WISE, [7], "rank 7 outside world size 4"),
+        (ShardingScheme.DATA_PARALLEL, [0, 1],
+         r"data-parallel table t0 needs one replica on every rank in "
+         r"\[0, 4\), got ranks \[0, 1\]")],
+        ids=["table_wise_on_rank_7", "data_parallel_on_2_of_4"])
+    def test_plan_off_the_world_raises_before_any_collective(
+            self, scheme, ranks, match):
+        """A shard outside the world, or a data-parallel table missing
+        from some rank, is refused when the trainer is built."""
+        tables = (EmbeddingTableConfig("t0", 10, DIM),)
+        plan = ShardingPlan(world_size=WORLD)
+        plan.tables["t0"] = shard_table(tables[0], scheme, ranks)
+        config = DLRMConfig(dense_dim=2, bottom_mlp=(DIM,), tables=tables,
+                            top_mlp=(4,))
+        groups = []
+
+        def recording(*args, **kwargs):
+            groups.append(RecordingProcessGroup(*args, **kwargs))
+            return groups[-1]
+
+        with pytest.raises(ValueError, match=match):
+            NeoTrainer(config, plan,
+                       ClusterTopology(num_nodes=1, gpus_per_node=WORLD),
+                       dense_optimizer=lambda params: nn.SGD(params, lr=0.1),
+                       sparse_optimizer=SparseAdaGrad(lr=0.1),
+                       process_group_factory=recording)
+        assert groups[0].record == []
+
     @pytest.mark.parametrize("forward", ["train_step", "eval_forward"])
     @pytest.mark.parametrize("table", ["rw_b", "dp"])
     def test_missing_feature_raises_before_any_collective(self, forward,
@@ -323,6 +354,43 @@ class TestBoundaries:
                            match=f"rank 2.* table {table}$"):
             getattr(trainer, forward)(batches)
         assert trainer.pg.log.calls == {}
+
+    @pytest.mark.parametrize("edit, error, match", [
+        ("short_end", ValueError, "start at 0 and end at len"),
+        ("late_start", ValueError, "start at 0 and end at len"),
+        ("end_in_next_rank", ValueError, "start at 0 and end at len"),
+        ("decreasing", ValueError, "non-decreasing"),
+        ("id_past_table", IndexError, "out of range"),
+        ("short_batch", ValueError, "local batch")])
+    def test_data_parallel_bags_are_checked_per_rank(self, edit, error,
+                                                     match):
+        """The one lookup of every rank's bags still refuses one rank's
+        malformed bags, instead of shifting them into its neighbour's."""
+        trainer = hybrid_trainer()
+        batches = hybrid_batches(trainer, 0)
+        ids, offsets = batches[2].sparse["dp"]
+        ids, offsets = ids.copy(), offsets.copy()
+        if edit == "short_end":
+            offsets[-1] -= 1
+        elif edit == "end_in_next_rank":
+            # the global batch still adds up: only a per-rank check sees
+            # rank 3's bags start one id early
+            offsets[-1] -= 1
+            next_ids, next_offsets = batches[3].sparse["dp"]
+            next_offsets = next_offsets.copy()
+            next_offsets[-1] += 1
+            batches[3].sparse["dp"] = (next_ids, next_offsets)
+        elif edit == "late_start":
+            offsets[0] = 1
+        elif edit == "decreasing":
+            offsets[1], offsets[2] = offsets[2] + 1, offsets[1]
+        elif edit == "short_batch":
+            ids, offsets = ids[:offsets[-2]], offsets[:-1]
+        else:
+            ids[-1] = 13
+        batches[2].sparse["dp"] = (ids, offsets)
+        with pytest.raises(error, match=match):
+            trainer.train_step(batches)
 
     def test_offsets_of_the_wrong_batch_size_raise(self):
         trainer = hybrid_trainer()

@@ -20,8 +20,10 @@ from repro import nn
 from repro.comms import ClusterTopology, QuantizedCommsConfig
 from repro.core import CheckpointManager, NeoTrainer
 from repro.data import SyntheticCTRDataset
-from repro.embedding import EmbeddingTableConfig, SparseAdaGrad, SparseSGD
-from repro.models import DLRMConfig
+from repro.embedding import (EmbeddingTableConfig, SparseAdaGrad, SparseAdam,
+                             SparseSGD)
+from repro.models import DLRM, DLRMConfig
+from repro.planner import PlannerCostModel, RepresentationPlan, uniform_plan
 from repro.sharding import ShardingPlan, ShardingScheme, shard_table
 
 from .helpers import DENSE_OPTIMIZERS as OPTIMIZERS
@@ -29,18 +31,38 @@ from .reference_trainer import LoopedNeoTrainer
 
 SCHEMES = [ShardingScheme.TABLE_WISE, ShardingScheme.ROW_WISE,
            ShardingScheme.COLUMN_WISE, ShardingScheme.DATA_PARALLEL]
+SPARSE_OPTIMIZERS = {"sgd": lambda: SparseSGD(lr=0.1),
+                     "adagrad": lambda: SparseAdaGrad(lr=0.1),
+                     "adam": lambda: SparseAdam(lr=0.01)}
+
+
+def fp16_data_parallel(config, schemes, seed) -> RepresentationPlan:
+    """Data-parallel tables train fp16-stored, the rest at full width."""
+    model = DLRM(config, seed=seed)
+    cost = PlannerCostModel(allow_tt=False)
+    full = uniform_plan(model, "full", cost=cost).assignments
+    fp16 = uniform_plan(model, "fp16", cost=cost).assignments
+    return RepresentationPlan(assignments={
+        name: fp16[name] if schemes[name] == ShardingScheme.DATA_PARALLEL
+        else full[name] for name in full})
 
 
 def build_pair(tables, emb_dim, world, schemes, seed, optimizer="sgd",
-               dense_dim=3, depth=2, allreduce="fp32"):
+               dense_dim=3, depth=2, allreduce="fp32", sparse="sgd",
+               dp_ranks=None, fp16_dp=False):
     """One looped (oracle) and one stacked (product) trainer with
     identical state. Both
     MLPs have ``depth`` Linear layers; ``allreduce`` is the wire
-    precision of the dense gradient AllReduce."""
+    precision of the dense gradient AllReduce. ``sparse`` names the
+    sparse optimizer, ``dp_ranks`` orders a data-parallel table's replica
+    shards (default: rank order), and ``fp16_dp`` trains data-parallel
+    tables fp16-stored through a representation plan."""
     config = DLRMConfig(dense_dim=dense_dim,
                         bottom_mlp=(6,) * (depth - 1) + (emb_dim,),
                         tables=tables, top_mlp=(6,) * (depth - 1))
     nodes = 2 if world == 16 else 1
+    representation = fp16_data_parallel(config, schemes, seed) \
+        if fp16_dp else None
     trainers = []
     for cls in (LoopedNeoTrainer, NeoTrainer):
         plan = ShardingPlan(world_size=world)
@@ -48,15 +70,17 @@ def build_pair(tables, emb_dim, world, schemes, seed, optimizer="sgd",
             scheme = schemes[t.name]
             ranks = [i % world] if scheme == ShardingScheme.TABLE_WISE \
                 else list(range(world))
+            if scheme == ShardingScheme.DATA_PARALLEL and dp_ranks:
+                ranks = list(dp_ranks)
             plan.tables[t.name] = shard_table(t, scheme, ranks)
         plan.validate()
         trainers.append(cls(
             config, plan,
             ClusterTopology(num_nodes=nodes, gpus_per_node=world // nodes),
             dense_optimizer=OPTIMIZERS[optimizer],
-            sparse_optimizer=SparseSGD(lr=0.1),
+            sparse_optimizer=SPARSE_OPTIMIZERS[sparse](),
             comms_config=QuantizedCommsConfig(allreduce=allreduce),
-            seed=seed))
+            seed=seed, representation_plan=representation))
     return trainers[0], trainers[1]
 
 
@@ -74,6 +98,15 @@ def assert_bitwise_equal(looped, stacked, tables):
     assert looped.pg.log.modeled_seconds == stacked.pg.log.modeled_seconds
     assert looped.replicas_in_sync()
     assert stacked.replicas_in_sync()
+    # the product's one data-parallel table holds every oracle replica's
+    # optimizer state
+    for shard, table in stacked.exchange.shard_tables.items():
+        want = looped.sparse_opt.state_for(
+            looped.exchange.shard_tables[shard])
+        got = stacked.sparse_opt.state_for(table)
+        assert sorted(got) == sorted(want)
+        for key in want:
+            np.testing.assert_array_equal(got[key], want[key])
 
 
 @st.composite
@@ -84,19 +117,26 @@ def stacked_scenario(draw):
     depth = draw(st.integers(min_value=2, max_value=6))
     allreduce = draw(st.sampled_from(["fp32", "bf16"]))
     batch_per_rank = draw(st.integers(min_value=1, max_value=4))
+    schemes = {f"t{i}": draw(st.sampled_from(SCHEMES))
+               for i in range(num_tables)}
+    # row-wise tables pool by sum only
     tables = tuple(
         EmbeddingTableConfig(
-            f"t{i}",
+            name,
             num_embeddings=draw(st.integers(min_value=world * 2,
                                             max_value=64)),
             embedding_dim=emb_dim,
-            avg_pooling=float(draw(st.integers(min_value=1, max_value=5))))
-        for i in range(num_tables))
-    schemes = {t.name: draw(st.sampled_from(SCHEMES)) for t in tables}
+            avg_pooling=float(draw(st.integers(min_value=1, max_value=5))),
+            pooling_mode="sum" if scheme == ShardingScheme.ROW_WISE
+            else draw(st.sampled_from(["sum", "mean"])))
+        for name, scheme in schemes.items())
     optimizer = draw(st.sampled_from(sorted(OPTIMIZERS)))
+    sparse = draw(st.sampled_from(sorted(SPARSE_OPTIMIZERS)))
+    dp_ranks = draw(st.permutations(range(world)))
+    fp16_dp = draw(st.booleans())
     seed = draw(st.integers(min_value=0, max_value=10_000))
     return (tables, emb_dim, world, batch_per_rank, schemes, optimizer,
-            seed, depth, allreduce)
+            seed, depth, allreduce, sparse, dp_ranks, fp16_dp)
 
 
 @given(stacked_scenario())
@@ -105,14 +145,16 @@ def stacked_scenario(draw):
                                  HealthCheck.data_too_large])
 def test_stacked_bitwise_matches_looped(scenario):
     """Random configs x world sizes x MLP depths x schemes x optimizers
-    x AllReduce precisions: per-step losses, all dense params, gathered
-    tables, the comms byte/call/modeled-time logs and eval outputs are
-    bitwise equal between the two modes."""
+    x AllReduce precisions x pooling modes, with data-parallel replicas
+    in any rank order and optionally fp16-stored: per-step losses, all
+    dense params, gathered tables, the comms byte/call/modeled-time logs
+    and eval outputs are bitwise equal between the two modes."""
     (tables, emb_dim, world, batch_per_rank, schemes, optimizer, seed,
-     depth, allreduce) = scenario
+     depth, allreduce, sparse, dp_ranks, fp16_dp) = scenario
     looped, stacked = build_pair(tables, emb_dim, world, schemes, seed,
                                  optimizer=optimizer, depth=depth,
-                                 allreduce=allreduce)
+                                 allreduce=allreduce, sparse=sparse,
+                                 dp_ranks=dp_ranks, fp16_dp=fp16_dp)
     ds = SyntheticCTRDataset(tables, dense_dim=3, seed=seed)
     for i in range(5):
         split = ds.batch(batch_per_rank * world, i).split(world)
@@ -244,7 +286,21 @@ def distinct_nbytes(arrays):
 
 class TestStoredOnceLayout:
     """Each dense parameter is stored once, by rank 0; every rank's
-    gradients live in the AllReduce buckets."""
+    gradients live in the AllReduce buckets. A data-parallel table is
+    one table too; the oracle keeps one per rank."""
+
+    def test_data_parallel_table_is_one_object(self):
+        looped, stacked, ds, _ = two_table_setup(world=4)
+        shards = stacked.plan.tables["t1"].shards
+        assert len({id(stacked.exchange.shard_tables[s])
+                    for s in shards}) == 1
+        assert len({id(looped.exchange.shard_tables[s])
+                    for s in shards}) == 4
+        split = ds.batch(8, 0).split(4)
+        assert stacked.train_step(split) == looped.train_step(split)
+        counts = stacked.metrics.snapshot("embedding.")
+        # one lookup and one step of t1, beside t0's lookup and update
+        assert counts["embedding.kernel_launches"] == 1 + 2
 
     def test_every_rank_views_rank0_storage(self):
         _, stacked, ds, _ = two_table_setup(world=4)
