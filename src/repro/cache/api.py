@@ -80,12 +80,20 @@ class RowCache(Protocol):
     implementations are *exact*: a read through the cache is bitwise
     identical to an uncached :meth:`ArrayBackingStore.read_rows`.
 
-    **Sequence contract.** :meth:`read` handles its ids one at a time, in
-    order, and keeps no per-call state, so ``read(concat(a, b))`` is
-    ``read(a)`` followed by ``read(b)``: the same rows, stats, residency,
-    dirty lines and backing-store byte counts. The serving path relies on
-    it to read a whole window of dispatches in one call
-    (``tests/test_cache_sequence.py`` fuzzes it on every kind).
+    **Sequence contract** (``set_associative``, ``uvm``). :meth:`read`
+    handles its ids one at a time, in order, and keeps no per-call state,
+    so ``read(concat(a, b))`` is ``read(a)`` followed by ``read(b)``: the
+    same rows, stats, residency, dirty lines and backing-store byte
+    counts (``tests/test_cache_sequence.py``).
+
+    **Window contract** (``freq_aware``). :meth:`read` decides admission
+    once per call, over all of its ids, so where one call ends and the
+    next begins is part of the policy; only the returned rows are the
+    same either way. The state after a call does not depend on the order
+    of its ids, and a call of one id decides as the per-id policy did
+    (``tests/test_cache_window.py``). The serving path reads a whole
+    window of dispatches in one call, so for this kind the window is the
+    admission unit.
     """
 
     stats: CacheStats
@@ -139,9 +147,15 @@ class RowCacheBase:
 
     @staticmethod
     def _check_ids(row_ids, backing: ArrayBackingStore) -> np.ndarray:
-        """``row_ids`` as int64; ``ValueError`` before any state changes
-        if one lies outside ``[0, H)`` of ``backing``."""
-        ids = np.asarray(row_ids, dtype=np.int64)
+        """``row_ids`` as a 1-D int64 array; ``ValueError`` before any
+        state changes if they are not 1-D, not integers (an empty list
+        is valid) or one lies outside ``[0, H)`` of ``backing``."""
+        ids = np.asarray(row_ids)
+        if ids.ndim != 1:
+            raise ValueError(f"row ids must be 1-D, got shape {ids.shape}")
+        if ids.size and not np.issubdtype(ids.dtype, np.integer):
+            raise ValueError(f"row ids must be integers, got {ids.dtype}")
+        ids = ids.astype(np.int64, copy=False)
         if len(ids) and (ids.min() < 0 or ids.max() >= backing.num_rows):
             raise ValueError(f"row ids must lie in [0, {backing.num_rows})")
         return ids

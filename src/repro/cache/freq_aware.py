@@ -14,7 +14,9 @@ this repo's exact-functional substrate:
   rank order (hashed production ids scatter hot rows, so alignment is
   exactly what makes page caches thrash). Admission and eviction happen
   at chunk granularity — a victim chunk is the one whose member rows
-  have the lowest accumulated frequency score.
+  have the lowest accumulated frequency score — and are decided once
+  per call, over all of its ids, as CacheEmbedding decides once per
+  batch.
 * :class:`PrefetchPipeline` overlaps the remaining misses with compute:
   while batch ``k`` runs, the rows batch ``k+1`` needs are staged via
   :meth:`RowCache.prefetch_rows` inside a ``cache.prefetch`` span, and
@@ -24,7 +26,7 @@ this repo's exact-functional substrate:
 
 Both are exact: every read through the cache is bitwise identical to an
 uncached :meth:`ArrayBackingStore.read_rows` (hypothesis-fuzzed in
-``tests/test_cache_api.py``).
+``tests/test_cache_api.py`` and ``tests/test_cache_window.py``).
 """
 
 from __future__ import annotations
@@ -55,20 +57,29 @@ class FreqAwareCache(RowCacheBase):
         amortize transfer setup (the real system moves chunks, not rows)
         while staying far below UVM page granularity.
 
-    Rows are admitted into an *open* chunk as they miss; when it fills,
-    the chunk is sealed and the next admission allocates a fresh chunk,
-    evicting the lowest-score sealed chunk once capacity is reached. A
-    chunk's score is the accumulated observed frequency of its member
-    rows, seeded from the warm histogram when :meth:`warm` was used, so
-    frequency-ranked hot chunks outlive reactively admitted cold ones.
+    Admission is decided once per call, over the call's ids as a whole
+    (for the serving path, one window of one cold table):
 
-    Admission is itself frequency-aware: once the cache is full, a
-    missing row is only admitted (evicting the coldest chunk) when its
-    observed access count has reached the victim chunk's per-row average
-    score — one-touch tail ids read through without displacing
+    * every occurrence bumps its row's access count;
+    * an occurrence whose row was resident at the start of the call is a
+      hit and adds 1 to its chunk's score; every other one is a miss;
+    * the call's distinct missed rows are ranked by count, highest first
+      (ties by row id), and fill the *open* chunk (the one admitted into
+      last), then empty chunks, lowest index first;
+    * then, while the best remaining row's count reaches the lowest
+      chunk score per row (``score / chunk_rows``), that chunk is evicted
+      (dirty rows written back) and refilled with up to ``chunk_rows``
+      of the rows that pass. A chunk this call filled is never its
+      victim;
+    * an admitted row adds its count to its chunk's score.
+
+    Chunk scores are seeded from the warm histogram when :meth:`warm`
+    was used, so frequency-ranked hot chunks outlive reactively admitted
+    cold ones, and one-touch tail ids read through without displacing
     ``chunk_rows`` warmer rows (the chunk-granularity analogue of cache
     bypass; an unwarmed cache starts with empty chunks, so it still
-    fills reactively).
+    fills reactively). A call of one id decides exactly as a per-id
+    policy would.
     """
 
     def __init__(self, capacity_rows: int, row_dim: int,
@@ -81,17 +92,18 @@ class FreqAwareCache(RowCacheBase):
         self.chunk_rows = min(chunk_rows, capacity_rows)
         self.capacity_chunks = max(1, capacity_rows // self.chunk_rows)
         self.row_dim = row_dim
-        shape = (self.capacity_chunks, self.chunk_rows)
-        self._data = np.zeros(shape + (row_dim,), dtype=np.float32)
-        self._row_ids = np.full(shape, -1, dtype=np.int64)
-        self._dirty = np.zeros(shape, dtype=bool)
+        # slot s belongs to chunk s // chunk_rows
+        slots = self.capacity_chunks * self.chunk_rows
+        self._data = np.zeros((slots, row_dim), dtype=np.float32)
+        self._row_ids = np.full(slots, -1, dtype=np.int64)
+        self._dirty = np.zeros(slots, dtype=bool)
         self._fill_counts = np.zeros(self.capacity_chunks, dtype=np.int64)
         self._scores = np.zeros(self.capacity_chunks, dtype=np.float64)
-        self._loc: Dict[int, Tuple[int, int]] = {}  # row_id -> (chunk, slot)
-        self._freq: Dict[int, int] = {}  # observed access counts
-        self._open: Optional[int] = None  # chunk currently accepting rows
-        self._empty = self.capacity_chunks  # chunks with fill count 0
-        self._min_chunk: Optional[int] = None  # lowest score, while known
+        # per backing row, sized on first use: its slot (-1 if not
+        # resident) and its observed access count
+        self._slot_of = np.zeros(0, dtype=np.int64)
+        self._counts = np.zeros(0, dtype=np.int64)
+        self._open: Optional[int] = None  # chunk admitted into last
         self.warmed_rows = 0
 
     @property
@@ -101,70 +113,104 @@ class FreqAwareCache(RowCacheBase):
     # ------------------------------------------------------------------
     # chunk management
     # ------------------------------------------------------------------
+    def _track(self, backing: ArrayBackingStore) -> None:
+        """Size the per-row arrays to ``backing``'s rows."""
+        grow = backing.num_rows - len(self._slot_of)
+        if grow > 0:
+            self._slot_of = np.concatenate(
+                [self._slot_of, np.full(grow, -1, dtype=np.int64)])
+            self._counts = np.concatenate(
+                [self._counts, np.zeros(grow, dtype=np.int64)])
+
     def _evict_chunk(self, chunk: int, backing: ArrayBackingStore) -> None:
         """Drop every row of ``chunk``, writing back the dirty ones."""
-        occupied = int(self._fill_counts[chunk])
-        if occupied == 0:
-            return
-        dirty = np.nonzero(self._dirty[chunk, :occupied])[0]
+        lo = chunk * self.chunk_rows
+        hi = lo + int(self._fill_counts[chunk])
+        dirty = lo + np.flatnonzero(self._dirty[lo:hi])
         if len(dirty):
-            backing.write_rows(self._row_ids[chunk, dirty],
-                               self._data[chunk, dirty])
+            backing.write_rows(self._row_ids[dirty], self._data[dirty])
             self.stats.writebacks += len(dirty)
-        for slot in range(occupied):
-            del self._loc[int(self._row_ids[chunk, slot])]
-        self.stats.evictions += occupied
-        self._row_ids[chunk] = -1
-        self._dirty[chunk] = False
+        self._slot_of[self._row_ids[lo:hi]] = -1
+        self.stats.evictions += hi - lo
+        self._row_ids[lo:hi] = -1
+        self._dirty[lo:hi] = False
         self._fill_counts[chunk] = 0
         self._scores[chunk] = 0.0
-        self._empty += 1
-        self._min_chunk = None
 
-    def _alloc_chunk(self, backing: ArrayBackingStore) -> int:
-        """A chunk with free slots: an empty one, else evict the coldest."""
-        empty = np.nonzero(self._fill_counts == 0)[0]
-        if len(empty):
-            return int(empty[0])
-        victim = int(np.argmin(self._scores))
-        self._evict_chunk(victim, backing)
-        return victim
+    def _place(self, chunk: int, rows: np.ndarray,
+               scores: np.ndarray) -> int:
+        """Put the head of ``rows`` into ``chunk``'s free slots; returns
+        how many fit. Their data is the caller's to write."""
+        fill = int(self._fill_counts[chunk])
+        count = min(self.chunk_rows - fill, len(rows))
+        slots = chunk * self.chunk_rows + fill + np.arange(count)
+        self._row_ids[slots] = rows[:count]
+        self._slot_of[rows[:count]] = slots
+        self._fill_counts[chunk] = fill + count
+        self._scores[chunk] += scores[:count].sum()
+        return count
 
-    def _has_free_slot(self) -> bool:
-        if self._open is not None \
-                and self._fill_counts[self._open] < self.chunk_rows:
-            return True
-        return self._empty > 0
+    def _admit(self, rows: np.ndarray, scores: np.ndarray,
+               backing: ArrayBackingStore, gate: bool = True) -> int:
+        """Admit the head of ``rows`` (ranked best first, ``scores`` the
+        score each adds to its chunk) and return how many were admitted.
 
-    def _admission_ok(self, row_id: int) -> bool:
-        """Admit into free space always; once full, only when the row's
-        observed frequency reaches the victim chunk's per-row average.
-        The victim stays memoised until its own score moves or a chunk is
-        evicted or warmed: a score rising elsewhere cannot undercut it."""
-        if self._has_free_slot():
-            return True
-        if self._min_chunk is None:
-            self._min_chunk = int(np.argmin(self._scores))
-        victim_avg = float(self._scores[self._min_chunk]) / self.chunk_rows
-        return self._freq.get(row_id, 0) >= victim_avg
+        Free slots come first: the open chunk's, then empty chunks',
+        lowest index first. Then the lowest-score chunk not filled by
+        this call is evicted and refilled, while the best remaining row
+        passes: with ``gate``, its score must reach the victim's score
+        per row; without, every row passes. The admitted rows' data and
+        dirty bits are the caller's to write."""
+        fill = self._fill_counts
+        targets = np.flatnonzero(fill == 0).tolist()
+        if self._open is not None and fill[self._open] < self.chunk_rows:
+            targets = [self._open] + [c for c in targets if c != self._open]
+        fresh = np.zeros(self.capacity_chunks, dtype=bool)
+        admitted = 0
+        for chunk in targets:
+            if admitted == len(rows):
+                break
+            admitted += self._place(chunk, rows[admitted:],
+                                    scores[admitted:])
+            fresh[chunk] = True
+            self._open = chunk
+        while admitted < len(rows):
+            victim = int(np.argmin(np.where(fresh, np.inf, self._scores)))
+            if fresh[victim]:
+                break  # every chunk was filled by this call
+            head = scores[admitted:admitted + self.chunk_rows]
+            passing = len(head) if not gate else int(np.count_nonzero(
+                head >= self._scores[victim] / self.chunk_rows))
+            if passing == 0:
+                break
+            self._evict_chunk(victim, backing)
+            admitted += self._place(victim, rows[admitted:admitted + passing],
+                                    scores[admitted:admitted + passing])
+            fresh[victim] = True
+            self._open = victim
+        return admitted
 
-    def _admit(self, row_id: int, value: np.ndarray, dirty: bool,
-               backing: ArrayBackingStore, score: float) -> None:
-        if self._open is None \
-                or self._fill_counts[self._open] >= self.chunk_rows:
-            self._open = self._alloc_chunk(backing)
-        chunk = self._open
-        slot = int(self._fill_counts[chunk])
-        if slot == 0:
-            self._empty -= 1
-        self._row_ids[chunk, slot] = row_id
-        self._data[chunk, slot] = value
-        self._dirty[chunk, slot] = dirty
-        self._fill_counts[chunk] = slot + 1
-        self._scores[chunk] += score
-        if chunk == self._min_chunk:
-            self._min_chunk = None
-        self._loc[row_id] = (chunk, slot)
+    def _access(self, ids: np.ndarray
+                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        """Count every occurrence of ``ids`` and score the hits on rows
+        resident at the start of the call. Returns the distinct rows
+        (sorted), their slots then (-1 for a miss), the order of the
+        missed ones, as indices into the rows, ranked by count, highest
+        first, ties by row id, and the number of missed occurrences."""
+        rows, counts = np.unique(ids, return_counts=True)
+        self._counts[rows] += counts
+        slots = self._slot_of[rows]
+        hit = slots >= 0
+        self._scores += np.bincount(slots[hit] // self.chunk_rows,
+                                    weights=counts[hit],
+                                    minlength=self.capacity_chunks)
+        misses = len(ids) - int(counts[hit].sum())
+        self.stats.hits += len(ids) - misses
+        self.stats.misses += misses
+        missed = np.flatnonzero(~hit)
+        ranked = missed[np.argsort(-self._counts[rows[missed]],
+                                   kind="stable")]
+        return rows, slots, ranked, misses
 
     # ------------------------------------------------------------------
     # warm-up from frequency statistics
@@ -178,31 +224,30 @@ class FreqAwareCache(RowCacheBase):
         pipeline, or any supplied estimate. Rows seen fewer than
         ``min_count`` times are not worth residency and are skipped.
         Returns the number of rows warmed. Warming evicts nothing it just
-        loaded: it fills empty chunks only and stops at capacity.
+        loaded: it fills empty chunks only, lowest index first, and stops
+        at capacity. A chunk's score is its rows' histogram mass.
         """
         histogram = np.asarray(histogram)
         if histogram.ndim != 1 or len(histogram) != backing.num_rows:
             raise ValueError(
                 f"histogram must have one count per backing row "
                 f"({backing.num_rows}), got shape {histogram.shape}")
+        self._track(backing)
         order = np.argsort(-histogram, kind="stable")
         order = order[histogram[order] >= min_count]
-        order = np.array([i for i in order if int(i) not in self._loc],
-                         dtype=np.int64)
-        free_rows = self._empty * self.chunk_rows
-        ids = order[:free_rows]
-        for start in range(0, len(ids), self.chunk_rows):
-            chunk_ids = ids[start:start + self.chunk_rows]
-            chunk = self._alloc_chunk(backing)
-            n = len(chunk_ids)
-            self._row_ids[chunk, :n] = chunk_ids
-            self._data[chunk, :n] = backing.read_rows(chunk_ids)
-            self._fill_counts[chunk] = n
-            self._empty -= 1
-            self._scores[chunk] = float(histogram[chunk_ids].sum())
-            self._min_chunk = None
-            for slot, row_id in enumerate(chunk_ids):
-                self._loc[int(row_id)] = (chunk, slot)
+        order = order[self._slot_of[order] < 0]
+        empty = np.flatnonzero(self._fill_counts == 0)
+        ids = order[:len(empty) * self.chunk_rows]
+        position = np.arange(len(ids))
+        chunks = empty[position // self.chunk_rows]
+        slots = chunks * self.chunk_rows + position % self.chunk_rows
+        self._row_ids[slots] = ids
+        self._slot_of[ids] = slots
+        self._data[slots] = backing.read_rows(ids)
+        self._fill_counts += np.bincount(chunks,
+                                         minlength=self.capacity_chunks)
+        self._scores += np.bincount(chunks, weights=histogram[ids],
+                                    minlength=self.capacity_chunks)
         self.warmed_rows += len(ids)
         self.stats.fills += len(ids)
         return len(ids)
@@ -212,100 +257,82 @@ class FreqAwareCache(RowCacheBase):
     # ------------------------------------------------------------------
     def read(self, row_ids: np.ndarray,
              backing: ArrayBackingStore) -> np.ndarray:
-        """Per id, in order: a hit scores its chunk; a miss may admit the
-        row. Then one gather from ``backing``: a clean resident row equals
-        its backing row, and a missed row's cannot change later in the
-        call; dirty hits are patched with their value at the hit. The
-        stats and the backing store's read bytes are added once."""
+        """One admission decision for the whole call (see the class
+        docstring); every miss counts one fill. The rows are one gather
+        from ``backing`` as the call found it, with dirty resident rows
+        patched in: a clean resident row equals its backing row."""
         ids = self._check_ids(row_ids, backing)
-        freqs, locs, scores, data = self._freq, self._loc, self._scores, \
-            self._data
-        rows = backing.rows
-        dirty = self._dirty if self._dirty.any() else None
-        patches = []
-        misses = 0
-        for i, row_id in enumerate(ids.tolist()):
-            freq = freqs[row_id] = freqs.get(row_id, 0) + 1
-            loc = locs.get(row_id)
-            if loc is not None:
-                scores[loc[0]] += 1.0
-                if loc[0] == self._min_chunk:
-                    self._min_chunk = None
-                if dirty is not None and dirty[loc]:
-                    patches.append((i, data[loc].copy()))
-            else:
-                misses += 1
-                if self._admission_ok(row_id):
-                    self._admit(row_id, rows[row_id], dirty=False,
-                                backing=backing, score=float(freq))
-        out = rows[ids]
-        for i, value in patches:
-            out[i] = value
-        self.stats.hits += len(ids) - misses
-        self.stats.misses += misses
+        self._track(backing)
+        out = backing.rows[ids]
+        if self._dirty.any():
+            slots = self._slot_of[ids]
+            patch = np.flatnonzero(slots >= 0)
+            patch = patch[self._dirty[slots[patch]]]
+            out[patch] = self._data[slots[patch]]
+        rows, _, ranked, misses = self._access(ids)
+        ranked_rows = rows[ranked]
+        admitted = ranked_rows[:self._admit(
+            ranked_rows, self._counts[ranked_rows].astype(np.float64),
+            backing)]
+        self._data[self._slot_of[admitted]] = backing.rows[admitted]
         self.stats.fills += misses
         backing.bytes_read += misses * backing.row_bytes
         return out
 
     def write(self, row_ids: np.ndarray, values: np.ndarray,
               backing: ArrayBackingStore) -> None:
-        for i, row_id in enumerate(self._check_ids(row_ids, backing)):
-            row_id = int(row_id)
-            freq = self._freq[row_id] = self._freq.get(row_id, 0) + 1
-            loc = self._loc.get(row_id)
-            if loc is not None:
-                self.stats.hits += 1
-                self._scores[loc[0]] += 1.0
-                if loc[0] == self._min_chunk:
-                    self._min_chunk = None
-                self._data[loc] = values[i]
-                self._dirty[loc] = True
-            elif self._admission_ok(row_id):
-                # write-allocate: the full row is being replaced, so no
-                # backing read is needed
-                self.stats.misses += 1
-                self._admit(row_id, values[i], dirty=True, backing=backing,
-                            score=float(freq))
-            else:
-                # bypassed write goes straight through to the slow tier
-                self.stats.misses += 1
-                backing.write_rows(np.array([row_id], dtype=np.int64),
-                                   values[i][None, :])
+        """Write-back, write-allocate, admitted by the same one decision
+        as :meth:`read`; the last value of a repeated id wins. A missed
+        row the decision does not admit is written through to
+        ``backing``."""
+        ids = self._check_ids(row_ids, backing)
+        self._track(backing)
+        rows, slots, ranked, _ = self._access(ids)
+        # each distinct row's last occurrence, aligned with ``rows``
+        last = len(ids) - 1 - np.unique(ids[::-1], return_index=True)[1]
+        resident = slots >= 0
+        self._data[slots[resident]] = values[last[resident]]
+        self._dirty[slots[resident]] = True
+        ranked_rows = rows[ranked]
+        admitted = self._admit(
+            ranked_rows, self._counts[ranked_rows].astype(np.float64),
+            backing)
+        new_slots = self._slot_of[ranked_rows[:admitted]]
+        self._data[new_slots] = values[last[ranked[:admitted]]]
+        self._dirty[new_slots] = True
+        bypass = ranked[admitted:]
+        if len(bypass):
+            backing.write_rows(rows[bypass], values[last[bypass]])
 
     def flush(self, backing: ArrayBackingStore) -> int:
-        count = 0
-        for chunk in range(self.capacity_chunks):
-            occupied = int(self._fill_counts[chunk])
-            if occupied == 0:
-                continue
-            dirty = np.nonzero(self._dirty[chunk, :occupied])[0]
-            if len(dirty):
-                backing.write_rows(self._row_ids[chunk, dirty],
-                                   self._data[chunk, dirty])
-                self.stats.writebacks += len(dirty)
-                self._dirty[chunk, dirty] = False
-                count += len(dirty)
-        return count
+        dirty = np.flatnonzero(self._dirty)
+        if len(dirty):
+            backing.write_rows(self._row_ids[dirty], self._data[dirty])
+            self._dirty[dirty] = False
+            self.stats.writebacks += len(dirty)
+        return len(dirty)
 
     def contains(self, row_id: int) -> bool:
-        return int(row_id) in self._loc
+        row_id = int(row_id)
+        return 0 <= row_id < len(self._slot_of) \
+            and self._slot_of[row_id] >= 0
 
     def prefetch_rows(self, row_ids: np.ndarray,
                       backing: ArrayBackingStore) -> int:
-        """Stage rows for an upcoming batch; misses triggered here count
-        as ``prefetched_rows``, never as demand misses."""
-        staged = 0
-        for row_id in np.unique(self._check_ids(row_ids, backing)):
-            row_id = int(row_id)
-            if row_id in self._loc:
-                continue
-            value = backing.read_rows(np.array([row_id], dtype=np.int64))[0]
-            self._admit(row_id, value, dirty=False, backing=backing,
-                        score=1.0)
-            self.stats.fills += 1
-            self.stats.prefetched_rows += 1
-            staged += 1
-        return staged
+        """Stage rows for an upcoming batch: the distinct non-resident
+        ids, in id order, are admitted without the count gate, each
+        adding 1 to its chunk's score. Rows staged here count as
+        ``prefetched_rows``, never as demand misses."""
+        ids = self._check_ids(row_ids, backing)
+        self._track(backing)
+        rows = np.unique(ids)
+        rows = rows[self._slot_of[rows] < 0]
+        staged = rows[:self._admit(rows, np.ones(len(rows)), backing,
+                                   gate=False)]
+        self._data[self._slot_of[staged]] = backing.read_rows(staged)
+        self.stats.fills += len(staged)
+        self.stats.prefetched_rows += len(staged)
+        return len(staged)
 
 
 class PrefetchPipeline:

@@ -128,8 +128,9 @@ class SetAssociativeCache(RowCacheBase):
     def read(self, row_ids: np.ndarray,
              backing: ArrayBackingStore) -> np.ndarray:
         """Read rows through the cache; misses fetch from ``backing``."""
-        out = np.empty((len(row_ids), self.row_dim), dtype=np.float32)
-        for i, row_id in enumerate(self._check_ids(row_ids, backing)):
+        ids = self._check_ids(row_ids, backing)
+        out = np.empty((len(ids), self.row_dim), dtype=np.float32)
+        for i, row_id in enumerate(ids):
             set_idx = self._set_index(row_id)
             way = self._find_way(set_idx, row_id)
             if way >= 0:

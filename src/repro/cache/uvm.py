@@ -99,8 +99,9 @@ class UVMPageCache(RowCacheBase):
 
     def read(self, row_ids: np.ndarray,
              backing: ArrayBackingStore) -> np.ndarray:
-        out = np.empty((len(row_ids), self.row_dim), dtype=np.float32)
-        for i, row_id in enumerate(self._check_ids(row_ids, backing)):
+        ids = self._check_ids(row_ids, backing)
+        out = np.empty((len(ids), self.row_dim), dtype=np.float32)
+        for i, row_id in enumerate(ids):
             page = self._page_of(row_id)
             if page in self._pages:
                 self.stats.hits += 1

@@ -39,8 +39,10 @@ def dedup_cache_read(cache, indices: np.ndarray, backing,
     dispatch each id belongs to) scopes the dedup to ``(segment, id)``:
     the cache reads the sorted unique keys ``segment * H + id``, which is
     exactly the concatenation, in segment order, of the reads one call
-    per segment would make. Under the :class:`~repro.cache.RowCache`
-    sequence contract the cache therefore ends in the same state.
+    per segment would make, in one call. A cache under the
+    :class:`~repro.cache.RowCache` sequence contract therefore ends in
+    the state one call per segment leaves; one under the window contract
+    (``freq_aware``) makes one admission decision for all the segments.
     """
     indices = np.asarray(indices, dtype=np.int64)
     if not len(indices):

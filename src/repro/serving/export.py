@@ -135,8 +135,8 @@ class _ColdTable:
                 dispatches: Optional[np.ndarray] = None) -> np.ndarray:
         """Pooled lookup of ``(indices, offsets)``. ``dispatches`` (bag
         bounds, see :meth:`ServableModel.embed`) splits the bags into
-        dispatches, and dedup then runs per dispatch: the cache sees the
-        id sequence one call per dispatch would show it."""
+        dispatches, and dedup then runs per dispatch: the cache sees, in
+        one read, the id sequence one read per dispatch would show it."""
         indices = np.asarray(indices, dtype=np.int64)
         offsets = np.asarray(offsets, dtype=np.int64)
         # before the cache sees them: a negative id would otherwise read
@@ -325,8 +325,12 @@ class ServableModel:
         and every cold table by one cache read. Dedup stays per
         dispatch: a cold table reads the unique ``(dispatch, id)`` keys,
         in ``(dispatch, id)`` order, which is the sequence one read per
-        dispatch would make, so cache state and every counter match. TT
-        tables contract their cores per dispatch.
+        dispatch would make. The window is the cold cache's admission
+        unit: a ``set_associative`` or ``uvm`` cache ends where one read
+        per dispatch leaves it, a ``freq_aware`` one makes one admission
+        decision for the window; the rows, and so the outputs, are the
+        same bits either way. TT tables contract their cores per
+        dispatch.
         """
         if batch.dense.shape != (batch.batch_size, self.config.dense_dim):
             raise ValueError(f"dense must be (batch, {self.config.dense_dim})"

@@ -11,18 +11,15 @@ equality with it:
   batch-size-only terms.
 * ``concat_reference`` takes one ``np.diff`` per batch per feature. The
   product differences the concatenated offsets once.
-* ``ReferenceFreqAwareCache`` scans ``fill_counts`` for an empty chunk
-  and takes ``np.min`` of the chunk scores on every miss, walks the ids
-  as numpy scalars, copies each row into the output as it goes (a hit
-  from the cache, a miss through ``read_rows``) and counts as it goes.
-  The product keeps a count of empty chunks, memoises the lowest-score
-  chunk, gathers every row from the backing store once after the loop
-  (patching dirty hits) and adds its counters once per call.
 * ``forward_reference``/``predict_reference`` run the embedding half of
   one coalesced dispatch table by table: one ``dedup_forward`` (a gather
   of each unique row, then a broadcast) per hot table (one fused forward without dedup), one cache read per cold table
   and one contraction per TT table. The product pools a whole window of
   dispatches at once (``ServableModel.embed``).
+* ``cold_reads_reference`` advances the cold tables' counters as the
+  window pass does, one cache read per window over the ids each
+  dispatch reads, dispatch after dispatch. A ``freq_aware`` cache admits
+  once per read, so its counters follow the window, not the dispatch.
 * ``dense_half_reference``/``predict_window_reference`` run the dense
   half of a window one dispatch at a time, on that dispatch's rows. The
   product runs it once per row count on ``(k, m, .)`` stacks
@@ -48,7 +45,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cache import FreqAwareCache
 from repro.data import MiniBatch
 from repro.data.formats import host_transfer_time
 from repro.embedding import EmbeddingTable, lengths_to_offsets
@@ -103,46 +99,6 @@ def concat_reference(batches: Sequence[MiniBatch]) -> MiniBatch:
         dense=np.concatenate([b.dense for b in batches], axis=0),
         sparse=sparse,
         labels=np.concatenate([b.labels for b in batches]))
-
-
-class ReferenceFreqAwareCache(FreqAwareCache):
-    """:class:`FreqAwareCache` with the per-id read: it copies each row
-    into the output as it visits the id, and every admission check scans
-    ``fill_counts`` for a free chunk and takes ``np.min`` of the chunk
-    scores."""
-
-    def _has_free_slot(self) -> bool:
-        if self._open is not None \
-                and self._fill_counts[self._open] < self.chunk_rows:
-            return True
-        return bool(np.any(self._fill_counts == 0))
-
-    def _admission_ok(self, row_id: int) -> bool:
-        if self._has_free_slot():
-            return True
-        victim_avg = float(np.min(self._scores)) / self.chunk_rows
-        return self._freq.get(row_id, 0) >= victim_avg
-
-    def read(self, row_ids, backing):
-        out = np.empty((len(row_ids), self.row_dim), dtype=np.float32)
-        for i, row_id in enumerate(np.asarray(row_ids, dtype=np.int64)):
-            row_id = int(row_id)
-            freq = self._freq[row_id] = self._freq.get(row_id, 0) + 1
-            loc = self._loc.get(row_id)
-            if loc is not None:
-                self.stats.hits += 1
-                self._scores[loc[0]] += 1.0
-                out[i] = self._data[loc]
-            else:
-                self.stats.misses += 1
-                value = backing.read_rows(
-                    np.array([row_id], dtype=np.int64))[0]
-                self.stats.fills += 1
-                if self._admission_ok(row_id):
-                    self._admit(row_id, value, dirty=False,
-                                backing=backing, score=float(freq))
-                out[i] = value
-        return out
 
 
 def dedup_forward(table: EmbeddingTable, indices: np.ndarray,
@@ -232,6 +188,22 @@ def pooled_reference(model, batch: MiniBatch) -> Dict[str, np.ndarray]:
     for name, tt_table in model.tt_tables.items():
         pooled[name] = _tt_forward_reference(tt_table, *batch.sparse[name])
     return pooled
+
+
+def cold_reads_reference(model, window: Sequence[Sequence[MiniBatch]]
+                         ) -> None:
+    """Advance every cold table's counters as one cache read per window
+    does: in one call, the table reads the ids each dispatch of
+    ``window`` reads alone (its distinct ids with dedup), dispatch after
+    dispatch."""
+    for table in model.cold_tables.values():
+        parts = [MiniBatch.concat(d).sparse[table.name][0] for d in window]
+        reads = np.concatenate(
+            [np.unique(p) if table.dedup else p for p in parts])
+        if len(reads):
+            table.cache.read(reads, table.backing)
+        table.rows_requested += sum(len(p) for p in parts)
+        table.rows_read += len(reads)
 
 
 def forward_reference(model, batch: MiniBatch) -> np.ndarray:

@@ -141,6 +141,31 @@ class TestConformance:
         assert not cache.contains(bad)
         assert not build(kind).contains(bad)
 
+    @pytest.mark.parametrize("bad", [
+        np.array([1.9, 0.2]), np.array([True, False]),
+        np.array([[1, 2], [3, 4]]), [[1], [2]], np.int64(3)],
+        ids=["float", "bool", "2d", "nested-list", "scalar"])
+    @pytest.mark.parametrize("op", ["read", "write", "prefetch_rows"])
+    def test_non_integer_or_non_1d_ids_rejected_before_any_change(
+            self, kind, op, bad):
+        cache, backing = build(kind, capacity_rows=8), make_backing()
+        cache.write(np.array([1, 2]), np.ones((2, D), dtype=np.float32),
+                    backing)
+        cache.read(np.arange(0, 40, 3), backing)
+        before = cache_state(cache, backing)
+        args = (bad, np.ones((2, D), dtype=np.float32)) if op == "write" \
+            else (bad,)
+        with pytest.raises(ValueError, match="row ids must be"):
+            getattr(cache, op)(*args, backing)
+        assert cache_state(cache, backing) == before
+
+    def test_empty_id_list_is_valid(self, kind):
+        cache, backing = build(kind), make_backing()
+        assert cache.read([], backing).shape == (0, D)
+        cache.write([], np.zeros((0, D), dtype=np.float32), backing)
+        assert cache.prefetch_rows([], backing) == 0
+        assert cache.stats == CacheStats()
+
     def test_shared_stats_dataclass(self, kind):
         # one CacheStats for every implementation — the drift fix
         assert type(build(kind).stats) is CacheStats

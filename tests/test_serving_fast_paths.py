@@ -3,11 +3,11 @@
 The serving path does each piece of bookkeeping once: the perf model
 derives a model's constants once and memoises the batch-size-only terms,
 a request counts its embedding ids once, predicted admission prices a
-queue from running sums, ``MiniBatch.concat`` differences
-the offsets once per feature, and ``FreqAwareCache`` counts its empty
-chunks instead of scanning for one on every miss. Each suite
-below holds one of them to bitwise equality with the straightforward
-form it replaced (``tests/reference_serving.py``).
+queue from running sums, and ``MiniBatch.concat`` differences
+the offsets once per feature. Each suite below holds one of them to
+bitwise equality with the straightforward form it replaced
+(``tests/reference_serving.py``). The cold-table cache's policy has its
+own suite against its loop oracle (``tests/test_cache_window.py``).
 """
 
 import dataclasses
@@ -16,10 +16,9 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache import ArrayBackingStore, FreqAwareCache
 from repro.data import MiniBatch, SyntheticCTRDataset
 from repro.embedding import lengths_to_offsets
 from repro.models import DLRM, zoo_config
@@ -29,7 +28,7 @@ from repro.serving import (BatchingPolicy, InferenceRequest,
 from repro.serving.batcher import predicted_completion
 
 from .helpers import trace_of
-from .reference_serving import (ReferenceFreqAwareCache, concat_reference,
+from .reference_serving import (concat_reference,
                                 predicted_completion_reference,
                                 price_requests, service_time_reference)
 
@@ -250,60 +249,3 @@ class TestConcat:
         merged = MiniBatch.concat([empty] * 4)
         assert_same_array(merged.sparse["a"][1],
                           np.zeros(5, dtype=np.int64))
-
-
-# ----------------------------------------------------------------------
-# frequency-aware cache miss path
-# ----------------------------------------------------------------------
-H, D = 40, 3
-
-OPS = st.lists(st.one_of(
-    st.tuples(st.just("read"),
-              st.lists(st.integers(0, H - 1), min_size=0, max_size=30)),
-    st.tuples(st.just("write"),
-              st.lists(st.integers(0, H - 1), min_size=0, max_size=10)),
-    st.tuples(st.just("warm"),
-              st.lists(st.integers(0, 4), min_size=H, max_size=H))),
-    min_size=1, max_size=12)
-
-
-def _cache_state(cache, backing):
-    return (dataclasses.asdict(cache.stats), dict(cache._loc),
-            cache._fill_counts.tolist(), cache._scores.tolist(),
-            cache._row_ids.tolist(), cache._dirty.tolist(), cache._open,
-            backing.rows.tobytes(), backing.bytes_read,
-            backing.bytes_written)
-
-
-class TestFreqAwareCache:
-    @settings(max_examples=120, deadline=None)
-    @given(capacity=st.integers(1, 24), chunk=st.integers(1, 6), ops=OPS)
-    # the admission memo: a write (or read) hit raises the lowest-score
-    # chunk's score, so the next miss must see chunk 1 as the victim
-    @example(capacity=2, chunk=1, ops=[("read", [0, 1, 0, 1, 2]),
-                                       ("write", [0]), ("read", [2])])
-    @example(capacity=2, chunk=1, ops=[("read", [0, 1, 0, 1, 2, 0, 2])])
-    def test_sequence_matches_reference(self, capacity, chunk, ops):
-        rows = np.random.default_rng(1).normal(size=(H, D)).astype(
-            np.float32)
-        fast_backing = ArrayBackingStore(rows)
-        ref_backing = ArrayBackingStore(rows)
-        fast = FreqAwareCache(capacity, D, chunk_rows=chunk)
-        ref = ReferenceFreqAwareCache(capacity, D, chunk_rows=chunk)
-        for step, (kind, arg) in enumerate(ops):
-            if kind == "read":
-                ids = np.array(arg, dtype=np.int64)
-                assert_same_array(fast.read(ids, fast_backing),
-                                  ref.read(ids, ref_backing))
-            elif kind == "write":
-                ids = np.array(arg, dtype=np.int64)
-                values = np.full((len(ids), D), step, dtype=np.float32)
-                fast.write(ids, values, fast_backing)
-                ref.write(ids, values, ref_backing)
-            else:
-                histogram = np.array(arg, dtype=np.int64)
-                assert fast.warm(histogram, fast_backing) == \
-                    ref.warm(histogram, ref_backing)
-            assert _cache_state(fast, fast_backing) == \
-                _cache_state(ref, ref_backing)
-            assert fast._empty == int(np.sum(fast._fill_counts == 0))

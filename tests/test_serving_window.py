@@ -7,7 +7,10 @@ per row count, on ``(k, m, .)`` stacks of the dispatches with ``m`` rows.
 return exactly what one ``predict`` per coalesced dispatch returned
 (``tests/reference_serving.py``), and leave every counter where that path
 left it: the dedup counters, each cold table's rows requested/read, and
-each cache's stats, residency and backing-store bytes.
+each cache's stats, residency and backing-store bytes. A ``freq_aware``
+cache decides admission once per read, so its counters are held instead
+to one read per window through the window-policy loop oracle
+(``tests/reference_cache.py``); its rows stay bitwise either way.
 """
 
 from types import SimpleNamespace
@@ -15,7 +18,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.cache import CACHE_KINDS
+from repro.cache import CACHE_KINDS, FreqAwareCache
 from repro.data import MiniBatch
 from repro.embedding import EmbeddingTableConfig, lengths_to_offsets
 from repro.models import DLRM, DLRMConfig
@@ -26,8 +29,9 @@ from repro.serving import server as server_module
 from repro.serving.server import _windows
 
 from .helpers import cache_state, tiny_dataset, trace_of
-from .reference_serving import (forward_reference, predict_reference,
-                                predict_window_reference)
+from .reference_cache import WindowLoopCache
+from .reference_serving import (cold_reads_reference, forward_reference,
+                                predict_reference, predict_window_reference)
 
 
 def _config(kind: str) -> DLRMConfig:
@@ -65,9 +69,11 @@ EXPORTS = {
 }
 
 
-def twins(export: str, cache_kind: str, dedup: bool, seed: int = 0):
-    """Two identical frozen artifacts: one runs the window pass, the
-    other the per-dispatch oracle."""
+def twins(export: str, cache_kind: str, dedup: bool, seed: int = 0,
+          copies: int = 2):
+    """Identical frozen artifacts: the first runs the window pass, the
+    second the per-dispatch oracle (a third, when asked for, serves
+    :func:`window_oracle`)."""
     config_kind, precision = EXPORTS[export]
     config = _config(config_kind)
     model = DLRM(config, seed=seed)
@@ -79,11 +85,11 @@ def twins(export: str, cache_kind: str, dedup: bool, seed: int = 0):
                       cache_kind=cache_kind, cache_fraction=0.2,
                       dedup=dedup)
     plan = _plan(config) if precision is None else None
-    made = [freeze(model, fc, plan=plan) for _ in range(2)]
+    made = [freeze(model, fc, plan=plan) for _ in range(copies)]
     assert made[0].cold_tables and made[0].hot_tables is not None
     if plan is not None:
         assert made[0].tt_tables
-    return config, made[0], made[1]
+    return (config, *made)
 
 
 def counters(model) -> dict:
@@ -91,6 +97,26 @@ def counters(model) -> dict:
     for name, table in model.cold_tables.items():
         out[name] = (table.rows_requested, table.rows_read,
                      cache_state(table.cache, table.backing))
+    return out
+
+
+def window_oracle(model):
+    """``model`` with each ``freq_aware`` cache turned, warm state and
+    all, into the window-policy loop oracle; driven by
+    :func:`cold_reads_reference`, one read per window."""
+    for table in model.cold_tables.values():
+        assert type(table.cache) is FreqAwareCache
+        table.cache.__class__ = WindowLoopCache
+    return model
+
+
+def expected_counters(oracle, windowed=None) -> dict:
+    """The per-dispatch oracle's counters, the cold tables' taken from
+    ``windowed`` (a :func:`window_oracle`) when given."""
+    out = counters(oracle)
+    if windowed is not None:
+        out.update((name, value) for name, value
+                   in counters(windowed).items() if name != "dedup")
     return out
 
 
@@ -132,7 +158,10 @@ class TestPredictMany:
     @pytest.mark.parametrize("cache_kind", CACHE_KINDS)
     @pytest.mark.parametrize("export", sorted(EXPORTS))
     def test_matches_per_dispatch_reference(self, export, cache_kind, dedup):
-        config, model, oracle = twins(export, cache_kind, dedup)
+        windowed = cache_kind == "freq_aware"
+        config, model, oracle, *loop = twins(export, cache_kind, dedup,
+                                             copies=3 if windowed else 2)
+        loop = window_oracle(loop[0]) if windowed else None
         for seed in range(3):
             window = dispatches(config, seed)
             got = model.predict_many(window)
@@ -141,7 +170,9 @@ class TestPredictMany:
             assert len(got) == len(expected)
             for g, e in zip(got, expected):
                 assert_bitwise(g, e)
-            assert counters(model) == counters(oracle)
+            if windowed:
+                cold_reads_reference(loop, window)
+            assert counters(model) == expected_counters(oracle, loop)
 
     @pytest.mark.parametrize("export", sorted(EXPORTS))
     def test_forward_and_predict_are_the_one_dispatch_case(self, export):
@@ -258,6 +289,8 @@ class TestExecutor:
         sources = [DLRM(config, seed=k) for k in range(2)]
         served = [freeze(m, fc) for m in sources]
         oracle = {id(s): freeze(m, fc) for s, m in zip(served, sources)}
+        loop = {id(s): window_oracle(freeze(m, fc))
+                for s, m in zip(served, sources)}
         slot = swap_slot(served)
         result = InferenceServer(
             served[0], BatchingPolicy(max_batch_size=6, max_wait_s=5e-4)
@@ -271,8 +304,13 @@ class TestExecutor:
             assert_bitwise(np.concatenate(
                 [result.responses[r.request_id] for r in b.requests]),
                 expected)
+        for model, _, window in _windows(result.plan, served[0], slot):
+            cold_reads_reference(loop[id(model)],
+                                 [[r.batch for r in b.requests]
+                                  for b in window])
         for s in served:
-            assert counters(s) == counters(oracle[id(s)])
+            assert counters(s) == expected_counters(oracle[id(s)],
+                                                    loop[id(s)])
 
     @pytest.mark.parametrize("budget", [1, 7, 512])
     def test_one_dense_call_per_window(self, budget, monkeypatch):
