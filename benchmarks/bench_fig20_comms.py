@@ -49,22 +49,23 @@ def test_fig20_bandwidth_curves(benchmark, report):
 def test_replay_mode_functional_collectives(benchmark):
     """PARAM "replay mode": run a real DLRM-like collective sequence
     (index alltoall, pooled alltoall, gradient allreduce) on 8 simulated
-    ranks and time the data path."""
+    ranks and time the data path. Every rank sends every rank one block,
+    so each AlltoAll is one flat buffer with a uniform split matrix."""
     world = 8
     rng = np.random.default_rng(0)
-    pooled = [[rng.normal(size=(64, 32)).astype(np.float32)
-               for _ in range(world)] for _ in range(world)]
-    grads = [rng.normal(size=(512,)).astype(np.float32)
-             for _ in range(world)]
-    ids = [[rng.integers(0, 1000, size=128) for _ in range(world)]
-           for _ in range(world)]
+    splits_pooled = np.full((world, world), 64)
+    pooled = rng.normal(size=(world * world * 64, 32)).astype(np.float32)
+    grads = rng.normal(size=(world, 512)).astype(np.float32)
+    splits_ids = np.full((world, world), 128)
+    ids = rng.integers(0, 1000, size=world * world * 128)
 
     def replay():
-        C.all_to_all(ids)
-        out = C.all_to_all(pooled)
+        C.all_to_all(ids, splits_ids)
+        out = C.all_to_all(pooled, splits_pooled)
         red = C.all_reduce(grads)
         return out, red
 
     out, red = benchmark(replay)
     np.testing.assert_allclose(red[0], sum(grads), rtol=1e-5)
-    assert out[0][3].shape == (64, 32)
+    # rank 0's rows from rank 3
+    assert out[3 * 64:4 * 64].shape == (64, 32)

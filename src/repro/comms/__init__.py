@@ -1,13 +1,11 @@
 """Communication layer: exact simulated collectives, wire quantization,
 cluster topology and the alpha-beta latency model (paper Sections 4.5, 5.1).
 
-The v2 process-group surface is re-exported here: typed AlltoAll dispatch
-(:class:`AlltoAllKind`), accounting-carrying returns
-(:class:`CollectiveResult`) and the snake-case latency-model names
-(``perf_model.all_to_all_time`` et al.). The pre-v2 string
-``direction=`` dispatch and the ``perf_model.alltoall_time``-style name
-aliases were removed after their deprecation window. See
-``docs/observability.md`` for the deprecation timeline.
+The process-group surface is re-exported here: typed AlltoAll dispatch
+(:class:`AlltoAllKind`), collectives over one rank-stacked buffer each
+(AlltoAll over a flat buffer and a split matrix), accounting-carrying
+returns (:class:`CollectiveResult`) and the latency-model names
+(``perf_model.all_to_all_time`` et al.).
 """
 
 from . import collectives, perf_model

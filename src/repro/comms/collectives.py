@@ -6,84 +6,75 @@ This gives the *correctness* path of the comms stack (real data actually
 moves between ranks and training results are exact); the *performance*
 path is the analytical model in :mod:`repro.comms.perf_model`.
 
-Conventions match ``torch.distributed``:
+Every collective takes one rank-stacked buffer and returns one, as NCCL
+moves one contiguous buffer per rank:
 
-* ``all_reduce(xs)`` — every rank receives the elementwise sum.
-* ``all_gather(xs)`` — every rank receives the list of all inputs.
-* ``reduce_scatter(xs)`` — rank r receives the sum of everyone's r-th chunk.
-* ``all_to_all(xss)`` — ``xss[src][dst]`` is sent from src to dst; rank r
-  receives ``[xss[0][r], xss[1][r], ...]``.
-* ``broadcast(xs, root)`` — every rank receives ``xs[root]``.
+* ``all_reduce(stack)`` — ``stack[r]`` is rank r's input; every rank
+  receives the elementwise sum.
+* ``all_gather(stack)`` — every rank receives the whole ``(W, ...)``
+  stack.
+* ``reduce_scatter(stack)`` — ``stack`` is ``(W, W*B, ...)``; rank r
+  receives the sum over ranks of rows ``[r*B, (r+1)*B)``.
+* ``all_to_all(send, splits)`` — AlltoAllv. ``splits[src, dst]`` rows of
+  the flat ``send`` buffer go from src to dst; ``send`` holds them
+  source-major, then by destination, and the result holds them
+  destination-major, then by source.
 
 Reductions are performed in a canonical order (rank 0 + rank 1 + ...) so
-results are bitwise identical across repeated runs.
+results are bitwise identical across repeated runs. Every codec is
+elementwise, so applying it once to a whole buffer gives the bits of
+applying it to each rank's slice.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 __all__ = ["all_reduce", "all_gather", "reduce_scatter", "all_to_all",
-           "all_to_all_single", "broadcast", "all_reduce_stacked",
-           "all_gather_stacked"]
+           "rank_rows"]
 
 Codec = Callable[[np.ndarray], np.ndarray]
-
-
-def _check_world(inputs: list) -> int:
-    if not inputs:
-        raise ValueError("collective needs at least one rank")
-    return len(inputs)
 
 
 def _identity(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _check_world_stacked(stacked: np.ndarray) -> int:
+def _check_world(stacked: np.ndarray) -> int:
     stacked = np.asarray(stacked)
     if stacked.ndim == 0 or stacked.shape[0] == 0:
         raise ValueError("collective needs at least one rank")
     return int(stacked.shape[0])
 
 
-def all_reduce(inputs: List[np.ndarray],
-               codec: Optional[Codec] = None) -> List[np.ndarray]:
-    """Elementwise sum over ranks, delivered to every rank.
+def rank_rows(buffer: np.ndarray, counts: np.ndarray,
+              rank: int) -> np.ndarray:
+    """Rank ``rank``'s rows of a buffer laid out rank after rank,
+    ``counts[r]`` rows each: a view."""
+    start = int(np.sum(counts[:rank]))
+    return buffer[start:start + int(counts[rank])]
+
+
+def all_reduce(stacked: np.ndarray,
+               codec: Optional[Codec] = None) -> np.ndarray:
+    """Elementwise sum over the leading (rank) axis, delivered to every
+    rank: the returned ``(W, ...)`` array is every rank's result.
 
     ``codec`` (e.g. a bf16 round-trip) is applied to each rank's
     contribution before reduction, modelling quantized collectives.
-    """
-    world = _check_world(inputs)
-    shapes = {x.shape for x in inputs}
-    if len(shapes) != 1:
-        raise ValueError(f"all_reduce inputs must share a shape, got {shapes}")
-    codec = codec or _identity
-    total = codec(np.asarray(inputs[0], dtype=np.float32)).copy()
-    for x in inputs[1:]:
-        total = total + codec(np.asarray(x, dtype=np.float32))
-    return [total.copy() for _ in range(world)]
-
-
-def all_reduce_stacked(stacked: np.ndarray,
-                       codec: Optional[Codec] = None) -> np.ndarray:
-    """Leading-axis :func:`all_reduce`: ``stacked[r]`` is rank ``r``'s
-    contribution; the returned ``(W, ...)`` array is every rank's
-    (identical) reduced result.
 
     The sum is computed once and returned as a read-only
-    ``np.broadcast_to`` view: all ``W`` rows are the same memory, the
-    same "destinations share storage" contract as
-    :func:`all_gather_stacked`, enforced here by the writeable flag.
+    ``np.broadcast_to`` view: all ``W`` rows are the same memory, and
+    the writeable flag keeps one rank's consumer from changing
+    another's result.
 
     The reduction is an explicit sequential sum over leading-axis
     slices — NOT ``np.sum(axis=0)``, whose pairwise summation would
-    change the float accumulation order — so each output slice is
-    bitwise identical to the list-based collective on the same data.
+    change the float accumulation order.
     """
-    world = _check_world_stacked(stacked)
+    world = _check_world(stacked)
     codec = codec or _identity
     total = codec(np.asarray(stacked[0], dtype=np.float32)).copy()
     for r in range(1, world):
@@ -91,80 +82,60 @@ def all_reduce_stacked(stacked: np.ndarray,
     return np.broadcast_to(total, (world,) + total.shape)
 
 
-def all_gather_stacked(stacked: np.ndarray,
-                       codec: Optional[Codec] = None) -> np.ndarray:
-    """Leading-axis :func:`all_gather`: returns one ``(W, ...)`` array —
-    the gathered payload every rank receives (slice ``s`` is rank
-    ``s``'s contribution). Callers must treat the result as read-only;
-    unlike the list form, destinations share storage."""
-    world = _check_world_stacked(stacked)
+def all_gather(stacked: np.ndarray,
+               codec: Optional[Codec] = None) -> np.ndarray:
+    """Returns the gathered ``(W, ...)`` payload every rank receives
+    (slice ``s`` is rank ``s``'s contribution). Every rank shares this
+    one array, so callers must treat it as read-only."""
+    _check_world(stacked)
+    return np.array((codec or _identity)(np.asarray(stacked)))
+
+
+def reduce_scatter(stacked: np.ndarray,
+                   codec: Optional[Codec] = None) -> np.ndarray:
+    """``stacked`` is ``(W, W*B, ...)``: rank r's ``W`` chunks of ``B``
+    rows. Returns the ``(W, B, ...)`` stack whose slice ``r`` is the sum
+    over ranks of chunk ``r``, added in rank order as :func:`all_reduce`
+    does."""
+    world = _check_world(stacked)
+    stacked = np.asarray(stacked)
+    if stacked.ndim < 2 or stacked.shape[1] % world:
+        raise ValueError(
+            f"each rank must provide {world} equal chunks, got a stack "
+            f"of shape {stacked.shape}")
+    chunks = stacked.reshape((world, world, stacked.shape[1] // world)
+                             + stacked.shape[2:])
     codec = codec or _identity
-    return np.stack([codec(np.asarray(stacked[r])) for r in range(world)],
-                    axis=0)
+    total = codec(np.asarray(chunks[0], dtype=np.float32)).copy()
+    for src in range(1, world):
+        total += codec(np.asarray(chunks[src], dtype=np.float32))
+    return total
 
 
-def all_gather(inputs: List[np.ndarray],
-               codec: Optional[Codec] = None) -> List[List[np.ndarray]]:
-    world = _check_world(inputs)
-    codec = codec or _identity
-    gathered = [codec(np.asarray(x)).copy() for x in inputs]
-    return [[g.copy() for g in gathered] for _ in range(world)]
+def all_to_all(send: np.ndarray, splits: np.ndarray,
+               codec: Optional[Codec] = None) -> np.ndarray:
+    """AlltoAllv: ``splits[src, dst]`` rows of ``send`` (laid out
+    source-major, then by destination) go from ``src`` to ``dst``.
 
-
-def reduce_scatter(inputs: List[List[np.ndarray]],
-                   codec: Optional[Codec] = None) -> List[np.ndarray]:
-    """``inputs[rank][chunk]``: rank r receives sum over ranks of chunk r."""
-    world = _check_world(inputs)
-    for chunks in inputs:
-        if len(chunks) != world:
-            raise ValueError(
-                f"each rank must provide {world} chunks, got {len(chunks)}")
-    codec = codec or _identity
-    outputs = []
-    for r in range(world):
-        total = codec(np.asarray(inputs[0][r], dtype=np.float32)).copy()
-        for src in range(1, world):
-            total = total + codec(
-                np.asarray(inputs[src][r], dtype=np.float32))
-        outputs.append(total)
-    return outputs
-
-
-def all_to_all(inputs: List[List[np.ndarray]],
-               codec: Optional[Codec] = None) -> List[List[np.ndarray]]:
-    """``inputs[src][dst]`` -> ``outputs[dst][src]`` (NCCL AlltoAllv)."""
-    world = _check_world(inputs)
-    for row in inputs:
-        if len(row) != world:
-            raise ValueError(
-                f"each rank must address {world} peers, got {len(row)}")
-    codec = codec or _identity
-    return [[_deliver(inputs[src][dst], codec) for src in range(world)]
-            for dst in range(world)]
-
-
-def _deliver(payload, codec: Codec) -> np.ndarray:
-    """What the destination receives: a fresh copy through the codec. A
-    zero-size payload carries no data, so it is not copied."""
-    received = codec(np.asarray(payload))
-    return received if received.size == 0 else received.copy()
-
-
-def all_to_all_single(inputs: List[np.ndarray],
-                      codec: Optional[Codec] = None) -> List[np.ndarray]:
-    """Equal-split AlltoAll: each rank's input splits into W equal chunks
-    along axis 0; output concatenates the received chunks."""
-    world = _check_world(inputs)
-    split = [np.array_split(np.asarray(x), world, axis=0) for x in inputs]
-    exchanged = all_to_all(split, codec=codec)
-    return [np.concatenate(chunks, axis=0) for chunks in exchanged]
-
-
-def broadcast(inputs: List[np.ndarray], root: int = 0,
-              codec: Optional[Codec] = None) -> List[np.ndarray]:
-    world = _check_world(inputs)
-    if not 0 <= root < world:
-        raise ValueError(f"root {root} outside world size {world}")
-    codec = codec or _identity
-    payload = codec(np.asarray(inputs[root])).copy()
-    return [payload.copy() for _ in range(world)]
+    Returns the receive buffer, destination-major and then by source:
+    rank ``r``'s rows are ``rank_rows(out, splits.sum(axis=0), r)``.
+    Delivery is one permutation gather and one codec call.
+    """
+    splits = np.asarray(splits)
+    if splits.ndim != 2 or splits.shape[0] != splits.shape[1] \
+            or splits.shape[0] == 0:
+        raise ValueError(f"splits must be a (W, W) matrix with W >= 1, "
+                         f"got shape {splits.shape}")
+    if (splits < 0).any() or int(splits.sum()) != len(send):
+        raise ValueError(
+            f"splits must be non-negative and sum to the {len(send)} "
+            f"rows of the send buffer, got {int(splits.sum())}")
+    # slot (src, dst) is one contiguous block of rows on either side:
+    # list the blocks in receive order and gather each block's rows
+    world = splits.shape[0]
+    sizes = splits.ravel()
+    first = (np.cumsum(sizes) - sizes).reshape(world, world).T.ravel()
+    received = splits.T.ravel()
+    ends = np.cumsum(received)
+    rows = np.repeat(first - ends + received, received) + np.arange(ends[-1])
+    return (codec or _identity)(np.take(send, rows, axis=0))

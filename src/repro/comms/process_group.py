@@ -16,21 +16,21 @@ carrying its byte/latency attribution — so a traced run reports, per
 collective kind, exactly the traffic the legacy :class:`CommsLog`
 accessors aggregate.
 
-The v2 surface (this module) differs from the original in three ways:
+Conventions:
 
 * AlltoAll flavours are selected with the typed :class:`AlltoAllKind`
-  enum. The old ``direction="forward_alltoall"`` string form was removed
-  after its deprecation window — ``direction=`` raises ``TypeError`` and
-  string kinds raise ``ValueError``.
-* Every collective returns a :class:`CollectiveResult` carrying the
-  outputs *and* the accounting (wire bytes, modeled seconds) of that
-  call, so callers no longer re-derive byte counts from payload shapes.
-  ``CollectiveResult`` is a sequence over its outputs, so pre-v2 callers
-  that indexed or iterated the return value keep working unchanged.
+  enum; ``direction=`` raises ``TypeError`` and string kinds raise
+  ``ValueError``.
+* Every collective takes one rank-stacked buffer, as NCCL does: a
+  ``(W, ...)`` stack for AllReduce and AllGather, a ``(W, W*B, ...)``
+  stack for ReduceScatter, and for AlltoAll a flat send buffer plus a
+  ``(W, W)`` matrix of row counts (AlltoAllv).
+* Every collective returns a :class:`CollectiveResult` carrying the one
+  result array *and* the accounting (wire bytes, modeled seconds) of
+  that call, so callers never re-derive byte counts from payload shapes.
 * Byte accounting never hard-codes an element width: float payloads are
   billed at the configured wire precision and everything else at the
-  arrays' true ``nbytes`` (``reduce_scatter`` / ``all_gather`` /
-  ``broadcast`` previously assumed 4 bytes/element).
+  arrays' true ``nbytes``.
 
 Byte-accounting conventions (audited for the sliced-gradient AlltoAll
 paths of column-wise sharding):
@@ -42,10 +42,9 @@ paths of column-wise sharding):
   ``sum(shard_cols) * batch`` elements per iteration, however the columns
   were cut.
 * Index payloads (the :attr:`AlltoAllKind.INDEX` AlltoAll) and the
-  unquantized collectives (``reduce_scatter`` / ``all_gather`` /
-  ``broadcast``) are counted from the arrays' real ``nbytes`` — an fp16
-  or int32 payload is billed at 2 or 4 bytes per element, not a
-  hard-coded width.
+  unquantized collectives (``reduce_scatter`` / ``all_gather``) are
+  counted from the arrays' real ``nbytes`` — an fp16 or int32 payload
+  is billed at 2 or 4 bytes per element, not a hard-coded width.
 * Self-sends (rank r -> rank r) are included, matching the analytical
   model in :mod:`repro.comms.perf_model` and the paper's Fig. 20
   convention of quoting full AlltoAll volume.
@@ -53,10 +52,9 @@ paths of column-wise sharding):
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -93,33 +91,20 @@ def _coerce_alltoall_kind(kind: Union[AlltoAllKind, str]) -> AlltoAllKind:
 
 
 @dataclass
-class CollectiveResult(Sequence):
-    """One collective's outputs plus its accounting (v2 API).
+class CollectiveResult:
+    """One collective's result array plus its accounting.
 
-    ``outputs`` is the per-rank result list the functional collectives
-    produce; ``wire_bytes`` and ``modeled_seconds`` are exactly what the
-    process group recorded for this call, so callers need not re-derive
-    traffic from payload shapes. The object is a sequence over
-    ``outputs`` (indexing, iteration, ``len``) as a thin
-    backward-compat shim for pre-v2 callers that treated the return
-    value as the output list itself.
+    ``output`` is the one array the collective returns (see
+    :mod:`repro.comms.collectives` for each layout); ``wire_bytes`` and
+    ``modeled_seconds`` are exactly what the process group recorded for
+    this call, so callers need not re-derive traffic from payload shapes.
     """
 
-    outputs: List[Any]
+    output: np.ndarray
     collective: str = ""
     wire_bytes: int = 0
     modeled_seconds: float = 0.0
     per_rank_seconds: List[float] = field(default_factory=list)
-    #: rank-stacked fast path only: the full ``(W, ...)`` result array
-    #: (``outputs`` then holds per-rank views into it). ``None`` for the
-    #: list-based collectives.
-    stacked: Optional[np.ndarray] = None
-
-    def __getitem__(self, index):
-        return self.outputs[index]
-
-    def __len__(self) -> int:
-        return len(self.outputs)
 
 
 class CommsLog:
@@ -219,84 +204,57 @@ class SimProcessGroup:
         faults on it.
         """
 
-    def _check_world(self, inputs: Sequence, name: str) -> None:
-        if len(inputs) != self.world_size:
+    def _check_world(self, stacked: np.ndarray, name: str) -> None:
+        if len(stacked) != self.world_size:
             raise ValueError(
                 f"{name} expects one input per rank "
-                f"({self.world_size}), got {len(inputs)}")
+                f"({self.world_size}), got {len(stacked)}")
 
     def _record(self, name: str, total_wire: float, seconds: float) -> None:
         self.log.record(name, total_wire, seconds)
 
-    def _execute(self, name: str, inputs: Sequence, total_wire: float,
-                 seconds: float, fn: Callable[[], list]) -> CollectiveResult:
+    def _execute(self, name: str, send: np.ndarray, total_wire: float,
+                 seconds: float, fn: Callable[[], np.ndarray],
+                 splits: Optional[np.ndarray] = None) -> CollectiveResult:
         """Run one collective under a span and record its accounting.
 
-        Every public collective funnels through here, so a wrapper can
+        Every public collective funnels through here with its send
+        buffer (and, for AlltoAll, its split matrix), so a wrapper can
         intercept a single method to adjust modeled time, fail attempts,
-        or kill ranks (:class:`repro.resilience.FaultyProcessGroup`
-        overrides this).
+        kill ranks or read any rank's send rows
+        (:class:`repro.resilience.FaultyProcessGroup` overrides this).
         """
         with self.tracer.span(f"comms.{name}", cat="comms",
                               wire_bytes=total_wire,
                               modeled_seconds=seconds):
             out = fn()
         self._record(name, total_wire, seconds)
-        return CollectiveResult(outputs=out, collective=name,
+        return CollectiveResult(output=out, collective=name,
                                 wire_bytes=int(total_wire),
                                 modeled_seconds=seconds)
 
     # ------------------------------------------------------------------
-    def all_reduce(self, inputs: Union[List[np.ndarray], np.ndarray]
-                   ) -> CollectiveResult:
-        """Elementwise-sum AllReduce.
-
-        ``inputs`` is either the classic per-rank list or — the
-        rank-stacked fast path — one ``(W, ...)`` array whose leading
-        axis enumerates ranks. Both forms bill identical wire bytes and
-        modeled latency (the per-GPU payload is one rank's slice either
-        way), produce bitwise-identical per-rank outputs, and funnel
-        through :meth:`_execute` so fault wrappers see the same
-        collective name and per-rank input views. The stacked form
-        computes the sum once: ``.stacked`` and every entry of
-        ``outputs`` are read-only views of that one vector.
+    def all_reduce(self, stacked: np.ndarray) -> CollectiveResult:
+        """Elementwise-sum AllReduce of one ``(W, ...)`` stack whose
+        leading axis enumerates ranks. The sum is computed once:
+        ``.output`` is a read-only ``(W, ...)`` view of that one vector.
         """
-        if isinstance(inputs, np.ndarray):
-            return self._all_reduce_stacked(inputs)
-        self._check_world(inputs, "all_reduce")
-        precision = self.comms_config.allreduce
-        per_gpu = wire_bytes(int(inputs[0].size), precision)
-        seconds = perf_model.all_reduce_time(per_gpu, self.topology)
-        total_wire = per_gpu * self.world_size
-        return self._execute(
-            "all_reduce", inputs, total_wire, seconds,
-            lambda: collectives.all_reduce(
-                inputs, codec=self.comms_config.allreduce_codec()))
-
-    def _all_reduce_stacked(self, stacked: np.ndarray) -> CollectiveResult:
         self._check_world(stacked, "all_reduce")
-        precision = self.comms_config.allreduce
-        per_gpu = wire_bytes(int(stacked[0].size), precision)
-        seconds = perf_model.all_reduce_time(per_gpu, self.topology)
-        total_wire = per_gpu * self.world_size
-        holder: Dict[str, np.ndarray] = {}
+        per_gpu = wire_bytes(int(stacked[0].size), self.comms_config.allreduce)
+        return self._execute(
+            "all_reduce", stacked, per_gpu * self.world_size,
+            perf_model.all_reduce_time(per_gpu, self.topology),
+            lambda: collectives.all_reduce(
+                stacked, codec=self.comms_config.allreduce_codec()))
 
-        def run() -> list:
-            out = collectives.all_reduce_stacked(
-                stacked, codec=self.comms_config.allreduce_codec())
-            holder["out"] = out
-            return [out[r] for r in range(self.world_size)]
-
-        result = self._execute(
-            "all_reduce", [stacked[r] for r in range(self.world_size)],
-            total_wire, seconds, run)
-        result.stacked = holder["out"]
-        return result
-
-    def all_to_all(self, inputs: List[List[np.ndarray]],
+    def all_to_all(self, send: np.ndarray, splits: np.ndarray,
                    kind: Union[AlltoAllKind, str] = AlltoAllKind.FORWARD
                    ) -> CollectiveResult:
-        self._check_world(inputs, "all_to_all")
+        """AlltoAllv of one flat ``send`` buffer: ``splits[src, dst]``
+        rows go from ``src`` to ``dst`` (see
+        :func:`repro.comms.collectives.all_to_all` for the layouts)."""
+        splits = np.asarray(splits)
+        self._check_world(splits, "all_to_all")
         kind = _coerce_alltoall_kind(kind)
         if kind is AlltoAllKind.FORWARD:
             codec = self.comms_config.forward_codec()
@@ -308,80 +266,42 @@ class SimProcessGroup:
             # index redistribution is integer data: never quantized
             codec = None
             precision = None
+        send = np.asarray(send)
         if kind is AlltoAllKind.INDEX:
             # integer payloads are billed at their true width (ids are
             # int64 today; nbytes keeps this honest if that ever changes)
-            total_wire = sum(int(np.asarray(x).nbytes) for row in inputs
-                             for x in row)
+            total_wire = int(send.nbytes)
         else:
             # float payloads are billed at the wire precision, summed
             # over every (src, dst) slice — exact under uneven splits
-            total_elems = sum(int(np.asarray(x).size) for row in inputs
-                              for x in row)
-            total_wire = wire_bytes(total_elems, precision)
+            total_wire = wire_bytes(int(send.size), precision)
         per_gpu = total_wire / max(self.world_size, 1)
         seconds = perf_model.all_to_all_time(per_gpu, self.topology)
-        name = f"all_to_all/{kind.value}"
         return self._execute(
-            name, inputs, total_wire, seconds,
-            lambda: collectives.all_to_all(inputs, codec=codec))
+            f"all_to_all/{kind.value}", send, total_wire, seconds,
+            lambda: collectives.all_to_all(send, splits, codec=codec),
+            splits=splits)
 
-    def reduce_scatter(self, inputs: List[List[np.ndarray]]
-                       ) -> CollectiveResult:
-        self._check_world(inputs, "reduce_scatter")
-        per_gpu = sum(int(np.asarray(x).nbytes) for x in inputs[0])
-        seconds = perf_model.reduce_scatter_time(per_gpu, self.topology)
-        total_wire = per_gpu * self.world_size
+    def reduce_scatter(self, stacked: np.ndarray) -> CollectiveResult:
+        """ReduceScatter of one ``(W, W*B, ...)`` stack: ``.output`` is
+        the ``(W, B, ...)`` stack of every rank's summed chunk."""
+        self._check_world(stacked, "reduce_scatter")
+        per_gpu = int(stacked[0].nbytes)
         return self._execute(
-            "reduce_scatter", inputs, total_wire, seconds,
-            lambda: collectives.reduce_scatter(inputs))
+            "reduce_scatter", stacked, per_gpu * self.world_size,
+            perf_model.reduce_scatter_time(per_gpu, self.topology),
+            lambda: collectives.reduce_scatter(stacked))
 
-    def all_gather(self, inputs: Union[List[np.ndarray], np.ndarray]
-                   ) -> CollectiveResult:
-        """AllGather; accepts a per-rank list or (rank-stacked fast
-        path) one ``(W, ...)`` array. Billing is identical either way;
-        the stacked result (``.stacked``) is the gathered ``(W, ...)``
-        payload every rank receives, and ``outputs`` holds the usual
-        per-destination lists as views into it (read-only by
+    def all_gather(self, stacked: np.ndarray) -> CollectiveResult:
+        """AllGather of one ``(W, ...)`` stack: ``.output`` is the
+        gathered ``(W, ...)`` payload every rank receives (read-only by
         convention)."""
-        if isinstance(inputs, np.ndarray):
-            return self._all_gather_stacked(inputs)
-        self._check_world(inputs, "all_gather")
-        per_gpu = int(np.asarray(inputs[0]).nbytes)
-        seconds = perf_model.all_gather_time(per_gpu, self.topology)
-        total_wire = per_gpu * self.world_size
-        return self._execute(
-            "all_gather", inputs, total_wire, seconds,
-            lambda: collectives.all_gather(inputs))
-
-    def _all_gather_stacked(self, stacked: np.ndarray) -> CollectiveResult:
         self._check_world(stacked, "all_gather")
-        per_gpu = int(np.asarray(stacked[0]).nbytes)
-        seconds = perf_model.all_gather_time(per_gpu, self.topology)
-        total_wire = per_gpu * self.world_size
-        holder: Dict[str, np.ndarray] = {}
-
-        def run() -> list:
-            out = collectives.all_gather_stacked(stacked)
-            holder["out"] = out
-            received = [out[s] for s in range(self.world_size)]
-            return [received for _ in range(self.world_size)]
-
-        result = self._execute(
-            "all_gather", [stacked[r] for r in range(self.world_size)],
-            total_wire, seconds, run)
-        result.stacked = holder["out"]
-        return result
-
-    def broadcast(self, inputs: List[np.ndarray],
-                  root: int = 0) -> CollectiveResult:
-        self._check_world(inputs, "broadcast")
-        payload = int(np.asarray(inputs[root]).nbytes)
-        seconds = perf_model.broadcast_time(payload, self.topology)
-        total_wire = payload * self.world_size
+        per_gpu = int(stacked[0].nbytes)
         return self._execute(
-            "broadcast", inputs, total_wire, seconds,
-            lambda: collectives.broadcast(inputs, root=root))
+            "all_gather", stacked, per_gpu * self.world_size,
+            perf_model.all_gather_time(per_gpu, self.topology),
+            lambda: collectives.all_gather(stacked))
 
     def reset_log(self) -> None:
         self.log.reset()

@@ -10,14 +10,14 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..comms import AlltoAllKind, SimProcessGroup
+from ..comms.collectives import rank_rows
 from ..data.datagen import MiniBatch
-from ..data.kernels import bucketize_sparse
+from ..data.kernels import bucket_of
 from ..embedding import (EmbeddingTable, EmbeddingTableConfig,
                          QuantizedEmbeddingTable, SparseGradient,
                          SparseOptimizer)
@@ -34,34 +34,19 @@ _ROW_SCHEMES = (ShardingScheme.ROW_WISE, ShardingScheme.TABLE_ROW_WISE)
 # every table's per-source-rank (ids, offsets): inputs[name][src]
 _Inputs = Dict[str, List[Tuple[np.ndarray, np.ndarray]]]
 
-# the payload of every exchange slot that carries nothing: one shared
-# read-only array per kind (the collectives pass zero-size payloads
-# through uncopied)
-_EMPTY_IDS = np.zeros(0, dtype=np.int64)
-_EMPTY_IDS.setflags(write=False)
-
-
-# one AlltoAll's inputs: payload[src][dst]
-_Payload = List[List[np.ndarray]]
-
-
-@lru_cache(maxsize=None)
-def _empty_rows(dim: int) -> np.ndarray:
-    empty = np.zeros((0, dim), dtype=np.float32)
-    empty.setflags(write=False)
-    return empty
+# one AlltoAll's inputs: its flat send buffer, source-major and then by
+# destination, and its (W, W) split matrix of row counts
+_Payload = Tuple[np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
 class _RowWiseTable:
-    """One row-wise table's place in the combined id space: its ids are
-    offset by ``base`` and its shards (in row order) own buckets
-    ``first_bucket ..`` of the concatenated boundaries."""
+    """One row-wise table: its shards in row order and their owner
+    ranks, ascending."""
 
     name: str
     shards: Tuple[Shard, ...]
-    base: int
-    first_bucket: int
+    ranks: List[int]
 
 
 class SparseExchange:
@@ -151,10 +136,12 @@ class SparseExchange:
 
     def _build_exchange(self) -> None:
         """Lay out the per-step index pass (paper Section 4.4): one id
-        space for the row-wise tables, table after table, cut by their
-        concatenated shard boundaries."""
+        space for the row-wise tables, table after table (table ``i``'s
+        ids offset by ``_row_bases[i]``), cut by their concatenated shard
+        boundaries into one bucket per shard, owned by
+        ``_bucket_rank[bucket]``."""
         self._row_wise: List[_RowWiseTable] = []
-        boundaries = [0]
+        boundaries, owners_of_buckets = [0], []
         for t in self.config.tables:
             if self.plan.scheme_of(t.name) not in _ROW_SCHEMES:
                 continue
@@ -182,11 +169,15 @@ class SparseExchange:
                     f"row-wise table {t.name}: shards must tile rows "
                     f"[0, {t.num_embeddings}) without gaps, got "
                     f"{[s.row_range for s in shards]}")
+            self._row_wise.append(_RowWiseTable(t.name, shards,
+                                                sorted(owners)))
             base = boundaries[-1]
-            self._row_wise.append(_RowWiseTable(
-                t.name, shards, base, len(boundaries) - 1))
             boundaries.extend(base + cut for cut in cuts[1:])
+            owners_of_buckets.extend(s.rank for s in shards)
         self._row_boundaries = np.asarray(boundaries, dtype=np.int64)
+        self._row_bases = np.cumsum(
+            [0] + [rt.shards[-1].row_range[1] for rt in self._row_wise])
+        self._bucket_rank = np.asarray(owners_of_buckets, dtype=np.int64)
 
     # ------------------------------------------------------------------
     # instrumented shard access
@@ -226,10 +217,10 @@ class SparseExchange:
     # the index pass: every table's exchange payloads, prepared at once
     # ------------------------------------------------------------------
     def _bag_lengths(self, inputs: _Inputs,
-                     local_batch: int) -> Dict[str, List[np.ndarray]]:
+                     local_batch: int) -> Dict[str, np.ndarray]:
         """Bag lengths of every table on every source rank (the combined
         format's lengths tensor): one ``np.diff`` over all offsets, each
-        table's per-rank lengths a row of the result."""
+        table's ``(W, B)`` lengths a block of rows of the result."""
         names = [t.name for t in self.config.tables]
         w = self.world_size
         offsets = [inputs[name][src][1] for name in names
@@ -240,131 +231,129 @@ class SparseExchange:
                 f"{local_batch + 1} entries")
         lengths = np.diff(np.stack(offsets), axis=1).astype(np.int64,
                                                             copy=False)
-        return {name: [lengths[i * w + src] for src in range(w)]
+        return {name: lengths[i * w:(i + 1) * w]
                 for i, name in enumerate(names)}
 
     def _row_wise_payloads(self, inputs: _Inputs,
-                           lengths: Dict[str, List[np.ndarray]]
+                           lengths: Dict[str, np.ndarray]
                            ) -> Dict[str, Tuple[Tuple[Shard, ...],
                                                 _Payload, _Payload]]:
         """Every row-wise table's shards (in row order) and its ids and
-        lengths index-AlltoAll payloads (``[src][dst]``), from one
-        ``bucketize_sparse`` call.
+        lengths index-AlltoAll payloads, from one pass over the ids of
+        every row-wise table and source rank.
 
-        The ids of all row-wise tables and source ranks, table-major,
-        are offset by their table's base into the combined id space and
-        split by the concatenated shard boundaries. Bucket ``k`` then
-        holds shard ``k``'s ids (rebased to the shard) in source-rank
-        order, so each source's slice is cut by its bags' lengths. An id
-        outside its own table would land in a neighbour's bucket; the
-        per-table count check turns that into the ``IndexError`` a
-        per-table bucketize raises.
+        The ids, table-major, are offset by their table's base into the
+        combined id space, whose buckets are the shards. One stable sort
+        on each id's (table, source rank, owner rank) lays out every
+        table's send buffer, source-major and then by owner, with ids
+        rebased to their shard; one ``bincount`` on the same key gives
+        the split matrices, and one on (key, bag) every sub-bag's
+        length. Each id is range-checked against its own table, so an id
+        the combined space would hide in a neighbour's bucket raises the
+        ``IndexError`` a per-table bucketize raises.
         """
         if not self._row_wise:
             return {}
-        w = self.world_size
-        ids = [inputs[rt.name][src][0] for rt in self._row_wise
-               for src in range(w)]
-        counts = np.fromiter(map(len, ids), np.int64, len(ids))
-        ids = np.concatenate(ids).astype(np.int64, copy=False)
-        ids += np.repeat(np.repeat([rt.base for rt in self._row_wise], w),
-                         counts)
-        buckets = bucketize_sparse(
-            ids, np.concatenate([lengths[rt.name][src]
-                                 for rt in self._row_wise
-                                 for src in range(w)]),
-            self._row_boundaries)
-        batch = len(lengths[self._row_wise[0].name][0])
+        w, tables = self.world_size, len(self._row_wise)
+        batch = lengths[self._row_wise[0].name].shape[1]
+        ids = np.concatenate([inputs[rt.name][src][0]
+                              for rt in self._row_wise
+                              for src in range(w)]).astype(np.int64,
+                                                           copy=False)
+        # every id's bag, numbered (table, source rank, bag)
+        bag = np.repeat(np.arange(tables * w * batch), np.concatenate(
+            [lengths[rt.name].ravel() for rt in self._row_wise]))
+        if len(bag) != len(ids):
+            raise ValueError("every row-wise table's bag lengths must sum "
+                             "to its id count")
+        table = bag // (w * batch)
+        outside = (ids < 0) | (ids >= np.diff(self._row_bases)[table])
+        if outside.any():
+            rt = self._row_wise[int(table[np.argmax(outside)])]
+            raise IndexError(f"row-wise table {rt.name}: ids outside [0, "
+                             f"{rt.shards[-1].row_range[1]})")
+        ids += self._row_bases[table]
+        bucket = bucket_of(ids, self._row_boundaries)
+        ids -= self._row_boundaries[bucket]
+        key = bag // batch * w + self._bucket_rank[bucket]
+        # a stable sort on a uint16 key is numpy's O(N) radix sort
+        order = np.argsort(key.astype(np.uint16) if tables * w * w <= 1 << 16
+                           else key, kind="stable")
+        send_ids = np.take(ids, order)
+        id_splits = np.bincount(key, minlength=tables * w * w).reshape(
+            tables, w, w)
+        sub_bags = np.bincount(
+            key * batch + bag % batch,
+            minlength=tables * w * w * batch).reshape(tables, w, w, batch)
+        ends = np.cumsum(id_splits.sum(axis=(1, 2)))
         payloads = {}
         for i, rt in enumerate(self._row_wise):
-            payload_ids = [[_EMPTY_IDS] * w for _ in range(w)]
-            payload_lengths = [[_EMPTY_IDS] * w for _ in range(w)]
-            found = 0
-            for k, shard in enumerate(rt.shards, start=rt.first_bucket):
-                local, bucket_lengths = buckets[k]
-                per_src = bucket_lengths[i * w * batch:(i + 1) * w * batch]
-                ends = np.cumsum(per_src.reshape(w, batch).sum(axis=1))
-                start = 0
-                for src, end in enumerate(ends.tolist()):
-                    payload_ids[src][shard.rank] = local[start:end]
-                    payload_lengths[src][shard.rank] = \
-                        per_src[src * batch:(src + 1) * batch]
-                    start = end
-                found += start
-            if found != int(counts[i * w:(i + 1) * w].sum()):
-                raise IndexError(
-                    f"row-wise table {rt.name}: ids outside [0, "
-                    f"{rt.shards[-1].row_range[1]})")
-            payloads[rt.name] = (rt.shards, payload_ids,
-                                 payload_lengths)
+            length_splits = np.zeros((w, w), dtype=np.int64)
+            length_splits[:, rt.ranks] = batch
+            payloads[rt.name] = (
+                rt.shards,
+                (send_ids[ends[i] - id_splits[i].sum():ends[i]],
+                 id_splits[i]),
+                (sub_bags[i][:, rt.ranks].ravel(), length_splits))
         return payloads
 
     # ------------------------------------------------------------------
     # embedding forward/backward, per scheme
     # ------------------------------------------------------------------
-    @staticmethod
-    def _global_jagged(ids: Sequence[np.ndarray],
-                       lengths: Sequence[np.ndarray]
-                       ) -> Tuple[np.ndarray, np.ndarray]:
-        """Concatenate per-source-rank ids and lengths into one global
-        jagged batch, source-rank-major (matching batch concatenation)."""
-        return np.concatenate(ids), lengths_to_offsets(np.concatenate(lengths))
-
     def _pooled_scatter(self, shard: Shard, pooled: np.ndarray,
-                        local_batch: int) -> List[np.ndarray]:
+                        local_batch: int) -> np.ndarray:
         """Pooled AlltoAll: the owner of ``shard`` sends each rank its
-        sub-batch of ``pooled``; returns what every rank received."""
+        sub-batch of ``pooled``; returns the ``(W, B, D)`` stack of what
+        every rank received."""
         w = self.world_size
-        owner = shard.rank
-        idle = _empty_rows(pooled.shape[1])
-        payload = [[pooled[dst * local_batch:(dst + 1) * local_batch]
-                    if src == owner else idle for dst in range(w)]
-                   for src in range(w)]
-        delivered = self.pg.all_to_all(payload, kind=AlltoAllKind.FORWARD)
-        return [delivered[r][owner] for r in range(w)]
+        splits = np.zeros((w, w), dtype=np.int64)
+        splits[shard.rank] = local_batch
+        delivered = self.pg.all_to_all(pooled, splits,
+                                       kind=AlltoAllKind.FORWARD).output
+        return delivered.reshape(w, local_batch, -1)
 
-    def _replicated_index(self, owners: Sequence[int],
-                          inputs: List[Tuple[np.ndarray, np.ndarray]],
-                          lengths: List[np.ndarray]):
-        """Index AlltoAll of whole local batches: every rank ships its
-        ids, then its lengths, to each owner rank."""
+    def _index_to(self, owners: Sequence[int], payloads: Sequence[np.ndarray]
+                  ) -> Tuple[np.ndarray, np.ndarray]:
+        """Index AlltoAll of whole per-rank payloads: every rank ships
+        its payload to each owner rank. Returns the receive buffer and
+        the rows each rank received."""
         w = self.world_size
-        ids = [[inputs[src][0] if dst in owners else _EMPTY_IDS
-                for dst in range(w)] for src in range(w)]
-        arrived = self.pg.all_to_all(ids, kind=AlltoAllKind.INDEX)
-        bags = [[lengths[src] if dst in owners else _EMPTY_IDS
-                 for dst in range(w)] for src in range(w)]
-        return arrived, self.pg.all_to_all(bags, kind=AlltoAllKind.INDEX)
+        owners = sorted(owners)
+        splits = np.zeros((w, w), dtype=np.int64)
+        splits[:, owners] = [[len(p)] for p in payloads]
+        send = np.concatenate([p for p in payloads for _ in owners])
+        arrived = self.pg.all_to_all(send, splits, kind=AlltoAllKind.INDEX)
+        return arrived.output, splits.sum(axis=0)
 
     def _sliced_gradient(self, shard: Shard, scaled: np.ndarray) -> None:
         """Backward AlltoAll of each rank's (already ``/ W``) gradient
         slice to the owner of ``shard``, then the owner's update."""
-        w = self.world_size
-        idle = _empty_rows(scaled.shape[2])
-        payload = [[scaled[src] if dst == shard.rank else idle
-                    for dst in range(w)] for src in range(w)]
-        arrived = self.pg.all_to_all(payload, kind=AlltoAllKind.BACKWARD)
-        d_global = np.concatenate(arrived[shard.rank], axis=0)
-        self._shard_update(shard, d_global.astype(np.float32, copy=False))
+        w, local_batch, cols = scaled.shape
+        splits = np.zeros((w, w), dtype=np.int64)
+        splits[:, shard.rank] = local_batch
+        arrived = self.pg.all_to_all(scaled.reshape(-1, cols), splits,
+                                     kind=AlltoAllKind.BACKWARD).output
+        self._shard_update(shard, arrived.astype(np.float32, copy=False))
 
     def _forward_column_wise(self, shards: List[Shard],
                              inputs: List[Tuple[np.ndarray, np.ndarray]],
-                             lengths: List[np.ndarray],
-                             local_batch: int) -> List[np.ndarray]:
-        # replicated index AlltoAll: each rank ships ids to every owner
-        arrived, arrived_lengths = self._replicated_index(
-            {s.rank for s in shards}, inputs, lengths)
+                             lengths: np.ndarray,
+                             local_batch: int) -> np.ndarray:
+        # replicated index AlltoAll: each rank ships its ids, then its
+        # lengths, to every owner
+        owners = {s.rank for s in shards}
+        ids, id_counts = self._index_to(owners, [x for x, _ in inputs])
+        bags, bag_counts = self._index_to(owners, lengths)
         # each owner pools its column slice for the global batch
-        pooled = {shard: self._shard_forward(shard, *self._global_jagged(
-            arrived[shard.rank], arrived_lengths[shard.rank]))
+        pooled = {shard: self._shard_forward(
+            shard, rank_rows(ids, id_counts, shard.rank),
+            lengths_to_offsets(rank_rows(bags, bag_counts, shard.rank)))
             for shard in shards}
         # pooled AlltoAll per shard (two shards may share an owner rank),
         # then concatenate slices by column order
         ordered = sorted(shards, key=lambda s: s.col_range)
-        delivered = [self._pooled_scatter(s, pooled[s], local_batch)
-                     for s in ordered]
-        return [np.concatenate([d[r] for d in delivered], axis=1)
-                for r in range(self.world_size)]
+        return np.concatenate([self._pooled_scatter(s, pooled[s], local_batch)
+                               for s in ordered], axis=2)
 
     def _backward_column_wise(self, shards: List[Shard],
                               d_pooled: np.ndarray) -> None:
@@ -375,34 +364,32 @@ class SparseExchange:
 
     def _forward_row_wise(self, table: EmbeddingTableConfig,
                           shards: Sequence[Shard],
-                          payload_ids: _Payload, payload_lengths: _Payload,
-                          local_batch: int) -> List[np.ndarray]:
+                          ids: _Payload, lengths: _Payload,
+                          local_batch: int) -> np.ndarray:
         w = self.world_size
         # bucket k of every rank's ids goes to the owner of shard k
-        arrived_ids = self.pg.all_to_all(payload_ids, kind=AlltoAllKind.INDEX)
-        arrived_lengths = self.pg.all_to_all(payload_lengths,
+        arrived_ids = self.pg.all_to_all(*ids, kind=AlltoAllKind.INDEX)
+        arrived_lengths = self.pg.all_to_all(*lengths,
                                              kind=AlltoAllKind.INDEX)
-        # owners compute partial pooled sums for the global batch
-        partials: List[Optional[np.ndarray]] = [None] * w
+        id_counts, bag_counts = ids[1].sum(axis=0), lengths[1].sum(axis=0)
+        # owners compute partial pooled sums for the global batch; ranks
+        # without a shard contribute zeros
+        partials = np.zeros((w, w * local_batch, table.embedding_dim),
+                            dtype=np.float32)
         for shard in shards:
             partials[shard.rank] = self._shard_forward(
-                shard, *self._global_jagged(arrived_ids[shard.rank],
-                                            arrived_lengths[shard.rank]))
-        if len(shards) < w:  # ranks without a shard contribute zeros
-            zeros = np.zeros((local_batch * w, table.embedding_dim),
-                             dtype=np.float32)
-            partials = [zeros if p is None else p for p in partials]
+                shard, rank_rows(arrived_ids.output, id_counts, shard.rank),
+                lengths_to_offsets(rank_rows(arrived_lengths.output,
+                                             bag_counts, shard.rank)))
         # ReduceScatter: sum partials, deliver each rank its sub-batch
-        chunked = [[p[r * local_batch:(r + 1) * local_batch]
-                    for r in range(w)] for p in partials]
-        return self.pg.reduce_scatter(chunked)
+        return self.pg.reduce_scatter(partials).output
 
     def _backward_row_wise(self, shards: Sequence[Shard],
                            d_pooled: np.ndarray) -> None:
         # one (W, B, D) array through the AllGather; the gathered stack
         # reshapes to the source-rank-major (W*B, D) global gradient
         w = self.world_size
-        gathered = self.pg.all_gather(d_pooled / w).stacked
+        gathered = self.pg.all_gather(d_pooled / w).output
         d_global = gathered.reshape(
             gathered.shape[0] * gathered.shape[1], -1).astype(np.float32)
         # every shard merges against the same (sum-pooled) bag gradient,
@@ -413,9 +400,9 @@ class SparseExchange:
 
     def _forward_data_parallel(self, shard: Shard,
                                inputs: List[Tuple[np.ndarray, np.ndarray]],
-                               lengths: List[np.ndarray]) -> List[np.ndarray]:
+                               lengths: np.ndarray) -> np.ndarray:
         """One lookup of the one table for the global batch (every rank's
-        bags, rank-major), returned as per-rank slices.
+        bags, rank-major), returned as the ``(W, B, D)`` stack.
 
         Each rank's offsets must run from 0 to its id count, so that no
         rank's bags shift into a neighbour's; the global lookup then
@@ -424,9 +411,8 @@ class SparseExchange:
             validate_offsets(offsets, len(ids))
         pooled = self._shard_forward(
             shard, np.concatenate([ids for ids, _ in inputs]),
-            lengths_to_offsets(np.concatenate(lengths)))
-        return list(pooled.reshape(len(lengths), len(lengths[0]),
-                                   pooled.shape[1]))
+            lengths_to_offsets(lengths.ravel()))
+        return pooled.reshape(lengths.shape + (pooled.shape[1],))
 
     def _backward_data_parallel(self, shard: Shard,
                                 d_pooled: np.ndarray) -> None:
@@ -445,7 +431,7 @@ class SparseExchange:
             rows=grad.rows + grad.bag_ids // local_batch * h,
             values=grad.values, num_embeddings=w * h, bag_ids=grad.bag_ids)
         summed = self.pg.all_reduce(
-            by_rank.to_dense().reshape(w, h, dim)).stacked[0]
+            by_rank.to_dense().reshape(w, h, dim)).output[0]
         # the step touches every row any rank touched, as the
         # single-process step does: a touched row whose averaged
         # gradient is exactly zero still advances Adam/LAMB state
@@ -458,8 +444,8 @@ class SparseExchange:
     # the step: every table, in table order
     # ------------------------------------------------------------------
     def forward(self, local_batches: List[MiniBatch], spans: bool = True
-                ) -> Dict[str, List[np.ndarray]]:
-        """Every table's pooled lookups, ``pooled[name][rank]``, each
+                ) -> Dict[str, np.ndarray]:
+        """Every table's ``(W, B, D)`` pooled lookups, each
         table under a ``trainer.table_fwd`` span if ``spans`` (train path).
 
         A local batch without some table's sparse feature raises
@@ -476,7 +462,7 @@ class SparseExchange:
                   for t in self.config.tables}
         lengths = self._bag_lengths(inputs, local_batch)
         row_wise = self._row_wise_payloads(inputs, lengths)
-        pooled: Dict[str, List[np.ndarray]] = {}
+        pooled: Dict[str, np.ndarray] = {}
         for t in self.config.tables:
             table_plan = self.plan.tables[t.name]
             with self.tracer.span("trainer.table_fwd", cat="trainer",

@@ -217,13 +217,12 @@ class NeoTrainer:
         return self.ranks[0].bottom.forward(dense_in)
 
     def _interaction_forward(self, dense_out: np.ndarray,
-                             pooled: Dict[str, List[np.ndarray]]
-                             ) -> np.ndarray:
+                             pooled: Dict[str, np.ndarray]) -> np.ndarray:
         """Projections + interaction: (R, B, I)."""
         projections = self.ranks[0].projections
         features = [dense_out]
         for t in self.config.tables:
-            value = np.stack(pooled[t.name], axis=0)
+            value = pooled[t.name]
             if t.name in projections:
                 value = projections[t.name].forward(value)
             features.append(value)
@@ -264,7 +263,7 @@ class NeoTrainer:
         wrote; returns the reduced flat buckets. AllReduce hands every
         rank the same sum, so row 0 of the read-only ``(R, elems)``
         result stands for all of them."""
-        return [self.pg.all_reduce(flat).stacked[0]
+        return [self.pg.all_reduce(flat).output[0]
                 for flat in self.grad_buckets]
 
     def _optimizer_step(self, reduced: List[np.ndarray]

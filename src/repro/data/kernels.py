@@ -16,7 +16,8 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["permute_jagged", "bucketize_sparse", "replicate_sparse"]
+__all__ = ["permute_jagged", "bucketize_sparse", "bucket_of",
+           "replicate_sparse"]
 
 
 def permute_jagged(lengths: np.ndarray, values: np.ndarray,
@@ -72,7 +73,7 @@ def bucketize_sparse(indices: np.ndarray, lengths: np.ndarray,
     into two shared arrays (all buckets' ids, all buckets' lengths).
 
     One pass, however many buckets: every id's bucket comes from
-    :func:`_bucket_of`, one stable sort on it groups the ids bucket by
+    :func:`bucket_of`, one stable sort on it groups the ids bucket by
     bucket in input order, and one ``bincount`` on ``(bucket, bag)``
     gives every bucket's lengths. That is what lets a caller bucketize
     several row-wise tables at once, each table's ids offset by its
@@ -92,13 +93,13 @@ def bucketize_sparse(indices: np.ndarray, lengths: np.ndarray,
         raise IndexError("indices outside [0, boundaries[-1])")
     num_buckets = len(boundaries) - 1
     num_bags = len(lengths)
-    bucket_of = _bucket_of(indices, boundaries)
+    bucket = bucket_of(indices, boundaries)
     # a stable sort on a uint8/uint16 key is numpy's O(N) radix sort
-    key = bucket_of.astype(np.uint8) if num_buckets <= 1 << 8 else \
-        bucket_of.astype(np.uint16) if num_buckets <= 1 << 16 else bucket_of
+    key = bucket.astype(np.uint8) if num_buckets <= 1 << 8 else \
+        bucket.astype(np.uint16) if num_buckets <= 1 << 16 else bucket
     order = np.argsort(key, kind="stable")
     bucket_bag = np.repeat(np.arange(num_bags, dtype=np.int64), lengths)
-    bucket_bag += bucket_of * num_bags
+    bucket_bag += bucket * num_bags
     bucket_lengths = np.bincount(
         bucket_bag, minlength=num_buckets * num_bags).reshape(num_buckets,
                                                               num_bags)
@@ -110,7 +111,7 @@ def bucketize_sparse(indices: np.ndarray, lengths: np.ndarray,
             for k, (end, count) in enumerate(zip(ends, counts.tolist()))]
 
 
-def _bucket_of(indices: np.ndarray, boundaries: np.ndarray) -> np.ndarray:
+def bucket_of(indices: np.ndarray, boundaries: np.ndarray) -> np.ndarray:
     """``k`` with ``boundaries[k] <= id < boundaries[k + 1]``, per id.
 
     ``searchsorted`` on unsorted ids mispredicts a branch at every level

@@ -3,7 +3,7 @@
 :class:`FaultyProcessGroup` subclasses
 :class:`repro.comms.SimProcessGroup` and intercepts its single
 ``_execute`` funnel, so every collective — AllReduce, the three
-AlltoAll flavours, ReduceScatter, AllGather, Broadcast — passes through
+AlltoAll flavours, ReduceScatter, AllGather — passes through
 the fault machinery with no per-collective code. For each call it asks
 the :class:`repro.resilience.FaultSchedule` which faults fire, then:
 
@@ -20,10 +20,11 @@ the :class:`repro.resilience.FaultSchedule` which faults fire, then:
   training loop can run checkpoint recovery.
 
 Numerics are never touched: corruption is detected on a scratch copy
-(a real bit is flipped and caught, modeling the link CRC) and the
-payload that reaches the reduction is pristine. With an empty schedule
-the group is bit-identical to ``SimProcessGroup`` and adds only a
-cheap health observation per collective.
+of the faulted rank's send rows (a real bit is flipped and caught,
+modeling the link CRC; a rank that sends nothing has nothing to
+detect) and the payload that reaches the reduction is pristine. With
+an empty schedule the group is bit-identical to ``SimProcessGroup`` and
+adds only a cheap health observation per collective.
 
 Everything is published to the ``resilience`` metric scope:
 ``faults_injected`` (labelled by kind), ``retries``,
@@ -33,10 +34,11 @@ Everything is published to the ``resilience`` metric scope:
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional
 
 import numpy as np
 
+from ..comms.collectives import rank_rows
 from ..comms.process_group import CollectiveResult, SimProcessGroup
 from ..comms.quantization import QuantizedCommsConfig
 from ..comms.topology import ClusterTopology
@@ -45,18 +47,6 @@ from .faults import FaultKind, FaultSchedule, FaultSpec, RankFailure
 from .retry import HealthTracker, RetryPolicy
 
 __all__ = ["FaultyProcessGroup", "faulty_process_group_factory"]
-
-
-def _first_array(inputs: Sequence) -> Optional[np.ndarray]:
-    """The first ndarray payload in a (possibly nested) input list."""
-    for item in inputs:
-        if isinstance(item, np.ndarray):
-            return item
-        if isinstance(item, (list, tuple)):
-            found = _first_array(item)
-            if found is not None:
-                return found
-    return None
 
 
 class FaultyProcessGroup(SimProcessGroup):
@@ -107,22 +97,24 @@ class FaultyProcessGroup(SimProcessGroup):
         return self._iteration
 
     # ------------------------------------------------------------------
-    def _detect_corruption(self, inputs: Sequence) -> bool:
-        """Flip a real bit in a scratch copy and check the CRC catches it.
+    @staticmethod
+    def _detect_corruption(rows: np.ndarray) -> bool:
+        """Flip a real bit in a scratch copy of one rank's send rows and
+        check the CRC catches it.
 
         Models an on-the-wire corruption + link-level checksum: the
         corrupted copy must differ from the original payload. The
         payload actually handed to the reduction is never touched.
         """
-        arr = _first_array(inputs)
-        if arr is None or arr.size == 0:
+        if rows.size == 0:
             return False
-        scratch = np.array(arr, copy=True)
+        scratch = np.array(rows, copy=True)
         scratch.view(np.uint8).reshape(-1)[0] ^= 0x01
-        return not np.array_equal(scratch, arr)
+        return not np.array_equal(scratch, rows)
 
     def _apply_fault(self, spec: FaultSpec, name: str,
-                     per_rank: List[float], inputs: Sequence) -> None:
+                     per_rank: List[float], send: np.ndarray,
+                     splits: Optional[np.ndarray]) -> None:
         """Fold one firing fault into the per-rank latency vector."""
         self._res.counter("faults_injected", kind=spec.kind.value).inc(1)
         if spec.kind is FaultKind.CRASH:
@@ -134,7 +126,10 @@ class FaultyProcessGroup(SimProcessGroup):
             return
         # DROP / CORRUPT: spec.failures attempts fail, then one succeeds
         if spec.kind is FaultKind.CORRUPT:
-            if self._detect_corruption(inputs):
+            # a stack's row per rank, or the rank's AlltoAll send rows
+            rows = send[spec.rank] if splits is None else \
+                rank_rows(send, splits.sum(axis=1), spec.rank)
+            if self._detect_corruption(rows):
                 self._res.counter("corruptions_detected").inc(spec.failures)
         self._res.counter("retries").inc(spec.failures)
         per_rank[spec.rank] += self.policy.penalty(spec.failures)
@@ -145,27 +140,31 @@ class FaultyProcessGroup(SimProcessGroup):
                 self._res.counter("ranks_dead").inc(1)
                 raise RankFailure(spec.rank, self._iteration, name)
 
-    def _execute(self, name: str, inputs: Sequence, total_wire: float,
-                 seconds: float, fn: Callable[[], list]) -> CollectiveResult:
+    def _execute(self, name: str, send: np.ndarray, total_wire: float,
+                 seconds: float, fn: Callable[[], np.ndarray],
+                 splits: Optional[np.ndarray] = None) -> CollectiveResult:
         if not self.schedule.pending:
             # zero-fault fast path: bit-identical to SimProcessGroup,
             # only a health observation on top
             self.health.observe_uniform(seconds)
-            return super()._execute(name, inputs, total_wire, seconds, fn)
+            return super()._execute(name, send, total_wire, seconds, fn,
+                                    splits)
 
         faults = self.schedule.take(self._iteration, name)
         if not faults:
             self.health.observe_uniform(seconds)
-            return super()._execute(name, inputs, total_wire, seconds, fn)
+            return super()._execute(name, send, total_wire, seconds, fn,
+                                    splits)
 
         per_rank = [seconds] * self.world_size
         for spec in faults:
-            self._apply_fault(spec, name, per_rank, inputs)
+            self._apply_fault(spec, name, per_rank, send, splits)
         # a synchronous collective completes when its slowest rank does
         effective = max(per_rank)
         self._res.counter("fault_seconds").inc(effective - seconds)
         self.health.observe(per_rank)
-        result = super()._execute(name, inputs, total_wire, effective, fn)
+        result = super()._execute(name, send, total_wire, effective, fn,
+                                  splits)
         result.per_rank_seconds = list(per_rank)
         return result
 

@@ -4,17 +4,18 @@
 ``repro.core.NeoTrainer`` replaced: every rank owns its dense storage
 and its own dense optimizer, and every dense phase — bottom/top MLP,
 interaction, loss, backward, the bucketed AllReduce and the optimizer
-step — is a python loop over ranks through the list forms of the
-collectives. Its sparse half is a ``LoopedSparseExchange``: the row-wise
-gradient AllGather is a loop over ranks too, and the row-wise index
-payloads come from the per-(table, source rank) bucketize loop
+step — is a python loop over ranks, whose per-rank inputs are stacked
+only to enter a collective. Its sparse half is a
+``LoopedSparseExchange``: the row-wise gradient is gathered from and
+concatenated for each shard, and the row-wise index payloads come from
+the per-(table, source rank) bucketize loop
 (:func:`looped_row_wise_payloads`, with the mask-loop kernel of
-``reference_kernels.py``) that the product's one combined
-``bucketize_sparse`` pass replaced. Every rank owns, looks up and steps
-its own copy of a data-parallel table, densifies its gradient with the
-row-wise scatter of ``reference_kernels.py`` and sums the R gradients
-with the list AllReduce, where the product keeps one table. It shares
-everything else (sharding, the other schemes' exchanges, embedding
+``reference_kernels.py``) that the product's one combined pass
+replaced, built as ``[src][dst]`` slices. Every rank owns, looks up and
+steps its own copy of a data-parallel table, densifies its gradient
+with the row-wise scatter of ``reference_kernels.py`` and sums the R
+gradients in one AllReduce, where the product keeps one table. It
+shares everything else (sharding, the other schemes' exchanges, embedding
 forward/backward, sparse updates, spans, checkpoint layout) with the
 product by inheritance.
 
@@ -39,6 +40,7 @@ from repro.embedding import SparseGradient
 from repro.models import DLRM
 from repro.sharding import ShardingScheme
 
+from .reference_comms import to_buffer
 from .reference_kernels import bucketize_sparse_reference, to_dense_reference
 
 
@@ -47,7 +49,8 @@ def looped_row_wise_payloads(exchange: SparseExchange, inputs) -> dict:
     ids and lengths payloads, one bucketize per (table, source rank).
 
     ``inputs[name][src]`` is source rank ``src``'s ``(ids, offsets)``;
-    the result has the shape of ``SparseExchange._row_wise_payloads``.
+    the result has the shape of ``SparseExchange._row_wise_payloads``
+    with each ``(send buffer, splits)`` payload as its list of slices.
     """
     w = exchange.world_size
     out = {}
@@ -105,7 +108,8 @@ class LoopedSparseExchange(SparseExchange):
         replicas = self._replicas(shard)
         grads = [self.shard_tables[replica].backward(d_pooled[r])
                  for r, replica in enumerate(replicas)]
-        summed = self.pg.all_reduce([to_dense_reference(g) for g in grads])
+        summed = self.pg.all_reduce(
+            np.stack([to_dense_reference(g) for g in grads])).output
         rows = np.unique(np.concatenate([g.rows for g in grads]))
         for r, replica in enumerate(replicas):
             self._shard_update(replica, SparseGradient(
@@ -113,13 +117,15 @@ class LoopedSparseExchange(SparseExchange):
                 num_embeddings=summed[r].shape[0]))
 
     def _row_wise_payloads(self, inputs, lengths) -> dict:
-        return looped_row_wise_payloads(self, inputs)
+        return {name: (shards, to_buffer(ids), to_buffer(lengths))
+                for name, (shards, ids, lengths)
+                in looped_row_wise_payloads(self, inputs).items()}
 
     def _backward_row_wise(self, shards, d_pooled) -> None:
         w = self.world_size
-        gathered = self.pg.all_gather([d / w for d in d_pooled])
+        gathered = self.pg.all_gather(np.stack([d / w for d in d_pooled]))
         for shard in shards:
-            d_global = np.concatenate(gathered[shard.rank],
+            d_global = np.concatenate(list(gathered.output),
                                       axis=0).astype(np.float32)
             self._shard_update(shard, d_global)
 
@@ -197,8 +203,8 @@ class LoopedNeoTrainer(NeoTrainer):
             self._bucketer.flatten([p.grad for p in state.dense_parameters()])
             for state in self.ranks]
         for b in range(self._bucketer.num_buckets):
-            reduced = self.pg.all_reduce([flat_per_rank[r][b]
-                                          for r in range(w)])
+            reduced = self.pg.all_reduce(np.stack([flat_per_rank[r][b]
+                                                   for r in range(w)])).output
             for r in range(w):
                 flat_per_rank[r][b] = reduced[r]
         return flat_per_rank

@@ -42,3 +42,16 @@ def test_unreached_module_reported_whole(report):
     assert "repro/baselines/zion.py" in audit_reach.KEEP
     text = audit_reach.render(report)
     assert "whole-module miss: repro/baselines/zion.py -- kept:" in text
+
+
+def test_failed_entry_point_logs_its_stdout(tmp_path):
+    """pytest reports failures on stdout, so a failed entry point's log
+    carries the tail of its stdout, not only of its stderr."""
+    lines = []
+    _, failed = audit_reach.collect(
+        [("stdout only", [sys.executable, "-c",
+                          "print('report on stdout'); raise SystemExit(1)"])],
+        str(tmp_path), log=lines.append)
+    assert failed == ["stdout only"]
+    assert any("exit 1" in line and "report on stdout" in line
+               for line in lines)

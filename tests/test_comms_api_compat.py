@@ -1,11 +1,15 @@
-"""API-stability tests for the comms v2 surface.
+"""API-stability tests for the comms surface.
 
-The removed pre-v2 forms must stay removed: string AlltoAll dispatch
-raises, and the smashed-together perf-model names are gone from the
-module and its ``__all__``. Plus golden wire-byte values
-proving the nbytes billing fix: fp16 payloads are billed at 2
-bytes/element, never a hard-coded 4.
+The removed forms must stay removed: string AlltoAll dispatch raises,
+the smashed-together perf-model names are gone from the module and its
+``__all__``, and a collective's result is one array, not a sequence of
+per-rank outputs. Plus golden wire-byte values proving the nbytes
+billing fix: fp16 payloads are billed at 2 bytes/element, never a
+hard-coded 4.
 """
+
+from collections.abc import Sequence
+
 
 import numpy as np
 import pytest
@@ -18,8 +22,10 @@ TOPO = ClusterTopology(num_nodes=1, gpus_per_node=WORLD)
 
 
 def _alltoall_payload(dtype=np.float32):
-    return [[np.full(3, r * WORLD + c, dtype=dtype) for c in range(WORLD)]
-            for r in range(WORLD)]
+    """Three rows from every rank to every rank: a send buffer and its
+    split matrix."""
+    send = np.repeat(np.arange(WORLD * WORLD), 3).astype(dtype)
+    return send, np.full((WORLD, WORLD), 3)
 
 
 class TestRemovedAlltoAllForms:
@@ -30,26 +36,26 @@ class TestRemovedAlltoAllForms:
     def test_direction_keyword_removed(self):
         pg = SimProcessGroup(TOPO)
         with pytest.raises(TypeError):
-            pg.all_to_all(_alltoall_payload(),
+            pg.all_to_all(*_alltoall_payload(),
                           direction="forward_alltoall")
 
     def test_string_kind_removed(self):
         pg = SimProcessGroup(TOPO)
         with pytest.raises(ValueError, match="removed after its"):
-            pg.all_to_all(_alltoall_payload(), "backward_alltoall")
+            pg.all_to_all(*_alltoall_payload(), "backward_alltoall")
 
     def test_every_enum_kind_still_dispatches(self):
         for kind in AlltoAllKind:
             pg = SimProcessGroup(TOPO)
             payload = _alltoall_payload(
                 np.int64 if kind is AlltoAllKind.INDEX else np.float32)
-            result = pg.all_to_all(payload, kind=kind)
+            result = pg.all_to_all(*payload, kind=kind)
             assert result.collective == f"all_to_all/{kind.value}"
 
     def test_unknown_string_rejected(self):
         pg = SimProcessGroup(TOPO)
         with pytest.raises(ValueError):
-            pg.all_to_all(_alltoall_payload(), "sideways")
+            pg.all_to_all(*_alltoall_payload(), "sideways")
 
 
 class TestRemovedPerfModelNames:
@@ -81,9 +87,8 @@ class TestGoldenFp16WireBytes:
 
     def test_reduce_scatter_fp16(self):
         pg = SimProcessGroup(TOPO)
-        inputs = [[np.ones(3, dtype=np.float16) for _ in range(WORLD)]
-                  for _ in range(WORLD)]
-        result = pg.reduce_scatter(inputs)
+        result = pg.reduce_scatter(np.ones((WORLD, WORLD * 3),
+                                           dtype=np.float16))
         # per-GPU contribution: 4 chunks x 3 elements x 2 bytes = 24
         assert result.wire_bytes == 24 * WORLD
         assert pg.log.wire_bytes["reduce_scatter"] == 96
@@ -92,24 +97,15 @@ class TestGoldenFp16WireBytes:
 
     def test_all_gather_fp16(self):
         pg = SimProcessGroup(TOPO)
-        result = pg.all_gather([np.ones(5, dtype=np.float16)
-                                for _ in range(WORLD)])
+        result = pg.all_gather(np.ones((WORLD, 5), dtype=np.float16))
         assert result.wire_bytes == 5 * 2 * WORLD
         assert result.modeled_seconds == pytest.approx(
             perf_model.all_gather_time(10, TOPO))
 
-    def test_broadcast_fp16(self):
-        pg = SimProcessGroup(TOPO)
-        result = pg.broadcast([np.ones(7, dtype=np.float16)
-                               for _ in range(WORLD)], root=0)
-        assert result.wire_bytes == 7 * 2 * WORLD
-        np.testing.assert_array_equal(result[3],
-                                      np.ones(7, dtype=np.float16))
-
     def test_fp32_costs_double_fp16(self):
         for dtype, factor in ((np.float16, 1), (np.float32, 2)):
             pg = SimProcessGroup(TOPO)
-            pg.all_gather([np.ones(8, dtype=dtype) for _ in range(WORLD)])
+            pg.all_gather(np.ones((WORLD, 8), dtype=dtype))
             assert pg.log.wire_bytes["all_gather"] == 8 * 2 * factor * WORLD
 
 
@@ -131,43 +127,38 @@ class TestBroadcastPerfModel:
         topo = ClusterTopology(num_nodes=1, gpus_per_node=1)
         assert perf_model.broadcast_time(2 ** 20, topo) == 0.0
 
-    def test_process_group_uses_broadcast_time(self):
-        pg = SimProcessGroup(TOPO)
-        payload = np.ones(1024, dtype=np.float32)
-        pg.broadcast([payload.copy() for _ in range(WORLD)], root=1)
-        assert pg.log.modeled_seconds["broadcast"] == pytest.approx(
-            perf_model.broadcast_time(payload.nbytes, TOPO))
-
 
 class TestCollectiveResult:
     def test_fields_and_sequence_protocol(self):
+        """The result carries the one result array and its accounting;
+        the per-rank sequence shim is gone."""
         pg = SimProcessGroup(TOPO)
-        result = pg.all_reduce([np.full(4, float(r), dtype=np.float32)
-                                for r in range(WORLD)])
+        result = pg.all_reduce(np.arange(WORLD, dtype=np.float32)[:, None]
+                               * np.ones((WORLD, 4), dtype=np.float32))
         assert isinstance(result, CollectiveResult)
         assert result.collective == "all_reduce"
         assert isinstance(result.wire_bytes, int)
         assert result.wire_bytes == 4 * 4 * WORLD
         assert result.modeled_seconds > 0
-        # sequence shim: len / index / iterate like the old list return
-        assert len(result) == WORLD
-        expected = np.full(4, sum(range(WORLD)), dtype=np.float32)
-        np.testing.assert_array_equal(result[0], expected)
-        for out in result:
-            np.testing.assert_array_equal(out, expected)
-        assert list(result) == result.outputs
+        expected = np.full((WORLD, 4), sum(range(WORLD)), dtype=np.float32)
+        np.testing.assert_array_equal(result.output, expected)
+        assert not isinstance(result, Sequence)
+        with pytest.raises(TypeError):
+            len(result)
+        with pytest.raises(TypeError):
+            result[0]
 
     def test_all_collectives_return_collective_result(self):
         pg = SimProcessGroup(TOPO)
-        ones = [np.ones(4, dtype=np.float32) for _ in range(WORLD)]
-        nested = [[np.ones(2, dtype=np.float32) for _ in range(WORLD)]
-                  for _ in range(WORLD)]
+        ones = np.ones((WORLD, 4), dtype=np.float32)
         for result in (pg.all_reduce(ones),
-                       pg.all_to_all(nested, kind=AlltoAllKind.FORWARD),
-                       pg.reduce_scatter(nested),
-                       pg.all_gather(ones),
-                       pg.broadcast(ones, root=0)):
+                       pg.all_to_all(*_alltoall_payload(),
+                                     kind=AlltoAllKind.FORWARD),
+                       pg.reduce_scatter(ones),
+                       pg.all_gather(ones)):
             assert isinstance(result, CollectiveResult)
+            assert isinstance(result.output, np.ndarray)
+        assert not hasattr(pg, "broadcast")
 
 
 class TestExplicitExports:

@@ -106,15 +106,15 @@ class TestBucketedAllReduce:
         # per-parameter path
         expected = []
         for i in range(len(shapes)):
-            expected.append(C.all_reduce(
-                [per_rank_grads[r][i] for r in range(world)])[0])
+            expected.append(C.all_reduce(np.stack(
+                [per_rank_grads[r][i] for r in range(world)]))[0])
 
         # bucketed path
         flats = [b.flatten(per_rank_grads[r]) for r in range(world)]
         reduced_buckets = []
         for k in range(b.num_buckets):
-            reduced_buckets.append(C.all_reduce(
-                [flats[r][k] for r in range(world)])[0])
+            reduced_buckets.append(C.all_reduce(np.stack(
+                [flats[r][k] for r in range(world)]))[0])
         got = b.unflatten(reduced_buckets)
         for e, g in zip(expected, got):
             np.testing.assert_array_equal(e, g)

@@ -101,9 +101,8 @@ class TestSimProcessGroup:
 
     def test_all_reduce_records_log(self):
         pg = self.make_pg()
-        xs = [np.ones(8, dtype=np.float32) for _ in range(4)]
-        out = pg.all_reduce(xs)
-        np.testing.assert_array_equal(out[0], np.full(8, 4.0))
+        out = pg.all_reduce(np.ones((4, 8), dtype=np.float32))
+        np.testing.assert_array_equal(out.output[0], np.full(8, 4.0))
         assert pg.log.calls["all_reduce"] == 1
         assert pg.log.wire_bytes["all_reduce"] == 8 * 4 * 4
         assert pg.log.total_seconds > 0
@@ -111,16 +110,16 @@ class TestSimProcessGroup:
     def test_wrong_world_size_raises(self):
         pg = self.make_pg()
         with pytest.raises(ValueError):
-            pg.all_reduce([np.ones(2)] * 3)
+            pg.all_reduce(np.ones((3, 2)))
 
     def test_quantized_alltoall_halves_wire_bytes(self):
         cfg = QuantizedCommsConfig.paper_recipe()
         pg_fp32 = self.make_pg()
         pg_q = self.make_pg(config=cfg)
-        inputs = [[np.ones(16, dtype=np.float32) for _ in range(4)]
-                  for _ in range(4)]
-        pg_fp32.all_to_all(inputs, kind=AlltoAllKind.FORWARD)
-        pg_q.all_to_all(inputs, kind=AlltoAllKind.FORWARD)
+        send = np.ones((16 * 16, 1), dtype=np.float32)
+        splits = np.full((4, 4), 16)
+        pg_fp32.all_to_all(send, splits, kind=AlltoAllKind.FORWARD)
+        pg_q.all_to_all(send, splits, kind=AlltoAllKind.FORWARD)
         key = "all_to_all/forward_alltoall"
         assert pg_q.log.wire_bytes[key] == pg_fp32.log.wire_bytes[key] // 2
         assert pg_q.log.modeled_seconds[key] <= \
@@ -130,37 +129,36 @@ class TestSimProcessGroup:
         cfg = QuantizedCommsConfig.paper_recipe()
         pg = self.make_pg(config=cfg)
         value = 1.0 + 2 ** -12  # not representable in fp16
-        inputs = [[np.array([value], dtype=np.float32) for _ in range(4)]
-                  for _ in range(4)]
-        out = pg.all_to_all(inputs, kind=AlltoAllKind.FORWARD)
-        assert out[0][0][0] == np.float32(1.0)
+        out = pg.all_to_all(np.full(16, value, dtype=np.float32),
+                            np.ones((4, 4), dtype=np.int64),
+                            kind=AlltoAllKind.FORWARD)
+        assert out.output[0] == np.float32(1.0)
 
     def test_index_alltoall_not_quantized(self):
         cfg = QuantizedCommsConfig.paper_recipe()
         pg = self.make_pg(config=cfg)
-        inputs = [[np.array([123456789], dtype=np.int64) for _ in range(4)]
-                  for _ in range(4)]
-        out = pg.all_to_all(inputs, kind=AlltoAllKind.INDEX)
-        assert out[0][0][0] == 123456789
+        out = pg.all_to_all(np.full(16, 123456789, dtype=np.int64),
+                            np.ones((4, 4), dtype=np.int64),
+                            kind=AlltoAllKind.INDEX)
+        assert out.output[0] == 123456789
 
     def test_unknown_kind_raises(self):
         pg = self.make_pg()
-        inputs = [[np.zeros(1) for _ in range(4)] for _ in range(4)]
         with pytest.raises(ValueError):
-            pg.all_to_all(inputs, "sideways")
+            pg.all_to_all(np.zeros(16), np.ones((4, 4), dtype=np.int64),
+                          "sideways")
 
     def test_reduce_scatter_and_gather(self):
         pg = self.make_pg()
-        chunked = [[np.full(2, r, dtype=np.float32) for _ in range(4)]
-                   for r in range(4)]
-        rs = pg.reduce_scatter(chunked)
+        stack = np.repeat(np.arange(4, dtype=np.float32), 4 * 2).reshape(4, 8)
+        rs = pg.reduce_scatter(stack).output
         np.testing.assert_array_equal(rs[0], np.full(2, 0 + 1 + 2 + 3))
-        ag = pg.all_gather(rs)
-        assert len(ag[0]) == 4
+        ag = pg.all_gather(rs).output
+        assert ag.shape == (4, 2)
 
     def test_reset_log(self):
         pg = self.make_pg()
-        pg.all_reduce([np.ones(2, dtype=np.float32)] * 4)
+        pg.all_reduce(np.ones((4, 2), dtype=np.float32))
         pg.reset_log()
         assert pg.log.total_bytes == 0
 

@@ -164,9 +164,8 @@ class TestColumnWiseByteAudit:
         stream must be billed at 4 bytes, not a hardcoded 8."""
         topo = ClusterTopology(num_nodes=1, gpus_per_node=2)
         pg = SimProcessGroup(topo)
-        ids32 = np.arange(6, dtype=np.int32)
-        payload = [[ids32, ids32], [ids32, ids32]]
-        pg.all_to_all(payload, kind=AlltoAllKind.INDEX)
+        ids32 = np.tile(np.arange(6, dtype=np.int32), 4)
+        pg.all_to_all(ids32, np.full((2, 2), 6), kind=AlltoAllKind.INDEX)
         assert pg.log.wire_bytes["all_to_all/index"] == 4 * 6 * 4
 
 

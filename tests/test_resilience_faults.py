@@ -22,7 +22,7 @@ TOPO = ClusterTopology(num_nodes=1, gpus_per_node=WORLD)
 
 
 def _payload(value=1.0):
-    return [np.full(8, value, dtype=np.float32) for _ in range(WORLD)]
+    return np.full((WORLD, 8), value, dtype=np.float32)
 
 
 def _baseline_seconds():
@@ -158,7 +158,7 @@ class TestFaultyProcessGroup:
         assert reg.counter("resilience.fault_seconds").value == \
             pytest.approx(0.25)
         # outputs are still the correct reduction
-        np.testing.assert_array_equal(result[0],
+        np.testing.assert_array_equal(result.output[0],
                                       np.full(8, WORLD, dtype=np.float32))
 
     def test_fault_only_fires_on_its_iteration(self):
@@ -203,8 +203,27 @@ class TestFaultyProcessGroup:
         assert reg.counter("resilience.corruptions_detected").value == 1
         assert reg.counter("resilience.retries").value == 1
         # the payload that reached the reduction was pristine
-        np.testing.assert_array_equal(result[0],
+        np.testing.assert_array_equal(result.output[0],
                                       np.full(8, WORLD, dtype=np.float32))
+
+    @pytest.mark.parametrize("rank, detected", [(2, 1), (0, 0)])
+    def test_corruption_is_checked_on_the_faulted_ranks_rows(self, rank,
+                                                            detected):
+        """An AlltoAll where only rank 2 sends rows: a corruption on rank
+        2 is caught in its rows; rank 0 sends nothing to corrupt."""
+        sched = FaultSchedule([FaultSpec(FaultKind.CORRUPT, rank=rank,
+                                         iteration=0, failures=1)])
+        reg = MetricRegistry()
+        pg = FaultyProcessGroup(TOPO, registry=reg, schedule=sched)
+        pg.on_iteration_start(0)
+        splits = np.zeros((WORLD, WORLD), dtype=np.int64)
+        splits[2] = 3
+        send = np.arange(3 * WORLD * 2, dtype=np.float32).reshape(-1, 2)
+        result = pg.all_to_all(send, splits)
+        assert reg.counter("resilience.retries").value == 1
+        assert reg.counter("resilience.corruptions_detected").value == \
+            detected
+        np.testing.assert_array_equal(result.output, send)
 
     def test_crash_fault_raises_rank_failure(self):
         sched = FaultSchedule([FaultSpec(FaultKind.CRASH, rank=3,

@@ -1,18 +1,22 @@
 """The sparse exchange: what the trainer puts on the wire, pinned.
 
 A trainer's ``SparseExchange`` prepares every table's index exchange in
-one pass (one ``np.diff`` for all bag lengths, one ``bucketize_sparse``
-for every row-wise table and source rank) and then issues one collective
-per table per kind, in table order. These tests hold that pass to the
-exchange it replaced:
+one pass (one ``np.diff`` for all bag lengths, one sort of every
+row-wise table's ids by table, source and owner rank) and then issues
+one collective per table per kind, in table order, each over one send
+buffer and a split matrix. These tests hold that pass to the exchange
+it replaced, whose ``[src][dst]`` slices the recorded inputs are
+rebuilt as:
 
 * a recorded run of a hybrid-sharded trainer (row-, table-, column-wise
   and data-parallel tables; uneven row splits with a single-row shard; a
   row-wise table that skips a rank; an empty bag on every rank) must
   issue the same collectives, in the same order, with the same inputs,
   wire bytes and modeled seconds as the per-table exchange did;
-* the one-pass row-wise payloads must equal the per-(table, source rank)
-  bucketize oracle of ``tests/reference_trainer.py``;
+* the one-pass row-wise payloads, cut into their ``[src][dst]`` slices,
+  must equal the per-(table, source rank) bucketize oracle of
+  ``tests/reference_trainer.py``, and a rank without a shard must
+  receive nothing;
 * a table-wise table must train exactly as one full-width column-wise
   shard does, which is how the exchange runs it;
 * ids outside their table must fail as a per-table bucketize did, even
@@ -43,6 +47,7 @@ from repro.obs import NULL_TRACER, MetricRegistry
 from repro.sharding import (Shard, ShardingPlan, ShardingScheme,
                             TableShardingPlan, shard_table)
 
+from .reference_comms import to_slices
 from .reference_trainer import looped_row_wise_payloads
 
 WORLD = 4
@@ -67,6 +72,18 @@ def _array_digest(h, value) -> None:
     h.update(np.ascontiguousarray(array).tobytes())
 
 
+def _slices(name, send, splits):
+    """A collective's inputs as the per-rank lists the record was pinned
+    on: AlltoAll ``[src][dst]`` slices, ReduceScatter ``[src][chunk]``
+    chunks, and one array per rank otherwise."""
+    if splits is not None:
+        return to_slices(send, splits)
+    if name == "reduce_scatter":
+        w = len(send)
+        return [list(np.split(chunks, w)) for chunks in send]
+    return list(send)
+
+
 class RecordingProcessGroup(SimProcessGroup):
     """Records every collective: name, sha256 of its inputs, wire bytes
     and modeled seconds (exactly, as a float hex string)."""
@@ -75,12 +92,13 @@ class RecordingProcessGroup(SimProcessGroup):
         super().__init__(*args, **kwargs)
         self.record = []
 
-    def _execute(self, name, inputs, total_wire, seconds, fn):
+    def _execute(self, name, send, total_wire, seconds, fn, splits=None):
         h = hashlib.sha256()
-        _array_digest(h, inputs)
+        _array_digest(h, _slices(name, send, splits))
         self.record.append([name, h.hexdigest(), int(total_wire),
                             float(seconds).hex()])
-        return super()._execute(name, inputs, total_wire, seconds, fn)
+        return super()._execute(name, send, total_wire, seconds, fn,
+                                splits)
 
 
 def hybrid_plan(tables, tw_scheme=ShardingScheme.TABLE_WISE) -> ShardingPlan:
@@ -261,15 +279,15 @@ class TestRowWisePayloads:
         for name, (shards, ids, lengths) in got.items():
             want_shards, want_ids, want_lengths = want[name]
             assert shards == want_shards
-            for got_rows, want_rows in ((ids, want_ids),
-                                        (lengths, want_lengths)):
+            for got_rows, want_rows in ((to_slices(*ids), want_ids),
+                                        (to_slices(*lengths), want_lengths)):
                 for src in range(world):
                     for dst in range(world):
                         g, w = got_rows[src][dst], want_rows[src][dst]
                         assert g.dtype == w.dtype == np.int64
                         np.testing.assert_array_equal(g, w)
 
-    def test_empty_slots_share_one_read_only_array(self):
+    def test_rank_without_a_shard_receives_no_rows(self):
         trainer = hybrid_trainer()
         exchange = trainer.exchange
         batches = hybrid_batches(trainer, 0)
@@ -278,10 +296,12 @@ class TestRowWisePayloads:
         payloads = exchange._row_wise_payloads(
             inputs, exchange._bag_lengths(inputs, LOCAL_BATCH))
         _, ids, lengths = payloads["rw_b"]   # no shard on rank 0
-        empties = {id(ids[src][0]) for src in range(WORLD)} \
-            | {id(lengths[src][0]) for src in range(WORLD)}
-        assert len(empties) == 1
-        assert not ids[0][0].flags.writeable
+        for send, splits in (ids, lengths):
+            assert splits.shape == (WORLD, WORLD)
+            assert not splits[:, 0].any()
+            assert int(splits.sum()) == len(send)
+        # every owner receives every source's bag lengths
+        np.testing.assert_array_equal(lengths[1][:, 1:], LOCAL_BATCH)
 
 
 class TestBoundaries:

@@ -152,12 +152,14 @@ def collect(points: Sequence[Tuple[str, List[str]]], work_dir: str,
         if log:
             log(f"running {name}")
         done = subprocess.run(argv, cwd=work_dir, env=env,
-                              stdout=subprocess.DEVNULL,
+                              stdout=subprocess.PIPE,
                               stderr=subprocess.PIPE, text=True)
         if done.returncode != 0:
             failed.append(name)
             if log:
-                log(f"  exit {done.returncode}: {done.stderr[-1000:]}")
+                # pytest reports its failures on stdout
+                log(f"  exit {done.returncode}: stdout: "
+                    f"{done.stdout[-1000:]}\n  stderr: {done.stderr[-1000:]}")
     reached = set()
     for name in os.listdir(dump):
         with open(os.path.join(dump, name)) as f:
