@@ -29,7 +29,7 @@ estimated the same way) is what load balancing needs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -61,13 +61,13 @@ class RoutingPlan:
     ``assignments[i]`` is replica ``i``'s sub-trace (a
     :class:`RequestTrace` over the routed trace's stores) in arrival order
     (indexed by *fleet* replica id, inactive replicas get an empty one);
-    ``replica_of`` maps request id -> replica id. Backlog diagnostics
-    are the router's own fluid estimates, recorded for the imbalance
-    tests and the report.
+    ``replica[i]`` is the replica id of the routed trace's request ``i``.
+    Backlog diagnostics are the router's own fluid estimates, recorded
+    for the imbalance tests and the report.
     """
 
     assignments: List[RequestTrace]
-    replica_of: Dict[int, int]
+    replica: np.ndarray
     final_backlog_s: List[float]
 
     @property
@@ -148,5 +148,4 @@ class FleetRouter:
         replica = np.asarray(chosen_of, dtype=np.int64)
         return RoutingPlan(
             assignments=[trace[replica == r] for r in range(num_replicas)],
-            replica_of=dict(zip(trace.request_id.tolist(), chosen_of)),
-            final_backlog_s=busy_until)
+            replica=replica, final_backlog_s=busy_until)

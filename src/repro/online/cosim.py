@@ -135,35 +135,30 @@ class CoSimResult:
         return offered - self.serve.num_completed - self.serve.num_shed
 
     # ------------------------------------------------------------------
-    def _steps_trained_by(self, t: float) -> int:
-        dt = self.config.train_step_time_s
-        return min(self.completed_steps, int(np.floor(t / dt + 1e-9)))
-
     def staleness_steps(self) -> np.ndarray:
         """Per completed request: training steps the answering snapshot
-        trailed the trainer at dispatch time."""
-        by_version = {s.version: s for s in self.snapshots}
-        return np.array(
-            [max(0, self._steps_trained_by(o.dispatch_s)
-                 - by_version[o.model_version].step)
-             for o in self.serve.outcomes], dtype=np.int64)
+        trailed the trainer at dispatch time. ``snapshots`` is the slot
+        history, so version ``v`` is entry ``v``."""
+        trained = np.floor(self.serve.dispatch_s
+                           / self.config.train_step_time_s + 1e-9)
+        trained = np.minimum(self.completed_steps, trained.astype(np.int64))
+        step = np.array([s.step for s in self.snapshots])
+        return np.maximum(0, trained - step[self.serve.version])
 
     def staleness_seconds(self) -> np.ndarray:
         """Per completed request: virtual seconds since the answering
         snapshot was published."""
-        by_version = {s.version: s for s in self.snapshots}
-        return np.array(
-            [o.dispatch_s - by_version[o.model_version].publish_s
-             for o in self.serve.outcomes], dtype=np.float64)
+        publish = np.array([s.publish_s for s in self.snapshots])
+        return self.serve.dispatch_s - publish[self.serve.version]
 
     def serving_ne(self) -> float:
         """Traffic-weighted held-out NE of the answers actually served:
-        each completed request contributes its answering snapshot's NE."""
-        if not self.serve.outcomes:
+        each completed request contributes its answering snapshot's NE,
+        summed left to right in request-id order."""
+        if not self.serve.num_completed:
             return float("nan")
-        total = sum(self.snapshot_ne[o.model_version]
-                    for o in self.serve.outcomes)
-        return total / len(self.serve.outcomes)
+        total = sum(self.snapshot_ne[v] for v in self.serve.version.tolist())
+        return total / self.serve.num_completed
 
     def ne_gap(self) -> float:
         """How much NE the fleet gave up to staleness vs serving the
@@ -273,26 +268,22 @@ class CoSimulation:
 
     @staticmethod
     def _merge(results: List[ServeResult]) -> ServeResult:
-        if len(results) == 1:
-            return results[0]
-        merged = ServeResult()
+        columns = [np.concatenate([getattr(r, name) for r in results])
+                   for name in ServeResult.COLUMNS]
+        order = np.argsort(columns[0])
+        merged = ServeResult(
+            *(c[order] for c in columns),
+            shed_ids=np.sort(np.concatenate([r.shed_ids for r in results])))
         for res in results:
-            merged.outcomes.extend(res.outcomes)
             merged.responses.update(res.responses)
-            merged.shed_ids.extend(res.shed_ids)
-        merged.outcomes.sort(key=lambda o: o.request_id)
-        merged.shed_ids.sort()
         return merged
 
     def _record_metrics(self, result: CoSimResult) -> None:
         scope = self.metrics.scope("online")
         steps = result.staleness_steps()
         seconds = result.staleness_seconds()
-        steps_hist = scope.histogram("staleness_steps")
-        seconds_hist = scope.histogram("staleness_seconds")
-        for s, sec in zip(steps, seconds):
-            steps_hist.record(int(s))
-            seconds_hist.record(float(sec))
+        scope.histogram("staleness_steps").record_many(steps.tolist())
+        scope.histogram("staleness_seconds").record_many(seconds.tolist())
         if len(steps):
             scope.gauge("last_staleness_steps").set(float(steps[-1]))
             scope.gauge("last_staleness_seconds").set(float(seconds[-1]))

@@ -10,7 +10,8 @@ pipeline is freeze -> batch -> serve -> measure:
 * :mod:`repro.serving.batcher` — deterministic dynamic micro-batching
   (max-batch / max-wait / admission control with load shedding);
 * :mod:`repro.serving.server` — :class:`InferenceServer` running real
-  forwards with latencies priced by the shared perf/platform models;
+  forwards with latencies priced by the shared perf/platform models,
+  returning a :class:`ServeResult` of per-request columns;
 * :mod:`repro.serving.loadgen` — seedable open-loop Poisson load and
   p50/p95/p99/goodput SLO reports.
 
@@ -26,8 +27,7 @@ from .export import FreezeConfig, ServableModel, freeze
 from .loadgen import (ARRIVAL_STREAM, ROUTER_STREAM, USER_STREAM,
                       LoadReport, PoissonLoadGen, requests_from_arrivals,
                       run_load_test)
-from .server import (InferenceServer, RequestOutcome, ServeResult,
-                     ServingPerfModel)
+from .server import InferenceServer, ServeResult, ServingPerfModel
 
 __all__ = [
     "FreezeConfig",
@@ -43,7 +43,6 @@ __all__ = [
     "MultiTenantBatcher",
     "ServingPerfModel",
     "InferenceServer",
-    "RequestOutcome",
     "ServeResult",
     "PoissonLoadGen",
     "LoadReport",

@@ -25,7 +25,9 @@ request attribute plus a :class:`MiniBatch` store holding the requests'
 samples, the way the ingestion path moves a batch as one jagged buffer
 plus lengths. The batcher, the executor and the router work on
 positions into it; :class:`InferenceRequest` is the per-request view of
-one position.
+one position. Results are columns too: a plan holds index arrays into
+the trace, a :class:`~repro.serving.server.ServeResult` one array per
+field.
 
 Everything runs in *virtual time*: requests carry arrival timestamps,
 service times come from a caller-supplied model (the perf-model-backed
@@ -40,6 +42,7 @@ meaningful.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -49,12 +52,20 @@ import numpy as np
 from ..data.datagen import MiniBatch, concat_ranges
 
 __all__ = ["ADMISSION_KINDS", "BatchingPolicy", "InferenceRequest",
-           "RequestTrace", "ScheduledBatch", "BatchPlan",
+           "RequestTrace", "ScheduledBatch", "BatchPlan", "check_count",
            "service_seconds", "predicted_completion", "MicroBatcher",
            "MultiTenantBatcher"]
 
 
 ADMISSION_KINDS = ("depth", "predicted")
+
+
+def check_count(name: str, value) -> None:
+    """A size must be an integer (not a bool) >= 1; a ``ValueError`` names
+    ``name`` otherwise: the batcher's and load generator's check."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
+            or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -78,12 +89,10 @@ class BatchingPolicy:
     deadline_s: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.max_batch_size < 1:
-            raise ValueError("max_batch_size must be >= 1")
+        check_count("max_batch_size", self.max_batch_size)
         if not (math.isfinite(self.max_wait_s) and self.max_wait_s >= 0):
             raise ValueError("max_wait_s must be finite and >= 0")
-        if self.max_queue_depth < 1:
-            raise ValueError("max_queue_depth must be >= 1")
+        check_count("max_queue_depth", self.max_queue_depth)
         if self.admission not in ADMISSION_KINDS:
             raise ValueError(f"admission must be one of {ADMISSION_KINDS}, "
                              f"got {self.admission!r}")
@@ -367,42 +376,10 @@ class BatchPlan:
     batches: List[ScheduledBatch]
     shed_index: np.ndarray
 
-    @property
-    def shed(self) -> List[InferenceRequest]:
-        return [self.trace[i] for i in self.shed_index.tolist()]
-
-    @property
-    def num_offered(self) -> int:
-        return self.num_completed + self.num_shed
-
-    @property
-    def num_completed(self) -> int:
-        return sum(b.num_requests for b in self.batches)
-
-    @property
-    def num_shed(self) -> int:
-        return len(self.shed_index)
-
     def completed_index(self) -> np.ndarray:
         """Positions of the completed requests, in dispatch order."""
         return np.concatenate([b.index for b in self.batches]) \
             if self.batches else np.zeros(0, dtype=np.int64)
-
-    @property
-    def makespan_s(self) -> float:
-        """First arrival to last completion (0 for an empty plan)."""
-        if not self.batches:
-            return 0.0
-        first = float(self.trace.arrival_s[self.completed_index()].min())
-        return self.batches[-1].completion_s - first
-
-    def latencies_s(self) -> List[float]:
-        """Per-completed-request latency, in request-id order."""
-        index = self.completed_index()
-        completion = np.repeat([b.completion_s for b in self.batches],
-                               [b.num_requests for b in self.batches])
-        latency = completion - self.trace.arrival_s[index]
-        return latency[np.argsort(self.trace.request_id[index])].tolist()
 
 
 ServiceTime = Callable[[int, int], float]

@@ -31,7 +31,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..data.datagen import SyntheticCTRDataset
-from .batcher import RequestTrace
+from .batcher import RequestTrace, check_count
 from .server import InferenceServer, ServeResult
 
 __all__ = ["PoissonLoadGen", "LoadReport", "run_load_test",
@@ -112,8 +112,7 @@ class PoissonLoadGen:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.qps) and self.qps > 0):
             raise ValueError("qps must be finite and positive")
-        if self.num_requests < 1:
-            raise ValueError("num_requests must be >= 1")
+        check_count("num_requests", self.num_requests)
 
     @classmethod
     def for_duration(cls, qps: float, duration_s: float, seed: int = 0,
@@ -275,11 +274,10 @@ def summarize(result: ServeResult, offered_qps: float, num_offered: int,
     as before).
     """
     lat = result.latencies_s()
-    first = min((o.arrival_s for o in result.outcomes), default=0.0)
-    last = max((o.completion_s for o in result.outcomes), default=0.0)
+    first = float(result.arrival_s.min()) if len(lat) else 0.0
+    last = float(result.completion_s.max()) if len(lat) else 0.0
     makespan = last - first
     within = int(np.sum(lat <= slo_s)) if len(lat) else 0
-    batch_sizes = [o.batch_samples for o in result.outcomes]
 
     def percentile(q: float) -> float:
         return float(np.percentile(lat, q)) if len(lat) else 0.0
@@ -300,8 +298,8 @@ def summarize(result: ServeResult, offered_qps: float, num_offered: int,
         if makespan > 0 else 0.0,
         slo_attainment=within / num_offered if num_offered else 0.0,
         makespan_s=makespan,
-        mean_batch_samples=float(np.mean(batch_sizes))
-        if batch_sizes else 0.0,
+        mean_batch_samples=float(result.batch_samples.mean())
+        if len(lat) else 0.0,
         first_arrival_s=first,
         last_completion_s=last,
         samples_s=tuple(lat.tolist()) if keep_samples else None)
@@ -315,7 +313,8 @@ def run_load_test(server: InferenceServer, dataset: SyntheticCTRDataset,
     """Generate a Poisson trace, serve it, and report against the SLO.
 
     ``result_out``, if given, receives the raw :class:`ServeResult` as
-    its single element (for callers that also want responses/outcomes).
+    its single element (for callers that also want its responses or
+    columns).
     """
     if slo_s <= 0:
         raise ValueError("slo_s must be positive")

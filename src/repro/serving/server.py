@@ -25,7 +25,7 @@ import math
 import weakref
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Dict, List, Optional, Tuple
+from typing import ClassVar, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -41,8 +41,8 @@ from .batcher import (BatchingPolicy, BatchPlan, MicroBatcher, RequestTrace,
                       ScheduledBatch)
 from .export import ServableModel
 
-__all__ = ["ServingPerfModel", "RequestOutcome", "ServeResult",
-           "execute_plan", "InferenceServer"]
+__all__ = ["ServingPerfModel", "ServeResult", "execute_plan",
+           "InferenceServer"]
 
 _EMB_LOOKUP_PRECISION = {"fp32": "fp32", "fp16": "fp16", "bf16": "fp16",
                          "int8": "fp16",  # bandwidth class of row reads
@@ -54,6 +54,11 @@ _EMB_LOOKUP_PRECISION = {"fp32": "fp32", "fp16": "fp16", "bf16": "fp16",
 # amortise the per-table cost of a lookup, few enough that the window's
 # coalesced ids and pooled rows stay a few MB.
 _WINDOW_SAMPLES = 512
+
+
+def _column(dtype):
+    """An empty result column, the default of a :class:`ServeResult`."""
+    return field(default_factory=partial(np.zeros, 0, dtype))
 
 
 @dataclass(frozen=True)
@@ -181,61 +186,43 @@ class _ModelPrices:
         return h2d + bottom, inter, top
 
 
-@dataclass(frozen=True)
-class RequestOutcome:
-    """Completion record of one served request (virtual-time accounting).
-
-    ``model_version`` is the version of the snapshot that answered the
-    request — 0 for a fixed-model server, the :class:`ModelSlot` version
-    bound at dispatch time when serving through a hot-swap slot.
-    """
-
-    request_id: int
-    arrival_s: float
-    dispatch_s: float
-    completion_s: float
-    batch_samples: int
-    model_version: int = 0
-
-    @property
-    def latency_s(self) -> float:
-        return self.completion_s - self.arrival_s
-
-
-@dataclass
+@dataclass(eq=False)
 class ServeResult:
-    """Everything one serve run produced: responses, latencies, sheds."""
+    """Everything one serve run produced: one column per field of the
+    completed requests in request-id order, the sorted ``shed_ids`` and
+    each completed request's ``responses``. ``version`` is the answering
+    model's: 0 for a fixed model, else the :class:`ModelSlot` version
+    bound at dispatch time."""
 
-    outcomes: List[RequestOutcome] = field(default_factory=list)
+    COLUMNS: ClassVar[Tuple[str, ...]] = (
+        "request_id", "arrival_s", "dispatch_s", "completion_s",
+        "batch_samples", "version")
+
+    request_id: np.ndarray = _column(np.int64)
+    arrival_s: np.ndarray = _column(np.float64)
+    dispatch_s: np.ndarray = _column(np.float64)
+    completion_s: np.ndarray = _column(np.float64)
+    batch_samples: np.ndarray = _column(np.int64)
+    version: np.ndarray = _column(np.int64)
+    shed_ids: np.ndarray = _column(np.int64)
     responses: Dict[int, np.ndarray] = field(default_factory=dict)
-    shed_ids: List[int] = field(default_factory=list)
     plan: Optional[BatchPlan] = None
 
     @property
     def num_completed(self) -> int:
-        return len(self.outcomes)
+        return len(self.request_id)
 
     @property
     def num_shed(self) -> int:
         return len(self.shed_ids)
 
     def latencies_s(self) -> np.ndarray:
-        return np.array([o.latency_s for o in self.outcomes],
-                        dtype=np.float64)
+        return self.completion_s - self.arrival_s
 
     def requests_per_version(self) -> Dict[int, int]:
         """Completed-request count by answering model version."""
-        out: Dict[int, int] = {}
-        for o in self.outcomes:
-            out[o.model_version] = out.get(o.model_version, 0) + 1
-        return out
-
-    def makespan_s(self) -> float:
-        if not self.outcomes:
-            return 0.0
-        first = min(o.arrival_s for o in self.outcomes)
-        last = max(o.completion_s for o in self.outcomes)
-        return last - first
+        versions, counts = np.unique(self.version, return_counts=True)
+        return dict(zip(versions.tolist(), counts.tolist()))
 
 
 def _windows(plan: BatchPlan, model: ServableModel, slot):
@@ -264,7 +251,7 @@ def _windows(plan: BatchPlan, model: ServableModel, slot):
 
 def execute_plan(plan: BatchPlan, model: ServableModel, tracer, scope,
                  span_attrs: Dict[str, object], slot=None) -> ServeResult:
-    """Run every batch of ``plan`` for real and record the outcomes.
+    """Run every batch of ``plan`` for real and record the results.
 
     Dispatches run in windows (:func:`_windows`): consecutive batches
     answered by one model (with ``slot``, by the snapshot active at their
@@ -275,7 +262,7 @@ def execute_plan(plan: BatchPlan, model: ServableModel, tracer, scope,
     and one :meth:`ServableModel.predict_window` runs the dense half
     once per row count; per scheduled batch, per-request probability
     rows are scattered back. The probabilities are bitwise those of one
-    ``predict`` per coalesced batch. The :class:`RequestOutcome`\\ s and
+    ``predict`` per coalesced batch. The result's columns and the
     latencies are written from the plan's columns once every batch ran.
     Obs wiring: a ``serving.batch`` span per batch; a window's first
     batch span also holds the window's gather and forward, as one
@@ -285,13 +272,9 @@ def execute_plan(plan: BatchPlan, model: ServableModel, tracer, scope,
     ``batch_size`` and ``latency_s`` histograms.
     """
     trace = plan.trace
-    result = ServeResult(plan=plan)
+    responses: Dict[int, np.ndarray] = {}
     batch_hist = scope.histogram("batch_size")
     latency_hist = scope.histogram("latency_s")
-    requests_ctr = scope.counter("requests")
-    completed_ctr = scope.counter("completed")
-    shed_ctr = scope.counter("shed")
-    batches_ctr = scope.counter("batches")
     samples_ctr = scope.counter("samples")
     versions: List[int] = []
     for batch_model, version, window in _windows(plan, model, slot):
@@ -316,7 +299,7 @@ def execute_plan(plan: BatchPlan, model: ServableModel, tracer, scope,
                 for rid, lo, hi in zip(
                         trace.request_id[scheduled.index].tolist(), rows,
                         rows[1:]):
-                    result.responses[rid] = probs[i][lo:hi]
+                    responses[rid] = probs[i][lo:hi]
             versions.append(version)
             samples_ctr.inc(samples)
             batch_hist.record(samples)
@@ -328,16 +311,18 @@ def execute_plan(plan: BatchPlan, model: ServableModel, tracer, scope,
     columns = (trace.request_id[index], arrival,
                np.repeat([b.dispatch_s for b in plan.batches], counts),
                completion,
-               np.repeat([b.num_samples for b in plan.batches], counts),
-               np.repeat(versions, counts))
+               np.repeat(np.array([b.num_samples for b in plan.batches],
+                                  dtype=np.int64), counts),
+               np.repeat(np.array(versions, dtype=np.int64), counts))
     order = np.argsort(columns[0])
-    result.outcomes = list(map(RequestOutcome,
-                               *(c[order].tolist() for c in columns)))
-    result.shed_ids = np.sort(trace.request_id[plan.shed_index]).tolist()
-    batches_ctr.inc(len(plan.batches))
-    completed_ctr.inc(result.num_completed)
-    shed_ctr.inc(result.num_shed)
-    requests_ctr.inc(result.num_completed + result.num_shed)
+    result = ServeResult(
+        *(c[order] for c in columns),
+        shed_ids=np.sort(trace.request_id[plan.shed_index]),
+        responses=responses, plan=plan)
+    scope.counter("batches").inc(len(plan.batches))
+    scope.counter("completed").inc(result.num_completed)
+    scope.counter("shed").inc(result.num_shed)
+    scope.counter("requests").inc(result.num_completed + result.num_shed)
     return result
 
 
@@ -370,14 +355,13 @@ class InferenceServer:
         self._span_attrs = {"replica": name} if name else {}
 
     def serve(self, trace: RequestTrace, slot=None) -> ServeResult:
-        """Serve a full :class:`RequestTrace`; returns the per-request
-        record.
+        """Serve a full :class:`RequestTrace` into a :class:`ServeResult`.
 
         With ``slot`` (a :class:`repro.online.ModelSlot`), every
         dispatched batch is answered by ``slot.snapshot_at(dispatch_s)``
-        — the snapshot active at its dispatch time — and outcomes carry
-        that snapshot's version. The *schedule* is still priced once
-        against ``self.model``: hot-swapped snapshots are
+        — the snapshot active at its dispatch time — and the ``version``
+        column holds that snapshot's version. The *schedule* is still
+        priced once against ``self.model``: hot-swapped snapshots are
         config-identical by the slot's publish contract, so the
         service-time model is version-invariant and a swap never
         re-prices (or delays, or drops) an in-flight request. The plan

@@ -29,10 +29,13 @@ equality with it:
   ids (``price_requests``) and re-slicing the queue for every predicted
   admission (``predicted_completion_reference``); ``serve_reference``
   runs that plan window by window through one ``MiniBatch.concat`` of
-  the window's request batches; ``route_reference`` assigns request
-  lists. The product stores a trace as columns (``RequestTrace``),
-  prices from running sums, gathers a window from the trace's store and
-  routes index arrays (``test_serving_trace.py``).
+  the window's request batches and records one ``ReferenceOutcome`` per
+  served request; ``route_reference`` assigns request lists. The product
+  stores a trace as columns (``RequestTrace``), prices from running sums,
+  gathers a window from the trace's store, routes index arrays and
+  returns its results as columns (``ServeResult``), which
+  ``assert_same_columns`` holds to the records bit for bit
+  (``test_serving_trace.py``).
 * ``trace_of_reference`` builds a trace straight from hand-built
   requests, one ``MiniBatch.concat`` per feature set. The product joins
   traces with ``RequestTrace.merge``.
@@ -41,7 +44,8 @@ equality with it:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
@@ -55,7 +59,7 @@ from repro.perf.embedding_bw import embedding_lookup_time
 from repro.perf.gemm import mlp_time
 from repro.serving import RequestTrace
 from repro.serving.loadgen import ROUTER_STREAM
-from repro.serving.server import _EMB_LOOKUP_PRECISION, RequestOutcome
+from repro.serving.server import _EMB_LOOKUP_PRECISION
 
 
 def service_time_reference(perf, model, batch_size: int, nnz: int) -> float:
@@ -370,6 +374,32 @@ def plan_lanes_reference(requests, lane_of: Callable, policies,
     return plans
 
 
+class ReferenceOutcome(NamedTuple):
+    """One served request, as the per-request loop records it."""
+
+    request_id: int
+    arrival_s: float
+    dispatch_s: float
+    completion_s: float
+    batch_samples: int
+    version: int
+
+
+def assert_same_columns(result, outcomes: Sequence[ReferenceOutcome],
+                        shed_ids: Sequence[int]) -> None:
+    """``result``'s columns equal the records ``outcomes`` (request-id
+    order) field by field, bit for bit and in dtype, and its shed ids
+    equal ``shed_ids``."""
+    for k, name in enumerate(ReferenceOutcome._fields):
+        column = getattr(result, name)
+        assert column.dtype == (np.float64 if name.endswith("_s")
+                                else np.int64), name
+        expected = np.array([o[k] for o in outcomes], dtype=column.dtype)
+        assert column.tobytes() == expected.tobytes(), name
+    assert result.shed_ids.dtype == np.int64
+    assert result.shed_ids.tolist() == list(shed_ids)
+
+
 def serve_reference(model, plan: ReferencePlan, slot=None,
                     window_samples: int = 512) -> Tuple[dict, list, list]:
     """Run ``plan`` window by window, one ``MiniBatch.concat`` per window
@@ -400,7 +430,7 @@ def serve_reference(model, plan: ReferencePlan, slot=None,
             for r in b.requests:
                 responses[r.request_id] = p[row:row + r.num_samples]
                 row += r.num_samples
-                outcomes.append(RequestOutcome(
+                outcomes.append(ReferenceOutcome(
                     r.request_id, r.arrival_s, b.dispatch_s,
                     b.completion_s, b.num_samples, version))
     outcomes.sort(key=lambda o: o.request_id)
@@ -409,13 +439,14 @@ def serve_reference(model, plan: ReferencePlan, slot=None,
 
 def route_reference(requests, est_service, kind: str, seed: int = 0,
                     active: Optional[Sequence[int]] = None):
-    """``(assignments, replica_of, busy_until)`` of the router over a
-    request list."""
+    """``(assignments, replica, busy_until)`` of the router over a
+    request list; ``replica[i]`` is the replica of the ``i``-th request
+    in arrival order."""
     num_replicas = len(est_service)
     active = list(range(num_replicas)) if active is None else list(active)
     pending = sorted(requests, key=lambda r: (r.arrival_s, r.request_id))
     assignments = [[] for _ in range(num_replicas)]
-    replica_of = {}
+    replica = []
     busy_until = [0.0] * num_replicas
     n_active = len(active)
     if kind == "power_of_two" and n_active > 1:
@@ -436,7 +467,7 @@ def route_reference(requests, est_service, kind: str, seed: int = 0,
             chosen = b if max(busy_until[b] - t, 0.0) \
                 < max(busy_until[a] - t, 0.0) else a
         assignments[chosen].append(r)
-        replica_of[r.request_id] = chosen
+        replica.append(chosen)
         busy_until[chosen] = max(busy_until[chosen], t) \
             + float(est_service[chosen](r))
-    return assignments, replica_of, busy_until
+    return assignments, replica, busy_until

@@ -8,6 +8,7 @@ keeps the max/mean load imbalance bounded — the balls-into-bins
 property that justifies paying only two backlog probes per request.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -53,7 +54,7 @@ class TestRoundRobin:
         plan = router.route(uniform_trace(10), const_estimators(3))
         assert plan.counts == [4, 3, 3]
         assert [r.request_id for r in plan.assignments[0]] == [0, 3, 6, 9]
-        assert plan.replica_of[4] == 1
+        assert plan.replica.tolist() == [0, 1, 2] * 3 + [0]
         assert plan.imbalance() == pytest.approx(4 / (10 / 3))
 
     def test_arrival_order_not_input_order(self):
@@ -113,12 +114,13 @@ class TestPowerOfTwo:
             .route(trace, est)
         b = FleetRouter(RouterPolicy(kind="power_of_two", seed=1)) \
             .route(trace, est)
-        assert a.replica_of != b.replica_of
+        assert a.replica.tolist() != b.replica.tolist()
 
 
 class TestRoutingPlan:
     def test_imbalance_degenerate_cases(self):
-        plan = RoutingPlan(assignments=[[], []], replica_of={},
+        plan = RoutingPlan(assignments=[[], []],
+                           replica=np.zeros(0, dtype=np.int64),
                            final_backlog_s=[0.0, 0.0])
         assert plan.imbalance() == 1.0
         plan = FleetRouter(RouterPolicy(kind="round_robin")).route(
@@ -144,10 +146,10 @@ class TestRoutingProperties:
         plan = router.route(trace, const_estimators(num_replicas))
         routed = sorted(r.request_id for a in plan.assignments for r in a)
         assert routed == list(range(len(trace)))
-        assert sorted(plan.replica_of) == routed
+        assert len(plan.replica) == len(trace)
         for rep, assigned in enumerate(plan.assignments):
-            for r in assigned:
-                assert plan.replica_of[r.request_id] == rep
+            assert assigned.request_id.tolist() \
+                == trace.request_id[plan.replica == rep].tolist()
         assert sum(plan.counts) == len(trace)
 
     @given(kind=st.sampled_from(ROUTING_POLICIES),
@@ -159,7 +161,7 @@ class TestRoutingProperties:
         est = const_estimators(num_replicas)
         a = FleetRouter(RouterPolicy(kind=kind, seed=seed)).route(trace, est)
         b = FleetRouter(RouterPolicy(kind=kind, seed=seed)).route(trace, est)
-        assert a.replica_of == b.replica_of
+        assert a.replica.tolist() == b.replica.tolist()
         assert a.counts == b.counts
         assert a.final_backlog_s == b.final_backlog_s
 

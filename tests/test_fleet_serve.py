@@ -85,7 +85,7 @@ class TestFleetServe:
         b = make_fleet(sys, 4, kind="power_of_two") \
             .serve(requests, slo_s=5e-3, offered_qps=1000.0)
         assert a.merged == b.merged
-        assert a.routing.replica_of == b.routing.replica_of
+        assert a.routing.replica.tolist() == b.routing.replica.tolist()
 
     def test_active_subset_leaves_inactive_replicas_idle(self):
         sys = tiny_system()

@@ -16,7 +16,7 @@ from repro.fleet import (FleetTenancyReport, MultiTenantFleet,
 from repro.models import DLRM, zoo_config
 from repro.obs import MetricRegistry
 from repro.serving import (BatchingPolicy, InferenceRequest, InferenceServer,
-                           MultiTenantBatcher, freeze)
+                           MultiTenantBatcher, ServeResult, freeze)
 
 from .helpers import tiny_config, tiny_dataset, trace_of
 
@@ -123,7 +123,7 @@ class TestMultiTenantBatcher:
         p1 = MultiTenantBatcher(pols).plan(reqs, svc)
         p2 = MultiTenantBatcher(pols).plan(reqs, svc)
         done = sum(len(b.requests) for b in p1["a"].batches)
-        assert done + len(p1["a"].shed) == len(reqs)
+        assert done + len(p1["a"].shed_index) == len(reqs)
         assert [b.dispatch_s for b in p1["a"].batches] == \
             [b.dispatch_s for b in p2["a"].batches]
 
@@ -163,8 +163,8 @@ class TestMultiTenantBatcher:
         plans = MultiTenantBatcher(pols).plan(
             trace_of(reqs), lambda tenant, batch_size, nnz: 0.001)
         # b sheds beyond its own depth of 2 even though a's queue is 10
-        assert len(plans["b"].shed) == 3
-        assert len(plans["a"].shed) == 0
+        assert len(plans["b"].shed_index) == 3
+        assert len(plans["a"].shed_index) == 0
 
     def test_unknown_and_missing_tenant_raise(self):
         cfg = tiny_config(2, 32, 8)
@@ -244,8 +244,9 @@ class TestMultiTenantServer:
         server = MultiTenantServer(tenants[:1], metrics=shared_metrics)
         assert server.congestion("a") == 1.0
         shared = server.serve(reqs)["a"]
-        assert shared.outcomes == solo.outcomes
-        assert shared.shed_ids == solo.shed_ids
+        for name in ServeResult.COLUMNS + ("shed_ids",):
+            assert getattr(shared, name).tobytes() \
+                == getattr(solo, name).tobytes(), name
         for rid, probs in solo.responses.items():
             np.testing.assert_array_equal(shared.responses[rid], probs)
         assert {key.removeprefix("a."): value for key, value

@@ -26,10 +26,13 @@ from repro.obs import MetricRegistry
 from repro.online import (CoSimulation, OnlineConfig, cadence_from_sizing,
                           run_cadence_sweep)
 from repro.online.cosim import HELD_OUT_OFFSET
-from repro.serving import InferenceServer, PoissonLoadGen, freeze
+from repro.serving import (BatchingPolicy, InferenceServer, LoadReport,
+                           PoissonLoadGen, ServingPerfModel, freeze)
 from repro.serving.loadgen import summarize
 
 from .helpers import tiny_config, tiny_dataset, tiny_trainer
+from .reference_serving import (assert_same_columns, plan_lanes_reference,
+                                price_requests, serve_reference)
 
 CONFIG = tiny_config(num_tables=2, rows=96, dim=8, dense_dim=4,
                      avg_pooling=2.0, bottom_mlp=(8,), top_mlp=(8,))
@@ -98,11 +101,11 @@ class TestPinnedCurve:
         """Hot-swap is free for the request path: every cadence prices
         and schedules the identical batch plan, bit for bit."""
         _, results = sweep
-        ref = [(o.request_id, o.dispatch_s, o.completion_s,
-                o.batch_samples) for o in results[0].serve.outcomes]
+        columns = ("request_id", "dispatch_s", "completion_s",
+                   "batch_samples")
+        ref = [getattr(results[0].serve, c).tobytes() for c in columns]
         for r in results[1:]:
-            assert [(o.request_id, o.dispatch_s, o.completion_s,
-                     o.batch_samples) for o in r.serve.outcomes] == ref
+            assert [getattr(r.serve, c).tobytes() for c in columns] == ref
 
     def test_no_requests_lost_to_swaps(self, sweep):
         _, results = sweep
@@ -150,7 +153,7 @@ class TestDegenerateCadences:
         _, results = sweep
         cosim = results[-1]
         assert len(cosim.snapshots) == 1
-        assert all(o.model_version == 0 for o in cosim.serve.outcomes)
+        assert (cosim.serve.version == 0).all()
         # and the answers are bitwise a plain serve of snapshot v0
         loop = make_loop()
         horizon = COSIM_CONFIG.num_steps * COSIM_CONFIG.train_step_time_s
@@ -187,8 +190,7 @@ class TestCoSimPlumbing:
                        for r in result.replica_results]
         assert sum(per_replica) == result.report.num_offered
         assert result.shed_during_swap == 0
-        ids = [o.request_id for o in result.serve.outcomes]
-        assert ids == sorted(ids)
+        assert (np.diff(result.serve.request_id) > 0).all()
 
     def test_held_out_eval_is_disjoint_from_training(self):
         assert HELD_OUT_OFFSET > TrainingLoop.EVAL_OFFSET
@@ -214,3 +216,96 @@ class TestCoSimPlumbing:
         with pytest.raises(ValueError):
             cadence_from_sizing(spec, target_qps=2e6,
                                 freshness_budget_s=0.0)
+
+
+class History:
+    """``snapshot_at`` over a finished run's snapshots, answered as the
+    slot answered it: the last snapshot published at or before ``t``."""
+
+    def __init__(self, snapshots):
+        self.snapshots = snapshots
+
+    def snapshot_at(self, t):
+        return [s for s in self.snapshots if s.publish_s <= t][-1]
+
+
+def oracle_records(result):
+    """``(records, shed_ids, offered)`` of a co-simulation from the
+    per-request oracle: each replica's round-robin share planned and
+    served by ``reference_serving``, the records merged by one sort."""
+    cfg = result.config
+    initial = result.snapshots[0].model
+    dt = cfg.train_step_time_s
+    trace = PoissonLoadGen.for_duration(
+        cfg.qps, max(dt, result.completed_steps * dt),
+        seed=cfg.seed).requests(make_loop().dataset)
+    perf, policy = ServingPerfModel(), BatchingPolicy()
+    records, shed = [], []
+    for r in range(cfg.replicas):
+        share = trace[r::cfg.replicas]
+        plan = plan_lanes_reference(
+            [share[i] for i in range(len(share))], lambda _: 0, [policy],
+            [lambda reqs: price_requests(perf, initial, reqs)])[0]
+        _, outcomes, shed_ids = serve_reference(
+            initial, plan, slot=History(result.snapshots))
+        records += outcomes
+        shed += shed_ids
+    return sorted(records), sorted(shed), len(trace)
+
+
+def loop_summary(records, num_offered, num_shed, cfg):
+    """The SLO report of ``records``, one loop per field."""
+    lat = np.array([o.completion_s - o.arrival_s for o in records])
+    first = min(o.arrival_s for o in records)
+    last = max(o.completion_s for o in records)
+    makespan = last - first
+    within = int(np.sum(lat <= cfg.slo_s))
+    return LoadReport(
+        offered_qps=cfg.qps, num_offered=num_offered,
+        num_completed=len(records), num_shed=num_shed, slo_s=cfg.slo_s,
+        p50_s=float(np.percentile(lat, 50)),
+        p95_s=float(np.percentile(lat, 95)),
+        p99_s=float(np.percentile(lat, 99)),
+        mean_s=float(lat.mean()), max_s=float(lat.max()),
+        goodput_qps=within / makespan,
+        completed_qps=len(records) / makespan,
+        slo_attainment=within / num_offered, makespan_s=makespan,
+        mean_batch_samples=float(np.mean([o.batch_samples
+                                          for o in records])),
+        first_arrival_s=first, last_completion_s=last)
+
+
+class TestMergedColumns:
+    """A multi-replica co-simulation's merged columns and the statistics
+    drawn from them, against per-request loops over the oracle's
+    records."""
+
+    @pytest.mark.parametrize("replicas", [2, 3])
+    def test_merge_matches_per_request_loops(self, replicas):
+        cfg = OnlineConfig(num_steps=4, swap_every_steps=1,
+                           train_step_time_s=0.01, qps=800,
+                           eval_batch_size=64, replicas=replicas)
+        result = CoSimulation(make_loop(), cfg).run()
+        serve = result.serve
+        assert (np.diff(serve.request_id) > 0).all()
+        assert len(set(serve.version.tolist())) > 1
+
+        records, shed, offered = oracle_records(result)
+        assert_same_columns(serve, records, shed)
+        assert result.report == loop_summary(records, offered, len(shed),
+                                             cfg)
+
+        by_version = {s.version: s for s in result.snapshots}
+        dt = cfg.train_step_time_s
+        steps = [max(0, min(result.completed_steps,
+                            int(np.floor(o.dispatch_s / dt + 1e-9)))
+                     - by_version[o.version].step) for o in records]
+        seconds = [o.dispatch_s - by_version[o.version].publish_s
+                   for o in records]
+        ne = sum(result.snapshot_ne[o.version] for o in records) \
+            / len(records)
+        assert result.staleness_steps().dtype == np.int64
+        assert result.staleness_steps().tolist() == steps
+        assert result.staleness_seconds().tobytes() == \
+            np.array(seconds, dtype=np.float64).tobytes()
+        assert result.serving_ne() == ne

@@ -70,11 +70,12 @@ class TestSwapProperties:
         slot = make_slot(publishes)
         result = InferenceServer(slot.active.model, policy).serve(
             requests, slot=slot)
-        completed = [o.request_id for o in result.outcomes]
+        completed = result.request_id.tolist()
+        shed = result.shed_ids.tolist()
         assert len(set(completed)) == len(completed)  # no duplicates
-        assert set(completed) | set(result.shed_ids) == \
+        assert set(completed) | set(shed) == \
             {r.request_id for r in requests}          # no drops
-        assert not set(completed) & set(result.shed_ids)
+        assert not set(completed) & set(shed)
         assert result.num_completed + result.num_shed == len(requests)
         assert set(result.responses) == set(completed)
 
@@ -87,16 +88,18 @@ class TestSwapProperties:
         slot = make_slot(publishes)
         result = InferenceServer(slot.active.model, policy).serve(
             requests, slot=slot)
-        for o in result.outcomes:
-            snap = slot.snapshot_at(o.dispatch_s)
-            assert o.model_version == snap.version
+        for rid, dispatch_s, version in zip(result.request_id.tolist(),
+                                            result.dispatch_s.tolist(),
+                                            result.version.tolist()):
+            snap = slot.snapshot_at(dispatch_s)
+            assert version == snap.version
             # and the response is the bound snapshot's answer (up to
             # BLAS kernel selection across batch shapes, as in the
             # server suite — never a different snapshot's answer)
-            req = requests[o.request_id]
             np.testing.assert_allclose(
-                result.responses[o.request_id],
-                snap.model.predict(req.batch), rtol=1e-6, atol=1e-6)
+                result.responses[rid],
+                snap.model.predict(requests[rid].batch), rtol=1e-6,
+                atol=1e-6)
         per_version = result.requests_per_version()
         assert sum(per_version.values()) == result.num_completed
         assert all(0 <= v < len(slot.history) for v in per_version)
@@ -113,10 +116,9 @@ class TestSwapProperties:
         assert all(a <= b for a, b in zip(pub, pub[1:]))
         result = InferenceServer(slot.active.model, policy).serve(
             requests, slot=slot)
-        by_dispatch = sorted(result.outcomes,
-                             key=lambda o: (o.dispatch_s, o.request_id))
-        seen = [o.model_version for o in by_dispatch]
-        assert all(a <= b for a, b in zip(seen, seen[1:]))
+        by_dispatch = np.lexsort((result.request_id, result.dispatch_s))
+        seen = result.version[by_dispatch]
+        assert (np.diff(seen) >= 0).all()
 
     @settings(max_examples=30, deadline=None)
     @given(publishes=swap_timelines, arrivals=arrival_lists,
@@ -129,11 +131,10 @@ class TestSwapProperties:
         server = InferenceServer(slot.history[0].model, policy)
         with_swaps = server.serve(requests, slot=slot)
         without = server.serve(make_requests(arrivals))
-        assert [(o.request_id, o.dispatch_s, o.completion_s,
-                 o.batch_samples) for o in with_swaps.outcomes] == \
-            [(o.request_id, o.dispatch_s, o.completion_s,
-              o.batch_samples) for o in without.outcomes]
-        assert with_swaps.shed_ids == without.shed_ids
+        for name in ("request_id", "arrival_s", "dispatch_s",
+                     "completion_s", "batch_samples", "shed_ids"):
+            assert getattr(with_swaps, name).tobytes() == \
+                getattr(without, name).tobytes(), name
 
     @settings(max_examples=20, deadline=None)
     @given(publishes=swap_timelines, arrivals=arrival_lists)
@@ -149,8 +150,8 @@ class TestSwapProperties:
             ServingPerfModel(overhead_s=5e-3))  # queue must overflow
         result = server.serve(requests, slot=slot)
         assert result.num_completed + result.num_shed == len(requests)
-        assert set(o.request_id for o in result.outcomes) | \
-            set(result.shed_ids) == {r.request_id for r in requests}
+        assert set(result.request_id.tolist()) | \
+            set(result.shed_ids.tolist()) == {r.request_id for r in requests}
 
 
 class TestSlotValidation:

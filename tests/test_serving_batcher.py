@@ -43,6 +43,11 @@ def const_service(seconds):
     return lambda batch_size, nnz: seconds
 
 
+def shed_ids(plan):
+    """The shed requests' ids, in shed order."""
+    return plan.trace.request_id[plan.shed_index].tolist()
+
+
 class TestDispatchRules:
     def test_full_batch_dispatches_immediately(self):
         batcher = MicroBatcher(BatchingPolicy(max_batch_size=2,
@@ -86,9 +91,8 @@ class TestDispatchRules:
                                               max_queue_depth=3))
         requests = trace_of([req(i, 0.0 + i * 1e-6) for i in range(6)])
         plan = batcher.plan(requests, const_service(100.0))
-        assert plan.num_shed == 3
-        assert plan.num_completed == 3
-        assert {r.request_id for r in plan.shed} == {3, 4, 5}
+        assert len(plan.completed_index()) == 3
+        assert shed_ids(plan) == [3, 4, 5]
 
     def test_zero_wait_serves_singly_when_sparse(self):
         batcher = MicroBatcher(BatchingPolicy(max_batch_size=64,
@@ -103,23 +107,33 @@ class TestDispatchRules:
             batcher.plan(trace_of([req(1, 0.0), req(1, 0.5)]),
                          const_service(0.01))
 
+    @pytest.mark.parametrize("field", ["max_batch_size", "max_queue_depth"])
+    @pytest.mark.parametrize("bad", [0, 2.5, 1.5, 2.0, True])
+    def test_sizes_must_be_positive_integers(self, field, bad):
+        # a float size used to pass, then fail deep inside the event loop
+        # (max_batch_size) or act as its ceiling (max_queue_depth)
+        with pytest.raises(ValueError, match=field):
+            BatchingPolicy(**{field: bad})
+        assert getattr(BatchingPolicy(**{field: np.int64(3)}), field) == 3
+
     def test_negative_service_time_rejected(self):
         with pytest.raises(ValueError):
             MicroBatcher().plan(trace_of([req(0, 0.0)]), const_service(-1.0))
 
     def test_empty_trace(self):
         plan = MicroBatcher().plan(trace_of([]), const_service(0.01))
-        assert plan.num_offered == 0
-        assert plan.makespan_s == 0.0
+        assert plan.batches == [] and len(plan.shed_index) == 0
+        assert len(plan.completed_index()) == 0
 
     def test_latencies_in_id_order(self):
         batcher = MicroBatcher(BatchingPolicy(max_batch_size=2,
                                               max_wait_s=0.5))
         plan = batcher.plan(trace_of([req(1, 0.0), req(0, 0.1)]),
                             const_service(0.2))
-        lats = plan.latencies_s()
+        latency = {r.request_id: b.completion_s - r.arrival_s
+                   for b in plan.batches for r in b.requests}
         # id 0 arrived later into the same batch, so waited less
-        assert len(lats) == 2 and lats[0] < lats[1]
+        assert len(latency) == 2 and latency[0] < latency[1]
 
 
 POLICIES = st.builds(
@@ -167,8 +181,7 @@ def test_fuzz_batcher_invariants(workload, service_s):
         # exactly once, and batches never mix tenants
         completed_ids = [r.request_id
                          for b in plan.batches for r in b.requests]
-        shed_ids = [r.request_id for r in plan.shed]
-        assert sorted(completed_ids + shed_ids) == sorted(
+        assert sorted(completed_ids + shed_ids(plan)) == sorted(
             r.request_id for r in requests if r.tenant == tenant)
         assert len(set(completed_ids)) == len(completed_ids)
 
@@ -207,7 +220,7 @@ def test_fuzz_shed_only_when_queue_full(workload, service_s):
     requests, policies = workload
     plans = plan_workload(requests, policies, service_s)
     for tenant, plan in plans.items():
-        for shed in plan.shed:
+        for shed in (plan.trace[i] for i in plan.shed_index.tolist()):
             waiting = 0
             for r in requests:
                 if r.tenant != tenant or r.request_id == shed.request_id:
@@ -220,8 +233,7 @@ def test_fuzz_shed_only_when_queue_full(workload, service_s):
                     r.request_id in [x.request_id for x in b.requests]
                     and b.dispatch_s <= shed.arrival_s
                     for b in plan.batches)
-                shed_before = any(s.request_id == r.request_id
-                                  for s in plan.shed)
+                shed_before = r.request_id in shed_ids(plan)
                 if not dispatched_by_then and not shed_before:
                     waiting += 1
             assert waiting >= policies[tenant].max_queue_depth
@@ -239,8 +251,7 @@ def test_fuzz_determinism(workload, service_s):
             [[r.request_id for r in x.requests] for x in b.batches]
         assert [x.dispatch_s for x in a.batches] == \
             [x.dispatch_s for x in b.batches]
-        assert [r.request_id for r in a.shed] == \
-            [r.request_id for r in b.shed]
+        assert shed_ids(a) == shed_ids(b)
 
 
 class TestPredictedAdmission:
@@ -276,15 +287,14 @@ class TestPredictedAdmission:
         b = new.plan(requests, const_service(5e-3))
         assert [x.dispatch_s for x in a.batches] == \
             [x.dispatch_s for x in b.batches]
-        assert [r.request_id for r in a.shed] == \
-            [r.request_id for r in b.shed]
+        assert shed_ids(a) == shed_ids(b)
 
     def test_admits_everything_when_capacity_suffices(self):
         batcher = MicroBatcher(self.policy(deadline_s=1.0))
         plan = batcher.plan(trace_of([req(i, i * 0.1) for i in range(10)]),
                             const_service(1e-3))
-        assert plan.num_shed == 0
-        assert plan.num_completed == 10
+        assert len(plan.shed_index) == 0
+        assert len(plan.completed_index()) == 10
 
     def test_sheds_the_request_that_would_miss(self):
         # service 0.05 s per batch, all arrive at once, deadline 0.12:
@@ -293,8 +303,8 @@ class TestPredictedAdmission:
         batcher = MicroBatcher(self.policy(deadline_s=0.12))
         plan = batcher.plan(trace_of([req(i, 0.0) for i in range(12)]),
                             const_service(0.05))
-        assert plan.num_completed == 8
-        assert sorted(r.request_id for r in plan.shed) == list(range(8, 12))
+        assert len(plan.completed_index()) == 8
+        assert sorted(shed_ids(plan)) == list(range(8, 12))
 
     def test_impossible_deadline_sheds_everything(self):
         # even an empty-queue arrival completes one service time after
@@ -303,8 +313,8 @@ class TestPredictedAdmission:
         batcher = MicroBatcher(self.policy(deadline_s=0.04))
         plan = batcher.plan(trace_of([req(i, i * 1e-3) for i in range(20)]),
                             const_service(0.05))
-        assert plan.num_completed == 0
-        assert plan.num_shed == 20
+        assert len(plan.completed_index()) == 0
+        assert len(plan.shed_index) == 20
 
     def test_depth_cap_still_applies_on_top(self):
         # queue depth is a second, independent shed reason
@@ -312,7 +322,7 @@ class TestPredictedAdmission:
                                            max_queue_depth=2))
         plan = batcher.plan(trace_of([req(i, 0.0) for i in range(8)]),
                             const_service(0.5))
-        assert plan.num_shed > 0
+        assert len(plan.shed_index) > 0
 
     def test_goodput_plateaus_instead_of_collapsing(self):
         # 3x overload: predicted admission trades completions for
@@ -331,13 +341,13 @@ class TestPredictedAdmission:
                        if b.completion_s - r.arrival_s <= deadline)
 
         assert within(pred) > 2 * within(depth)
-        assert pred.num_shed > 0
+        assert len(pred.shed_index) > 0
 
 
 def schedule_digest(plan):
     rows = [(b.dispatch_s.hex(), b.completion_s.hex(), b.trigger,
              [r.request_id for r in b.requests]) for b in plan.batches]
-    rows.append([r.request_id for r in plan.shed])
+    rows.append(shed_ids(plan))
     return hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
 
 

@@ -64,6 +64,13 @@ class TestPoissonLoadGen:
             PoissonLoadGen(qps=0, num_requests=10)
         with pytest.raises(ValueError):
             PoissonLoadGen(qps=10, num_requests=0)
+        # a size is a whole number: no float (even an integral one), no
+        # bool; numpy integers are fine
+        for bad in (2.5, 2.0, True):
+            with pytest.raises(ValueError, match="num_requests"):
+                PoissonLoadGen(qps=100, num_requests=bad)
+        assert len(PoissonLoadGen(qps=100, num_requests=np.int64(3))
+                   .arrival_times()) == 3
 
 
 class TestLoadReport:
@@ -108,8 +115,8 @@ class TestLoadReport:
                                result_out=out)
         result = out[0]
         within = int(np.sum(result.latencies_s() <= report.slo_s))
-        assert report.goodput_qps == pytest.approx(
-            within / result.makespan_s())
+        makespan = result.completion_s.max() - result.arrival_s.min()
+        assert report.goodput_qps == pytest.approx(within / makespan)
         assert report.slo_attainment == pytest.approx(within / 100)
         # under light load everything meets a 5 ms SLO
         assert report.slo_attainment == 1.0
@@ -188,10 +195,8 @@ class TestStreamsAndSamples:
                                num_requests=40, slo_s=5e-3, seed=0,
                                result_out=out)
         result = out[0]
-        assert report.first_arrival_s == min(o.arrival_s
-                                             for o in result.outcomes)
-        assert report.last_completion_s == max(o.completion_s
-                                               for o in result.outcomes)
+        assert report.first_arrival_s == result.arrival_s.min()
+        assert report.last_completion_s == result.completion_s.max()
         assert report.makespan_s == pytest.approx(
             report.last_completion_s - report.first_arrival_s)
 

@@ -31,12 +31,13 @@ from repro.models import DLRM
 from repro.online import ModelSlot
 from repro.serving import (BatchingPolicy, FreezeConfig, InferenceRequest,
                            InferenceServer, MicroBatcher, MultiTenantBatcher,
-                           PoissonLoadGen, RequestTrace, ServingPerfModel,
-                           freeze)
+                           PoissonLoadGen, RequestTrace, ServeResult,
+                           ServingPerfModel, freeze)
 from repro.serving.loadgen import requests_from_arrivals
 
 from .helpers import tiny_config, tiny_dataset
-from .reference_serving import (concat_reference, plan_lanes_reference,
+from .reference_serving import (ReferencePlan, assert_same_columns,
+                                concat_reference, plan_lanes_reference,
                                 price_requests, route_reference,
                                 serve_reference, trace_of_reference)
 
@@ -99,7 +100,15 @@ def digest(plan):
     """Everything a schedule decides, in comparable plain values."""
     return ([(b.dispatch_s.hex(), b.completion_s.hex(), b.trigger,
               [r.request_id for r in b.requests]) for b in plan.batches],
-            [r.request_id for r in plan.shed])
+            shed_ids(plan))
+
+
+def shed_ids(plan):
+    """A plan's shed ids in shed order: the product's index column or
+    the oracle's request list."""
+    if isinstance(plan, ReferencePlan):
+        return [r.request_id for r in plan.shed]
+    return plan.trace.request_id[plan.shed_index].tolist()
 
 
 class Counted:
@@ -218,8 +227,7 @@ class TestServeParity:
                                                     slot=slots[1])
         assert digest(result.plan) == digest(plan)
         assert_same_responses(result.responses, responses)
-        assert result.outcomes == outcomes
-        assert result.shed_ids == shed
+        assert_same_columns(result, outcomes, shed)
 
     @settings(max_examples=20, deadline=None)
     @given(case=traces(tenants=("a", "b")), a=POLICIES, b=POLICIES)
@@ -238,8 +246,7 @@ class TestServeParity:
             responses, outcomes, shed = serve_reference(model, plan)
             assert digest(results[tenant].plan) == digest(plan)
             assert_same_responses(results[tenant].responses, responses)
-            assert results[tenant].outcomes == outcomes
-            assert results[tenant].shed_ids == shed
+            assert_same_columns(results[tenant], outcomes, shed)
 
 
 class TestRouteParity:
@@ -257,12 +264,13 @@ class TestRouteParity:
         routing = FleetRouter(RouterPolicy(kind, seed=seed)).route(
             trace, estimators, active)
         calls = [len(e.calls) for e in estimators]
-        assignments, replica_of, busy = route_reference(
+        assignments, replica, busy = route_reference(
             requests, estimators, kind, seed=seed, active=active)
         assert calls == [len(e.calls) - c for e, c in zip(estimators, calls)]
         assert [[r.request_id for r in sub] for sub in routing.assignments] \
             == [[r.request_id for r in sub] for sub in assignments]
-        assert routing.replica_of == replica_of
+        assert routing.replica.dtype == np.int64
+        assert routing.replica.tolist() == replica
         assert [b.hex() for b in routing.final_backlog_s] == \
             [b.hex() for b in busy]
 
@@ -285,7 +293,7 @@ class TestTraceInputs:
                                            batch_index=0, user_rows=rows)
             assert len(trace) == 0
             plan = MicroBatcher().plan(trace, lambda size, nnz: 1e-3)
-            assert plan.num_offered == 0
+            assert plan.batches == [] and len(plan.shed_index) == 0
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_arrival(self, bad):
@@ -481,12 +489,14 @@ class TestMerge:
             got, expected = served[1][tag], served[0][tag]
             assert digest(got.plan) == digest(expected.plan)
             assert_same_responses(got.responses, expected.responses)
-            assert got.outcomes == expected.outcomes
-            assert got.shed_ids == expected.shed_ids
+            for name in ServeResult.COLUMNS + ("shed_ids",):
+                assert getattr(got, name).tobytes() \
+                    == getattr(expected, name).tobytes(), name
         got, expected = routed[1], routed[0]
         assert [s.request_id.tolist() for s in got.assignments] \
             == [s.request_id.tolist() for s in expected.assignments]
-        assert got.replica_of == expected.replica_of
+        # the columns follow the trace order, which the shuffle restores
+        assert got.replica.tolist() == expected.replica.tolist()
         assert [x.hex() for x in got.final_backlog_s] \
             == [x.hex() for x in expected.final_backlog_s]
 

@@ -24,14 +24,17 @@ from repro.embedding import EmbeddingTableConfig, lengths_to_offsets
 from repro.models import DLRM, DLRMConfig
 from repro.online import ModelSlot
 from repro.serving import (BatchingPolicy, FreezeConfig, InferenceRequest,
-                           InferenceServer, freeze)
+                           InferenceServer, RequestTrace, ServingPerfModel,
+                           freeze)
 from repro.serving import server as server_module
 from repro.serving.server import _windows
 
 from .helpers import cache_state, tiny_dataset, trace_of
 from .reference_cache import WindowLoopCache
-from .reference_serving import (cold_reads_reference, forward_reference,
-                                predict_reference, predict_window_reference)
+from .reference_serving import (assert_same_columns, cold_reads_reference,
+                                forward_reference, plan_lanes_reference,
+                                predict_reference, predict_window_reference,
+                                price_requests, serve_reference)
 
 
 def _config(kind: str) -> DLRMConfig:
@@ -295,7 +298,7 @@ class TestExecutor:
         result = InferenceServer(
             served[0], BatchingPolicy(max_batch_size=6, max_wait_s=5e-4)
         ).serve(self._requests(config), slot=slot)
-        assert {o.model_version for o in result.outcomes} == {0, 1, 2}
+        assert set(result.requests_per_version()) == {0, 1, 2}
         for b in result.plan.batches:
             snapshot = slot.snapshot_at(b.dispatch_s)
             expected = predict_reference(
@@ -311,6 +314,37 @@ class TestExecutor:
         for s in served:
             assert counters(s) == expected_counters(oracle[id(s)],
                                                     loop[id(s)])
+
+    @pytest.mark.parametrize("swaps", [False, True])
+    @pytest.mark.parametrize("budget", [1, 7, 512])
+    def test_columns_equal_reference_records(self, monkeypatch, budget,
+                                             swaps):
+        """The result's six columns and shed ids, against one record per
+        request from the per-request loop, for a fixed model and across
+        slot swaps. Ids are shuffled against arrival order, so dispatch
+        order is not id order; a slow server and a short queue make
+        sheds too."""
+        monkeypatch.setattr(server_module, "_WINDOW_SAMPLES", budget)
+        config = _config("projected")
+        served = [freeze(DLRM(config, seed=k)) for k in range(2)]
+        slot = swap_slot(served) if swaps else None
+        perf = ServingPerfModel(overhead_s=1.5e-3)
+        policy = BatchingPolicy(max_batch_size=6, max_wait_s=5e-4,
+                                max_queue_depth=8)
+        trace = self._requests(config)
+        trace = RequestTrace(
+            np.random.default_rng(0).permutation(len(trace)),
+            trace.arrival_s, trace.stores, start=trace.start,
+            num_samples=trace.num_samples, nnz=trace.nnz)
+        result = InferenceServer(served[0], policy, perf).serve(trace,
+                                                                slot=slot)
+        plan = plan_lanes_reference(
+            [trace[i] for i in range(len(trace))], lambda r: 0, [policy],
+            [lambda reqs: price_requests(perf, served[0], reqs)])[0]
+        _, outcomes, shed = serve_reference(served[0], plan, slot=slot)
+        assert result.num_shed > 0
+        assert len(set(result.version.tolist())) == (3 if swaps else 1)
+        assert_same_columns(result, outcomes, shed)
 
     @pytest.mark.parametrize("budget", [1, 7, 512])
     def test_one_dense_call_per_window(self, budget, monkeypatch):
