@@ -46,32 +46,22 @@ class QuantizedEmbeddingTable(EmbeddingTable):
         super().__init__(config, rng=rng, weight=weight)
         self.sync_storage()
 
-    def _roundtrip(self, values: np.ndarray) -> np.ndarray:
-        precision = self.config.precision
-        if precision == "fp16":
-            return lowp.fp16_roundtrip(values)
-        if precision == "bf16":
-            return lowp.bf16_roundtrip(values)
-        codes, scale, offset = lowp.quantize_int8_rowwise(values)
-        return lowp.dequantize_int8_rowwise(codes, scale, offset)
-
     def sync_storage(self) -> None:
         """Round the FP32 view through the storage precision (write-back).
 
         Writes in place: when the table's ``weight`` is a view into an
         :class:`repro.embedding.EmbeddingArena` (trainer shard packing),
         rebinding would silently detach it from the arena storage."""
-        self.weight[...] = self._roundtrip(self.weight).astype(np.float32)
+        self.weight[...] = lowp.roundtrip(self.weight, self.config.precision)
 
     def storage_bytes(self) -> int:
         """True low-precision footprint, incl. int8 per-row scale/offset."""
-        base = self.config.memory_bytes()
-        if self.config.precision == "int8":
-            # two float32 (scale, offset) per row
-            base += self.config.num_embeddings * 8
-        return base
+        return lowp.table_bytes(self.config.num_embeddings,
+                                self.config.embedding_dim,
+                                self.config.precision)
 
     def quantization_error(self) -> float:
         """Max |fp32_view - roundtrip(fp32_view)| — zero when synced."""
-        return float(np.max(np.abs(self.weight - self._roundtrip(self.weight)))
-                     ) if self.weight.size else 0.0
+        roundtrip = lowp.roundtrip(self.weight, self.config.precision)
+        return float(np.max(np.abs(self.weight - roundtrip))) \
+            if self.weight.size else 0.0

@@ -27,9 +27,13 @@ __all__ = [
     "quantize_int8_rowwise",
     "dequantize_int8_rowwise",
     "bytes_per_element",
+    "roundtrip",
+    "table_bytes",
 ]
 
 _DTYPE_BYTES = {"fp32": 4, "fp16": 2, "bf16": 2, "int8": 1}
+# int8 row-wise storage carries a float32 (scale, offset) pair per row
+_INT8_ROW_SCALE_BYTES = 8
 
 
 def bytes_per_element(dtype: str) -> int:
@@ -39,6 +43,14 @@ def bytes_per_element(dtype: str) -> int:
     except KeyError:
         raise ValueError(f"unknown precision {dtype!r}; "
                          f"expected one of {sorted(_DTYPE_BYTES)}") from None
+
+
+def table_bytes(rows: int, dim: int, precision: str) -> int:
+    """Stored bytes of a ``rows x dim`` table at ``precision``.
+
+    int8 adds its float32 (scale, offset) pair per row."""
+    overhead = rows * _INT8_ROW_SCALE_BYTES if precision == "int8" else 0
+    return rows * dim * bytes_per_element(precision) + overhead
 
 
 def to_fp16(x: np.ndarray) -> np.ndarray:
@@ -106,3 +118,17 @@ def quantize_int8_rowwise(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.nda
 def dequantize_int8_rowwise(codes: np.ndarray, scale: np.ndarray,
                             offset: np.ndarray) -> np.ndarray:
     return (codes.astype(np.float32) * scale[:, None] + offset[:, None])
+
+
+def roundtrip(x: np.ndarray, precision: str) -> np.ndarray:
+    """Store ``x`` at ``precision`` and read it back as a new float32 array.
+
+    fp32 is a plain copy; int8 rounds row-wise, so ``x`` is 2-D."""
+    if precision == "fp16":
+        return fp16_roundtrip(x)
+    if precision == "bf16":
+        return bf16_roundtrip(x)
+    if precision == "int8":
+        return dequantize_int8_rowwise(*quantize_int8_rowwise(x))
+    bytes_per_element(precision)  # rejects an unknown precision
+    return x.astype(np.float32)

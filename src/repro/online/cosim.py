@@ -48,7 +48,7 @@ from ..core.loop import TrainingLoop, TrainingResult
 from ..metrics import normalized_entropy
 from ..obs.metrics import MetricRegistry
 from ..obs.tracer import as_tracer
-from ..serving.batcher import BatchingPolicy, RequestTrace
+from ..serving.batcher import BatchingPolicy, RequestTrace, check_count
 from ..serving.export import FreezeConfig, ServableModel, freeze
 from ..serving.loadgen import LoadReport, PoissonLoadGen, summarize
 from ..serving.server import InferenceServer, ServeResult, ServingPerfModel
@@ -85,22 +85,18 @@ class OnlineConfig:
     freeze_config: FreezeConfig = FreezeConfig()
 
     def __post_init__(self) -> None:
-        if self.num_steps < 1:
-            raise ValueError("num_steps must be >= 1")
-        if self.swap_every_steps < 0:
-            raise ValueError("swap_every_steps must be >= 0 (0 = never)")
+        check_count("num_steps", self.num_steps)
+        check_count("swap_every_steps", self.swap_every_steps, low=0)
         if self.train_step_time_s <= 0:
             raise ValueError("train_step_time_s must be positive")
         if self.qps <= 0:
             raise ValueError("qps must be positive")
         if self.slo_s <= 0:
             raise ValueError("slo_s must be positive")
-        if self.replicas < 1:
-            raise ValueError("replicas must be >= 1")
-        if self.eval_batch_size < 1:
-            raise ValueError("eval_batch_size must be >= 1")
-        if self.num_requests is not None and self.num_requests < 1:
-            raise ValueError("num_requests must be >= 1 when set")
+        check_count("replicas", self.replicas)
+        check_count("eval_batch_size", self.eval_batch_size)
+        if self.num_requests is not None:
+            check_count("num_requests", self.num_requests)
 
 
 @dataclass

@@ -34,10 +34,6 @@ from .plan import TableAssignment
 
 __all__ = ["PlannerCostModel", "TableCandidates", "enumerate_candidates"]
 
-# int8 row-wise storage carries a float32 (scale, offset) pair per row
-_INT8_ROW_OVERHEAD_BYTES = 8
-_STORAGE_BYTES = {"full": 4, "fp16": 2, "bf16": 2, "int8": 1}
-
 
 @dataclass(frozen=True)
 class PlannerCostModel:
@@ -188,30 +184,23 @@ def enumerate_candidates(cfg: EmbeddingTableConfig, weight: np.ndarray,
             f"weight shape {weight.shape} does not match table "
             f"{cfg.name!r} ({cfg.num_embeddings}, {cfg.embedding_dim})")
     scale = float(np.max(np.abs(weight))) if weight.size else 0.0
-    full_bytes = cfg.num_parameters * _STORAGE_BYTES["full"]
+    rows, dim = cfg.num_embeddings, cfg.embedding_dim
+    full_bytes = lowp.table_bytes(rows, dim, "fp32")
     options: List[TableAssignment] = [TableAssignment(
         table=cfg.name, kind="full", hot_bytes=full_bytes,
         total_bytes=full_bytes, error=0.0,
-        lookup_s=cost.hot_lookup_s(cfg, cfg.embedding_dim * 4.0))]
+        lookup_s=cost.hot_lookup_s(cfg, dim * 4.0))]
 
     for precision in cost.precisions:
-        if precision in ("fp16", "bf16"):
-            roundtrip = lowp.fp16_roundtrip(weight) if precision == "fp16" \
-                else lowp.bf16_roundtrip(weight)
-            table_bytes = cfg.num_parameters * _STORAGE_BYTES[precision]
-            row_bytes = cfg.embedding_dim * 2.0
-        else:
-            codes, q_scale, q_offset = lowp.quantize_int8_rowwise(weight)
-            roundtrip = lowp.dequantize_int8_rowwise(codes, q_scale, q_offset)
-            table_bytes = (cfg.num_parameters
-                           + cfg.num_embeddings * _INT8_ROW_OVERHEAD_BYTES)
-            row_bytes = cfg.embedding_dim + float(_INT8_ROW_OVERHEAD_BYTES)
-        error = float(np.max(np.abs(weight - roundtrip.astype(np.float32)))) \
+        roundtrip = lowp.roundtrip(weight, precision)
+        table_bytes = lowp.table_bytes(rows, dim, precision)
+        error = float(np.max(np.abs(weight - roundtrip))) \
             if weight.size else 0.0
         options.append(TableAssignment(
             table=cfg.name, kind=precision, hot_bytes=table_bytes,
             total_bytes=table_bytes, error=error,
-            lookup_s=cost.hot_lookup_s(cfg, row_bytes)))
+            lookup_s=cost.hot_lookup_s(
+                cfg, float(lowp.table_bytes(1, dim, precision)))))
 
     if cost.allow_tt:
         for ranks in cost.tt_rank_options:

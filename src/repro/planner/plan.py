@@ -91,14 +91,17 @@ class PlanBudget:
     ne_floor: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.hot_bytes < 0:
-            raise ValueError("hot_bytes must be >= 0")
-        if self.bandwidth_s is not None and self.bandwidth_s <= 0:
-            raise ValueError("bandwidth_s must be positive")
-        if self.quality_floor is not None and self.quality_floor < 0:
-            raise ValueError("quality_floor must be >= 0")
-        if self.ne_floor is not None and self.ne_floor < 0:
-            raise ValueError("ne_floor must be >= 0")
+        # written so NaN fails every check
+        if not self.hot_bytes >= 0:
+            raise ValueError(f"hot_bytes must be >= 0, got {self.hot_bytes!r}")
+        if self.bandwidth_s is not None and not self.bandwidth_s > 0:
+            raise ValueError(
+                f"bandwidth_s must be positive, got {self.bandwidth_s!r}")
+        if self.quality_floor is not None and not self.quality_floor >= 0:
+            raise ValueError(
+                f"quality_floor must be >= 0, got {self.quality_floor!r}")
+        if self.ne_floor is not None and not self.ne_floor >= 0:
+            raise ValueError(f"ne_floor must be >= 0, got {self.ne_floor!r}")
 
 
 @dataclass

@@ -60,12 +60,13 @@ __all__ = ["ADMISSION_KINDS", "BatchingPolicy", "InferenceRequest",
 ADMISSION_KINDS = ("depth", "predicted")
 
 
-def check_count(name: str, value) -> None:
-    """A size must be an integer (not a bool) >= 1; a ``ValueError`` names
-    ``name`` otherwise: the batcher's and load generator's check."""
+def check_count(name: str, value, low: int = 1) -> None:
+    """A size must be an integer (not a bool) >= ``low``; a ``ValueError``
+    names ``name`` otherwise: the batcher's and load generator's check."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
-            or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+            or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, "
+                         f"got {value!r}")
 
 
 @dataclass(frozen=True)

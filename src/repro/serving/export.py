@@ -14,11 +14,15 @@ single-process :class:`repro.models.DLRM`) into a
   storage at freeze time (Section 4.1.4 storage precisions), with the
   per-table max quantization error recorded on the artifact so serving
   error budgets are *measured*, not asserted;
-* **hierarchical placement** — an optional per-node HBM budget: tables
-  are packed hot-first (smallest first, maximizing the count of
-  arena-served tables) and the overflow is served through the software
-  cache in front of a DRAM backing store, the CacheEmbedding serving
-  arrangement over :mod:`repro.cache`.
+* **hierarchical placement** — each table is placed once, as a
+  ``(storage precision, tier)`` pair, then built by one loop. The tier
+  is the arena, the software cache in front of a DRAM backing store
+  (the CacheEmbedding serving arrangement over :mod:`repro.cache`) or
+  TT cores. Without a plan, an optional per-node HBM budget packs
+  tables into the arena (smallest first, maximizing the count of
+  arena-served tables) and the overflow takes the cache; with a
+  :class:`repro.planner.RepresentationPlan`, each table's kind names
+  its placement.
 
 All weight arrays are marked read-only; an optimizer step against a
 frozen model raises instead of silently corrupting the serving fleet.
@@ -27,7 +31,7 @@ frozen model raises instead of silently corrupting the serving fleet.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,7 +48,10 @@ from ..nn import functional as F
 
 __all__ = ["FreezeConfig", "ServableModel", "EmbeddedWindow", "freeze"]
 
-_EMB_BYTES = {"fp32": 4, "fp16": 2, "bf16": 2, "int8": 1}
+# a plan's kind -> (storage precision, tier) of the table it assigns
+_PLAN_PLACEMENT = {"full": ("fp32", "arena"), "fp16": ("fp16", "arena"),
+                   "bf16": ("bf16", "arena"), "int8": ("int8", "arena"),
+                   "cold": ("fp32", "cache"), "tt": ("fp32", "tt")}
 
 
 @dataclass(frozen=True)
@@ -56,33 +63,21 @@ class FreezeConfig:
     ``hot_bytes`` is the HBM budget for arena-resident tables; ``None``
     serves everything from the arena. Cold tables are served through any
     :class:`repro.cache.RowCache`: ``cache_kind`` names the organization
-    (built via :func:`repro.cache.make_cache`), ``cache_fraction`` sizes
-    its capacity as a fraction of each table's rows, and ``cache_config``
-    carries kind-specific knobs (``ways=``, ``chunk_rows=``, ...).
-    ``dedup`` routes cold-table lookups through
-    :mod:`repro.embedding.dedup` so each unique id in a dispatch pays one
-    cache read (bitwise identical output); hot tables, gathered in one
-    fused pass either way, only count their unique ids.
-
-    The pre-RowCache spellings ``cache_rows_fraction=`` and
-    ``cache_ways=`` were removed after their deprecation window; pass
-    ``cache_fraction=`` / ``cache_config={'ways': ...}``.
+    (built via :func:`repro.cache.make_cache` with its default knobs) and
+    ``cache_fraction`` sizes its capacity as a fraction of each table's
+    rows.
     """
 
     precision: str = "fp32"
     hot_bytes: Optional[float] = None
     cache_kind: str = "set_associative"
     cache_fraction: float = 0.25
-    cache_config: Optional[Dict] = None
-    dedup: bool = True
 
     def __post_init__(self) -> None:
-        if self.precision not in _EMB_BYTES:
+        lowp.bytes_per_element(self.precision)  # rejects an unknown one
+        if self.hot_bytes is not None and not self.hot_bytes >= 0:
             raise ValueError(
-                f"precision must be one of {sorted(_EMB_BYTES)}, "
-                f"got {self.precision!r}")
-        if self.hot_bytes is not None and self.hot_bytes < 0:
-            raise ValueError("hot_bytes must be >= 0")
+                f"hot_bytes must be >= 0, got {self.hot_bytes!r}")
         if self.cache_kind not in CACHE_KINDS:
             raise ValueError(
                 f"cache_kind must be one of {list(CACHE_KINDS)}, "
@@ -98,26 +93,22 @@ class _ColdTable:
     (built via :func:`repro.cache.make_cache`); rows are exact (the cache
     is a placement model, not an approximation) so the pooled output is
     bitwise-identical to a direct lookup while hit/miss traffic
-    accumulates in ``cache.stats`` for the perf model. With ``dedup``,
-    each unique id in a dispatch touches the cache once
+    accumulates in ``cache.stats`` for the perf model. Each unique id in
+    a dispatch touches the cache once
     (:func:`repro.embedding.dedup.dedup_cache_read`).
     """
 
     def __init__(self, name: str, weight: np.ndarray, pooling_mode: str,
-                 cache_kind: str, cache_fraction: float,
-                 cache_config: Optional[Dict] = None,
-                 dedup: bool = True) -> None:
+                 cache_kind: str, cache_fraction: float) -> None:
         self.name = name
         self.pooling_mode = pooling_mode
-        self.dedup = dedup
         self.backing = ArrayBackingStore(weight)
         # the store copies its input (astype), so freeze its copy too
         self.backing.rows.flags.writeable = False
         num_rows, dim = weight.shape
         target = max(1, int(num_rows * cache_fraction))
         self.cache = make_cache(cache_kind, row_dim=dim,
-                                capacity_rows=target,
-                                **dict(cache_config or {}))
+                                capacity_rows=target)
         self.rows_requested = 0
         self.rows_read = 0
 
@@ -144,16 +135,12 @@ class _ColdTable:
         validate_bags(indices, offsets, self.backing.num_rows, self.name)
         if not len(indices):
             rows = np.zeros((0, self.backing.row_dim), dtype=np.float32)
-        elif self.dedup:
+        else:
             rows, unique_count = dedup_cache_read(
                 self.cache, indices, self.backing,
                 _segments(offsets, dispatches))
             self.rows_requested += len(indices)
             self.rows_read += unique_count
-        else:
-            rows = self.cache.read(indices, self.backing)
-            self.rows_requested += len(indices)
-            self.rows_read += len(indices)
         out = segment_sum(rows, offsets)
         if self.pooling_mode == "mean":
             lengths = np.diff(offsets)
@@ -233,18 +220,6 @@ class EmbeddedWindow:
     bounds: np.ndarray
 
 
-def _quantize_weight(weight: np.ndarray, precision: str) -> np.ndarray:
-    if precision == "fp32":
-        return weight.astype(np.float32)
-    if precision == "fp16":
-        return lowp.fp16_roundtrip(weight).astype(np.float32)
-    if precision == "bf16":
-        return lowp.bf16_roundtrip(weight).astype(np.float32)
-    codes, scale, offset = lowp.quantize_int8_rowwise(weight)
-    return lowp.dequantize_int8_rowwise(codes, scale, offset).astype(
-        np.float32)
-
-
 @dataclass
 class ServableModel:
     """An immutable forward-only DLRM snapshot for the serving fleet.
@@ -269,13 +244,12 @@ class ServableModel:
     # training steps the source had completed at freeze time — snapshot
     # provenance the online hot-swap slot uses for staleness accounting
     source_step: int = 0
-    # count each unique id per dispatch as one read (cold tables read it
-    # once through their cache; output is bitwise identical either way)
-    dedup: bool = True
+    # hot ids requested, and unique (dispatch, id) keys among them: the
+    # rows a deduplicated read would touch (cold tables count their own)
     dedup_rows_requested: int = 0
     dedup_rows_read: int = 0
-    # plan-aware artifacts: TT-compressed tables, the per-table kind map
-    # and the per-table stored bytes (uniform exports leave these empty)
+    # TT-compressed tables and the plan's per-table kind map (both empty
+    # without a plan), and every table's stored bytes
     tt_tables: Dict[str, _TTServingTable] = field(default_factory=dict)
     representation: Dict[str, str] = field(default_factory=dict)
     table_storage_bytes: Dict[str, int] = field(default_factory=dict)
@@ -294,19 +268,10 @@ class ServableModel:
         return max(self.quantization_error.values(), default=0.0)
 
     def embedding_storage_bytes(self) -> int:
-        """Serving footprint of the embedding tables. Plan-aware exports
-        sum the per-table stored bytes the plan chose; uniform exports
-        use the single storage precision (int8 includes the per-row
-        float32 scale/offset pair)."""
-        if self.table_storage_bytes:
-            return int(sum(self.table_storage_bytes.values()))
-        per_element = _EMB_BYTES[self.precision]
-        total = 0
-        for t in self.config.tables:
-            total += t.num_parameters * per_element
-            if self.precision == "int8":
-                total += t.num_embeddings * 8
-        return total
+        """Serving footprint of the embedding tables: the sum of the
+        per-table stored bytes (int8 includes the per-row float32
+        scale/offset pair, TT its cores)."""
+        return int(sum(self.table_storage_bytes.values()))
 
     def dense_storage_bytes(self) -> int:
         return self.config.num_dense_parameters() * 4
@@ -350,7 +315,7 @@ class ServableModel:
         for name, tt_table in self.tt_tables.items():
             pooled[name] = tt_table.forward(*sparse[name], dispatches=bounds)
         # counted last, so a rejected input leaves the counters alone
-        if self.hot_tables is not None and self.dedup:
+        if self.hot_tables is not None:
             for t in self.hot_tables.tables:
                 indices, offsets = sparse[t.name]
                 keys = segment_keys(indices, t.config.num_embeddings,
@@ -426,6 +391,51 @@ def _freeze_array(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _packing(tables, cfg: FreezeConfig,
+             frequency_stats: Optional[FrequencyStats]
+             ) -> Dict[str, Tuple[str, str]]:
+    """Every table at ``cfg.precision``, packed into the ``cfg.hot_bytes``
+    arena budget (``num_parameters x bytes_per_element`` each); the
+    overflow goes to the cache tier. With frequency stats the budget goes
+    to the most observed accesses per byte; without, smallest first,
+    which maximizes how many tables stay arena-served (the big cold
+    tables are exactly the ones the cache tier is for)."""
+    per_element = lowp.bytes_per_element(cfg.precision)
+    if frequency_stats is not None:
+        def key(t):
+            return (-frequency_stats.total(t.name)
+                    / max(1, t.num_parameters * per_element), t.name)
+    else:
+        def key(t):
+            return (t.num_parameters, t.name)
+    budget = cfg.hot_bytes if cfg.hot_bytes is not None else float("inf")
+    placement: Dict[str, Tuple[str, str]] = {}
+    for t in sorted(tables, key=key):
+        table_bytes = t.num_parameters * per_element
+        tier = "arena" if table_bytes <= budget else "cache"
+        if tier == "arena":
+            budget -= table_bytes
+        placement[t.name] = (cfg.precision, tier)
+    return placement
+
+
+def _planned(tables, plan) -> Dict[str, Tuple[str, str]]:
+    """Each table's placement from a :class:`repro.planner.RepresentationPlan`
+    (duck-typed: anything with an ``assignments`` name->assignment map
+    carrying ``kind`` works, so serving never imports the planner)."""
+    missing = [t.name for t in tables if t.name not in plan.assignments]
+    if missing:
+        raise ValueError(f"plan has no assignment for tables {missing}")
+    placement: Dict[str, Tuple[str, str]] = {}
+    for t in tables:
+        kind = plan.assignments[t.name].kind
+        if kind not in _PLAN_PLACEMENT:
+            raise ValueError(
+                f"plan assigns table {t.name!r} unknown kind {kind!r}")
+        placement[t.name] = _PLAN_PLACEMENT[kind]
+    return placement
+
+
 def freeze(source, config: Optional[FreezeConfig] = None,
            step: Optional[int] = None,
            frequency_stats: Optional[FrequencyStats] = None,
@@ -438,24 +448,25 @@ def freeze(source, config: Optional[FreezeConfig] = None,
     training-step provenance; by default a trainer's own step counter is
     stamped onto the artifact (``source_step``).
 
-    ``frequency_stats`` (a :class:`repro.data.FrequencyStats`, typically
-    from the ingestion service's ``track_frequencies``) makes the
-    hot/cold packing frequency-aware: tables are packed into the HBM
-    budget by observed accesses *per byte* instead of smallest-first,
-    and cold-tier caches that support histogram warm-up (the
-    ``freq_aware`` kind) are pre-packed with each table's hottest rows
-    before the artifact serves its first request.
+    Each table is placed once, as a storage precision and a tier
+    (``arena``, ``cache`` or ``tt``), then built by one loop that
+    records its max rounding error (``quantization_error``) and stored
+    bytes (``table_storage_bytes``). Without ``plan``, every table
+    stores at ``cfg.precision`` and tables are packed into the
+    ``cfg.hot_bytes`` arena budget smallest first, or by observed
+    accesses *per byte* given ``frequency_stats`` (a
+    :class:`repro.data.FrequencyStats`, typically from the ingestion
+    service's ``track_frequencies``); the rest take the cache tier.
 
-    ``plan`` is a :class:`repro.planner.RepresentationPlan`: instead of
-    one uniform storage precision and budget-driven hot/cold packing,
-    each table takes the representation the planner assigned it —
-    ``full``/``fp16``/``bf16``/``int8`` arena-resident, ``tt``
-    (TT-SVD-compressed cores), or ``cold`` (exact fp32 behind the
-    software cache). With a plan, ``cfg.precision`` and
-    ``cfg.hot_bytes`` are ignored (the plan already made those calls)
-    while the cache knobs still shape the cold tier; the artifact's
-    ``precision`` reads ``"mixed"`` and per-table stored bytes land in
-    ``table_storage_bytes``.
+    ``plan`` is a :class:`repro.planner.RepresentationPlan` whose kinds
+    name the placements: ``full`` (fp32) and ``fp16``/``bf16``/``int8``
+    in the arena, ``cold`` (fp32) in the cache tier, or ``tt``
+    (TT-SVD-compressed cores). ``cfg.precision`` and ``cfg.hot_bytes``
+    are then ignored, ``precision`` reads ``"mixed"`` and
+    ``representation`` maps each table to its kind. Either way the cache
+    knobs shape the cache tier, and with ``frequency_stats`` caches that
+    support histogram warm-up (the ``freq_aware`` kind) are pre-packed
+    with each table's hottest rows.
     """
     cfg = config if config is not None else FreezeConfig()
     if step is None:
@@ -466,6 +477,9 @@ def freeze(source, config: Optional[FreezeConfig] = None,
         raise TypeError(
             f"freeze() needs a NeoTrainer or DLRM, got {type(source)!r}")
     dlrm_config = model.config
+    tables = dlrm_config.tables
+    placement = _packing(tables, cfg, frequency_stats) if plan is None \
+        else _planned(tables, plan)
 
     # dense stack: fresh layers with copied, read-only weights
     bottom = nn.MLP((dlrm_config.dense_dim,) + dlrm_config.bottom_mlp,
@@ -474,69 +488,50 @@ def freeze(source, config: Optional[FreezeConfig] = None,
                  name="top")
     projections: Dict[str, nn.Linear] = {}
     if dlrm_config.project_features:
-        for t in dlrm_config.tables:
+        for t in tables:
             projections[t.name] = nn.Linear(
                 t.embedding_dim, dlrm_config.embedding_dim,
                 name=f"proj.{t.name}")
     dst_params = bottom.parameters()
-    for t in dlrm_config.tables:
+    for t in tables:
         if t.name in projections:
             dst_params.extend(projections[t.name].parameters())
     dst_params += top.parameters()
     for dst, src in zip(dst_params, model.dense_parameters()):
         dst.data = _freeze_array(src.data.copy())
 
-    if plan is not None:
-        return _freeze_planned(model, cfg, plan, step, frequency_stats,
-                               bottom, top, projections)
-
-    # embeddings: quantize at freeze time, then place hot/cold
-    quantized: Dict[str, np.ndarray] = {}
-    errors: Dict[str, float] = {}
-    for t in dlrm_config.tables:
-        weight = model.embeddings.table(t.name).weight
-        q = _quantize_weight(weight, cfg.precision)
-        quantized[t.name] = q
-        errors[t.name] = float(np.max(np.abs(weight - q))) \
-            if weight.size else 0.0
-
-    per_element = _EMB_BYTES[cfg.precision]
+    # embeddings, in config order (the hot collection keeps it)
     hot: List[EmbeddingTable] = []
     cold: Dict[str, _ColdTable] = {}
-    if frequency_stats is not None:
-        # frequency-aware packing: spend the HBM budget on the tables
-        # with the most observed accesses per byte
-        def hotness_per_byte(t):
-            return frequency_stats.total(t.name) / max(
-                1, t.num_parameters * per_element)
-        order = sorted(dlrm_config.tables,
-                       key=lambda t: (-hotness_per_byte(t), t.name))
-    else:
-        # smallest-first packing maximizes how many tables stay
-        # arena-served; the big cold tables are exactly the ones the
-        # cache tier is for
-        order = sorted(dlrm_config.tables, key=lambda t: (t.num_parameters,
-                                                          t.name))
-    budget = cfg.hot_bytes if cfg.hot_bytes is not None else float("inf")
-    for t in order:
-        table_bytes = t.num_parameters * per_element
-        if table_bytes <= budget:
-            budget -= table_bytes
-            hot.append(EmbeddingTable(t, weight=quantized[t.name]))
-        else:
-            cold[t.name] = _ColdTable(
-                t.name, _freeze_array(quantized[t.name]), t.pooling_mode,
-                cfg.cache_kind, cfg.cache_fraction, cfg.cache_config,
-                dedup=cfg.dedup)
-            if frequency_stats is not None:
-                cold[t.name].warm(frequency_stats.histogram(
-                    t.name, t.num_embeddings))
+    tt_tables: Dict[str, _TTServingTable] = {}
+    errors: Dict[str, float] = {}
+    table_bytes: Dict[str, int] = {}
+    for t in tables:
+        weight = model.embeddings.table(t.name).weight
+        precision, tier = placement[t.name]
+        if tier == "tt":
+            ranks = plan.assignments[t.name].tt_ranks or (8, 8)
+            tt_tables[t.name] = tt = _TTServingTable(
+                t.name, weight, t.pooling_mode, ranks)
+            errors[t.name] = tt.max_error(weight)
+            table_bytes[t.name] = tt.storage_bytes
+            continue
+        stored = lowp.roundtrip(weight, precision)
+        errors[t.name] = float(np.max(np.abs(weight - stored))) \
+            if weight.size else 0.0
+        table_bytes[t.name] = lowp.table_bytes(
+            t.num_embeddings, t.embedding_dim, precision)
+        if tier == "arena":
+            hot.append(EmbeddingTable(t, weight=stored))
+            continue
+        cold[t.name] = _ColdTable(t.name, _freeze_array(stored),
+                                  t.pooling_mode, cfg.cache_kind,
+                                  cfg.cache_fraction)
+        if frequency_stats is not None:
+            cold[t.name].warm(frequency_stats.histogram(
+                t.name, t.num_embeddings))
     hot_collection = None
     if hot:
-        # keep config order inside the collection (feature order is config
-        # order in forward(); the arena regroups by dim internally anyway)
-        hot.sort(key=lambda table: [t.name for t in dlrm_config.tables]
-                 .index(table.name))
         hot_collection = FusedEmbeddingCollection(hot)
         # a view's writeable flag is captured at creation, so freeze the
         # arena storage AND every table's view of it
@@ -546,79 +541,12 @@ def freeze(source, config: Optional[FreezeConfig] = None,
                 view.flags.writeable = False
 
     return ServableModel(
-        config=dlrm_config, precision=cfg.precision, bottom=bottom, top=top,
+        config=dlrm_config,
+        precision=cfg.precision if plan is None else "mixed",
+        bottom=bottom, top=top,
         interaction=dlrm_config.make_interaction(), projections=projections,
         hot_tables=hot_collection, cold_tables=cold,
-        quantization_error=errors, source_step=step, dedup=cfg.dedup)
-
-
-def _freeze_planned(model: DLRM, cfg: FreezeConfig, plan, step: int,
-                    frequency_stats: Optional[FrequencyStats],
-                    bottom: nn.MLP, top: nn.MLP,
-                    projections: Dict[str, nn.Linear]) -> ServableModel:
-    """Place each table per a :class:`repro.planner.RepresentationPlan`
-    (duck-typed: anything with an ``assignments`` name->assignment map
-    carrying ``kind``/``tt_ranks`` works, so serving never imports the
-    planner package)."""
-    dlrm_config = model.config
-    assignments = plan.assignments
-    missing = [t.name for t in dlrm_config.tables
-               if t.name not in assignments]
-    if missing:
-        raise ValueError(f"plan has no assignment for tables {missing}")
-
-    hot: List[EmbeddingTable] = []
-    cold: Dict[str, _ColdTable] = {}
-    tt_tables: Dict[str, _TTServingTable] = {}
-    errors: Dict[str, float] = {}
-    representation: Dict[str, str] = {}
-    table_bytes: Dict[str, int] = {}
-    for t in dlrm_config.tables:
-        weight = model.embeddings.table(t.name).weight
-        assignment = assignments[t.name]
-        kind = assignment.kind
-        representation[t.name] = kind
-        if kind in ("full", "fp16", "bf16", "int8"):
-            precision = "fp32" if kind == "full" else kind
-            q = _quantize_weight(weight, precision)
-            errors[t.name] = float(np.max(np.abs(weight - q))) \
-                if weight.size else 0.0
-            hot.append(EmbeddingTable(t, weight=q))
-            table_bytes[t.name] = t.num_parameters * _EMB_BYTES[precision]
-            if kind == "int8":
-                table_bytes[t.name] += t.num_embeddings * 8
-        elif kind == "tt":
-            ranks = assignment.tt_ranks or (8, 8)
-            tt = _TTServingTable(t.name, weight, t.pooling_mode, ranks)
-            errors[t.name] = tt.max_error(weight)
-            tt_tables[t.name] = tt
-            table_bytes[t.name] = tt.storage_bytes
-        elif kind == "cold":
-            cold[t.name] = _ColdTable(
-                t.name, _freeze_array(weight.copy()), t.pooling_mode,
-                cfg.cache_kind, cfg.cache_fraction, cfg.cache_config,
-                dedup=cfg.dedup)
-            if frequency_stats is not None:
-                cold[t.name].warm(frequency_stats.histogram(
-                    t.name, t.num_embeddings))
-            errors[t.name] = 0.0
-            table_bytes[t.name] = t.num_parameters * 4
-        else:
-            raise ValueError(
-                f"plan assigns table {t.name!r} unknown kind {kind!r}")
-
-    hot_collection = None
-    if hot:
-        hot_collection = FusedEmbeddingCollection(hot)
-        for group in hot_collection.arena.groups:
-            group.storage.flags.writeable = False
-            for view in group.views:
-                view.flags.writeable = False
-
-    return ServableModel(
-        config=dlrm_config, precision="mixed", bottom=bottom, top=top,
-        interaction=dlrm_config.make_interaction(), projections=projections,
-        hot_tables=hot_collection, cold_tables=cold,
-        quantization_error=errors, source_step=step, dedup=cfg.dedup,
-        tt_tables=tt_tables, representation=representation,
+        quantization_error=errors, source_step=step, tt_tables=tt_tables,
+        representation={} if plan is None else {
+            t.name: plan.assignments[t.name].kind for t in tables},
         table_storage_bytes=table_bytes)

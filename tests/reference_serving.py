@@ -13,9 +13,9 @@ equality with it:
   product differences the concatenated offsets once.
 * ``forward_reference``/``predict_reference`` run the embedding half of
   one coalesced dispatch table by table: one ``dedup_forward`` (a gather
-  of each unique row, then a broadcast) per hot table (one fused forward without dedup), one cache read per cold table
-  and one contraction per TT table. The product pools a whole window of
-  dispatches at once (``ServableModel.embed``).
+  of each unique row, then a broadcast) per hot table, one cache read
+  per cold table and one contraction per TT table. The product pools a
+  whole window of dispatches at once (``ServableModel.embed``).
 * ``cold_reads_reference`` advances the cold tables' counters as the
   window pass does, one cache read per window over the ids each
   dispatch reads, dispatch after dispatch. A ``freq_aware`` cache admits
@@ -144,15 +144,11 @@ def _cold_forward_reference(table, indices, offsets) -> np.ndarray:
             f"H={num_rows}")
     if not len(indices):
         rows = np.zeros((0, table.backing.row_dim), dtype=np.float32)
-    elif table.dedup:
+    else:
         rows, unique_count = dedup_cache_read(
             table.cache, indices, table.backing)
         table.rows_requested += len(indices)
         table.rows_read += unique_count
-    else:
-        rows = table.cache.read(indices, table.backing)
-        table.rows_requested += len(indices)
-        table.rows_read += len(indices)
     out = segment_sum(rows, offsets)
     if table.pooling_mode == "mean":
         lengths = np.diff(offsets)
@@ -175,18 +171,12 @@ def pooled_reference(model, batch: MiniBatch) -> Dict[str, np.ndarray]:
     table, with the model's dedup and cache counters advanced as the
     per-dispatch path advanced them."""
     pooled: Dict[str, np.ndarray] = {}
-    if model.hot_tables is not None:
-        if model.dedup:
-            for name in model.hot_table_names:
-                indices, offsets = batch.sparse[name]
-                pooled[name], unique_count = dedup_forward(
-                    model.hot_tables.table(name), indices, offsets)
-                model.dedup_rows_requested += len(indices)
-                model.dedup_rows_read += unique_count
-        else:
-            hot_inputs = {name: batch.sparse[name]
-                          for name in model.hot_table_names}
-            pooled = model.hot_tables.forward(hot_inputs)
+    for name in model.hot_table_names:
+        indices, offsets = batch.sparse[name]
+        pooled[name], unique_count = dedup_forward(
+            model.hot_tables.table(name), indices, offsets)
+        model.dedup_rows_requested += len(indices)
+        model.dedup_rows_read += unique_count
     for name, table in model.cold_tables.items():
         pooled[name] = _cold_forward_reference(table, *batch.sparse[name])
     for name, tt_table in model.tt_tables.items():
@@ -198,12 +188,10 @@ def cold_reads_reference(model, window: Sequence[Sequence[MiniBatch]]
                          ) -> None:
     """Advance every cold table's counters as one cache read per window
     does: in one call, the table reads the ids each dispatch of
-    ``window`` reads alone (its distinct ids with dedup), dispatch after
-    dispatch."""
+    ``window`` reads alone (its distinct ids), dispatch after dispatch."""
     for table in model.cold_tables.values():
         parts = [MiniBatch.concat(d).sparse[table.name][0] for d in window]
-        reads = np.concatenate(
-            [np.unique(p) if table.dedup else p for p in parts])
+        reads = np.concatenate([np.unique(p) for p in parts])
         if len(reads):
             table.cache.read(reads, table.backing)
         table.rows_requested += sum(len(p) for p in parts)

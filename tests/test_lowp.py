@@ -112,3 +112,84 @@ class TestBytesPerElement:
     def test_unknown_raises(self):
         with pytest.raises(ValueError):
             lowp.bytes_per_element("fp8")
+
+
+def _stored_weight_oracle(weight, precision):
+    """The export's former per-precision rounding, kept as the oracle
+    for ``lowp.roundtrip``."""
+    if precision == "fp32":
+        return weight.astype(np.float32)
+    if precision == "fp16":
+        return lowp.fp16_roundtrip(weight).astype(np.float32)
+    if precision == "bf16":
+        return lowp.bf16_roundtrip(weight).astype(np.float32)
+    codes, scale, offset = lowp.quantize_int8_rowwise(weight)
+    return lowp.dequantize_int8_rowwise(codes, scale, offset).astype(
+        np.float32)
+
+
+def _table_bytes_oracle(rows, dim, precision):
+    """The export's former stored-bytes formula: bytes per element, plus
+    a float32 (scale, offset) pair per int8 row."""
+    per_element = {"fp32": 4, "fp16": 2, "bf16": 2, "int8": 1}[precision]
+    return rows * dim * per_element + (rows * 8 if precision == "int8"
+                                       else 0)
+
+
+PRECISIONS = ("fp32", "fp16", "bf16", "int8")
+TINY = np.finfo(np.float32).tiny
+EDGE_ROWS = np.array([
+    [np.nan, 1.0, -2.0, 0.5],                    # NaN in a row
+    [np.inf, -np.inf, 0.0, 1.0],                 # both infinities
+    [-0.0, 0.0, -0.0, 0.0],                      # signed zeros
+    [TINY / 2, -TINY / 4, 1e-45, TINY],          # subnormals
+    [3.25, 3.25, 3.25, 3.25],                    # constant int8 row
+    [-7.0, -7.0, -7.0, -7.0],                    # constant, negative
+    [1e5, -1e5, 65504.0, 65520.0],               # past fp16 range
+    [0.1, 0.2, 0.3, 0.4],
+], dtype=np.float32)
+
+
+class TestStorageRoundtrip:
+    @pytest.mark.parametrize("precision", PRECISIONS)
+    def test_matches_the_former_formula_on_edge_values(self, precision):
+        with np.errstate(all="ignore"):
+            got = lowp.roundtrip(EDGE_ROWS, precision)
+            want = _stored_weight_oracle(EDGE_ROWS, precision)
+        assert got.dtype == np.float32 and got.shape == EDGE_ROWS.shape
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(PRECISIONS), st.integers(1, 6),
+           st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
+    def test_matches_the_former_formula(self, precision, rows, dim, seed):
+        bits = np.random.default_rng(seed).integers(
+            0, 2 ** 32, size=(rows, dim), dtype=np.uint32)
+        x = bits.view(np.float32)  # every float32 pattern, NaNs included
+        with np.errstate(all="ignore"):
+            got = lowp.roundtrip(x, precision)
+            want = _stored_weight_oracle(x, precision)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("precision", PRECISIONS)
+    def test_returns_a_new_array(self, precision):
+        x = EDGE_ROWS[4:].copy()
+        got = lowp.roundtrip(x, precision)
+        assert not np.shares_memory(got, x)
+
+    def test_unknown_precision_raises(self):
+        with pytest.raises(ValueError, match="fp8"):
+            lowp.roundtrip(EDGE_ROWS, "fp8")
+
+
+class TestTableBytes:
+    @pytest.mark.parametrize("precision", PRECISIONS)
+    @pytest.mark.parametrize("rows,dim", [(1, 1), (1, 64), (150, 8),
+                                          (10 ** 6, 128)])
+    def test_matches_the_former_formula(self, precision, rows, dim):
+        assert lowp.table_bytes(rows, dim, precision) == \
+            _table_bytes_oracle(rows, dim, precision)
+
+    def test_unknown_precision_raises(self):
+        with pytest.raises(ValueError, match="fp8"):
+            lowp.table_bytes(4, 4, "fp8")

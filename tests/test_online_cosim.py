@@ -206,6 +206,25 @@ class TestCoSimPlumbing:
             with pytest.raises(ValueError):
                 OnlineConfig(**{**good, **bad})
 
+    @pytest.mark.parametrize("field,value", [
+        ("num_steps", 2.5), ("num_steps", True), ("swap_every_steps", 1.5),
+        ("swap_every_steps", 0.0), ("replicas", 1.5), ("replicas", 2.0),
+        ("eval_batch_size", 3.5), ("num_requests", 10.5),
+        ("num_requests", "10")])
+    def test_non_integer_counts_are_rejected(self, field, value):
+        """Regression: non-integer counts constructed, and the run
+        failed later with a bare TypeError (``range(cfg.replicas)``)
+        after training had already run."""
+        good = dict(num_steps=2, swap_every_steps=1,
+                    train_step_time_s=0.01, qps=300)
+        with pytest.raises(ValueError, match=field):
+            OnlineConfig(**{**good, field: value})
+
+    def test_numpy_integer_counts_are_accepted(self):
+        OnlineConfig(num_steps=np.int64(2), swap_every_steps=np.int64(0),
+                     train_step_time_s=0.01, qps=300,
+                     replicas=np.int32(2), num_requests=np.int64(5))
+
     def test_cadence_from_sizing(self):
         spec = full_spec("A1")
         swap_every, step_time, sizing = cadence_from_sizing(

@@ -18,7 +18,7 @@ from repro.planner import (PlanBudget, PlanError, PlannerCostModel,
                            RepresentationPlan, RepresentationPlanner,
                            enumerate_candidates, plan_representation,
                            uniform_plan)
-from repro.serving import freeze
+from repro.serving import FreezeConfig, freeze
 
 from .helpers import tiny_config, tiny_dataset, tiny_trainer
 
@@ -31,6 +31,22 @@ def make_model(num_tables=4, rows=64, dim=8, seed=0):
 
 def full_bytes(model):
     return sum(t.num_parameters * 4 for t in model.config.tables)
+
+
+def assert_same_export(config, kind):
+    """``freeze`` under ``config`` builds what it builds under the plan
+    giving every table ``kind``: the same prediction bits, recorded
+    errors and stored bytes, the latter the plan's own total."""
+    model = make_model(seed=3)
+    plan = uniform_plan(model, kind, cost=FAST_COST)
+    uniform = freeze(model, config)
+    planned = freeze(model, plan=plan)
+    batch = tiny_dataset(model.config, seed=5).batch(32, 1)
+    assert uniform.predict(batch).tobytes() == \
+        planned.predict(batch).tobytes()
+    assert uniform.quantization_error == planned.quantization_error
+    assert uniform.embedding_storage_bytes() == \
+        planned.embedding_storage_bytes() == plan.total_bytes()
 
 
 class TestPlanEdgeCases:
@@ -99,6 +115,22 @@ class TestPlanEdgeCases:
             cost=PlannerCostModel(tt_rank_options=((2, 2),)))
         assert "tt" in plan.counts_by_kind()
         assert plan.hot_bytes() <= full_bytes(model) * 0.2
+
+
+class TestPlanBudget:
+    @pytest.mark.parametrize("field", ["hot_bytes", "bandwidth_s",
+                                       "quality_floor", "ne_floor"])
+    def test_nan_is_rejected(self, field):
+        """Regression: ``PlanBudget(hot_bytes=nan)`` planned every table
+        ``full`` and passed ``validate()``, while ``FreezeConfig`` read
+        the same NaN as "nothing fits" and sent every table cold."""
+        with pytest.raises(ValueError, match=field):
+            PlanBudget(**{field: float("nan")})
+
+    def test_inf_is_allowed(self):
+        inf = float("inf")
+        PlanBudget(hot_bytes=inf, bandwidth_s=inf, quality_floor=inf,
+                   ne_floor=inf)
 
 
 class TestPlanObject:
@@ -207,6 +239,15 @@ class TestPlannedFreeze:
         batch = tiny_dataset(config, seed=5).batch(16, 1)
         np.testing.assert_array_equal(servable.forward(batch),
                                       freeze(model).forward(batch))
+
+    @pytest.mark.parametrize("precision,kind", [
+        ("fp32", "full"), ("fp16", "fp16"), ("bf16", "bf16"),
+        ("int8", "int8")])
+    def test_uniform_export_is_the_uniform_plan(self, precision, kind):
+        assert_same_export(FreezeConfig(precision=precision), kind)
+
+    def test_all_cold_export_is_the_cold_plan(self):
+        assert_same_export(FreezeConfig(hot_bytes=0), "cold")
 
     def test_planner_accepts_trainer(self):
         config = tiny_config(4, 64, 8)

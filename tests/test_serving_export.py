@@ -16,6 +16,7 @@ import pytest
 from repro import nn
 from repro.data import MiniBatch
 from repro.embedding import SparseSGD
+from repro.embedding.kernels import segment_sum
 from repro.models import DLRM, ZOO_SIZES, zoo_config
 from repro.serving import FreezeConfig, ServableModel, freeze
 
@@ -206,30 +207,30 @@ class TestHotColdPlacement:
             assert table.rows_read < table.rows_requested
 
     def test_cold_dedup_matches_undeduped_path(self):
+        """A cold table's deduplicated cache read pools the bits a plain
+        read of every id from its backing rows pools, in fewer reads."""
         config = make_config()
-        model = DLRM(config, seed=4)
-        deduped = freeze(model, FreezeConfig(hot_bytes=0.0, dedup=True))
-        plain = freeze(model, FreezeConfig(hot_bytes=0.0, dedup=False))
+        servable = freeze(DLRM(config, seed=4), FreezeConfig(hot_bytes=0.0))
         batch = tiny_dataset(config).batch(32, 3)
-        np.testing.assert_array_equal(deduped.forward(batch),
-                                      plain.forward(batch))
-        for name in deduped.cold_table_names:
-            assert deduped.cold_tables[name].rows_read < \
-                plain.cold_tables[name].rows_read
+        for name in servable.cold_table_names:
+            table = servable.cold_tables[name]
+            indices, offsets = batch.sparse[name]
+            plain = segment_sum(table.backing.rows[indices], offsets)
+            np.testing.assert_array_equal(
+                table.forward(indices, offsets), plain)
+            assert table.rows_read < table.rows_requested == len(indices)
 
-    @pytest.mark.parametrize("dedup", [True, False])
     @pytest.mark.parametrize("cache_kind", ["freq_aware", "set_associative"])
     @pytest.mark.parametrize("bad_id", [-1, 150])
     def test_out_of_range_id_raises_before_the_cache(self, cache_kind,
-                                                     dedup, bad_id):
+                                                     bad_id):
         """Regression: a cold table passed its ids straight to the
         cache, so ``-1`` came back as row ``H-1`` (and was admitted
         under key ``-1``) on ``freq_aware`` and as zeros on
         ``set_associative``. Cold ids are validated like hot ones now,
         and a rejected lookup leaves no trace in the cache."""
         servable = freeze(DLRM(make_config(rows=150), seed=0),
-                          FreezeConfig(hot_bytes=0.0, cache_kind=cache_kind,
-                                       dedup=dedup))
+                          FreezeConfig(hot_bytes=0.0, cache_kind=cache_kind))
         table = servable.cold_tables[servable.cold_table_names[0]]
         stats = dataclasses.asdict(table.cache.stats)
         bytes_read = table.backing.bytes_read
@@ -360,6 +361,19 @@ class TestFreezeValidation:
     def test_rejects_non_model(self):
         with pytest.raises(TypeError):
             freeze(object())
+
+    @pytest.mark.parametrize("hot_bytes", [float("nan"), -1.0])
+    def test_rejects_nan_and_negative_budgets(self, hot_bytes):
+        """Regression: a NaN budget was accepted and, failing every
+        ``table_bytes <= budget`` test, sent every table cold."""
+        with pytest.raises(ValueError, match="hot_bytes"):
+            FreezeConfig(hot_bytes=hot_bytes)
+
+    def test_infinite_budget_keeps_every_table_hot(self):
+        config = make_config()
+        servable = freeze(DLRM(config, seed=0),
+                          FreezeConfig(hot_bytes=float("inf")))
+        assert len(servable.hot_table_names) == len(config.tables)
 
     def test_servable_is_dataclass_with_footprint(self):
         config = make_config()

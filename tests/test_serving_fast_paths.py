@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import lowp
 from repro.data import MiniBatch, SyntheticCTRDataset
 from repro.embedding import lengths_to_offsets
 from repro.models import DLRM, zoo_config
@@ -50,11 +51,14 @@ def priced_model(size: str, precision: str):
     perf model reads is the config, the precision and the stored bytes."""
     base = _frozen(size)
     if precision == "mixed":
-        return dataclasses.replace(
-            base, precision="mixed",
-            table_storage_bytes={t.name: 2 * t.num_parameters + i
-                                 for i, t in enumerate(base.config.tables)})
-    return dataclasses.replace(base, precision=precision)
+        stored = {t.name: 2 * t.num_parameters + i
+                  for i, t in enumerate(base.config.tables)}
+    else:
+        stored = {t.name: lowp.table_bytes(t.num_embeddings, t.embedding_dim,
+                                           precision)
+                  for t in base.config.tables}
+    return dataclasses.replace(base, precision=precision,
+                               table_storage_bytes=stored)
 
 
 @lru_cache(maxsize=None)

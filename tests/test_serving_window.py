@@ -72,8 +72,7 @@ EXPORTS = {
 }
 
 
-def twins(export: str, cache_kind: str, dedup: bool, seed: int = 0,
-          copies: int = 2):
+def twins(export: str, cache_kind: str, seed: int = 0, copies: int = 2):
     """Identical frozen artifacts: the first runs the window pass, the
     second the per-dispatch oracle (a third, when asked for, serves
     :func:`window_oracle`)."""
@@ -85,8 +84,7 @@ def twins(export: str, cache_kind: str, dedup: bool, seed: int = 0,
     hot_bytes = 0.5 * per_element * sum(t.num_parameters
                                         for t in config.tables)
     fc = FreezeConfig(precision=precision or "fp32", hot_bytes=hot_bytes,
-                      cache_kind=cache_kind, cache_fraction=0.2,
-                      dedup=dedup)
+                      cache_kind=cache_kind, cache_fraction=0.2)
     plan = _plan(config) if precision is None else None
     made = [freeze(model, fc, plan=plan) for _ in range(copies)]
     assert made[0].cold_tables and made[0].hot_tables is not None
@@ -157,12 +155,11 @@ def assert_bitwise(got: np.ndarray, expected: np.ndarray) -> None:
 
 
 class TestPredictMany:
-    @pytest.mark.parametrize("dedup", [True, False])
     @pytest.mark.parametrize("cache_kind", CACHE_KINDS)
     @pytest.mark.parametrize("export", sorted(EXPORTS))
-    def test_matches_per_dispatch_reference(self, export, cache_kind, dedup):
+    def test_matches_per_dispatch_reference(self, export, cache_kind):
         windowed = cache_kind == "freq_aware"
-        config, model, oracle, *loop = twins(export, cache_kind, dedup,
+        config, model, oracle, *loop = twins(export, cache_kind,
                                              copies=3 if windowed else 2)
         loop = window_oracle(loop[0]) if windowed else None
         for seed in range(3):
@@ -179,14 +176,14 @@ class TestPredictMany:
 
     @pytest.mark.parametrize("export", sorted(EXPORTS))
     def test_forward_and_predict_are_the_one_dispatch_case(self, export):
-        config, model, oracle = twins(export, "freq_aware", True)
+        config, model, oracle = twins(export, "freq_aware")
         batch = MiniBatch.concat(dispatches(config, 5)[0])
         assert_bitwise(model.forward(batch), forward_reference(oracle, batch))
         assert_bitwise(model.predict(batch), predict_reference(oracle, batch))
         assert counters(model) == counters(oracle)
 
     def test_one_sample_dispatches(self):
-        config, model, oracle = twins("fp32", "set_associative", True)
+        config, model, oracle = twins("fp32", "set_associative")
         bulk = tiny_dataset(config).batch(12, batch_index=3)
         window = [[bulk.slice(i, i + 1)] for i in range(12)]
         for g, d in zip(model.predict_many(window), window):
@@ -194,18 +191,18 @@ class TestPredictMany:
         assert counters(model) == counters(oracle)
 
     def test_only_empty_bags(self):
-        config, model, oracle = twins("mean", "uvm", True)
+        config, model, oracle = twins("mean", "uvm")
         window = [[empty_request(config)], [empty_request(config)] * 2]
         for g, d in zip(model.predict_many(window), window):
             assert_bitwise(g, predict_reference(oracle, MiniBatch.concat(d)))
         assert counters(model) == counters(oracle)
 
     def test_no_dispatches(self):
-        _, model, _ = twins("fp32", "freq_aware", True)
+        _, model, _ = twins("fp32", "freq_aware")
         assert model.predict_many([]) == []
 
     def test_empty_dispatch_rejected(self):
-        config, model, _ = twins("fp32", "freq_aware", True)
+        config, model, _ = twins("fp32", "freq_aware")
         with pytest.raises(ValueError, match="at least one batch"):
             model.predict_many([dispatches(config, 0)[0], []])
 
@@ -217,7 +214,7 @@ MIXED_COUNTS = [3, 0, 1, 3, 64, 1, 3, 2, 0, 64, 17]
 class TestDenseHalf:
     @pytest.mark.parametrize("export", sorted(EXPORTS))
     def test_mixed_row_counts_match_per_dispatch_oracle(self, export):
-        config, model, oracle = twins(export, "freq_aware", True)
+        config, model, oracle = twins(export, "freq_aware")
         bulk = tiny_dataset(config, seed=2).batch(sum(MIXED_COUNTS),
                                                   batch_index=2)
         bounds = lengths_to_offsets(MIXED_COUNTS)
@@ -234,7 +231,7 @@ class TestDenseHalf:
                     oracle, bulk.slice(int(lo), int(hi))))
 
     def test_one_dense_pass_per_row_count(self, monkeypatch):
-        config, model, _ = twins("fp32", "freq_aware", True)
+        config, model, _ = twins("fp32", "freq_aware")
         bulk = tiny_dataset(config).batch(sum(MIXED_COUNTS), batch_index=1)
         window = model.embed(bulk, lengths_to_offsets(MIXED_COUNTS))
         calls = []
@@ -249,7 +246,7 @@ class TestDenseHalf:
 
     @pytest.mark.parametrize("cache_kind", CACHE_KINDS)
     def test_wrong_dense_width_rejected_before_any_read(self, cache_kind):
-        config, model, _ = twins("fp32", cache_kind, True)
+        config, model, _ = twins("fp32", cache_kind)
         batch = MiniBatch.concat(dispatches(config, 1)[0])
         before = counters(model)
         for dense in (batch.dense[:, :-1], batch.dense[:, 0]):
