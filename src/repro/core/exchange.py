@@ -4,13 +4,15 @@
 ids, pooled rows and gradients between ranks in the collective pattern
 of each table's scheme (paper Sections 4.2, 4.4; DESIGN.md lists them).
 A table-wise table is the column-wise case with one full-width shard.
+A data-parallel or row-wise table is stored once, whole, and looked up,
+merged and stepped once per step (Section 4.1.2) for all its shards.
 """
 
 from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -21,7 +23,6 @@ from ..data.kernels import bucket_of
 from ..embedding import (EmbeddingTable, EmbeddingTableConfig,
                          QuantizedEmbeddingTable, SparseGradient,
                          SparseOptimizer)
-from ..embedding.kernels import rank_bags
 from ..embedding.table import lengths_to_offsets, validate_offsets
 from ..models.dlrm import DLRM, DLRMConfig
 from ..obs.metrics import MetricRegistry
@@ -54,7 +55,8 @@ class SparseExchange:
 
     :meth:`forward` pools every table for every rank, :meth:`backward`
     applies the pooled gradients, :meth:`gather` and :meth:`load` read
-    and restore whole tables."""
+    and restore whole tables. ``shard_tables`` maps each shard to its
+    stored table, which holds all H rows of the shard's columns."""
 
     def __init__(self, config: DLRMConfig, plan: ShardingPlan, golden: DLRM,
                  pg: SimProcessGroup, sparse_optimizer: SparseOptimizer,
@@ -88,9 +90,9 @@ class SparseExchange:
 
     def _build_shards(self, golden: DLRM, metrics: MetricRegistry,
                       representation_plan) -> None:
-        """One table per shard, except that a data-parallel table is one
-        table every replica's shard maps to: one weight and one optimizer
-        state, looked up once for the global batch and stepped once."""
+        """One stored table, with one optimizer state, per column range
+        of each table: a column-wise slice is a table of its own, and all
+        shards of a data-parallel or row-wise table map to one."""
         self.shard_tables: Dict[Shard, EmbeddingTable] = {}
         # per-shard metric counters, created once so the hot path only
         # pays a cached-attribute increment
@@ -111,23 +113,18 @@ class SparseExchange:
                     representation_plan.training_precision(t.name)
             make = EmbeddingTable if train_precision == "fp32" \
                 else QuantizedEmbeddingTable
-            table_plan = self.plan.tables[t.name]
-            replicated = table_plan.scheme == ShardingScheme.DATA_PARALLEL
-            table = None
-            for shard in table_plan.shards:
-                # every replica of a data-parallel table maps to the
-                # table built for its first shard
-                if table is None or not replicated:
-                    r0, r1 = shard.row_range
-                    c0, c1 = shard.col_range
-                    shard_cfg = EmbeddingTableConfig(
-                        name=f"{t.name}@{shard.rank}:{r0}-{r1}:{c0}-{c1}",
-                        num_embeddings=r1 - r0, embedding_dim=c1 - c0,
+            by_cols: Dict[Tuple[int, int], EmbeddingTable] = {}
+            for shard in self.plan.tables[t.name].shards:
+                c0, c1 = shard.col_range
+                if shard.col_range not in by_cols:
+                    by_cols[shard.col_range] = make(EmbeddingTableConfig(
+                        name=f"{t.name}@{shard.rank}:0-{t.num_embeddings}:"
+                             f"{c0}-{c1}",
+                        num_embeddings=t.num_embeddings, embedding_dim=c1 - c0,
                         avg_pooling=t.avg_pooling,
                         pooling_mode=t.pooling_mode,
-                        precision=train_precision)
-                    table = make(shard_cfg, weight=weight[r0:r1, c0:c1])
-                self.shard_tables[shard] = table
+                        precision=train_precision), weight=weight[:, c0:c1])
+                self.shard_tables[shard] = by_cols[shard.col_range]
                 self._lookup_counters[shard] = emb_metrics.counter(
                     "lookup_rows", table=t.name)
                 self._update_counters[shard] = emb_metrics.counter(
@@ -194,18 +191,20 @@ class SparseExchange:
         return out
 
     def _shard_update(self, shard: Shard, grad,
-                      bag_ranks: Optional[np.ndarray] = None) -> None:
+                      stacked: bool = False) -> None:
         """Exact sparse update of one shard, under an ``embedding_update``
         span. ``grad`` is the shard's :class:`SparseGradient`, or the
-        pooled gradient whose backward (one merge+apply dispatch) runs in
-        the span; ``bag_ranks`` is then ``rank_bags(grad)`` when several
-        shards share it (row-wise tables)."""
+        ``(n, D)`` gradient of its last lookup's bags, whose backward (one
+        merge+apply dispatch) runs in the span. A ``stacked`` lookup
+        pooled every rank's segment of each bag (row-wise tables):
+        segment ``s`` takes bag ``s mod n``'s gradient."""
         with self.tracer.span("trainer.embedding_update", cat="embedding",
                               table=shard.table, rank=shard.rank):
             table = self.shard_tables[shard]
             if not isinstance(grad, SparseGradient):
                 grad = table.backward(grad)
-                grad.bag_ranks = bag_ranks
+                if stacked:
+                    grad.bag_ids = grad.bag_ids % len(grad.values)
                 self._launch_counter.inc(1)
             self.sparse_opt.step(table, grad)
             # re-round quantized storage after the step (fp32: no-op)
@@ -371,18 +370,23 @@ class SparseExchange:
         arrived_ids = self.pg.all_to_all(*ids, kind=AlltoAllKind.INDEX)
         arrived_lengths = self.pg.all_to_all(*lengths,
                                              kind=AlltoAllKind.INDEX)
-        id_counts, bag_counts = ids[1].sum(axis=0), lengths[1].sum(axis=0)
-        # owners compute partial pooled sums for the global batch; ranks
-        # without a shard contribute zeros
-        partials = np.zeros((w, w * local_batch, table.embedding_dim),
-                            dtype=np.float32)
-        for shard in shards:
-            partials[shard.rank] = self._shard_forward(
-                shard, rank_rows(arrived_ids.output, id_counts, shard.rank),
-                lengths_to_offsets(rank_rows(arrived_lengths.output,
-                                             bag_counts, shard.rank)))
-        # ReduceScatter: sum partials, deliver each rank its sub-batch
-        return self.pg.reduce_scatter(partials).output
+        # what arrived is owner-major: each owner's ids go back to table
+        # rows, and its bag lengths fill its row of the (W, W*B) segment
+        # grid; a rank without a shard has empty segments
+        owners = [s.rank for s in shards]
+        starts = np.zeros(w, dtype=np.int64)
+        starts[owners] = [s.row_range[0] for s in shards]
+        rows = arrived_ids.output + np.repeat(starts, ids[1].sum(axis=0))
+        segments = np.zeros((w, w * local_batch), dtype=np.int64)
+        segments[sorted(owners)] = arrived_lengths.output.reshape(
+            len(owners), -1)
+        # one lookup pools every owner's partial sums for the global
+        # batch into the (W, W*B, D) stack the ReduceScatter sums, in
+        # rank order, delivering each rank its sub-batch
+        partials = self._shard_forward(shards[0], rows,
+                                       lengths_to_offsets(segments.ravel()))
+        return self.pg.reduce_scatter(partials.reshape(
+            w, w * local_batch, table.embedding_dim)).output
 
     def _backward_row_wise(self, shards: Sequence[Shard],
                            d_pooled: np.ndarray) -> None:
@@ -392,11 +396,9 @@ class SparseExchange:
         gathered = self.pg.all_gather(d_pooled / w).output
         d_global = gathered.reshape(
             gathered.shape[0] * gathered.shape[1], -1).astype(np.float32)
-        # every shard merges against the same (sum-pooled) bag gradient,
-        # so its bag ranks are computed once per table
-        bag_ranks = rank_bags(d_global)
-        for shard in shards:
-            self._shard_update(shard, d_global, bag_ranks)
+        # one backward, merge and step of the one table for every shard:
+        # row ranges are disjoint, so no merge segment mixes two shards
+        self._shard_update(shards[0], d_global, stacked=True)
 
     def _forward_data_parallel(self, shard: Shard,
                                inputs: List[Tuple[np.ndarray, np.ndarray]],
@@ -503,28 +505,33 @@ class SparseExchange:
     # whole tables: inspection and checkpoint restore
     # ------------------------------------------------------------------
     def gather(self, name: str) -> np.ndarray:
-        """Reassemble the full (H, D) weight of one table from shards."""
-        table_plan = self.plan.tables[name]
-        cfg = table_plan.config
-        if table_plan.scheme == ShardingScheme.DATA_PARALLEL:
-            return self.shard_tables[table_plan.shards[0]].weight.copy()
-        full = np.zeros((cfg.num_embeddings, cfg.embedding_dim),
-                        dtype=np.float32)
-        for shard in table_plan.shards:
-            full[slice(*shard.row_range), slice(*shard.col_range)] = \
-                self.shard_tables[shard].weight
-        return full
+        """The full (H, D) weight of one table, a copy: every stored
+        table holds all rows of its column range."""
+        return np.concatenate([self.shard_tables[s].weight
+                               for s in self._stored(name)], axis=1)
+
+    def _stored(self, name: str) -> List[Shard]:
+        """One shard of each stored table of table ``name``, by column."""
+        return sorted({s.col_range: s for s in self.plan.tables[name].shards
+                       }.values(), key=lambda s: s.col_range)
 
     def load(self, tables: Dict[str, List[Tuple[np.ndarray, np.ndarray]]]
              ) -> None:
-        """Overwrite every shard from a checkpoint chain: ``tables[name]``
-        holds table ``name``'s ``(rows, values)`` payloads, oldest first,
-        later rows overriding earlier ones.
+        """Overwrite every stored table from a checkpoint chain:
+        ``tables[name]`` holds table ``name``'s ``(rows, values)``
+        payloads, oldest first, later rows overriding earlier ones.
 
         The whole chain is checked before any shard is written: every
         row of every table must be restored, rows must lie in ``[0, H)``
         and values must be ``(len(rows), D)``. A failure raises
         ``ValueError`` naming the table."""
+        for name, weight in self._restored(tables).items():
+            for shard in self._stored(name):
+                self.shard_tables[shard].weight[...] = \
+                    weight[:, slice(*shard.col_range)]
+
+    def _restored(self, tables) -> Dict[str, np.ndarray]:
+        """Every table's full weight from a checkpoint chain, checked."""
         full = {}
         for t in self.config.tables:
             h, d = t.num_embeddings, t.embedding_dim
@@ -544,10 +551,4 @@ class SparseExchange:
                 raise ValueError(
                     f"table {t.name}: checkpoint restores "
                     f"{int(restored.sum())} of its {h} rows")
-        written = set()
-        for shard, table in self.shard_tables.items():
-            if id(table) in written:  # a data-parallel table's replica
-                continue
-            written.add(id(table))
-            table.weight = full[shard.table][
-                slice(*shard.row_range), slice(*shard.col_range)].copy()
+        return full

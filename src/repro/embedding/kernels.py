@@ -78,6 +78,7 @@ _GATHER_TILE_BYTES = 256 * 1024
 # untiled/tiled: 0.77x at 323 KB (D=16, 512 bags of 10), 0.87x at 1.0 MB
 # (D=64), 1.5x at 2.0 MB (D=256, 1 024 bags of 2).
 _GATHER_WHOLE_BYTES = 1024 * 1024
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def expand_bag_ids(lengths: np.ndarray) -> np.ndarray:
@@ -225,8 +226,7 @@ def rank_bags(bag_grad: np.ndarray) -> np.ndarray:
     g[D-1])`` under numpy's sort semantics, ties (equal vectors, ``±0.0``,
     NaNs) broken by row index — exactly the order a stable ``D``-key
     lexsort gives. :func:`merge_sorted_coo` keys each gradient entry on
-    its bag's rank; callers whose shards share one bag-gradient matrix
-    (row-wise tables) compute the ranks once and pass them in.
+    its bag's rank.
 
     Sort once, refine ties
     ----------------------
@@ -280,8 +280,7 @@ def rank_bags(bag_grad: np.ndarray) -> np.ndarray:
 
 
 def merge_sorted_coo(rows: np.ndarray, bag_grad: np.ndarray,
-                     bag_ids: Optional[np.ndarray] = None,
-                     bag_ranks: Optional[np.ndarray] = None
+                     bag_ids: Optional[np.ndarray] = None
                      ) -> Tuple[np.ndarray, np.ndarray]:
     """Sort a COO gradient by row and sum duplicates into one entry per row.
 
@@ -307,8 +306,7 @@ def merge_sorted_coo(rows: np.ndarray, bag_grad: np.ndarray,
 
     Every entry's value is one of ``B`` bag vectors, so ordering entries
     by ``g[0..D-1]`` is ordering them by their bag's rank
-    (:func:`rank_bags`, computed over ``B`` rows, or passed in as
-    ``bag_ranks``). The kernel therefore sorts one int64 key per entry,
+    (:func:`rank_bags`, computed over ``B`` rows). The kernel therefore sorts one int64 key per entry,
     ``row * B + rank[bag_ids[k]]``, and recovers row and bag from the
     sorted key by ``divmod``. Keys tie only for one id twice in one bag,
     whose values are identical, so an unstable sort is exact; and because
@@ -322,11 +320,10 @@ def merge_sorted_coo(rows: np.ndarray, bag_grad: np.ndarray,
     rows = np.asarray(rows, dtype=np.int64)
     if len(rows) == 0:
         return rows, np.zeros((0, bag_grad.shape[1]), dtype=np.float32)
-    if bag_ranks is None:
-        bag_ranks = rank_bags(bag_grad)
+    bag_ranks = rank_bags(bag_grad)
     num_bags = len(bag_grad)
     entry_ranks = bag_ranks if bag_ids is None else bag_ranks[bag_ids]
-    if int(rows.max()) <= (np.iinfo(np.int64).max - num_bags) // num_bags:
+    if int(rows.max()) <= (_INT64_MAX - num_bags) // num_bags:
         key = rows * num_bags
         key += entry_ranks
         key.sort()

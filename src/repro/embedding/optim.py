@@ -36,8 +36,7 @@ __all__ = [
 
 
 def merge_duplicate_rows(rows: np.ndarray, values: np.ndarray,
-                         bag_ids: Optional[np.ndarray] = None,
-                         bag_ranks: Optional[np.ndarray] = None
+                         bag_ids: Optional[np.ndarray] = None
                          ) -> Tuple[np.ndarray, np.ndarray]:
     """Sort rows and sum gradients of duplicates into one entry per row.
 
@@ -51,7 +50,7 @@ def merge_duplicate_rows(rows: np.ndarray, values: np.ndarray,
     :func:`repro.embedding.kernels.merge_sorted_coo`, shared with the
     fused arena backward.
     """
-    return merge_sorted_coo(rows, values, bag_ids, bag_ranks)
+    return merge_sorted_coo(rows, values, bag_ids)
 
 
 def _adam_moments(state: Dict[str, np.ndarray], rows: np.ndarray,
@@ -85,7 +84,7 @@ class SparseOptimizer:
     def step(self, table: EmbeddingTable, grad: SparseGradient) -> None:
         """Merge duplicate rows, then apply one exact update per row."""
         rows, merged = merge_duplicate_rows(grad.rows, grad.values,
-                                            grad.bag_ids, grad.bag_ranks)
+                                            grad.bag_ids)
         self.apply_merged(table, rows, merged)
 
     def apply_merged(self, table: EmbeddingTable, rows: np.ndarray,

@@ -111,16 +111,12 @@ class SparseGradient:
     ``bag_ids=None`` is the identity map (``values`` is per-entry, the
     plain COO form). The same row may appear multiple times — exact
     optimizers merge duplicates before updating (Section 4.1.2).
-    ``bag_ranks`` optionally carries :func:`~repro.embedding.kernels.
-    rank_bags` of ``values``, computed once by a caller whose shards share
-    one gradient matrix.
     """
 
     rows: np.ndarray          # (nnz,) int64
     values: np.ndarray        # (B, D) float32; (nnz, D) if bag_ids is None
     num_embeddings: int = 0   # H, for densification
-    bag_ids: Optional[np.ndarray] = None    # (nnz,) int64
-    bag_ranks: Optional[np.ndarray] = None  # (B,) int64
+    bag_ids: Optional[np.ndarray] = None  # (nnz,) int64
 
     def entry_values(self) -> np.ndarray:
         """The per-entry ``(nnz, D)`` gradient (a copy in bag form)."""

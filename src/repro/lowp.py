@@ -18,8 +18,6 @@ from typing import Tuple
 import numpy as np
 
 __all__ = [
-    "to_fp16",
-    "from_fp16",
     "fp16_roundtrip",
     "to_bf16",
     "from_bf16",
@@ -34,6 +32,7 @@ __all__ = [
 _DTYPE_BYTES = {"fp32": 4, "fp16": 2, "bf16": 2, "int8": 1}
 # int8 row-wise storage carries a float32 (scale, offset) pair per row
 _INT8_ROW_SCALE_BYTES = 8
+_F32_MAX = float(np.finfo(np.float32).max)
 
 
 def bytes_per_element(dtype: str) -> int:
@@ -51,14 +50,6 @@ def table_bytes(rows: int, dim: int, precision: str) -> int:
     int8 adds its float32 (scale, offset) pair per row."""
     overhead = rows * _INT8_ROW_SCALE_BYTES if precision == "int8" else 0
     return rows * dim * bytes_per_element(precision) + overhead
-
-
-def to_fp16(x: np.ndarray) -> np.ndarray:
-    return x.astype(np.float16)
-
-
-def from_fp16(x: np.ndarray) -> np.ndarray:
-    return x.astype(np.float32)
 
 
 def fp16_roundtrip(x: np.ndarray) -> np.ndarray:
@@ -100,24 +91,36 @@ def quantize_int8_rowwise(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.nda
 
     Returns ``(codes, scale, offset)`` where
     ``x ~= codes * scale[:, None] + offset[:, None]``. This is the scheme of
-    the FBGEMM rowwise-quantized embedding formats.
+    the FBGEMM rowwise-quantized embedding formats. A row of finite values
+    whose float32 span ``hi - lo`` overflows is scaled in float64.
     """
     if x.ndim != 2:
         raise ValueError(f"expected a 2-D array of rows, got shape {x.shape}")
     x = x.astype(np.float32)
     lo = x.min(axis=1)
     hi = x.max(axis=1)
-    span = hi - lo
-    # degenerate rows (constant) get scale 1 to avoid division by zero
-    scale = np.where(span > 0, span / 255.0, 1.0).astype(np.float32)
-    offset = lo.astype(np.float32)
-    codes = np.clip(np.rint((x - offset[:, None]) / scale[:, None]), 0, 255)
-    return codes.astype(np.uint8), scale, offset
+    with np.errstate(over="ignore"):
+        span = hi - lo
+        wide = np.flatnonzero(np.isinf(span) & np.isfinite(lo + hi))
+        # degenerate rows (constant) get scale 1 to avoid division by zero
+        scale = np.where(span > 0, span / 255.0, 1.0).astype(np.float32)
+        scale[wide] = (hi[wide] - lo[wide].astype(np.float64)) / 255.0
+        codes = np.clip(np.rint((x - lo[:, None]) / scale[:, None]), 0, 255)
+    codes[wide] = np.clip(np.rint((x[wide] - lo[wide, None].astype(
+        np.float64)) / scale[wide, None]), 0, 255)
+    return codes.astype(np.uint8), scale, lo
 
 
 def dequantize_int8_rowwise(codes: np.ndarray, scale: np.ndarray,
                             offset: np.ndarray) -> np.ndarray:
-    return (codes.astype(np.float32) * scale[:, None] + offset[:, None])
+    """``codes * scale + offset`` per row, in float32; a finite row that
+    overflows it is read in float64, clipped to the float32 range."""
+    with np.errstate(over="ignore"):
+        out = codes.astype(np.float32) * scale[:, None] + offset[:, None]
+    wide = np.isinf(out).any(axis=1) & np.isfinite(scale + offset)
+    out[wide] = np.clip(codes[wide] * scale[wide, None].astype(np.float64)
+                        + offset[wide, None], -_F32_MAX, _F32_MAX)
+    return out
 
 
 def roundtrip(x: np.ndarray, precision: str) -> np.ndarray:

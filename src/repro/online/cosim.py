@@ -87,11 +87,11 @@ class OnlineConfig:
     def __post_init__(self) -> None:
         check_count("num_steps", self.num_steps)
         check_count("swap_every_steps", self.swap_every_steps, low=0)
-        if self.train_step_time_s <= 0:
+        if not self.train_step_time_s > 0:  # NaN fails too
             raise ValueError("train_step_time_s must be positive")
-        if self.qps <= 0:
+        if not self.qps > 0:
             raise ValueError("qps must be positive")
-        if self.slo_s <= 0:
+        if not self.slo_s > 0:
             raise ValueError("slo_s must be positive")
         check_count("replicas", self.replicas)
         check_count("eval_batch_size", self.eval_batch_size)

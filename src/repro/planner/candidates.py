@@ -71,7 +71,7 @@ class PlannerCostModel:
             raise ValueError("cache_fraction must be in (0, 1]")
         if not 0.0 <= self.cold_hit_rate < 1.0:
             raise ValueError("cold_hit_rate must be in [0, 1)")
-        if self.time_weight < 0:
+        if not self.time_weight >= 0:  # NaN fails too
             raise ValueError("time_weight must be >= 0")
 
     # ------------------------------------------------------------------

@@ -6,7 +6,10 @@ and its own dense optimizer, and every dense phase — bottom/top MLP,
 interaction, loss, backward, the bucketed AllReduce and the optimizer
 step — is a python loop over ranks, whose per-rank inputs are stacked
 only to enter a collective. Its sparse half is a
-``LoopedSparseExchange``: the row-wise gradient is gathered from and
+``LoopedSparseExchange``: every row-wise shard is a table of its own,
+looked up, copied into the ReduceScatter stack, merged and stepped once
+per shard, where the product stores, looks up, merges and steps each
+row-wise table once; the row-wise gradient is gathered from and
 concatenated for each shard, and the row-wise index payloads come from
 the per-(table, source rank) bucketize loop
 (:func:`looped_row_wise_payloads`, with the mask-loop kernel of
@@ -14,7 +17,8 @@ the per-(table, source rank) bucketize loop
 replaced, built as ``[src][dst]`` slices. Every rank owns, looks up and
 steps its own copy of a data-parallel table, densifies its gradient
 with the row-wise scatter of ``reference_kernels.py`` and sums the R
-gradients in one AllReduce, where the product keeps one table. It
+gradients in one AllReduce, where the product keeps one table. Its
+``gather`` and ``load`` assemble and cut each shard's own block. It
 shares everything else (sharding, the other schemes' exchanges, embedding
 forward/backward, sparse updates, spans, checkpoint layout) with the
 product by inheritance.
@@ -35,13 +39,20 @@ import numpy as np
 
 from repro import nn
 from repro.core import NeoTrainer
+from repro.comms import AlltoAllKind
+from repro.comms.collectives import rank_rows
 from repro.core.exchange import SparseExchange
 from repro.embedding import SparseGradient
+from repro.embedding.table import lengths_to_offsets
 from repro.models import DLRM
 from repro.sharding import ShardingScheme
 
 from .reference_comms import to_buffer
 from .reference_kernels import bucketize_sparse_reference, to_dense_reference
+
+# schemes whose tables the product stores once and the oracle per shard
+_PER_SHARD = (ShardingScheme.ROW_WISE, ShardingScheme.TABLE_ROW_WISE,
+              ShardingScheme.DATA_PARALLEL)
 
 
 def looped_row_wise_payloads(exchange: SparseExchange, inputs) -> dict:
@@ -78,21 +89,39 @@ def looped_row_wise_payloads(exchange: SparseExchange, inputs) -> dict:
 
 class LoopedSparseExchange(SparseExchange):
     """The per-(table, source rank) index payloads, a per-rank row-wise
-    gradient AllGather and one data-parallel table per rank."""
+    gradient AllGather, a table per row-wise shard, looked up, merged and
+    stepped per shard, and one data-parallel table per rank."""
 
     def _build_shards(self, golden, metrics, representation_plan) -> None:
         super()._build_shards(golden, metrics, representation_plan)
         for t in self.config.tables:
             table_plan = self.plan.tables[t.name]
-            if table_plan.scheme != ShardingScheme.DATA_PARALLEL:
+            if table_plan.scheme not in _PER_SHARD:
                 continue
             one = self.shard_tables[table_plan.shards[0]]
             weight = golden.embeddings.table(t.name).weight
             for shard in table_plan.shards:
+                r0, r1 = shard.row_range
                 self.shard_tables[shard] = type(one)(
-                    replace(one.config, name=f"{t.name}@{shard.rank}:0-"
-                            f"{t.num_embeddings}:0-{t.embedding_dim}"),
-                    weight=weight)
+                    replace(one.config, name=f"{t.name}@{shard.rank}:{r0}-"
+                            f"{r1}:0-{t.embedding_dim}",
+                            num_embeddings=r1 - r0),
+                    weight=weight[r0:r1])
+
+    def gather(self, name):
+        cfg = self.plan.tables[name].config
+        full = np.zeros((cfg.num_embeddings, cfg.embedding_dim),
+                        dtype=np.float32)
+        for shard in self.plan.tables[name].shards:
+            full[slice(*shard.row_range), slice(*shard.col_range)] = \
+                self.shard_tables[shard].weight
+        return full
+
+    def load(self, tables) -> None:
+        full = self._restored(tables)
+        for shard, table in self.shard_tables.items():
+            table.weight = full[shard.table][
+                slice(*shard.row_range), slice(*shard.col_range)].copy()
 
     def _replicas(self, shard):
         by_rank = {s.rank: s for s in self.plan.tables[shard.table].shards}
@@ -120,6 +149,23 @@ class LoopedSparseExchange(SparseExchange):
         return {name: (shards, to_buffer(ids), to_buffer(lengths))
                 for name, (shards, ids, lengths)
                 in looped_row_wise_payloads(self, inputs).items()}
+
+    def _forward_row_wise(self, table, shards, ids, lengths, local_batch):
+        w = self.world_size
+        arrived_ids = self.pg.all_to_all(*ids, kind=AlltoAllKind.INDEX)
+        arrived_lengths = self.pg.all_to_all(*lengths,
+                                             kind=AlltoAllKind.INDEX)
+        id_counts, bag_counts = ids[1].sum(axis=0), lengths[1].sum(axis=0)
+        # owners compute partial pooled sums for the global batch; ranks
+        # without a shard contribute zeros
+        partials = np.zeros((w, w * local_batch, table.embedding_dim),
+                            dtype=np.float32)
+        for shard in shards:
+            partials[shard.rank] = self._shard_forward(
+                shard, rank_rows(arrived_ids.output, id_counts, shard.rank),
+                lengths_to_offsets(rank_rows(arrived_lengths.output,
+                                             bag_counts, shard.rank)))
+        return self.pg.reduce_scatter(partials).output
 
     def _backward_row_wise(self, shards, d_pooled) -> None:
         w = self.world_size

@@ -55,3 +55,20 @@ def test_failed_entry_point_logs_its_stdout(tmp_path):
     assert failed == ["stdout only"]
     assert any("exit 1" in line and "report on stdout" in line
                for line in lines)
+
+
+def test_failed_gate_line_survives_a_long_stdout(tmp_path):
+    """A gate failure printed before more than 1 000 characters of JSON
+    falls out of the stdout tail; the log still carries it, and every
+    ``== `` headline."""
+    script = ("import json; print('== train_sparse'); "
+              "print('gate failed: digest mismatch'); "
+              "print(json.dumps({'pad': 'x' * 2000})); raise SystemExit(1)")
+    lines = []
+    _, failed = audit_reach.collect(
+        [("long report", [sys.executable, "-c", script])],
+        str(tmp_path), log=lines.append)
+    assert failed == ["long report"]
+    log = "\n".join(lines)
+    assert "    == train_sparse\n" in log
+    assert "    gate failed: digest mismatch\n" in log

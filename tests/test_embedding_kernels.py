@@ -499,9 +499,6 @@ class TestBagFormMatchesOracle:
         before = bag_grad.copy()
         want = merge_sorted_coo_reference(rows, bag_grad[bag_ids])
         assert_bitwise_equal(merge_sorted_coo(rows, bag_grad, bag_ids), want)
-        assert_bitwise_equal(
-            merge_sorted_coo(rows, bag_grad, bag_ids, rank_bags(bag_grad)),
-            want)
         np.testing.assert_array_equal(bag_grad.view(np.uint32),
                                       before.view(np.uint32))
 

@@ -128,6 +128,17 @@ def _stored_weight_oracle(weight, precision):
         np.float32)
 
 
+def _former_int8(x):
+    """The float32-only int8 round trip ``lowp`` used before it learned
+    to scale rows whose span overflows float32."""
+    lo, hi = x.min(axis=1), x.max(axis=1)
+    span = hi - lo
+    scale = np.where(span > 0, span / 255.0, 1.0).astype(np.float32)
+    codes = np.clip(np.rint((x - lo[:, None]) / scale[:, None]), 0, 255)
+    return codes.astype(np.uint8).astype(np.float32) * scale[:, None] \
+        + lo[:, None]
+
+
 def _table_bytes_oracle(rows, dim, precision):
     """The export's former stored-bytes formula: bytes per element, plus
     a float32 (scale, offset) pair per int8 row."""
@@ -170,6 +181,36 @@ class TestStorageRoundtrip:
             got = lowp.roundtrip(x, precision)
             want = _stored_weight_oracle(x, precision)
         assert got.tobytes() == want.tobytes()
+
+    def test_int8_row_whose_span_overflows_round_trips_finite(self):
+        """Regression: ``hi - lo`` overflowed float32 and every entry of
+        the row came back NaN."""
+        x = np.array([[3e38, -3e38, 0.5, 1.0], [0.1, 0.2, 0.3, 0.4]],
+                     dtype=np.float32)
+        got = lowp.roundtrip(x, "int8")
+        assert np.isfinite(got).all()
+        # within half a code step of every entry
+        step = (3e38 - -3e38) / 255
+        assert np.abs(got[0].astype(np.float64) - x[0]).max() <= step / 2
+        assert got[1].tobytes() == _former_int8(x[1:]).tobytes()
+        limit = np.finfo(np.float32).max
+        edge = np.array([[limit, -limit, 0.0, 1.0]], dtype=np.float32)
+        np.testing.assert_array_equal(lowp.roundtrip(edge, "int8")[0, :2],
+                                      [limit, -limit])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 6),
+           st.integers(0, 2 ** 32 - 1))
+    def test_int8_keeps_the_former_bytes_where_the_span_is_finite(
+            self, rows, dim, seed):
+        bits = np.random.default_rng(seed).integers(
+            0, 2 ** 32, size=(rows, dim), dtype=np.uint32)
+        x = bits.view(np.float32)
+        with np.errstate(all="ignore"):
+            finite_span = np.isfinite(x.max(axis=1) - x.min(axis=1))
+            got = lowp.roundtrip(x, "int8")
+            want = _former_int8(x)
+        assert got[finite_span].tobytes() == want[finite_span].tobytes()
 
     @pytest.mark.parametrize("precision", PRECISIONS)
     def test_returns_a_new_array(self, precision):

@@ -220,6 +220,16 @@ class TestCoSimPlumbing:
         with pytest.raises(ValueError, match=field):
             OnlineConfig(**{**good, field: value})
 
+    @pytest.mark.parametrize("field", ["train_step_time_s", "qps",
+                                       "slo_s"])
+    def test_nan_is_rejected(self, field):
+        """Regression: ``x <= 0`` let NaN through, so a NaN step time or
+        SLO reached the virtual clock and the SLO count unchecked."""
+        good = dict(num_steps=2, swap_every_steps=1,
+                    train_step_time_s=0.01, qps=300)
+        with pytest.raises(ValueError, match=field):
+            OnlineConfig(**{**good, field: float("nan")})
+
     def test_numpy_integer_counts_are_accepted(self):
         OnlineConfig(num_steps=np.int64(2), swap_every_steps=np.int64(0),
                      train_step_time_s=0.01, qps=300,

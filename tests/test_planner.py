@@ -133,6 +133,19 @@ class TestPlanBudget:
                    ne_floor=inf)
 
 
+class TestCostModelValidation:
+    @pytest.mark.parametrize("weight", [float("nan"), -1.0])
+    def test_bad_time_weight_is_rejected(self, weight):
+        """Regression: ``time_weight < 0`` let NaN through, and the
+        greedy score then compared NaNs, so the plan's choices stopped
+        depending on lookup time."""
+        with pytest.raises(ValueError, match="time_weight"):
+            PlannerCostModel(time_weight=weight)
+
+    def test_zero_time_weight_is_allowed(self):
+        PlannerCostModel(time_weight=0.0)
+
+
 class TestPlanObject:
     def test_validate_raises_over_budget(self):
         model = make_model()

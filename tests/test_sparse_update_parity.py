@@ -7,9 +7,8 @@ like the ``train_sparse`` benchmark workload (row-, table- and
 column-wise tables, Zipf ids pooled ~6 per bag, so most rows are hit
 several times a step) is trained twice, once with the product kernel and
 once with the oracle monkeypatched into ``SparseOptimizer.step`` (it
-expands each bag-form gradient to per-entry values and ignores the
-shared row-wise bag ranks), and losses, gathered tables and optimizer
-state must agree bit for bit.
+expands each bag-form gradient to per-entry values), and losses,
+gathered tables and optimizer state must agree bit for bit.
 """
 
 import numpy as np
@@ -89,9 +88,9 @@ def train_both(monkeypatch, make_optimizer, representation_plan=None):
     got = train(hybrid_trainer(make_optimizer(), representation_plan))
     merged = []
 
-    def oracle(rows, values, bag_ids=None, bag_ranks=None):
-        # the product merges bag-form gradients keyed on shared bag
-        # ranks; the oracle expands them and lexsorts every column
+    def oracle(rows, values, bag_ids=None):
+        # the product merges bag-form gradients keyed on bag ranks; the
+        # oracle expands them and lexsorts every column
         merged.append((len(rows), len(np.unique(rows))))
         if bag_ids is not None:
             values = values[bag_ids]
@@ -109,10 +108,11 @@ def train_both(monkeypatch, make_optimizer, representation_plan=None):
 ], ids=["adagrad", "adam", "rowwise_adagrad"])
 def test_hybrid_trainer_matches_oracle_bitwise(monkeypatch, make_optimizer):
     got, want, merged = train_both(monkeypatch, make_optimizer)
-    # every shard update of every step went through the oracle, and the
+    # every update of every step went through the oracle (one per
+    # row-wise or table-wise table, one per column-wise slice), and the
     # gradients really had duplicate rows to merge
-    shards_per_step = 3 * WORLD + 2 + WORLD
-    assert len(merged) == STEPS * shards_per_step
+    updates_per_step = 3 + 2 + WORLD
+    assert len(merged) == STEPS * updates_per_step
     assert sum(n for n, _ in merged) > 2 * sum(u for _, u in merged)
     assert want[2], "optimizer state must exist to be compared"
     assert_runs_bitwise_equal(got, want)

@@ -8,7 +8,10 @@ identical* to the sequential per-rank loop (``LoopedNeoTrainer`` in
 architectures, world sizes, sharding schemes and optimizers — losses,
 dense parameters, comms byte/call logs, and eval outputs — and pins
 the surface the rest of the repo reads through (the one
-``trainer.dense_opt``, checkpoint state, ``replicas_in_sync``).
+``trainer.dense_opt``, checkpoint state, ``replicas_in_sync``). Row-wise
+tables, which the product stores once and the oracle per shard, get a
+fuzz of their own: shard layouts, storage precisions and all five
+sparse optimizers.
 """
 
 import numpy as np
@@ -19,18 +22,20 @@ from hypothesis import strategies as st
 from repro import nn
 from repro.comms import ClusterTopology, QuantizedCommsConfig
 from repro.core import CheckpointManager, NeoTrainer
-from repro.data import SyntheticCTRDataset
-from repro.embedding import (EmbeddingTableConfig, SparseAdaGrad, SparseAdam,
-                             SparseSGD)
+from repro.data import MiniBatch, SyntheticCTRDataset
+from repro.embedding import (EmbeddingTableConfig, RowWiseAdaGrad,
+                             SparseAdaGrad, SparseAdam, SparseLAMB, SparseSGD)
 from repro.models import DLRM, DLRMConfig
 from repro.planner import PlannerCostModel, RepresentationPlan, uniform_plan
-from repro.sharding import ShardingPlan, ShardingScheme, shard_table
+from repro.sharding import (Shard, ShardingPlan, ShardingScheme,
+                            TableShardingPlan, shard_table)
 
 from .helpers import DENSE_OPTIMIZERS as OPTIMIZERS
 from .reference_trainer import LoopedNeoTrainer
 
 SCHEMES = [ShardingScheme.TABLE_WISE, ShardingScheme.ROW_WISE,
            ShardingScheme.COLUMN_WISE, ShardingScheme.DATA_PARALLEL]
+ROW_SCHEMES = (ShardingScheme.ROW_WISE, ShardingScheme.TABLE_ROW_WISE)
 SPARSE_OPTIMIZERS = {"sgd": lambda: SparseSGD(lr=0.1),
                      "adagrad": lambda: SparseAdaGrad(lr=0.1),
                      "adam": lambda: SparseAdam(lr=0.01)}
@@ -99,14 +104,37 @@ def assert_bitwise_equal(looped, stacked, tables):
     assert looped.replicas_in_sync()
     assert stacked.replicas_in_sync()
     # the product's one data-parallel table holds every oracle replica's
-    # optimizer state
+    # optimizer state, and its one row-wise table the oracle's per-shard
+    # states, concatenated in row order
     for shard, table in stacked.exchange.shard_tables.items():
-        want = looped.sparse_opt.state_for(
-            looped.exchange.shard_tables[shard])
+        if stacked.plan.scheme_of(shard.table) in ROW_SCHEMES:
+            want = row_wise_state(looped, shard.table)
+        else:
+            want = looped.sparse_opt.state_for(
+                looped.exchange.shard_tables[shard])
         got = stacked.sparse_opt.state_for(table)
         assert sorted(got) == sorted(want)
         for key in want:
             np.testing.assert_array_equal(got[key], want[key])
+
+
+def row_wise_state(looped, name):
+    """The oracle's per-shard optimizer states of row-wise table
+    ``name``, concatenated in row order. A shard the oracle never
+    stepped has no state yet; it counts as the zeros every state starts
+    from."""
+    shards = sorted(looped.plan.tables[name].shards,
+                    key=lambda s: s.row_range)
+    states = [looped.sparse_opt.state_for(looped.exchange.shard_tables[s])
+              for s in shards]
+    whole = {}
+    for key in sorted({key for state in states for key in state}):
+        like = next(state[key] for state in states if key in state)
+        whole[key] = np.concatenate([
+            state[key] if key in state
+            else np.zeros((s.num_rows,) + like.shape[1:], like.dtype)
+            for s, state in zip(shards, states)])
+    return whole
 
 
 @st.composite
@@ -415,3 +443,186 @@ def test_stacked_smoke_r64():
               for i in range(2)]
     assert all(np.isfinite(l) for l in losses)
     assert trainer.replicas_in_sync()
+
+
+# ----------------------------------------------------------------------
+# row-wise tables: stored once in the product, per shard in the oracle
+# ----------------------------------------------------------------------
+DIM = 4
+ALL_SPARSE_OPTIMIZERS = {
+    "sgd": lambda: SparseSGD(lr=0.1),
+    "adagrad": lambda: SparseAdaGrad(lr=0.1),
+    "rowwise_adagrad": lambda: RowWiseAdaGrad(lr=0.1),
+    "adam": lambda: SparseAdam(lr=0.01),
+    "lamb": lambda: SparseLAMB(lr=0.01),
+}
+
+
+def row_wise_pair(world, tables, placements, schemes, precisions, sparse,
+                  seed):
+    """An oracle and a product trainer whose tables are all row-wise:
+    ``placements[name]`` lists each shard's ``(owner rank, row range)``
+    and ``precisions[name]`` its storage kind (``full``, ``fp16``,
+    ``int8``)."""
+    config = DLRMConfig(dense_dim=3, bottom_mlp=(6, DIM), tables=tables,
+                        top_mlp=(6,))
+    model = DLRM(config, seed=seed)
+    cost = PlannerCostModel(allow_tt=False)
+    kinds = {kind: uniform_plan(model, kind, cost=cost).assignments
+             for kind in set(precisions.values())}
+    representation = RepresentationPlan(assignments={
+        name: kinds[kind][name] for name, kind in precisions.items()})
+    trainers = []
+    for cls in (LoopedNeoTrainer, NeoTrainer):
+        plan = ShardingPlan(world_size=world)
+        for t in tables:
+            plan.tables[t.name] = TableShardingPlan(t, schemes[t.name], [
+                Shard(t.name, rank, rows, (0, DIM))
+                for rank, rows in placements[t.name]])
+        plan.validate()
+        trainers.append(cls(
+            config, plan, ClusterTopology(num_nodes=1, gpus_per_node=world),
+            dense_optimizer=OPTIMIZERS["sgd"],
+            sparse_optimizer=ALL_SPARSE_OPTIMIZERS[sparse](), seed=seed,
+            representation_plan=representation))
+    return trainers[0], trainers[1]
+
+
+def with_empty_bags(batches):
+    """Rank ``r``'s batch with bag ``r mod B`` of every table emptied."""
+    out = []
+    for r, batch in enumerate(batches):
+        sparse = {}
+        for name, (ids, offsets) in batch.sparse.items():
+            bag = r % batch.batch_size
+            lengths = np.diff(offsets)
+            lengths[bag] = 0
+            keep = np.ones(len(ids), dtype=bool)
+            keep[offsets[bag]:offsets[bag + 1]] = False
+            sparse[name] = (ids[keep], np.concatenate(
+                [[0], np.cumsum(lengths)]).astype(np.int64))
+        out.append(MiniBatch(dense=batch.dense, sparse=sparse,
+                             labels=batch.labels))
+    return out
+
+
+def assert_row_wise_pair_matches(looped, stacked, tables, batch_per_rank,
+                                 empty, seed, steps=4):
+    ds = SyntheticCTRDataset(tables, dense_dim=3, seed=seed)
+    world = stacked.world_size
+    for i in range(steps):
+        split = ds.batch(batch_per_rank * world, i).split(world)
+        if empty:
+            split = with_empty_bags(split)
+        assert looped.train_step(split) == stacked.train_step(split)
+    for t in tables:
+        shards = stacked.plan.tables[t.name].shards
+        stored = {id(stacked.exchange.shard_tables[s]) for s in shards}
+        assert len(stored) == 1
+        assert stacked.exchange.shard_tables[shards[0]].weight.shape == (
+            t.num_embeddings, DIM)
+    assert_bitwise_equal(looped, stacked, tables)
+    split = ds.batch(batch_per_rank * world, 99).split(world)
+    for out_l, out_s in zip(looped.eval_forward(split),
+                            stacked.eval_forward(split)):
+        np.testing.assert_array_equal(out_l, out_s)
+
+
+@st.composite
+def row_wise_scenario(draw):
+    """1..3 row-wise or table-row-wise tables, each cut at random points
+    into 1..W shards (single-row shards included) on a random subset of
+    ranks in random order, stored at fp32, fp16 or int8."""
+    world = draw(st.integers(min_value=2, max_value=4))
+    tables, placements, schemes, precisions = [], {}, {}, {}
+    for i in range(draw(st.integers(min_value=1, max_value=3))):
+        name = f"t{i}"
+        rows = draw(st.integers(min_value=1, max_value=24))
+        k = draw(st.integers(min_value=1, max_value=min(world, rows)))
+        cuts = sorted(draw(st.sets(st.integers(min_value=1,
+                                               max_value=max(rows - 1, 1)),
+                                   min_size=k - 1, max_size=k - 1))) \
+            if k > 1 else []
+        edges = [0] + cuts + [rows]
+        owners = draw(st.permutations(range(world)))[:k]
+        tables.append(EmbeddingTableConfig(
+            name, rows, DIM,
+            avg_pooling=float(draw(st.integers(min_value=1, max_value=5)))))
+        placements[name] = list(zip(owners, zip(edges[:-1], edges[1:])))
+        schemes[name] = draw(st.sampled_from(
+            [ShardingScheme.ROW_WISE, ShardingScheme.TABLE_ROW_WISE]))
+        precisions[name] = draw(st.sampled_from(["full", "fp16", "int8"]))
+    sparse = draw(st.sampled_from(sorted(ALL_SPARSE_OPTIMIZERS)))
+    batch_per_rank = draw(st.integers(min_value=1, max_value=4))
+    empty = draw(st.booleans())
+    seed = draw(st.integers(min_value=0, max_value=10_000))
+    return (world, tuple(tables), placements, schemes, precisions, sparse,
+            batch_per_rank, empty, seed)
+
+
+@given(row_wise_scenario())
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.data_too_large])
+def test_row_wise_stored_once_matches_per_shard_oracle(scenario):
+    """One stored table, one lookup, one merge and one step per row-wise
+    table are bitwise the oracle's per-shard tables: losses, tables,
+    every sparse optimizer's state (the oracle's per-shard states
+    concatenated in row order), comms logs and eval outputs."""
+    (world, tables, placements, schemes, precisions, sparse,
+     batch_per_rank, empty, seed) = scenario
+    looped, stacked = row_wise_pair(world, tables, placements, schemes,
+                                    precisions, sparse, seed)
+    assert_row_wise_pair_matches(looped, stacked, tables, batch_per_rank,
+                                 empty, seed)
+
+
+# uneven shards, one a single row, owners out of row order; a table-row-
+# wise table that skips rank 0
+FIXED_TABLES = (EmbeddingTableConfig("rw", 37, DIM, avg_pooling=3.0),
+                EmbeddingTableConfig("trw", 23, DIM, avg_pooling=2.0))
+FIXED_PLACEMENTS = {"rw": [(2, (0, 5)), (0, (5, 20)), (3, (20, 21)),
+                           (1, (21, 37))],
+                    "trw": [(3, (0, 10)), (1, (10, 11)), (2, (11, 23))]}
+FIXED_SCHEMES = {"rw": ShardingScheme.ROW_WISE,
+                 "trw": ShardingScheme.TABLE_ROW_WISE}
+
+
+@pytest.mark.parametrize("precision", ["full", "fp16", "int8"])
+@pytest.mark.parametrize("sparse", sorted(ALL_SPARSE_OPTIMIZERS))
+def test_row_wise_fixed_layout_every_optimizer(sparse, precision):
+    looped, stacked = row_wise_pair(
+        4, FIXED_TABLES, FIXED_PLACEMENTS, FIXED_SCHEMES,
+        {"rw": precision, "trw": precision}, sparse, seed=7)
+    assert_row_wise_pair_matches(looped, stacked, FIXED_TABLES,
+                                 batch_per_rank=3, empty=True, seed=7)
+    # one lookup and one update per table and step (4 steps, 2 tables),
+    # then the eval forward's one lookup per table
+    counts = stacked.metrics.snapshot("embedding.")
+    assert counts["embedding.kernel_launches"] == 4 * 2 * 2 + 2
+
+
+def test_row_wise_checkpoint_resume_is_bitwise(tmp_path):
+    """Save at step k, restore into a fresh trainer built from another
+    seed, continue: bitwise the uninterrupted run, so ``load`` wrote the
+    one stored table of each row-wise table."""
+    def make(seed):
+        return row_wise_pair(4, FIXED_TABLES, FIXED_PLACEMENTS,
+                             FIXED_SCHEMES, {"rw": "full", "trw": "fp16"},
+                             "sgd", seed)[1]
+
+    ds = SyntheticCTRDataset(FIXED_TABLES, dense_dim=3, seed=7)
+    batches = [ds.batch(12, i).split(4) for i in range(5)]
+    straight, first = make(7), make(7)
+    straight_losses = [straight.train_step(b) for b in batches]
+    for b in batches[:2]:
+        first.train_step(b)
+    mgr = CheckpointManager(str(tmp_path))
+    mgr.save(first)
+    resumed = make(99)
+    mgr.load(resumed)
+    assert [resumed.train_step(b) for b in batches[2:]] == \
+        straight_losses[2:]
+    for t in FIXED_TABLES:
+        np.testing.assert_array_equal(resumed.gather_table(t.name),
+                                      straight.gather_table(t.name))

@@ -157,9 +157,14 @@ def collect(points: Sequence[Tuple[str, List[str]]], work_dir: str,
         if done.returncode != 0:
             failed.append(name)
             if log:
-                # pytest reports its failures on stdout
-                log(f"  exit {done.returncode}: stdout: "
-                    f"{done.stdout[-1000:]}\n  stderr: {done.stderr[-1000:]}")
+                # pytest reports its failures on stdout; a long report
+                # would push the headline and gate lines out of the tail
+                marked = [line for line in done.stdout.splitlines()
+                          if line.startswith("== ") or "gate failed:" in line]
+                log(f"  exit {done.returncode}: marked stdout lines:\n"
+                    + "".join(f"    {line}\n" for line in marked)
+                    + f"  stdout: {done.stdout[-1000:]}\n"
+                    f"  stderr: {done.stderr[-1000:]}")
     reached = set()
     for name in os.listdir(dump):
         with open(os.path.join(dump, name)) as f:
