@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..embedding.kernels import segment_sum
+from ..embedding.kernels import mean_pool, segment_sum
 from ..embedding.table import (EmbeddingTableConfig, SparseGradient,
                                pooled_backward)
 from ..obs.tracer import as_tracer
@@ -191,7 +191,7 @@ class CachedEmbeddingTable:
         self._sync_stats()
         out = segment_sum(rows, offsets)
         if self.config.pooling_mode == "mean":
-            out /= np.maximum(lengths, 1).astype(np.float32)[:, None]
+            mean_pool(out, lengths)
         self._saved = (indices, None, lengths)
         return out
 

@@ -179,27 +179,34 @@ class SparseExchange:
     # ------------------------------------------------------------------
     # instrumented shard access
     # ------------------------------------------------------------------
-    def _shard_forward(self, shard: Shard, ids: np.ndarray,
+    def _shard_forward(self, shards: Sequence[Shard], ids: np.ndarray,
                        offsets: np.ndarray) -> np.ndarray:
-        """Pooled lookup on one shard, under an ``embedding_lookup`` span."""
+        """Pooled lookup on the one stored table of ``shards``, under an
+        ``embedding_lookup`` span stamped with the ``ranks`` owning the
+        shards the call serves."""
+        shard = shards[0]
         with self.tracer.span("trainer.embedding_lookup", cat="embedding",
-                              table=shard.table, rank=shard.rank,
+                              table=shard.table,
+                              ranks=sorted(s.rank for s in shards),
                               rows=int(len(ids))):
             out = self.shard_tables[shard].forward(ids, offsets)
         self._lookup_counters[shard].inc(int(len(ids)))
         self._launch_counter.inc(1)  # one gather+segment-reduce dispatch
         return out
 
-    def _shard_update(self, shard: Shard, grad,
+    def _shard_update(self, shards: Sequence[Shard], grad,
                       stacked: bool = False) -> None:
-        """Exact sparse update of one shard, under an ``embedding_update``
-        span. ``grad`` is the shard's :class:`SparseGradient`, or the
-        ``(n, D)`` gradient of its last lookup's bags, whose backward (one
+        """Exact sparse update of the one stored table of ``shards``,
+        under an ``embedding_update`` span stamped like the lookup's.
+        ``grad`` is the table's :class:`SparseGradient`, or the ``(n, D)``
+        gradient of its last lookup's bags, whose backward (one
         merge+apply dispatch) runs in the span. A ``stacked`` lookup
         pooled every rank's segment of each bag (row-wise tables):
         segment ``s`` takes bag ``s mod n``'s gradient."""
+        shard = shards[0]
         with self.tracer.span("trainer.embedding_update", cat="embedding",
-                              table=shard.table, rank=shard.rank):
+                              table=shard.table,
+                              ranks=sorted(s.rank for s in shards)):
             table = self.shard_tables[shard]
             if not isinstance(grad, SparseGradient):
                 grad = table.backward(grad)
@@ -332,7 +339,7 @@ class SparseExchange:
         splits[:, shard.rank] = local_batch
         arrived = self.pg.all_to_all(scaled.reshape(-1, cols), splits,
                                      kind=AlltoAllKind.BACKWARD).output
-        self._shard_update(shard, arrived.astype(np.float32, copy=False))
+        self._shard_update((shard,), arrived.astype(np.float32, copy=False))
 
     def _forward_column_wise(self, shards: List[Shard],
                              inputs: List[Tuple[np.ndarray, np.ndarray]],
@@ -345,7 +352,7 @@ class SparseExchange:
         bags, bag_counts = self._index_to(owners, lengths)
         # each owner pools its column slice for the global batch
         pooled = {shard: self._shard_forward(
-            shard, rank_rows(ids, id_counts, shard.rank),
+            (shard,), rank_rows(ids, id_counts, shard.rank),
             lengths_to_offsets(rank_rows(bags, bag_counts, shard.rank)))
             for shard in shards}
         # pooled AlltoAll per shard (two shards may share an owner rank),
@@ -383,7 +390,7 @@ class SparseExchange:
         # one lookup pools every owner's partial sums for the global
         # batch into the (W, W*B, D) stack the ReduceScatter sums, in
         # rank order, delivering each rank its sub-batch
-        partials = self._shard_forward(shards[0], rows,
+        partials = self._shard_forward(shards, rows,
                                        lengths_to_offsets(segments.ravel()))
         return self.pg.reduce_scatter(partials.reshape(
             w, w * local_batch, table.embedding_dim)).output
@@ -398,7 +405,7 @@ class SparseExchange:
             gathered.shape[0] * gathered.shape[1], -1).astype(np.float32)
         # one backward, merge and step of the one table for every shard:
         # row ranges are disjoint, so no merge segment mixes two shards
-        self._shard_update(shards[0], d_global, stacked=True)
+        self._shard_update(shards, d_global, stacked=True)
 
     def _forward_data_parallel(self, shard: Shard,
                                inputs: List[Tuple[np.ndarray, np.ndarray]],
@@ -412,7 +419,8 @@ class SparseExchange:
         for ids, offsets in inputs:
             validate_offsets(offsets, len(ids))
         pooled = self._shard_forward(
-            shard, np.concatenate([ids for ids, _ in inputs]),
+            self.plan.tables[shard.table].shards,
+            np.concatenate([ids for ids, _ in inputs]),
             lengths_to_offsets(lengths.ravel()))
         return pooled.reshape(lengths.shape + (pooled.shape[1],))
 
@@ -438,9 +446,10 @@ class SparseExchange:
         # single-process step does: a touched row whose averaged
         # gradient is exactly zero still advances Adam/LAMB state
         rows = np.unique(grad.rows)
-        self._shard_update(shard, SparseGradient(
-            rows=rows, values=np.take(summed, rows, axis=0) / w,
-            num_embeddings=h))
+        self._shard_update(self.plan.tables[shard.table].shards,
+                           SparseGradient(
+                               rows=rows, num_embeddings=h,
+                               values=np.take(summed, rows, axis=0) / w))
 
     # ------------------------------------------------------------------
     # the step: every table, in table order

@@ -5,8 +5,8 @@ tensor-train compression (paper Section 4.1)."""
 from .arena import EmbeddingArena
 from .dedup import dedup_cache_read, duplication_factor
 from .fused import FusedEmbeddingCollection
-from .kernels import (expand_bag_ids, merge_sorted_coo, rank_bags,
-                      rebase_jagged, segment_mean, segment_sum)
+from .kernels import (expand_bag_ids, mean_pool, merge_sorted_coo,
+                      rank_bags, rebase_jagged, segment_sum)
 from .optim import (RowWiseAdaGrad, SparseAdaGrad, SparseAdam, SparseLAMB,
                     SparseOptimizer, SparseSGD, merge_duplicate_rows,
                     optimizer_state_bytes)
@@ -25,7 +25,7 @@ __all__ = [
     "FusedEmbeddingCollection",
     "EmbeddingArena",
     "segment_sum",
-    "segment_mean",
+    "mean_pool",
     "expand_bag_ids",
     "rebase_jagged",
     "rank_bags",

@@ -10,14 +10,14 @@ pooled forward is
 
 * **one** fancy-index gather over the base-rebased indices of every
   table, and
-* **one** ``np.add.reduceat`` segment-sum over the concatenated jagged
-  offsets,
+* **one** segment-sum over the concatenated jagged offsets
+  (:func:`~repro.embedding.kernels.segment_sum_gather`),
 
 instead of a Python loop issuing two dispatches per table. The fused
 backward+optimizer never gathers: each table's gradient stays in bag form
 (its ``(B_t, D)`` upstream gradient plus per-entry bag ids) and is merged
 by one integer-key sort-and-reduce (``merge_sorted_coo``: one int64 sort
-keyed on ``(row, bag rank)``, one sorted gather, one reduceat) before the
+keyed on ``(row, bag rank)``, one segment-sum of the sorted bags) before the
 exact sparse update is applied (optimizer state stays per-table). The
 merge runs table by table because table row ranges are disjoint — a
 group-wide merge would be the concatenation of the per-table ones — and
@@ -31,8 +31,8 @@ versa). If external code rebinds a table's ``weight`` attribute (e.g. a
 checkpoint restore), the arena detects the identity change on the next
 call and re-packs that table's rows.
 
-Bit parity with the per-table path is exact, not approximate: reduceat's
-within-segment reduction order depends only on the segment contents, so
+Bit parity with the per-table path is exact, not approximate: a
+segment's reduction order depends only on the segment contents, so
 pooling table ``t``'s bags inside the concatenated arena batch produces
 the same bits as pooling them alone, and the backward builds each
 table's gradient from the same saved state a per-table forward leaves.
@@ -47,7 +47,8 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .kernels import merge_sorted_coo, rebase_jagged, segment_sum_gather
+from .kernels import (mean_pool, merge_sorted_coo, rebase_jagged,
+                      segment_sum_gather)
 from .optim import SparseOptimizer
 from .table import EmbeddingTable, SparseGradient, pooled_backward
 
@@ -145,8 +146,7 @@ class EmbeddingArena:
                 lengths = np.diff(offsets)
                 table_out = pooled[bag_start:bag_start + num_bags]
                 if t.config.pooling_mode == "mean":
-                    table_out /= np.maximum(lengths, 1).astype(
-                        np.float32)[:, None]
+                    mean_pool(table_out, lengths)
                 out[t.name] = table_out
                 t._saved = (indices, None, lengths)
                 bag_start += num_bags

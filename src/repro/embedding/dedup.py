@@ -24,13 +24,16 @@ __all__ = ["dedup_cache_read", "segment_keys", "duplication_factor"]
 
 def dedup_cache_read(cache, indices: np.ndarray, backing,
                      segments: Optional[np.ndarray] = None
-                     ) -> Tuple[np.ndarray, int]:
+                     ) -> Tuple[np.ndarray, np.ndarray]:
     """Read rows through a :class:`repro.cache.RowCache`, touching each
     unique id once.
 
-    Returns ``(rows, unique_count)`` where ``rows`` has one row per
-    *occurrence* (the broadcast of the deduplicated read, bitwise equal
-    to ``cache.read(indices, backing)``). The cache sees one access per
+    Returns ``(rows, inverse)``: ``rows`` holds one row per unique id
+    (per unique ``(segment, id)`` key) and ``rows[inverse]`` one per
+    *occurrence*, bitwise equal to ``cache.read(indices, backing)``.
+    A pooled lookup sums ``rows`` through ``inverse``
+    (:func:`~repro.embedding.kernels.segment_sum_gather`) without
+    building the broadcast. The cache sees one access per
     unique id, which is what the serving path wants: a hot Zipf id
     repeated across a concurrent dispatch pays one fast-tier read, and
     the hit/miss stats count row residency rather than input skew.
@@ -46,13 +49,13 @@ def dedup_cache_read(cache, indices: np.ndarray, backing,
     """
     indices = np.asarray(indices, dtype=np.int64)
     if not len(indices):
-        return np.zeros((0, cache.row_dim), dtype=np.float32), 0
+        return (np.zeros((0, cache.row_dim), dtype=np.float32),
+                np.zeros(0, dtype=np.int64))
     num_rows = backing.num_rows
     unique, inverse = np.unique(segment_keys(indices, num_rows, segments),
                                 return_inverse=True)
     ids = unique if segments is None else unique % num_rows
-    rows = cache.read(ids, backing)
-    return rows[inverse], len(unique)
+    return cache.read(ids, backing), inverse
 
 
 def segment_keys(indices: np.ndarray, num_rows: int,

@@ -11,7 +11,7 @@ collection packs all same-``D`` tables into a single contiguous weight
 arena (:class:`repro.embedding.arena.EmbeddingArena`) so that
 
 * :meth:`FusedEmbeddingCollection.forward` is one fancy-index gather over
-  rebased indices plus one ``reduceat`` segment-sum per dimension group —
+  rebased indices plus one segment-sum per dimension group —
   ``kernel_launches`` counts true dispatches (1 per call for uniform-D
   models), and ``benchmarks/bench_fused_kernel.py`` measures the
   wall-clock win over a per-table loop;

@@ -5,17 +5,35 @@ gathered rows split into ``B`` bags by an ``offsets`` vector — into one
 vector per bag. The seed implementation used ``np.add.at``, numpy's
 generic indexed scatter-add, which processes one element per interpreter-
 level iteration and is by far the slowest way to express this reduction.
-These kernels express the same reduction as ``np.add.reduceat`` over
-contiguous segments, which runs at memcpy-like speed, and are shared by
+These kernels express the same reduction over contiguous segments,
+summed bitwise as ``np.add.reduceat`` sums them, and are shared by
 :class:`repro.embedding.EmbeddingTable`, the fused arena operator,
-tensor-train tables, batch dedup and the cached tables.
+tensor-train tables, the cold cache tier, the cached tables and every
+sparse optimizer's merge.
+
+Short segments
+--------------
+
+``reduceat`` pays ~7-13 ns per segment x column however short the
+segment is: it makes one strided ``pairwise_sum`` call per column. So
+bags of 1-3 wide rows cost far more than their adds. numpy sums a
+segment of at most 8 rows as ``a0 + (((s + a1) + a2) + ...)``, where
+``s`` is the start value of its ``pairwise_sum`` (probed at import:
+``-0.0``). :func:`_segment_reduce` adds exactly that, one row position
+at a time over every such segment of a call, when the call has enough
+of them to repay its fixed cost; longer segments, and calls with few
+short ones, stay on ``reduceat``. Every sum that is not NaN matches
+``reduceat`` bit for bit (which payload a NaN sum carries is not fixed
+by numpy either). ``tests/test_embedding_kernels.py`` pins numpy's order
+and fuzzes the kernel against the ``reduceat`` form kept in
+``tests/reference_kernels.py``.
 
 Determinism and parity
 ----------------------
 
-``np.add.reduceat`` reduces each segment with numpy's fixed pairwise
-summation order, a pure function of the segment's contents and length.
-Two consequences the tests rely on:
+Each segment is reduced in numpy's fixed pairwise summation order, a
+pure function of the segment's contents and length, whichever form
+sums it. Two consequences the tests rely on:
 
 * **split-invariance** — reducing table ``t``'s segments inside a
   concatenated multi-table array is bitwise identical to reducing them in
@@ -31,7 +49,8 @@ adjacent offsets ``i == j``) it returns ``a[i]`` instead of an empty sum,
 and a trailing empty segment's start index can equal ``len(a)``, which is
 out of range. :func:`segment_sum` handles both explicitly by reducing
 only the non-empty segments (their starts are always in range) and
-leaving empty bags at zero.
+leaving empty bags at zero; the short-segment kernel shares that
+contract.
 
 The sparse-gradient merge
 -------------------------
@@ -43,7 +62,8 @@ gradient and each entry's bag id — because every entry's value is a copy
 of its bag's vector. Ranking the ``B`` bag vectors once
 (:func:`rank_bags`) turns the canonical ``(row, g[0..D-1])`` float order
 into one int64 sort key per entry, and the merge never materialises the
-``(N, D)`` per-entry gradient before its single sorted gather.
+``(N, D)`` per-entry gradient: its segment-sum reads each sorted entry's
+bag vector straight from ``bag_grad``.
 """
 
 from __future__ import annotations
@@ -55,7 +75,7 @@ import numpy as np
 __all__ = [
     "segment_sum",
     "segment_sum_gather",
-    "segment_mean",
+    "mean_pool",
     "expand_bag_ids",
     "rebase_jagged",
     "rank_bags",
@@ -79,12 +99,137 @@ _GATHER_TILE_BYTES = 256 * 1024
 # (D=64), 1.5x at 2.0 MB (D=256, 1 024 bags of 2).
 _GATHER_WHOLE_BYTES = 1024 * 1024
 _INT64_MAX = int(np.iinfo(np.int64).max)
+# numpy's pairwise_sum adds a run of fewer than 8 elements left to right;
+# a segment's tail is every row but its first, so segments of up to 8
+# rows are summed left to right.
+_SHORT_ROWS = 8
+_POSITIONS = np.arange(_SHORT_ROWS, dtype=np.int64)
+# Fewest (short segments x columns) for which summing short segments
+# position by position beats reduceat (docs/performance.md, "Sum short
+# segments in numpy's own order").
+_SHORT_MIN_WORK = 11264
 
 
 def expand_bag_ids(lengths: np.ndarray) -> np.ndarray:
     """Per-element bag ids for a jagged batch: ``[0]*L0 + [1]*L1 + ...``."""
     lengths = np.asarray(lengths, dtype=np.int64)
     return np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
+
+
+def _pairwise_start() -> np.float32:
+    """The value numpy's ``pairwise_sum`` starts a short sum from.
+
+    ``reduceat`` sums two rows as ``a0 + (s + a1)``: on ``[-0.0, -0.0]``
+    that keeps the sign bit only if ``s`` is ``-0.0``.
+    """
+    probe = np.add.reduceat(np.full((2, 1), -0.0, dtype=np.float32), [0],
+                            axis=0)
+    return np.float32(-0.0 if np.signbit(probe[0, 0]) else 0.0)
+
+
+_PAIRWISE_START = _pairwise_start()
+
+
+def _segment_reduce(storage: np.ndarray, rows: Optional[np.ndarray],
+                    starts: np.ndarray,
+                    out: Optional[np.ndarray] = None) -> np.ndarray:
+    """``np.add.reduceat(storage[rows], starts, axis=0)``, bit for bit on
+    every sum that is not NaN.
+
+    ``rows=None`` reduces ``storage`` itself. ``starts`` are strictly
+    increasing and in range, so every segment is non-empty and the last
+    one runs to the end of the rows. Returns ``out`` if given (written
+    in place, cast to its dtype), else a new array of ``storage``'s dtype.
+
+    numpy adds a segment's tail (every row after the first) to the first
+    row with ``pairwise_sum``, which adds fewer than 8 elements left to
+    right from ``_PAIRWISE_START``, one strided call per column. So a
+    segment of at most ``_SHORT_ROWS`` rows is
+    ``a0 + (((s + a1) + a2) + ...)``, and this kernel adds exactly that,
+    position by position, over all such segments at once: the segments
+    sorted longest first make "segments with more than ``k`` rows" a
+    prefix. Longer segments go to ``reduceat`` on their own rows. That
+    path pays a fixed ~25 numpy calls, so it runs only on float32 rows
+    with at least ``_SHORT_MIN_WORK`` short segment x column sums;
+    anything else is ``reduceat`` as a whole.
+    """
+    dim = storage.shape[1]
+    num_short = 0
+    if storage.dtype == np.float32 and len(starts) * dim >= _SHORT_MIN_WORK:
+        lengths = np.empty_like(starts)
+        np.subtract(starts[1:], starts[:-1], out=lengths[:-1])
+        lengths[-1] = (len(storage) if rows is None else len(rows)) \
+            - starts[-1]
+        clipped = np.minimum(lengths, _SHORT_ROWS + 1)
+        counts = np.bincount(clipped, minlength=_SHORT_ROWS + 2)
+        num_long = int(counts[-1])
+        num_short = len(starts) - num_long
+    if not num_short or num_short * dim < _SHORT_MIN_WORK:
+        values = storage if rows is None else np.take(storage, rows, axis=0)
+        summed = np.add.reduceat(values, starts, axis=0)
+        if out is None:
+            return summed
+        out[...] = summed
+        return out
+    if out is None:
+        out = np.empty((len(starts), dim), dtype=np.float32)
+    # stable, longest first: key 0 for long segments, then 8, 7, ..., 1
+    order = np.argsort((_SHORT_ROWS + 1 - clipped).astype(np.uint8),
+                       kind="stable")
+    if num_long:
+        segs = order[:num_long]
+        seg_len = lengths[segs]
+        ends = np.cumsum(seg_len)
+        pos = np.repeat(starts[segs] - (ends - seg_len), seg_len) \
+            + np.arange(int(ends[-1]))
+        out[segs] = np.add.reduceat(
+            np.take(storage, pos if rows is None else rows[pos], axis=0),
+            ends - seg_len, axis=0)
+    segs = order[num_long:]
+    # more_than[k]: short segments with more than k rows
+    more_than = np.cumsum(counts[_SHORT_ROWS:0:-1])[::-1].tolist()
+    width = sum(1 for m in more_than if m)  # the longest short segment
+    # pos[k, i]: row k of short segment i (past its end: never read)
+    pos = starts[segs] + _POSITIONS[:width, None]
+    if rows is not None:
+        pos = np.take(rows, pos, mode="clip")
+    summed = np.take(storage, pos[0], axis=0)
+    if width > 1:
+        tail = np.take(storage, pos[1, :more_than[1]], axis=0)
+        np.add(_PAIRWISE_START, tail, out=tail)
+        for k in range(2, width):
+            tail[:more_than[k]] += np.take(storage, pos[k, :more_than[k]],
+                                           axis=0)
+        head = summed[:more_than[1]]
+        np.add(head, tail, out=head)
+    out[segs] = summed
+    return out
+
+
+def _pool(storage: np.ndarray, rows: Optional[np.ndarray],
+          offsets: np.ndarray, out: Optional[np.ndarray] = None
+          ) -> np.ndarray:
+    """:func:`segment_sum` of ``storage[rows]`` (``rows=None``: of
+    ``storage``) without gathering the rows first on the short-segment
+    path."""
+    offsets = np.asarray(offsets, dtype=np.int64)
+    num_bags = len(offsets) - 1
+    if out is None:
+        out = np.zeros((num_bags, storage.shape[1]), dtype=np.float32)
+    else:
+        out[:] = 0.0
+    if num_bags <= 0 or (len(storage) if rows is None else len(rows)) == 0:
+        return out
+    starts = offsets[:-1]
+    nonempty = starts < offsets[1:]
+    if nonempty.all():
+        _segment_reduce(storage, rows, starts, out=out)
+    elif nonempty.any():
+        # Non-empty starts are strictly below N, so they are in range;
+        # each reduced segment ends at the next non-empty start (the empty
+        # bags in between contribute no elements by construction).
+        out[nonempty] = _segment_reduce(storage, rows, starts[nonempty])
+    return out
 
 
 def segment_sum(values: np.ndarray, offsets: np.ndarray,
@@ -96,25 +241,10 @@ def segment_sum(values: np.ndarray, offsets: np.ndarray,
     ``offsets[-1] == N``). Empty bags (equal adjacent offsets, including
     trailing ones whose start equals ``N``) yield exact zeros — the
     ``reduceat`` identity-element gap is handled here so no caller has to.
+    Each bag is summed bitwise as ``np.add.reduceat`` sums it (see
+    :func:`_segment_reduce`).
     """
-    offsets = np.asarray(offsets, dtype=np.int64)
-    num_bags = len(offsets) - 1
-    if out is None:
-        out = np.zeros((num_bags, values.shape[1]), dtype=np.float32)
-    else:
-        out[:] = 0.0
-    if num_bags <= 0 or len(values) == 0:
-        return out
-    starts = offsets[:-1]
-    nonempty = starts < offsets[1:]
-    if nonempty.all():
-        out[:] = np.add.reduceat(values, starts, axis=0)
-    elif nonempty.any():
-        # Non-empty starts are strictly below N, so reduceat is in range;
-        # each reduced segment ends at the next non-empty start (the empty
-        # bags in between contribute no elements by construction).
-        out[nonempty] = np.add.reduceat(values, starts[nonempty], axis=0)
-    return out
+    return _pool(values, None, offsets, out)
 
 
 def segment_sum_gather(storage: np.ndarray, indices: np.ndarray,
@@ -126,12 +256,12 @@ def segment_sum_gather(storage: np.ndarray, indices: np.ndarray,
     ``storage`` rows through ``indices`` and pools them by the jagged
     ``offsets``, *tiled* over runs of whole bags so the gathered rows live
     in an L2-resident scratch buffer instead of a batch-sized intermediate.
-    Tiles never split a bag, and reduceat's within-segment order depends
-    only on the segment contents, so the result is bitwise identical to
+    Tiles never split a bag, and a bag's sum depends only on its own
+    rows, so the result is bitwise identical to
     ``segment_sum(storage[indices], offsets)`` for any tile size. By
     default a batch of at most ``_GATHER_WHOLE_BYTES`` gathered rows is
-    that untiled form, and a larger one runs in tiles of
-    ``_GATHER_TILE_BYTES``.
+    one tile, whose short bags read their rows straight from ``storage``,
+    and a larger one runs in tiles of ``_GATHER_TILE_BYTES``.
     """
     offsets = np.asarray(offsets, dtype=np.int64)
     num_bags = len(offsets) - 1
@@ -140,7 +270,8 @@ def segment_sum_gather(storage: np.ndarray, indices: np.ndarray,
         return np.zeros((0, dim), dtype=np.float32)
     if tile_rows is None:
         if len(indices) * dim * 4 <= _GATHER_WHOLE_BYTES:
-            return segment_sum(np.take(storage, indices, axis=0), offsets)
+            return _pool(storage, np.asarray(indices, dtype=np.int64),
+                         offsets)
         tile_rows = max(1, _GATHER_TILE_BYTES // (dim * 4))
     out = np.empty((num_bags, dim), dtype=np.float32)
     scratch = np.empty((tile_rows, dim), dtype=np.float32)
@@ -154,29 +285,20 @@ def segment_sum_gather(storage: np.ndarray, indices: np.ndarray,
             end_bag = bag + 1
         e0, e1 = int(offsets[bag]), int(offsets[end_bag])
         n = e1 - e0
-        starts = offsets[bag:end_bag] - e0
-        if n == 0:
-            out[bag:end_bag] = 0.0
-        else:
-            tile = scratch[:n] if n <= tile_rows else \
-                np.empty((n, dim), dtype=np.float32)
-            np.take(storage, indices[e0:e1], axis=0, out=tile)
-            if bool((starts < np.append(starts[1:], n)).all()):
-                np.add.reduceat(tile, starts, axis=0, out=out[bag:end_bag])
-            else:  # empty bags inside the tile: identity-element handling
-                segment_sum(tile, np.append(starts, n),
-                            out=out[bag:end_bag])
+        tile = scratch[:n] if n <= tile_rows else \
+            np.empty((n, dim), dtype=np.float32)
+        np.take(storage, indices[e0:e1], axis=0, out=tile)
+        _pool(tile, None, offsets[bag:end_bag + 1] - e0,
+              out=out[bag:end_bag])
         bag = end_bag
     return out
 
 
-def segment_mean(values: np.ndarray, offsets: np.ndarray,
-                 out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Mean-pool jagged segments; empty bags yield zeros (divide by 1)."""
-    out = segment_sum(values, offsets, out=out)
-    lengths = np.diff(np.asarray(offsets, dtype=np.int64))
-    out /= np.maximum(lengths, 1).astype(np.float32)[:, None]
-    return out
+def mean_pool(pooled: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Turn bag sums into means in place: ``pooled[b] /= max(L_b, 1)``, so
+    an empty bag's zero stays zero. Returns ``pooled``."""
+    pooled /= np.maximum(lengths, 1).astype(np.float32)[:, None]
+    return pooled
 
 
 def rebase_jagged(inputs: Sequence[Tuple[np.ndarray, np.ndarray]],
@@ -312,7 +434,7 @@ def merge_sorted_coo(rows: np.ndarray, bag_grad: np.ndarray,
     whose values are identical, so an unstable sort is exact; and because
     ranks break vector ties by bag index, for non-decreasing ``bag_ids``
     (every producer's layout) the result is the full lexsort's permutation
-    — same sorted values, same ``reduceat`` sums, bit for bit
+    — same sorted values, same sums, bit for bit
     (``tests/reference_kernels.py`` keeps the full lexsort as the oracle).
     If ``max(rows) * B`` would overflow int64, the kernel falls back to a
     two-key integer lexsort on ``(row, rank)`` — same order.
@@ -335,11 +457,10 @@ def merge_sorted_coo(rows: np.ndarray, bag_grad: np.ndarray,
         order = np.lexsort((entry_ranks, rows))
         sorted_rows = rows[order]
         sorted_bags = order if bag_ids is None else bag_ids[order]
-    sorted_vals = np.take(bag_grad, sorted_bags, axis=0)
     run_start = np.empty(len(rows), dtype=bool)
     run_start[0] = True
     np.not_equal(sorted_rows[1:], sorted_rows[:-1], out=run_start[1:])
     starts = np.flatnonzero(run_start)
-    merged = np.add.reduceat(sorted_vals, starts, axis=0)
+    merged = _segment_reduce(bag_grad, sorted_bags, starts)
     return (sorted_rows[starts],
             merged.astype(np.float32, copy=False))

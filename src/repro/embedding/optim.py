@@ -46,7 +46,7 @@ def merge_duplicate_rows(rows: np.ndarray, values: np.ndarray,
     per-entry, or per-bag with ``bag_ids`` mapping entries to bags (the
     :class:`SparseGradient` layout). The heavy lifting (canonical
     ``(row, gradient columns)`` order via one int64 sort keyed on each
-    entry's bag rank, then a reduceat merge) lives in
+    entry's bag rank, then a segment-sum merge) lives in
     :func:`repro.embedding.kernels.merge_sorted_coo`, shared with the
     fused arena backward.
     """

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .kernels import expand_bag_ids, segment_sum_gather
+from .kernels import expand_bag_ids, mean_pool, segment_sum_gather
 
 __all__ = ["EmbeddingTableConfig", "SparseGradient", "EmbeddingTable",
            "lengths_to_offsets", "offsets_to_lengths", "validate_offsets",
@@ -158,7 +158,7 @@ def pooled_backward(table, dy: np.ndarray) -> SparseGradient:
         table._saved = (indices, bag_ids, lengths)
     values = np.ascontiguousarray(dy, dtype=np.float32)
     if table.config.pooling_mode == "mean":
-        values = values / np.maximum(lengths, 1).astype(np.float32)[:, None]
+        values = mean_pool(values.copy(), lengths)
     return SparseGradient(rows=indices, values=values,
                           num_embeddings=table.config.num_embeddings,
                           bag_ids=bag_ids)
@@ -199,8 +199,8 @@ class EmbeddingTable:
         """Pooled lookup: returns (B, D) with B = len(offsets) - 1.
 
         One gather + segment-reduce (``segment_sum_gather``: ``np.take``
-        then ``np.add.reduceat``, in L2-sized tiles of whole bags when the
-        gathered rows outgrow L2), the CPU analogue of the paper's
+        and numpy's own segment order, in L2-sized tiles of whole bags
+        when the gathered rows outgrow L2), the CPU analogue of the paper's
         batched FBGEMM lookup. Bag ids for the backward pass are
         derived lazily — the forward hot path never materializes a
         scatter index.
@@ -211,8 +211,7 @@ class EmbeddingTable:
         lengths = np.diff(offsets)
         out = segment_sum_gather(self.weight, indices, offsets)
         if self.config.pooling_mode == "mean":
-            denom = np.maximum(lengths, 1).astype(np.float32)
-            out /= denom[:, None]
+            mean_pool(out, lengths)
         self._saved = (indices, None, lengths)
         return out
 
@@ -237,8 +236,7 @@ class EmbeddingTable:
         if len(indices):
             np.add.at(out, bag_ids, self.weight[indices])
         if self.config.pooling_mode == "mean":
-            denom = np.maximum(lengths, 1).astype(np.float32)
-            out /= denom[:, None]
+            mean_pool(out, lengths)
         self._saved = (indices, bag_ids, lengths)
         return out
 

@@ -42,7 +42,8 @@ from ..data.freq import FrequencyStats
 from ..embedding import (EmbeddingTable, FusedEmbeddingCollection,
                          TTEmbeddingTable, lengths_to_offsets, validate_bags)
 from ..embedding.dedup import dedup_cache_read, segment_keys
-from ..embedding.kernels import expand_bag_ids, segment_sum
+from ..embedding.kernels import (expand_bag_ids, mean_pool,
+                                 segment_sum_gather)
 from ..models.dlrm import DLRM, DLRMConfig
 from ..nn import functional as F
 
@@ -133,18 +134,13 @@ class _ColdTable:
         # before the cache sees them: a negative id would otherwise read
         # (and be cached as) a row counted from the end
         validate_bags(indices, offsets, self.backing.num_rows, self.name)
-        if not len(indices):
-            rows = np.zeros((0, self.backing.row_dim), dtype=np.float32)
-        else:
-            rows, unique_count = dedup_cache_read(
-                self.cache, indices, self.backing,
-                _segments(offsets, dispatches))
-            self.rows_requested += len(indices)
-            self.rows_read += unique_count
-        out = segment_sum(rows, offsets)
+        rows, inverse = dedup_cache_read(self.cache, indices, self.backing,
+                                         _segments(offsets, dispatches))
+        self.rows_requested += len(indices)
+        self.rows_read += len(rows)
+        out = segment_sum_gather(rows, inverse, offsets)
         if self.pooling_mode == "mean":
-            lengths = np.diff(offsets)
-            out /= np.maximum(lengths, 1).astype(np.float32)[:, None]
+            mean_pool(out, np.diff(offsets))
         return out
 
 
@@ -194,8 +190,7 @@ class _TTServingTable:
                 for lo, hi in zip(dispatches[:-1].tolist(),
                                   dispatches[1:].tolist())])
         if self.pooling_mode == "mean":
-            lengths = np.diff(offsets)
-            out /= np.maximum(lengths, 1).astype(np.float32)[:, None]
+            mean_pool(out, np.diff(offsets))
         return out
 
 

@@ -7,6 +7,12 @@ optimizer step per table. The arena's single-dispatch fused kernels
 must be bitwise identical to them (``test_embedding_arena.py``,
 ``test_property_fuzz.py``).
 
+``segment_sum_reference`` is the ``np.add.reduceat`` form that
+``repro.embedding.kernels.segment_sum`` used to be for every segment:
+the product sums segments of up to 8 rows position by position in
+numpy's own order and must return the same bits
+(``test_embedding_kernels.py`` fuzzes it, and pins numpy's order).
+
 ``merge_sorted_coo_reference`` is the full ``(D+1)``-key lexsort merge
 that ``repro.embedding.kernels.merge_sorted_coo`` used to be: one stable
 sort per gradient column plus one on the row, over the per-entry
@@ -37,9 +43,30 @@ and must return the same ids for the same draws.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+
+
+def segment_sum_reference(values: np.ndarray, offsets: np.ndarray,
+                          out: Optional[np.ndarray] = None) -> np.ndarray:
+    """``np.add.reduceat`` over the non-empty segments; empty bags stay
+    zero (reduceat would return ``values[start]`` for them)."""
+    offsets = np.asarray(offsets, dtype=np.int64)
+    num_bags = len(offsets) - 1
+    if out is None:
+        out = np.zeros((num_bags, values.shape[1]), dtype=np.float32)
+    else:
+        out[:] = 0.0
+    if num_bags <= 0 or len(values) == 0:
+        return out
+    starts = offsets[:-1]
+    nonempty = starts < offsets[1:]
+    if nonempty.all():
+        out[:] = np.add.reduceat(values, starts, axis=0)
+    elif nonempty.any():
+        out[nonempty] = np.add.reduceat(values, starts[nonempty], axis=0)
+    return out
 
 
 def merge_sorted_coo_reference(rows: np.ndarray, values: np.ndarray

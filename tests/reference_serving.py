@@ -53,13 +53,14 @@ from repro.data import MiniBatch
 from repro.data.formats import host_transfer_time
 from repro.embedding import EmbeddingTable, lengths_to_offsets
 from repro.embedding.dedup import dedup_cache_read
-from repro.embedding.kernels import segment_sum
 from repro.nn import functional as F
 from repro.perf.embedding_bw import embedding_lookup_time
 from repro.perf.gemm import mlp_time
 from repro.serving import RequestTrace
 from repro.serving.loadgen import ROUTER_STREAM
 from repro.serving.server import _EMB_LOOKUP_PRECISION
+
+from .reference_kernels import segment_sum_reference
 
 
 def service_time_reference(perf, model, batch_size: int, nnz: int) -> float:
@@ -122,7 +123,7 @@ def dedup_forward(table: EmbeddingTable, indices: np.ndarray,
     if len(indices):
         unique, inverse = np.unique(indices, return_inverse=True)
         rows = table.weight[unique]          # one read per unique row
-        out = segment_sum(rows[inverse], offsets)
+        out = segment_sum_reference(rows[inverse], offsets)
         unique_count = len(unique)
     else:
         out = np.zeros((batch, table.config.embedding_dim), dtype=np.float32)
@@ -145,11 +146,12 @@ def _cold_forward_reference(table, indices, offsets) -> np.ndarray:
     if not len(indices):
         rows = np.zeros((0, table.backing.row_dim), dtype=np.float32)
     else:
-        rows, unique_count = dedup_cache_read(
+        unique_rows, inverse = dedup_cache_read(
             table.cache, indices, table.backing)
+        rows = unique_rows[inverse]
         table.rows_requested += len(indices)
-        table.rows_read += unique_count
-    out = segment_sum(rows, offsets)
+        table.rows_read += len(unique_rows)
+    out = segment_sum_reference(rows, offsets)
     if table.pooling_mode == "mean":
         lengths = np.diff(offsets)
         out /= np.maximum(lengths, 1).astype(np.float32)[:, None]

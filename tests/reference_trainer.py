@@ -129,7 +129,7 @@ class LoopedSparseExchange(SparseExchange):
 
     def _forward_data_parallel(self, shard, inputs,
                                lengths) -> List[np.ndarray]:
-        return [self._shard_forward(replica, *inputs[r])
+        return [self._shard_forward((replica,), *inputs[r])
                 for r, replica in enumerate(self._replicas(shard))]
 
     def _backward_data_parallel(self, shard, d_pooled) -> None:
@@ -141,7 +141,7 @@ class LoopedSparseExchange(SparseExchange):
             np.stack([to_dense_reference(g) for g in grads])).output
         rows = np.unique(np.concatenate([g.rows for g in grads]))
         for r, replica in enumerate(replicas):
-            self._shard_update(replica, SparseGradient(
+            self._shard_update((replica,), SparseGradient(
                 rows=rows, values=np.take(summed[r], rows, axis=0) / w,
                 num_embeddings=summed[r].shape[0]))
 
@@ -162,7 +162,7 @@ class LoopedSparseExchange(SparseExchange):
                             dtype=np.float32)
         for shard in shards:
             partials[shard.rank] = self._shard_forward(
-                shard, rank_rows(arrived_ids.output, id_counts, shard.rank),
+                (shard,), rank_rows(arrived_ids.output, id_counts, shard.rank),
                 lengths_to_offsets(rank_rows(arrived_lengths.output,
                                              bag_counts, shard.rank)))
         return self.pg.reduce_scatter(partials).output
@@ -173,7 +173,7 @@ class LoopedSparseExchange(SparseExchange):
         for shard in shards:
             d_global = np.concatenate(list(gathered.output),
                                       axis=0).astype(np.float32)
-            self._shard_update(shard, d_global)
+            self._shard_update((shard,), d_global)
 
 
 class LoopedNeoTrainer(NeoTrainer):

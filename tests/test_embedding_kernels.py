@@ -6,16 +6,21 @@ arena, TT, dedup, cached tables), so their edge cases — above all the
 here rather than indirectly through the operators.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.embedding.kernels import (expand_bag_ids, merge_sorted_coo,
-                                     rank_bags, rebase_jagged, segment_mean,
-                                     segment_sum, segment_sum_gather)
+from repro.embedding import kernels
+from repro.embedding.kernels import (expand_bag_ids, mean_pool,
+                                     merge_sorted_coo, rank_bags,
+                                     rebase_jagged, segment_sum,
+                                     segment_sum_gather)
 
-from .reference_kernels import merge_sorted_coo_reference
+from .reference_kernels import (merge_sorted_coo_reference,
+                                segment_sum_reference)
 
 
 def reference_segment_sum(values, offsets):
@@ -187,21 +192,182 @@ class TestSegmentSumGather:
             bag += len(s)
 
 
-class TestSegmentMean:
+class TestMeanPool:
     def test_matches_sum_divided_by_lengths(self):
         rng = np.random.default_rng(6)
         values, offsets = random_jagged(rng, 30, 6, 4, empty_prob=0.2)
         lengths = np.diff(offsets)
         expected = reference_segment_sum(values, offsets)
         expected /= np.maximum(lengths, 1).astype(np.float32)[:, None]
-        assert_close(segment_mean(values, offsets), expected)
+        pooled = segment_sum(values, offsets)
+        assert mean_pool(pooled, lengths) is pooled
+        assert_close(pooled, expected)
 
     def test_empty_bags_stay_zero(self):
         values = np.ones((2, 3), dtype=np.float32)
         offsets = np.array([0, 0, 2], dtype=np.int64)
-        out = segment_mean(values, offsets)
+        out = mean_pool(segment_sum(values, offsets), np.diff(offsets))
         np.testing.assert_array_equal(out[0], np.zeros(3))
         np.testing.assert_array_equal(out[1], np.ones(3))
+
+
+# ----------------------------------------------------------------------
+# the short-segment kernel: numpy's order, and bitwise the reduceat oracle
+# ----------------------------------------------------------------------
+# Signed zeros, infinities, NaNs with two payloads, 1e8-scale values that
+# cancel, and float32's largest value (whose sums overflow): any change
+# of association or operand order changes bits on these.
+SPECIAL_POOL = np.concatenate([
+    np.array([0.0, -0.0, np.inf, -np.inf, 1e8, -1e8, 1.0, -1.0, 3e-8,
+              16777216.0, -16777215.0, 3.4e38, 1e-45], dtype=np.float32),
+    np.array([0x7FC00000, 0xFFC00001], dtype=np.uint32).view(np.float32)])
+
+
+def bits(a):
+    """The float32 bits of ``a``, every NaN as one canonical NaN. Which
+    payload survives an add of two NaNs is not fixed even within numpy's
+    own elementwise add (it changes with the array length), so NaN
+    payloads are not compared; every other bit is."""
+    a = np.asarray(a, dtype=np.float32)
+    return np.where(np.isnan(a), np.float32(np.nan), a).view(np.uint32)
+
+
+def left_to_right(segment):
+    """``a0 + (((s + a1) + a2) + ...)``, ``s`` the probed start value."""
+    if len(segment) == 1:
+        return segment[0].copy()
+    tail = kernels._PAIRWISE_START + segment[1]
+    for row in segment[2:]:
+        tail = tail + row
+    return segment[0] + tail
+
+
+class TestNumpyOrder:
+    """Pins the order the short-segment kernel reproduces. If a numpy
+    release changes ``pairwise_sum``, these fail by name before any
+    parity suite drifts."""
+
+    def test_probed_start_is_negative_zero(self):
+        assert bits(np.array([kernels._PAIRWISE_START]))[0] == 0x80000000
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.parametrize("dim", [1, 7])
+    @pytest.mark.parametrize("n", range(1, kernels._SHORT_ROWS + 1))
+    def test_reduceat_of_short_segment_is_left_to_right(self, n, dim):
+        rng = np.random.default_rng(n * 10 + dim)
+        for _ in range(200):
+            segment = rng.choice(SPECIAL_POOL, size=(n, dim))
+            np.testing.assert_array_equal(
+                bits(np.add.reduceat(segment, [0], axis=0)[0]),
+                bits(left_to_right(segment)))
+
+    @pytest.mark.parametrize("segment", [
+        [[1e8], [1.0], [-1e8]],            # cancels only left to right
+        [[-0.0], [-0.0], [-0.0]],          # the start value's sign
+        [[1.0], [1e8], [-1e8], [1.0]],
+        [[np.inf], [-np.inf], [1.0]],
+        [[3.4e38], [3.4e38], [-3.4e38]],
+    ])
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_named_cases(self, segment):
+        segment = np.array(segment, dtype=np.float32)
+        np.testing.assert_array_equal(
+            bits(np.add.reduceat(segment, [0], axis=0)[0]),
+            bits(left_to_right(segment)))
+
+
+@st.composite
+def jagged_batches(draw):
+    """``(storage, indices, offsets)``: empty, singleton, short and
+    long (> 8 rows) bags, drawn from the special-value pool."""
+    dim = draw(st.sampled_from([1, 4, 16, 96]))
+    dtype = draw(st.sampled_from([np.float32, np.float32, np.float16,
+                                  np.float64]))
+    kind = draw(st.sampled_from(["mixed", "singletons", "short", "long"]))
+    top = {"mixed": 12, "singletons": 1, "short": 8, "long": 20}[kind]
+    lengths = np.array(draw(st.lists(st.integers(0, top), min_size=0,
+                                     max_size=40)), dtype=np.int64)
+    offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    num_rows = draw(st.integers(1, 30))
+    picks = draw(st.lists(st.integers(0, len(SPECIAL_POOL) - 1),
+                          min_size=num_rows * dim, max_size=num_rows * dim))
+    storage = SPECIAL_POOL[picks].reshape(num_rows, dim).astype(dtype)
+    indices = np.array(draw(st.lists(
+        st.integers(0, num_rows - 1), min_size=int(offsets[-1]),
+        max_size=int(offsets[-1]))), dtype=np.int64)
+    return storage, indices, offsets
+
+
+def check_kernels_against_oracle(batch, min_work):
+    """Every product kernel that sums segments, bitwise the reduceat
+    form, with the short-segment path engaged from ``min_work`` short
+    segment x column sums (0: whenever the rows are float32)."""
+    storage, indices, offsets = batch
+    gathered = storage[indices]
+    want = segment_sum_reference(gathered, offsets)
+    # merges of the gathered rows as per-entry gradients: few duplicate
+    # rows, so most merge segments are singletons
+    rows = indices // 2
+    with mock.patch.object(kernels, "_SHORT_MIN_WORK", min_work), \
+            np.errstate(all="ignore"):
+        np.testing.assert_array_equal(bits(segment_sum(gathered, offsets)),
+                                      bits(want))
+        np.testing.assert_array_equal(
+            bits(segment_sum_gather(storage, indices, offsets)), bits(want))
+        if storage.dtype != np.float32:
+            return  # the tiles gather into float32 scratch
+        np.testing.assert_array_equal(
+            bits(segment_sum_gather(storage, indices, offsets, tile_rows=5)),
+            bits(want))
+        if len(rows):
+            got = merge_sorted_coo(rows, gathered)
+            want = merge_sorted_coo_reference(rows, gathered)
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(bits(got[1]), bits(want[1]))
+
+
+class TestShortSegmentKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(jagged_batches(), st.sampled_from([0, 11264]))
+    def test_bitwise_equals_reduceat_oracle(self, batch, min_work):
+        check_kernels_against_oracle(batch, min_work)
+
+    @pytest.mark.slow
+    @settings(max_examples=2000, deadline=None)
+    @given(jagged_batches(), st.sampled_from([0, 11264]))
+    def test_bitwise_equals_reduceat_oracle_long_run(self, batch, min_work):
+        check_kernels_against_oracle(batch, min_work)
+
+    @pytest.mark.parametrize("num_bags", [
+        kernels._SHORT_MIN_WORK // 89, kernels._SHORT_MIN_WORK // 89 + 1])
+    def test_either_side_of_the_threshold(self, num_bags):
+        # D=89 (a large-zoo table) and bags of 1-8 ids: 126 bags are one
+        # short segment too few for the short-segment path, 127 take it
+        rng = np.random.default_rng(num_bags)
+        lengths = rng.integers(1, kernels._SHORT_ROWS + 1, num_bags)
+        offsets = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
+        storage = rng.normal(size=(1024, 89)).astype(np.float32)
+        indices = rng.integers(0, 1024, size=int(offsets[-1]))
+        want = segment_sum_reference(storage[indices], offsets)
+        np.testing.assert_array_equal(
+            bits(segment_sum_gather(storage, indices, offsets)), bits(want))
+
+    def test_serving_shape(self):
+        # a serving window of one large-zoo table: 500 bags of Poisson
+        # (3.4) ids at D=89, empty and > 8-id bags included
+        rng = np.random.default_rng(0)
+        lengths = rng.poisson(3.4, 500)
+        offsets = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
+        storage = rng.normal(size=(1024, 89)).astype(np.float32)
+        indices = rng.integers(0, 1024, size=int(offsets[-1]))
+        want = segment_sum_reference(storage[indices], offsets)
+        np.testing.assert_array_equal(
+            bits(segment_sum_gather(storage, indices, offsets)), bits(want))
+        np.testing.assert_array_equal(
+            bits(segment_sum(storage[indices], offsets)), bits(want))
 
 
 class TestExpandBagIds:

@@ -124,6 +124,44 @@ class TestGoldenWireBytes:
             full.pg.log.wire_bytes["all_to_all/index"]
 
 
+class TestEmbeddingSpanRanks:
+    """A lookup or update span names every owner rank its one call
+    serves: all replicas of a data-parallel table, every row shard of a
+    row-wise table, the one owner of a table-wise table or a column
+    slice."""
+
+    def test_each_span_names_the_ranks_its_call_serves(self):
+        tables = tuple(EmbeddingTableConfig(f"t{i}", 64, DIM,
+                                            avg_pooling=2.0)
+                       for i in range(4))
+        config = DLRMConfig(dense_dim=4, bottom_mlp=(8,), tables=tables,
+                            top_mlp=(8,))
+        plan = ShardingPlan(world_size=WORLD)
+        for table, scheme, ranks in (
+                (tables[0], ShardingScheme.DATA_PARALLEL, [0, 1]),
+                (tables[1], ShardingScheme.ROW_WISE, [1, 0]),
+                (tables[2], ShardingScheme.TABLE_WISE, [1]),
+                (tables[3], ShardingScheme.COLUMN_WISE, [1, 0])):
+            plan.tables[table.name] = shard_table(table, scheme, ranks)
+        plan.validate()
+        tracer = Tracer(clock="logical")
+        trainer = NeoTrainer(
+            config, plan, ClusterTopology(num_nodes=1, gpus_per_node=WORLD),
+            dense_optimizer=lambda p: nn.SGD(p, lr=0.1),
+            sparse_optimizer=SparseSGD(lr=0.1), seed=0, trace=tracer)
+        batch = SyntheticCTRDataset(tables, dense_dim=4, seed=1).batches(
+            GLOBAL_BATCH, 1)[0]
+        trainer.train_step(batch.split(WORLD))
+        want = {"t0": [[0, 1]], "t1": [[0, 1]], "t2": [[1]],
+                "t3": [[0], [1]]}
+        for name in ("trainer.embedding_lookup", "trainer.embedding_update"):
+            got = {}
+            for span in tracer.trace.find(name):
+                got.setdefault(span.args["table"], []).append(
+                    span.args["ranks"])
+            assert {t: sorted(r) for t, r in got.items()} == want, name
+
+
 class TestColumnWiseByteAudit:
     """Sliced-gradient AlltoAll accounting for column-wise sharding:
     bytes == sum(shard_cols) * batch * 4, no matter how uneven the cut
