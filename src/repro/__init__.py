@@ -20,6 +20,7 @@ Layering (bottom-up):
 * :mod:`repro.fleet` — multi-replica serving: routing, autoscaling,
   traffic, multi-tenant hosting
 * :mod:`repro.metrics` — normalized entropy et al.
+* :mod:`repro.check` — the scalar argument contracts every layer uses
 """
 
 __version__ = "1.0.0"
@@ -41,4 +42,5 @@ __all__ = [
     "fleet",
     "metrics",
     "lowp",
+    "check",
 ]

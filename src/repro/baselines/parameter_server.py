@@ -25,6 +25,7 @@ from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from .. import check
 from ..data.datagen import MiniBatch, SyntheticCTRDataset
 from ..models.dlrm import DLRM, DLRMConfig
 from ..models.zoo import ModelSpec
@@ -63,18 +64,14 @@ class AsyncPSTrainer:
                  staleness: Optional[int] = None, lr: float = 0.05,
                  easgd_alpha: float = 0.5, sync_period: int = 4,
                  seed: int = 0) -> None:
-        if num_trainers <= 0:
-            raise ValueError("num_trainers must be positive")
-        if sync_period <= 0:
-            raise ValueError("sync_period must be positive")
-        if not 0.0 < easgd_alpha <= 1.0:
-            raise ValueError("easgd_alpha must be in (0, 1]")
+        check.count("num_trainers", num_trainers)
+        check.count("sync_period", sync_period)
+        check.fraction("easgd_alpha", easgd_alpha, zero=False)
         self.config = config
         self.num_trainers = num_trainers
         self.staleness = (num_trainers - 1) if staleness is None \
             else staleness
-        if self.staleness < 0:
-            raise ValueError("staleness must be non-negative")
+        check.count("staleness", self.staleness, low=0)
         self.lr = lr
         self.easgd_alpha = easgd_alpha
         self.sync_period = sync_period
@@ -163,8 +160,8 @@ def ps_throughput_qps(spec: ModelSpec, num_trainers: int = 16,
     in trainers degraded by ``system_efficiency`` (EASGD sync, stragglers,
     reader stalls — the operational overheads of Section 2).
     """
-    if num_trainers <= 0 or num_ps <= 0:
-        raise ValueError("fleet sizes must be positive")
+    check.count("num_trainers", num_trainers)
+    check.count("num_ps", num_ps)
     sizes = (spec.dense_dim,) + spec.mlp_layer_sizes
     mlp_s = mlp_time(batch_size, sizes, device) \
         + mlp_time(batch_size, sizes, device, backward=True)

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, List
 
+from .. import check
 from ..comms import ZION_TOPOLOGY
 from ..comms import perf_model as cpm
 from ..models.zoo import ModelSpec
@@ -44,8 +45,9 @@ class ZionSetup:
     cpu: DeviceSpec = CPU_SKYLAKE
 
     def __post_init__(self) -> None:
-        if self.num_nodes <= 0:
-            raise ValueError("num_nodes must be positive")
+        check.count("num_nodes", self.num_nodes)
+        check.count("gpus_per_node", self.gpus_per_node)
+        check.count("global_batch", self.global_batch)
         world = self.num_nodes * self.gpus_per_node
         if self.global_batch % world:
             raise ValueError("global batch must divide evenly")

@@ -1,13 +1,12 @@
 """Software-managed memory hierarchy: the unified :class:`RowCache`
 protocol, set-associative row cache, UVM page cache baseline,
-frequency-aware chunked hot store with pipelined prefetch, and
-HBM/DDR/SSD tier modelling (paper Section 4.1.3)."""
+frequency-aware chunked hot store with pipelined prefetch, and an
+embedding table behind a cache (paper Section 4.1.3)."""
 
 from .api import CACHE_KINDS, CacheStats, RowCache, RowCacheBase, make_cache
 from .backing import ArrayBackingStore
 from .freq_aware import FreqAwareCache, PrefetchPipeline
-from .hierarchy import (ZIONEX_NODE_HIERARCHY, CachedEmbeddingTable,
-                        MemoryHierarchy, MemoryTier)
+from .hierarchy import CachedEmbeddingTable
 from .set_associative import SetAssociativeCache
 from .uvm import UVMPageCache
 
@@ -22,8 +21,5 @@ __all__ = [
     "UVMPageCache",
     "FreqAwareCache",
     "PrefetchPipeline",
-    "MemoryTier",
-    "MemoryHierarchy",
     "CachedEmbeddingTable",
-    "ZIONEX_NODE_HIERARCHY",
 ]

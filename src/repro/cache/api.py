@@ -33,6 +33,7 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
+from .. import check
 from .backing import ArrayBackingStore
 
 __all__ = ["CacheStats", "RowCache", "RowCacheBase", "CACHE_KINDS",
@@ -212,10 +213,7 @@ def make_cache(kind: str, *, row_dim: int, capacity_rows: int,
         raise ValueError(
             f"unknown cache kind {kind!r}; expected one of "
             f"{list(CACHE_KINDS)}")
-    if row_dim < 1:
-        raise ValueError(f"row_dim must be positive, got {row_dim}")
-    if capacity_rows < 1:
-        raise ValueError(
-            f"capacity_rows must be positive, got {capacity_rows}")
+    check.count("row_dim", row_dim)
+    check.count("capacity_rows", capacity_rows)
     return _FACTORIES[kind](row_dim=row_dim, capacity_rows=capacity_rows,
                             **cfg)

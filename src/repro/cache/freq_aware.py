@@ -36,6 +36,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from .. import check
 from ..obs.tracer import as_tracer
 from .api import RowCacheBase
 from .backing import ArrayBackingStore
@@ -84,10 +85,8 @@ class FreqAwareCache(RowCacheBase):
 
     def __init__(self, capacity_rows: int, row_dim: int,
                  chunk_rows: int = 64) -> None:
-        if capacity_rows <= 0:
-            raise ValueError("capacity_rows must be positive")
-        if chunk_rows <= 0:
-            raise ValueError("chunk_rows must be positive")
+        check.count("capacity_rows", capacity_rows)
+        check.count("chunk_rows", chunk_rows)
         super().__init__()
         self.chunk_rows = min(chunk_rows, capacity_rows)
         self.capacity_chunks = max(1, capacity_rows // self.chunk_rows)

@@ -1,20 +1,16 @@
-"""Multi-tier memory hierarchy model: HBM + DDR + SSD (Section 4.1.3).
+"""Multi-tier memory hierarchy: HBM in front of DDR (Section 4.1.3).
 
-ZionEX exposes three memory tiers per node; the faster tier acts as a
-software cache for the next. This module provides
-
-* :class:`MemoryTier` / :class:`MemoryHierarchy` — capacity/bandwidth
-  bookkeeping used by the capacity studies (can a model fit? at what
-  effective bandwidth given a hit-rate profile?), and
-* :class:`CachedEmbeddingTable` — a functional embedding table whose rows
-  live in a backing store and are accessed through a software cache,
-  wiring :mod:`repro.cache` into the training path.
+ZionEX exposes several memory tiers per node; the faster tier acts as a
+software cache for the next. :class:`CachedEmbeddingTable` is a
+functional embedding table whose rows live in a backing store and are
+accessed through a software cache, wiring :mod:`repro.cache` into the
+training path. The tiers' capacities and bandwidths (Table 2) live in
+:data:`repro.perf.platform.ZIONEX_PLATFORM`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -25,83 +21,7 @@ from ..obs.tracer import as_tracer
 from .api import make_cache
 from .backing import ArrayBackingStore
 
-__all__ = ["MemoryTier", "MemoryHierarchy", "CachedEmbeddingTable",
-           "ZIONEX_NODE_HIERARCHY"]
-
-
-@dataclass(frozen=True)
-class MemoryTier:
-    """One memory tier with capacity and sustained bandwidth."""
-
-    name: str
-    capacity_bytes: float
-    bandwidth_bytes_per_s: float
-
-    def __post_init__(self) -> None:
-        if self.capacity_bytes <= 0 or self.bandwidth_bytes_per_s <= 0:
-            raise ValueError(f"capacity and bandwidth must be positive: {self}")
-
-
-class MemoryHierarchy:
-    """Ordered tiers, fastest first (e.g. HBM, DDR, SSD)."""
-
-    def __init__(self, tiers: Sequence[MemoryTier]) -> None:
-        if not tiers:
-            raise ValueError("need at least one tier")
-        bandwidths = [t.bandwidth_bytes_per_s for t in tiers]
-        if bandwidths != sorted(bandwidths, reverse=True):
-            raise ValueError("tiers must be ordered fastest first")
-        self.tiers = list(tiers)
-
-    @property
-    def total_capacity_bytes(self) -> float:
-        return sum(t.capacity_bytes for t in self.tiers)
-
-    def fits(self, model_bytes: float) -> bool:
-        return model_bytes <= self.total_capacity_bytes
-
-    def placement(self, model_bytes: float) -> List[float]:
-        """Greedy waterfall placement: fill fast tiers first.
-
-        Returns bytes placed per tier; raises if the model does not fit.
-        """
-        if not self.fits(model_bytes):
-            raise ValueError(
-                f"model of {model_bytes:.3g} B exceeds hierarchy capacity "
-                f"{self.total_capacity_bytes:.3g} B")
-        remaining = model_bytes
-        placed = []
-        for tier in self.tiers:
-            take = min(remaining, tier.capacity_bytes)
-            placed.append(take)
-            remaining -= take
-        return placed
-
-    def effective_bandwidth(self, hit_fractions: Sequence[float]) -> float:
-        """Harmonic-mean bandwidth for an access stream.
-
-        ``hit_fractions[i]`` is the fraction of accessed bytes served by
-        tier ``i``; they must sum to 1. This is the standard memory-system
-        average: time per byte is the hit-weighted sum of per-tier times.
-        """
-        if len(hit_fractions) != len(self.tiers):
-            raise ValueError("need one hit fraction per tier")
-        total = float(sum(hit_fractions))
-        if not np.isclose(total, 1.0, atol=1e-6):
-            raise ValueError(f"hit fractions must sum to 1, got {total}")
-        time_per_byte = sum(f / t.bandwidth_bytes_per_s
-                            for f, t in zip(hit_fractions, self.tiers))
-        return 1.0 / time_per_byte
-
-
-def ZIONEX_NODE_HIERARCHY() -> MemoryHierarchy:
-    """Per-node hierarchy from Table 2: 256 GB HBM @7.2 TB/s, 1.5 TB DDR
-    @200 GB/s, plus a 4 TB NVMe tier @ ~6 GB/s (typical for the platform)."""
-    return MemoryHierarchy([
-        MemoryTier("hbm", 256e9, 7.2e12),
-        MemoryTier("ddr", 1.5e12, 200e9),
-        MemoryTier("ssd", 4e12, 6e9),
-    ])
+__all__ = ["CachedEmbeddingTable"]
 
 
 class CachedEmbeddingTable:

@@ -26,6 +26,7 @@ from typing import Optional
 
 import numpy as np
 
+from .. import check
 from .api import CacheStats, RowCacheBase
 from .backing import ArrayBackingStore
 
@@ -57,10 +58,8 @@ class SetAssociativeCache(RowCacheBase):
             raise TypeError("row_dim is required")
         if capacity_rows is None:
             raise TypeError("capacity_rows is required")
-        if capacity_rows <= 0:
-            raise ValueError("capacity_rows must be positive")
-        if ways <= 0:
-            raise ValueError("ways must be positive")
+        check.count("capacity_rows", capacity_rows)
+        check.count("ways", ways)
         ways = min(ways, capacity_rows)
         num_sets = max(1, capacity_rows // ways)
         if policy not in ("lru", "lfu"):

@@ -21,6 +21,7 @@ from typing import Dict
 
 import numpy as np
 
+from .. import check
 from .api import RowCacheBase
 from .backing import ArrayBackingStore
 
@@ -42,9 +43,8 @@ class UVMPageCache(RowCacheBase):
 
     def __init__(self, capacity_rows: int, row_dim: int,
                  rows_per_page: int = 64) -> None:
-        if rows_per_page <= 0 or capacity_rows < rows_per_page:
-            raise ValueError(
-                "capacity must hold at least one page of rows")
+        check.count("rows_per_page", rows_per_page)
+        check.count("capacity_rows", capacity_rows, low=rows_per_page)
         super().__init__()
         self.rows_per_page = rows_per_page
         self.capacity_pages = capacity_rows // rows_per_page

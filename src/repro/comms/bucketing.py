@@ -24,6 +24,7 @@ from typing import List, Sequence
 
 import numpy as np
 
+from .. import check
 from ..nn.parameter import Parameter
 
 __all__ = ["Bucket", "GradientBucketer"]
@@ -57,8 +58,7 @@ class GradientBucketer:
 
     def __init__(self, params: Sequence[Parameter],
                  bucket_bytes: int = 25 * 2 ** 20) -> None:
-        if bucket_bytes <= 0:
-            raise ValueError("bucket_bytes must be positive")
+        check.count("bucket_bytes", bucket_bytes)
         self.shapes = [p.data.shape for p in params]
         self.sizes = [int(p.data.size) for p in params]
         cap_elements = max(1, bucket_bytes // 4)

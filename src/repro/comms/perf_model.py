@@ -19,6 +19,7 @@ with the same word boundaries as :mod:`repro.comms.collectives` —
 
 from __future__ import annotations
 
+from .. import check
 from .topology import ClusterTopology
 
 __all__ = ["all_to_all_time", "all_reduce_time", "reduce_scatter_time",
@@ -39,8 +40,7 @@ def all_to_all_time(bytes_per_gpu: float, topo: ClusterTopology) -> float:
     phases overlap, so the slower one dominates; per-peer message setup
     adds the alpha term.
     """
-    if bytes_per_gpu < 0:
-        raise ValueError("bytes_per_gpu must be non-negative")
+    check.nonnegative("bytes_per_gpu", bytes_per_gpu)
     w = topo.world_size
     g = topo.gpus_per_node
     if w == 1:
@@ -61,8 +61,7 @@ def all_reduce_time(bytes_per_gpu: float, topo: ClusterTopology) -> float:
     """Hierarchical ring AllReduce: intra-node reduce-scatter (NVLink),
     inter-node ring AllReduce on 1/G of the buffer (RoCE), intra-node
     all-gather (NVLink)."""
-    if bytes_per_gpu < 0:
-        raise ValueError("bytes_per_gpu must be non-negative")
+    check.nonnegative("bytes_per_gpu", bytes_per_gpu)
     g = min(topo.gpus_per_node, topo.world_size)
     n = topo.num_nodes
     if topo.world_size == 1:
@@ -79,8 +78,7 @@ def all_reduce_time(bytes_per_gpu: float, topo: ClusterTopology) -> float:
 
 def reduce_scatter_time(bytes_per_gpu: float, topo: ClusterTopology) -> float:
     """Hierarchical ReduceScatter — half of the AllReduce data movement."""
-    if bytes_per_gpu < 0:
-        raise ValueError("bytes_per_gpu must be non-negative")
+    check.nonnegative("bytes_per_gpu", bytes_per_gpu)
     g = min(topo.gpus_per_node, topo.world_size)
     n = topo.num_nodes
     if topo.world_size == 1:
@@ -109,8 +107,7 @@ def broadcast_time(payload_bytes: float, topo: ClusterTopology) -> float:
     scale-out fabric, which is why broadcast deserved its own entry
     rather than riding ``all_gather_time``.
     """
-    if payload_bytes < 0:
-        raise ValueError("payload_bytes must be non-negative")
+    check.nonnegative("payload_bytes", payload_bytes)
     w = topo.world_size
     if w == 1:
         return 0.0
@@ -133,8 +130,7 @@ def flat_reduce_scatter_time(bytes_per_gpu: float,
     nodes) — the comparator for the hierarchical TWRW scheme, whose
     whole point (Section 4.2.5) is keeping the reduction on NVLink.
     """
-    if bytes_per_gpu < 0:
-        raise ValueError("bytes_per_gpu must be non-negative")
+    check.nonnegative("bytes_per_gpu", bytes_per_gpu)
     w = topo.world_size
     if w == 1:
         return 0.0

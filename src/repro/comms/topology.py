@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .. import check
+
 __all__ = ["ClusterTopology", "PROTOTYPE_TOPOLOGY", "ZION_TOPOLOGY"]
 
 
@@ -39,8 +41,15 @@ class ClusterTopology:
     rdma: bool = True
 
     def __post_init__(self) -> None:
-        if self.num_nodes <= 0 or self.gpus_per_node <= 0:
-            raise ValueError("num_nodes and gpus_per_node must be positive")
+        check.count("num_nodes", self.num_nodes)
+        check.count("gpus_per_node", self.gpus_per_node)
+        check.positive("scaleup_bw", self.scaleup_bw)
+        check.positive("scaleout_bw", self.scaleout_bw)
+        check.fraction("scaleout_efficiency", self.scaleout_efficiency,
+                       zero=False)
+        check.nonnegative("scaleup_latency", self.scaleup_latency)
+        check.nonnegative("scaleout_latency", self.scaleout_latency)
+        check.positive("frontend_bw", self.frontend_bw)
 
     @property
     def world_size(self) -> int:

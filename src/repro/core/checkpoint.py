@@ -24,6 +24,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from .. import check
 from .trainer import NeoTrainer
 
 __all__ = ["CheckpointStats", "CheckpointManager"]
@@ -136,8 +137,7 @@ class CheckpointManager:
         we conservatively refuse entirely).
         Returns the steps that were deleted.
         """
-        if keep <= 0:
-            raise ValueError("keep must be positive")
+        check.count("keep", keep)
         if self.differential:
             raise ValueError(
                 "cannot prune differential chains: older deltas are "

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
 
+from .. import check
 from ..data.datagen import SyntheticCTRDataset
 from ..data.reader import DataIngestionService
 from ..metrics import normalized_entropy
@@ -88,12 +89,10 @@ class TrainingLoop:
                  patience: Optional[int] = None,
                  lr_schedulers: Optional[list] = None,
                  recovery: Optional[RecoveryManager] = None) -> None:
-        if eval_every <= 0:
-            raise ValueError("eval_every must be positive")
-        if checkpoint_every < 0:
-            raise ValueError("checkpoint_every must be non-negative")
-        if patience is not None and patience <= 0:
-            raise ValueError("patience must be positive when set")
+        check.count("eval_every", eval_every)
+        check.count("checkpoint_every", checkpoint_every, low=0)
+        if patience is not None:
+            check.count("patience", patience)
         self.trainer = trainer
         self.global_batch_size = global_batch_size
         self.ingestion = DataIngestionService(

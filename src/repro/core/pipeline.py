@@ -20,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict
 
+from .. import check
+
 __all__ = ["ComponentTimes", "LatencyBreakdown", "iteration_latency",
            "breakdown"]
 
@@ -51,12 +53,12 @@ class ComponentTimes:
                      "interaction_fwd", "top_mlp_fwd", "alltoall_bwd",
                      "embedding_update", "allreduce", "input_alltoall",
                      "h2d"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
-        # default backward costs: 2x forward
+            check.nonnegative(name, getattr(self, name))
+        # a negative backward cost means the default: 2x forward
         for fwd, bwd in (("bottom_mlp_fwd", "bottom_mlp_bwd"),
                          ("interaction_fwd", "interaction_bwd"),
                          ("top_mlp_fwd", "top_mlp_bwd")):
+            check.finite(bwd, getattr(self, bwd))
             if getattr(self, bwd) < 0:
                 object.__setattr__(self, bwd, 2.0 * getattr(self, fwd))
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
+from .. import check
 from .pipeline import ComponentTimes
 
 __all__ = ["Task", "PipelineSchedule", "dlrm_iteration_tasks",
@@ -48,8 +49,8 @@ class Task:
     priority: int = 0
 
     def __post_init__(self) -> None:
-        if self.duration < 0:
-            raise ValueError(f"{self.name}: duration must be non-negative")
+        check.nonnegative(f"{self.name}: duration", self.duration)
+        check.count(f"{self.name}: priority", self.priority, low=0)
 
 
 class PipelineSchedule:
@@ -168,8 +169,7 @@ def steady_state_iteration_time(t: ComponentTimes,
 
     Returns the marginal (steady-state) cost of one extra iteration.
     """
-    if iterations < 2:
-        raise ValueError("need at least 2 iterations for a steady state")
+    check.count("iterations", iterations, low=2)  # a steady state
     tasks: List[Task] = []
     tasks_per_iteration = len(dlrm_iteration_tasks(t))
     for i in range(iterations):

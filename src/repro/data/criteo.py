@@ -16,6 +16,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from .. import check
 from ..embedding.table import EmbeddingTableConfig
 from .datagen import SyntheticCTRDataset
 
@@ -47,8 +48,7 @@ def criteo_table_configs(max_rows: Optional[int] = None,
     The cap gives the paper's Section 5.3.1 shrunk tables for
     small-scale runs; the generator draws ids in the capped range
     directly."""
-    if embedding_dim <= 0:
-        raise ValueError("embedding_dim must be positive")
+    check.count("embedding_dim", embedding_dim)
     tables = []
     for i, cardinality in enumerate(_CRITEO_CARDINALITIES):
         rows = cardinality if max_rows is None else min(cardinality,

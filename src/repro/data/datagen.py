@@ -22,6 +22,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from .. import check
 from ..embedding.table import EmbeddingTableConfig, lengths_to_offsets
 from ..nn import functional as F
 
@@ -79,8 +80,7 @@ def zipf_indices(num_ids: int, size: int, rng: np.random.Generator,
     dozen knots wide at 200 000 ids), all of them one step at a time, or
     one ``searchsorted`` settles them when they are few.
     """
-    if num_ids <= 0:
-        raise ValueError("num_ids must be positive")
+    check.count("num_ids", num_ids)
     if size == 0:
         return np.zeros(0, dtype=np.int64)
     u = rng.random(size)
@@ -239,8 +239,7 @@ class SyntheticCTRDataset:
                  zipf_alpha: float = 1.05, seed: int = 0) -> None:
         if not tables:
             raise ValueError("need at least one table")
-        if dense_dim <= 0:
-            raise ValueError("dense_dim must be positive")
+        check.count("dense_dim", dense_dim)
         self.tables = list(tables)
         self.dense_dim = dense_dim
         self.noise = noise
@@ -258,8 +257,7 @@ class SyntheticCTRDataset:
 
     def batch(self, batch_size: int, batch_index: int = 0) -> MiniBatch:
         """Generate batch ``batch_index`` deterministically."""
-        if batch_size <= 0:
-            raise ValueError("batch_size must be positive")
+        check.count("batch_size", batch_size)
         rng = np.random.default_rng((self.seed, batch_index))
         dense = rng.normal(size=(batch_size, self.dense_dim)).astype(
             np.float32)

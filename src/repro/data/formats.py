@@ -22,6 +22,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from .. import check
 from ..embedding.table import lengths_to_offsets, offsets_to_lengths
 
 __all__ = ["SeparateFormat", "CombinedFormat", "host_transfer_time"]
@@ -88,6 +89,7 @@ class CombinedFormat:
     indices: np.ndarray
 
     def __post_init__(self) -> None:
+        check.count("batch_size", self.batch_size, low=0)
         expected = len(self.table_names) * self.batch_size
         if len(self.lengths) != expected:
             raise ValueError(
@@ -133,7 +135,7 @@ def host_transfer_time(num_tensors: int, total_bytes: int,
     small tensors into two eliminates ``998 * overhead``, and pinning
     doubles the copy bandwidth by skipping the staging copy.
     """
-    if num_tensors < 0 or total_bytes < 0:
-        raise ValueError("counts must be non-negative")
+    check.count("num_tensors", num_tensors, low=0)
+    check.nonnegative("total_bytes", total_bytes)
     bw = _PINNED_BW if pinned else _PAGEABLE_BW
     return num_tensors * _PER_TENSOR_OVERHEAD_S + total_bytes / bw

@@ -16,6 +16,8 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from .. import check
+
 __all__ = ["permute_jagged", "bucketize_sparse", "bucket_of",
            "replicate_sparse"]
 
@@ -142,8 +144,7 @@ def replicate_sparse(indices: np.ndarray, lengths: np.ndarray,
     slice of columns); this is the input-payload inflation CW trades for
     finer balance.
     """
-    if copies <= 0:
-        raise ValueError("copies must be positive")
+    check.count("copies", copies)
     indices = np.asarray(indices, dtype=np.int64)
     lengths = np.asarray(lengths, dtype=np.int64)
     return [(indices.copy(), lengths.copy()) for _ in range(copies)]

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 
+from .. import check
 from .datagen import MiniBatch, SyntheticCTRDataset
 from .formats import host_transfer_time
 from .freq import FrequencyStats
@@ -58,14 +59,12 @@ class DataIngestionService:
     def __init__(self, dataset: SyntheticCTRDataset, world_size: int,
                  global_batch_size: int, prefetch_depth: int = 2,
                  track_frequencies: bool = False) -> None:
-        if world_size <= 0:
-            raise ValueError("world_size must be positive")
+        check.count("world_size", world_size)
         if global_batch_size % world_size:
             raise ValueError(
                 f"global batch {global_batch_size} not divisible by "
                 f"world size {world_size}")
-        if prefetch_depth < 1:
-            raise ValueError("prefetch_depth must be >= 1")
+        check.count("prefetch_depth", prefetch_depth)
         self.dataset = dataset
         self.world_size = world_size
         self.global_batch_size = global_batch_size
@@ -142,9 +141,7 @@ class DataIngestionService:
         would have seen. Prefetched batches are discarded (their indices
         no longer line up).
         """
-        if batch_index < 0:
-            raise ValueError(
-                f"batch_index must be non-negative, got {batch_index}")
+        check.count("batch_index", batch_index, low=0)
         self._queue.clear()
         self._next_index = batch_index
 

@@ -268,13 +268,15 @@ def segment_sum_gather(storage: np.ndarray, indices: np.ndarray,
     dim = storage.shape[1]
     if num_bags <= 0:
         return np.zeros((0, dim), dtype=np.float32)
+    row_bytes = dim * storage.itemsize
     if tile_rows is None:
-        if len(indices) * dim * 4 <= _GATHER_WHOLE_BYTES:
+        if len(indices) * row_bytes <= _GATHER_WHOLE_BYTES:
             return _pool(storage, np.asarray(indices, dtype=np.int64),
                          offsets)
-        tile_rows = max(1, _GATHER_TILE_BYTES // (dim * 4))
+        tile_rows = max(1, _GATHER_TILE_BYTES // row_bytes)
     out = np.empty((num_bags, dim), dtype=np.float32)
-    scratch = np.empty((tile_rows, dim), dtype=np.float32)
+    # the tiles keep the storage dtype, so each bag sums as in one tile
+    scratch = np.empty((tile_rows, dim), dtype=storage.dtype)
     bag = 0
     while bag < num_bags:
         # widest run of whole bags totalling <= tile_rows elements; a
@@ -286,7 +288,7 @@ def segment_sum_gather(storage: np.ndarray, indices: np.ndarray,
         e0, e1 = int(offsets[bag]), int(offsets[end_bag])
         n = e1 - e0
         tile = scratch[:n] if n <= tile_rows else \
-            np.empty((n, dim), dtype=np.float32)
+            np.empty((n, dim), dtype=storage.dtype)
         np.take(storage, indices[e0:e1], axis=0, out=tile)
         _pool(tile, None, offsets[bag:end_bag + 1] - e0,
               out=out[bag:end_bag])

@@ -20,6 +20,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from .. import check
 from .kernels import merge_sorted_coo
 from .table import EmbeddingTable, SparseGradient
 
@@ -73,8 +74,7 @@ class SparseOptimizer:
     """Base class: owns per-table state and the merge-then-apply protocol."""
 
     def __init__(self, lr: float) -> None:
-        if lr <= 0:
-            raise ValueError(f"learning rate must be positive, got {lr}")
+        check.positive("lr", lr)
         self.lr = lr
         self._state: Dict[int, Dict[str, np.ndarray]] = {}
 

@@ -17,6 +17,7 @@ from typing import Optional
 
 import numpy as np
 
+from .. import check
 from .kernels import expand_bag_ids, mean_pool, segment_sum_gather
 
 __all__ = ["EmbeddingTableConfig", "SparseGradient", "EmbeddingTable",
@@ -83,10 +84,9 @@ class EmbeddingTableConfig:
     precision: str = "fp32"
 
     def __post_init__(self) -> None:
-        if self.num_embeddings <= 0:
-            raise ValueError(f"num_embeddings must be positive: {self}")
-        if self.embedding_dim <= 0:
-            raise ValueError(f"embedding_dim must be positive: {self}")
+        check.count("num_embeddings", self.num_embeddings)
+        check.count("embedding_dim", self.embedding_dim)
+        check.nonnegative("avg_pooling", self.avg_pooling)
         if self.pooling_mode not in ("sum", "mean"):
             raise ValueError(f"pooling_mode must be 'sum' or 'mean': {self}")
 
@@ -131,8 +131,7 @@ class SparseGradient:
         fast path; the 2-D call is several times slower). Entries reach
         each element in entry order, as in the row-wise scatter, so the
         sums are bitwise the same."""
-        if self.num_embeddings <= 0:
-            raise ValueError("num_embeddings must be set to densify")
+        check.count("num_embeddings", self.num_embeddings)
         dim = self.values.shape[1]
         dense = np.zeros(self.num_embeddings * dim, dtype=np.float32)
         flat = (np.asarray(self.rows, dtype=np.int64) * dim)[:, None] \

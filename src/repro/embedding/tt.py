@@ -16,6 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .. import check
 from .kernels import segment_sum
 
 __all__ = ["TTEmbeddingTable", "factorize_dims", "tt_decompose"]
@@ -28,8 +29,8 @@ def factorize_dims(value: int, num_factors: int) -> Tuple[int, ...]:
     equals ``value`` exactly (callers should pad their tables to a
     convenient cardinality, as TT-Rec does).
     """
-    if value <= 0 or num_factors <= 0:
-        raise ValueError("value and num_factors must be positive")
+    check.count("value", value)
+    check.count("num_factors", num_factors)
     factors = [1] * num_factors
     remaining = value
     # greedy: repeatedly split off the factor closest to the ideal root

@@ -36,6 +36,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from .. import check
 from ..perf.platform import ZIONEX_PLATFORM, PlatformSpec
 from ..serving.batcher import RequestTrace
 from ..serving.export import ServableModel
@@ -57,8 +58,7 @@ def replica_warmup_s(model: ServableModel,
     time: ``storage_bytes()`` already accounts for the storage precision
     (int8 artifacts warm up ~4x faster than fp32 ones).
     """
-    if overhead_s < 0:
-        raise ValueError("overhead_s must be >= 0")
+    check.nonnegative("overhead_s", overhead_s)
     return overhead_s + model.storage_bytes() / platform.dram_link_bw_per_node
 
 
@@ -78,23 +78,23 @@ class AutoscalerConfig:
     initial_replicas: Optional[int] = None   # None -> min_replicas
 
     def __post_init__(self) -> None:
-        if self.slo_s <= 0:
-            raise ValueError("slo_s must be positive")
-        if self.window_s <= 0:
-            raise ValueError("window_s must be positive")
-        if not 1 <= self.min_replicas <= self.max_replicas:
-            raise ValueError("need 1 <= min_replicas <= max_replicas")
-        if not 0 < self.down_p99_frac < self.up_p99_frac:
-            raise ValueError("need 0 < down_p99_frac < up_p99_frac "
-                             "(the hysteresis band)")
-        if self.up_shed_frac < 0:
-            raise ValueError("up_shed_frac must be >= 0")
-        if self.cooldown_s < 0:
-            raise ValueError("cooldown_s must be >= 0")
-        if self.initial_replicas is not None and \
-                not self.min_replicas <= self.initial_replicas \
-                <= self.max_replicas:
-            raise ValueError("initial_replicas outside [min, max]")
+        check.positive("slo_s", self.slo_s)
+        check.positive("window_s", self.window_s)
+        check.count("min_replicas", self.min_replicas)
+        check.count("max_replicas", self.max_replicas, low=self.min_replicas)
+        # the hysteresis band: 0 < down_p99_frac < up_p99_frac
+        check.positive("down_p99_frac", self.down_p99_frac)
+        check.positive("up_p99_frac", self.up_p99_frac,
+                       low=self.down_p99_frac)
+        check.nonnegative("up_shed_frac", self.up_shed_frac)
+        check.nonnegative("cooldown_s", self.cooldown_s)
+        if self.warmup_s is not None:
+            check.nonnegative("warmup_s", self.warmup_s)
+        if self.initial_replicas is not None:
+            check.count("initial_replicas", self.initial_replicas,
+                        low=self.min_replicas)
+            if self.initial_replicas > self.max_replicas:
+                raise ValueError("initial_replicas outside [min, max]")
 
 
 class Autoscaler:

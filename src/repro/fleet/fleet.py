@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
+from .. import check
 from ..obs.metrics import MetricRegistry
 from ..obs.tracer import as_tracer
 from ..serving.batcher import BatchingPolicy, RequestTrace
@@ -80,8 +81,7 @@ class ServingFleet:
                     f"num_replicas={num_replicas} conflicts with "
                     f"{len(perfs)} per-replica perf models")
             num_replicas = len(perfs)
-        if num_replicas < 1:
-            raise ValueError("num_replicas must be >= 1")
+        check.count("num_replicas", num_replicas)
         self.model = model
         self.policy = policy if policy is not None else BatchingPolicy()
         self.router = FleetRouter(router)
@@ -127,8 +127,7 @@ class ServingFleet:
         ``active`` restricts routing to a replica subset (autoscaling);
         inactive replicas serve nothing and report zeros.
         """
-        if slo_s <= 0:
-            raise ValueError("slo_s must be positive")
+        check.positive("slo_s", slo_s)
         plan = self.router.route(trace, self._estimators(), active)
         total = sum(plan.counts) or 1
         results: List[ServeResult] = []

@@ -33,7 +33,9 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from ..serving.batcher import InferenceRequest, RequestTrace, service_seconds
+from .. import check
+from ..check import service_seconds
+from ..serving.batcher import InferenceRequest, RequestTrace
 from ..serving.loadgen import ROUTER_STREAM
 
 __all__ = ["ROUTING_POLICIES", "RouterPolicy", "RoutingPlan", "FleetRouter"]
@@ -52,6 +54,7 @@ class RouterPolicy:
         if self.kind not in ROUTING_POLICIES:
             raise ValueError(f"kind must be one of {ROUTING_POLICIES}, "
                              f"got {self.kind!r}")
+        check.count("seed", self.seed, low=0)
 
 
 @dataclass

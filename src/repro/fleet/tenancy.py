@@ -32,6 +32,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from .. import check
 from ..obs.metrics import MetricRegistry
 from ..obs.tracer import as_tracer
 from ..serving.batcher import BatchingPolicy, MultiTenantBatcher, RequestTrace
@@ -66,10 +67,8 @@ class TenantSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("tenant name must be non-empty")
-        if self.slo_s <= 0:
-            raise ValueError("slo_s must be positive")
-        if self.traffic_share <= 0:
-            raise ValueError("traffic_share must be positive")
+        check.positive("slo_s", self.slo_s)
+        check.positive("traffic_share", self.traffic_share)
 
 
 def partition_replicas(weights: Dict[str, float], num_replicas: int
@@ -84,8 +83,8 @@ def partition_replicas(weights: Dict[str, float], num_replicas: int
     """
     if not weights:
         raise ValueError("need at least one tenant weight")
-    if any(w <= 0 for w in weights.values()):
-        raise ValueError("weights must be positive")
+    for name, w in weights.items():
+        check.positive(f"the weight of {name}", w)
     names = sorted(weights)
     if num_replicas < len(names):
         raise ValueError(f"{num_replicas} replicas cannot cover "
@@ -240,8 +239,7 @@ class MultiTenantFleet:
         if mode not in TENANCY_MODES:
             raise ValueError(f"mode must be one of {TENANCY_MODES}, "
                              f"got {mode!r}")
-        if num_replicas < 1:
-            raise ValueError("num_replicas must be >= 1")
+        check.count("num_replicas", num_replicas)
         names = [t.name for t in tenants]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate tenant names in {names}")

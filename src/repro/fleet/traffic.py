@@ -31,6 +31,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from .. import check
 from ..data.datagen import SyntheticCTRDataset
 from ..serving.batcher import RequestTrace
 from ..serving.loadgen import (ARRIVAL_STREAM, USER_STREAM, PoissonLoadGen,
@@ -66,10 +67,9 @@ class DayCurve:
     def __post_init__(self) -> None:
         if len(self.hourly) < 2:
             raise ValueError("need at least 2 hourly points")
-        if any(h <= 0 for h in self.hourly):
-            raise ValueError("hourly multipliers must be positive")
-        if self.day_s <= 0:
-            raise ValueError("day_s must be positive")
+        for h in self.hourly:
+            check.positive("an hourly multiplier", h)
+        check.positive("day_s", self.day_s)
 
     @property
     def is_flat(self) -> bool:
@@ -98,8 +98,7 @@ class DayCurve:
         """``(t_grid, integral of multiplier over [0, t])`` on a uniform
         grid — the Λ(t) (per unit mean rate) the NHPP inversion warps
         through."""
-        if duration_s <= 0:
-            raise ValueError("duration_s must be positive")
+        check.positive("duration_s", duration_s)
         t = np.linspace(0.0, duration_s, grid_points)
         m = self.multiplier_at(t)
         dt = t[1] - t[0]
@@ -129,12 +128,12 @@ class FleetTraffic:
     stream: int = ARRIVAL_STREAM
 
     def __post_init__(self) -> None:
-        if self.mean_qps <= 0:
-            raise ValueError("mean_qps must be positive")
-        if self.duration_s <= 0:
-            raise ValueError("duration_s must be positive")
-        if self.num_users < 0:
-            raise ValueError("num_users must be >= 0")
+        check.positive("mean_qps", self.mean_qps)
+        check.positive("duration_s", self.duration_s)
+        check.count("num_users", self.num_users, low=0)
+        check.nonnegative("zipf_alpha", self.zipf_alpha)
+        check.count("seed", self.seed, low=0)
+        check.count("stream", self.stream, low=0)
 
     @property
     def num_requests(self) -> int:

@@ -13,6 +13,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .. import check
+
 __all__ = ["log_loss", "normalized_entropy", "relative_ne", "calibration"]
 
 _EPS = 1e-12
@@ -47,8 +49,7 @@ def relative_ne(ne_values: Sequence[float],
     if values.size == 0:
         raise ValueError("empty NE curve")
     ref = values[-1] if reference is None else float(reference)
-    if ref <= 0:
-        raise ValueError("reference NE must be positive")
+    check.positive("reference NE", ref)
     return values / ref
 
 

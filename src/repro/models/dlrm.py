@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .. import nn
+from .. import check, nn
 from ..embedding import (EmbeddingTableConfig, FusedEmbeddingCollection,
                          SparseOptimizer)
 from ..data.datagen import MiniBatch
@@ -49,6 +49,7 @@ class DLRMConfig:
     interaction: str = "dot"           # "dot" (pairwise) or "cat" (concat)
 
     def __post_init__(self) -> None:
+        check.count("dense_dim", self.dense_dim)
         if not self.tables:
             raise ValueError("DLRM needs at least one embedding table")
         if not self.bottom_mlp:

@@ -13,14 +13,17 @@ anything with an ``lr`` attribute) and mutate its ``lr`` per step.
 
 from __future__ import annotations
 
+from .. import check
+
 __all__ = ["linear_scaled_lr", "LRScheduler", "WarmupLinearDecay"]
 
 
 def linear_scaled_lr(base_lr: float, batch_size: int,
                      base_batch_size: int) -> float:
     """The linear scaling rule: lr = base_lr * batch / base_batch."""
-    if base_lr <= 0 or batch_size <= 0 or base_batch_size <= 0:
-        raise ValueError("all arguments must be positive")
+    check.positive("base_lr", base_lr)
+    check.count("batch_size", batch_size)
+    check.count("base_batch_size", base_batch_size)
     return base_lr * batch_size / base_batch_size
 
 
@@ -28,8 +31,7 @@ class LRScheduler:
     """Base: owns the target LR and the step counter."""
 
     def __init__(self, optimizer, base_lr: float) -> None:
-        if base_lr <= 0:
-            raise ValueError("base_lr must be positive")
+        check.positive("base_lr", base_lr)
         self.optimizer = optimizer
         self.base_lr = base_lr
         self.step_count = 0
@@ -57,8 +59,8 @@ class WarmupLinearDecay(LRScheduler):
     def __init__(self, optimizer, base_lr: float, warmup_steps: int,
                  total_steps: int, warmup_init: float = 0.0,
                  final_lr: float = 0.0) -> None:
-        if warmup_steps < 0 or total_steps <= warmup_steps:
-            raise ValueError("need 0 <= warmup_steps < total_steps")
+        check.count("warmup_steps", warmup_steps, low=0)
+        check.count("total_steps", total_steps, low=warmup_steps + 1)
         self.warmup_steps = warmup_steps
         self.total_steps = total_steps
         self.warmup_init = warmup_init

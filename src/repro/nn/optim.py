@@ -12,6 +12,7 @@ from typing import Dict, Sequence
 
 import numpy as np
 
+from .. import check
 from .parameter import Parameter
 
 __all__ = ["Optimizer", "SGD", "AdaGrad", "Adam", "LAMB"]
@@ -21,8 +22,7 @@ class Optimizer:
     """Base optimizer over an explicit parameter list."""
 
     def __init__(self, params: Sequence[Parameter], lr: float) -> None:
-        if lr <= 0:
-            raise ValueError(f"learning rate must be positive, got {lr}")
+        check.positive("lr", lr)
         self.params = list(params)
         self.lr = lr
         self._state: Dict[int, Dict[str, np.ndarray]] = {}
@@ -55,8 +55,7 @@ class SGD(Optimizer):
     def __init__(self, params: Sequence[Parameter], lr: float = 0.1,
                  momentum: float = 0.0, weight_decay: float = 0.0) -> None:
         super().__init__(params, lr)
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {momentum}")
+        check.fraction("momentum", momentum, one=False)
         self.momentum = momentum
         self.weight_decay = weight_decay
 

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
+from .. import check
+
 __all__ = ["Counter", "Gauge", "Histogram", "MetricRegistry", "MetricScope",
            "default_registry"]
 
@@ -43,9 +45,7 @@ class Counter:
         self.value = 0
 
     def inc(self, amount: float = 1) -> None:
-        if amount < 0:
-            raise ValueError(f"counter {self.name} cannot decrease "
-                             f"(inc by {amount})")
+        check.nonnegative(self.name, amount)  # a counter never decreases
         self.value += amount
 
     def snapshot_value(self) -> float:

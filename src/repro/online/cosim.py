@@ -44,11 +44,12 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from .. import check
 from ..core.loop import TrainingLoop, TrainingResult
 from ..metrics import normalized_entropy
 from ..obs.metrics import MetricRegistry
 from ..obs.tracer import as_tracer
-from ..serving.batcher import BatchingPolicy, RequestTrace, check_count
+from ..serving.batcher import BatchingPolicy, RequestTrace
 from ..serving.export import FreezeConfig, ServableModel, freeze
 from ..serving.loadgen import LoadReport, PoissonLoadGen, summarize
 from ..serving.server import InferenceServer, ServeResult, ServingPerfModel
@@ -85,18 +86,16 @@ class OnlineConfig:
     freeze_config: FreezeConfig = FreezeConfig()
 
     def __post_init__(self) -> None:
-        check_count("num_steps", self.num_steps)
-        check_count("swap_every_steps", self.swap_every_steps, low=0)
-        if not self.train_step_time_s > 0:  # NaN fails too
-            raise ValueError("train_step_time_s must be positive")
-        if not self.qps > 0:
-            raise ValueError("qps must be positive")
-        if not self.slo_s > 0:
-            raise ValueError("slo_s must be positive")
-        check_count("replicas", self.replicas)
-        check_count("eval_batch_size", self.eval_batch_size)
+        check.count("num_steps", self.num_steps)
+        check.count("swap_every_steps", self.swap_every_steps, low=0)
+        check.positive("train_step_time_s", self.train_step_time_s)
+        check.positive("qps", self.qps)
+        check.positive("slo_s", self.slo_s)
+        check.count("seed", self.seed, low=0)
+        check.count("replicas", self.replicas)
+        check.count("eval_batch_size", self.eval_batch_size)
         if self.num_requests is not None:
-            check_count("num_requests", self.num_requests)
+            check.count("num_requests", self.num_requests)
 
 
 @dataclass

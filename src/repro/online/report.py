@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
+from .. import check
 from ..core.loop import TrainingLoop
 from ..models.zoo import ModelSpec
 from ..perf.online import NodeSizing, min_nodes_for
@@ -47,8 +48,7 @@ def cadence_from_sizing(spec: ModelSpec, target_qps: float,
     ``freshness_budget_s`` stale before it must be republished, which
     fixes the cadence in whole steps (at least 1).
     """
-    if freshness_budget_s <= 0:
-        raise ValueError("freshness_budget_s must be positive")
+    check.positive("freshness_budget_s", freshness_budget_s)
     sizing = min_nodes_for(spec, target_qps, **sizing_kwargs)
     if sizing is None:
         raise ValueError(

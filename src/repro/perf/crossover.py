@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
+from .. import check
 from ..embedding.table import EmbeddingTableConfig
 from ..sharding.cost_model import CostModelParams, shard_cost
 from ..sharding.schemes import Shard, ShardingScheme
@@ -56,8 +57,8 @@ def find_dp_crossover(embedding_dim: int, avg_pooling: float,
     is H-independent (up to the mild locality factor), so the cost
     difference crosses zero exactly once.
     """
-    if embedding_dim <= 0 or avg_pooling <= 0:
-        raise ValueError("embedding_dim and avg_pooling must be positive")
+    check.count("embedding_dim", embedding_dim)
+    check.positive("avg_pooling", avg_pooling)
     lo, hi = 1, max_rows
     dp_lo, tw_lo = dp_vs_tw_cost(lo, embedding_dim, avg_pooling, params)
     if dp_lo >= tw_lo:

@@ -14,6 +14,7 @@ launches, which dominates when per-table work is small.
 from __future__ import annotations
 
 
+from .. import check
 from .devices import DeviceSpec
 
 __all__ = ["embedding_achieved_bw", "embedding_lookup_time",
@@ -34,8 +35,7 @@ def embedding_achieved_bw(device: DeviceSpec, embedding_dim: int,
     narrow rows (same transaction waste, fewer useful bytes) but roughly
     doubles rows/s — exactly the Fig. 18 FP32-vs-FP16 relationship.
     """
-    if embedding_dim <= 0:
-        raise ValueError("embedding_dim must be positive")
+    check.count("embedding_dim", embedding_dim)
     row_bytes = embedding_dim * _DTYPE_BYTES[precision]
     coalescing = row_bytes / (row_bytes + _COALESCE_HALF_BYTES)
     return device.hbm_achievable_bw * coalescing
@@ -44,8 +44,7 @@ def embedding_achieved_bw(device: DeviceSpec, embedding_dim: int,
 def embedding_lookup_time(nnz: int, embedding_dim: int, device: DeviceSpec,
                           precision: str = "fp32") -> float:
     """Forward pooled lookup: read nnz rows (one kernel)."""
-    if nnz < 0:
-        raise ValueError("nnz must be non-negative")
+    check.count("nnz", nnz, 0)
     bytes_read = nnz * embedding_dim * _DTYPE_BYTES[precision]
     bw = embedding_achieved_bw(device, embedding_dim, precision)
     return bytes_read / bw + device.kernel_launch_overhead
@@ -54,8 +53,7 @@ def embedding_lookup_time(nnz: int, embedding_dim: int, device: DeviceSpec,
 def embedding_update_time(nnz: int, embedding_dim: int, device: DeviceSpec,
                           precision: str = "fp32") -> float:
     """Fused backward + exact optimizer: read + write touched rows."""
-    if nnz < 0:
-        raise ValueError("nnz must be non-negative")
+    check.count("nnz", nnz, 0)
     bytes_moved = 2 * nnz * embedding_dim * _DTYPE_BYTES[precision]
     bw = embedding_achieved_bw(device, embedding_dim, precision)
     return bytes_moved / bw + device.kernel_launch_overhead

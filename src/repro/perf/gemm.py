@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .. import check
 from .devices import DeviceSpec
 
 __all__ = ["gemm_time", "gemm_tflops", "MLPBenchResult", "mlp_time",
@@ -22,8 +23,9 @@ _DTYPE_BYTES = {"fp32": 4, "tf32": 4, "fp16": 2, "bf16": 2}
 def gemm_time(m: int, n: int, k: int, device: DeviceSpec,
               precision: str = "fp32") -> float:
     """Seconds for one (m x k) @ (k x n) GEMM."""
-    if min(m, n, k) <= 0:
-        raise ValueError("GEMM dims must be positive")
+    check.count("m", m)
+    check.count("n", n)
+    check.count("k", k)
     flops = 2.0 * m * n * k
     compute = flops / device.achievable_flops(precision, flops)
     bytes_moved = (m * k + k * n + m * n) * _DTYPE_BYTES[precision]

@@ -17,6 +17,7 @@ from typing import Dict, List
 
 import numpy as np
 
+from .. import check
 from ..comms import ClusterTopology, QuantizedCommsConfig
 from ..comms import perf_model as cpm
 from ..core.pipeline import ComponentTimes, LatencyBreakdown, breakdown, \
@@ -58,17 +59,17 @@ class TrainingSetup:
     framework_overhead: float = 2e-3
 
     def __post_init__(self) -> None:
+        check.count("global_batch", self.global_batch)
         if self.global_batch % self.topology.world_size:
             raise ValueError(
                 f"global batch {self.global_batch} not divisible by world "
                 f"size {self.topology.world_size}")
-        if self.load_imbalance < 1.0:
-            raise ValueError("load_imbalance is max/mean, must be >= 1")
-        if not 0.0 <= self.row_wise_dim_fraction <= 1.0:
-            raise ValueError("row_wise_dim_fraction must be in [0, 1]")
-        if not 0.0 < self.memory_hierarchy_bw_fraction <= 1.0:
-            raise ValueError(
-                "memory_hierarchy_bw_fraction must be in (0, 1]")
+        # load_imbalance is max/mean
+        check.nonnegative("load_imbalance", self.load_imbalance, low=1)
+        check.fraction("row_wise_dim_fraction", self.row_wise_dim_fraction)
+        check.fraction("memory_hierarchy_bw_fraction",
+                       self.memory_hierarchy_bw_fraction, zero=False)
+        check.nonnegative("framework_overhead", self.framework_overhead)
 
     @property
     def local_batch(self) -> int:

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from .. import check
 from ..comms import PROTOTYPE_TOPOLOGY
 from ..models.zoo import ModelSpec
 from .capacity import model_footprint
@@ -68,8 +69,7 @@ def min_nodes_for(spec: ModelSpec, target_qps: float,
                   platform: PlatformSpec = ZIONEX_PLATFORM
                   ) -> Optional[NodeSizing]:
     """Smallest node count meeting capacity + throughput, or None."""
-    if target_qps <= 0:
-        raise ValueError("target_qps must be positive")
+    check.positive("target_qps", target_qps)
     for nodes in range(1, max_nodes + 1):
         sizing = _evaluate(spec, nodes, target_qps, precision, optimizer,
                            per_gpu_batch, platform=platform)

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .. import check
+
 __all__ = ["PlatformSpec", "ZIONEX_PLATFORM"]
 
 
@@ -36,10 +38,8 @@ class PlatformSpec:
     def __post_init__(self) -> None:
         for field_name in ("hbm_per_node_bytes", "dram_per_node_bytes",
                            "hbm_bw_per_node", "dram_link_bw_per_node"):
-            if getattr(self, field_name) <= 0:
-                raise ValueError(f"{field_name} must be positive")
-        if self.gpus_per_node <= 0:
-            raise ValueError("gpus_per_node must be positive")
+            check.positive(field_name, getattr(self, field_name))
+        check.count("gpus_per_node", self.gpus_per_node)
 
     @property
     def node_memory_bytes(self) -> float:
@@ -53,9 +53,9 @@ class PlatformSpec:
     def hbm_fraction(self, model_bytes: float, nodes: int) -> float:
         """Fraction of the model resident in HBM under waterfall placement
         (HBM fills first, the overflow spills to DRAM)."""
-        if nodes <= 0:
-            raise ValueError("nodes must be positive")
-        if model_bytes <= 0:
+        check.count("nodes", nodes)
+        check.nonnegative("model_bytes", model_bytes)
+        if model_bytes == 0:
             return 1.0
         return min(1.0, nodes * self.hbm_per_node_bytes / model_bytes)
 
@@ -69,10 +69,8 @@ class PlatformSpec:
         fraction of DRAM-part accesses served by the cache under Zipf
         traffic. The rest crawl over the DRAM link.
         """
-        if not 0.0 <= hbm_fraction <= 1.0:
-            raise ValueError("hbm_fraction must be in [0, 1]")
-        if not 0.0 <= cache_hit_boost < 1.0:
-            raise ValueError("cache_hit_boost must be in [0, 1)")
+        check.fraction("hbm_fraction", hbm_fraction)
+        check.fraction("cache_hit_boost", cache_hit_boost, one=False)
         hbm_served = hbm_fraction + (1 - hbm_fraction) * cache_hit_boost
         link_served = 1.0 - hbm_served
         time_per_byte = hbm_served / self.hbm_bw_per_node \

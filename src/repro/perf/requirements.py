@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .. import check
 from ..models.zoo import ModelSpec
 
 __all__ = ["PlatformDemand", "derive_demand", "TABLE1_REFERENCE"]
@@ -47,8 +48,8 @@ def derive_demand(spec: ModelSpec, target_qps: float = 1e6,
       directions plus gradient AllReduce;
     * bisection: half the workers' injection crossing the cut.
     """
-    if target_qps <= 0 or num_workers <= 0:
-        raise ValueError("target_qps and num_workers must be positive")
+    check.positive("target_qps", target_qps)
+    check.count("num_workers", num_workers)
     compute = spec.mlp_flops_per_sample() * target_qps
     memory = float(spec.embedding_bytes())
     total_l = sum(t.avg_pooling for t in spec.tables)

@@ -15,6 +15,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from .. import check
 from .iteration import TrainingSetup, qps
 
 __all__ = ["SweepPoint", "sweep_knob", "elasticity", "KNOBS",
@@ -73,8 +74,8 @@ def sensitivity_report(setup: TrainingSetup,
     current value (imbalance and hbm_fraction are clamped to their valid
     domains). The result ranks the platform's binding resources.
     """
-    if span <= 1.0 or points < 2:
-        raise ValueError("span must exceed 1 and points must be >= 2")
+    check.positive("span", span, low=1)
+    check.count("points", points, low=2)
     current = {
         "global_batch": float(setup.global_batch),
         "load_imbalance": setup.load_imbalance,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from typing import List
 
+from .. import check
 from ..core.schedule import PipelineSchedule
 
 __all__ = ["render_timeline"]
@@ -20,8 +21,7 @@ def render_timeline(schedule: PipelineSchedule, width: int = 72) -> str:
     Each column represents ``makespan / width`` seconds; a task shorter
     than one column still gets one character so nothing disappears.
     """
-    if width < 10:
-        raise ValueError("width must be at least 10")
+    check.count("width", width, low=10)
     if not schedule.tasks:
         return "(empty schedule)"
     makespan = schedule.makespan

@@ -22,7 +22,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .. import lowp
+from .. import check, lowp
 from ..data.freq import FrequencyStats
 from ..embedding.table import EmbeddingTableConfig
 from ..embedding.tt import TTEmbeddingTable
@@ -62,17 +62,13 @@ class PlannerCostModel:
     time_weight: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.batch_size <= 0:
-            raise ValueError("batch_size must be positive")
+        check.count("batch_size", self.batch_size)
         for p in self.precisions:
             if p not in ("fp16", "bf16", "int8"):
                 raise ValueError(f"unknown precision {p!r}")
-        if not 0.0 < self.cache_fraction <= 1.0:
-            raise ValueError("cache_fraction must be in (0, 1]")
-        if not 0.0 <= self.cold_hit_rate < 1.0:
-            raise ValueError("cold_hit_rate must be in [0, 1)")
-        if not self.time_weight >= 0:  # NaN fails too
-            raise ValueError("time_weight must be >= 0")
+        check.fraction("cache_fraction", self.cache_fraction, zero=False)
+        check.fraction("cold_hit_rate", self.cold_hit_rate, one=False)
+        check.nonnegative("time_weight", self.time_weight)
 
     # ------------------------------------------------------------------
     def _coalesced_bw(self, row_bytes: float) -> float:

@@ -17,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
+from .. import check
+
 __all__ = ["REPRESENTATION_KINDS", "TableAssignment", "PlanBudget",
            "RepresentationPlan", "PlanError"]
 
@@ -52,10 +54,10 @@ class TableAssignment:
             raise ValueError(
                 f"kind must be one of {REPRESENTATION_KINDS}, "
                 f"got {self.kind!r}")
-        if self.hot_bytes < 0 or self.total_bytes < 0:
-            raise ValueError("byte counts must be >= 0")
-        if self.error < 0:
-            raise ValueError("error must be >= 0")
+        check.count("hot_bytes", self.hot_bytes, low=0)
+        check.count("total_bytes", self.total_bytes, low=0)
+        check.nonnegative("error", self.error)
+        check.nonnegative("lookup_s", self.lookup_s)
 
     @property
     def training_precision(self) -> str:
@@ -91,17 +93,13 @@ class PlanBudget:
     ne_floor: Optional[float] = None
 
     def __post_init__(self) -> None:
-        # written so NaN fails every check
-        if not self.hot_bytes >= 0:
-            raise ValueError(f"hot_bytes must be >= 0, got {self.hot_bytes!r}")
-        if self.bandwidth_s is not None and not self.bandwidth_s > 0:
-            raise ValueError(
-                f"bandwidth_s must be positive, got {self.bandwidth_s!r}")
-        if self.quality_floor is not None and not self.quality_floor >= 0:
-            raise ValueError(
-                f"quality_floor must be >= 0, got {self.quality_floor!r}")
-        if self.ne_floor is not None and not self.ne_floor >= 0:
-            raise ValueError(f"ne_floor must be >= 0, got {self.ne_floor!r}")
+        check.nonnegative("hot_bytes", self.hot_bytes, inf=True)
+        if self.bandwidth_s is not None:
+            check.positive("bandwidth_s", self.bandwidth_s, inf=True)
+        if self.quality_floor is not None:
+            check.nonnegative("quality_floor", self.quality_floor, inf=True)
+        if self.ne_floor is not None:
+            check.nonnegative("ne_floor", self.ne_floor, inf=True)
 
 
 @dataclass

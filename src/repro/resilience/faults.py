@@ -24,6 +24,8 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .. import check
+
 __all__ = ["FaultKind", "FaultSpec", "FaultSchedule", "RankFailure"]
 
 
@@ -100,12 +102,14 @@ class FaultSpec:
     failures: int = 1
 
     def __post_init__(self) -> None:
-        if self.rank < 0:
-            raise ValueError(f"rank must be non-negative, got {self.rank}")
-        if self.kind is FaultKind.DELAY and self.delay_seconds <= 0:
-            raise ValueError("DELAY faults need delay_seconds > 0")
-        if self.failures < 1:
-            raise ValueError("failures must be >= 1")
+        check.count("rank", self.rank, low=0)
+        if self.iteration is not None:
+            check.count("iteration", self.iteration, low=0)
+        # a DELAY fault must add some latency
+        delay = check.positive if self.kind is FaultKind.DELAY \
+            else check.nonnegative
+        delay("delay_seconds", self.delay_seconds)
+        check.count("failures", self.failures)
 
     def matches(self, iteration: int, collective: str) -> bool:
         """Does this fault fire for (iteration, collective name)?"""
@@ -147,8 +151,8 @@ class FaultSchedule:
         manager to be survivable; pass ``kinds`` explicitly to include
         :attr:`FaultKind.CRASH`.
         """
-        if num_iterations <= 0 or world_size <= 0:
-            raise ValueError("num_iterations and world_size must be positive")
+        check.count("num_iterations", num_iterations)
+        check.count("world_size", world_size)
         rng = np.random.default_rng(seed)
         faults = []
         for _ in range(num_faults):

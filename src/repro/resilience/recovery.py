@@ -37,6 +37,7 @@ import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, List, Optional
 
+from .. import check
 from .faults import RankFailure
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, no runtime cycle
@@ -102,8 +103,7 @@ class RecoveryManager:
                  scheduler_factory: Optional[
                      Callable[["NeoTrainer"], list]] = None,
                  max_recoveries: int = 8) -> None:
-        if max_recoveries < 1:
-            raise ValueError("max_recoveries must be >= 1")
+        check.count("max_recoveries", max_recoveries)
         self.trainer_factory = trainer_factory
         self.checkpoint_manager = checkpoint_manager
         self.replacement_ranks = replacement_ranks

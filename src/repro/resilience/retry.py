@@ -20,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Set
 
+from .. import check
+
 __all__ = ["RetryPolicy", "HealthTracker"]
 
 
@@ -41,19 +43,15 @@ class RetryPolicy:
     max_attempts: int = 3
 
     def __post_init__(self) -> None:
-        if self.timeout_seconds <= 0:
-            raise ValueError("timeout_seconds must be positive")
-        if self.backoff_seconds < 0:
-            raise ValueError("backoff_seconds must be non-negative")
-        if self.backoff_multiplier < 1.0:
-            raise ValueError("backoff_multiplier must be >= 1")
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
+        check.positive("timeout_seconds", self.timeout_seconds)
+        check.nonnegative("backoff_seconds", self.backoff_seconds)
+        check.nonnegative("backoff_multiplier", self.backoff_multiplier,
+                          low=1)
+        check.count("max_attempts", self.max_attempts)
 
     def backoff(self, attempt: int) -> float:
         """Backoff wait after failed attempt ``attempt`` (0-based)."""
-        if attempt < 0:
-            raise ValueError("attempt must be non-negative")
+        check.count("attempt", attempt, low=0)
         return self.backoff_seconds * self.backoff_multiplier ** attempt
 
     def penalty(self, failed_attempts: int) -> float:
@@ -63,8 +61,7 @@ class RetryPolicy:
         the backoff exponent resets every ``max_attempts`` failures
         (a fresh retry window after a strike).
         """
-        if failed_attempts < 0:
-            raise ValueError("failed_attempts must be non-negative")
+        check.count("failed_attempts", failed_attempts, low=0)
         total = 0.0
         for i in range(failed_attempts):
             total += self.timeout_seconds + self.backoff(i % self.max_attempts)
@@ -87,14 +84,10 @@ class HealthTracker:
 
     def __init__(self, world_size: int, alpha: float = 0.2,
                  straggler_factor: float = 2.0, dead_after: int = 2) -> None:
-        if world_size <= 0:
-            raise ValueError("world_size must be positive")
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError("alpha must be in (0, 1]")
-        if straggler_factor <= 1.0:
-            raise ValueError("straggler_factor must be > 1")
-        if dead_after < 1:
-            raise ValueError("dead_after must be >= 1")
+        check.count("world_size", world_size)
+        check.fraction("alpha", alpha, zero=False)
+        check.positive("straggler_factor", straggler_factor, low=1)
+        check.count("dead_after", dead_after)
         self.world_size = world_size
         self.alpha = alpha
         self.straggler_factor = straggler_factor
@@ -151,8 +144,7 @@ class HealthTracker:
 
     def record_timeout(self, rank: int, count: int = 1) -> bool:
         """Register timeout strike(s); returns True if the rank is now dead."""
-        if count < 1:
-            raise ValueError("count must be >= 1")
+        check.count("count", count)
         self.timeout_strikes[rank] = self.timeout_strikes.get(rank, 0) + count
         if self.timeout_strikes[rank] >= self.dead_after:
             self._dead.add(rank)

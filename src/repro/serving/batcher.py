@@ -41,32 +41,22 @@ meaningful.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from .. import check
+from ..check import service_seconds
 from ..data.datagen import MiniBatch, concat_ranges
 
 __all__ = ["ADMISSION_KINDS", "BatchingPolicy", "InferenceRequest",
-           "RequestTrace", "ScheduledBatch", "BatchPlan", "check_count",
-           "service_seconds", "predicted_completion", "MicroBatcher",
-           "MultiTenantBatcher"]
+           "RequestTrace", "ScheduledBatch", "BatchPlan",
+           "predicted_completion", "MicroBatcher", "MultiTenantBatcher"]
 
 
 ADMISSION_KINDS = ("depth", "predicted")
-
-
-def check_count(name: str, value, low: int = 1) -> None:
-    """A size must be an integer (not a bool) >= ``low``; a ``ValueError``
-    names ``name`` otherwise: the batcher's and load generator's check."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
-            or value < low:
-        raise ValueError(f"{name} must be an integer >= {low}, "
-                         f"got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -90,18 +80,16 @@ class BatchingPolicy:
     deadline_s: Optional[float] = None
 
     def __post_init__(self) -> None:
-        check_count("max_batch_size", self.max_batch_size)
-        if not (math.isfinite(self.max_wait_s) and self.max_wait_s >= 0):
-            raise ValueError("max_wait_s must be finite and >= 0")
-        check_count("max_queue_depth", self.max_queue_depth)
+        check.count("max_batch_size", self.max_batch_size)
+        check.nonnegative("max_wait_s", self.max_wait_s)
+        check.count("max_queue_depth", self.max_queue_depth)
         if self.admission not in ADMISSION_KINDS:
             raise ValueError(f"admission must be one of {ADMISSION_KINDS}, "
                              f"got {self.admission!r}")
-        if self.admission == "predicted":
-            if self.deadline_s is None or not (
-                    math.isfinite(self.deadline_s) and self.deadline_s > 0):
-                raise ValueError("predicted admission needs a finite, "
-                                 "positive deadline_s")
+        if self.deadline_s is not None:
+            check.positive("deadline_s", self.deadline_s)
+        elif self.admission == "predicted":
+            raise ValueError("predicted admission needs a deadline_s")
 
 
 @dataclass(frozen=True)
@@ -325,16 +313,6 @@ class RequestTrace:
                              "share a batch")
         return self.stores[part[0]].take(
             concat_ranges(self.start[index], self.num_samples[index]))
-
-
-def service_seconds(value) -> float:
-    """A service estimate as float seconds, checked finite and >= 0 (a
-    ``ValueError`` names it otherwise): the batcher's and router's check."""
-    seconds = float(value)
-    if not 0.0 <= seconds < math.inf:
-        raise ValueError("a service estimate must be finite and >= 0, "
-                         f"got {seconds!r}")
-    return seconds
 
 
 @dataclass(eq=False)

@@ -35,7 +35,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .. import lowp, nn
+from .. import check, lowp, nn
 from ..cache import CACHE_KINDS, ArrayBackingStore, make_cache
 from ..data.datagen import MiniBatch
 from ..data.freq import FrequencyStats
@@ -76,15 +76,13 @@ class FreezeConfig:
 
     def __post_init__(self) -> None:
         lowp.bytes_per_element(self.precision)  # rejects an unknown one
-        if self.hot_bytes is not None and not self.hot_bytes >= 0:
-            raise ValueError(
-                f"hot_bytes must be >= 0, got {self.hot_bytes!r}")
+        if self.hot_bytes is not None:
+            check.nonnegative("hot_bytes", self.hot_bytes, inf=True)
         if self.cache_kind not in CACHE_KINDS:
             raise ValueError(
                 f"cache_kind must be one of {list(CACHE_KINDS)}, "
                 f"got {self.cache_kind!r}")
-        if not 0.0 < self.cache_fraction <= 1.0:
-            raise ValueError("cache_fraction must be in (0, 1]")
+        check.fraction("cache_fraction", self.cache_fraction, zero=False)
 
 
 class _ColdTable:

@@ -24,14 +24,14 @@ percentiles over the pooled latency samples.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .. import check
 from ..data.datagen import SyntheticCTRDataset
-from .batcher import RequestTrace, check_count
+from .batcher import RequestTrace
 from .server import InferenceServer, ServeResult
 
 __all__ = ["PoissonLoadGen", "LoadReport", "run_load_test",
@@ -110,9 +110,11 @@ class PoissonLoadGen:
     stream: int = ARRIVAL_STREAM
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.qps) and self.qps > 0):
-            raise ValueError("qps must be finite and positive")
-        check_count("num_requests", self.num_requests)
+        check.positive("qps", self.qps)
+        check.count("num_requests", self.num_requests)
+        check.count("seed", self.seed, low=0)
+        check.finite("start_s", self.start_s)
+        check.count("stream", self.stream, low=0)
 
     @classmethod
     def for_duration(cls, qps: float, duration_s: float, seed: int = 0,
@@ -125,8 +127,7 @@ class PoissonLoadGen:
         training run's makespan; being a Poisson process, the actual
         last arrival lands near — not exactly at — the horizon.
         """
-        if duration_s <= 0:
-            raise ValueError("duration_s must be positive")
+        check.positive("duration_s", duration_s)
         return cls(qps=qps, num_requests=max(1, int(round(qps * duration_s))),
                    seed=seed, start_s=start_s, stream=stream)
 
@@ -316,8 +317,7 @@ def run_load_test(server: InferenceServer, dataset: SyntheticCTRDataset,
     its single element (for callers that also want its responses or
     columns).
     """
-    if slo_s <= 0:
-        raise ValueError("slo_s must be positive")
+    check.positive("slo_s", slo_s)
     gen = PoissonLoadGen(qps=qps, num_requests=num_requests, seed=seed)
     requests = gen.requests(dataset)
     result = server.serve(requests)

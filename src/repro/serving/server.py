@@ -21,7 +21,6 @@ independent.
 
 from __future__ import annotations
 
-import math
 import weakref
 from dataclasses import dataclass, field
 from functools import partial
@@ -29,6 +28,7 @@ from typing import ClassVar, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from .. import check
 from ..data.formats import host_transfer_time
 from ..embedding import lengths_to_offsets
 from ..obs.metrics import MetricRegistry
@@ -84,10 +84,9 @@ class ServingPerfModel:
         default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.nodes < 1:
-            raise ValueError("nodes must be >= 1")
-        if not (math.isfinite(self.overhead_s) and self.overhead_s >= 0):
-            raise ValueError("overhead_s must be finite and >= 0")
+        check.count("nodes", self.nodes)
+        check.fraction("cache_hit_boost", self.cache_hit_boost, one=False)
+        check.nonnegative("overhead_s", self.overhead_s)
 
     def bw_fraction(self, model: ServableModel) -> float:
         """Effective lookup bandwidth fraction for this model placement."""
@@ -118,10 +117,8 @@ class ServingPerfModel:
         batch_size)`` (:class:`_ModelPrices`); ``h2d + bottom`` is kept
         as that very sum, which leaves every price bitwise unchanged.
         """
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if nnz < 0:
-            raise ValueError("nnz must be >= 0")
+        check.count("batch_size", batch_size)
+        check.count("nnz", nnz, 0)
         prices = self._prices(model)
         terms = prices.by_batch.get(batch_size)
         if terms is None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
-from .. import lowp
+from .. import check, lowp
 from ..embedding.optim import optimizer_state_bytes
 from .schemes import ShardingPlan
 
@@ -64,6 +64,8 @@ def validate_plan_memory(plan: ShardingPlan, device_memory_bytes: float,
                          framework_reserve_bytes: float = 4e9) -> None:
     """Raise ``ValueError`` naming every rank whose demand exceeds the
     usable budget (device memory minus the framework/NCCL reserve)."""
+    check.positive("device_memory_bytes", device_memory_bytes)
+    check.nonnegative("framework_reserve_bytes", framework_reserve_bytes)
     if device_memory_bytes <= framework_reserve_bytes:
         raise ValueError(
             f"device memory {device_memory_bytes:.3g} B does not even "

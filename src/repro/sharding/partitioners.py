@@ -15,6 +15,8 @@ import itertools
 from dataclasses import dataclass
 from typing import List, Sequence
 
+from .. import check
+
 __all__ = ["Assignment", "round_robin_partition", "greedy_partition",
            "ldm_partition", "partition_quality"]
 
@@ -39,8 +41,7 @@ class Assignment:
 
 
 def _validate(costs: Sequence[float], num_bins: int) -> None:
-    if num_bins <= 0:
-        raise ValueError("num_bins must be positive")
+    check.count("num_bins", num_bins)
     if any(c < 0 for c in costs):
         raise ValueError("costs must be non-negative")
 

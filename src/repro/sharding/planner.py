@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
+from .. import check
 from ..embedding.table import EmbeddingTableConfig
 from .cost_model import CostModelParams, shard_cost
 from .partitioners import (Assignment, greedy_partition, ldm_partition,
@@ -54,14 +55,13 @@ class PlannerConfig:
     allow_column_wise: bool = True
 
     def __post_init__(self) -> None:
-        if self.world_size <= 0:
-            raise ValueError("world_size must be positive")
-        if self.ranks_per_node < 1:
-            raise ValueError(f"ranks_per_node must be at least 1, got "
-                             f"{self.ranks_per_node}")
-        if self.cw_shards < 1:
-            raise ValueError(f"cw_shards must be at least 1, got "
-                             f"{self.cw_shards}")
+        check.count("world_size", self.world_size)
+        check.count("ranks_per_node", self.ranks_per_node)
+        check.count("dp_threshold_rows", self.dp_threshold_rows, low=0)
+        check.count("cw_min_dim", self.cw_min_dim)
+        check.count("cw_shards", self.cw_shards)
+        check.positive("device_memory_bytes", self.device_memory_bytes)
+        check.count("bytes_per_element", self.bytes_per_element)
         if self.partitioner not in ("round_robin", "greedy", "ldm"):
             raise ValueError(f"unknown partitioner {self.partitioner!r}")
         if self.world_size % self.ranks_per_node and \

@@ -21,6 +21,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
+from .. import check
 from ..embedding.table import EmbeddingTableConfig
 
 __all__ = ["ShardingScheme", "Shard", "TableShardingPlan", "ShardingPlan",
@@ -52,11 +53,11 @@ class Shard:
     col_range: tuple
 
     def __post_init__(self) -> None:
-        for lo, hi in (self.row_range, self.col_range):
-            if lo < 0 or hi <= lo:
-                raise ValueError(f"invalid shard interval [{lo}, {hi})")
-        if self.rank < 0:
-            raise ValueError(f"invalid rank {self.rank}")
+        for name, (lo, hi) in (("row_range", self.row_range),
+                               ("col_range", self.col_range)):
+            check.count(f"{name} start", lo, low=0)
+            check.count(f"{name} stop", hi, low=lo + 1)
+        check.count("rank", self.rank, low=0)
 
     @property
     def num_rows(self) -> int:

@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache import (ArrayBackingStore, CachedEmbeddingTable,
-                         MemoryHierarchy, MemoryTier, SetAssociativeCache,
-                         UVMPageCache, ZIONEX_NODE_HIERARCHY)
+                         SetAssociativeCache, UVMPageCache)
 from repro.embedding import EmbeddingTable, EmbeddingTableConfig
 
 
@@ -229,44 +228,6 @@ class TestUVMPageCache:
 
 
 class TestMemoryHierarchy:
-    def test_zionex_capacity(self):
-        hier = ZIONEX_NODE_HIERARCHY()
-        assert hier.total_capacity_bytes == pytest.approx(
-            256e9 + 1.5e12 + 4e12)
-
-    def test_fits(self):
-        hier = ZIONEX_NODE_HIERARCHY()
-        assert hier.fits(5e12)
-        assert not hier.fits(6e12)
-
-    def test_placement_waterfall(self):
-        hier = MemoryHierarchy([MemoryTier("a", 100, 1000),
-                                MemoryTier("b", 100, 100)])
-        assert hier.placement(150) == [100, 50]
-
-    def test_placement_overflow_raises(self):
-        hier = MemoryHierarchy([MemoryTier("a", 100, 1000)])
-        with pytest.raises(ValueError):
-            hier.placement(101)
-
-    def test_effective_bandwidth_harmonic(self):
-        hier = MemoryHierarchy([MemoryTier("fast", 1, 100),
-                                MemoryTier("slow", 1, 10)])
-        bw = hier.effective_bandwidth([0.5, 0.5])
-        assert bw == pytest.approx(1 / (0.5 / 100 + 0.5 / 10))
-
-    def test_effective_bandwidth_validates(self):
-        hier = MemoryHierarchy([MemoryTier("a", 1, 100)])
-        with pytest.raises(ValueError):
-            hier.effective_bandwidth([0.5])
-        with pytest.raises(ValueError):
-            hier.effective_bandwidth([0.5, 0.5])
-
-    def test_tier_ordering_enforced(self):
-        with pytest.raises(ValueError):
-            MemoryHierarchy([MemoryTier("slow", 1, 10),
-                             MemoryTier("fast", 1, 100)])
-
     def test_hbm_pcie_gap(self):
         """Section 4.1.3: HBM is ~36-50x faster than PCIe-bound UVM."""
         hbm = 7.2e12 / 8  # per GPU

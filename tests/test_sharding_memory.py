@@ -90,6 +90,15 @@ class TestValidation:
             validate_plan_memory(make_plan(), device_memory_bytes=1e9,
                                  framework_reserve_bytes=2e9)
 
+    @pytest.mark.parametrize("field", ["device_memory_bytes",
+                                       "framework_reserve_bytes"])
+    def test_nan_budget_raises(self, field):
+        """Regression: ``memory <= reserve`` let NaN through, so a NaN
+        budget validated every plan."""
+        with pytest.raises(ValueError, match=field):
+            validate_plan_memory(make_plan(), **{
+                "device_memory_bytes": 1e9, field: float("nan")})
+
     def test_row_wise_rescues_overflow(self):
         """The planner's escape hatch: the same table that overflows
         table-wise fits when split row-wise."""
