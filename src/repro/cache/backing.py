@@ -14,12 +14,15 @@ __all__ = ["ArrayBackingStore"]
 
 
 class ArrayBackingStore:
-    """Row store over a dense numpy array with transfer accounting."""
+    """Row store over a dense numpy array with transfer accounting.
+
+    The store adopts ``rows`` as its own (no copy) when they are
+    float32; writes through the store land in that array."""
 
     def __init__(self, rows: np.ndarray) -> None:
         if rows.ndim != 2:
             raise ValueError(f"expected (H, D) rows, got shape {rows.shape}")
-        self.rows = rows.astype(np.float32)
+        self.rows = np.asarray(rows, dtype=np.float32)
         self.bytes_read = 0
         self.bytes_written = 0
 

@@ -65,7 +65,8 @@ class CachedEmbeddingTable:
             weight = rng.uniform(
                 -limit, limit,
                 size=(config.num_embeddings, config.embedding_dim))
-        self.backing = ArrayBackingStore(np.asarray(weight, dtype=np.float32))
+        # a copy: training writes rows back through the store
+        self.backing = ArrayBackingStore(np.array(weight, dtype=np.float32))
         self.cache = cache
         self._saved: Optional[tuple] = None
         self.tracer = as_tracer(tracer)

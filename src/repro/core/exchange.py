@@ -519,6 +519,19 @@ class SparseExchange:
         return np.concatenate([self.shard_tables[s].weight
                                for s in self._stored(name)], axis=1)
 
+    def read(self, name: str) -> np.ndarray:
+        """The full (H, D) weight of one table, read-only and copied only
+        where it must be: the stored table's own rows when one stored
+        table holds every column (a table-wise, row-wise or data-parallel
+        table), else :meth:`gather`'s concatenation of the column
+        slices."""
+        stored = self._stored(name)
+        if len(stored) > 1:
+            return self.gather(name)
+        rows = self.shard_tables[stored[0]].weight.view()
+        rows.flags.writeable = False
+        return rows
+
     def _stored(self, name: str) -> List[Shard]:
         """One shard of each stored table of table ``name``, by column."""
         return sorted({s.col_range: s for s in self.plan.tables[name].shards

@@ -424,13 +424,17 @@ class NeoTrainer:
         return self.exchange.gather(name)
 
     def to_local_model(self, seed: int = 0) -> DLRM:
-        """Export current distributed state as a single-process DLRM."""
+        """Export current distributed state as a single-process DLRM.
+
+        Each table's rows are written into the new model's own arena
+        views, so the model holds every table once."""
         model = DLRM(self.config, seed=seed)
         for dst, src in zip(model.dense_parameters(),
                             self.ranks[0].dense_parameters()):
             dst.data = src.data.copy()
         for t in self.config.tables:
-            model.embeddings.table(t.name).weight = self.gather_table(t.name)
+            model.embeddings.table(t.name).weight[...] = \
+                self.exchange.read(t.name)
         return model
 
     def replicas_in_sync(self) -> bool:

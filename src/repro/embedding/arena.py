@@ -24,12 +24,17 @@ group-wide merge would be the concatenation of the per-table ones — and
 cache-sized sorts are the faster way to get it.
 
 Tables keep their identity: each :class:`EmbeddingTable`'s ``.weight``
-is re-pointed to a *view* of the arena storage, so per-table reads,
-per-table optimizers and checkpointing all keep working — and any update
-made through a table is immediately visible to the arena (and vice
-versa). If external code rebinds a table's ``weight`` attribute (e.g. a
-checkpoint restore), the arena detects the identity change on the next
-call and re-packs that table's rows.
+is a *view* of the arena storage, so per-table reads, per-table
+optimizers and checkpointing all keep working — and any update made
+through a table is immediately visible to the arena (and vice versa).
+An arena is built one way: each group's storage is allocated once from
+the table configs, then each table's view is filled from its source, in
+table order: an initializer's draw
+(:meth:`FusedEmbeddingCollection.from_configs`) or the rows a frozen
+artifact stores (:func:`repro.serving.freeze`). A table never exists
+outside the arena. If external code rebinds a table's ``weight``
+attribute (e.g. a checkpoint restore), the arena detects the identity
+change on the next call and re-packs that table's rows.
 
 Bit parity with the per-table path is exact, not approximate: a
 segment's reduction order depends only on the segment contents, so
@@ -43,14 +48,15 @@ loop in ``tests/reference_kernels.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from .kernels import (mean_pool, merge_sorted_coo, rebase_jagged,
                       segment_sum_gather)
 from .optim import SparseOptimizer
-from .table import EmbeddingTable, SparseGradient, pooled_backward
+from .table import (EmbeddingTable, EmbeddingTableConfig, SparseGradient,
+                    pooled_backward)
 
 __all__ = ["EmbeddingArena", "DimGroup"]
 
@@ -78,29 +84,42 @@ class EmbeddingArena:
     multi-table forward in one gather + one segment-reduce.
     """
 
-    def __init__(self, tables: Sequence[EmbeddingTable]) -> None:
-        if not tables:
+    def __init__(self, configs: Sequence[EmbeddingTableConfig],
+                 fill: Callable[[int, np.ndarray], None]) -> None:
+        """One table per config, set on its view of the arena storage.
+
+        Each dimension group's storage is allocated once from
+        ``configs``; then ``fill(i, view)`` writes the rows of
+        ``configs[i]`` straight into table ``i``'s view, in config order
+        (an initializer's draws keep their order), so no table is ever
+        held outside the arena."""
+        if not configs:
             raise ValueError("need at least one table")
-        by_dim: Dict[int, List[EmbeddingTable]] = {}
-        for t in tables:
-            by_dim.setdefault(t.config.embedding_dim, []).append(t)
-        self.groups: List[DimGroup] = []
-        self._group_of: Dict[str, DimGroup] = {}
-        for dim, group_tables in by_dim.items():
-            heights = [t.config.num_embeddings for t in group_tables]
+        names = [c.name for c in configs]
+        if len(set(names)) != len(names):
+            raise ValueError(f"duplicate table names: {names}")
+        by_dim: Dict[int, List[int]] = {}
+        for i, c in enumerate(configs):
+            by_dim.setdefault(c.embedding_dim, []).append(i)
+        views: List[np.ndarray] = [None] * len(configs)
+        layout = []
+        for dim, members in by_dim.items():
+            heights = [configs[i].num_embeddings for i in members]
             bases = np.zeros(len(heights), dtype=np.int64)
             np.cumsum(heights[:-1], out=bases[1:])
             storage = np.empty((int(sum(heights)), dim), dtype=np.float32)
-            group = DimGroup(dim=dim, tables=group_tables, storage=storage,
-                             bases=bases)
-            for t, base in zip(group_tables, bases):
-                view = storage[base:base + t.config.num_embeddings]
-                view[:] = t.weight
-                t.weight = view
-                group.views.append(view)
-            self.groups.append(group)
-            for t in group_tables:
-                self._group_of[t.name] = group
+            for i, base, height in zip(members, bases, heights):
+                views[i] = storage[base:base + height]
+            layout.append((dim, members, storage, bases))
+        tables: List[EmbeddingTable] = []
+        for i, view in enumerate(views):
+            fill(i, view)
+            tables.append(EmbeddingTable.over(configs[i], view))
+        self.tables = tables
+        self.groups = [DimGroup(dim=dim, tables=[tables[i] for i in members],
+                                storage=storage, bases=bases,
+                                views=[views[i] for i in members])
+                       for dim, members, storage, bases in layout]
 
     @property
     def num_groups(self) -> int:

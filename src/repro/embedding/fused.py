@@ -28,14 +28,15 @@ oracle ``tests/reference_kernels.py`` keeps.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..obs.tracer import as_tracer
 from .arena import EmbeddingArena
 from .optim import SparseOptimizer
-from .table import EmbeddingTable, EmbeddingTableConfig, SparseGradient
+from .table import (EmbeddingTable, EmbeddingTableConfig, SparseGradient,
+                    init_rows)
 
 __all__ = ["FusedEmbeddingCollection"]
 
@@ -53,16 +54,14 @@ class FusedEmbeddingCollection:
     read-only; the numerics are identical with it on or off.
     """
 
-    def __init__(self, tables: Sequence[EmbeddingTable], tracer=None,
+    def __init__(self, configs: Sequence[EmbeddingTableConfig],
+                 fill: Callable[[int, np.ndarray], None], tracer=None,
                  registry=None) -> None:
-        if not tables:
-            raise ValueError("need at least one table")
-        names = [t.name for t in tables]
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate table names: {names}")
-        self.tables = list(tables)
-        self._by_name = {t.name: t for t in tables}
-        self.arena = EmbeddingArena(self.tables)
+        """One table per config, each written by ``fill(i, view)`` straight
+        into its view of the arena (:class:`EmbeddingArena`)."""
+        self.arena = EmbeddingArena(configs, fill)
+        self.tables = self.arena.tables
+        self._by_name = {t.name: t for t in self.tables}
         self.kernel_launches = 0  # true dispatch count (see class docstring)
         self._pending_grads: Dict[str, SparseGradient] = {}
         self.tracer = as_tracer(tracer)
@@ -84,8 +83,12 @@ class FusedEmbeddingCollection:
     def from_configs(cls, configs: Sequence[EmbeddingTableConfig],
                      rng: Optional[np.random.Generator] = None
                      ) -> "FusedEmbeddingCollection":
+        """New tables drawn by the reference init straight into the arena
+        storage, table after table from one ``rng`` (the draws of
+        ``[EmbeddingTable(c, rng=rng) for c in configs]``)."""
         rng = rng if rng is not None else np.random.default_rng(0)
-        return cls([EmbeddingTable(c, rng=rng) for c in configs])
+        return cls(configs,
+                   lambda i, view: init_rows(configs[i], rng, view))
 
     @property
     def names(self) -> List[str]:

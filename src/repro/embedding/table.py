@@ -163,6 +163,15 @@ def pooled_backward(table, dy: np.ndarray) -> SparseGradient:
                           bag_ids=bag_ids)
 
 
+def init_rows(config: EmbeddingTableConfig, rng: np.random.Generator,
+              out: np.ndarray) -> None:
+    """Draw a new table's rows into ``out``: the DLRM reference init,
+    uniform in +-1/sqrt(H), drawn in float64 and rounded to float32 as
+    it is written."""
+    limit = 1.0 / np.sqrt(config.num_embeddings)
+    out[...] = rng.uniform(-limit, limit, size=out.shape)
+
+
 class EmbeddingTable:
     """One embedding table with pooled lookup and explicit sparse backward."""
 
@@ -170,21 +179,28 @@ class EmbeddingTable:
                  rng: Optional[np.random.Generator] = None,
                  weight: Optional[np.ndarray] = None) -> None:
         self.config = config
+        shape = (config.num_embeddings, config.embedding_dim)
         if weight is not None:
-            if weight.shape != (config.num_embeddings, config.embedding_dim):
+            if weight.shape != shape:
                 raise ValueError(
                     f"weight shape {weight.shape} does not match config "
-                    f"({config.num_embeddings}, {config.embedding_dim})")
+                    f"{shape}")
             self.weight = weight.astype(np.float32, copy=True)
         else:
-            rng = rng if rng is not None else np.random.default_rng(0)
-            # DLRM reference init: uniform in +-1/sqrt(H)
-            limit = 1.0 / np.sqrt(config.num_embeddings)
-            self.weight = rng.uniform(
-                -limit, limit,
-                size=(config.num_embeddings, config.embedding_dim),
-            ).astype(np.float32)
+            self.weight = np.empty(shape, dtype=np.float32)
+            init_rows(config, rng if rng is not None
+                      else np.random.default_rng(0), self.weight)
         self._saved: Optional[tuple] = None
+
+    @classmethod
+    def over(cls, config: EmbeddingTableConfig,
+             rows: np.ndarray) -> "EmbeddingTable":
+        """A table whose ``weight`` is ``rows`` itself, not a copy: how an
+        :class:`~repro.embedding.EmbeddingArena` sets a new table on its
+        view of the arena storage."""
+        table = cls.__new__(cls)
+        table.config, table.weight, table._saved = config, rows, None
+        return table
 
     @property
     def name(self) -> str:

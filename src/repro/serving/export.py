@@ -15,7 +15,8 @@ single-process :class:`repro.models.DLRM`) into a
   per-table max quantization error recorded on the artifact so serving
   error budgets are *measured*, not asserted;
 * **hierarchical placement** — each table is placed once, as a
-  ``(storage precision, tier)`` pair, then built by one loop. The tier
+  ``(storage precision, tier)`` pair, then written once, straight into
+  its tier's storage. The tier
   is the arena, the software cache in front of a DRAM backing store
   (the CacheEmbedding serving arrangement over :mod:`repro.cache`) or
   TT cores. Without a plan, an optional per-node HBM budget packs
@@ -39,7 +40,8 @@ from .. import check, lowp, nn
 from ..cache import CACHE_KINDS, ArrayBackingStore, make_cache
 from ..data.datagen import MiniBatch
 from ..data.freq import FrequencyStats
-from ..embedding import (EmbeddingTable, FusedEmbeddingCollection,
+from ..core.trainer import NeoTrainer
+from ..embedding import (FusedEmbeddingCollection,
                          TTEmbeddingTable, lengths_to_offsets, validate_bags)
 from ..embedding.dedup import dedup_cache_read, segment_keys
 from ..embedding.kernels import (expand_bag_ids, mean_pool,
@@ -101,9 +103,8 @@ class _ColdTable:
                  cache_kind: str, cache_fraction: float) -> None:
         self.name = name
         self.pooling_mode = pooling_mode
-        self.backing = ArrayBackingStore(weight)
-        # the store copies its input (astype), so freeze its copy too
-        self.backing.rows.flags.writeable = False
+        # the store adopts freeze's private rows; frozen, they serve reads
+        self.backing = ArrayBackingStore(_freeze_array(weight))
         num_rows, dim = weight.shape
         target = max(1, int(num_rows * cache_fraction))
         self.cache = make_cache(cache_kind, row_dim=dim,
@@ -429,22 +430,44 @@ def _planned(tables, plan) -> Dict[str, Tuple[str, str]]:
     return placement
 
 
+def _max_error(weight: np.ndarray, stored: np.ndarray) -> float:
+    """Largest per-element |fp32 - stored| of one table (0 if empty)."""
+    if not weight.size:
+        return 0.0
+    diff = weight - stored
+    return float(np.abs(diff, out=diff).max())
+
+
+def _reader(source):
+    """``(config, dense parameters, read)`` of a freeze source, where
+    ``read(name)`` returns one table's fp32 weight for reading, in place
+    wherever the source stores the table whole."""
+    if isinstance(source, NeoTrainer):
+        return (source.config, source.ranks[0].dense_parameters(),
+                source.exchange.read)
+    if isinstance(source, DLRM):
+        return (source.config, source.dense_parameters(),
+                lambda name: source.embeddings.table(name).weight)
+    raise TypeError(
+        f"freeze() needs a NeoTrainer or DLRM, got {type(source)!r}")
+
+
 def freeze(source, config: Optional[FreezeConfig] = None,
            step: Optional[int] = None,
            frequency_stats: Optional[FrequencyStats] = None,
            plan=None) -> ServableModel:
     """Snapshot a trainer or reference model into a :class:`ServableModel`.
 
-    ``source`` is a :class:`repro.core.NeoTrainer` (exported via its
-    ``to_local_model``, i.e. rank-0 dense replicas + gathered shards) or
-    a :class:`repro.models.DLRM`. ``step`` overrides the recorded
+    ``source`` is a :class:`repro.core.NeoTrainer` (rank 0's dense
+    replicas and the stored embedding tables) or a
+    :class:`repro.models.DLRM`. ``step`` overrides the recorded
     training-step provenance; by default a trainer's own step counter is
     stamped onto the artifact (``source_step``).
 
     Each table is placed once, as a storage precision and a tier
-    (``arena``, ``cache`` or ``tt``), then built by one loop that
-    records its max rounding error (``quantization_error``) and stored
-    bytes (``table_storage_bytes``). Without ``plan``, every table
+    (``arena``, ``cache`` or ``tt``), then built, recording its max
+    rounding error (``quantization_error``) and stored bytes
+    (``table_storage_bytes``). Without ``plan``, every table
     stores at ``cfg.precision`` and tables are packed into the
     ``cfg.hot_bytes`` arena budget smallest first, or by observed
     accesses *per byte* given ``frequency_stats`` (a
@@ -460,16 +483,19 @@ def freeze(source, config: Optional[FreezeConfig] = None,
     knobs shape the cache tier, and with ``frequency_stats`` caches that
     support histogram warm-up (the ``freq_aware`` kind) are pre-packed
     with each table's hottest rows.
+
+    Tables stream: each is read from the source on its own (a trainer's
+    stored table in place; a column-wise table's slices joined) and
+    written once, into its tier's final storage. An arena table is
+    rounded straight into its view of the arena, a cold table's backing
+    store adopts its rounded rows, and a TT table decomposes from the
+    weight read. The export holds one copy of each table, plus one
+    table's temporaries at a time.
     """
     cfg = config if config is not None else FreezeConfig()
     if step is None:
         step = int(getattr(source, "steps", 0))
-    model = source.to_local_model() if hasattr(source, "to_local_model") \
-        else source
-    if not isinstance(model, DLRM):
-        raise TypeError(
-            f"freeze() needs a NeoTrainer or DLRM, got {type(source)!r}")
-    dlrm_config = model.config
+    dlrm_config, dense, read = _reader(source)
     tables = dlrm_config.tables
     placement = _packing(tables, cfg, frequency_stats) if plan is None \
         else _planned(tables, plan)
@@ -490,42 +516,23 @@ def freeze(source, config: Optional[FreezeConfig] = None,
         if t.name in projections:
             dst_params.extend(projections[t.name].parameters())
     dst_params += top.parameters()
-    for dst, src in zip(dst_params, model.dense_parameters()):
+    for dst, src in zip(dst_params, dense):
         dst.data = _freeze_array(src.data.copy())
 
-    # embeddings, in config order (the hot collection keeps it)
-    hot: List[EmbeddingTable] = []
-    cold: Dict[str, _ColdTable] = {}
-    tt_tables: Dict[str, _TTServingTable] = {}
     errors: Dict[str, float] = {}
-    table_bytes: Dict[str, int] = {}
-    for t in tables:
-        weight = model.embeddings.table(t.name).weight
-        precision, tier = placement[t.name]
-        if tier == "tt":
-            ranks = plan.assignments[t.name].tt_ranks or (8, 8)
-            tt_tables[t.name] = tt = _TTServingTable(
-                t.name, weight, t.pooling_mode, ranks)
-            errors[t.name] = tt.max_error(weight)
-            table_bytes[t.name] = tt.storage_bytes
-            continue
-        stored = lowp.roundtrip(weight, precision)
-        errors[t.name] = float(np.max(np.abs(weight - stored))) \
-            if weight.size else 0.0
-        table_bytes[t.name] = lowp.table_bytes(
-            t.num_embeddings, t.embedding_dim, precision)
-        if tier == "arena":
-            hot.append(EmbeddingTable(t, weight=stored))
-            continue
-        cold[t.name] = _ColdTable(t.name, _freeze_array(stored),
-                                  t.pooling_mode, cfg.cache_kind,
-                                  cfg.cache_fraction)
-        if frequency_stats is not None:
-            cold[t.name].warm(frequency_stats.histogram(
-                t.name, t.num_embeddings))
+    # the arena tier: each table rounded straight into its view
+    hot = [t for t in tables if placement[t.name][1] == "arena"]
+
+    def fill(i: int, view: np.ndarray) -> None:
+        name = hot[i].name
+        weight = read(name)
+        precision = placement[name][0]
+        view[...] = weight if precision == "fp32" \
+            else lowp.roundtrip(weight, precision)
+        errors[name] = _max_error(weight, view)
     hot_collection = None
     if hot:
-        hot_collection = FusedEmbeddingCollection(hot)
+        hot_collection = FusedEmbeddingCollection(hot, fill)
         # a view's writeable flag is captured at creation, so freeze the
         # arena storage AND every table's view of it
         for group in hot_collection.arena.groups:
@@ -533,13 +540,40 @@ def freeze(source, config: Optional[FreezeConfig] = None,
             for view in group.views:
                 view.flags.writeable = False
 
+    # the cache and TT tiers, in config order
+    cold: Dict[str, _ColdTable] = {}
+    tt_tables: Dict[str, _TTServingTable] = {}
+    for t in tables:
+        precision, tier = placement[t.name]
+        if tier == "arena":
+            continue
+        weight = read(t.name)
+        if tier == "tt":
+            ranks = plan.assignments[t.name].tt_ranks or (8, 8)
+            tt_tables[t.name] = tt = _TTServingTable(
+                t.name, weight, t.pooling_mode, ranks)
+            errors[t.name] = tt.max_error(weight)
+            continue
+        stored = lowp.roundtrip(weight, precision)
+        errors[t.name] = _max_error(weight, stored)
+        cold[t.name] = _ColdTable(t.name, stored, t.pooling_mode,
+                                  cfg.cache_kind, cfg.cache_fraction)
+        if frequency_stats is not None:
+            cold[t.name].warm(frequency_stats.histogram(
+                t.name, t.num_embeddings))
+
     return ServableModel(
         config=dlrm_config,
         precision=cfg.precision if plan is None else "mixed",
         bottom=bottom, top=top,
         interaction=dlrm_config.make_interaction(), projections=projections,
         hot_tables=hot_collection, cold_tables=cold,
-        quantization_error=errors, source_step=step, tt_tables=tt_tables,
+        quantization_error={t.name: errors[t.name] for t in tables},
+        source_step=step, tt_tables=tt_tables,
         representation={} if plan is None else {
             t.name: plan.assignments[t.name].kind for t in tables},
-        table_storage_bytes=table_bytes)
+        table_storage_bytes={
+            t.name: tt_tables[t.name].storage_bytes if t.name in tt_tables
+            else lowp.table_bytes(t.num_embeddings, t.embedding_dim,
+                                  placement[t.name][0])
+            for t in tables})

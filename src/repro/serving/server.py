@@ -28,13 +28,13 @@ from typing import ClassVar, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .. import check
+from .. import check, lowp
 from ..data.formats import host_transfer_time
 from ..embedding import lengths_to_offsets
 from ..obs.metrics import MetricRegistry
 from ..obs.tracer import as_tracer
 from ..perf.devices import DeviceSpec, V100
-from ..perf.embedding_bw import embedding_lookup_time
+from ..perf.embedding_bw import embedding_achieved_bw
 from ..perf.gemm import mlp_time
 from ..perf.platform import ZIONEX_PLATFORM, PlatformSpec
 from .batcher import (BatchingPolicy, BatchPlan, MicroBatcher, RequestTrace,
@@ -116,6 +116,10 @@ class ServingPerfModel:
         the batch size alone, so it is derived once per ``(model,
         batch_size)`` (:class:`_ModelPrices`); ``h2d + bottom`` is kept
         as that very sum, which leaves every price bitwise unchanged.
+        ``lookup`` is :func:`~repro.perf.embedding_bw.embedding_lookup_time`
+        over the model's constant bandwidth, ``(nnz * dim * bytes) / bw +
+        launch``, then ``/ bw_fraction``; the two arguments are checked
+        once, here.
         """
         check.count("batch_size", batch_size)
         check.count("nnz", nnz, 0)
@@ -125,8 +129,8 @@ class ServingPerfModel:
             terms = prices.by_batch[batch_size] = prices.batch_terms(
                 batch_size)
         head, inter, top = terms
-        lookup = embedding_lookup_time(nnz, prices.avg_dim, self.device,
-                                       prices.lookup_precision)
+        lookup = nnz * prices.avg_dim * prices.lookup_bytes \
+            / prices.lookup_bw + self.device.kernel_launch_overhead
         lookup /= prices.bw_fraction
         return head + lookup + inter + top + self.overhead_s
 
@@ -163,7 +167,11 @@ class _ModelPrices:
         self.h2d_sample_bytes = total_l * 8 + cfg.dense_dim * 4
         self.avg_dim = max(1, int(np.mean([t.embedding_dim
                                            for t in cfg.tables])))
-        self.lookup_precision = _EMB_LOOKUP_PRECISION[model.precision]
+        lookup_precision = _EMB_LOOKUP_PRECISION[model.precision]
+        # the lookup's terms of embedding_lookup_time, derived once
+        self.lookup_bytes = lowp.bytes_per_element(lookup_precision)
+        self.lookup_bw = embedding_achieved_bw(self.device, self.avg_dim,
+                                               lookup_precision)
         self.bw_fraction = perf.bw_fraction(model)
         # interaction: memory-bound pairwise dots (same as training fwd)
         f = len(cfg.tables) + 1

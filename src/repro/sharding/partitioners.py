@@ -41,9 +41,11 @@ class Assignment:
 
 
 def _validate(costs: Sequence[float], num_bins: int) -> None:
+    """``num_bins`` a count, and every cost a finite number >= 0 (NaN
+    or inf would balance every bin on it), named by its index."""
     check.count("num_bins", num_bins)
-    if any(c < 0 for c in costs):
-        raise ValueError("costs must be non-negative")
+    for i, c in enumerate(costs):
+        check.nonnegative(f"costs[{i}]", c)
 
 
 def round_robin_partition(costs: Sequence[float],

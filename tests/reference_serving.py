@@ -39,6 +39,14 @@ equality with it:
 * ``trace_of_reference`` builds a trace straight from hand-built
   requests, one ``MiniBatch.concat`` per feature set. The product joins
   traces with ``RequestTrace.merge``.
+* ``freeze_reference`` exports through a whole local model: a trainer
+  becomes a ``DLRM`` (``to_local_model``), each table is rounded into a
+  new array, an arena table is built as an ``EmbeddingTable`` over that
+  array and then copied into the arena, and a cold table's
+  backing store gets a frozen copy. The product reads each table from
+  its source once and writes it straight into its tier's storage
+  (``freeze``); ``test_serving_export_stream.py`` holds the two
+  artifacts equal bit for bit.
 """
 
 from __future__ import annotations
@@ -49,14 +57,19 @@ from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
 
 import numpy as np
 
+from repro import lowp, nn
 from repro.data import MiniBatch
 from repro.data.formats import host_transfer_time
-from repro.embedding import EmbeddingTable, lengths_to_offsets
+from repro.embedding import (EmbeddingTable, FusedEmbeddingCollection,
+                             lengths_to_offsets)
 from repro.embedding.dedup import dedup_cache_read
+from repro.models import DLRM
 from repro.nn import functional as F
 from repro.perf.embedding_bw import embedding_lookup_time
 from repro.perf.gemm import mlp_time
-from repro.serving import RequestTrace
+from repro.serving import FreezeConfig, RequestTrace, ServableModel
+from repro.serving.export import (_ColdTable, _freeze_array, _packing,
+                                  _planned, _TTServingTable)
 from repro.serving.loadgen import ROUTER_STREAM
 from repro.serving.server import _EMB_LOOKUP_PRECISION
 
@@ -90,6 +103,94 @@ def service_time_reference(perf, model, batch_size: int, nnz: int) -> float:
     inter = inter_bytes / perf.device.hbm_achievable_bw \
         + perf.device.kernel_launch_overhead
     return h2d + bottom + lookup + inter + top + perf.overhead_s
+
+
+def freeze_reference(source, config: Optional[FreezeConfig] = None,
+                     step: Optional[int] = None, frequency_stats=None,
+                     plan=None) -> ServableModel:
+    """``freeze`` through a whole local model, every table copied on its
+    way: the source's tables (a trainer's gathered into a new ``DLRM``),
+    each rounded into a new array, then an ``EmbeddingTable`` copy and the
+    arena's packing copy (arena tables) or the backing store's frozen
+    array (cold tables)."""
+    cfg = config if config is not None else FreezeConfig()
+    if step is None:
+        step = int(getattr(source, "steps", 0))
+    model = source.to_local_model() if hasattr(source, "to_local_model") \
+        else source
+    if not isinstance(model, DLRM):
+        raise TypeError(
+            f"freeze() needs a NeoTrainer or DLRM, got {type(source)!r}")
+    dlrm_config = model.config
+    tables = dlrm_config.tables
+    placement = _packing(tables, cfg, frequency_stats) if plan is None \
+        else _planned(tables, plan)
+    bottom = nn.MLP((dlrm_config.dense_dim,) + dlrm_config.bottom_mlp,
+                    final_activation="relu", name="bottom")
+    top = nn.MLP((dlrm_config.interaction_dim,) + dlrm_config.top_mlp + (1,),
+                 name="top")
+    projections: Dict[str, nn.Linear] = {}
+    if dlrm_config.project_features:
+        for t in tables:
+            projections[t.name] = nn.Linear(
+                t.embedding_dim, dlrm_config.embedding_dim,
+                name=f"proj.{t.name}")
+    dst_params = bottom.parameters()
+    for t in tables:
+        if t.name in projections:
+            dst_params.extend(projections[t.name].parameters())
+    dst_params += top.parameters()
+    for dst, src in zip(dst_params, model.dense_parameters()):
+        dst.data = _freeze_array(src.data.copy())
+    hot: List[EmbeddingTable] = []
+    cold: Dict[str, _ColdTable] = {}
+    tt_tables: Dict[str, _TTServingTable] = {}
+    errors: Dict[str, float] = {}
+    table_bytes: Dict[str, int] = {}
+    for t in tables:
+        weight = model.embeddings.table(t.name).weight
+        precision, tier = placement[t.name]
+        if tier == "tt":
+            ranks = plan.assignments[t.name].tt_ranks or (8, 8)
+            tt_tables[t.name] = tt = _TTServingTable(
+                t.name, weight, t.pooling_mode, ranks)
+            errors[t.name] = tt.max_error(weight)
+            table_bytes[t.name] = tt.storage_bytes
+            continue
+        stored = lowp.roundtrip(weight, precision)
+        errors[t.name] = float(np.max(np.abs(weight - stored))) \
+            if weight.size else 0.0
+        table_bytes[t.name] = lowp.table_bytes(
+            t.num_embeddings, t.embedding_dim, precision)
+        if tier == "arena":
+            hot.append(EmbeddingTable(t, weight=stored))
+            continue
+        cold[t.name] = _ColdTable(t.name, _freeze_array(stored.copy()),
+                                  t.pooling_mode, cfg.cache_kind,
+                                  cfg.cache_fraction)
+        if frequency_stats is not None:
+            cold[t.name].warm(frequency_stats.histogram(
+                t.name, t.num_embeddings))
+    hot_collection = None
+    if hot:
+        def pack(i: int, view: np.ndarray) -> None:
+            view[...] = hot[i].weight
+        hot_collection = FusedEmbeddingCollection(
+            [t.config for t in hot], pack)
+        for group in hot_collection.arena.groups:
+            group.storage.flags.writeable = False
+            for view in group.views:
+                view.flags.writeable = False
+    return ServableModel(
+        config=dlrm_config,
+        precision=cfg.precision if plan is None else "mixed",
+        bottom=bottom, top=top,
+        interaction=dlrm_config.make_interaction(), projections=projections,
+        hot_tables=hot_collection, cold_tables=cold,
+        quantization_error=errors, source_step=step, tt_tables=tt_tables,
+        representation={} if plan is None else {
+            t.name: plan.assignments[t.name].kind for t in tables},
+        table_storage_bytes=table_bytes)
 
 
 def concat_reference(batches: Sequence[MiniBatch]) -> MiniBatch:

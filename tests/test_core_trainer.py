@@ -103,6 +103,39 @@ class TestSchemeEquivalence:
         assert trainer.replicas_in_sync()
 
 
+class TestToLocalModel:
+    """``to_local_model`` writes each table's rows into the new model's
+    own arena views: the model holds every table once, and its forward
+    is bitwise the forward of a model whose tables are rebound to the
+    gathered copies."""
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_tables_are_arena_views_with_the_trained_rows(self, scheme):
+        config = make_config()
+        world = 4
+        trainer = make_trainer(config, make_plan(config, world, scheme),
+                               world)
+        batches = dataset_for(config).batches(16, 3)
+        for b in batches[:2]:
+            trainer.train_step(b.split(world))
+        model = trainer.to_local_model()
+        for group in model.embeddings.arena.groups:
+            for t, view in zip(group.tables, group.views):
+                assert t.weight is view and view.base is group.storage
+                assert t.weight.tobytes() == \
+                    trainer.gather_table(t.name).tobytes()
+        # the model as it used to be built: tables rebound to copies
+        rebound = DLRM(config, seed=0)
+        for dst, src in zip(rebound.dense_parameters(),
+                            trainer.ranks[0].dense_parameters()):
+            dst.data = src.data.copy()
+        for t in config.tables:
+            rebound.embeddings.table(t.name).weight = \
+                trainer.gather_table(t.name)
+        assert model.forward(batches[2]).tobytes() == \
+            rebound.forward(batches[2]).tobytes()
+
+
 class TestAdaGradEquivalence:
     """The exact sparse optimizer claim (4.1.2): non-linear optimizers stay
     equivalent under distribution because duplicates merge before update."""

@@ -23,6 +23,17 @@ def make_tables(configs, seed=0):
     return [EmbeddingTable(c, rng=rng) for c in configs]
 
 
+def make_collection(configs, seed=0):
+    """The tables of ``make_tables(configs, seed)``, drawn straight into
+    an arena."""
+    return FusedEmbeddingCollection.from_configs(
+        configs, rng=np.random.default_rng(seed))
+
+
+def make_arena(configs, seed=0):
+    return make_collection(configs, seed).arena
+
+
 def clone_tables(tables):
     return [EmbeddingTable(t.config, weight=t.weight.copy()) for t in tables]
 
@@ -51,15 +62,17 @@ MIXED_CONFIGS = [
 
 class TestArenaLayout:
     def test_groups_by_dimension(self):
-        arena = EmbeddingArena(make_tables(MIXED_CONFIGS))
+        arena = make_arena(MIXED_CONFIGS)
         assert arena.num_groups == 2
         dims = sorted(g.dim for g in arena.groups)
         assert dims == [8, 16]
 
     def test_storage_is_contiguous_and_views_alias_it(self):
-        tables = make_tables(MIXED_CONFIGS)
-        before = {t.name: t.weight.copy() for t in tables}
-        arena = EmbeddingArena(tables)
+        # the arena's draws are the per-table init's, table after table
+        before = {t.name: t.weight for t in make_tables(MIXED_CONFIGS)}
+        arena = make_arena(MIXED_CONFIGS)
+        assert [t.name for t in arena.tables] == \
+            [c.name for c in MIXED_CONFIGS]
         for group in arena.groups:
             assert group.storage.flags.c_contiguous
             assert group.storage.shape == (
@@ -74,15 +87,15 @@ class TestArenaLayout:
                     before[t.name])
 
     def test_table_write_visible_to_arena(self):
-        tables = make_tables(MIXED_CONFIGS[:2])
-        arena = EmbeddingArena(tables)
+        arena = make_arena(MIXED_CONFIGS[:2])
+        tables = arena.tables
         tables[0].weight[3] = 42.0
         group = arena.groups[0]
         np.testing.assert_array_equal(group.storage[3], np.full(8, 42.0))
 
     def test_rebound_weight_resynced_on_forward(self):
-        tables = make_tables(MIXED_CONFIGS[:2], seed=1)
-        arena = EmbeddingArena(tables)
+        arena = make_arena(MIXED_CONFIGS[:2], seed=1)
+        tables = arena.tables
         # external rebind, e.g. a checkpoint restore
         fresh = np.random.default_rng(9).normal(
             size=tables[0].weight.shape).astype(np.float32)
@@ -97,21 +110,44 @@ class TestArenaLayout:
             out["sum_a"], ref.forward(*batch["sum_a"]))
 
     def test_memory_bytes(self):
-        arena = EmbeddingArena(make_tables(MIXED_CONFIGS))
+        arena = make_arena(MIXED_CONFIGS)
         expected = sum(c.num_embeddings * c.embedding_dim * 4
                        for c in MIXED_CONFIGS)
         assert arena.memory_bytes() == expected
 
     def test_empty_tables_rejected(self):
         with pytest.raises(ValueError):
-            EmbeddingArena([])
+            EmbeddingArena([], lambda i, view: None)
+
+    def test_fill_writes_each_view_in_config_order(self):
+        """The one build path: storage allocated from the configs, then
+        each table's view handed to ``fill`` in config order (across dim
+        groups), and the table set on that very view."""
+        seen = []
+
+        def fill(i, view):
+            seen.append((i, view.shape))
+            view[...] = i
+        arena = EmbeddingArena(MIXED_CONFIGS, fill)
+        assert seen == [(i, (c.num_embeddings, c.embedding_dim))
+                        for i, c in enumerate(MIXED_CONFIGS)]
+        for i, t in enumerate(arena.tables):
+            assert t.config is MIXED_CONFIGS[i]
+            assert (t.weight == i).all()
+        for group in arena.groups:
+            for t, view in zip(group.tables, group.views):
+                assert t.weight is view and view.base is group.storage
+
+    def test_duplicate_names_rejected(self):
+        with pytest.raises(ValueError, match="duplicate"):
+            EmbeddingArena(MIXED_CONFIGS[:1] * 2, lambda i, view: None)
 
 
 class TestForwardParity:
     @pytest.mark.parametrize("seed", range(5))
     def test_bitwise_vs_loop_mode(self, seed):
         rng = np.random.default_rng(seed)
-        arena_c = FusedEmbeddingCollection(make_tables(MIXED_CONFIGS, seed))
+        arena_c = make_collection(MIXED_CONFIGS, seed)
         loop = clone_tables(arena_c.tables)
         batch = random_batch(MIXED_CONFIGS, 16, rng)
         out_a, out_l = arena_c.forward(batch), looped_forward(loop, batch)
@@ -120,7 +156,7 @@ class TestForwardParity:
 
     def test_close_to_add_at_reference(self):
         rng = np.random.default_rng(3)
-        arena_c = FusedEmbeddingCollection(make_tables(MIXED_CONFIGS))
+        arena_c = make_collection(MIXED_CONFIGS)
         refs = clone_tables(arena_c.tables)
         batch = random_batch(MIXED_CONFIGS, 16, rng, max_len=20)
         out = arena_c.forward(batch)
@@ -131,7 +167,7 @@ class TestForwardParity:
 
     def test_all_empty_batch(self):
         configs = MIXED_CONFIGS[:3]
-        arena_c = FusedEmbeddingCollection(make_tables(configs))
+        arena_c = make_collection(configs)
         batch = {c.name: (np.zeros(0, dtype=np.int64),
                           np.zeros(9, dtype=np.int64)) for c in configs}
         out = arena_c.forward(batch)
@@ -142,7 +178,7 @@ class TestForwardParity:
         # arena.forward primes each table's saved state, so table.backward
         # must keep working.
         configs = MIXED_CONFIGS[:2]
-        arena_c = FusedEmbeddingCollection(make_tables(configs))
+        arena_c = make_collection(configs)
         loop = clone_tables(arena_c.tables)
         rng = np.random.default_rng(4)
         batch = random_batch(configs, 8, rng)
@@ -159,7 +195,7 @@ class TestBackwardParity:
     @pytest.mark.parametrize("seed", range(3))
     def test_sparse_gradients_bitwise(self, seed):
         rng = np.random.default_rng(seed + 10)
-        arena_c = FusedEmbeddingCollection(make_tables(MIXED_CONFIGS, seed))
+        arena_c = make_collection(MIXED_CONFIGS, seed)
         loop = clone_tables(arena_c.tables)
         batch = random_batch(MIXED_CONFIGS, 12, rng)
         arena_c.forward(batch)
@@ -178,7 +214,7 @@ class TestBackwardParity:
     @pytest.mark.parametrize("seed", range(3))
     def test_fused_update_bitwise(self, make_opt, seed):
         rng = np.random.default_rng(seed + 20)
-        arena_c = FusedEmbeddingCollection(make_tables(MIXED_CONFIGS, seed))
+        arena_c = make_collection(MIXED_CONFIGS, seed)
         loop = clone_tables(arena_c.tables)
         opt_a, opt_l = make_opt(), make_opt()
         for step in range(3):   # multi-step: optimizer state must agree too
@@ -195,14 +231,14 @@ class TestBackwardParity:
                     err_msg=f"step {step} table {t.name}")
 
     def test_backward_before_forward_raises(self):
-        arena = EmbeddingArena(make_tables(MIXED_CONFIGS[:1]))
+        arena = make_arena(MIXED_CONFIGS[:1])
         with pytest.raises(RuntimeError):
             arena.backward({"sum_a": np.zeros((2, 8), dtype=np.float32)})
 
 
 class TestKernelLaunchAccounting:
     def test_arena_counts_one_launch_per_dim_group(self):
-        coll = FusedEmbeddingCollection(make_tables(MIXED_CONFIGS))
+        coll = make_collection(MIXED_CONFIGS)
         batch = random_batch(MIXED_CONFIGS, 4, np.random.default_rng(0))
         coll.forward(batch)
         assert coll.kernel_launches == 2  # dims {8, 16}
@@ -213,7 +249,7 @@ class TestKernelLaunchAccounting:
 
     def test_uniform_dim_model_is_single_dispatch(self):
         configs = [EmbeddingTableConfig(f"t{i}", 20, 8) for i in range(10)]
-        coll = FusedEmbeddingCollection(make_tables(configs))
+        coll = make_collection(configs)
         batch = random_batch(configs, 4, np.random.default_rng(1))
         coll.forward(batch)
         assert coll.kernel_launches == 1

@@ -28,13 +28,12 @@ def make_batch(collection, batch_size=2, per_bag=3, seed=0):
 class TestConstruction:
     def test_empty_raises(self):
         with pytest.raises(ValueError):
-            FusedEmbeddingCollection([])
+            FusedEmbeddingCollection.from_configs([])
 
     def test_duplicate_names_raise(self):
         cfg = EmbeddingTableConfig("same", 4, 4)
-        tables = [EmbeddingTable(cfg), EmbeddingTable(cfg)]
         with pytest.raises(ValueError):
-            FusedEmbeddingCollection(tables)
+            FusedEmbeddingCollection.from_configs([cfg, cfg])
 
     def test_num_parameters(self):
         coll = make_collection(num_tables=3, h=10, d=4)

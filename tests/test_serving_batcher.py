@@ -13,6 +13,7 @@ loop, so every invariant holds per tenant, with "previous completion"
 read off the shared timeline.
 """
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -21,10 +22,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data import MiniBatch
+from repro.models import DLRM, zoo_config
+from repro.perf import PlatformSpec
 from repro.serving import (BatchingPolicy, InferenceRequest, MicroBatcher,
-                           MultiTenantBatcher)
+                           MultiTenantBatcher, ServingPerfModel, freeze)
 
 from .helpers import trace_of
+from .reference_serving import service_time_reference
 
 
 def req(request_id, arrival_s, samples=1, tenant=None):
@@ -421,3 +425,40 @@ class TestPinnedSchedules:
                 samples_service(batch_size, nnz)
                 * (2.0 if tenant == "b" else 1.0))
         assert {t: schedule_digest(p) for t, p in plans.items()} == digests
+
+
+class TestPinnedPrices:
+    """Every price over a grid of perf models, precisions, batch sizes
+    and id counts: bit for bit the reference formula
+    (``service_time_reference``) and a digest recorded before the lookup
+    bandwidth became a per-model constant. Any reordering of the sum
+    fails here."""
+
+    DIGEST = "a819415355a555e9"
+
+    def test_grid(self):
+        spilling = PlatformSpec(name="spilling", hbm_per_node_bytes=40e3,
+                                dram_per_node_bytes=1e12,
+                                hbm_bw_per_node=850e9,
+                                dram_link_bw_per_node=12e9)
+        perfs = (ServingPerfModel(),
+                 ServingPerfModel(platform=spilling, nodes=2,
+                                  overhead_s=4e-3),
+                 ServingPerfModel(platform=spilling, cache_hit_boost=0.0,
+                                  overhead_s=0.0))
+        rows = []
+        for size in ("small", "large"):
+            base = freeze(DLRM(zoo_config(size), seed=0))
+            for precision in ("fp32", "fp16", "bf16", "int8", "mixed"):
+                model = dataclasses.replace(base, precision=precision)
+                for perf in perfs:
+                    for batch_size in (1, 2, 3, 7, 64, 128, 1000):
+                        for nnz in (0, 1, 17, 40 * batch_size, 10 ** 7,
+                                    2 ** 40):
+                            price = perf.service_time(model, batch_size,
+                                                      nnz)
+                            assert price.hex() == service_time_reference(
+                                perf, model, batch_size, nnz).hex()
+                            rows.append(price.hex())
+        digest = hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
+        assert digest == self.DIGEST

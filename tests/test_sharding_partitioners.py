@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sharding import (greedy_partition, ldm_partition,
-                            partition_quality)
+                            partition_quality, round_robin_partition)
 
 
 def check_valid(assignment, costs, num_bins):
@@ -15,6 +15,28 @@ def check_valid(assignment, costs, num_bins):
     assert all_items == list(range(len(costs)))
     for b, load in zip(assignment.bins, assignment.loads):
         assert load == pytest.approx(sum(costs[i] for i in b))
+
+
+class TestCostContract:
+    """Every partitioner rejects a cost that is not a finite number >= 0,
+    naming its index: a NaN or inf cost used to pass and come back as a
+    NaN or inf bin load."""
+
+    @pytest.mark.parametrize("partition", [greedy_partition, ldm_partition,
+                                           round_robin_partition])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0,
+                                     np.float64("nan")])
+    def test_bad_cost_raises_naming_its_index(self, partition, bad):
+        with pytest.raises(ValueError, match=r"costs\[1\]"):
+            partition([1.0, bad, 2.0], 2)
+
+    @pytest.mark.parametrize("partition", [greedy_partition, ldm_partition,
+                                           round_robin_partition])
+    def test_zero_and_numpy_costs_pass(self, partition):
+        costs = [0, np.float64(2.5), np.int64(3), 0.0]
+        a = partition(costs, 2)
+        assert sorted(i for b in a.bins for i in b) == [0, 1, 2, 3]
+        assert sum(a.loads) == pytest.approx(5.5)
 
 
 class TestGreedy:
