@@ -78,14 +78,14 @@ def make_traces(config, alpha):
 
 
 def build_variant(name, config):
-    d, capacity = config["dim"], config["capacity"]
+    capacity = config["capacity"]
     if name == "uvm":
-        return make_cache("uvm", row_dim=d, capacity_rows=capacity,
+        return make_cache("uvm", capacity_rows=capacity,
                           rows_per_page=config["uvm_rows_per_page"])
     if name == "set_associative":
-        return make_cache("set_associative", row_dim=d,
-                          capacity_rows=capacity, ways=32, policy="lru")
-    return make_cache("freq_aware", row_dim=d, capacity_rows=capacity,
+        return make_cache("set_associative", capacity_rows=capacity,
+                          ways=32, policy="lru")
+    return make_cache("freq_aware", capacity_rows=capacity,
                       chunk_rows=config["chunk_rows"])
 
 

@@ -1,12 +1,14 @@
-"""Software-managed memory hierarchy: the unified :class:`RowCache`
-protocol, set-associative row cache, UVM page cache baseline,
-frequency-aware chunked hot store with pipelined prefetch, and an
-embedding table behind a cache (paper Section 4.1.3)."""
+"""Read-only software-managed memory hierarchy (paper Section 4.1.3).
+
+The unified :class:`RowCache` protocol, set-associative row cache, UVM
+page cache baseline, and frequency-aware chunked hot store with
+pipelined prefetch, over a read-only :class:`ArrayBackingStore`. The
+caches serve the frozen cold tables; no training table reads through
+one, so no write-back is modelled."""
 
 from .api import CACHE_KINDS, CacheStats, RowCache, RowCacheBase, make_cache
 from .backing import ArrayBackingStore
 from .freq_aware import FreqAwareCache, PrefetchPipeline
-from .hierarchy import CachedEmbeddingTable
 from .set_associative import SetAssociativeCache
 from .uvm import UVMPageCache
 
@@ -21,5 +23,4 @@ __all__ = [
     "UVMPageCache",
     "FreqAwareCache",
     "PrefetchPipeline",
-    "CachedEmbeddingTable",
 ]

@@ -7,23 +7,23 @@ ad-hoc constructor signature and stats counters. This module is the
 single contract they all implement:
 
 * :class:`CacheStats` — one stats dataclass shared by every
-  implementation (hits/misses/evictions/writebacks plus ``fills``, the
-  demand fetches from the backing store, and ``prefetched_rows``, the
-  rows staged ahead of use). ``reset_stats()`` is defined once on
+  implementation (hits/misses/evictions plus ``fills``, the demand
+  fetches from the backing store, and ``prefetched_rows``, the rows
+  staged ahead of use). ``reset_stats()`` is defined once on
   :class:`RowCacheBase`, so no implementation can drift its own partial
   reset again.
-* :class:`RowCache` — a :class:`typing.Protocol` naming the six-method
-  surface (``read`` / ``write`` / ``flush`` / ``contains`` /
-  ``prefetch_rows`` / ``reset_stats`` plus the ``stats`` and
-  ``capacity_rows`` attributes). Consumers (``CachedEmbeddingTable``,
-  ``serving.export``, the benchmarks) type against this, never against a
-  concrete class.
+* :class:`RowCache` — a :class:`typing.Protocol` naming the read-only
+  surface: ``read`` and ``reset_stats`` plus the ``stats`` and
+  ``capacity_rows`` attributes. Consumers (``serving.export``, the
+  benchmarks) type against this, never against a concrete class.
 * :func:`make_cache` — the one factory: every cache is built as
-  ``make_cache(kind, row_dim=D, capacity_rows=N, **cfg)`` with a
-  like-for-like capacity in rows, so policies are swappable at every
-  call site. The legacy geometry-first constructor forms (e.g.
-  ``SetAssociativeCache(num_sets=...)``) were removed after their
-  deprecation window.
+  ``make_cache(kind, capacity_rows=N, **cfg)`` with a like-for-like
+  capacity in rows, so policies are swappable at every call site.
+
+A cache holds residency and policy state only, never row data: the
+backing store is read-only, so a resident row always equals its backing
+row and a read gathers straight from it. Fills still count their bytes
+against the backing store, in each kind's own granularity.
 """
 
 from __future__ import annotations
@@ -47,14 +47,13 @@ class CacheStats:
     ``fills`` counts demand fetches from the backing store in the
     cache's native granularity (rows for row caches, pages for the UVM
     baseline); ``prefetched_rows`` counts rows made resident by
-    :meth:`RowCache.prefetch_rows` ahead of their first access, which
-    never count as misses.
+    :meth:`repro.cache.FreqAwareCache.prefetch_rows` ahead of their
+    first access, which never count as misses.
     """
 
     hits: int = 0
     misses: int = 0
     evictions: int = 0
-    writebacks: int = 0
     fills: int = 0
     prefetched_rows: int = 0
 
@@ -77,15 +76,15 @@ class RowCache(Protocol):
     """The uniform software-cache surface in front of a backing store.
 
     Every method takes the backing store explicitly — a cache is a
-    placement policy, not an owner of the canonical rows — and all
+    placement policy, not an owner of the rows — and all
     implementations are *exact*: a read through the cache is bitwise
     identical to an uncached :meth:`ArrayBackingStore.read_rows`.
 
     **Sequence contract** (``set_associative``, ``uvm``). :meth:`read`
     handles its ids one at a time, in order, and keeps no per-call state,
     so ``read(concat(a, b))`` is ``read(a)`` followed by ``read(b)``: the
-    same rows, stats, residency, dirty lines and backing-store byte
-    counts (``tests/test_cache_sequence.py``).
+    same rows, stats, residency and backing-store byte counts
+    (``tests/test_cache_sequence.py``).
 
     **Window contract** (``freq_aware``). :meth:`read` decides admission
     once per call, over all of its ids, so where one call ends and the
@@ -107,24 +106,6 @@ class RowCache(Protocol):
     def read(self, row_ids: np.ndarray,
              backing: ArrayBackingStore) -> np.ndarray:
         """Read rows through the cache; misses fetch from ``backing``."""
-        ...
-
-    def write(self, row_ids: np.ndarray, values: np.ndarray,
-              backing: ArrayBackingStore) -> None:
-        """Write rows through the cache (write-back, write-allocate)."""
-        ...
-
-    def flush(self, backing: ArrayBackingStore) -> int:
-        """Write back everything dirty; returns units written."""
-        ...
-
-    def contains(self, row_id: int) -> bool:
-        """Whether ``row_id`` is resident in the fast tier."""
-        ...
-
-    def prefetch_rows(self, row_ids: np.ndarray,
-                      backing: ArrayBackingStore) -> int:
-        """Stage rows ahead of use; returns rows newly made resident."""
         ...
 
     def reset_stats(self) -> None:
@@ -162,22 +143,20 @@ class RowCacheBase:
         return ids
 
 
-def _make_set_associative(row_dim: int, capacity_rows: int, **cfg):
+def _make_set_associative(capacity_rows: int, **cfg):
     from .set_associative import SetAssociativeCache
-    return SetAssociativeCache(row_dim=row_dim, capacity_rows=capacity_rows,
-                               **cfg)
+    return SetAssociativeCache(capacity_rows=capacity_rows, **cfg)
 
 
-def _make_uvm(row_dim: int, capacity_rows: int, **cfg):
+def _make_uvm(capacity_rows: int, **cfg):
     from .uvm import UVMPageCache
     cfg.setdefault("rows_per_page", min(64, max(1, capacity_rows)))
-    return UVMPageCache(capacity_rows=capacity_rows, row_dim=row_dim, **cfg)
+    return UVMPageCache(capacity_rows=capacity_rows, **cfg)
 
 
-def _make_freq_aware(row_dim: int, capacity_rows: int, **cfg):
+def _make_freq_aware(capacity_rows: int, **cfg):
     from .freq_aware import FreqAwareCache
-    return FreqAwareCache(capacity_rows=capacity_rows, row_dim=row_dim,
-                          **cfg)
+    return FreqAwareCache(capacity_rows=capacity_rows, **cfg)
 
 
 _FACTORIES = {
@@ -189,8 +168,7 @@ _FACTORIES = {
 CACHE_KINDS = tuple(sorted(_FACTORIES))
 
 
-def make_cache(kind: str, *, row_dim: int, capacity_rows: int,
-               **cfg) -> RowCache:
+def make_cache(kind: str, *, capacity_rows: int, **cfg) -> RowCache:
     """Build any registered :class:`RowCache` from one normalized spec.
 
     Parameters
@@ -198,8 +176,6 @@ def make_cache(kind: str, *, row_dim: int, capacity_rows: int,
     kind:
         One of :data:`CACHE_KINDS` (``"set_associative"``, ``"uvm"``,
         ``"freq_aware"``).
-    row_dim:
-        Row width ``D``; cached data is float32.
     capacity_rows:
         Fast-tier capacity in rows — the like-for-like budget every kind
         is sized by (implementations may round down to their natural
@@ -213,7 +189,5 @@ def make_cache(kind: str, *, row_dim: int, capacity_rows: int,
         raise ValueError(
             f"unknown cache kind {kind!r}; expected one of "
             f"{list(CACHE_KINDS)}")
-    check.count("row_dim", row_dim)
     check.count("capacity_rows", capacity_rows)
-    return _FACTORIES[kind](row_dim=row_dim, capacity_rows=capacity_rows,
-                            **cfg)
+    return _FACTORIES[kind](capacity_rows=capacity_rows, **cfg)

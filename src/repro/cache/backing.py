@@ -14,17 +14,18 @@ __all__ = ["ArrayBackingStore"]
 
 
 class ArrayBackingStore:
-    """Row store over a dense numpy array with transfer accounting.
+    """Read-only row store over a dense array, with transfer accounting.
 
-    The store adopts ``rows`` as its own (no copy) when they are
-    float32; writes through the store land in that array."""
+    The store adopts ``rows`` (no copy when they are float32) and holds
+    them through a read-only view: nothing writes through the store, so
+    a row a cache holds resident always equals its backing row."""
 
     def __init__(self, rows: np.ndarray) -> None:
         if rows.ndim != 2:
             raise ValueError(f"expected (H, D) rows, got shape {rows.shape}")
-        self.rows = np.asarray(rows, dtype=np.float32)
+        self.rows = np.asarray(rows, dtype=np.float32).view()
+        self.rows.flags.writeable = False
         self.bytes_read = 0
-        self.bytes_written = 0
 
     @property
     def num_rows(self) -> int:
@@ -39,13 +40,14 @@ class ArrayBackingStore:
         return self.row_dim * 4
 
     def read_rows(self, row_ids: np.ndarray) -> np.ndarray:
-        self.bytes_read += len(row_ids) * self.row_bytes
-        return self.rows[row_ids].copy()
+        """The rows at ``row_ids``: an uncached read of this tier."""
+        self.count_read(len(row_ids))
+        return self.rows[row_ids]
 
-    def write_rows(self, row_ids: np.ndarray, values: np.ndarray) -> None:
-        self.bytes_written += len(row_ids) * self.row_bytes
-        self.rows[row_ids] = values
+    def count_read(self, num_rows: int) -> None:
+        """Count ``num_rows`` rows as moved from this tier. A cache fill
+        needs only the count: its reads gather from :attr:`rows`."""
+        self.bytes_read += num_rows * self.row_bytes
 
     def reset_counters(self) -> None:
         self.bytes_read = 0
-        self.bytes_written = 0

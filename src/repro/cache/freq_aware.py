@@ -19,13 +19,14 @@ this repo's exact-functional substrate:
   batch.
 * :class:`PrefetchPipeline` overlaps the remaining misses with compute:
   while batch ``k`` runs, the rows batch ``k+1`` needs are staged via
-  :meth:`RowCache.prefetch_rows` inside a ``cache.prefetch`` span, and
-  the pipeline accounts how much of the staging time hides under the
+  :meth:`FreqAwareCache.prefetch_rows` inside a ``cache.prefetch`` span,
+  and the pipeline accounts how much of the staging time hides under the
   compute window (the ``repro.obs`` spans carry the measured overlap;
   the benchmark prices exposed bytes at slow-tier bandwidth).
 
-Both are exact: every read through the cache is bitwise identical to an
-uncached :meth:`ArrayBackingStore.read_rows` (hypothesis-fuzzed in
+Both are exact: the cache keeps slots and scores, never row data, and
+every read gathers from the read-only backing store, bitwise identical
+to an uncached :meth:`ArrayBackingStore.read_rows` (hypothesis-fuzzed in
 ``tests/test_cache_api.py`` and ``tests/test_cache_window.py``).
 """
 
@@ -51,8 +52,6 @@ class FreqAwareCache(RowCacheBase):
     ----------
     capacity_rows:
         Fast-tier budget in rows; rounded down to whole chunks.
-    row_dim:
-        Row width ``D``; cached data is float32.
     chunk_rows:
         Rows per chunk — the admission/eviction granularity. Chunks
         amortize transfer setup (the real system moves chunks, not rows)
@@ -69,9 +68,8 @@ class FreqAwareCache(RowCacheBase):
       last), then empty chunks, lowest index first;
     * then, while the best remaining row's count reaches the lowest
       chunk score per row (``score / chunk_rows``), that chunk is evicted
-      (dirty rows written back) and refilled with up to ``chunk_rows``
-      of the rows that pass. A chunk this call filled is never its
-      victim;
+      and refilled with up to ``chunk_rows`` of the rows that pass. A
+      chunk this call filled is never its victim;
     * an admitted row adds its count to its chunk's score.
 
     Chunk scores are seeded from the warm histogram when :meth:`warm`
@@ -83,19 +81,15 @@ class FreqAwareCache(RowCacheBase):
     policy would.
     """
 
-    def __init__(self, capacity_rows: int, row_dim: int,
-                 chunk_rows: int = 64) -> None:
+    def __init__(self, capacity_rows: int, chunk_rows: int = 64) -> None:
         check.count("capacity_rows", capacity_rows)
         check.count("chunk_rows", chunk_rows)
         super().__init__()
         self.chunk_rows = min(chunk_rows, capacity_rows)
         self.capacity_chunks = max(1, capacity_rows // self.chunk_rows)
-        self.row_dim = row_dim
-        # slot s belongs to chunk s // chunk_rows
+        # slot s belongs to chunk s // chunk_rows; it holds a row id
         slots = self.capacity_chunks * self.chunk_rows
-        self._data = np.zeros((slots, row_dim), dtype=np.float32)
         self._row_ids = np.full(slots, -1, dtype=np.int64)
-        self._dirty = np.zeros(slots, dtype=bool)
         self._fill_counts = np.zeros(self.capacity_chunks, dtype=np.int64)
         self._scores = np.zeros(self.capacity_chunks, dtype=np.float64)
         # per backing row, sized on first use: its slot (-1 if not
@@ -103,7 +97,6 @@ class FreqAwareCache(RowCacheBase):
         self._slot_of = np.zeros(0, dtype=np.int64)
         self._counts = np.zeros(0, dtype=np.int64)
         self._open: Optional[int] = None  # chunk admitted into last
-        self.warmed_rows = 0
 
     @property
     def capacity_rows(self) -> int:
@@ -121,25 +114,20 @@ class FreqAwareCache(RowCacheBase):
             self._counts = np.concatenate(
                 [self._counts, np.zeros(grow, dtype=np.int64)])
 
-    def _evict_chunk(self, chunk: int, backing: ArrayBackingStore) -> None:
-        """Drop every row of ``chunk``, writing back the dirty ones."""
+    def _evict_chunk(self, chunk: int) -> None:
+        """Drop every row of ``chunk``."""
         lo = chunk * self.chunk_rows
         hi = lo + int(self._fill_counts[chunk])
-        dirty = lo + np.flatnonzero(self._dirty[lo:hi])
-        if len(dirty):
-            backing.write_rows(self._row_ids[dirty], self._data[dirty])
-            self.stats.writebacks += len(dirty)
         self._slot_of[self._row_ids[lo:hi]] = -1
         self.stats.evictions += hi - lo
         self._row_ids[lo:hi] = -1
-        self._dirty[lo:hi] = False
         self._fill_counts[chunk] = 0
         self._scores[chunk] = 0.0
 
     def _place(self, chunk: int, rows: np.ndarray,
                scores: np.ndarray) -> int:
         """Put the head of ``rows`` into ``chunk``'s free slots; returns
-        how many fit. Their data is the caller's to write."""
+        how many fit."""
         fill = int(self._fill_counts[chunk])
         count = min(self.chunk_rows - fill, len(rows))
         slots = chunk * self.chunk_rows + fill + np.arange(count)
@@ -150,7 +138,7 @@ class FreqAwareCache(RowCacheBase):
         return count
 
     def _admit(self, rows: np.ndarray, scores: np.ndarray,
-               backing: ArrayBackingStore, gate: bool = True) -> int:
+               gate: bool = True) -> int:
         """Admit the head of ``rows`` (ranked best first, ``scores`` the
         score each adds to its chunk) and return how many were admitted.
 
@@ -158,8 +146,7 @@ class FreqAwareCache(RowCacheBase):
         lowest index first. Then the lowest-score chunk not filled by
         this call is evicted and refilled, while the best remaining row
         passes: with ``gate``, its score must reach the victim's score
-        per row; without, every row passes. The admitted rows' data and
-        dirty bits are the caller's to write."""
+        per row; without, every row passes."""
         fill = self._fill_counts
         targets = np.flatnonzero(fill == 0).tolist()
         if self._open is not None and fill[self._open] < self.chunk_rows:
@@ -182,20 +169,19 @@ class FreqAwareCache(RowCacheBase):
                 head >= self._scores[victim] / self.chunk_rows))
             if passing == 0:
                 break
-            self._evict_chunk(victim, backing)
+            self._evict_chunk(victim)
             admitted += self._place(victim, rows[admitted:admitted + passing],
                                     scores[admitted:admitted + passing])
             fresh[victim] = True
             self._open = victim
         return admitted
 
-    def _access(self, ids: np.ndarray
-                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    def _access(self, ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray, int]:
         """Count every occurrence of ``ids`` and score the hits on rows
         resident at the start of the call. Returns the distinct rows
-        (sorted), their slots then (-1 for a miss), the order of the
-        missed ones, as indices into the rows, ranked by count, highest
-        first, ties by row id, and the number of missed occurrences."""
+        (sorted), the order of the missed ones, as indices into the rows,
+        ranked by count, highest first, ties by row id, and the number
+        of missed occurrences."""
         rows, counts = np.unique(ids, return_counts=True)
         self._counts[rows] += counts
         slots = self._slot_of[rows]
@@ -209,7 +195,7 @@ class FreqAwareCache(RowCacheBase):
         missed = np.flatnonzero(~hit)
         ranked = missed[np.argsort(-self._counts[rows[missed]],
                                    kind="stable")]
-        return rows, slots, ranked, misses
+        return rows, ranked, misses
 
     # ------------------------------------------------------------------
     # warm-up from frequency statistics
@@ -242,12 +228,11 @@ class FreqAwareCache(RowCacheBase):
         slots = chunks * self.chunk_rows + position % self.chunk_rows
         self._row_ids[slots] = ids
         self._slot_of[ids] = slots
-        self._data[slots] = backing.read_rows(ids)
+        backing.count_read(len(ids))
         self._fill_counts += np.bincount(chunks,
                                          minlength=self.capacity_chunks)
         self._scores += np.bincount(chunks, weights=histogram[ids],
                                     minlength=self.capacity_chunks)
-        self.warmed_rows += len(ids)
         self.stats.fills += len(ids)
         return len(ids)
 
@@ -258,63 +243,15 @@ class FreqAwareCache(RowCacheBase):
              backing: ArrayBackingStore) -> np.ndarray:
         """One admission decision for the whole call (see the class
         docstring); every miss counts one fill. The rows are one gather
-        from ``backing`` as the call found it, with dirty resident rows
-        patched in: a clean resident row equals its backing row."""
+        from ``backing``: a resident row equals its backing row."""
         ids = self._check_ids(row_ids, backing)
         self._track(backing)
-        out = backing.rows[ids]
-        if self._dirty.any():
-            slots = self._slot_of[ids]
-            patch = np.flatnonzero(slots >= 0)
-            patch = patch[self._dirty[slots[patch]]]
-            out[patch] = self._data[slots[patch]]
-        rows, _, ranked, misses = self._access(ids)
+        rows, ranked, misses = self._access(ids)
         ranked_rows = rows[ranked]
-        admitted = ranked_rows[:self._admit(
-            ranked_rows, self._counts[ranked_rows].astype(np.float64),
-            backing)]
-        self._data[self._slot_of[admitted]] = backing.rows[admitted]
+        self._admit(ranked_rows, self._counts[ranked_rows].astype(np.float64))
         self.stats.fills += misses
-        backing.bytes_read += misses * backing.row_bytes
-        return out
-
-    def write(self, row_ids: np.ndarray, values: np.ndarray,
-              backing: ArrayBackingStore) -> None:
-        """Write-back, write-allocate, admitted by the same one decision
-        as :meth:`read`; the last value of a repeated id wins. A missed
-        row the decision does not admit is written through to
-        ``backing``."""
-        ids = self._check_ids(row_ids, backing)
-        self._track(backing)
-        rows, slots, ranked, _ = self._access(ids)
-        # each distinct row's last occurrence, aligned with ``rows``
-        last = len(ids) - 1 - np.unique(ids[::-1], return_index=True)[1]
-        resident = slots >= 0
-        self._data[slots[resident]] = values[last[resident]]
-        self._dirty[slots[resident]] = True
-        ranked_rows = rows[ranked]
-        admitted = self._admit(
-            ranked_rows, self._counts[ranked_rows].astype(np.float64),
-            backing)
-        new_slots = self._slot_of[ranked_rows[:admitted]]
-        self._data[new_slots] = values[last[ranked[:admitted]]]
-        self._dirty[new_slots] = True
-        bypass = ranked[admitted:]
-        if len(bypass):
-            backing.write_rows(rows[bypass], values[last[bypass]])
-
-    def flush(self, backing: ArrayBackingStore) -> int:
-        dirty = np.flatnonzero(self._dirty)
-        if len(dirty):
-            backing.write_rows(self._row_ids[dirty], self._data[dirty])
-            self._dirty[dirty] = False
-            self.stats.writebacks += len(dirty)
-        return len(dirty)
-
-    def contains(self, row_id: int) -> bool:
-        row_id = int(row_id)
-        return 0 <= row_id < len(self._slot_of) \
-            and self._slot_of[row_id] >= 0
+        backing.count_read(misses)
+        return backing.rows[ids]
 
     def prefetch_rows(self, row_ids: np.ndarray,
                       backing: ArrayBackingStore) -> int:
@@ -326,12 +263,11 @@ class FreqAwareCache(RowCacheBase):
         self._track(backing)
         rows = np.unique(ids)
         rows = rows[self._slot_of[rows] < 0]
-        staged = rows[:self._admit(rows, np.ones(len(rows)), backing,
-                                   gate=False)]
-        self._data[self._slot_of[staged]] = backing.read_rows(staged)
-        self.stats.fills += len(staged)
-        self.stats.prefetched_rows += len(staged)
-        return len(staged)
+        staged = self._admit(rows, np.ones(len(rows)), gate=False)
+        backing.count_read(staged)
+        self.stats.fills += staged
+        self.stats.prefetched_rows += staged
+        return staged
 
 
 class PrefetchPipeline:
@@ -345,8 +281,9 @@ class PrefetchPipeline:
     counterpart of the ingestion pipeline's double-buffered batch
     prefetch (Section 4.3 of the paper).
 
-    Works with any :class:`RowCache`; the cache's ``prefetched_rows``
-    stat and the span tree record what was staged and when.
+    Works with any cache that has ``prefetch_rows``
+    (:class:`FreqAwareCache`); the cache's ``prefetched_rows`` stat and
+    the span tree record what was staged and when.
     """
 
     def __init__(self, cache, backing: ArrayBackingStore,

@@ -6,23 +6,22 @@ The paper replaces CUDA unified memory (UVM) with a custom software cache:
   one set in parallel;
 * **row granularity** — UVM moves large pages, evicting rows that are still
   hot just because they share a page with cold ones;
-* **LRU or LFU** replacement, selectable per model;
-* **write-back** with dirty tracking, so updated rows hit the slow tier
-  once per eviction instead of once per step.
+* **LRU or LFU** replacement, selectable per model.
 
-This implementation is a faithful functional model: it stores real row
-data, returns exact values, and counts hits/misses/evictions/writebacks so
-benchmarks can convert traffic into time via the platform bandwidth model.
+This implementation is a functional model of residency: it keeps each
+set's tags and replacement state, counts hits/misses/evictions/fills and
+the bytes each fill moves, and returns exact rows straight from the
+read-only backing store, so benchmarks can convert traffic into time via
+the platform bandwidth model. The paper's write-back of updated rows is
+not modelled: training tables live in HBM arenas here, and only the
+frozen serving tables read through a cache.
 
 It implements the :class:`repro.cache.RowCache` protocol; the constructor
 form is ``capacity_rows=`` (or :func:`repro.cache.make_cache` with
-``kind="set_associative"``). The pre-protocol ``num_sets=`` form was
-removed after its deprecation window — passing it raises ``TypeError``.
+``kind="set_associative"``).
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 import numpy as np
 
@@ -34,7 +33,7 @@ __all__ = ["CacheStats", "SetAssociativeCache"]
 
 
 class SetAssociativeCache(RowCacheBase):
-    """A set-associative, write-back row cache in front of a backing store.
+    """A set-associative row cache in front of a read-only backing store.
 
     Parameters
     ----------
@@ -42,8 +41,6 @@ class SetAssociativeCache(RowCacheBase):
         Fast-tier capacity in rows (the :func:`repro.cache.make_cache`
         unit). ``ways`` is clamped to the capacity and the set count is
         ``capacity_rows // ways``.
-    row_dim:
-        Row width ``D``; cached data is ``float32``.
     ways:
         Associativity; the paper uses 32 (one warp per set).
     policy:
@@ -51,13 +48,8 @@ class SetAssociativeCache(RowCacheBase):
         used), the two policies of Section 4.1.3.
     """
 
-    def __init__(self, row_dim: Optional[int] = None, ways: int = 32,
-                 policy: str = "lru", *,
-                 capacity_rows: Optional[int] = None) -> None:
-        if row_dim is None:
-            raise TypeError("row_dim is required")
-        if capacity_rows is None:
-            raise TypeError("capacity_rows is required")
+    def __init__(self, *, capacity_rows: int, ways: int = 32,
+                 policy: str = "lru") -> None:
         check.count("capacity_rows", capacity_rows)
         check.count("ways", ways)
         ways = min(ways, capacity_rows)
@@ -68,10 +60,7 @@ class SetAssociativeCache(RowCacheBase):
         self.num_sets = num_sets
         self.ways = ways
         self.policy = policy
-        self.row_dim = row_dim
         self.tags = np.full((num_sets, ways), -1, dtype=np.int64)
-        self.data = np.zeros((num_sets, ways, row_dim), dtype=np.float32)
-        self.dirty = np.zeros((num_sets, ways), dtype=bool)
         # LRU: last-access clock; LFU: access count
         self.meta = np.zeros((num_sets, ways), dtype=np.int64)
         self._clock = 0
@@ -101,35 +90,27 @@ class SetAssociativeCache(RowCacheBase):
         return int(np.argmin(self.meta[set_idx]))
 
     def _fill(self, set_idx: int, row_id: int,
-              backing: ArrayBackingStore) -> int:
-        """Bring ``row_id`` into the set, evicting (and writing back) the
-        replacement victim if needed. Returns the way used."""
+              backing: ArrayBackingStore) -> None:
+        """Bring ``row_id`` into the set, evicting the replacement victim
+        if needed: one row moves from ``backing``."""
         way = self._victim_way(set_idx)
-        victim = self.tags[set_idx, way]
-        if victim != -1:
+        if self.tags[set_idx, way] != -1:
             self.stats.evictions += 1
-            if self.dirty[set_idx, way]:
-                self.stats.writebacks += 1
-                backing.write_rows(np.array([victim]),
-                                   self.data[set_idx, way][None, :])
         self.tags[set_idx, way] = row_id
-        self.data[set_idx, way] = backing.read_rows(np.array([row_id]))[0]
-        self.dirty[set_idx, way] = False
+        backing.count_read(1)
         self.stats.fills += 1
         if self.policy == "lfu":
             self.meta[set_idx, way] = 0
         self._touch(set_idx, way)
-        return way
 
     # ------------------------------------------------------------------
     # public interface (RowCache protocol)
     # ------------------------------------------------------------------
     def read(self, row_ids: np.ndarray,
              backing: ArrayBackingStore) -> np.ndarray:
-        """Read rows through the cache; misses fetch from ``backing``."""
+        """Read rows through the cache; misses fill from ``backing``."""
         ids = self._check_ids(row_ids, backing)
-        out = np.empty((len(ids), self.row_dim), dtype=np.float32)
-        for i, row_id in enumerate(ids):
+        for row_id in ids:
             set_idx = self._set_index(row_id)
             way = self._find_way(set_idx, row_id)
             if way >= 0:
@@ -137,52 +118,5 @@ class SetAssociativeCache(RowCacheBase):
                 self._touch(set_idx, way)
             else:
                 self.stats.misses += 1
-                way = self._fill(set_idx, row_id, backing)
-            out[i] = self.data[set_idx, way]
-        return out
-
-    def write(self, row_ids: np.ndarray, values: np.ndarray,
-              backing: ArrayBackingStore) -> None:
-        """Write rows through the cache (write-back, write-allocate)."""
-        for i, row_id in enumerate(self._check_ids(row_ids, backing)):
-            set_idx = self._set_index(row_id)
-            way = self._find_way(set_idx, row_id)
-            if way >= 0:
-                self.stats.hits += 1
-                self._touch(set_idx, way)
-            else:
-                self.stats.misses += 1
-                way = self._fill(set_idx, row_id, backing)
-            self.data[set_idx, way] = values[i]
-            self.dirty[set_idx, way] = True
-
-    def flush(self, backing: ArrayBackingStore) -> int:
-        """Write back every dirty line; returns number written."""
-        sets, ways = np.nonzero(self.dirty)
-        for set_idx, way in zip(sets, ways):
-            backing.write_rows(np.array([self.tags[set_idx, way]]),
-                               self.data[set_idx, way][None, :])
-            self.stats.writebacks += 1
-        count = len(sets)
-        self.dirty[:] = False
-        return count
-
-    def contains(self, row_id: int) -> bool:
-        # empty ways hold tag -1, which is no row
-        return row_id >= 0 and self._find_way(self._set_index(row_id),
-                                              row_id) >= 0
-
-    def prefetch_rows(self, row_ids: np.ndarray,
-                      backing: ArrayBackingStore) -> int:
-        """Stage rows ahead of use: misses fill without counting as
-        misses (they were never demanded), so a later :meth:`read` of the
-        same ids hits. Returns rows newly made resident."""
-        staged = 0
-        for row_id in np.unique(self._check_ids(row_ids, backing)):
-            set_idx = self._set_index(row_id)
-            if self._find_way(set_idx, row_id) >= 0:
-                continue
-            self._fill(set_idx, row_id, backing)
-            self.stats.prefetched_rows += 1
-            staged += 1
-        return staged
+                self._fill(set_idx, row_id, backing)
+        return backing.rows[ids]

@@ -49,7 +49,7 @@ def dedup_cache_read(cache, indices: np.ndarray, backing,
     """
     indices = np.asarray(indices, dtype=np.int64)
     if not len(indices):
-        return (np.zeros((0, cache.row_dim), dtype=np.float32),
+        return (np.zeros((0, backing.row_dim), dtype=np.float32),
                 np.zeros(0, dtype=np.int64))
     num_rows = backing.num_rows
     unique, inverse = np.unique(segment_keys(indices, num_rows, segments),

@@ -103,12 +103,10 @@ class _ColdTable:
                  cache_kind: str, cache_fraction: float) -> None:
         self.name = name
         self.pooling_mode = pooling_mode
-        # the store adopts freeze's private rows; frozen, they serve reads
+        # the read-only store adopts freeze's private, frozen rows
         self.backing = ArrayBackingStore(_freeze_array(weight))
-        num_rows, dim = weight.shape
-        target = max(1, int(num_rows * cache_fraction))
-        self.cache = make_cache(cache_kind, row_dim=dim,
-                                capacity_rows=target)
+        target = max(1, int(weight.shape[0] * cache_fraction))
+        self.cache = make_cache(cache_kind, capacity_rows=target)
         self.rows_requested = 0
         self.rows_read = 0
 

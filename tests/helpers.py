@@ -197,7 +197,7 @@ def cache_state(cache, backing) -> tuple:
     """Everything a :class:`repro.cache.RowCache` and its backing store
     hold, as comparable plain values: every attribute of the cache (its
     stats as a dict, arrays as dtype/shape/bytes, dicts recursively) plus
-    the backing rows and byte counters."""
+    the backing rows and byte counter."""
     def plain(value):
         if isinstance(value, np.ndarray):
             return value.dtype.str, value.shape, value.tobytes()
@@ -207,8 +207,7 @@ def cache_state(cache, backing) -> tuple:
 
     state = {key: dataclasses.asdict(value) if key == "stats"
              else plain(value) for key, value in vars(cache).items()}
-    return (state, backing.rows.tobytes(), backing.bytes_read,
-            backing.bytes_written)
+    return state, backing.rows.tobytes(), backing.bytes_read
 
 
 # ----------------------------------------------------------------------

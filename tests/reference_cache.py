@@ -2,8 +2,8 @@
 imported by the product.
 
 Both keep the product's state layout (they subclass it and reuse its
-per-row arrays, ``warm`` and ``flush``), so a test compares the whole
-state with ``tests.helpers.cache_state``. Each walks its ids one at a
+per-row arrays and ``warm``), so a test compares the whole state with
+``tests.helpers.cache_state``. Each walks its ids one at a
 time in plain Python:
 
 * ``WindowLoopCache`` is the product's policy, one admission decision
@@ -48,28 +48,19 @@ class _LoopCache(FreqAwareCache):
                 best = chunk
         return best
 
-    def _evict_loop(self, chunk: int, backing) -> None:
+    def _evict_loop(self, chunk: int) -> None:
         lo = chunk * self.chunk_rows
         for slot in range(lo, lo + int(self._fill_counts[chunk])):
-            row_id = int(self._row_ids[slot])
-            if self._dirty[slot]:
-                backing.write_rows(np.array([row_id]),
-                                   self._data[slot][None, :])
-                self.stats.writebacks += 1
-            self._slot_of[row_id] = -1
+            self._slot_of[int(self._row_ids[slot])] = -1
             self._row_ids[slot] = -1
-            self._dirty[slot] = False
             self.stats.evictions += 1
         self._fill_counts[chunk] = 0
         self._scores[chunk] = 0.0
 
-    def _put(self, chunk: int, row_id: int, value, dirty: bool,
-             score: float) -> None:
+    def _put(self, chunk: int, row_id: int, score: float) -> None:
         slot = chunk * self.chunk_rows + int(self._fill_counts[chunk])
         self._row_ids[slot] = row_id
         self._slot_of[row_id] = slot
-        self._data[slot] = value
-        self._dirty[slot] = dirty
         self._fill_counts[chunk] += 1
         self._scores[chunk] += score
         self._open = chunk
@@ -78,19 +69,16 @@ class _LoopCache(FreqAwareCache):
 class WindowLoopCache(_LoopCache):
     """One admission decision per call, one row at a time."""
 
-    def _admit_loop(self, ranked, values, dirty, scores, backing,
-                    gate=True):
-        """Admit ``ranked`` rows best first; returns the admitted ones."""
+    def _admit_loop(self, ranked, scores, gate=True):
+        """Admit ``ranked`` rows best first; returns how many."""
         free = [] if not self._has_room(self._open) else [self._open]
         free += [c for c in range(self.capacity_chunks)
                  if self._fill_counts[c] == 0 and c != self._open]
-        filled, admitted = set(), []
+        filled = set()
         i = 0
         for chunk in free:
             while self._has_room(chunk) and i < len(ranked):
-                self._put(chunk, ranked[i], values[ranked[i]], dirty,
-                          scores[ranked[i]])
-                admitted.append(ranked[i])
+                self._put(chunk, ranked[i], scores[ranked[i]])
                 filled.add(chunk)
                 i += 1
         while i < len(ranked):
@@ -100,15 +88,13 @@ class WindowLoopCache(_LoopCache):
             threshold = self._scores[victim] / self.chunk_rows
             if gate and scores[ranked[i]] < threshold:
                 break
-            self._evict_loop(victim, backing)
+            self._evict_loop(victim)
             filled.add(victim)
             while self._has_room(victim) and i < len(ranked) \
                     and (not gate or scores[ranked[i]] >= threshold):
-                self._put(victim, ranked[i], values[ranked[i]], dirty,
-                          scores[ranked[i]])
-                admitted.append(ranked[i])
+                self._put(victim, ranked[i], scores[ranked[i]])
                 i += 1
-        return admitted
+        return i
 
     def _count_loop(self, ids):
         """Count and score the call's ids; returns its missed rows."""
@@ -127,52 +113,27 @@ class WindowLoopCache(_LoopCache):
     def read(self, row_ids, backing):
         ids = [int(i) for i in self._check_ids(row_ids, backing)]
         self._track(backing)
-        out = np.empty((len(ids), self.row_dim), dtype=np.float32)
+        out = np.empty((len(ids), backing.row_dim), dtype=np.float32)
         for i, row_id in enumerate(ids):
-            slot = self._slot_of[row_id]
-            out[i] = self._data[slot] if slot >= 0 and self._dirty[slot] \
-                else backing.rows[row_id]
+            out[i] = backing.rows[row_id]
         ranked = self._count_loop(ids)
-        values = {r: backing.rows[r].copy() for r in ranked}
-        scores = {r: float(self._counts[r]) for r in ranked}
-        self._admit_loop(ranked, values, False, scores, backing)
-        misses = sum(1 for r in ids if r in values)
+        self._admit_loop(ranked, {r: float(self._counts[r]) for r in ranked})
+        misses = sum(1 for r in ids if r in ranked)
         self.stats.fills += misses
         backing.bytes_read += misses * backing.row_bytes
         return out
-
-    def write(self, row_ids, values, backing):
-        ids = [int(i) for i in self._check_ids(row_ids, backing)]
-        self._track(backing)
-        resident = {r for r in ids if self._slot_of[r] >= 0}
-        ranked = self._count_loop(ids)
-        last = {}
-        for i, row_id in enumerate(ids):
-            last[row_id] = values[i]
-            if row_id in resident:
-                slot = self._slot_of[row_id]
-                self._data[slot] = values[i]
-                self._dirty[slot] = True
-        scores = {r: float(self._counts[r]) for r in ranked}
-        admitted = self._admit_loop(ranked, last, True, scores, backing)
-        for row_id in ranked:
-            if row_id not in admitted:
-                backing.write_rows(np.array([row_id]),
-                                   last[row_id][None, :])
 
     def prefetch_rows(self, row_ids, backing):
         ids = self._check_ids(row_ids, backing)
         self._track(backing)
         rows = [int(r) for r in sorted(set(ids.tolist()))
                 if self._slot_of[r] < 0]
-        values = {r: backing.rows[r].copy() for r in rows}
-        admitted = self._admit_loop(rows, values, False,
-                                    {r: 1.0 for r in rows}, backing,
+        admitted = self._admit_loop(rows, {r: 1.0 for r in rows},
                                     gate=False)
-        backing.bytes_read += len(admitted) * backing.row_bytes
-        self.stats.fills += len(admitted)
-        self.stats.prefetched_rows += len(admitted)
-        return len(admitted)
+        backing.bytes_read += admitted * backing.row_bytes
+        self.stats.fills += admitted
+        self.stats.prefetched_rows += admitted
+        return admitted
 
 
 class PerIdCache(_LoopCache):
@@ -187,53 +148,33 @@ class PerIdCache(_LoopCache):
                 return chunk
         return None
 
-    def _admit_one(self, row_id, value, dirty, score, backing,
-                   gate=True) -> bool:
+    def _admit_one(self, row_id, score, gate=True) -> None:
         chunk = self._free_chunk()
         if chunk is None:
             chunk = self._lowest()
             threshold = self._scores[chunk] / self.chunk_rows
             if gate and self._counts[row_id] < threshold:
-                return False
-            self._evict_loop(chunk, backing)
-        self._put(chunk, row_id, value, dirty, score)
-        return True
+                return
+            self._evict_loop(chunk)
+        self._put(chunk, row_id, score)
 
     def read(self, row_ids, backing):
         ids = self._check_ids(row_ids, backing)
         self._track(backing)
-        out = np.empty((len(ids), self.row_dim), dtype=np.float32)
+        out = np.empty((len(ids), backing.row_dim), dtype=np.float32)
         for i, row_id in enumerate(ids.tolist()):
             self._counts[row_id] += 1
             slot = self._slot_of[row_id]
+            out[i] = backing.rows[row_id]
             if slot >= 0:
                 self.stats.hits += 1
                 self._scores[slot // self.chunk_rows] += 1.0
-                out[i] = self._data[slot]
             else:
                 self.stats.misses += 1
                 self.stats.fills += 1
-                out[i] = backing.read_rows(np.array([row_id]))[0]
-                self._admit_one(row_id, out[i], False,
-                                float(self._counts[row_id]), backing)
+                backing.bytes_read += backing.row_bytes
+                self._admit_one(row_id, float(self._counts[row_id]))
         return out
-
-    def write(self, row_ids, values, backing):
-        ids = self._check_ids(row_ids, backing)
-        self._track(backing)
-        for i, row_id in enumerate(ids.tolist()):
-            self._counts[row_id] += 1
-            slot = self._slot_of[row_id]
-            if slot >= 0:
-                self.stats.hits += 1
-                self._scores[slot // self.chunk_rows] += 1.0
-                self._data[slot] = values[i]
-                self._dirty[slot] = True
-                continue
-            self.stats.misses += 1
-            if not self._admit_one(row_id, values[i], True,
-                                   float(self._counts[row_id]), backing):
-                backing.write_rows(np.array([row_id]), values[i][None, :])
 
     def prefetch_rows(self, row_ids, backing):
         ids = self._check_ids(row_ids, backing)
@@ -242,8 +183,8 @@ class PerIdCache(_LoopCache):
         for row_id in np.unique(ids).tolist():
             if self._slot_of[row_id] >= 0:
                 continue
-            value = backing.read_rows(np.array([row_id]))[0]
-            self._admit_one(row_id, value, False, 1.0, backing, gate=False)
+            backing.bytes_read += backing.row_bytes
+            self._admit_one(row_id, 1.0, gate=False)
             self.stats.fills += 1
             self.stats.prefetched_rows += 1
             staged += 1

@@ -1,13 +1,16 @@
-"""Conformance suite for the unified ``RowCache`` API.
+"""Conformance suite for the unified read-only ``RowCache`` API.
 
 Every cache kind registered in :data:`repro.cache.CACHE_KINDS` runs
-through the same read/write/flush/eviction/stats assertions, so a new
-policy cannot drift from the protocol the consumers
-(``CachedEmbeddingTable``, ``serving.export``, the benchmarks) type
-against. The headline property is exactness: reads through any cache are
-bitwise-identical to an uncached backing-store read (hypothesis-fuzzed
-for the frequency-aware chunked cache, including interleaved writes).
+through the same read/eviction/stats assertions, so a new policy cannot
+drift from the protocol the consumers (``serving.export``, the
+benchmarks) type against. The headline property is exactness: reads
+through any cache are bitwise-identical to an uncached backing-store
+read (hypothesis-fuzzed for the frequency-aware chunked cache, including
+interleaved prefetches). ``TestPinnedTraffic`` pins each kind's traffic
+on one seeded trace.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -15,15 +18,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache import (CACHE_KINDS, ArrayBackingStore, CacheStats,
-                         CachedEmbeddingTable, FreqAwareCache,
-                         PrefetchPipeline, RowCache, SetAssociativeCache,
-                         make_cache)
-from repro.data import (DataIngestionService, FrequencyStats,
-                        SyntheticCTRDataset)
-from repro.embedding import EmbeddingTableConfig
+                         FreqAwareCache, PrefetchPipeline, RowCache,
+                         SetAssociativeCache, make_cache)
+from repro.data import DataIngestionService, FrequencyStats, zipf_indices
+from repro.embedding import EmbeddingTable, EmbeddingTableConfig
 from repro.models import DLRM
 from repro.obs import Tracer
 from repro.serving import FreezeConfig, freeze
+from repro.serving.export import _ColdTable
 
 from .helpers import cache_state, tiny_config, tiny_dataset
 
@@ -40,8 +42,14 @@ def kind(request):
     return request.param
 
 
-def build(kind, capacity_rows=64, d=D):
-    return make_cache(kind, row_dim=d, capacity_rows=capacity_rows)
+def build(kind, capacity_rows=64):
+    return make_cache(kind, capacity_rows=capacity_rows)
+
+
+# every (kind, op) pair that takes row ids: ``read`` on every kind, and
+# the frequency-aware cache's staging
+ID_OPS = [(kind, "read") for kind in CACHE_KINDS] \
+    + [("freq_aware", "prefetch_rows")]
 
 
 class TestConformance:
@@ -68,22 +76,6 @@ class TestConformance:
         assert cache.stats.hits == 1
         assert cache.stats.accesses == 2
 
-    def test_write_then_read(self, kind):
-        cache, backing = build(kind), make_backing()
-        new = np.full((1, D), 9.0, dtype=np.float32)
-        cache.write(np.array([7]), new, backing)
-        np.testing.assert_array_equal(cache.read(np.array([7]), backing),
-                                      new)
-
-    def test_flush_persists_writes(self, kind):
-        cache, backing = build(kind), make_backing()
-        vals = np.arange(2 * D, dtype=np.float32).reshape(2, D)
-        cache.write(np.array([2, 90]), vals, backing)
-        assert cache.flush(backing) > 0
-        np.testing.assert_array_equal(backing.rows[2], vals[0])
-        np.testing.assert_array_equal(backing.rows[90], vals[1])
-        assert cache.flush(backing) == 0  # idempotent
-
     def test_eviction_under_pressure_stays_exact(self, kind):
         cache, backing = build(kind, capacity_rows=8), make_backing()
         rng = np.random.default_rng(1)
@@ -93,20 +85,15 @@ class TestConformance:
                                           backing.rows[ids])
         assert cache.stats.evictions > 0
 
-    def test_contains(self, kind):
-        cache, backing = build(kind), make_backing()
-        assert not cache.contains(5)
-        cache.read(np.array([5]), backing)
-        assert cache.contains(5)
-
+    # staging ahead of use is the frequency-aware cache's alone
+    @pytest.mark.parametrize("kind", ["freq_aware"])
     def test_prefetch_turns_misses_into_hits(self, kind):
         cache, backing = build(kind), make_backing()
-        # ids within one UVM page so every kind can hold all of them
         ids = np.array([3, 17, 42], dtype=np.int64)
-        staged = cache.prefetch_rows(ids, backing)
-        assert staged > 0
-        assert cache.stats.prefetched_rows >= len(ids)
+        assert cache.prefetch_rows(ids, backing) == len(ids)
+        assert cache.stats.prefetched_rows == len(ids)
         assert cache.stats.misses == 0  # prefetches are not demand misses
+        assert backing.bytes_read == len(ids) * backing.row_bytes
         out = cache.read(ids, backing)
         assert cache.stats.misses == 0 and cache.stats.hits == len(ids)
         np.testing.assert_array_equal(out, backing.rows[ids])
@@ -115,56 +102,45 @@ class TestConformance:
         cache, backing = build(kind, capacity_rows=8), make_backing()
         rng = np.random.default_rng(2)
         for _ in range(10):
-            cache.write(rng.integers(0, H, size=4),
-                        np.ones((4, D), dtype=np.float32), backing)
             cache.read(rng.integers(0, H, size=8), backing)
-        cache.prefetch_rows(np.array([150]), backing)
-        assert cache.stats.fills > 0
+        if kind == "freq_aware":
+            cache.prefetch_rows(np.array([150]), backing)
+        assert cache.stats.fills > 0 and cache.stats.evictions > 0
         cache.reset_stats()
         assert cache.stats == CacheStats()
 
     @pytest.mark.parametrize("bad", [-1, H])
-    @pytest.mark.parametrize("op", ["read", "write", "prefetch_rows"])
+    @pytest.mark.parametrize("kind,op", ID_OPS)
     def test_out_of_range_id_rejected_before_any_change(self, kind, op,
                                                         bad):
         cache, backing = build(kind, capacity_rows=8), make_backing()
-        cache.write(np.array([1, 2]), np.ones((2, D), dtype=np.float32),
-                    backing)
         cache.read(np.arange(0, 40, 3), backing)
         before = cache_state(cache, backing)
-        ids = np.array([5, bad, 7], dtype=np.int64)
-        args = (ids, np.ones((3, D), dtype=np.float32)) if op == "write" \
-            else (ids,)
         with pytest.raises(ValueError, match=rf"\[0, {H}\)"):
-            getattr(cache, op)(*args, backing)
+            getattr(cache, op)(np.array([5, bad, 7]), backing)
         assert cache_state(cache, backing) == before
-        assert not cache.contains(bad)
-        assert not build(kind).contains(bad)
 
     @pytest.mark.parametrize("bad", [
         np.array([1.9, 0.2]), np.array([True, False]),
         np.array([[1, 2], [3, 4]]), [[1], [2]], np.int64(3)],
         ids=["float", "bool", "2d", "nested-list", "scalar"])
-    @pytest.mark.parametrize("op", ["read", "write", "prefetch_rows"])
+    @pytest.mark.parametrize("kind,op", ID_OPS)
     def test_non_integer_or_non_1d_ids_rejected_before_any_change(
             self, kind, op, bad):
         cache, backing = build(kind, capacity_rows=8), make_backing()
-        cache.write(np.array([1, 2]), np.ones((2, D), dtype=np.float32),
-                    backing)
         cache.read(np.arange(0, 40, 3), backing)
         before = cache_state(cache, backing)
-        args = (bad, np.ones((2, D), dtype=np.float32)) if op == "write" \
-            else (bad,)
         with pytest.raises(ValueError, match="row ids must be"):
-            getattr(cache, op)(*args, backing)
+            getattr(cache, op)(bad, backing)
         assert cache_state(cache, backing) == before
 
     def test_empty_id_list_is_valid(self, kind):
         cache, backing = build(kind), make_backing()
         assert cache.read([], backing).shape == (0, D)
-        cache.write([], np.zeros((0, D), dtype=np.float32), backing)
-        assert cache.prefetch_rows([], backing) == 0
+        if kind == "freq_aware":
+            assert cache.prefetch_rows([], backing) == 0
         assert cache.stats == CacheStats()
+        assert backing.bytes_read == 0
 
     def test_shared_stats_dataclass(self, kind):
         # one CacheStats for every implementation — the drift fix
@@ -174,53 +150,60 @@ class TestConformance:
 class TestCachedTableIdRange:
     @pytest.mark.parametrize("bad", [-1, H])
     def test_forward_rejects_out_of_range_id(self, kind, bad):
-        config = EmbeddingTableConfig("t", H, D)
-        table = CachedEmbeddingTable(config, build(kind))
-        with pytest.raises(ValueError, match=rf"\[0, {H}\)"):
+        """The serving cold table rejects an id outside the table before
+        its cache sees it: a negative id would otherwise read (and be
+        counted as) a row from the end."""
+        table = _ColdTable("t", make_backing().rows, "sum", kind, 0.32)
+        with pytest.raises(IndexError, match=f"H={H}"):
             table.forward(np.array([bad]), np.array([0, 1]))
         assert table.cache.stats == CacheStats()
+        assert table.backing.bytes_read == 0
 
 
-class TestUVMStatsDriftFix:
-    def test_pages_migrated_cannot_drift_from_reset(self):
-        cache, backing = build("uvm"), make_backing()
-        cache.read(np.array([0, 100]), backing)
-        assert cache.pages_migrated == cache.stats.fills > 0
-        cache.reset_stats()
-        assert cache.pages_migrated == 0  # alias, not a second counter
+class TestColdTable:
+    """The serving cold table pools rows read through its cache."""
+
+    def test_matches_uncached_forward(self, kind):
+        rows = make_backing().rows
+        table = _ColdTable("t", rows, "sum", kind, 0.32)
+        indices = np.array([1, 5, 9, 1, 199], dtype=np.int64)
+        offsets = np.array([0, 2, 5], dtype=np.int64)
+        plain = EmbeddingTable(EmbeddingTableConfig("t", H, D),
+                               weight=rows.copy())
+        np.testing.assert_array_equal(table.forward(indices, offsets),
+                                      plain.forward(indices, offsets))
+        assert table.cache.stats.accesses == 4  # one per unique id
+
+    def test_empty_batch(self, kind):
+        table = _ColdTable("t", make_backing().rows, "sum", kind, 0.32)
+        out = table.forward(np.zeros(0, dtype=np.int64),
+                            np.zeros(3, dtype=np.int64))
+        assert out.shape == (2, D) and not out.any()
+        assert table.cache.stats == CacheStats()
 
 
 class TestMakeCache:
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
-            make_cache("direct_mapped", row_dim=4, capacity_rows=8)
+            make_cache("direct_mapped", capacity_rows=8)
 
     def test_rejects_bad_sizes(self):
         with pytest.raises(ValueError):
-            make_cache("freq_aware", row_dim=0, capacity_rows=8)
+            make_cache("freq_aware", capacity_rows=0)
         with pytest.raises(ValueError):
-            make_cache("uvm", row_dim=4, capacity_rows=0)
+            make_cache("uvm", capacity_rows=0)
 
     def test_kind_specific_config(self):
-        cache = make_cache("set_associative", row_dim=4, capacity_rows=64,
+        cache = make_cache("set_associative", capacity_rows=64,
                            ways=4, policy="lfu")
         assert cache.ways == 4 and cache.policy == "lfu"
-        cache = make_cache("freq_aware", row_dim=4, capacity_rows=64,
-                           chunk_rows=16)
+        cache = make_cache("freq_aware", capacity_rows=64, chunk_rows=16)
         assert cache.chunk_rows == 16
 
-    def test_cached_table_accepts_kind_name(self):
-        cfg = EmbeddingTableConfig("t", H, D)
-        table = CachedEmbeddingTable(
-            cfg, "freq_aware", rng=np.random.default_rng(0),
-            cache_config={"capacity_rows": 32})
-        assert isinstance(table.cache, FreqAwareCache)
-        indices = np.array([1, 5, 9, 1], dtype=np.int64)
-        offsets = np.array([0, 2, 4], dtype=np.int64)
-        out = table.forward(indices, offsets)
-        assert out.shape == (2, D)
-        with pytest.raises(ValueError):
-            CachedEmbeddingTable(cfg, "freq_aware")  # no capacity
+    def test_takes_no_row_width(self, kind):
+        # a cache holds no rows: the width is the backing store's
+        with pytest.raises(TypeError):
+            make_cache(kind, capacity_rows=64, row_dim=D)
 
 
 class TestRemovedShims:
@@ -229,13 +212,13 @@ class TestRemovedShims:
 
     def test_num_sets_constructor_removed(self):
         with pytest.raises(TypeError):
-            SetAssociativeCache(num_sets=4, row_dim=D, ways=2)
+            SetAssociativeCache(num_sets=4, ways=2)
 
     def test_canonical_form_does_not_warn(self):
         import warnings
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            SetAssociativeCache(capacity_rows=8, row_dim=D, ways=2)
+            SetAssociativeCache(capacity_rows=8, ways=2)
 
     def test_freeze_config_cache_rows_fraction_removed(self):
         with pytest.raises(TypeError):
@@ -252,22 +235,25 @@ class TestRemovedShims:
 
 class TestFreqAwareCache:
     def test_warm_packs_hottest_rows(self):
-        cache = FreqAwareCache(capacity_rows=32, row_dim=D, chunk_rows=8)
+        cache = FreqAwareCache(capacity_rows=32, chunk_rows=8)
         backing = make_backing()
         hist = np.zeros(H, dtype=np.int64)
         hist[:40] = np.arange(40, 0, -1)  # ids 0..39, hottest first
         assert cache.warm(hist, backing) == 32
-        assert all(cache.contains(i) for i in range(32))
-        assert not cache.contains(33)
+        assert backing.bytes_read == 32 * backing.row_bytes
+        cache.read(np.arange(32), backing)
+        assert cache.stats.hits == 32 and cache.stats.misses == 0
+        cache.read(np.array([33]), backing)
+        assert cache.stats.misses == 1
 
     def test_warm_rejects_bad_histogram(self):
-        cache = FreqAwareCache(capacity_rows=32, row_dim=D)
+        cache = FreqAwareCache(capacity_rows=32)
         with pytest.raises(ValueError):
             cache.warm(np.zeros(H - 1), make_backing())
 
     def test_warmed_scores_outlive_reactive_admissions(self):
         """A frequency-ranked hot chunk survives one-touch traffic."""
-        cache = FreqAwareCache(capacity_rows=16, row_dim=D, chunk_rows=8)
+        cache = FreqAwareCache(capacity_rows=16, chunk_rows=8)
         backing = make_backing()
         hist = np.zeros(H, dtype=np.int64)
         hist[:8] = 100
@@ -275,17 +261,10 @@ class TestFreqAwareCache:
         # stream of cold one-touch ids fills and churns the other chunk
         for i in range(50, 90):
             cache.read(np.array([i]), backing)
-        assert all(cache.contains(i) for i in range(8))
-
-    def test_chunk_eviction_writes_back_dirty_rows(self):
-        cache = FreqAwareCache(capacity_rows=4, row_dim=D, chunk_rows=4)
-        backing = make_backing()
-        new = np.full((1, D), 5.0, dtype=np.float32)
-        cache.write(np.array([0]), new, backing)
-        for i in range(1, 9):  # churn past capacity: chunk 0 evicted
-            cache.read(np.array([i]), backing)
-        np.testing.assert_array_equal(backing.rows[0], new[0])
-        assert cache.stats.writebacks >= 1
+        assert cache.stats.evictions > 0
+        cache.reset_stats()
+        cache.read(np.arange(8), backing)
+        assert cache.stats.hits == 8
 
     def test_beats_set_associative_on_zipf(self):
         """The tentpole claim, in miniature: with the hot set known in
@@ -297,11 +276,10 @@ class TestFreqAwareCache:
         rng = np.random.default_rng(3)
         trace = [zipf_indices(h, 512, rng, alpha=1.1) for _ in range(20)]
         hist = np.bincount(np.concatenate(trace[:5]), minlength=h)
-        fa = make_cache("freq_aware", row_dim=D, capacity_rows=capacity)
+        fa = make_cache("freq_aware", capacity_rows=capacity)
         fa.warm(hist, backing_fa)
         fa.reset_stats()
-        sa = make_cache("set_associative", row_dim=D,
-                        capacity_rows=capacity)
+        sa = make_cache("set_associative", capacity_rows=capacity)
         for ids in trace[5:]:
             np.testing.assert_array_equal(fa.read(ids, backing_fa),
                                           backing_fa.rows[ids])
@@ -313,28 +291,24 @@ class TestFreqAwareCache:
     @settings(max_examples=40, deadline=None)
     def test_fuzz_bitwise_identical_to_uncached(self, trace):
         """Reads through FreqAwareCache == uncached backing reads,
-        bitwise, under interleaved writes, eviction and prefetch."""
-        cache = FreqAwareCache(capacity_rows=16, row_dim=D, chunk_rows=4)
+        bitwise, under interleaved eviction and prefetch."""
+        cache = FreqAwareCache(capacity_rows=16, chunk_rows=4)
         backing = make_backing(seed=1)
         shadow = backing.rows.copy()
-        rng = np.random.default_rng(0)
         for i, row in enumerate(trace):
             if i % 5 == 4:
                 cache.prefetch_rows(np.array([row]), backing)
-            elif i % 3 == 2:
-                val = rng.normal(size=(1, D)).astype(np.float32)
-                cache.write(np.array([row]), val, backing)
-                shadow[row] = val[0]
             else:
                 out = cache.read(np.array([row]), backing)
                 np.testing.assert_array_equal(out[0], shadow[row])
-        cache.flush(backing)
-        np.testing.assert_array_equal(backing.rows, shadow)
+        np.testing.assert_array_equal(cache.read(np.array(trace), backing),
+                                      shadow[trace])
+        assert backing.rows.tobytes() == shadow.tobytes()
 
 
 class TestPrefetchPipeline:
     def test_stage_hides_under_compute(self):
-        cache = make_cache("freq_aware", row_dim=D, capacity_rows=64)
+        cache = make_cache("freq_aware", capacity_rows=64)
         backing = make_backing()
         pipe = PrefetchPipeline(cache, backing, tracer=Tracer())
         staged = pipe.stage(np.array([1, 2, 3]), compute_s=10.0)
@@ -346,7 +320,7 @@ class TestPrefetchPipeline:
         assert report["hidden_frac"] == pytest.approx(1.0)
 
     def test_no_compute_window_is_fully_exposed(self):
-        cache = make_cache("set_associative", row_dim=D, capacity_rows=64)
+        cache = make_cache("freq_aware", capacity_rows=64)
         pipe = PrefetchPipeline(cache, make_backing())
         pipe.stage(np.array([1, 2, 3]))
         report = pipe.overlap_report()
@@ -355,7 +329,7 @@ class TestPrefetchPipeline:
 
     def test_emits_cache_prefetch_spans(self):
         tracer = Tracer()
-        cache = make_cache("freq_aware", row_dim=D, capacity_rows=64)
+        cache = make_cache("freq_aware", capacity_rows=64)
         pipe = PrefetchPipeline(cache, make_backing(), tracer=tracer)
         pipe.stage(np.array([1, 2, 3]), compute_s=1.0)
         spans = tracer.trace.find("cache.prefetch")
@@ -416,10 +390,11 @@ class TestFreezeFreqAware:
         batch = ds.batch(32, 50)
         np.testing.assert_array_equal(servable.forward(batch),
                                       model.forward(batch))
-        # the warm pre-packed rows and they are paying off
+        # the warm pre-packed rows (fills beyond the demand misses) and
+        # they are paying off
         for name in servable.cold_table_names:
             cache = servable.cold_tables[name].cache
-            assert cache.warmed_rows > 0
+            assert cache.stats.fills > cache.stats.misses
             assert cache.stats.hits > 0
 
     def test_frequency_aware_packing_prefers_hot_tables(self):
@@ -433,3 +408,56 @@ class TestFreezeFreqAware:
                           frequency_stats=stats)
         assert servable.hot_table_names == [names[1]]
         assert servable.cold_table_names == [names[0]]
+
+
+class TestPinnedTraffic:
+    """Each kind's traffic on one seeded hashed-Zipf trace, pinned, so a
+    change to admission, eviction or fill accounting shows."""
+
+    H, D, CAPACITY = 2000, 8, 256
+    # (hits, misses, evictions, fills, prefetched_rows, bytes_read)
+    TRAFFIC = {
+        "set_associative": (1630, 674, 418, 674, 0, 21568),
+        "uvm": (573, 1731, 1727, 1731, 0, 3535872),
+        "freq_aware": (1864, 440, 256, 754, 58, 24128),
+    }
+    ROWS_SHA256 = ("835b9120038166cb2f797013ac53820872f452ea"
+                   "15b893fdbcd678ab480ddd26")
+
+    def replay(self, kind):
+        """Read nine batches through ``kind`` (a ``freq_aware`` cache is
+        warmed from the first three and stages the fourth first)."""
+        h = self.H
+        permutation = np.random.default_rng(5).permutation(h)
+        rng = np.random.default_rng(6)
+        batches = [permutation[zipf_indices(h, 256, rng, alpha=1.1)]
+                   for _ in range(9)]
+        backing = ArrayBackingStore(np.random.default_rng(7).normal(
+            size=(h, self.D)).astype(np.float32))
+        cache = make_cache(kind, capacity_rows=self.CAPACITY)
+        if kind == "freq_aware":
+            cache.warm(np.bincount(np.concatenate(batches[:3]),
+                                   minlength=h), backing)
+            PrefetchPipeline(cache, backing).stage(batches[3])
+        digest = hashlib.sha256()
+        for ids in batches:
+            digest.update(cache.read(ids, backing).tobytes())
+        return cache, backing, digest.hexdigest()
+
+    def test_traffic_and_rows(self, kind):
+        cache, backing, rows_sha256 = self.replay(kind)
+        s = cache.stats
+        assert (s.hits, s.misses, s.evictions, s.fills, s.prefetched_rows,
+                backing.bytes_read) == self.TRAFFIC[kind]
+        assert rows_sha256 == self.ROWS_SHA256
+
+    def test_holds_no_rows(self, kind):
+        """No cache attribute is a float array but the frequency-aware
+        chunk scores, one per chunk: the rows live in the store only."""
+        cache, _, _ = self.replay(kind)
+        floats = {name: value.shape for name, value in vars(cache).items()
+                  if isinstance(value, np.ndarray)
+                  and np.issubdtype(value.dtype, np.floating)}
+        expected = {"_scores": (cache.capacity_chunks,)} \
+            if kind == "freq_aware" else {}
+        assert floats == expected

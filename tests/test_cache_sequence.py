@@ -2,8 +2,8 @@
 
 ``set_associative`` and ``uvm`` read ids one at a time and keep no
 per-call state, so ``read(concat(a, b))`` is ``read(a)`` followed by
-``read(b)``: the same values, stats, residency, dirty lines and
-backing-store traffic.
+``read(b)``: the same values, stats, residency and backing-store
+traffic.
 
 ``freq_aware`` does not keep it: it makes one admission decision per
 call, so where a call's ids end changes which rows it admits (only
@@ -37,27 +37,21 @@ IDS = st.lists(st.integers(0, H - 1), max_size=40)
 
 @st.composite
 def scenarios(draw):
-    """A cache, a history that leaves hot, cold and dirty rows behind,
+    """A cache, a history of reads that leaves hot and cold rows behind,
     and the two id runs to read."""
     kind = draw(st.sampled_from(sorted(SEQUENCE_KINDS)))
     config = draw(SEQUENCE_KINDS[kind])
     capacity = draw(st.integers(8, 24))
-    history = draw(st.lists(st.tuples(st.sampled_from(["read", "write"]),
-                                      IDS), max_size=5))
+    history = draw(st.lists(IDS, max_size=5))
     return kind, config, capacity, history, draw(IDS), draw(IDS)
 
 
 def replay(kind, config, capacity, history):
     rows = np.random.default_rng(7).normal(size=(H, D)).astype(np.float32)
     backing = ArrayBackingStore(rows)
-    cache = make_cache(kind, row_dim=D, capacity_rows=capacity, **config)
-    for step, (op, ids) in enumerate(history):
-        ids = np.array(ids, dtype=np.int64)
-        if op == "read":
-            cache.read(ids, backing)
-        else:
-            cache.write(ids, np.full((len(ids), D), step + 1,
-                                     dtype=np.float32), backing)
+    cache = make_cache(kind, capacity_rows=capacity, **config)
+    for ids in history:
+        cache.read(np.array(ids, dtype=np.int64), backing)
     return cache, backing
 
 

@@ -123,14 +123,10 @@ CONSTRUCTORS = [
     (partial(nn.SGD, []), "lr", False),
     (SparseSGD, "lr", False),
     (SparseAdaGrad, "lr", False),
-    (partial(FreqAwareCache, capacity_rows=8, row_dim=4), "capacity_rows",
-     True),
-    (partial(FreqAwareCache, capacity_rows=8, row_dim=4), "chunk_rows",
-     True),
-    (partial(SetAssociativeCache, capacity_rows=8, row_dim=4),
-     "capacity_rows", True),
-    (partial(SetAssociativeCache, capacity_rows=8, row_dim=4), "ways",
-     True),
+    (partial(FreqAwareCache, capacity_rows=8), "capacity_rows", True),
+    (partial(FreqAwareCache, capacity_rows=8), "chunk_rows", True),
+    (partial(SetAssociativeCache, capacity_rows=8), "capacity_rows", True),
+    (partial(SetAssociativeCache, capacity_rows=8), "ways", True),
     (partial(GradientBucketer, []), "bucket_bytes", True),
     (partial(TrainingLoop, None, None, 8), "eval_every", True),
 ]

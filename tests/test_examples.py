@@ -18,7 +18,7 @@ EXAMPLES = sorted(
 
 # multi-second end-to-end runs live in the slow tier; the default run
 # still covers every other example
-SLOW_EXAMPLES = {"criteo_e2e.py", "online_training.py"}
+SLOW_EXAMPLES = {"criteo_e2e.py"}
 
 
 def test_examples_discovered():
