@@ -20,6 +20,7 @@ from repro.data import SyntheticCTRDataset
 from repro.embedding import SparseAdaGrad
 from repro.metrics import normalized_entropy, relative_ne
 from repro.models import mini_config
+from repro.serving import freeze
 from repro.sharding import ShardingPlan, ShardingScheme, shard_table
 
 SYNC_WORLD = 4
@@ -36,9 +37,10 @@ def make_parts():
     return config, dataset
 
 
-def eval_ne(model, dataset):
+def eval_ne(source, dataset):
+    """Held-out NE of a model or trainer, predicted by its fp32 export."""
     test = dataset.batch(EVAL_BATCH, 900_000)
-    return normalized_entropy(model.predict_proba(test), test.labels)
+    return normalized_entropy(freeze(source).predict(test), test.labels)
 
 
 def run_async(config, dataset):
@@ -67,7 +69,7 @@ def run_sync(config, dataset):
         trainer.train_step(dataset.batch(LARGE_BATCH, 10_000 + i).split(
             SYNC_WORLD))
         if (i + 1) % (steps // 8) == 0:
-            curve.append(eval_ne(trainer.to_local_model(), dataset))
+            curve.append(eval_ne(trainer, dataset))
     return curve
 
 

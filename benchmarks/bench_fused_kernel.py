@@ -9,7 +9,8 @@ operator level. Three reproductions:
   implementations of the same multi-table pooled lookup:
 
   - ``legacy``  — per-table python loop over the seed's ``np.add.at``
-    scatter kernel (the unfused baseline this PR replaced),
+    scatter kernel, the unfused baseline
+    (``tests/reference_kernels.py::forward_reference``),
   - ``segloop`` — per-table loop over the shared ``segment_sum`` reduceat
     kernel (``EmbeddingTable.forward``/``backward`` per table),
   - ``arena``   — the single-dispatch fused megatable
@@ -20,9 +21,10 @@ operator level. Three reproductions:
   numerical check against ``legacy`` (allclose — reduceat and add.at
   order their partial sums differently).
 
-Run standalone to write ``BENCH_fused_kernel.json``::
+Run standalone from the repository root (``.`` on the path for the
+``legacy`` oracle in ``tests/``) to write ``BENCH_fused_kernel.json``::
 
-    PYTHONPATH=src python benchmarks/bench_fused_kernel.py \
+    PYTHONPATH=src:. python benchmarks/bench_fused_kernel.py \
         [--quick] [--out PATH] [--assert-speedup X]
 
 ``--quick`` shrinks the workload for CI smoke runs; ``--assert-speedup``
@@ -99,12 +101,14 @@ def run_benchmark(quick=False, iters=None):
     Returns a JSON-ready dict with per-variant timings, speedups relative
     to ``legacy``, and the parity verdicts.
     """
+    # the legacy lookup is a test oracle (repository root on the path)
+    from tests.reference_kernels import forward_reference
     config = dict(QUICK_CONFIG if quick else FULL_CONFIG)
     iters = iters if iters is not None else (2 if quick else 3)
     arena, segloop, legacy, inputs, dy = build_workload(**config)
 
     def legacy_fwd():
-        return {t.name: t.forward_reference(*inputs[t.name])
+        return {t.name: forward_reference(t, *inputs[t.name])
                 for t in legacy}
 
     def legacy_step():

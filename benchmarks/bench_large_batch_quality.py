@@ -24,6 +24,7 @@ from repro.embedding import EmbeddingTableConfig, SparseAdaGrad
 from repro.metrics import normalized_entropy
 from repro.models import DLRMConfig
 from repro.nn import WarmupLinearDecay, linear_scaled_lr
+from repro.serving import freeze
 from repro.sharding import ShardingPlan, ShardingScheme, shard_table
 
 WORLD = 4
@@ -58,9 +59,8 @@ def run_arm(batch_size, lr, warmup_fraction=0.0):
         trainer.train_step(ds.batch(batch_size, i).split(WORLD))
         if scheduler:
             scheduler.step()
-    model = trainer.to_local_model()
     test = ds.batch(8192, 900_000)
-    return normalized_entropy(model.predict_proba(test), test.labels)
+    return normalized_entropy(freeze(trainer).predict(test), test.labels)
 
 
 def test_large_batch_quality_parity(benchmark, report):

@@ -23,8 +23,9 @@ from ..data.kernels import bucket_of
 from ..embedding import (EmbeddingTable, EmbeddingTableConfig,
                          QuantizedEmbeddingTable, SparseGradient,
                          SparseOptimizer)
-from ..embedding.table import lengths_to_offsets, validate_offsets
-from ..models.dlrm import DLRM, DLRMConfig
+from ..embedding.table import (init_rows, lengths_to_offsets,
+                               validate_offsets)
+from ..models.dlrm import DLRMConfig
 from ..obs.metrics import MetricRegistry
 from ..sharding import Shard, ShardingPlan, ShardingScheme
 
@@ -56,11 +57,13 @@ class SparseExchange:
     :meth:`forward` pools every table for every rank, :meth:`backward`
     applies the pooled gradients, :meth:`gather` and :meth:`load` read
     and restore whole tables. ``shard_tables`` maps each shard to its
-    stored table, which holds all H rows of the shard's columns."""
+    stored table, which holds all H rows of the shard's columns, drawn
+    from ``rng`` (:func:`repro.models.dlrm.draw_dlrm` positions it)."""
 
-    def __init__(self, config: DLRMConfig, plan: ShardingPlan, golden: DLRM,
-                 pg: SimProcessGroup, sparse_optimizer: SparseOptimizer,
-                 tracer, metrics: MetricRegistry,
+    def __init__(self, config: DLRMConfig, plan: ShardingPlan,
+                 rng: np.random.Generator, pg: SimProcessGroup,
+                 sparse_optimizer: SparseOptimizer, tracer,
+                 metrics: MetricRegistry,
                  representation_plan=None) -> None:
         self.config = config
         self.plan = plan
@@ -70,7 +73,7 @@ class SparseExchange:
         self.world_size = plan.world_size
         self._build_exchange()
         self._check_plan()
-        self._build_shards(golden, metrics, representation_plan)
+        self._build_shards(rng, metrics, representation_plan)
 
     def _check_plan(self) -> None:
         """Reject a plan the exchange cannot run before any collective:
@@ -88,11 +91,12 @@ class SparseExchange:
                     f"every rank in [0, {self.world_size}), got ranks "
                     f"{ranks}")
 
-    def _build_shards(self, golden: DLRM, metrics: MetricRegistry,
-                      representation_plan) -> None:
+    def _build_shards(self, rng: np.random.Generator,
+                      metrics: MetricRegistry, representation_plan) -> None:
         """One stored table, with one optimizer state, per column range
         of each table: a column-wise slice is a table of its own, and all
-        shards of a data-parallel or row-wise table map to one."""
+        shards of a data-parallel or row-wise table map to one. Each table
+        is drawn straight into its stored tables' rows, in config order."""
         self.shard_tables: Dict[Shard, EmbeddingTable] = {}
         # per-shard metric counters, created once so the hot path only
         # pays a cached-attribute increment
@@ -100,7 +104,6 @@ class SparseExchange:
         self._lookup_counters: Dict[Shard, object] = {}
         self._update_counters: Dict[Shard, object] = {}
         for t in self.config.tables:
-            weight = golden.embeddings.table(t.name).weight
             # tables a repro.planner.RepresentationPlan serves at fp16/
             # bf16/int8 train on quantized shards, so the trained weights
             # already carry the round-trip numerics the export freezes
@@ -117,18 +120,24 @@ class SparseExchange:
             for shard in self.plan.tables[t.name].shards:
                 c0, c1 = shard.col_range
                 if shard.col_range not in by_cols:
-                    by_cols[shard.col_range] = make(EmbeddingTableConfig(
+                    by_cols[shard.col_range] = make.over(EmbeddingTableConfig(
                         name=f"{t.name}@{shard.rank}:0-{t.num_embeddings}:"
                              f"{c0}-{c1}",
                         num_embeddings=t.num_embeddings, embedding_dim=c1 - c0,
                         avg_pooling=t.avg_pooling,
                         pooling_mode=t.pooling_mode,
-                        precision=train_precision), weight=weight[:, c0:c1])
+                        precision=train_precision),
+                        np.empty((t.num_embeddings, c1 - c0), np.float32))
                 self.shard_tables[shard] = by_cols[shard.col_range]
                 self._lookup_counters[shard] = emb_metrics.counter(
                     "lookup_rows", table=t.name)
                 self._update_counters[shard] = emb_metrics.counter(
                     "update_rows", table=t.name)
+            stored = [by_cols[cols] for cols in sorted(by_cols)]
+            init_rows(t, rng, [table.weight for table in stored])
+            if make is QuantizedEmbeddingTable:  # starts rounded, too
+                for table in stored:
+                    table.sync_storage()
         self._launch_counter = emb_metrics.counter("kernel_launches")
 
     def _build_exchange(self) -> None:

@@ -108,11 +108,12 @@ class TrainingLoop:
         self.recovery = recovery
 
     def evaluate(self, batch_index: int = 0) -> float:
-        """Held-out normalized entropy of the current model."""
-        model = self.trainer.to_local_model()
+        """Held-out normalized entropy of the current model's fp32 export."""
+        from ..serving.export import freeze
         batch = self.dataset.batch(self.eval_batch_size,
                                    self.EVAL_OFFSET + batch_index)
-        return normalized_entropy(model.predict_proba(batch), batch.labels)
+        return normalized_entropy(freeze(self.trainer).predict(batch),
+                                  batch.labels)
 
     def run(self, num_steps: int,
             on_step: Optional[Callable[[int], None]] = None

@@ -12,7 +12,8 @@ The trainer runs ``W`` simulated ranks in lock-step inside one process:
 
 All collectives move real data through :class:`SimProcessGroup`, which also
 accumulates wire bytes and modeled latency. The trainer's numerics are
-validated against the single-process :class:`repro.models.DLRM` reference.
+validated against the single-process :class:`repro.models.DLRM` reference,
+whose init it draws (``draw_dlrm``) without ever building a whole model.
 
 **Rank-stacked simulation**: every dense parameter is stored once, by
 rank 0's modules, which DDP keeps identical on every rank. Those modules
@@ -49,7 +50,7 @@ from ..comms import ClusterTopology, QuantizedCommsConfig, SimProcessGroup
 from ..comms.bucketing import GradientBucketer
 from ..data.datagen import MiniBatch
 from ..embedding import SparseOptimizer
-from ..models.dlrm import DLRM, DLRMConfig
+from ..models.dlrm import DLRMConfig, draw_dlrm
 from ..obs.metrics import MetricRegistry
 from ..obs.tracer import as_tracer
 from ..sharding import ShardingPlan
@@ -129,17 +130,18 @@ class NeoTrainer:
         self.sparse_opt = sparse_optimizer
         self.steps = 0
 
-        # Golden initialization: rank 0 adopts a reference model's dense
-        # modules, so the distributed start state is identical to the
-        # single-process DLRM's; every other rank views their storage
-        golden = DLRM(config, seed=seed)
-        rank0 = _RankState(bottom=golden.bottom, top=golden.top,
-                           projections=golden.projections,
+        # the reference init: rank 0 owns the dense modules (every other
+        # rank views them) and the sparse half draws its shards' rows
+        bottom, self.exchange, projections, top = draw_dlrm(
+            config, seed, lambda rng: SparseExchange(
+                config, plan, rng, self.pg, sparse_optimizer, self.tracer,
+                self.metrics, representation_plan))
+        rank0 = _RankState(bottom=bottom, top=top, projections=projections,
                            table_order=tuple(t.name for t in config.tables))
         self.ranks: List[_RankState] = [rank0] + [
             _read_only_replica(rank0) for _ in range(1, self.world_size)]
-        self._interaction = golden.interaction
-        self._loss_fn = golden.loss_fn
+        self._interaction = config.make_interaction()
+        self._loss_fn = nn.BCEWithLogitsLoss()
         # the one dense optimizer steps the one storage; its slot state
         # has per-rank shape, which is what checkpoints store
         self.dense_opt: nn.Optimizer = dense_optimizer(
@@ -153,12 +155,6 @@ class NeoTrainer:
             np.empty((self.world_size, bucket.num_elements), np.float32)
             for bucket in self._bucketer.buckets]
         self._grad_slots = self._bucketer.views(self.grad_buckets)
-
-        # the sparse half: every embedding shard, cut from the golden
-        # tables, and the collectives between them
-        self.exchange = SparseExchange(config, plan, golden, self.pg,
-                                       sparse_optimizer, self.tracer,
-                                       self.metrics, representation_plan)
 
     @classmethod
     def from_planner(cls, config: DLRMConfig, topology: ClusterTopology,
@@ -422,20 +418,6 @@ class NeoTrainer:
     def gather_table(self, name: str) -> np.ndarray:
         """Reassemble the full (H, D) weight of one table from shards."""
         return self.exchange.gather(name)
-
-    def to_local_model(self, seed: int = 0) -> DLRM:
-        """Export current distributed state as a single-process DLRM.
-
-        Each table's rows are written into the new model's own arena
-        views, so the model holds every table once."""
-        model = DLRM(self.config, seed=seed)
-        for dst, src in zip(model.dense_parameters(),
-                            self.ranks[0].dense_parameters()):
-            dst.data = src.data.copy()
-        for t in self.config.tables:
-            model.embeddings.table(t.name).weight[...] = \
-                self.exchange.read(t.name)
-        return model
 
     def replicas_in_sync(self) -> bool:
         """Data-parallel invariant: all dense replicas bitwise identical."""

@@ -88,7 +88,7 @@ class FusedEmbeddingCollection:
         ``[EmbeddingTable(c, rng=rng) for c in configs]``)."""
         rng = rng if rng is not None else np.random.default_rng(0)
         return cls(configs,
-                   lambda i, view: init_rows(configs[i], rng, view))
+                   lambda i, view: init_rows(configs[i], rng, [view]))
 
     @property
     def names(self) -> List[str]:

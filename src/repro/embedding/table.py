@@ -13,7 +13,7 @@ is the start of bag ``b`` and has length ``B + 1``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -163,13 +163,29 @@ def pooled_backward(table, dy: np.ndarray) -> SparseGradient:
                           bag_ids=bag_ids)
 
 
+_INIT_BLOCK = 1 << 16  # float64 elements per block of an init draw
+
+
 def init_rows(config: EmbeddingTableConfig, rng: np.random.Generator,
-              out: np.ndarray) -> None:
-    """Draw a new table's rows into ``out``: the DLRM reference init,
-    uniform in +-1/sqrt(H), drawn in float64 and rounded to float32 as
-    it is written."""
-    limit = 1.0 / np.sqrt(config.num_embeddings)
-    out[...] = rng.uniform(-limit, limit, size=out.shape)
+              outs: Sequence[np.ndarray]) -> None:
+    """Draw a new table's rows into ``outs``, its column slices in order:
+    the DLRM reference init, uniform in +-1/sqrt(H), drawn in float64 and
+    rounded to float32 as it is written.
+
+    The ``(H, D)`` draw is made in blocks of whole rows, each block's
+    columns written into their slices. ``Generator.uniform`` fills C
+    order from one stream, so the blocks are bitwise the whole draw
+    (leaving ``rng`` where it would) with one block in flight."""
+    h, d = config.num_embeddings, config.embedding_dim
+    limit = 1.0 / np.sqrt(h)
+    step = max(1, _INIT_BLOCK // d)
+    for r0 in range(0, h, step):
+        block = rng.uniform(-limit, limit, size=(min(step, h - r0), d))
+        c0 = 0
+        for out in outs:
+            c1 = c0 + out.shape[1]
+            out[r0:r0 + len(block)] = block[:, c0:c1]
+            c0 = c1
 
 
 class EmbeddingTable:
@@ -189,15 +205,15 @@ class EmbeddingTable:
         else:
             self.weight = np.empty(shape, dtype=np.float32)
             init_rows(config, rng if rng is not None
-                      else np.random.default_rng(0), self.weight)
+                      else np.random.default_rng(0), [self.weight])
         self._saved: Optional[tuple] = None
 
     @classmethod
     def over(cls, config: EmbeddingTableConfig,
              rows: np.ndarray) -> "EmbeddingTable":
         """A table whose ``weight`` is ``rows`` itself, not a copy: how an
-        :class:`~repro.embedding.EmbeddingArena` sets a new table on its
-        view of the arena storage."""
+        arena or a trainer's exchange sets a new table on storage it
+        allocated."""
         table = cls.__new__(cls)
         table.config, table.weight, table._saved = config, rows, None
         return table
@@ -228,31 +244,6 @@ class EmbeddingTable:
         if self.config.pooling_mode == "mean":
             mean_pool(out, lengths)
         self._saved = (indices, None, lengths)
-        return out
-
-    def forward_reference(self, indices: np.ndarray,
-                          offsets: np.ndarray) -> np.ndarray:
-        """Seed ``np.add.at`` scatter implementation, kept as the slow
-        reference: the parity oracle for kernel tests and the baseline the
-        ``bench_fused_kernel`` trajectory measures speedups against.
-
-        Note ``np.add.at`` accumulates strictly sequentially while
-        :func:`~repro.embedding.kernels.segment_sum` uses numpy's pairwise
-        reduction order, so for bags longer than ~8 the two are equal only
-        to float32 rounding (the pairwise order is the more accurate one).
-        """
-        indices = np.asarray(indices, dtype=np.int64)
-        offsets = np.asarray(offsets, dtype=np.int64)
-        self._validate(indices, offsets)
-        batch = len(offsets) - 1
-        lengths = np.diff(offsets)
-        bag_ids = np.repeat(np.arange(batch, dtype=np.int64), lengths)
-        out = np.zeros((batch, self.config.embedding_dim), dtype=np.float32)
-        if len(indices):
-            np.add.at(out, bag_ids, self.weight[indices])
-        if self.config.pooling_mode == "mean":
-            mean_pool(out, lengths)
-        self._saved = (indices, bag_ids, lengths)
         return out
 
     def backward(self, dy: np.ndarray) -> SparseGradient:

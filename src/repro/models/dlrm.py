@@ -13,7 +13,7 @@ equivalent results (tested in ``tests/test_integration_determinism.py``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from ..embedding import (EmbeddingTableConfig, FusedEmbeddingCollection,
                          SparseOptimizer)
 from ..data.datagen import MiniBatch
 
-__all__ = ["DLRMConfig", "DLRM"]
+__all__ = ["DLRMConfig", "DLRM", "draw_dlrm"]
 
 
 @dataclass(frozen=True)
@@ -123,27 +123,40 @@ class DLRMConfig:
         return total
 
 
+def draw_dlrm(config: DLRMConfig, seed: int,
+              tables: Callable[[np.random.Generator], object]) -> tuple:
+    """A model's start state, drawn in the one init order.
+
+    From ``default_rng(seed)``: the bottom MLP, every table in config
+    order through the sink ``tables(rng)`` (a :class:`DLRM`'s arena, a
+    trainer's stored shard tables), the projections, the top MLP.
+    Returns ``(bottom, tables(rng), projections, top)``."""
+    rng = np.random.default_rng(seed)
+    bottom = nn.MLP((config.dense_dim,) + config.bottom_mlp, rng=rng,
+                    final_activation="relu", name="bottom")
+    drawn = tables(rng)
+    projections: Dict[str, nn.Linear] = {}
+    if config.project_features:
+        for t in config.tables:
+            projections[t.name] = nn.Linear(
+                t.embedding_dim, config.embedding_dim, rng=rng,
+                name=f"proj.{t.name}")
+    top = nn.MLP((config.interaction_dim,) + config.top_mlp + (1,),
+                 rng=rng, name="top")
+    return bottom, drawn, projections, top
+
+
 class DLRM:
     """Reference single-process DLRM with explicit forward/backward."""
 
     def __init__(self, config: DLRMConfig, seed: int = 0) -> None:
         self.config = config
-        rng = np.random.default_rng(seed)
-        self.bottom = nn.MLP((config.dense_dim,) + config.bottom_mlp,
-                             rng=rng, final_activation="relu", name="bottom")
-        self.embeddings = FusedEmbeddingCollection.from_configs(
-            config.tables, rng=rng)
-        self.projections: Dict[str, nn.Linear] = {}
-        if config.project_features:
-            for t in config.tables:
-                self.projections[t.name] = nn.Linear(
-                    t.embedding_dim, config.embedding_dim, rng=rng,
-                    name=f"proj.{t.name}")
+        self.bottom, self.embeddings, self.projections, self.top = \
+            draw_dlrm(config, seed,
+                      lambda rng: FusedEmbeddingCollection.from_configs(
+                          config.tables, rng=rng))
         self.interaction = config.make_interaction()
-        self.top = nn.MLP((config.interaction_dim,) + config.top_mlp + (1,),
-                          rng=rng, name="top")
         self.loss_fn = nn.BCEWithLogitsLoss()
-        self._saved_pooled: Optional[List[np.ndarray]] = None
 
     # ------------------------------------------------------------------
     def dense_parameters(self) -> List[nn.Parameter]:

@@ -25,7 +25,7 @@ model *shape*, which hot-swap keeps invariant, so the serving schedule
 is bitwise independent of the refresh cadence. The two halves interleave
 on the virtual clock but cannot perturb each other — exactly the
 isolation a production train/serve split buys, and the property the
-golden tests pin: swap-every-step reproduces the pure-serving
+pinned tests hold: swap-every-step reproduces the pure-serving
 :class:`~repro.serving.LoadReport` bitwise, never-swap reproduces the
 pure-training losses bitwise.
 

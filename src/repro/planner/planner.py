@@ -38,6 +38,7 @@ from ..data.datagen import MiniBatch
 from ..data.freq import FrequencyStats
 from ..metrics import normalized_entropy
 from ..models.dlrm import DLRM
+from ..serving.export import _reader, freeze
 from .candidates import (PlannerCostModel, TableCandidates,
                          enumerate_candidates)
 from .plan import PlanBudget, PlanError, RepresentationPlan, TableAssignment
@@ -52,7 +53,6 @@ def measure_ne_gap(model: DLRM, plan: RepresentationPlan,
                    eval_batch: MiniBatch) -> float:
     """NE of the planned export minus NE of the fp32 export, measured on
     real frozen artifacts over ``eval_batch`` (may be negative)."""
-    from ..serving.export import freeze
     labels = eval_batch.labels
     base = freeze(model)
     planned = freeze(model, plan=plan)
@@ -81,22 +81,17 @@ class RepresentationPlanner:
              ) -> RepresentationPlan:
         """Emit a :class:`RepresentationPlan` for ``model``.
 
-        ``model`` is a :class:`repro.models.DLRM` or anything exposing
-        ``to_local_model()`` (a :class:`repro.core.NeoTrainer`).
-        ``eval_batch`` enables the measured-NE quality pass; without it
+        ``model`` is a :class:`repro.models.DLRM` or a
+        :class:`repro.core.NeoTrainer`, read in place as ``freeze`` reads
+        it. ``eval_batch`` enables the measured-NE quality pass; without it
         ``ne_floor`` is ignored (per-table error floors still apply).
         """
-        if hasattr(model, "to_local_model"):
-            model = model.to_local_model()
-        if not isinstance(model, DLRM):
-            raise TypeError(
-                f"planner needs a DLRM or NeoTrainer, got {type(model)!r}")
+        config, _, read = _reader(model)
         budget = budget if budget is not None else PlanBudget()
 
         states: Dict[str, _State] = {}
-        for t in model.config.tables:
-            weight = model.embeddings.table(t.name).weight
-            cands = enumerate_candidates(t, weight, self.cost,
+        for t in config.tables:
+            cands = enumerate_candidates(t, read(t.name), self.cost,
                                          frequency_stats)
             states[t.name] = _State(candidates=cands,
                                     current=cands.options[0])
@@ -244,14 +239,12 @@ def uniform_plan(model: DLRM, kind: str,
                  ) -> RepresentationPlan:
     """Assign every table the same representation — the single-path
     baselines the mixed plan is benchmarked against."""
-    if hasattr(model, "to_local_model"):
-        model = model.to_local_model()
+    config, _, read = _reader(model)
     cost = cost if cost is not None else PlannerCostModel()
     assignments: Dict[str, TableAssignment] = {}
     baseline_hot = 0
-    for t in model.config.tables:
-        weight = model.embeddings.table(t.name).weight
-        cands = enumerate_candidates(t, weight, cost)
+    for t in config.tables:
+        cands = enumerate_candidates(t, read(t.name), cost)
         assignments[t.name] = cands.option(kind)
         baseline_hot += cands.options[0].hot_bytes
     return RepresentationPlan(assignments=assignments,

@@ -112,12 +112,14 @@ class _ColdTable:
 
     def warm(self, histogram: np.ndarray) -> int:
         """Pre-pack the cache from a frequency histogram (kinds that
-        support it); warm traffic is excluded from the byte counters."""
+        support it). Warm traffic counts in neither the backing store's
+        bytes nor the cache's stats."""
         warm = getattr(self.cache, "warm", None)
         if warm is None:
             return 0
         count = warm(histogram, self.backing)
         self.backing.reset_counters()
+        self.cache.reset_stats()
         return count
 
     def forward(self, indices: np.ndarray, offsets: np.ndarray,
@@ -447,7 +449,7 @@ def _reader(source):
         return (source.config, source.dense_parameters(),
                 lambda name: source.embeddings.table(name).weight)
     raise TypeError(
-        f"freeze() needs a NeoTrainer or DLRM, got {type(source)!r}")
+        f"needs a NeoTrainer or DLRM to read, got {type(source)!r}")
 
 
 def freeze(source, config: Optional[FreezeConfig] = None,

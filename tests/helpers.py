@@ -28,6 +28,8 @@ from repro.serving import (BatchingPolicy, FreezeConfig, InferenceRequest,
 from repro.serving.loadgen import requests_from_arrivals
 from repro.sharding import ShardingPlan, ShardingScheme, shard_table
 
+from .reference_trainer import to_local_model
+
 
 #: every ``nn`` dense optimizer, as ``NeoTrainer(dense_optimizer=...)``
 #: factories (the stacked-parity fuzz and the dense-sync contracts
@@ -107,6 +109,32 @@ def tiny_trainer(config: DLRMConfig, world: int = 2, seed: int = 0,
         representation_plan=representation_plan)
 
 
+def scheme_plan(config: DLRMConfig, schemes, world: int) -> ShardingPlan:
+    """Table ``i`` sharded by ``schemes[i]``: a table-wise table whole on
+    rank ``i % world``, any other scheme over every rank."""
+    plan = ShardingPlan(world_size=world)
+    for i, (t, scheme) in enumerate(zip(config.tables, schemes)):
+        ranks = [i % world] if scheme == ShardingScheme.TABLE_WISE \
+            else list(range(world))
+        plan.tables[t.name] = shard_table(t, scheme, ranks)
+    plan.validate()
+    return plan
+
+
+def train_sparse_model(world: int = 4):
+    """``(config, plan)`` of the e2e ``train_sparse`` workload: 16 tables
+    x 20 000 rows x D16 (20.48 MB of fp32 rows) at R=4, 8 of them
+    row-wise, 6 table-wise and 2 column-wise."""
+    tables = tuple(EmbeddingTableConfig(f"t{i}", 20_000, 16,
+                                        avg_pooling=10.0)
+                   for i in range(16))
+    config = DLRMConfig(dense_dim=8, bottom_mlp=(32, 16), tables=tables,
+                        top_mlp=(32,))
+    schemes = [ShardingScheme.ROW_WISE] * 8 \
+        + [ShardingScheme.TABLE_WISE] * 6 + [ShardingScheme.COLUMN_WISE] * 2
+    return config, scheme_plan(config, schemes, world)
+
+
 @dataclass
 class TinySystem:
     """Everything the serving/resilience/online suites set up repeatedly:
@@ -159,7 +187,7 @@ def tiny_system(num_tables: int = 3, rows: int = 200, dim: int = 8,
     if world:
         trainer = tiny_trainer(config, world=world, seed=seed,
                                **trainer_kwargs)
-        model = trainer.to_local_model()
+        model = to_local_model(trainer)
         servable = freeze(trainer, freeze_config)
     else:
         model = DLRM(config, seed=seed)

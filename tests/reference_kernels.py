@@ -7,6 +7,13 @@ optimizer step per table. The arena's single-dispatch fused kernels
 must be bitwise identical to them (``test_embedding_arena.py``,
 ``test_property_fuzz.py``).
 
+``forward_reference`` is the seed's ``np.add.at`` scatter lookup that
+``EmbeddingTable.forward`` replaced: the slow parity oracle of the
+arena suites and the ``legacy`` baseline ``bench_fused_kernel.py``
+measures speedups against (run from the repository root with ``.`` on
+``PYTHONPATH``). It leaves the table's saved state as a forward does,
+so ``table.backward`` runs after it.
+
 ``segment_sum_reference`` is the ``np.add.reduceat`` form that
 ``repro.embedding.kernels.segment_sum`` used to be for every segment:
 the product sums segments of up to 8 rows position by position in
@@ -47,6 +54,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.embedding.kernels import mean_pool
+
 
 def segment_sum_reference(values: np.ndarray, offsets: np.ndarray,
                           out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -81,6 +90,28 @@ def merge_sorted_coo_reference(rows: np.ndarray, values: np.ndarray
     unique_rows, starts = np.unique(sorted_rows, return_index=True)
     merged = np.add.reduceat(sorted_vals, starts, axis=0)
     return unique_rows.astype(np.int64), merged.astype(np.float32)
+
+
+def forward_reference(table, indices: np.ndarray,
+                      offsets: np.ndarray) -> np.ndarray:
+    """``table``'s pooled lookup by one sequential ``np.add.at`` scatter
+    of its rows into their bags. ``np.add.at`` accumulates strictly in
+    entry order while the product uses numpy's pairwise segment order,
+    so for bags longer than ~8 the two agree only to float32 rounding
+    (the pairwise order is the more accurate one)."""
+    indices = np.asarray(indices, dtype=np.int64)
+    offsets = np.asarray(offsets, dtype=np.int64)
+    table._validate(indices, offsets)
+    batch = len(offsets) - 1
+    lengths = np.diff(offsets)
+    bag_ids = np.repeat(np.arange(batch, dtype=np.int64), lengths)
+    out = np.zeros((batch, table.config.embedding_dim), dtype=np.float32)
+    if len(indices):
+        np.add.at(out, bag_ids, table.weight[indices])
+    if table.config.pooling_mode == "mean":
+        mean_pool(out, lengths)
+    table._saved = (indices, bag_ids, lengths)
+    return out
 
 
 def looped_forward(tables: Sequence, batch: Dict[str, Tuple[np.ndarray,

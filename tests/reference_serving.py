@@ -40,13 +40,13 @@ equality with it:
   requests, one ``MiniBatch.concat`` per feature set. The product joins
   traces with ``RequestTrace.merge``.
 * ``freeze_reference`` exports through a whole local model: a trainer
-  becomes a ``DLRM`` (``to_local_model``), each table is rounded into a
-  new array, an arena table is built as an ``EmbeddingTable`` over that
-  array and then copied into the arena, and a cold table's
-  backing store gets a frozen copy. The product reads each table from
-  its source once and writes it straight into its tier's storage
-  (``freeze``); ``test_serving_export_stream.py`` holds the two
-  artifacts equal bit for bit.
+  becomes a ``DLRM`` (``reference_trainer.to_local_model``), each table
+  is rounded into a new array, an arena table is built as an
+  ``EmbeddingTable`` over that array and then copied into the arena,
+  and a cold table's backing store gets a frozen copy. The product
+  reads each table from its source once and writes it straight into
+  its tier's storage (``freeze``); ``test_serving_export_stream.py``
+  holds the two artifacts equal bit for bit.
 """
 
 from __future__ import annotations
@@ -58,6 +58,7 @@ from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
 import numpy as np
 
 from repro import lowp, nn
+from repro.core import NeoTrainer
 from repro.data import MiniBatch
 from repro.data.formats import host_transfer_time
 from repro.embedding import (EmbeddingTable, FusedEmbeddingCollection,
@@ -74,6 +75,7 @@ from repro.serving.loadgen import ROUTER_STREAM
 from repro.serving.server import _EMB_LOOKUP_PRECISION
 
 from .reference_kernels import segment_sum_reference
+from .reference_trainer import to_local_model
 
 
 def service_time_reference(perf, model, batch_size: int, nnz: int) -> float:
@@ -116,7 +118,7 @@ def freeze_reference(source, config: Optional[FreezeConfig] = None,
     cfg = config if config is not None else FreezeConfig()
     if step is None:
         step = int(getattr(source, "steps", 0))
-    model = source.to_local_model() if hasattr(source, "to_local_model") \
+    model = to_local_model(source) if isinstance(source, NeoTrainer) \
         else source
     if not isinstance(model, DLRM):
         raise TypeError(

@@ -23,6 +23,12 @@ shares everything else (sharding, the other schemes' exchanges, embedding
 forward/backward, sparse updates, spans, checkpoint layout) with the
 product by inheritance.
 
+``to_local_model`` exports a trainer's state as a whole single-process
+``DLRM``, as the trainer itself once did: a fresh ``DLRM(config, seed)``
+whose dense parameters and tables are overwritten with the trainer's.
+The product never builds that model (evaluation, planning and ``freeze``
+read the stored tables in place); the tests compare against it.
+
 ``test_trainer_stacked.py`` fuzzes the product against it bitwise
 (losses, dense parameters, tables, wire bytes, modeled seconds, eval
 outputs), ``test_core_checkpoint.py`` moves checkpoints between the two,
@@ -45,6 +51,7 @@ from repro.core.exchange import SparseExchange
 from repro.embedding import SparseGradient
 from repro.embedding.table import lengths_to_offsets
 from repro.models import DLRM
+from repro.models.dlrm import draw_dlrm
 from repro.sharding import ShardingScheme
 
 from .reference_comms import to_buffer
@@ -53,6 +60,20 @@ from .reference_kernels import bucketize_sparse_reference, to_dense_reference
 # schemes whose tables the product stores once and the oracle per shard
 _PER_SHARD = (ShardingScheme.ROW_WISE, ShardingScheme.TABLE_ROW_WISE,
               ShardingScheme.DATA_PARALLEL)
+
+
+def to_local_model(trainer, seed: int = 0) -> DLRM:
+    """``trainer``'s current state as a single-process ``DLRM``. Each
+    table's rows are written into the new model's own arena views, so
+    the model holds every table once."""
+    model = DLRM(trainer.config, seed=seed)
+    for dst, src in zip(model.dense_parameters(),
+                        trainer.ranks[0].dense_parameters()):
+        dst.data = src.data.copy()
+    for t in trainer.config.tables:
+        model.embeddings.table(t.name).weight[...] = \
+            trainer.exchange.read(t.name)
+    return model
 
 
 def looped_row_wise_payloads(exchange: SparseExchange, inputs) -> dict:
@@ -92,21 +113,23 @@ class LoopedSparseExchange(SparseExchange):
     gradient AllGather, a table per row-wise shard, looked up, merged and
     stepped per shard, and one data-parallel table per rank."""
 
-    def _build_shards(self, golden, metrics, representation_plan) -> None:
-        super()._build_shards(golden, metrics, representation_plan)
+    def _build_shards(self, rng, metrics, representation_plan) -> None:
+        """The product's stored tables, drawn from ``rng``, then each
+        per-shard table cut as a copy of its rows of the one stored
+        table (already rounded, if quantized)."""
+        super()._build_shards(rng, metrics, representation_plan)
         for t in self.config.tables:
             table_plan = self.plan.tables[t.name]
             if table_plan.scheme not in _PER_SHARD:
                 continue
             one = self.shard_tables[table_plan.shards[0]]
-            weight = golden.embeddings.table(t.name).weight
             for shard in table_plan.shards:
                 r0, r1 = shard.row_range
-                self.shard_tables[shard] = type(one)(
+                self.shard_tables[shard] = type(one).over(
                     replace(one.config, name=f"{t.name}@{shard.rank}:{r0}-"
                             f"{r1}:0-{t.embedding_dim}",
                             num_embeddings=r1 - r0),
-                    weight=weight[r0:r1])
+                    one.weight[r0:r1].copy())
 
     def gather(self, name):
         cfg = self.plan.tables[name].config
@@ -194,11 +217,11 @@ class LoopedNeoTrainer(NeoTrainer):
         self.dense_opt = self.rank_optimizers[0]
         self._interactions = [config.make_interaction() for _ in self.ranks]
         self._losses = [nn.BCEWithLogitsLoss() for _ in self.ranks]
-        # the same shards, cut from the same golden tables
-        self.exchange = LoopedSparseExchange(
-            config, plan, DLRM(config, seed=kwargs.get("seed", 0)), self.pg,
-            sparse_optimizer, self.tracer, self.metrics,
-            kwargs.get("representation_plan"))
+        # the same shards, drawn from the same place in the same stream
+        _, self.exchange, _, _ = draw_dlrm(
+            config, kwargs.get("seed", 0), lambda rng: LoopedSparseExchange(
+                config, plan, rng, self.pg, sparse_optimizer, self.tracer,
+                self.metrics, kwargs.get("representation_plan")))
 
     def _bottom_forward(self, local_batches) -> List[np.ndarray]:
         return [state.bottom.forward(batch.dense)

@@ -390,11 +390,12 @@ class TestFreezeFreqAware:
         batch = ds.batch(32, 50)
         np.testing.assert_array_equal(servable.forward(batch),
                                       model.forward(batch))
-        # the warm pre-packed rows (fills beyond the demand misses) and
-        # they are paying off
+        # the warm pre-packed rows pay off: one deduplicated dispatch
+        # reads each id once, so every hit is a warmed row; warm traffic
+        # counts in no counter, so the fills are the demand misses
         for name in servable.cold_table_names:
             cache = servable.cold_tables[name].cache
-            assert cache.stats.fills > cache.stats.misses
+            assert cache.stats.fills == cache.stats.misses
             assert cache.stats.hits > 0
 
     def test_frequency_aware_packing_prefers_hot_tables(self):

@@ -1,6 +1,8 @@
 """Integration tests for the Neo trainer: every sharding scheme must match
 the single-process reference DLRM, and distributed invariants must hold."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -10,9 +12,13 @@ from repro.core import NeoTrainer
 from repro.data import SyntheticCTRDataset
 from repro.embedding import (EmbeddingTableConfig, RowWiseAdaGrad,
                              SparseAdaGrad, SparseAdam, SparseSGD)
-from repro.models import DLRM, DLRMConfig
+from repro.models import DLRM, DLRMConfig, zoo_config
+from repro.planner import RepresentationPlan, TableAssignment
 from repro.sharding import (EmbeddingShardingPlanner, PlannerConfig,
                             ShardingPlan, ShardingScheme, shard_table)
+
+from .helpers import scheme_plan, train_sparse_model
+from .reference_trainer import to_local_model
 
 
 def make_config(num_tables=3, h=64, d=8):
@@ -81,7 +87,7 @@ class TestSchemeEquivalence:
 
         np.testing.assert_allclose(dist_losses, ref_losses, rtol=1e-4,
                                    atol=1e-6)
-        exported = trainer.to_local_model()
+        exported = to_local_model(trainer)
         for t in config.tables:
             np.testing.assert_allclose(
                 exported.embeddings.table(t.name).weight,
@@ -104,10 +110,10 @@ class TestSchemeEquivalence:
 
 
 class TestToLocalModel:
-    """``to_local_model`` writes each table's rows into the new model's
-    own arena views: the model holds every table once, and its forward
-    is bitwise the forward of a model whose tables are rebound to the
-    gathered copies."""
+    """The oracle ``to_local_model`` writes each table's rows into the
+    new model's own arena views: the model holds every table once, and
+    its forward is bitwise the forward of a model whose tables are
+    rebound to the gathered copies."""
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_tables_are_arena_views_with_the_trained_rows(self, scheme):
@@ -118,7 +124,7 @@ class TestToLocalModel:
         batches = dataset_for(config).batches(16, 3)
         for b in batches[:2]:
             trainer.train_step(b.split(world))
-        model = trainer.to_local_model()
+        model = to_local_model(trainer)
         for group in model.embeddings.arena.groups:
             for t, view in zip(group.tables, group.views):
                 assert t.weight is view and view.base is group.storage
@@ -411,10 +417,114 @@ class TestTracingParity:
         for t in plain.config.tables:
             np.testing.assert_array_equal(plain.gather_table(t.name),
                                           traced.gather_table(t.name))
-        for got, want in zip(traced.to_local_model().dense_parameters(),
-                             plain.to_local_model().dense_parameters()):
+        for got, want in zip(traced.ranks[0].dense_parameters(),
+                             plain.ranks[0].dense_parameters()):
             np.testing.assert_array_equal(got.data, want.data)
         # and the traced run actually recorded the phase taxonomy
         agg = traced.tracer.trace.aggregate()
         assert "trainer.iteration" in agg
         assert agg["trainer.iteration"].count == 3
+
+
+RW, TW, CW, DP = (ShardingScheme.ROW_WISE, ShardingScheme.TABLE_WISE,
+                  ShardingScheme.COLUMN_WISE, ShardingScheme.DATA_PARALLEL)
+
+
+def _zoo_model(size):
+    config = zoo_config(size)
+    return config, scheme_plan(config, [(RW, TW, CW, DP)[i % 4]
+                                        for i in range(len(config.tables))],
+                               4)
+
+
+def _mixed_model():
+    """Every scheme, two column-wise tables, heterogeneous dims."""
+    tables = tuple(EmbeddingTableConfig(f"t{i}", 300 + 37 * i, d,
+                                        avg_pooling=3.0)
+                   for i, d in enumerate((8, 12, 16, 6, 10, 16)))
+    config = DLRMConfig(dense_dim=5, bottom_mlp=(16, 8), tables=tables,
+                        top_mlp=(16,), project_features=True)
+    return config, scheme_plan(config, [RW, TW, CW, DP, TW, CW], 4)
+
+
+def _fp16_plan(config):
+    return RepresentationPlan(assignments={
+        t.name: TableAssignment(table=t.name, kind="fp16", hot_bytes=0,
+                                total_bytes=0, error=0.0, lookup_s=0.0)
+        for t in config.tables})
+
+
+class TestPinnedInit:
+    """The trainer's start state, and its state after one step, pinned as
+    a sha256 of every stored table, dense parameter and optimizer slot.
+    The values were recorded when the trainer still cut its shards from
+    a whole ``DLRM(config, seed)``, so drawing the init straight into the
+    stored tables is held to the same bits."""
+
+    MODELS = {
+        "train_sparse": train_sparse_model,
+        "zoo_small": lambda: _zoo_model("small"),
+        "zoo_medium": lambda: _zoo_model("medium"),
+        "zoo_large": lambda: _zoo_model("large"),
+        "mixed_projected": _mixed_model,
+        "fp16_plan": _mixed_model,
+    }
+    # (model, seed): (after construction, after one step), sha256 prefixes
+    PINNED = {
+        ("train_sparse", 0): ("3c8639e185178a4c", "443346f755b1dc36"),
+        ("train_sparse", 3): ("cbd0f432e9d6efc2", "86da3d7d5910351f"),
+        ("zoo_small", 0): ("b9d41908bc2a34ff", "b31b191f361feebb"),
+        ("zoo_small", 3): ("8d3fe8dcf2a043c2", "47e1e5ea881d5382"),
+        ("zoo_medium", 0): ("a452ca80bcb1426e", "3c2bf17fc029f540"),
+        ("zoo_medium", 3): ("a7efcfcdbad3597a", "108b3136c3bb8939"),
+        ("zoo_large", 0): ("d77893b1bb3343d1", "6b0913f9c9b3018a"),
+        ("zoo_large", 3): ("e62380de935eccf9", "aeb2630f0fcf9b4d"),
+        ("mixed_projected", 0): ("957f41c3b4120385", "1f75c6f486ce0adb"),
+        ("mixed_projected", 3): ("7099244d201697ad", "803ecd61089ebb8c"),
+        ("fp16_plan", 0): ("94d75279b2057069", "f38a3574c2696df7"),
+        ("fp16_plan", 3): ("f0d7a99952f342e3", "ef994dfd83382758"),
+    }
+
+    @staticmethod
+    def state_hash(trainer) -> str:
+        """Each stored table once (in shard order) with its sparse
+        optimizer slots, then rank 0's dense parameters with theirs."""
+        h = hashlib.sha256()
+
+        def put(a):
+            a = np.ascontiguousarray(a)
+            h.update(f"{a.dtype.str}{a.shape}".encode())
+            h.update(a.tobytes())
+
+        seen = set()
+        for table in trainer.exchange.shard_tables.values():
+            if id(table) in seen:
+                continue
+            seen.add(id(table))
+            put(table.weight)
+            for name, value in sorted(
+                    trainer.sparse_opt._state.get(id(table), {}).items()):
+                h.update(name.encode())
+                put(value)
+        for p in trainer.ranks[0].dense_parameters():
+            put(p.data)
+            for name, value in sorted(
+                    trainer.dense_opt._state.get(id(p), {}).items()):
+                h.update(name.encode())
+                put(value)
+        return h.hexdigest()[:16]
+
+    @pytest.mark.parametrize("model,seed", sorted(PINNED))
+    def test_state_after_construction_and_one_step(self, model, seed):
+        config, plan = self.MODELS[model]()
+        trainer = NeoTrainer(
+            config, plan, ClusterTopology(num_nodes=1, gpus_per_node=4),
+            dense_optimizer=lambda p: nn.Adam(p, lr=0.01),
+            sparse_optimizer=SparseAdaGrad(lr=0.1), seed=seed,
+            representation_plan=_fp16_plan(config)
+            if model == "fp16_plan" else None)
+        built = self.state_hash(trainer)
+        data = SyntheticCTRDataset(config.tables,
+                                   dense_dim=config.dense_dim, seed=seed)
+        trainer.train_step(data.batch(64, batch_index=0).split(4))
+        assert (built, self.state_hash(trainer)) == self.PINNED[model, seed]

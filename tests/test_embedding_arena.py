@@ -14,8 +14,8 @@ from repro.embedding import (EmbeddingArena, EmbeddingTable,
                              EmbeddingTableConfig, FusedEmbeddingCollection,
                              RowWiseAdaGrad, SparseSGD, lengths_to_offsets)
 
-from .reference_kernels import (looped_backward, looped_backward_and_update,
-                                looped_forward)
+from .reference_kernels import (forward_reference, looped_backward,
+                                looped_backward_and_update, looped_forward)
 
 
 def make_tables(configs, seed=0):
@@ -162,7 +162,7 @@ class TestForwardParity:
         out = arena_c.forward(batch)
         for t in refs:
             np.testing.assert_allclose(
-                out[t.name], t.forward_reference(*batch[t.name]),
+                out[t.name], forward_reference(t, *batch[t.name]),
                 rtol=1e-6, atol=1e-6)
 
     def test_all_empty_batch(self):

@@ -24,6 +24,8 @@ from repro.nn import WarmupLinearDecay
 from repro.sharding import (PlannerConfig, ShardingPlan, ShardingScheme,
                             shard_table)
 
+from .reference_trainer import to_local_model
+
 
 class TestTrainerSchemeCoverage:
     """Scheme/pooling combinations not covered by the core matrix."""
@@ -132,7 +134,7 @@ class TestFullWorkflow:
         assert run.losses[-1] < run.losses[0]
 
         # 4. NE on held-out data
-        model = trainer.to_local_model()
+        model = to_local_model(trainer)
         test = ds.batch(2048, 777_777)
         assert normalized_entropy(model.predict_proba(test),
                                   test.labels) < 1.0

@@ -15,6 +15,7 @@ import pytest
 
 from repro import nn
 from repro.data import MiniBatch
+from repro.data.freq import FrequencyStats
 from repro.embedding import SparseSGD
 from repro.embedding.kernels import segment_sum
 from repro.models import DLRM, ZOO_SIZES, zoo_config
@@ -205,6 +206,35 @@ class TestHotColdPlacement:
             assert stats.hits > 0  # Zipf ids revisit hot rows
             # within-dispatch repeats were absorbed by dedup
             assert table.rows_read < table.rows_requested
+
+    # table t0's (fills, misses, rows read) after serving one batch
+    COLD_TRAFFIC = {"freq_aware": (39, 39, 39),
+                    "set_associative": (70, 70, 70),
+                    "uvm": (4, 4, 200)}
+
+    @pytest.mark.parametrize("cache_kind", sorted(COLD_TRAFFIC))
+    def test_warm_traffic_is_excluded_from_both_counters(self, cache_kind):
+        """Regression: warming a ``freq_aware`` cold table reset the
+        backing store's bytes but not the cache's stats, so ``fills``
+        read 50 after warm-up and 89 against 39 misses after serving.
+        Now warm traffic counts in neither, and a row cache's fills
+        equal its misses and the rows it read (a ``uvm`` fill is one
+        page of 50 rows)."""
+        config = tiny_config()
+        data = tiny_dataset(config)
+        stats = FrequencyStats()
+        for i in range(4):
+            stats.update(data.batch(64, i))
+        servable = freeze(DLRM(config, seed=4),
+                          FreezeConfig(hot_bytes=0, cache_kind=cache_kind),
+                          frequency_stats=stats)
+        t0 = servable.cold_tables["t0"]
+        row_bytes = t0.backing.rows[0].nbytes
+        assert (t0.cache.stats.fills, t0.backing.bytes_read) == (0, 0)
+        servable.predict(data.batch(64, 100))
+        s = t0.cache.stats
+        assert (s.fills, s.misses, t0.backing.bytes_read // row_bytes) \
+            == self.COLD_TRAFFIC[cache_kind]
 
     def test_cold_dedup_matches_undeduped_path(self):
         """A cold table's deduplicated cache read pools the bits a plain

@@ -3,13 +3,13 @@
 ``freeze`` reads each table from its source once (a trainer's stored
 table in place, a column-wise table's slices joined) and writes it
 straight into its tier's storage. ``tests/reference_serving.py`` keeps
-the export as it was, through ``to_local_model`` and three more copies
-of every table. The suites below hold the two artifacts equal bit for
-bit on every tier and sharding scheme, and bound the export's memory.
+the export as it was, through the oracle ``to_local_model`` and three
+more copies of every table. The suites below hold the two artifacts
+equal bit for bit on every tier and sharding scheme;
+``test_memory_bounds.py`` bounds the export's memory.
 """
 
 import pickle
-import tracemalloc
 
 import pytest
 
@@ -194,21 +194,3 @@ class TestStreamingParity:
     def test_rejects_other_sources(self):
         with pytest.raises(TypeError):
             freeze(object())
-
-
-class TestExportMemory:
-    def test_peak_within_twice_the_embedding_bytes(self):
-        """The export holds one copy of each table and one table in
-        flight: its traced peak stays under 2x the embedding bytes (the
-        whole-model export peaked at ~4.2x)."""
-        config = config_of(rows=3000, dim=16)
-        trainer = trainer_of(config, steps=1)
-        embedding_bytes = config.num_embedding_parameters() * 4
-        tracemalloc.start()
-        try:
-            servable = freeze(trainer)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert servable.embedding_storage_bytes() == embedding_bytes
-        assert peak <= 2 * embedding_bytes, peak / embedding_bytes

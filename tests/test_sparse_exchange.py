@@ -42,7 +42,7 @@ from repro.core import NeoTrainer
 from repro.core.exchange import SparseExchange
 from repro.data import MiniBatch, SyntheticCTRDataset
 from repro.embedding import EmbeddingTableConfig, SparseAdaGrad
-from repro.models import DLRM, DLRMConfig
+from repro.models import DLRMConfig
 from repro.obs import NULL_TRACER, MetricRegistry
 from repro.sharding import (Shard, ShardingPlan, ShardingScheme,
                             TableShardingPlan, shard_table)
@@ -257,9 +257,8 @@ def row_wise_exchange(world, tables, placements) -> SparseExchange:
     metrics = MetricRegistry()
     pg = SimProcessGroup(ClusterTopology(num_nodes=1, gpus_per_node=world),
                          registry=metrics)
-    return SparseExchange(config, plan, DLRM(config), pg,
-                          SparseAdaGrad(lr=0.1), NULL_TRACER,
-                          metrics)
+    return SparseExchange(config, plan, np.random.default_rng(0), pg,
+                          SparseAdaGrad(lr=0.1), NULL_TRACER, metrics)
 
 
 class TestRowWisePayloads:
