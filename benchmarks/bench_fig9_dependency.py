@@ -59,8 +59,10 @@ def test_dependency_graph_in_functional_model(benchmark, report):
         batch_a = ds.batch(16, 0)
         batch_b = ds.batch(16, 0)
         batch_b.dense[:] = 0.0  # perturb dense path only
-        pooled_a = model.embeddings.forward(batch_a.sparse)
-        pooled_b = model.embeddings.forward(batch_b.sparse)
+        pooled_a = model.embeddings.forward(
+            {name: batch_a.feature(name) for name in batch_a.keys})
+        pooled_b = model.embeddings.forward(
+            {name: batch_b.feature(name) for name in batch_b.keys})
 
         batch_c = ds.batch(16, 1)  # different sparse ids
         bottom_a = model.bottom.forward(batch_a.dense)

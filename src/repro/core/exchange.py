@@ -19,12 +19,10 @@ import numpy as np
 from ..comms import AlltoAllKind, SimProcessGroup
 from ..comms.collectives import rank_rows
 from ..data.datagen import MiniBatch
-from ..data.kernels import bucket_of
 from ..embedding import (EmbeddingTable, EmbeddingTableConfig,
                          QuantizedEmbeddingTable, SparseGradient,
                          SparseOptimizer)
-from ..embedding.table import (init_rows, lengths_to_offsets,
-                               validate_offsets)
+from ..embedding.table import init_rows, lengths_to_offsets
 from ..models.dlrm import DLRMConfig
 from ..obs.metrics import MetricRegistry
 from ..sharding import Shard, ShardingPlan, ShardingScheme
@@ -39,6 +37,29 @@ _Inputs = Dict[str, List[Tuple[np.ndarray, np.ndarray]]]
 # one AlltoAll's inputs: its flat send buffer, source-major and then by
 # destination, and its (W, W) split matrix of row counts
 _Payload = Tuple[np.ndarray, np.ndarray]
+
+
+def bucket_of(indices: np.ndarray, boundaries: np.ndarray) -> np.ndarray:
+    """``k`` with ``boundaries[k] <= id < boundaries[k + 1]``, per id.
+
+    ``searchsorted`` on unsorted ids mispredicts a branch at every level
+    of its binary search, and a combined id space of many row-wise
+    tables has many levels. A guide over power-of-two cells no wider
+    than the narrowest bucket replaces it: each cell holds at most one
+    cut, so an id's bucket is its cell's first bucket, plus one if the
+    id reaches the next cut. The guide is used when it has no more cells
+    than there are ids, so building it never costs more than it saves.
+    """
+    shift = int(np.diff(boundaries).min()).bit_length() - 1
+    cells = ((int(boundaries[-1]) - 1) >> shift) + 1
+    if cells > len(indices):
+        return np.searchsorted(boundaries, indices, side="right") - 1
+    first = np.searchsorted(boundaries,
+                            np.arange(cells, dtype=np.int64) << shift,
+                            side="right") - 1
+    bucket = np.take(first, indices >> shift)
+    bucket += indices >= np.take(boundaries, bucket + 1)
+    return bucket
 
 
 @dataclass(frozen=True)
@@ -147,8 +168,8 @@ class SparseExchange:
         boundaries into one bucket per shard, owned by
         ``_bucket_rank[bucket]``."""
         self._row_wise: List[_RowWiseTable] = []
-        boundaries, owners_of_buckets = [0], []
-        for t in self.config.tables:
+        boundaries, owners_of_buckets, positions = [0], [], []
+        for position, t in enumerate(self.config.tables):
             if self.plan.scheme_of(t.name) not in _ROW_SCHEMES:
                 continue
             if t.pooling_mode != "sum":
@@ -177,6 +198,7 @@ class SparseExchange:
                     f"{[s.row_range for s in shards]}")
             self._row_wise.append(_RowWiseTable(t.name, shards,
                                                 sorted(owners)))
+            positions.append(position)
             base = boundaries[-1]
             boundaries.extend(base + cut for cut in cuts[1:])
             owners_of_buckets.extend(s.rank for s in shards)
@@ -184,6 +206,7 @@ class SparseExchange:
         self._row_bases = np.cumsum(
             [0] + [rt.shards[-1].row_range[1] for rt in self._row_wise])
         self._bucket_rank = np.asarray(owners_of_buckets, dtype=np.int64)
+        self._row_positions = positions   # row-wise tables in the config
 
     # ------------------------------------------------------------------
     # instrumented shard access
@@ -231,31 +254,13 @@ class SparseExchange:
     # ------------------------------------------------------------------
     # the index pass: every table's exchange payloads, prepared at once
     # ------------------------------------------------------------------
-    def _bag_lengths(self, inputs: _Inputs,
-                     local_batch: int) -> Dict[str, np.ndarray]:
-        """Bag lengths of every table on every source rank (the combined
-        format's lengths tensor): one ``np.diff`` over all offsets, each
-        table's ``(W, B)`` lengths a block of rows of the result."""
-        names = [t.name for t in self.config.tables]
-        w = self.world_size
-        offsets = [inputs[name][src][1] for name in names
-                   for src in range(w)]
-        if any(len(o) != local_batch + 1 for o in offsets):
-            raise ValueError(
-                f"every table's offsets must hold local batch + 1 = "
-                f"{local_batch + 1} entries")
-        lengths = np.diff(np.stack(offsets), axis=1).astype(np.int64,
-                                                            copy=False)
-        return {name: lengths[i * w:(i + 1) * w]
-                for i, name in enumerate(names)}
-
-    def _row_wise_payloads(self, inputs: _Inputs,
-                           lengths: Dict[str, np.ndarray]
+    def _row_wise_payloads(self, inputs: _Inputs, lengths: np.ndarray
                            ) -> Dict[str, Tuple[Tuple[Shard, ...],
                                                 _Payload, _Payload]]:
         """Every row-wise table's shards (in row order) and its ids and
         lengths index-AlltoAll payloads, from one pass over the ids of
-        every row-wise table and source rank.
+        every row-wise table and source rank. ``lengths`` is every
+        table's ``(W, B)`` bag lengths, in config order.
 
         The ids, table-major, are offset by their table's base into the
         combined id space, whose buckets are the shards. One stable sort
@@ -270,17 +275,13 @@ class SparseExchange:
         if not self._row_wise:
             return {}
         w, tables = self.world_size, len(self._row_wise)
-        batch = lengths[self._row_wise[0].name].shape[1]
+        batch = lengths.shape[2]
         ids = np.concatenate([inputs[rt.name][src][0]
                               for rt in self._row_wise
-                              for src in range(w)]).astype(np.int64,
-                                                           copy=False)
+                              for src in range(w)])
         # every id's bag, numbered (table, source rank, bag)
-        bag = np.repeat(np.arange(tables * w * batch), np.concatenate(
-            [lengths[rt.name].ravel() for rt in self._row_wise]))
-        if len(bag) != len(ids):
-            raise ValueError("every row-wise table's bag lengths must sum "
-                             "to its id count")
+        bag = np.repeat(np.arange(tables * w * batch),
+                        lengths[self._row_positions].ravel())
         table = bag // (w * batch)
         outside = (ids < 0) | (ids >= np.diff(self._row_bases)[table])
         if outside.any():
@@ -422,11 +423,10 @@ class SparseExchange:
         """One lookup of the one table for the global batch (every rank's
         bags, rank-major), returned as the ``(W, B, D)`` stack.
 
-        Each rank's offsets must run from 0 to its id count, so that no
-        rank's bags shift into a neighbour's; the global lookup then
-        checks order and id range for every rank at once."""
-        for ids, offsets in inputs:
-            validate_offsets(offsets, len(ids))
+        Each rank's bags hold exactly its ids (a :class:`MiniBatch`
+        checks that when it is built), so no rank's bags shift into a
+        neighbour's; the global lookup checks id range for every rank at
+        once."""
         pooled = self._shard_forward(
             self.plan.tables[shard.table].shards,
             np.concatenate([ids for ids, _ in inputs]),
@@ -468,22 +468,30 @@ class SparseExchange:
         """Every table's ``(W, B, D)`` pooled lookups, each
         table under a ``trainer.table_fwd`` span if ``spans`` (train path).
 
-        A local batch without some table's sparse feature raises
-        ``ValueError`` before any collective runs. Then the index pass
+        A local batch without some table's sparse feature, or with
+        another sample count than rank 0's, raises ``ValueError`` before
+        any collective runs. Then the index pass stacks the ranks'
+        lengths matrices into every table's ``(W, B)`` bag lengths,
         prepares every table's payloads at once, and each table runs its
         collectives and shard lookups in table order."""
-        for r, batch in enumerate(local_batches):
-            for t in self.config.tables:
-                if t.name not in batch.sparse:
-                    raise ValueError(f"rank {r}'s local batch has no "
-                                     f"sparse feature for table {t.name}")
+        names = [t.name for t in self.config.tables]
         local_batch = local_batches[0].batch_size
-        inputs = {t.name: [b.sparse[t.name] for b in local_batches]
-                  for t in self.config.tables}
-        lengths = self._bag_lengths(inputs, local_batch)
+        for r, batch in enumerate(local_batches):
+            for name in names:
+                if name not in batch.keys:
+                    raise ValueError(f"rank {r}'s local batch has no "
+                                     f"sparse feature for table {name}")
+            if batch.batch_size != local_batch:
+                raise ValueError(
+                    f"rank {r}'s local batch holds {batch.batch_size} "
+                    f"samples, rank 0's {local_batch}")
+        inputs = {name: [b.feature(name) for b in local_batches]
+                  for name in names}
+        lengths = np.stack([b.lengths[[b.keys.index(name) for name in names]]
+                            for b in local_batches], axis=1)
         row_wise = self._row_wise_payloads(inputs, lengths)
         pooled: Dict[str, np.ndarray] = {}
-        for t in self.config.tables:
+        for i, t in enumerate(self.config.tables):
             table_plan = self.plan.tables[t.name]
             with self.tracer.span("trainer.table_fwd", cat="trainer",
                                   table=t.name,
@@ -491,14 +499,13 @@ class SparseExchange:
                     if spans else nullcontext():
                 if table_plan.scheme == ShardingScheme.DATA_PARALLEL:
                     pooled[t.name] = self._forward_data_parallel(
-                        table_plan.shards[0], inputs[t.name],
-                        lengths[t.name])
+                        table_plan.shards[0], inputs[t.name], lengths[i])
                 elif t.name in row_wise:
                     pooled[t.name] = self._forward_row_wise(
                         t, *row_wise[t.name], local_batch)
                 else:
                     pooled[t.name] = self._forward_column_wise(
-                        table_plan.shards, inputs[t.name], lengths[t.name],
+                        table_plan.shards, inputs[t.name], lengths[i],
                         local_batch)
         return pooled
 

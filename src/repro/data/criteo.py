@@ -18,7 +18,7 @@ import numpy as np
 
 from .. import check
 from ..embedding.table import EmbeddingTableConfig
-from .datagen import SyntheticCTRDataset
+from .datagen import MiniBatch, SyntheticCTRDataset
 
 __all__ = ["CRITEO_NUM_DENSE", "CRITEO_NUM_SPARSE",
            "criteo_table_configs", "criteo_dlrm_config",
@@ -101,15 +101,13 @@ class CriteoLikeDataset(SyntheticCTRDataset):
         rng = np.random.default_rng((self.seed, batch_index, 1))
         counters = np.expm1(np.abs(b.dense)) \
             * rng.lognormal(0.0, 0.5, size=b.dense.shape)
-        b.dense = log_transform(counters)
         # exactly one id per categorical feature (Criteo semantics):
         # keep each sample's first id, or id 0 for empty bags
-        for name, (indices, offsets) in list(b.sparse.items()):
-            lengths = np.diff(offsets)
-            first_ids = np.where(
-                lengths > 0,
-                indices[np.minimum(offsets[:-1], max(len(indices) - 1, 0))],
-                0).astype(np.int64)
-            new_offsets = np.arange(batch_size + 1, dtype=np.int64)
-            b.sparse[name] = (first_ids, new_offsets)
-        return b
+        # (a bag starts where the bags before it, feature-major, end)
+        lengths = b.lengths.ravel()
+        filled = lengths > 0
+        first = np.zeros(len(lengths), dtype=np.int64)
+        first[filled] = b.ids[(np.cumsum(lengths) - lengths)[filled]]
+        return MiniBatch(dense=log_transform(counters), keys=b.keys,
+                         lengths=np.ones_like(b.lengths), ids=first,
+                         labels=b.labels)

@@ -17,13 +17,13 @@ actually exercises:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from .. import check
-from ..embedding.table import EmbeddingTableConfig, lengths_to_offsets
+from ..embedding.table import EmbeddingTableConfig
 from ..nn import functional as F
 
 __all__ = ["MiniBatch", "SyntheticCTRDataset", "concat_ranges",
@@ -113,13 +113,75 @@ def concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.repeat(starts - first, lengths) + np.arange(int(lengths.sum()))
 
 
+def _integers(name: str, values) -> np.ndarray:
+    """``values`` as an int64 array; a non-empty array of anything but
+    integers (floats, bools) is a ``ValueError``, not a truncation."""
+    values = np.asarray(values)
+    if values.size and values.dtype.kind not in "iu":
+        raise ValueError(f"{name} must be integers, got {values.dtype}")
+    return values.astype(np.int64, copy=False)
+
+
 @dataclass
 class MiniBatch:
-    """One batch of samples: dense features, jagged sparse ids, labels."""
+    """One batch of samples in the combined format (paper Section 4.4):
+    dense features, labels, and every sparse feature's bags as one
+    ``(F, B)`` lengths matrix and one flat ids array.
+
+    ``lengths[f, b]`` is the bag size of sample ``b`` in feature
+    ``keys[f]``; ``ids`` holds feature ``keys[0]``'s ids bag by bag,
+    then ``keys[1]``'s, and so on. The layout is checked once, here:
+    one row of lengths per key, one column per sample, no negative
+    length, and as many ids as the lengths add up to (``ValueError``).
+    :meth:`feature` is the one way to read a feature.
+    """
 
     dense: np.ndarray                     # (B, dense_dim) float32
-    sparse: Dict[str, Tuple[np.ndarray, np.ndarray]]  # name -> (ids, offsets)
+    keys: Tuple[str, ...]                 # the F sparse feature names
+    lengths: np.ndarray                   # (F, B) int64 bag sizes
+    ids: np.ndarray                       # (lengths.sum(),) int64
     labels: np.ndarray                    # (B,) float32 in {0, 1}
+
+    def __post_init__(self) -> None:
+        self.keys = tuple(self.keys)
+        self.lengths = _integers("lengths", self.lengths)
+        self.ids = _integers("ids", self.ids)
+        if len(set(self.keys)) != len(self.keys):
+            raise ValueError(f"duplicate sparse feature in {self.keys}")
+        rows = len(self.dense)
+        if self.lengths.shape != (len(self.keys), rows) \
+                or np.shape(self.labels) != (rows,) or self.ids.ndim != 1:
+            raise ValueError(
+                f"a batch of {rows} samples and {len(self.keys)} sparse "
+                f"features needs ({len(self.keys)}, {rows}) lengths, "
+                f"({rows},) labels and flat ids, got "
+                f"{self.lengths.shape}, {np.shape(self.labels)} and "
+                f"{self.ids.shape}")
+        if (self.lengths < 0).any():
+            raise ValueError("bag lengths must be non-negative")
+        if int(self.lengths.sum()) != len(self.ids):
+            raise ValueError(f"lengths sum to {int(self.lengths.sum())} "
+                             f"but the batch holds {len(self.ids)} ids")
+
+    @cached_property
+    def _offsets(self) -> np.ndarray:
+        """``(F, B + 1)``: row ``f`` is feature ``f``'s bag offsets."""
+        offsets = np.zeros((len(self.lengths), self.batch_size + 1),
+                           dtype=np.int64)
+        np.cumsum(self.lengths, axis=1, out=offsets[:, 1:])
+        return offsets
+
+    @cached_property
+    def _starts(self) -> np.ndarray:
+        """``(F + 1,)``: feature ``f``'s ids are ``ids[starts[f]:
+        starts[f + 1]]``."""
+        starts = np.zeros(len(self.lengths) + 1, dtype=np.int64)
+        np.cumsum(self._offsets[:, -1], out=starts[1:])
+        return starts
+
+    @cached_property
+    def _position(self) -> Dict[str, int]:
+        return {name: f for f, name in enumerate(self.keys)}
 
     @property
     def batch_size(self) -> int:
@@ -128,42 +190,61 @@ class MiniBatch:
     @property
     def nnz(self) -> int:
         """Total embedding ids across every sparse feature."""
-        return int(sum(len(ids) for ids, _ in self.sparse.values()))
+        return len(self.ids)
+
+    def feature(self, name: str) -> Tuple[np.ndarray, np.ndarray]:
+        """Feature ``name``'s ``(ids, offsets)``, both views of this
+        batch's arrays (``KeyError`` if the batch has no such feature)."""
+        f = self._position[name]
+        return (self.ids[self._starts[f]:self._starts[f + 1]],
+                self._offsets[f])
+
+    def _gather(self, firsts: np.ndarray, lengths: np.ndarray
+                ) -> np.ndarray:
+        """The ids of the ``(F, n)`` bags that start at feature-local
+        positions ``firsts`` and hold ``lengths`` ids, feature-major."""
+        return self.ids[concat_ranges(
+            (firsts + self._starts[:-1, None]).ravel(), lengths.ravel())]
+
+    def _row_ids(self, start: int, stop: int) -> np.ndarray:
+        """The ids of samples ``[start, stop)``, feature-major."""
+        lo = self._offsets[:, start:start + 1]
+        return self._gather(lo, self._offsets[:, stop:stop + 1] - lo)
 
     def slice(self, start: int, stop: int) -> "MiniBatch":
-        """Extract samples ``[start, stop)`` with rebased offsets."""
-        sparse = {}
-        for name, (indices, offsets) in self.sparse.items():
-            lo, hi = offsets[start], offsets[stop]
-            sparse[name] = (indices[lo:hi].copy(),
-                            (offsets[start:stop + 1] - lo).copy())
-        return MiniBatch(dense=self.dense[start:stop].copy(), sparse=sparse,
+        """Samples ``[start, stop)``, copied out. ``start`` and ``stop``
+        are integers with ``0 <= start <= stop`` (``ValueError``) and
+        ``stop <= batch_size`` (``IndexError``)."""
+        check.count("start", start, low=0)
+        check.count("stop", stop, low=start)
+        if stop > self.batch_size:
+            raise IndexError(f"rows [{start}, {stop}) out of range for a "
+                             f"batch of {self.batch_size} samples")
+        return MiniBatch(dense=self.dense[start:stop].copy(), keys=self.keys,
+                         lengths=self.lengths[:, start:stop].copy(),
+                         ids=self._row_ids(start, stop),
                          labels=self.labels[start:stop].copy())
 
     def take(self, rows: np.ndarray) -> "MiniBatch":
-        """Samples ``rows`` (any order, repeats allowed) as one batch:
-        bitwise ``concat([slice(r, r + 1) for r in rows])``.
-
-        The jagged gather is vectorised: per feature, the gathered bags'
-        lengths give the new offsets, and one :func:`concat_ranges` index
-        picks every bag's ids out of the flat id array."""
-        rows = np.asarray(rows, dtype=np.int64)
+        """Samples ``rows`` (integers, any order, repeats allowed) as one
+        batch: bitwise ``concat([slice(r, r + 1) for r in rows])``. One
+        gather of the lengths matrix's columns and one
+        :func:`concat_ranges` of the ids."""
+        rows = _integers("rows", rows)
         if rows.ndim != 1:
             raise ValueError("rows must be one-dimensional")
         if len(rows) and (rows.min() < 0 or rows.max() >= self.batch_size):
             raise IndexError(f"rows out of range for a batch of "
                              f"{self.batch_size} samples")
-        sparse = {}
-        for name, (indices, offsets) in self.sparse.items():
-            lo = offsets[rows]
-            lengths = offsets[rows + 1] - lo
-            sparse[name] = (indices[concat_ranges(lo, lengths)],
-                            lengths_to_offsets(lengths))
-        return MiniBatch(dense=self.dense[rows], sparse=sparse,
+        lengths = self.lengths[:, rows]
+        return MiniBatch(dense=self.dense[rows], keys=self.keys,
+                         lengths=lengths,
+                         ids=self._gather(self._offsets[:, rows], lengths),
                          labels=self.labels[rows])
 
     def split(self, parts: int) -> List["MiniBatch"]:
         """Split into ``parts`` contiguous sub-batches (data parallelism)."""
+        check.count("parts", parts)
         if self.batch_size % parts:
             raise ValueError(
                 f"batch size {self.batch_size} not divisible by {parts}")
@@ -172,49 +253,30 @@ class MiniBatch:
 
     @staticmethod
     def concat(batches: Sequence["MiniBatch"]) -> "MiniBatch":
-        """Coalesce batches (inverse of :meth:`split`): samples in order,
-        jagged ids concatenated with offsets rebased. All batches must
-        cover the same sparse features. This is how
-        ``RequestTrace.merge`` coalesces the stores of one feature set.
+        """Coalesce batches (inverse of :meth:`split`): samples in order.
+        All batches must have the same ``keys``, in the same order. This
+        is how ``RequestTrace.merge`` coalesces the stores of one
+        feature set.
 
-        Per feature, the offsets arrays are concatenated and differenced
-        once; the differences that straddle two batches (one after the
-        end of every offsets array but the last) are dropped, leaving
-        each bag's length. Dropping them is only sound when every batch's
-        offsets hold one bag per sample and run from 0 to its id count,
-        so that is checked (``ValueError``): otherwise a malformed batch
-        would silently re-bag its neighbours' ids."""
+        The lengths matrices are joined column-wise; the ids are joined
+        and then gathered once, feature by feature and batch by batch
+        within each feature."""
         if not batches:
             raise ValueError("need at least one batch")
-        names = set(batches[0].sparse)
+        keys = batches[0].keys
         for b in batches[1:]:
-            if set(b.sparse) != names:
+            if b.keys != keys:
                 raise ValueError(
-                    f"sparse feature mismatch: {sorted(names)} vs "
-                    f"{sorted(b.sparse)}")
-        count = len(batches)
-        sizes = np.fromiter((len(b.dense) for b in batches), np.int64, count)
-        last = np.cumsum(sizes + 1) - 1   # each batch's last offsets entry
-        keep = np.ones(last[-1], dtype=bool)
-        keep[last[:-1]] = False
-        sparse = {}
-        for name in batches[0].sparse:
-            ids = [b.sparse[name][0] for b in batches]
-            offsets = [b.sparse[name][1] for b in batches]
-            flat = np.concatenate(offsets)
-            if ((np.fromiter(map(len, offsets), np.int64, count)
-                    != sizes + 1).any()
-                    or flat[last - sizes].any()
-                    or (flat[last] != np.fromiter(map(len, ids), np.int64,
-                                                  count)).any()):
-                raise ValueError(
-                    f"feature {name}: every batch's offsets must hold one "
-                    f"bag per sample, from 0 to its id count")
-            sparse[name] = (np.concatenate(ids),
-                            lengths_to_offsets(np.diff(flat)[keep]))
+                    f"sparse feature mismatch: {keys} vs {b.keys}")
+        starts = np.stack([b._starts for b in batches])   # (N, F + 1)
+        bases = np.cumsum(starts[:, -1]) - starts[:, -1]
         return MiniBatch(
             dense=np.concatenate([b.dense for b in batches], axis=0),
-            sparse=sparse,
+            keys=keys,
+            lengths=np.concatenate([b.lengths for b in batches], axis=1),
+            ids=np.concatenate([b.ids for b in batches])[concat_ranges(
+                (starts[:, :-1] + bases[:, None]).T.ravel(),
+                np.diff(starts, axis=1).T.ravel())],
             labels=np.concatenate([b.labels for b in batches]))
 
 
@@ -262,25 +324,27 @@ class SyntheticCTRDataset:
         dense = rng.normal(size=(batch_size, self.dense_dim)).astype(
             np.float32)
         logits = dense @ self._dense_weights + self._bias
-        sparse = {}
-        for t in self.tables:
-            lengths = rng.poisson(max(t.avg_pooling, 1e-9),
-                                  size=batch_size).astype(np.int64)
-            indices = zipf_indices(t.num_embeddings, int(lengths.sum()),
+        lengths = np.empty((len(self.tables), batch_size), dtype=np.int64)
+        ids = []
+        for f, t in enumerate(self.tables):
+            lengths[f] = rng.poisson(max(t.avg_pooling, 1e-9),
+                                     size=batch_size)
+            indices = zipf_indices(t.num_embeddings, int(lengths[f].sum()),
                                    rng, alpha=self.zipf_alpha)
-            offsets = lengths_to_offsets(lengths)
-            sparse[t.name] = (indices, offsets)
+            ids.append(indices)
             effects = self._id_effects[t.name]
             bag_sums = np.zeros(batch_size, dtype=np.float32)
-            bag_ids = np.repeat(np.arange(batch_size), lengths)
+            bag_ids = np.repeat(np.arange(batch_size), lengths[f])
             if len(indices):
                 np.add.at(bag_sums, bag_ids, effects[indices])
             # mean effect per bag keeps logit scale independent of L
-            logits += bag_sums / np.maximum(lengths, 1)
+            logits += bag_sums / np.maximum(lengths[f], 1)
         logits += rng.normal(0.0, self.noise, size=batch_size)
         labels = (rng.random(batch_size) < F.sigmoid(
             logits.astype(np.float32))).astype(np.float32)
-        return MiniBatch(dense=dense, sparse=sparse, labels=labels)
+        return MiniBatch(dense=dense, keys=[t.name for t in self.tables],
+                         lengths=lengths, ids=np.concatenate(ids),
+                         labels=labels)
 
     def batches(self, batch_size: int, num_batches: int,
                 start: int = 0) -> List[MiniBatch]:

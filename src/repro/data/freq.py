@@ -41,8 +41,8 @@ class FrequencyStats:
 
     def update(self, batch: MiniBatch) -> None:
         """Fold one batch's sparse ids into the histograms."""
-        for name, (indices, _offsets) in batch.sparse.items():
-            self.update_ids(name, indices)
+        for name in batch.keys:
+            self.update_ids(name, batch.feature(name)[0])
         self.batches_observed += 1
 
     def update_ids(self, table: str, ids: np.ndarray) -> None:

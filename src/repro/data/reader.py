@@ -87,24 +87,14 @@ class DataIngestionService:
         return shards
 
     def _account(self, shards: List[MiniBatch]) -> None:
-        """Bill each shard's transfer in the combined format, counted
-        rather than built: ``T * B`` int64 lengths plus every id as an
-        int64 (what ``SeparateFormat.to_combined`` would hold)."""
+        """Bill each shard's transfer in the combined format it is held
+        in: its ``(T, B)`` int64 lengths plus every id as an int64."""
         self.stats.batches_produced += 1
         combined_tensors = 0
         separate_tensors = 0
         for shard in shards:
-            batch = None
-            nnz = 0
-            for name, (indices, offsets) in shard.sparse.items():
-                if batch is None:
-                    batch = len(offsets) - 1
-                elif len(offsets) - 1 != batch:
-                    raise ValueError(
-                        f"table {name} batch {len(offsets) - 1} != {batch}")
-                nnz += len(indices)
-            tables = len(shard.sparse)
-            payload = 8 * (tables * (batch or 0) + nnz) \
+            tables = len(shard.keys)
+            payload = 8 * (shard.lengths.size + len(shard.ids)) \
                 + shard.dense.nbytes + shard.labels.nbytes
             self.stats.frontend_bytes += payload
             # combined: lengths + indices; separate: two per table; +2

@@ -179,7 +179,8 @@ class DLRM:
     def forward(self, batch: MiniBatch) -> np.ndarray:
         """Returns logits of shape (B,)."""
         dense_out = self.bottom.forward(batch.dense)
-        pooled = self.embeddings.forward(batch.sparse)
+        pooled = self.embeddings.forward(
+            {name: batch.feature(name) for name in batch.keys})
         features = [dense_out] + [self._project(t.name, pooled[t.name])
                                   for t in self.config.tables]
         interacted = self.interaction.forward_list(features)

@@ -140,9 +140,17 @@ class _StoreRows(MiniBatch):
     def dense(self) -> np.ndarray:
         return self._store.dense[self._rows].copy()
 
+    @property
+    def keys(self) -> Tuple[str, ...]:
+        return self._store.keys
+
     @cached_property
-    def sparse(self) -> Dict[str, Tuple[np.ndarray, np.ndarray]]:
-        return self._store.slice(self._rows.start, self._rows.stop).sparse
+    def lengths(self) -> np.ndarray:
+        return self._store.lengths[:, self._rows].copy()
+
+    @cached_property
+    def ids(self) -> np.ndarray:
+        return self._store._row_ids(self._rows.start, self._rows.stop)
 
     @cached_property
     def labels(self) -> np.ndarray:
@@ -233,8 +241,8 @@ class RequestTrace:
         combine traces. ``tenants[j]``, if given, tags each request of
         ``traces[j]``; otherwise the requests keep their tags.
 
-        The merged trace keeps one store per feature set (sparse names
-        and dense width): a store that is the only one of its set is
+        The merged trace keeps one store per feature set (the ordered
+        sparse ``keys`` and the dense width): a store that is the only one of its set is
         used uncopied, one that several inputs share is kept once, and
         distinct stores of one set are coalesced by one
         :meth:`MiniBatch.concat`."""
@@ -244,8 +252,8 @@ class RequestTrace:
                              "traces")
         groups: Dict[tuple, Dict[int, MiniBatch]] = {}
         for store in (s for trace in traces for s in trace.stores):
-            groups.setdefault((tuple(sorted(store.sparse)),
-                               store.dense.shape[1:]), {})[id(store)] = store
+            groups.setdefault((store.keys, store.dense.shape[1:]),
+                              {})[id(store)] = store
         stores, placed = [], {}   # id(store) -> (part, first row)
         for k, members in enumerate(groups.values()):
             rows = np.cumsum([0] + [m.batch_size for m in members.values()])

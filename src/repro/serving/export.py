@@ -300,7 +300,7 @@ class ServableModel:
                 or (np.diff(bounds) < 0).any():
             raise ValueError(f"bounds must rise from 0 to the batch's "
                              f"{batch.batch_size} samples")
-        sparse = batch.sparse
+        sparse = {name: batch.feature(name) for name in batch.keys}
         pooled: Dict[str, np.ndarray] = {}
         if self.hot_tables is not None:
             pooled.update(self.hot_tables.forward(sparse))

@@ -86,7 +86,7 @@ def requests_from_arrivals(dataset: SyntheticCTRDataset,
     if rows.min() < 0:
         raise ValueError(f"user_rows must be >= 0, got {rows.min()}")
     bulk = dataset.batch(int(rows.max()) + 1, batch_index=batch_index)
-    nnz = sum(np.diff(offsets) for _, offsets in bulk.sparse.values())
+    nnz = bulk.lengths.sum(axis=0)
     return RequestTrace(
         request_id=start_id + np.arange(n), arrival_s=arrivals, stores=[bulk],
         start=rows, num_samples=np.ones(n, dtype=np.int64), nnz=nnz[rows],

@@ -31,10 +31,11 @@ on ``(row, bag rank)``; the suites in ``test_embedding_kernels.py`` /
 ``test_sparse_update_parity.py`` expand the bag form (``values[bag_ids]``)
 and hold the product to bitwise equality with this oracle.
 
-``bucketize_sparse_reference`` is the bucket-by-bucket mask loop that
-``repro.data.bucketize_sparse`` used to be (one pass over all ids per
-bucket); the product sorts once on the bucket and counts ``(bucket,
-bag)`` pairs once, and must return the same ids and lengths.
+``bucketize_sparse_reference`` is a bucket-by-bucket mask loop (one
+pass over all ids per bucket) that cuts one table's ids into row-range
+buckets; the exchange's index pass (``SparseExchange._row_wise_payloads``)
+sorts every row-wise table's ids once on the bucket and counts
+``(bucket, bag)`` pairs once, and must send the same ids and lengths.
 
 ``to_dense_reference`` is the row-wise 2-D ``np.add.at`` scatter that
 ``SparseGradient.to_dense`` used to be; the product scatters once into

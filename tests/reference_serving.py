@@ -9,8 +9,10 @@ equality with it:
   :meth:`ServingPerfModel.service_time` from ``model.config`` on each
   call. The product hoists the per-model constants and memoises the
   batch-size-only terms.
-* ``concat_reference`` takes one ``np.diff`` per batch per feature. The
-  product differences the concatenated offsets once.
+* ``concat_reference`` coalesces batches feature by feature in the dict
+  layout of ``reference_batch.py``, one ``np.diff`` per batch per
+  feature. The product joins the lengths matrices and gathers the ids
+  once.
 * ``forward_reference``/``predict_reference`` run the embedding half of
   one coalesced dispatch table by table: one ``dedup_forward`` (a gather
   of each unique row, then a broadcast) per hot table, one cache read
@@ -61,8 +63,7 @@ from repro import lowp, nn
 from repro.core import NeoTrainer
 from repro.data import MiniBatch
 from repro.data.formats import host_transfer_time
-from repro.embedding import (EmbeddingTable, FusedEmbeddingCollection,
-                             lengths_to_offsets)
+from repro.embedding import EmbeddingTable, FusedEmbeddingCollection
 from repro.embedding.dedup import dedup_cache_read
 from repro.models import DLRM
 from repro.nn import functional as F
@@ -74,6 +75,7 @@ from repro.serving.export import (_ColdTable, _freeze_array, _packing,
 from repro.serving.loadgen import ROUTER_STREAM
 from repro.serving.server import _EMB_LOOKUP_PRECISION
 
+from .reference_batch import concat_features, from_features, to_features
 from .reference_kernels import segment_sum_reference
 from .reference_trainer import to_local_model
 
@@ -197,16 +199,10 @@ def freeze_reference(source, config: Optional[FreezeConfig] = None,
 
 def concat_reference(batches: Sequence[MiniBatch]) -> MiniBatch:
     """Coalesce batches with one ``np.diff`` per batch per feature."""
-    sparse = {}
-    for name in batches[0].sparse:
-        ids = np.concatenate([b.sparse[name][0] for b in batches])
-        lengths = np.concatenate(
-            [np.diff(b.sparse[name][1]) for b in batches])
-        sparse[name] = (ids, lengths_to_offsets(lengths))
-    return MiniBatch(
-        dense=np.concatenate([b.dense for b in batches], axis=0),
-        sparse=sparse,
-        labels=np.concatenate([b.labels for b in batches]))
+    return from_features(
+        np.concatenate([b.dense for b in batches], axis=0),
+        concat_features([to_features(b) for b in batches]),
+        np.concatenate([b.labels for b in batches]))
 
 
 def dedup_forward(table: EmbeddingTable, indices: np.ndarray,
@@ -276,16 +272,17 @@ def pooled_reference(model, batch: MiniBatch) -> Dict[str, np.ndarray]:
     table, with the model's dedup and cache counters advanced as the
     per-dispatch path advanced them."""
     pooled: Dict[str, np.ndarray] = {}
+    features = to_features(batch)
     for name in model.hot_table_names:
-        indices, offsets = batch.sparse[name]
+        indices, offsets = features[name]
         pooled[name], unique_count = dedup_forward(
             model.hot_tables.table(name), indices, offsets)
         model.dedup_rows_requested += len(indices)
         model.dedup_rows_read += unique_count
     for name, table in model.cold_tables.items():
-        pooled[name] = _cold_forward_reference(table, *batch.sparse[name])
+        pooled[name] = _cold_forward_reference(table, *features[name])
     for name, tt_table in model.tt_tables.items():
-        pooled[name] = _tt_forward_reference(tt_table, *batch.sparse[name])
+        pooled[name] = _tt_forward_reference(tt_table, *features[name])
     return pooled
 
 
@@ -295,7 +292,8 @@ def cold_reads_reference(model, window: Sequence[Sequence[MiniBatch]]
     does: in one call, the table reads the ids each dispatch of
     ``window`` reads alone (its distinct ids), dispatch after dispatch."""
     for table in model.cold_tables.values():
-        parts = [MiniBatch.concat(d).sparse[table.name][0] for d in window]
+        parts = [to_features(MiniBatch.concat(d))[table.name][0]
+                 for d in window]
         reads = np.concatenate([np.unique(p) for p in parts])
         if len(reads):
             table.cache.read(reads, table.backing)
@@ -352,8 +350,8 @@ def trace_of_reference(requests) -> RequestTrace:
     requests = list(requests)
     parts: Dict[tuple, List[int]] = {}
     for i, r in enumerate(requests):
-        names = tuple(sorted(r.batch.sparse))
-        parts.setdefault((names, r.batch.dense.shape[1:]), []).append(i)
+        parts.setdefault((r.batch.keys, r.batch.dense.shape[1:]),
+                         []).append(i)
     part = np.zeros(len(requests), dtype=np.int64)
     start = np.zeros(len(requests), dtype=np.int64)
     num_samples = np.array([r.num_samples for r in requests],

@@ -23,7 +23,7 @@ from repro.baselines import ZionSetup
 from repro.cache import FreqAwareCache, SetAssociativeCache
 from repro.comms import ClusterTopology, GradientBucketer
 from repro.core import ComponentTimes, Task, TrainingLoop
-from repro.data import CombinedFormat
+from repro.data import MiniBatch
 from repro.embedding import EmbeddingTableConfig, SparseAdaGrad, SparseSGD
 from repro.fleet import AutoscalerConfig, FleetTraffic, TenantSpec
 from repro.models import DLRMConfig
@@ -54,9 +54,6 @@ CONFIGS = _exported_configs()
 VALID = {
     AutoscalerConfig: lambda: AutoscalerConfig(slo_s=1.0, window_s=1.0),
     ClusterTopology: lambda: ClusterTopology(num_nodes=1),
-    CombinedFormat: lambda: CombinedFormat(
-        table_names=["t"], batch_size=1, lengths=np.array([1]),
-        indices=np.array([0])),
     ComponentTimes: lambda: ComponentTimes(*[1.0] * 8),
     DLRMConfig: lambda: DLRMConfig(
         dense_dim=2, bottom_mlp=(4,),
@@ -65,6 +62,10 @@ VALID = {
     FaultSpec: lambda: FaultSpec(FaultKind.DELAY, rank=0, iteration=0,
                                  delay_seconds=1.0),
     FleetTraffic: lambda: FleetTraffic(mean_qps=1.0, duration_s=1.0),
+    MiniBatch: lambda: MiniBatch(
+        dense=np.zeros((1, 2), dtype=np.float32), keys=("t",),
+        lengths=np.ones((1, 1), dtype=np.int64), ids=np.zeros(1, np.int64),
+        labels=np.zeros(1, dtype=np.float32)),
     OnlineConfig: lambda: OnlineConfig(num_steps=1, swap_every_steps=1,
                                        train_step_time_s=1.0, qps=1.0),
     PlatformSpec: lambda: PlatformSpec("p", 1.0, 1.0, 1.0, 1.0),

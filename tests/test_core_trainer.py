@@ -18,6 +18,7 @@ from repro.sharding import (EmbeddingShardingPlanner, PlannerConfig,
                             ShardingPlan, ShardingScheme, shard_table)
 
 from .helpers import scheme_plan, train_sparse_model
+from .reference_batch import from_features, to_features
 from .reference_trainer import to_local_model
 
 
@@ -301,8 +302,10 @@ class TestDataParallelZeroGradient:
         def step(index):
             batch = ds.batch(8, index)
             # both tables read the same ids, so they touch the same rows
-            batch.sparse["tw"] = batch.sparse["dp"]
-            trainer.train_step(batch.split(2))
+            features = to_features(batch)
+            features["tw"] = features["dp"]
+            trainer.train_step(from_features(batch.dense, features,
+                                             batch.labels).split(2))
 
         step(0)
         # the one storage: every rank views rank 0's top MLP

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from repro.data import (CRITEO_NUM_DENSE, CRITEO_NUM_SPARSE,
-                        CriteoLikeDataset, criteo_dlrm_config,
-                        criteo_table_configs, log_transform)
+                        CriteoLikeDataset, SyntheticCTRDataset,
+                        criteo_dlrm_config, criteo_table_configs,
+                        log_transform)
+
+from .reference_batch import to_features
 
 
 class TestLogTransform:
@@ -52,13 +55,15 @@ class TestCriteoLikeDataset:
         ds = CriteoLikeDataset(max_rows=1000, embedding_dim=8)
         b = ds.batch(32)
         assert b.dense.shape == (32, 13)
-        assert len(b.sparse) == 26
+        assert len(b.keys) == 26
+        assert b.lengths.shape == (26, 32)
 
     def test_single_valued_categoricals(self):
         """Criteo semantics: exactly one id per feature per sample."""
         ds = CriteoLikeDataset(max_rows=1000)
         b = ds.batch(64)
-        for name, (ids, offsets) in b.sparse.items():
+        for name in b.keys:
+            ids, offsets = b.feature(name)
             assert len(ids) == 64
             np.testing.assert_array_equal(np.diff(offsets), np.ones(64))
 
@@ -71,7 +76,7 @@ class TestCriteoLikeDataset:
         ds = CriteoLikeDataset(max_rows=500)
         b = ds.batch(256)
         for t in ds.tables:
-            ids, _ = b.sparse[t.name]
+            ids, _ = b.feature(t.name)
             assert ids.max() < t.num_embeddings
 
     def test_deterministic(self):
@@ -79,6 +84,23 @@ class TestCriteoLikeDataset:
         b = CriteoLikeDataset(max_rows=100, seed=3).batch(16, 2)
         np.testing.assert_array_equal(a.dense, b.dense)
         np.testing.assert_array_equal(a.labels, b.labels)
+
+    @pytest.mark.parametrize("batch_size", [1, 2, 4, 8])
+    def test_small_batches_keep_first_ids_and_zero_for_empty_bags(
+            self, batch_size):
+        """At B <= 4 many features have every bag empty; each sample
+        still gets exactly one id per feature: its bag's first id, or
+        id 0 for an empty bag."""
+        ds = CriteoLikeDataset(max_rows=1000, seed=2)
+        for index in range(12):
+            b = ds.batch(batch_size, index)
+            drawn = to_features(SyntheticCTRDataset.batch(ds, batch_size,
+                                                          index))
+            np.testing.assert_array_equal(b.lengths, 1)
+            for name, (ids, offsets) in drawn.items():
+                want = [ids[lo] if hi > lo else 0
+                        for lo, hi in zip(offsets[:-1], offsets[1:])]
+                np.testing.assert_array_equal(b.feature(name)[0], want)
 
     def test_trains_a_dlrm(self):
         """The public-workload path end to end."""

@@ -1,4 +1,5 @@
-"""Tests for synthetic CTR data generation."""
+"""Tests for synthetic CTR data generation and the combined-format
+batch."""
 
 import numpy as np
 import pytest
@@ -7,7 +8,11 @@ from hypothesis import strategies as st
 
 from repro.data import MiniBatch, SyntheticCTRDataset, zipf_indices
 from repro.embedding import EmbeddingTableConfig
+from repro.serving.batcher import _StoreRows
 
+from .reference_batch import (assert_same_batch, concat_features,
+                              from_features, slice_features, take_features,
+                              to_features)
 from .reference_kernels import zipf_indices_reference
 
 
@@ -138,14 +143,106 @@ class TestZipfOracle:
             _zipf_guide(50, 1.05)[0] = 0
 
 
+@st.composite
+def combined_batches(draw):
+    """A batch of 1..5 features in shuffled key order and 0..9 samples,
+    bags of 0..3 ids, some features with every bag empty."""
+    num_features = draw(st.integers(min_value=1, max_value=5))
+    rows = draw(st.integers(min_value=0, max_value=9))
+    lengths = np.array(draw(st.lists(
+        st.lists(st.integers(min_value=0, max_value=3),
+                 min_size=rows, max_size=rows),
+        min_size=num_features, max_size=num_features)),
+        dtype=np.int64).reshape(num_features, rows)
+    lengths[draw(st.lists(st.booleans(), min_size=num_features,
+                          max_size=num_features))] = 0
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    keys = draw(st.permutations([f"f{i}" for i in range(num_features)]))
+    return MiniBatch(
+        dense=rng.normal(size=(rows, 2)).astype(np.float32), keys=keys,
+        lengths=lengths, ids=rng.integers(0, 100, int(lengths.sum())),
+        labels=rng.integers(0, 2, rows).astype(np.float32))
+
+
+def oracle_batch(batch: MiniBatch, features) -> MiniBatch:
+    return from_features(batch.dense, features, batch.labels)
+
+
+class TestCombinedBatchOracle:
+    """The combined-format batch (one lengths matrix, one ids array,
+    one vector op per batch op) against the per-feature dict layout of
+    ``tests/reference_batch.py``."""
+
+    @given(combined_batches())
+    @settings(max_examples=60, deadline=None)
+    def test_feature_is_a_view_of_the_dict_layout(self, batch):
+        features = to_features(batch)
+        assert list(features) == list(batch.keys)
+        for name in batch.keys:
+            ids, offsets = batch.feature(name)
+            np.testing.assert_array_equal(ids, features[name][0])
+            np.testing.assert_array_equal(offsets, features[name][1])
+            assert ids.dtype == offsets.dtype == np.int64
+            if len(ids):
+                assert np.shares_memory(ids, batch.ids)
+        assert batch.nnz == sum(len(ids) for ids, _ in features.values())
+        assert_same_batch(oracle_batch(batch, features), batch)
+
+    @given(combined_batches(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_concat_of_split_is_the_batch(self, batch, data):
+        parts = data.draw(st.sampled_from(
+            [k for k in range(1, 10) if batch.batch_size % k == 0]))
+        pieces = batch.split(parts)
+        assert len(pieces) == parts
+        step = batch.batch_size // parts
+        features = to_features(batch)
+        for i, piece in enumerate(pieces):
+            want = slice_features(features, i * step, (i + 1) * step)
+            assert_same_batch(piece, from_features(
+                piece.dense, want, piece.labels))
+        assert_same_batch(MiniBatch.concat(pieces), batch)
+        assert_same_batch(MiniBatch.concat(pieces), oracle_batch(
+            batch, concat_features([to_features(p) for p in pieces])))
+
+    @given(combined_batches(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_take_is_concat_of_row_slices(self, batch, data):
+        rows = data.draw(st.lists(
+            st.integers(min_value=0, max_value=batch.batch_size - 1),
+            min_size=1, max_size=12)) if batch.batch_size else []
+        taken = batch.take(np.array(rows, dtype=np.int64))
+        want = take_features(to_features(batch), rows)
+        assert_same_batch(taken, from_features(batch.dense[rows], want,
+                                               batch.labels[rows]))
+        if rows:
+            assert_same_batch(taken, MiniBatch.concat(
+                [batch.slice(r, r + 1) for r in rows]))
+
+    @given(combined_batches(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_store_rows_view_is_the_store_slice(self, batch, data):
+        start = data.draw(st.integers(0, batch.batch_size))
+        stop = data.draw(st.integers(start, batch.batch_size))
+        sliced = batch.slice(start, stop)
+        view = _StoreRows(batch, start, stop, sliced.nnz)
+        assert (view.batch_size, view.nnz) == (stop - start, sliced.nnz)
+        assert_same_batch(view, sliced)
+        for name in batch.keys:
+            for got, want in zip(view.feature(name), sliced.feature(name)):
+                np.testing.assert_array_equal(got, want)
+
+
 class TestDataset:
     def test_batch_shapes(self):
         ds = SyntheticCTRDataset(make_tables(), dense_dim=6)
         b = ds.batch(32)
         assert b.dense.shape == (32, 6)
         assert b.labels.shape == (32,)
-        assert set(b.sparse) == {"t0", "t1", "t2"}
-        for indices, offsets in b.sparse.values():
+        assert b.keys == ("t0", "t1", "t2")
+        assert b.lengths.shape == (3, 32)
+        for name in b.keys:
+            indices, offsets = b.feature(name)
             assert len(offsets) == 33
             assert offsets[-1] == len(indices)
 
@@ -155,9 +252,8 @@ class TestDataset:
         b1, b2 = ds1.batch(16, 3), ds2.batch(16, 3)
         np.testing.assert_array_equal(b1.dense, b2.dense)
         np.testing.assert_array_equal(b1.labels, b2.labels)
-        for name in b1.sparse:
-            np.testing.assert_array_equal(b1.sparse[name][0],
-                                          b2.sparse[name][0])
+        np.testing.assert_array_equal(b1.lengths, b2.lengths)
+        np.testing.assert_array_equal(b1.ids, b2.ids)
 
     def test_different_batches_differ(self):
         ds = SyntheticCTRDataset(make_tables())
@@ -173,9 +269,7 @@ class TestDataset:
         tables = make_tables(pooling=10.0)
         ds = SyntheticCTRDataset(tables)
         b = ds.batch(2048)
-        for name in b.sparse:
-            indices, offsets = b.sparse[name]
-            mean_l = np.diff(offsets).mean()
+        for mean_l in b.lengths.mean(axis=1):
             assert mean_l == pytest.approx(10.0, rel=0.15)
 
     def test_labels_are_learnable(self):
@@ -214,7 +308,8 @@ class TestMiniBatch:
         b = self.make_batch()
         s = b.slice(4, 8)
         assert s.batch_size == 4
-        for indices, offsets in s.sparse.values():
+        for name in s.keys:
+            indices, offsets = s.feature(name)
             assert offsets[0] == 0
             assert offsets[-1] == len(indices)
 
@@ -226,9 +321,9 @@ class TestMiniBatch:
             np.concatenate([p.dense for p in parts]), b.dense)
         np.testing.assert_array_equal(
             np.concatenate([p.labels for p in parts]), b.labels)
-        for name in b.sparse:
-            joined = np.concatenate([p.sparse[name][0] for p in parts])
-            np.testing.assert_array_equal(joined, b.sparse[name][0])
+        for name in b.keys:
+            joined = np.concatenate([p.feature(name)[0] for p in parts])
+            np.testing.assert_array_equal(joined, b.feature(name)[0])
 
     def test_split_requires_divisibility(self):
         b = self.make_batch()
@@ -240,3 +335,59 @@ class TestMiniBatch:
         s = b.slice(0, 4)
         s.dense[0, 0] = 999.0
         assert b.dense[0, 0] != 999.0
+
+    def test_rows_out_of_range_or_not_integers_raise(self):
+        """Out-of-range rows, a reversed range, zero parts and
+        non-integer rows are refused instead of returning a malformed
+        or truncated batch."""
+        b = self.make_batch().slice(0, 3)
+        with pytest.raises(ValueError):
+            b.slice(-1, 3)
+        with pytest.raises(ValueError):
+            b.slice(2, 1)
+        with pytest.raises(ValueError):
+            b.slice(0, 2.0)
+        with pytest.raises(IndexError):
+            b.slice(1, 4)
+        with pytest.raises(ValueError):
+            b.split(0)
+        with pytest.raises(ValueError):
+            b.take(np.array([0.7]))
+        with pytest.raises(ValueError):
+            b.take(np.array([True, False]))
+        with pytest.raises(IndexError):
+            b.take(np.array([3]))
+        with pytest.raises(IndexError):
+            b.take(np.array([-1]))
+        assert b.slice(3, 3).batch_size == 0
+        assert b.take(np.array([], dtype=np.int64)).batch_size == 0
+
+    def test_layout_is_checked_at_construction(self):
+        b = self.make_batch()
+        fields = dict(dense=b.dense, keys=b.keys, lengths=b.lengths,
+                      ids=b.ids, labels=b.labels)
+        negative = b.lengths.copy()
+        negative[0, 0] += negative[0, 1] + 1   # the same id count
+        negative[0, 1] = -1
+        for change, match in (
+                (dict(lengths=negative), "non-negative"),
+                (dict(ids=b.ids[:-1]), "lengths sum to"),
+                (dict(lengths=b.lengths[:, :-1]), "samples"),
+                (dict(lengths=b.lengths[:-1]), "samples"),
+                (dict(labels=b.labels[:-1]), "samples"),
+                (dict(ids=b.ids.reshape(1, -1)), "flat ids"),
+                (dict(lengths=b.lengths.astype(np.float64)), "integers"),
+                (dict(keys=("t0", "t0", "t1")), "duplicate")):
+            with pytest.raises(ValueError, match=match):
+                MiniBatch(**{**fields, **change})
+        with pytest.raises(KeyError):
+            b.feature("t9")
+
+    def test_concat_needs_one_key_order(self):
+        b = self.make_batch()
+        swapped = MiniBatch(dense=b.dense, keys=("t1", "t0", "t2"),
+                            lengths=b.lengths, ids=b.ids, labels=b.labels)
+        with pytest.raises(ValueError, match="feature mismatch"):
+            MiniBatch.concat([b, swapped])
+        with pytest.raises(ValueError):
+            MiniBatch.concat([])

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from repro.data import (DataIngestionService, IngestionStats, MiniBatch,
-                        SeparateFormat, SyntheticCTRDataset,
-                        host_transfer_time)
+                        SyntheticCTRDataset, host_transfer_time)
 from repro.embedding import EmbeddingTableConfig
+
+from .reference_batch import to_features
 
 
 def make_service(world=4, global_batch=32, prefetch=2, num_tables=3):
@@ -74,25 +75,27 @@ class TestIngestion:
 
 
 def built_format_stats(svc: DataIngestionService) -> IngestionStats:
-    """The accounting of every batch ``svc`` produced, by building each
-    shard's separate and combined formats (what ``_account`` counts)."""
+    """The accounting of every batch ``svc`` produced, from each shard's
+    built buffers: the combined format is the shard's own lengths and
+    ids arrays, the separate one an (ids, offsets) pair per feature."""
     stats = IngestionStats()
     for index in range(svc.stats.batches_produced):
         stats.batches_produced += 1
         shards = svc.dataset.batch(svc.global_batch_size,
                                    index).split(svc.world_size)
         for shard in shards:
-            separate = SeparateFormat(tables=dict(shard.sparse))
-            combined = separate.to_combined(list(shard.sparse))
-            payload = combined.total_bytes + shard.dense.nbytes \
+            combined = (shard.lengths, shard.ids)
+            separate = [a for pair in to_features(shard).values()
+                        for a in pair]
+            payload = sum(a.nbytes for a in combined) + shard.dense.nbytes \
                 + shard.labels.nbytes
             stats.frontend_bytes += payload
             stats.h2d_seconds_pinned += host_transfer_time(
-                combined.num_tensors + 2, payload, pinned=True)
+                len(combined) + 2, payload, pinned=True)
             stats.h2d_seconds_pageable += host_transfer_time(
-                separate.num_tensors + 2, payload, pinned=False)
-            stats.combined_tensors_per_iter = combined.num_tensors + 2
-            stats.separate_tensors_per_iter = separate.num_tensors + 2
+                len(separate) + 2, payload, pinned=False)
+            stats.combined_tensors_per_iter = len(combined) + 2
+            stats.separate_tensors_per_iter = len(separate) + 2
     return stats
 
 
@@ -105,11 +108,12 @@ class TestAccounting:
         assert asdict(svc.stats) == asdict(built_format_stats(svc))
 
     def test_mismatched_table_batch_rejected(self):
+        """Tables that disagree on the batch size cannot reach the
+        accounting: the lengths matrix holds one column per sample, and
+        a shard of any other shape is refused when it is built."""
         svc = make_service()
         shard = svc.next_batch()[0]
-        ids, offsets = shard.sparse["t1"]
-        bad = MiniBatch(dense=shard.dense,
-                        sparse={**shard.sparse, "t1": (ids, offsets[:-1])},
-                        labels=shard.labels)
-        with pytest.raises(ValueError, match="batch"):
-            svc._account([bad])
+        with pytest.raises(ValueError, match="8 samples"):
+            MiniBatch(dense=shard.dense, keys=shard.keys,
+                      lengths=shard.lengths[:, :-1], ids=shard.ids,
+                      labels=shard.labels)

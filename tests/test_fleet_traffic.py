@@ -166,9 +166,9 @@ class TestUserPopulation:
                 first = by_user[r.user_id]
                 np.testing.assert_array_equal(r.batch.dense,
                                               first.batch.dense)
-                for name in r.batch.sparse:
-                    np.testing.assert_array_equal(
-                        r.batch.sparse[name][0], first.batch.sparse[name][0])
+                np.testing.assert_array_equal(r.batch.lengths,
+                                              first.batch.lengths)
+                np.testing.assert_array_equal(r.batch.ids, first.batch.ids)
             else:
                 by_user[r.user_id] = r
         # the population is small enough that recurrence must happen

@@ -86,7 +86,7 @@ class TestGoldenWireBytes:
         # both schemes ship every local id to exactly one owner (ids are
         # int64). Lengths arrays ride along: one entry per sample for the
         # TW table, one per (sample, row shard) bucket for the RW table.
-        total_ids = sum(len(b.sparse[t][0]) for b in batches
+        total_ids = sum(len(b.feature(t)[0]) for b in batches
                         for t in ("t0", "t1"))
         total_lengths = ITERS * GLOBAL_BATCH + ITERS * GLOBAL_BATCH * WORLD
         assert got["all_to_all/index"] == (total_ids + total_lengths) * 8

@@ -37,8 +37,8 @@ def req(request_id, arrival_s, samples=1, tenant=None):
         request_id=request_id, arrival_s=arrival_s,
         batch=MiniBatch(
             dense=np.zeros((samples, 2), dtype=np.float32),
-            sparse={"t0": (np.zeros(samples, dtype=np.int64),
-                           np.arange(samples + 1, dtype=np.int64))},
+            keys=("t0",), lengths=np.ones((1, samples), dtype=np.int64),
+            ids=np.zeros(samples, dtype=np.int64),
             labels=np.zeros(samples, dtype=np.float32)),
         tenant=tenant)
 

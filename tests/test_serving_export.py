@@ -22,6 +22,7 @@ from repro.models import DLRM, ZOO_SIZES, zoo_config
 from repro.serving import FreezeConfig, ServableModel, freeze
 
 from .helpers import tiny_config, tiny_dataset, tiny_trainer
+from .reference_batch import from_features, to_features
 
 
 def make_config(num_tables=3, rows=150, dim=8, dense_dim=6):
@@ -244,7 +245,7 @@ class TestHotColdPlacement:
         batch = tiny_dataset(config).batch(32, 3)
         for name in servable.cold_table_names:
             table = servable.cold_tables[name]
-            indices, offsets = batch.sparse[name]
+            indices, offsets = batch.feature(name)
             plain = segment_sum(table.backing.rows[indices], offsets)
             np.testing.assert_array_equal(
                 table.forward(indices, offsets), plain)
@@ -325,30 +326,40 @@ class TestBagValidation:
     def test_predict_rejects_a_non_monotone_cold_bag(self):
         servable = self.servable()
         batch = tiny_dataset(make_config(rows=150)).batch(3, 0)
-        ids = np.array([3, 4, 5], dtype=np.int64)
-        batch.sparse["t1"] = (ids, np.array([0, 3, 1, 3], dtype=np.int64))
+        features = to_features(batch)
+        features["t1"] = (np.array([3, 4, 5], dtype=np.int64),
+                          np.array([0, 3, 1, 3], dtype=np.int64))
         before = self.traffic(servable)
-        with pytest.raises(ValueError, match="non-decreasing"):
-            servable.predict(batch)
+        # the bag of length -2 is refused when the batch is built
+        with pytest.raises(ValueError, match="non-negative"):
+            servable.predict(from_features(batch.dense, features,
+                                           batch.labels))
         assert self.traffic(servable) == before
 
     @pytest.mark.parametrize("fault", ["bags", "start", "end"])
     def test_concat_rejects_a_malformed_batch(self, fault):
-        """``concat`` drops the offsets entries between batches, which
-        is only sound for well-formed batches: an extra bag, a start past
-        0 or an end short of the ids would re-bag a neighbour's ids."""
+        """A malformed batch would re-bag a neighbour's ids in
+        ``concat``: an extra bag, a start past 0 or an end short of the
+        ids is refused when the batch is built, before it can be
+        joined."""
         ds = tiny_dataset(make_config(rows=150))
         good, bad = ds.batch(2, 0), ds.batch(2, 1)
-        ids, offsets = bad.sparse["t1"]
-        offsets = offsets.copy()
-        if fault == "bags":
-            offsets = np.append(offsets, offsets[-1])
-        elif fault == "start":
+        features = to_features(bad)
+        ids, offsets = features["t1"]
+        if fault == "start":
             offsets[0] = 1
-        else:
-            ids = np.append(ids, 7)
-        bad.sparse["t1"] = (ids, offsets)
-        with pytest.raises(ValueError, match="feature t1"):
+        elif fault == "end":
+            features["t1"] = (np.append(ids, 7), offsets)
+        match = {"bags": r"needs \(3, 2\) lengths"}.get(fault,
+                                                         "lengths sum to")
+        with pytest.raises(ValueError, match=match):
+            if fault == "bags":
+                extra = np.zeros((len(bad.keys), 1), dtype=np.int64)
+                bad = MiniBatch(dense=bad.dense, keys=bad.keys,
+                                lengths=np.hstack([bad.lengths, extra]),
+                                ids=bad.ids, labels=bad.labels)
+            else:
+                bad = from_features(bad.dense, features, bad.labels)
             MiniBatch.concat([good, bad])
 
 
@@ -419,5 +430,5 @@ class TestFreezeValidation:
         config = make_config()
         servable = freeze(DLRM(config, seed=0))
         batch = tiny_dataset(config).batch(16, 0)
-        expected = sum(len(ids) for ids, _ in batch.sparse.values())
+        expected = sum(len(ids) for ids, _ in to_features(batch).values())
         assert servable.nnz(batch) == expected

@@ -29,6 +29,7 @@ from repro.serving import (BatchingPolicy, InferenceRequest,
 from repro.serving.batcher import predicted_completion
 
 from .helpers import trace_of
+from .reference_batch import assert_same_batch, from_features, to_features
 from .reference_serving import (concat_reference,
                                 predicted_completion_reference,
                                 price_requests, service_time_reference)
@@ -221,9 +222,9 @@ def minibatch_lists(draw):
             sparse[name] = (ids, offsets)
         dense = np.arange(size * 2, dtype=np.float32).reshape(size, 2) \
             + len(batches)
-        batches.append(MiniBatch(dense=dense, sparse=sparse,
-                                 labels=np.full(size, len(batches) % 2,
-                                                dtype=np.float32)))
+        batches.append(from_features(dense, sparse,
+                                     np.full(size, len(batches) % 2,
+                                             dtype=np.float32)))
     return batches
 
 
@@ -238,18 +239,16 @@ class TestConcat:
     def test_matches_reference(self, batches):
         fast = MiniBatch.concat(batches)
         reference = concat_reference(batches)
-        assert_same_array(fast.dense, reference.dense)
-        assert_same_array(fast.labels, reference.labels)
-        assert list(fast.sparse) == list(reference.sparse)
-        for name, (ids, offsets) in reference.sparse.items():
-            assert_same_array(fast.sparse[name][0], ids)
-            assert_same_array(fast.sparse[name][1], offsets)
+        assert_same_batch(fast, reference)
+        for name, (ids, offsets) in to_features(reference).items():
+            assert_same_array(fast.feature(name)[0], ids)
+            assert_same_array(fast.feature(name)[1], offsets)
 
     def test_single_sample_batches_with_empty_bags(self):
         empty = MiniBatch(dense=np.zeros((1, 2), dtype=np.float32),
-                          sparse={"a": (np.zeros(0, dtype=np.int64),
-                                        np.zeros(2, dtype=np.int64))},
+                          keys=("a",), lengths=np.zeros((1, 1), np.int64),
+                          ids=np.zeros(0, dtype=np.int64),
                           labels=np.zeros(1, dtype=np.float32))
         merged = MiniBatch.concat([empty] * 4)
-        assert_same_array(merged.sparse["a"][1],
+        assert_same_array(merged.feature("a")[1],
                           np.zeros(5, dtype=np.int64))

@@ -36,6 +36,7 @@ from repro.serving import (BatchingPolicy, FreezeConfig, InferenceRequest,
 from repro.serving.loadgen import requests_from_arrivals
 
 from .helpers import tiny_config, tiny_dataset
+from .reference_batch import assert_same_batch
 from .reference_serving import (ReferencePlan, assert_same_columns,
                                 concat_reference, plan_lanes_reference,
                                 price_requests, route_reference,
@@ -130,16 +131,6 @@ def assert_same_responses(got, expected):
         assert got[rid].tobytes() == probs.tobytes()
 
 
-def assert_same_batch(got, expected):
-    assert got.dense.tobytes() == expected.dense.tobytes()
-    assert got.labels.tobytes() == expected.labels.tobytes()
-    assert list(got.sparse) == list(expected.sparse)
-    for name, (ids, offsets) in expected.sparse.items():
-        for got_array, array in zip(got.sparse[name], (ids, offsets)):
-            assert got_array.dtype == array.dtype
-            assert np.array_equal(got_array, array)
-
-
 class TestTake:
     @settings(max_examples=60, deadline=None)
     @given(size=st.integers(1, 12), pooling=st.sampled_from([0.3, 2.0]),
@@ -155,14 +146,14 @@ class TestTake:
     def test_empty_bags_and_no_rows(self):
         store = MiniBatch(
             dense=np.arange(6, dtype=np.float32).reshape(3, 2),
-            sparse={"a": (np.array([7, 8]), np.array([0, 0, 2, 2]))},
+            keys=("a",), lengths=np.array([[0, 2, 0]]), ids=np.array([7, 8]),
             labels=np.zeros(3, dtype=np.float32))
         got = store.take(np.array([2, 0, 1, 1]))
-        assert np.array_equal(got.sparse["a"][0], [7, 8, 7, 8])
-        assert np.array_equal(got.sparse["a"][1], [0, 0, 0, 2, 4])
+        assert np.array_equal(got.feature("a")[0], [7, 8, 7, 8])
+        assert np.array_equal(got.feature("a")[1], [0, 0, 0, 2, 4])
         empty = store.take(np.zeros(0, dtype=np.int64))
         assert empty.batch_size == 0
-        assert np.array_equal(empty.sparse["a"][1], [0])
+        assert np.array_equal(empty.feature("a")[1], [0])
 
     def test_rows_out_of_range(self):
         store = tiny_dataset(CONFIG).batch(3)
@@ -328,8 +319,9 @@ class TestTraceInputs:
         assert trace[2].nnz == row.nnz
         assert trace[2].batch.dense.tobytes() == row.dense.tobytes()
         assert trace[2].batch.labels.tobytes() == row.labels.tobytes()
-        for name, (ids, offsets) in row.sparse.items():
-            got_ids, got_offsets = trace[2].batch.sparse[name]
+        for name in row.keys:
+            ids, offsets = row.feature(name)
+            got_ids, got_offsets = trace[2].batch.feature(name)
             assert np.array_equal(got_ids, ids)
             assert np.array_equal(got_offsets, offsets)
         with pytest.raises(ValueError, match="increasing"):

@@ -125,9 +125,9 @@ def empty_request(config: DLRMConfig) -> MiniBatch:
     """One sample whose every bag is empty."""
     return MiniBatch(
         dense=np.full((1, config.dense_dim), 0.5, dtype=np.float32),
-        sparse={t.name: (np.zeros(0, dtype=np.int64),
-                         np.zeros(2, dtype=np.int64))
-                for t in config.tables},
+        keys=[t.name for t in config.tables],
+        lengths=np.zeros((len(config.tables), 1), dtype=np.int64),
+        ids=np.zeros(0, dtype=np.int64),
         labels=np.zeros(1, dtype=np.float32))
 
 
@@ -250,7 +250,8 @@ class TestDenseHalf:
         batch = MiniBatch.concat(dispatches(config, 1)[0])
         before = counters(model)
         for dense in (batch.dense[:, :-1], batch.dense[:, 0]):
-            bad = MiniBatch(dense=dense, sparse=batch.sparse,
+            bad = MiniBatch(dense=dense, keys=batch.keys,
+                            lengths=batch.lengths, ids=batch.ids,
                             labels=batch.labels)
             with pytest.raises(ValueError,
                                match=rf"\(batch, {config.dense_dim}\)"):

@@ -1,8 +1,9 @@
 """The sparse exchange: what the trainer puts on the wire, pinned.
 
 A trainer's ``SparseExchange`` prepares every table's index exchange in
-one pass (one ``np.diff`` for all bag lengths, one sort of every
-row-wise table's ids by table, source and owner rank) and then issues
+one pass (every table's bag lengths read off the ranks' stacked
+lengths matrices, one sort of every row-wise table's ids by table,
+source and owner rank) and then issues
 one collective per table per kind, in table order, each over one send
 buffer and a split matrix. These tests hold that pass to the exchange
 it replaced, whose ``[src][dst]`` slices the recorded inputs are
@@ -21,8 +22,8 @@ rebuilt as:
   shard does, which is how the exchange runs it;
 * ids outside their table must fail as a per-table bucketize did, even
   where the combined id space would hide them in a neighbour's bucket,
-  and a batch without some table's feature must fail before any
-  collective;
+  and a batch without some table's feature, or of another local batch
+  size, must fail before any collective;
 * a plan with a shard outside the world, or a data-parallel table
   missing from some rank, must fail when the trainer is built;
 * the comms log's cached counters must survive registry resets.
@@ -47,6 +48,7 @@ from repro.obs import NULL_TRACER, MetricRegistry
 from repro.sharding import (Shard, ShardingPlan, ShardingScheme,
                             TableShardingPlan, shard_table)
 
+from .reference_batch import from_features, to_features
 from .reference_comms import to_slices
 from .reference_trainer import looped_row_wise_payloads
 
@@ -148,13 +150,21 @@ def hybrid_trainer(process_group_factory=None,
 def without_bag(batch: MiniBatch, bag: int) -> MiniBatch:
     """``batch`` with bag ``bag`` of every table emptied."""
     sparse = {}
-    for name, (ids, offsets) in batch.sparse.items():
+    for name, (ids, offsets) in to_features(batch).items():
         lengths = np.diff(offsets)
         lengths[bag] = 0
         keep = np.ones(len(ids), dtype=bool)
         keep[offsets[bag]:offsets[bag + 1]] = False
         sparse[name] = (ids[keep], np.concatenate([[0], np.cumsum(lengths)]))
-    return MiniBatch(dense=batch.dense, sparse=sparse, labels=batch.labels)
+    return from_features(batch.dense, sparse, batch.labels)
+
+
+def with_features(batch: MiniBatch, edit) -> MiniBatch:
+    """``batch`` rebuilt from its features after ``edit`` changed them
+    in place."""
+    features = to_features(batch)
+    edit(features)
+    return from_features(batch.dense, features, batch.labels)
 
 
 def hybrid_batches(trainer: NeoTrainer, step: int):
@@ -201,8 +211,7 @@ class TestPinnedExchange:
     def test_every_rank_ships_an_empty_bag(self):
         trainer = hybrid_trainer()
         for r, batch in enumerate(hybrid_batches(trainer, 0)):
-            for _, offsets in batch.sparse.values():
-                assert np.diff(offsets)[r % LOCAL_BATCH] == 0
+            assert not batch.lengths[:, r % LOCAL_BATCH].any()
 
 
 @st.composite
@@ -271,8 +280,10 @@ class TestRowWisePayloads:
         exchange = row_wise_exchange(world, tables, placements)
         inputs = {t.name: [local[r][t.name] for r in range(world)]
                   for t in tables}
-        got = exchange._row_wise_payloads(
-            inputs, exchange._bag_lengths(inputs, batch))
+        lengths = np.array([[np.diff(offsets) for _, offsets in inputs[t.name]]
+                            for t in tables], dtype=np.int64).reshape(
+                                len(tables), world, batch)
+        got = exchange._row_wise_payloads(inputs, lengths)
         want = looped_row_wise_payloads(exchange, inputs)
         assert list(got) == list(want)
         for name, (shards, ids, lengths) in got.items():
@@ -290,10 +301,10 @@ class TestRowWisePayloads:
         trainer = hybrid_trainer()
         exchange = trainer.exchange
         batches = hybrid_batches(trainer, 0)
-        inputs = {t.name: [b.sparse[t.name] for b in batches]
+        inputs = {t.name: [b.feature(t.name) for b in batches]
                   for t in trainer.config.tables}
         payloads = exchange._row_wise_payloads(
-            inputs, exchange._bag_lengths(inputs, LOCAL_BATCH))
+            inputs, np.stack([b.lengths for b in batches], axis=1))
         _, ids, lengths = payloads["rw_b"]   # no shard on rank 0
         for send, splits in (ids, lengths):
             assert splits.shape == (WORLD, WORLD)
@@ -311,10 +322,8 @@ class TestBoundaries:
         space; -1 in rw_b would land in rw_a's last shard."""
         trainer = hybrid_trainer()
         batches = hybrid_batches(trainer, 0)
-        ids, offsets = batches[1].sparse[table]
-        ids = ids.copy()
-        ids[0] = bad
-        batches[1].sparse[table] = (ids, offsets)
+        batches[1] = with_features(
+            batches[1], lambda features: features[table][0].put(0, bad))
         with pytest.raises(IndexError):
             trainer.train_step(batches)
 
@@ -368,56 +377,68 @@ class TestBoundaries:
                                                           table):
         trainer = hybrid_trainer()
         batches = hybrid_batches(trainer, 0)
-        del batches[2].sparse[table]
+        batches[2] = with_features(batches[2],
+                                   lambda features: features.pop(table))
         with pytest.raises(ValueError,
                            match=f"rank 2.* table {table}$"):
             getattr(trainer, forward)(batches)
         assert trainer.pg.log.calls == {}
 
     @pytest.mark.parametrize("edit, error, match", [
-        ("short_end", ValueError, "start at 0 and end at len"),
-        ("late_start", ValueError, "start at 0 and end at len"),
-        ("end_in_next_rank", ValueError, "start at 0 and end at len"),
-        ("decreasing", ValueError, "non-decreasing"),
+        # rank 2's last bag is its empty one: a short end makes it
+        # negative
+        ("short_end", ValueError, "non-negative"),
+        ("late_start", ValueError, "lengths sum to"),
+        ("end_in_next_rank", ValueError, "non-negative"),
+        ("decreasing", ValueError, "non-negative"),
         ("id_past_table", IndexError, "out of range"),
         ("short_batch", ValueError, "local batch")])
     def test_data_parallel_bags_are_checked_per_rank(self, edit, error,
                                                      match):
-        """The one lookup of every rank's bags still refuses one rank's
-        malformed bags, instead of shifting them into its neighbour's."""
+        """One rank's malformed bags are refused instead of shifting
+        into its neighbour's: bags that do not hold exactly the rank's
+        ids when its batch is built, an id past the table by the one
+        lookup of every rank's bags, and a local batch of another size
+        before any collective."""
         trainer = hybrid_trainer()
         batches = hybrid_batches(trainer, 0)
-        ids, offsets = batches[2].sparse["dp"]
-        ids, offsets = ids.copy(), offsets.copy()
+        features = to_features(batches[2])
+        ids, offsets = features["dp"]
         if edit == "short_end":
             offsets[-1] -= 1
         elif edit == "end_in_next_rank":
             # the global batch still adds up: only a per-rank check sees
             # rank 3's bags start one id early
             offsets[-1] -= 1
-            next_ids, next_offsets = batches[3].sparse["dp"]
-            next_offsets = next_offsets.copy()
-            next_offsets[-1] += 1
-            batches[3].sparse["dp"] = (next_ids, next_offsets)
+            next_features = to_features(batches[3])
+            next_features["dp"][1][-1] += 1
         elif edit == "late_start":
             offsets[0] = 1
         elif edit == "decreasing":
             offsets[1], offsets[2] = offsets[2] + 1, offsets[1]
-        elif edit == "short_batch":
-            ids, offsets = ids[:offsets[-2]], offsets[:-1]
-        else:
+        elif edit == "id_past_table":
             ids[-1] = 13
-        batches[2].sparse["dp"] = (ids, offsets)
         with pytest.raises(error, match=match):
+            if edit == "short_batch":
+                batches[2] = batches[2].slice(0, LOCAL_BATCH - 1)
+            else:
+                batches[2] = from_features(batches[2].dense, features,
+                                           batches[2].labels)
+            if edit == "end_in_next_rank":
+                batches[3] = from_features(batches[3].dense, next_features,
+                                           batches[3].labels)
             trainer.train_step(batches)
+        assert trainer.pg.log.calls == {} or edit == "id_past_table"
 
     def test_offsets_of_the_wrong_batch_size_raise(self):
-        trainer = hybrid_trainer()
-        batches = hybrid_batches(trainer, 0)
-        ids, offsets = batches[2].sparse["tw"]
-        batches[2].sparse["tw"] = (ids, offsets[:-1])
-        with pytest.raises(ValueError, match="local batch"):
-            trainer.train_step(batches)
+        """A feature cannot hold another sample count than its batch:
+        its bags are a row of the one ``(F, B)`` lengths matrix, and a
+        matrix of another width is refused when the batch is built."""
+        batch = hybrid_batches(hybrid_trainer(), 0)[2]
+        with pytest.raises(ValueError, match=f"{LOCAL_BATCH} samples"):
+            MiniBatch(dense=batch.dense, keys=batch.keys,
+                      lengths=batch.lengths[:, :-1], ids=batch.ids,
+                      labels=batch.labels)
 
 
 def _feed(log: CommsLog) -> None:

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from repro import nn
 from repro.comms import ClusterTopology, QuantizedCommsConfig
 from repro.core import CheckpointManager, NeoTrainer
-from repro.data import MiniBatch, SyntheticCTRDataset
+from repro.data import SyntheticCTRDataset
 from repro.embedding import (EmbeddingTableConfig, RowWiseAdaGrad,
                              SparseAdaGrad, SparseAdam, SparseLAMB, SparseSGD)
 from repro.models import DLRM, DLRMConfig
@@ -31,6 +31,7 @@ from repro.sharding import (Shard, ShardingPlan, ShardingScheme,
                             TableShardingPlan, shard_table)
 
 from .helpers import DENSE_OPTIMIZERS as OPTIMIZERS
+from .reference_batch import from_features, to_features
 from .reference_trainer import LoopedNeoTrainer
 
 SCHEMES = [ShardingScheme.TABLE_WISE, ShardingScheme.ROW_WISE,
@@ -493,7 +494,7 @@ def with_empty_bags(batches):
     out = []
     for r, batch in enumerate(batches):
         sparse = {}
-        for name, (ids, offsets) in batch.sparse.items():
+        for name, (ids, offsets) in to_features(batch).items():
             bag = r % batch.batch_size
             lengths = np.diff(offsets)
             lengths[bag] = 0
@@ -501,8 +502,7 @@ def with_empty_bags(batches):
             keep[offsets[bag]:offsets[bag + 1]] = False
             sparse[name] = (ids[keep], np.concatenate(
                 [[0], np.cumsum(lengths)]).astype(np.int64))
-        out.append(MiniBatch(dense=batch.dense, sparse=sparse,
-                             labels=batch.labels))
+        out.append(from_features(batch.dense, sparse, batch.labels))
     return out
 
 
